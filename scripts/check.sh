@@ -43,7 +43,6 @@ SHAPES_CACHE_DIR="$(mktemp -d)"
 REPRO_CACHE_DIR="$SHAPES_CACHE_DIR" python - <<'EOF'
 import numpy as np
 
-import repro.core.compiler  # noqa: F401  (core first: import-order cycle)
 from repro.core import diskcache
 from repro.core.compiler import AkgOptions, build
 from repro.ir.lower import lower
@@ -93,6 +92,12 @@ if [ "$FAST" -eq 1 ]; then
     echo "all checks passed (--fast: slow bench steps skipped)"
     exit 0
 fi
+
+echo
+echo "== repo benchmark smoke (compile_sched, correctness checks) =="
+# Non-zero exit = a failed correctness check (replay != oracle, a
+# RuntimeWarning, ...); set -e stops the script.  Timings are not gated here.
+python3 bench/run.py --quick --workload compile_sched
 
 echo
 echo "== execution-engine equivalence (scalar vs vectorized) =="

@@ -16,9 +16,9 @@ start as soon as the compute of tile ``i`` released its buffer half.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.codegen.sync import Stage, link_stages
+from repro.codegen.sync import Stage, event_ids, link_stages
 from repro.codegen.vectorize import (
     arithmetic_op_count,
     full_tile_fraction,
@@ -85,9 +85,7 @@ class ProgramBuilder:
         assignments: Optional[Sequence[UnitAssignment]] = None,
     ) -> Program:
         """Lower all groups of one kernel into a single program."""
-        from repro.codegen.sync import reset_events
-
-        reset_events()
+        events = event_ids()
         if assignments is None:
             assignments = [assign_compute_units(g.statements) for g in groups]
         instrs: List[Instr] = []
@@ -105,7 +103,7 @@ class ProgramBuilder:
         ):
             if i > 0:
                 instrs.append(Barrier())
-            group_instrs, info = self._build_group(group, plan, assignment)
+            group_instrs, info = self._build_group(group, plan, assignment, events)
             instrs.extend(group_instrs)
             metadata["groups"].append(info)
         trace = None
@@ -116,21 +114,26 @@ class ProgramBuilder:
     # -- per-group lowering ---------------------------------------------------------
 
     def _build_group(
-        self, group: TiledGroup, plan: StoragePlan, assignment: UnitAssignment
+        self,
+        group: TiledGroup,
+        plan: StoragePlan,
+        assignment: UnitAssignment,
+        events: Iterator[int],
     ) -> Tuple[List[Instr], Dict[str, object]]:
         pre, chunked, post = self._tile_stages(group, plan, assignment)
         stages = pre + chunked + post
+        policy = self.options.sync_policy
         if plan.reduce_chunks > 1 and chunked:
             # Hierarchical reduction: the contraction streams K in chunks
             # while the accumulator stays resident in L0C (Sec. 4.4).
-            chunk_body = link_stages(chunked, self.options.sync_policy)
+            chunk_body = link_stages(chunked, policy, events)
             body = (
-                link_stages(pre, self.options.sync_policy)
+                link_stages(pre, policy, events)
                 + [Loop(plan.reduce_chunks, chunk_body, label="k chunks")]
-                + link_stages(post, self.options.sync_policy)
+                + link_stages(post, policy, events)
             )
         else:
-            body = link_stages(stages, self.options.sync_policy)
+            body = link_stages(stages, policy, events)
         info: Dict[str, object] = {
             "tiles": group.total_tiles,
             "stages": len(stages),

@@ -19,7 +19,7 @@ and then inserts flags according to a policy:
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.hw.isa import Barrier, Instr, Pipe, SetFlag, WaitFlag
 
@@ -37,25 +37,18 @@ class Stage:
         return f"Stage({self.pipe.value}, {len(self.instrs)} instrs, {self.label})"
 
 
-_event_counter = itertools.count(16)  # low ids reserved for loop-carried flags
+def event_ids() -> Iterator[int]:
+    """A fresh flag-event id allocator, owned by one program build.
 
-
-def fresh_event() -> int:
-    """Allocate a flag event id, unique within the current program."""
-    return next(_event_counter)
-
-
-def reset_events() -> None:
-    """Restart event-id allocation (called per program build).
-
-    Flag ids only need to be unique *within* one program — the simulator
-    matches ``set_flag``/``wait_flag`` pairs per program run.  Restarting
-    the counter for every program makes builds deterministic: compiling
+    Flag ids only need to be unique *within* one program -- the simulator
+    matches ``set_flag``/``wait_flag`` pairs per program run.  Starting
+    every program at the same id makes builds deterministic: compiling
     the same kernel twice (or once monolithically and once through the
-    staged front-end/back-end split) yields byte-identical dumps.
+    staged front-end/back-end split) yields byte-identical dumps.  The
+    allocator is an object the builder passes down, not module state, so
+    concurrent builds (service workers) cannot interleave their ids.
     """
-    global _event_counter
-    _event_counter = itertools.count(16)
+    return itertools.count(16)  # low ids reserved for loop-carried flags
 
 
 def merge_adjacent_stages(stages: Sequence[Stage]) -> List[Stage]:
@@ -77,11 +70,19 @@ def merge_adjacent_stages(stages: Sequence[Stage]) -> List[Stage]:
     return merged
 
 
-def link_stages(stages: Sequence[Stage], policy: str = "dp") -> List[Instr]:
+def link_stages(
+    stages: Sequence[Stage],
+    policy: str = "dp",
+    events: Optional[Iterator[int]] = None,
+) -> List[Instr]:
     """Emit the instruction stream for a dependent stage chain.
 
-    ``policy`` selects the synchronisation strategy (see module docstring).
+    ``policy`` selects the synchronisation strategy (see module docstring);
+    ``events`` is the program's :func:`event_ids` allocator (a chain
+    linked on its own gets a fresh one).
     """
+    if events is None:
+        events = event_ids()
     if policy not in ("dp", "empirical", "naive"):
         raise ValueError(f"unknown sync policy {policy!r}")
     stages = [s for s in stages if s.instrs]
@@ -93,7 +94,7 @@ def link_stages(stages: Sequence[Stage], policy: str = "dp") -> List[Instr]:
         out: List[Instr] = []
         for i, stage in enumerate(chain):
             if i > 0 and chain[i - 1].pipe != stage.pipe:
-                event = fresh_event()
+                event = next(events)
                 out.append(SetFlag(chain[i - 1].pipe, stage.pipe, event))
                 out.append(WaitFlag(chain[i - 1].pipe, stage.pipe, event))
             out.extend(stage.instrs)
@@ -111,13 +112,13 @@ def link_stages(stages: Sequence[Stage], policy: str = "dp") -> List[Instr]:
                 prev = stages[i - 1]
                 if prev.pipe != stage.pipe:
                     for _ in prev.instrs:
-                        event = fresh_event()
+                        event = next(events)
                         out.append(SetFlag(prev.pipe, stage.pipe, event))
                         out.append(WaitFlag(prev.pipe, stage.pipe, event))
                 else:
                     # Even same-pipe hand-offs get a defensive flag pair in
                     # the vendor code (harmless order-wise, pure overhead).
-                    event = fresh_event()
+                    event = next(events)
                     out.append(SetFlag(prev.pipe, stage.pipe, event))
                     out.append(WaitFlag(prev.pipe, stage.pipe, event))
             out.extend(stage.instrs)

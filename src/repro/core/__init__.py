@@ -12,14 +12,27 @@ The result bundles the compiled program with every intermediate artefact
 methods ``simulate()`` and ``execute()``.
 """
 
-from repro.core.compiler import AkgOptions, CompileResult, backend_build, build
-from repro.core.frontend import FrontEnd, run_frontend
+from importlib import import_module
 
-__all__ = [
-    "AkgOptions",
-    "CompileResult",
-    "FrontEnd",
-    "backend_build",
-    "build",
-    "run_frontend",
-]
+# Re-exported lazily (PEP 562): ``poly``, ``codegen``, ``storage`` and the
+# rest import ``repro.core.resilience`` / ``repro.core.errors``, which runs
+# this file; importing the driver here would pull every layer back in
+# while the first of them is still half initialised.
+_EXPORTS = {
+    "AkgOptions": "repro.core.compiler",
+    "CompileResult": "repro.core.compiler",
+    "backend_build": "repro.core.compiler",
+    "build": "repro.core.compiler",
+    "FrontEnd": "repro.core.frontend",
+    "run_frontend": "repro.core.frontend",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value

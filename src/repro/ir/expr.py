@@ -10,6 +10,7 @@ naturally: ``A[h, w] * B[kh, kw] + bias``.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
@@ -255,8 +256,13 @@ class Reduce(Expr):
 
     @property
     def init_value(self) -> Expr:
-        """Identity element of the combiner."""
-        identities = {"sum": 0.0, "prod": 1.0, "max": -3.0e38, "min": 3.0e38}
+        """Identity element of the combiner.
+
+        ``max``/``min`` use the infinities: unlike a large finite constant
+        they are representable in every float dtype, so the init store
+        casts to fp16 without overflowing.
+        """
+        identities = {"sum": 0.0, "prod": 1.0, "max": -math.inf, "min": math.inf}
         return FloatImm(identities[self.op], self.dtype)
 
     def to_str(self) -> str:

@@ -12,10 +12,13 @@ polyhedral layer normalises constraints to integer coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple, Union
+from math import gcd, lcm
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 Number = Union[int, Fraction]
 Coeffs = Dict[str, Fraction]
+
+_ZERO = Fraction(0)
 
 
 class AffineExpr:
@@ -48,6 +51,20 @@ class AffineExpr:
         self.const: Fraction = Fraction(const)
         self._hash: int | None = None
 
+    @classmethod
+    def _of(cls, coeffs: Coeffs, const: Fraction) -> "AffineExpr":
+        """Trusted constructor for arithmetic results.
+
+        ``coeffs`` must be a fresh dict of nonzero ``Fraction`` values and
+        ``const`` a ``Fraction`` -- what ``__init__`` would have produced --
+        so its per-coefficient re-wrap and zero filter are skipped.
+        """
+        self = cls.__new__(cls)
+        self.coeffs = coeffs
+        self.const = const
+        self._hash = None
+        return self
+
     # -- pickling (the hash memo must not cross process boundaries) --------
 
     def __getstate__(self):
@@ -78,7 +95,7 @@ class AffineExpr:
 
     def coeff(self, name: str) -> Fraction:
         """Coefficient of ``name`` (0 when absent)."""
-        return self.coeffs.get(name, Fraction(0))
+        return self.coeffs.get(name, _ZERO)
 
     def variables(self) -> Tuple[str, ...]:
         """Names of variables with nonzero coefficient, sorted."""
@@ -103,16 +120,19 @@ class AffineExpr:
 
     def substitute(self, env: Mapping[str, "AffineExpr | Number"]) -> "AffineExpr":
         """Substitute variables by expressions (or numbers)."""
-        result = AffineExpr.constant(self.const)
+        coeffs: Coeffs = {}
+        const = self.const
         for name, c in self.coeffs.items():
-            if name in env:
-                repl = env[name]
-                if not isinstance(repl, AffineExpr):
-                    repl = AffineExpr.constant(repl)
-                result = result + repl * c
+            if name not in env:
+                _add_into(coeffs, ((name, c),))
+                continue
+            repl = env[name]
+            if isinstance(repl, AffineExpr):
+                _add_into(coeffs, ((n, rc * c) for n, rc in repl.coeffs.items()))
+                const = const + repl.const * c
             else:
-                result = result + AffineExpr({name: c})
-        return result
+                const = const + _frac(repl) * c
+        return AffineExpr._of(coeffs, const)
 
     def rename(self, mapping: Mapping[str, str]) -> "AffineExpr":
         """Rename variables according to ``mapping`` (missing names kept)."""
@@ -124,28 +144,29 @@ class AffineExpr:
 
     def __add__(self, other: "AffineExpr | Number") -> "AffineExpr":
         if not isinstance(other, AffineExpr):
-            return AffineExpr(self.coeffs, self.const + Fraction(other))
+            return AffineExpr._of(dict(self.coeffs), self.const + _frac(other))
         coeffs = dict(self.coeffs)
-        for name, c in other.coeffs.items():
-            coeffs[name] = coeffs.get(name, Fraction(0)) + c
-        return AffineExpr(coeffs, self.const + other.const)
+        _add_into(coeffs, other.coeffs.items())
+        return AffineExpr._of(coeffs, self.const + other.const)
 
     __radd__ = __add__
 
     def __neg__(self) -> "AffineExpr":
-        return AffineExpr({n: -c for n, c in self.coeffs.items()}, -self.const)
+        return AffineExpr._of({n: -c for n, c in self.coeffs.items()}, -self.const)
 
     def __sub__(self, other: "AffineExpr | Number") -> "AffineExpr":
         if not isinstance(other, AffineExpr):
-            return AffineExpr(self.coeffs, self.const - Fraction(other))
+            return AffineExpr._of(dict(self.coeffs), self.const - _frac(other))
         return self + (-other)
 
     def __rsub__(self, other: Number) -> "AffineExpr":
         return (-self) + other
 
     def __mul__(self, factor: Number) -> "AffineExpr":
-        f = Fraction(factor)
-        return AffineExpr({n: c * f for n, c in self.coeffs.items()}, self.const * f)
+        f = _frac(factor)
+        if not f:
+            return AffineExpr._of({}, f)
+        return AffineExpr._of({n: c * f for n, c in self.coeffs.items()}, self.const * f)
 
     __rmul__ = __mul__
 
@@ -175,6 +196,27 @@ class AffineExpr:
             parts.append(str(self.const))
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
+
+
+def _frac(value: Number) -> Fraction:
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def _add_into(coeffs: Coeffs, terms: Iterable[Tuple[str, Fraction]]) -> None:
+    """``coeffs += terms`` in place, deleting entries that cancel.
+
+    A cancelled name that reappears later is appended afresh, exactly as
+    when every intermediate sum went through ``AffineExpr.__init__``'s
+    zero filter -- dict order feeds the presolve's elimination order.
+    """
+    for name, c in terms:
+        old = coeffs.get(name)
+        if old is not None:
+            c = old + c
+            if not c:
+                del coeffs[name]
+                continue
+        coeffs[name] = c
 
 
 def var(name: str) -> AffineExpr:
@@ -286,24 +328,18 @@ def _as_expr(value: AffineExpr | Number) -> AffineExpr:
 
 def _normalize(expr: AffineExpr, is_equality: bool) -> AffineExpr:
     """Scale to coprime integer coefficients; tighten inequality constants."""
-    from repro.poly.linalg import gcd_list
-
-    denoms = [c.denominator for c in expr.coeffs.values()] + [expr.const.denominator]
-    lcm = 1
-    for d in denoms:
-        from math import gcd as _gcd
-
-        lcm = lcm * d // _gcd(lcm, d)
-    coeffs = {n: c * lcm for n, c in expr.coeffs.items()}
-    const = expr.const * lcm
-    g = gcd_list([int(c) for c in coeffs.values()])
+    coeffs, const = expr.coeffs, expr.const
+    scale = lcm(const.denominator, *[c.denominator for c in coeffs.values()])
+    if scale != 1:
+        coeffs = {n: c * scale for n, c in coeffs.items()}
+        const = const * scale
+    g = gcd(*[c.numerator for c in coeffs.values()])
+    if is_equality and g > 1 and const.numerator % g != 0:
+        g = 1  # no integer point satisfies it; the equality stays as it is
+    if scale == 1 and g <= 1:
+        return expr  # already normal
     if g > 1:
-        if is_equality:
-            if int(const) % g == 0:
-                coeffs = {n: c / g for n, c in coeffs.items()}
-                const = const / g
-        else:
-            # floor(const / g) is the tightest integral bound.
-            coeffs = {n: c / g for n, c in coeffs.items()}
-            const = Fraction(int(const) // g) if const.denominator == 1 else const / g
-    return AffineExpr(coeffs, const)
+        coeffs = {n: c / g for n, c in coeffs.items()}
+        # For an inequality floor(const / g) is the tightest integral bound.
+        const = Fraction(const.numerator // g)
+    return AffineExpr._of(coeffs, const)

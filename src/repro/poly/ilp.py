@@ -7,17 +7,41 @@ The polyhedral layer needs four decision procedures:
 - integer optimisation                 (per-dimension bounds, footprints),
 - lexicographic minima                 (AST generation, sampling).
 
-All are provided here by a dense two-phase simplex over
-:class:`fractions.Fraction` (Bland's rule, hence guaranteed termination)
-with branch-and-bound layered on top for integrality.  Problem sizes in
-this code base are tiny (tens of variables), so a textbook implementation
-is both adequate and auditable.
+All are provided here by a dense two-phase simplex (Bland's rule, hence
+guaranteed termination) with branch-and-bound layered on top for
+integrality.  Problem sizes in this code base are tiny (tens of
+variables), so a textbook algorithm is both adequate and auditable.
+
+**The tableau is integer and row-scaled**, as in isl's ``isl_tab``: a row
+is a list of Python ``int`` numerators whose common denominator is the
+row's own entry in its basic column, i.e. the tableau value ``T[i][j]`` is
+``row[j] / row[basis[i]]`` with ``row[basis[i]] > 0``.  A pivot combines
+rows with integer multipliers and divides each result by its gcd; the
+reduced-cost row is priced out once per phase and carried through the
+pivots, scaled by some positive integer that never needs to be known.
+Sign tests therefore read numerators, the ratio test cross-multiplies, and
+no :class:`fractions.Fraction` exists until the final assignment.  The
+arithmetic is exact, so *which* pivots are taken is decided by the rules
+alone, and those are a contract:
+
+- column layout ``v+, v-`` per variable (in ``names`` order), one slack per
+  inequality, one artificial per row;
+- entering column: the first with a negative reduced cost;
+- leaving row: minimum ratio, ties to the lowest basis index;
+- after phase 1, basic artificials are driven out in row order on their
+  first nonzero structural column.
+
+Same rules, same vertex: the status, value and assignment of every solve
+-- and with them every schedule and emitted program -- are those of the
+``Fraction`` tableau this replaced, which lives on as the reference in
+``tests/poly/_reference_simplex.py``.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import resilience
@@ -369,161 +393,154 @@ def _simplex_solve(
 
     Free variables are split as ``v = v+ - v-``; inequalities get slack
     variables; feasibility is established by a phase-1 with artificial
-    variables.  Bland's rule prevents cycling.
+    variables.  Bland's rule prevents cycling.  The tableau is the integer
+    row-scaled one described in the module docstring.
     """
     for c in constraints:
         if c.is_trivially_false():
             return IlpResult(IlpStatus.INFEASIBLE)
+    live = [c for c in constraints if not c.is_trivially_true()]
     names = list(names)
     n = len(names)
     index = {name: i for i, name in enumerate(names)}
 
-    # Column layout: [v0+, v0-, v1+, v1-, ..., slacks..., artificials...]
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    n_slacks = sum(1 for c in constraints if not c.is_equality)
-    slack_at = 2 * n
-    total_structural = 2 * n + n_slacks
-
-    slack_idx = 0
-    for c in constraints:
-        if c.is_trivially_true():
-            if not c.is_equality:
-                slack_idx += 0  # no slack allocated for skipped rows
-            continue
-        row = [Fraction(0)] * total_structural
-        for name, coeff in c.expr.coeffs.items():
-            j = index[name]
-            row[2 * j] = coeff
-            row[2 * j + 1] = -coeff
-        b = -c.expr.const
+    # Column layout: [v0+, v0-, v1+, v1-, ..., slacks..., artificials..., rhs]
+    n_rows = len(live)
+    n_struct = 2 * n + sum(1 for c in live if not c.is_equality)
+    n_cols = n_struct + n_rows
+    tableau: List[List[int]] = []
+    slack = 2 * n
+    for i, c in enumerate(live):
+        row, const, scale = _structural_row(c.expr, index, n_cols + 1)
+        b = -const
         if not c.is_equality:
             # expr >= 0  <=>  expr - s = 0, s >= 0  <=>  a.x - s = b
-            row[slack_at + slack_idx] = Fraction(-1)
-            slack_idx += 1
+            row[slack] = -scale
+            slack += 1
         if b < 0:
             row = [-x for x in row]
             b = -b
-        rows.append(row)
-        rhs.append(b)
-
-    n_rows = len(rows)
-    # Trim unused slack columns (from skipped trivial rows).
-    used_cols = total_structural
-    # Artificial variables, one per row.
-    for i, row in enumerate(rows):
-        row.extend(Fraction(int(k == i)) for k in range(n_rows))
-    n_cols = used_cols + n_rows
-
-    basis = [used_cols + i for i in range(n_rows)]
-    tableau = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+        row[n_struct + i] = scale  # the artificial: basic, so the row's denominator
+        row[-1] = b
+        tableau.append(row)
+    basis = list(range(n_struct, n_cols))
 
     # Phase 1: minimise the sum of artificial variables.
-    cost1 = [Fraction(0)] * n_cols
-    for j in range(used_cols, n_cols):
-        cost1[j] = Fraction(1)
+    cost1 = [0] * n_struct + [1] * n_rows
     status = _simplex_iterate(tableau, basis, cost1, n_cols)
     if status is IlpStatus.UNBOUNDED:  # pragma: no cover - phase 1 is bounded
         raise RuntimeError("phase-1 LP cannot be unbounded")
-    phase1_value = _objective_value(tableau, basis, cost1)
-    if phase1_value != 0:
-        return IlpResult(IlpStatus.INFEASIBLE)
-    _drive_out_artificials(tableau, basis, used_cols, n_cols)
+    if any(col >= n_struct and row[-1] for row, col in zip(tableau, basis)):
+        return IlpResult(IlpStatus.INFEASIBLE)  # an artificial is stuck above zero
+    _drive_out_artificials(tableau, basis, n_struct)
 
     # Phase 2: original objective over structural columns only.
-    cost2 = [Fraction(0)] * n_cols
-    for name, coeff in objective.coeffs.items():
-        j = index[name]
-        cost2[2 * j] = coeff
-        cost2[2 * j + 1] = -coeff
-    status = _simplex_iterate(tableau, basis, cost2, used_cols)
+    cost2, _, _ = _structural_row(objective, index, n_cols)
+    status = _simplex_iterate(tableau, basis, cost2, n_struct)
     if status is IlpStatus.UNBOUNDED:
         return IlpResult(IlpStatus.UNBOUNDED)
 
     assignment: Dict[str, Fraction] = {name: Fraction(0) for name in names}
-    for row_idx, col in enumerate(basis):
+    for row, col in zip(tableau, basis):
         if col < 2 * n:
-            name = names[col // 2]
-            sign = 1 if col % 2 == 0 else -1
-            assignment[name] += sign * tableau[row_idx][-1]
+            value = Fraction(row[-1], row[col])
+            assignment[names[col // 2]] += value if col % 2 == 0 else -value
     value = objective.evaluate(assignment)
     return IlpResult(IlpStatus.OPTIMAL, value, assignment)
 
 
-def _objective_value(
-    tableau: List[List[Fraction]], basis: List[int], cost: List[Fraction]
-) -> Fraction:
-    return sum(
-        (cost[col] * tableau[i][-1] for i, col in enumerate(basis)), Fraction(0)
-    )
+def _structural_row(
+    expr: AffineExpr, index: Dict[str, int], width: int
+) -> Tuple[List[int], int, int]:
+    """``scale * expr`` laid out over the ``v+``/``v-`` columns, in integers.
+
+    Returns ``(row, const, scale)``: ``scale`` is the least positive integer
+    that clears every denominator of ``expr``, ``row`` has ``width`` entries
+    (zero beyond the variable columns) and ``const`` is the scaled constant.
+    """
+    scale = lcm(expr.const.denominator, *[a.denominator for a in expr.coeffs.values()])
+    row = [0] * width
+    for name, coeff in expr.coeffs.items():
+        j = 2 * index[name]
+        row[j] = a = coeff.numerator * (scale // coeff.denominator)
+        row[j + 1] = -a
+    return row, expr.const.numerator * (scale // expr.const.denominator), scale
 
 
-def _reduced_costs(
-    tableau: List[List[Fraction]], basis: List[int], cost: List[Fraction], n_cols: int
-) -> List[Fraction]:
-    # y = c_B B^-1 is implicit: reduced cost_j = c_j - sum_i c_{basis_i} T[i][j]
-    reduced = list(cost[:n_cols])
-    for i, col in enumerate(basis):
-        cb = cost[col]
-        if cb != 0:
-            row = tableau[i]
-            for j in range(n_cols):
-                if row[j] != 0:
-                    reduced[j] -= cb * row[j]
-    return reduced
+def _eliminate(
+    row: List[int], factor: int, pivot_row: List[int], pivot: int
+) -> List[int]:
+    """``pivot * row - factor * pivot_row`` divided by its content.
+
+    With ``factor = row[col]`` and ``pivot = pivot_row[col] > 0`` this
+    clears ``row``'s entry in column ``col`` while only rescaling the row
+    by a positive number, so its signs and ratios keep their meaning.
+    """
+    if pivot == 1:
+        new = [x - factor * y for x, y in zip(row, pivot_row)]
+    else:
+        new = [pivot * x - factor * y for x, y in zip(row, pivot_row)]
+    g = gcd(*new)
+    return [x // g for x in new] if g > 1 else new
 
 
 def _simplex_iterate(
-    tableau: List[List[Fraction]],
-    basis: List[int],
-    cost: List[Fraction],
-    allowed_cols: int,
+    tableau: List[List[int]], basis: List[int], cost: List[int], allowed_cols: int
 ) -> IlpStatus:
-    """Run simplex pivots (Bland's rule) until optimal or unbounded."""
-    n_rows = len(tableau)
+    """Run simplex pivots (Bland's rule) until optimal or unbounded.
+
+    The reduced-cost row ``c_j - sum_i c_basis(i) T[i][j]`` is priced out
+    of ``cost`` once -- clearing each basic column is the same elimination
+    a pivot performs -- and then carried through the pivots.
+    """
+    reduced = list(cost)
+    for row, col in zip(tableau, basis):
+        if reduced[col]:
+            reduced = _eliminate(reduced, reduced[col], row, row[col])
+    del reduced[allowed_cols:]
     while True:
-        reduced = _reduced_costs(tableau, basis, cost, allowed_cols)
-        enter = next((j for j in range(allowed_cols) if reduced[j] < 0), None)
+        enter = next((j for j, r in enumerate(reduced) if r < 0), None)
         if enter is None:
             return IlpStatus.OPTIMAL
-        # Ratio test, Bland tie-break on basis variable index.
+        # Ratio test rhs/a by cross-multiplication (both denominators are
+        # positive), Bland tie-break on basis variable index.
         leave = None
-        best_ratio: Optional[Fraction] = None
-        for i in range(n_rows):
-            a = tableau[i][enter]
+        best_b = best_a = 0
+        for i, row in enumerate(tableau):
+            a = row[enter]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+                b = row[-1]
+                if leave is not None:
+                    lhs, rhs = b * best_a, best_b * a
+                    if not (lhs < rhs or (lhs == rhs and basis[i] < basis[leave])):
+                        continue
+                leave, best_b, best_a = i, b, a
         if leave is None:
             return IlpStatus.UNBOUNDED
+        reduced = _eliminate(reduced, reduced[enter], tableau[leave], best_a)
         _pivot(tableau, basis, leave, enter)
 
 
-def _pivot(
-    tableau: List[List[Fraction]], basis: List[int], row: int, col: int
-) -> None:
-    pivot = tableau[row][col]
-    tableau[row] = [x / pivot for x in tableau[row]]
+def _pivot(tableau: List[List[int]], basis: List[int], row: int, col: int) -> None:
+    """Make ``col`` basic in ``row``."""
+    pivot_row = tableau[row]
+    pivot = pivot_row[col]
+    if pivot < 0:  # only when driving out an artificial that sits at zero
+        pivot_row = tableau[row] = [-x for x in pivot_row]
+        pivot = -pivot
     for i, trow in enumerate(tableau):
-        if i != row and trow[col] != 0:
-            factor = trow[col]
-            tableau[i] = [x - factor * y for x, y in zip(trow, tableau[row])]
+        if i != row and trow[col]:
+            tableau[i] = _eliminate(trow, trow[col], pivot_row, pivot)
     basis[row] = col
 
 
 def _drive_out_artificials(
-    tableau: List[List[Fraction]], basis: List[int], used_cols: int, n_cols: int
+    tableau: List[List[int]], basis: List[int], n_struct: int
 ) -> None:
     """Pivot basic artificial variables out of the basis when possible."""
     for i in range(len(basis)):
-        if basis[i] >= used_cols:
-            col = next((j for j in range(used_cols) if tableau[i][j] != 0), None)
+        if basis[i] >= n_struct:
+            col = next((j for j in range(n_struct) if tableau[i][j]), None)
             if col is not None:
                 _pivot(tableau, basis, i, col)
             # Otherwise the row is all-zero over structural columns

@@ -146,10 +146,3 @@ def solve_linear_system(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
             return None
     return x
 
-
-def gcd_list(values: Sequence[int]) -> int:
-    """GCD of a list of integers (0 for an empty list)."""
-    g = 0
-    for v in values:
-        g = gcd(g, abs(int(v)))
-    return g

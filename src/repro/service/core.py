@@ -598,8 +598,14 @@ class CompileService:
             target=self._worker_loop, args=(name,), name=name, daemon=True
         )
         with self._lock:
+            if self._closed:
+                # Draining: the stop sentinels were counted without this
+                # worker, so close() would join it forever.
+                return
+            # Started before the lock is released: close() joins every
+            # thread it can see in ``_threads``.
             self._threads[name] = t
-        t.start()
+            t.start()
 
     def initiate_shutdown(self) -> None:
         """Stop admitting and begin the drain (idempotent, non-blocking).
@@ -986,8 +992,6 @@ class CompileService:
                 if action == "spawn":
                     with self._lock:
                         self._stats["worker_restarts"] += 1
-                        if self._closed:
-                            continue
                     self._spawn_worker()
                 elif action == "requeue":
                     try:

@@ -11,7 +11,6 @@ concrete dim from the input arrays and clamps the tile boxes.
 import numpy as np
 import pytest
 
-import repro.core.compiler  # noqa: F401  (core first: import-order cycle)
 from repro.core import diskcache
 from repro.core.compiler import AkgOptions, build
 from repro.hw.spec import HardwareSpec

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import repro.core  # noqa: F401 - resolve graph<->core import order
 from repro.core import diskcache
 from repro.core.errors import NetworkPlanError
 from repro.graph import compile_network, network, plan_arena

@@ -14,7 +14,6 @@ max cover every binding).
 
 import pytest
 
-import repro.core  # noqa: F401 - resolve graph<->core import order
 from repro.core.errors import VerificationError
 from repro.graph import plan_arena
 from repro.ir.tensor import SymDim

@@ -9,7 +9,6 @@ network plan, and the cache/wire surfaces that carry the
 
 import pytest
 
-import repro.core  # noqa: F401 - resolve graph<->core import order
 from repro.core import diskcache
 from repro.core.compiler import AkgOptions, build
 from repro.graph import compile_network, network

@@ -10,7 +10,6 @@ into exit code 13.
 
 import pytest
 
-import repro.core  # noqa: F401 - resolve graph<->core import order
 from repro.core.compiler import build
 from repro.core.errors import EXIT_CODES, VerificationError
 from repro.graph import compile_network, network
