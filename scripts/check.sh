@@ -94,10 +94,11 @@ if [ "$FAST" -eq 1 ]; then
 fi
 
 echo
-echo "== repo benchmark smoke (compile_sched, correctness checks) =="
+echo "== repo benchmark smoke (compile_sched + compile_tile, correctness checks) =="
 # Non-zero exit = a failed correctness check (replay != oracle, a
 # RuntimeWarning, ...); set -e stops the script.  Timings are not gated here.
 python3 bench/run.py --quick --workload compile_sched
+python3 bench/run.py --quick --workload compile_tile
 
 echo
 echo "== execution-engine equivalence (scalar vs vectorized) =="

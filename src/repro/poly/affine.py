@@ -135,9 +135,25 @@ class AffineExpr:
         return AffineExpr._of(coeffs, const)
 
     def rename(self, mapping: Mapping[str, str]) -> "AffineExpr":
-        """Rename variables according to ``mapping`` (missing names kept)."""
-        return AffineExpr(
-            {mapping.get(name, name): c for name, c in self.coeffs.items()}, self.const
+        """Rename variables according to ``mapping`` (missing names kept).
+
+        Terms whose variables map to one name are added together.
+        """
+        coeffs: Coeffs = {}
+        _add_into(coeffs, ((mapping.get(n, n), c) for n, c in self.coeffs.items()))
+        return AffineExpr._of(coeffs, self.const)
+
+    def shape(self) -> Tuple[Tuple[str, ...], Tuple[Number, ...]]:
+        """Name-free split ``(names, numbers)`` for the solver-memo keys.
+
+        ``names`` are the variables in coefficient-dict order; ``numbers``
+        are the coefficients in that order followed by the constant, with
+        integral values as plain ``int`` (equal to the ``Fraction`` and
+        hashed at C speed).
+        """
+        values = (*self.coeffs.values(), self.const)
+        return tuple(self.coeffs), tuple(
+            [v.numerator if v.denominator == 1 else v for v in values]
         )
 
     # -- arithmetic ---------------------------------------------------------
@@ -237,12 +253,23 @@ class Constraint:
     division, which is exact for integer points).
     """
 
-    __slots__ = ("expr", "is_equality", "_hash")
+    __slots__ = ("expr", "is_equality", "_hash", "_shape")
 
     def __init__(self, expr: AffineExpr, is_equality: bool = False):
         self.expr = _normalize(expr, is_equality)
         self.is_equality = is_equality
         self._hash: int | None = None
+        self._shape = None
+
+    @classmethod
+    def _of(cls, expr: AffineExpr, is_equality: bool, shape=None) -> "Constraint":
+        """Trusted constructor: ``expr`` is already normal (see ``_normalize``)."""
+        self = cls.__new__(cls)
+        self.expr = expr
+        self.is_equality = is_equality
+        self._hash = None
+        self._shape = shape
+        return self
 
     def __getstate__(self):
         return (self.expr, self.is_equality)
@@ -250,6 +277,7 @@ class Constraint:
     def __setstate__(self, state):
         self.expr, self.is_equality = state
         self._hash = None
+        self._shape = None
 
     @staticmethod
     def ge(lhs: AffineExpr | Number, rhs: AffineExpr | Number = 0) -> "Constraint":
@@ -269,6 +297,19 @@ class Constraint:
     def variables(self) -> Tuple[str, ...]:
         """Variables appearing in the constraint."""
         return self.expr.variables()
+
+    def shape(self) -> Tuple[Tuple[str, ...], Tuple[int, ...]]:
+        """:meth:`AffineExpr.shape` of the expression with ``is_equality``
+        appended to the numbers (all ``int``: constraints are normalised).
+
+        Memoized like the hash: one constraint object is keyed once per
+        tile candidate and tensor dimension.
+        """
+        shape = self._shape
+        if shape is None:
+            names, numbers = self.expr.shape()
+            shape = self._shape = (names, numbers + (self.is_equality,))
+        return shape
 
     def satisfied(self, env: Mapping[str, Number]) -> bool:
         """Check the constraint under a full assignment."""

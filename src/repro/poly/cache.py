@@ -3,43 +3,143 @@
 The compilation pipeline re-solves *identical* (I)LPs and projections many
 times: dependence analysis poses the same emptiness checks for symmetric
 access pairs, footprint probing re-derives the same per-dimension bounds
-for every tile-size candidate, and the auto-tuner's backend re-runs the
-storage planner dozens of times per kernel.  Since every solve is a pure
-function of its (normalised) constraint system, a straight memo table is
-sound — and because the exact :class:`fractions.Fraction` simplex is the
-dominant compile-time cost, it is also the highest-leverage cache in the
-repository.
+for every tile-size candidate and every statement of an elementwise
+chain, and the auto-tuner's backend re-runs the storage planner dozens of
+times per kernel.  Every solve is a pure function of its constraint
+system, so a memo table is sound -- provided "identical" is judged by
+what the solvers can see.
 
-Keys preserve the caller's constraint *order*, not just the constraint
-set: the solvers are deterministic functions of their input sequence, so
-an order-exact key makes a cache hit return bit-identical output to the
-uncached call (ties in the simplex and FM pivot choices depend on order).
-This keeps cached and uncached compilations byte-for-byte identical,
-which the staged-pipeline equivalence tests rely on.
+**The canonical form.**  The solvers never look *at* a variable name, only
+at how names compare: Fourier-Motzkin eliminates ``sorted(...)`` names,
+the ILP lays its columns out over ``sorted(...)`` names, redundancy
+removal keys on ``sorted(coeffs.items())``.  Everything else they read is
+positional -- the order of the constraints, the order of each
+expression's coefficient dict (the presolve substitutes the *first*
+unit-coefficient variable), the numbers.  A key therefore replaces every
+variable by its rank in the sorted list of the system's names and keeps
+the rest as it is (:class:`RankSpace`): two systems get one key exactly
+when an *order-preserving* renaming turns one into the other, and on such
+a pair a solver performs the same steps on the same numbers.  Results are
+stored in rank space too -- plain tuples, no names -- and rebuilt under
+the caller's names on a hit, constraint by constraint and coefficient by
+coefficient in the stored order.  A hit is thus what the uncached solve
+would have returned, down to list order, coefficient-dict order and
+assignment-key order, and cached and uncached compilations stay
+byte-for-byte identical (the staged-pipeline equivalence tests rely on
+it).  ``sg2_s0_ax0`` and ``sg2_m2_d0`` no longer make two problems of
+one, and :meth:`repro.poly.maps.BasicMap.compose`, whose middle
+dimensions come from a global fresh-name counter, hits on its second
+call.
+
+**Why not full alpha-renaming** (number the variables by first
+occurrence, as a lambda-term hash would)?  It identifies more systems --
+any injective renaming, not just the monotone ones -- but a renaming that
+permutes the sort order changes the elimination order and the tableau
+columns, and with them which of several equally good vertices, or which
+of several equivalent projections, comes out.  The cached answer would
+still be *an* answer, not *the* answer of the uncached run, and schedules
+and program dumps would depend on what was compiled earlier in the
+process.  Order-permuting renamings simply miss here.
+
+Three tables use the form: :data:`ILP_CACHE`
+(:meth:`~repro.poly.ilp.IlpProblem.minimize` and ``batch_minimize``, one
+entry per system x objective whichever of the two posed it),
+:data:`FM_CACHE` (:func:`repro.poly.fm.project_onto`, key = rows +
+keep-mask) and :data:`EXTENT_CACHE`
+(:func:`repro.tiling.reverse.affine_extent_bound`, an integer per system x
+dimension x box, counted apart so the ``fm`` counters keep meaning
+"projections").
 
 Caches are process-global.  Worker processes of the parallel auto-tuner
 each grow their own copy (the cache is warm within a worker, cold across
-them) — no cross-process synchronisation is needed or attempted.  Worker
+them) -- no cross-process synchronisation is needed or attempted.  Worker
 *threads* of the compile service share one copy, so each cache guards
-its table and counters with a lock: the solve results stored are never
-mutated after insertion, which makes sharing the values themselves safe.
+its table and counters with a lock; the stored tuples are immutable,
+which makes sharing the values themselves safe.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, Hashable, Optional
+from fractions import Fraction
+from itertools import chain
+from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
+
+from repro.poly.affine import AffineExpr, Constraint
 
 __all__ = [
     "SolveCache",
+    "RankSpace",
+    "MISS",
     "ILP_CACHE",
     "FM_CACHE",
+    "EXTENT_CACHE",
     "solver_cache_stats",
     "clear_solver_caches",
     "reset_solver_cache_stats",
     "set_solver_cache_enabled",
 ]
+
+
+#: What :meth:`SolveCache.lookup` returns for an absent key (``None`` is a
+#: legitimate cached value: "no finite bound").
+MISS = object()
+
+
+class RankSpace:
+    """The variables of one constraint system, replaced by their sorted rank.
+
+    ``names[i]`` is the variable of rank ``i``; ``rows`` is the name-free
+    image of the constraints -- all their variables as one flat rank tuple
+    (constraint order, coefficient-dict order) beside the per-constraint
+    number tuples, whose lengths say where each constraint ends.
+    """
+
+    __slots__ = ("constraints", "names", "rank", "rows")
+
+    def __init__(
+        self, constraints: Sequence[Constraint], extra_names: Iterable[str] = ()
+    ):
+        self.constraints = constraints
+        shapes = [c.shape() for c in constraints]
+        name_rows = [names for names, _ in shapes]
+        self.names: List[str] = sorted(set(chain(extra_names, *name_rows)))
+        self.rank: Dict[str, int] = {n: i for i, n in enumerate(self.names)}
+        self.rows: Hashable = (
+            tuple(map(self.rank.__getitem__, chain.from_iterable(name_rows))),
+            tuple([numbers for _, numbers in shapes]),
+        )
+
+    def with_expr(self, expr: AffineExpr) -> Tuple["RankSpace", Hashable]:
+        """Key of the system plus one bare expression (an objective).
+
+        An expression over variables the constraints never mention widens
+        the ranking, so the space to decode under is returned with the key.
+        """
+        names, numbers = expr.shape()
+        space = self
+        if not self.rank.keys() >= set(names):
+            space = RankSpace(self.constraints, names)
+        return space, (space.rows, tuple(map(space.rank.__getitem__, names)), numbers)
+
+    def encode(self, constraints: Sequence[Constraint]) -> Tuple:
+        """``constraints`` (over this space's variables) in rank space."""
+        rank = self.rank.__getitem__
+        shapes = map(Constraint.shape, constraints)
+        return tuple([(tuple(map(rank, names)), numbers) for names, numbers in shapes])
+
+    def decode(self, rows: Tuple) -> List[Constraint]:
+        """Rebuild :meth:`encode` output under this space's names."""
+        name = self.names.__getitem__
+        out = []
+        for ranks, numbers in rows:
+            names = tuple(map(name, ranks))
+            *coeffs, const, is_equality = numbers
+            terms = dict(zip(names, map(Fraction, coeffs)))
+            expr = AffineExpr._of(terms, Fraction(const))
+            out.append(Constraint._of(expr, is_equality, (names, numbers)))
+        return out
 
 
 class SolveCache:
@@ -62,16 +162,16 @@ class SolveCache:
         self._data: Dict[Hashable, Any] = {}
         self._lock = threading.Lock()
 
-    def lookup(self, key: Hashable) -> Optional[Any]:
-        """Return the cached value or ``None`` (and count the outcome)."""
+    def lookup(self, key: Hashable) -> Any:
+        """Return the cached value or :data:`MISS` (and count the outcome)."""
         if not self.enabled:
-            return None
+            return MISS
         with self._lock:
-            value = self._data.get(key)
-            if value is None:
+            value = self._data.get(key, MISS)
+            if value is MISS:
                 self.misses += 1
-                return None
-            self.hits += 1
+            else:
+                self.hits += 1
             return value
 
     def store(self, key: Hashable, value: Any) -> None:
@@ -124,7 +224,10 @@ ILP_CACHE = SolveCache("ilp")
 #: Memo table for :func:`repro.poly.fm.project_onto`.
 FM_CACHE = SolveCache("fm")
 
-_ALL = (ILP_CACHE, FM_CACHE)
+#: Memo table for :func:`repro.tiling.reverse.affine_extent_bound`.
+EXTENT_CACHE = SolveCache("extent")
+
+_ALL = (ILP_CACHE, FM_CACHE, EXTENT_CACHE)
 
 if os.environ.get("REPRO_NO_SOLVER_CACHE", "0") not in ("0", "", "false"):
     for _c in _ALL:

@@ -15,6 +15,7 @@ from typing import List, Sequence
 from repro.core import resilience
 from repro.core.errors import SolverBudgetError
 from repro.poly.affine import AffineExpr, Constraint
+from repro.poly.cache import FM_CACHE, MISS, RankSpace
 from repro.tools import faultinject
 
 # Intermediate-system size above which projection is declared runaway
@@ -78,15 +79,27 @@ def project_onto(
 ) -> List[Constraint]:
     """Eliminate every variable not in ``keep``.
 
-    Projections are memoized in :data:`repro.poly.cache.FM_CACHE` (keys
-    preserve input order, so hits are bit-identical to fresh runs).
+    Projections are memoized in :data:`repro.poly.cache.FM_CACHE` under the
+    name-free rows of the system plus which of its variables are kept; a
+    hit is rebuilt under the caller's names and is what a fresh run would
+    return (see :mod:`repro.poly.cache`).
     """
-    from repro.poly.cache import FM_CACHE
+    if not FM_CACHE.enabled:
+        return _project_uncached(constraints, keep)
+    space = RankSpace(constraints)
+    keep_set = set(keep)
+    key = (space.rows, tuple([name in keep_set for name in space.names]))
+    rows = FM_CACHE.lookup(key)
+    if rows is not MISS:
+        return space.decode(rows)
+    projected = _project_uncached(constraints, keep)
+    FM_CACHE.store(key, space.encode(projected))
+    return projected
 
-    key = (tuple(constraints), tuple(keep))
-    cached = FM_CACHE.lookup(key)
-    if cached is not None:
-        return list(cached)
+
+def _project_uncached(
+    constraints: Sequence[Constraint], keep: Sequence[str]
+) -> List[Constraint]:
     faultinject.fire("fm.eliminate")
     keep_set = set(keep)
     current = list(constraints)
@@ -104,8 +117,7 @@ def project_onto(
                 f"constraints while eliminating {name!r}",
                 stage=resilience.active_stage(),
             )
-    FM_CACHE.store(key, current)
-    return list(current)
+    return current
 
 
 def interval_of(

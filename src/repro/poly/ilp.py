@@ -42,11 +42,12 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import resilience
 from repro.core.errors import SolverBudgetError
 from repro.poly.affine import AffineExpr, Constraint
+from repro.poly.cache import ILP_CACHE, MISS, RankSpace
 from repro.tools import faultinject
 
 
@@ -117,20 +118,17 @@ class IlpProblem:
         common in dependence relations) and solves pure interval systems
         directly; the simplex/branch-and-bound only sees the residual.
 
-        Solves are memoized in :data:`repro.poly.cache.ILP_CACHE`: the key
-        preserves constraint order, so a hit is bit-identical to a fresh
-        solve (constraints normalise on construction, making the key a
-        canonical form of the system).
+        Solves are memoized in :data:`repro.poly.cache.ILP_CACHE` under the
+        name-free rows of system and objective; a hit is rebuilt under the
+        caller's names and is what a fresh solve would return (see
+        :mod:`repro.poly.cache`).
         """
-        from repro.poly.cache import ILP_CACHE
-
-        key = (tuple(self.constraints), objective, integer)
-        cached = ILP_CACHE.lookup(key)
-        if cached is not None:
-            return IlpResult(cached.status, cached.value, dict(cached.assignment))
-        result = self._minimize_uncached(objective, integer)
-        ILP_CACHE.store(key, result)
-        return IlpResult(result.status, result.value, dict(result.assignment))
+        return _memoized(
+            _rank_space(self.constraints),
+            objective,
+            integer,
+            lambda objective: self._minimize_uncached(objective, integer),
+        )
 
     def _minimize_uncached(self, objective: AffineExpr, integer: bool) -> IlpResult:
         faultinject.fire("ilp.solve")
@@ -152,29 +150,20 @@ class IlpProblem:
         and one-at-a-time solves are interchangeable (bit-identical
         results, shared cache lines).
         """
-        from repro.poly.cache import ILP_CACHE
-
-        cons_key = tuple(self.constraints)
+        system = _rank_space(self.constraints)
         presolved: Optional[
             Tuple[List[Constraint], List[Tuple[str, AffineExpr]]]
         ] = None
-        out: List[IlpResult] = []
-        for objective in objectives:
-            key = (cons_key, objective, integer)
-            cached = ILP_CACHE.lookup(key)
-            if cached is not None:
-                out.append(
-                    IlpResult(cached.status, cached.value, dict(cached.assignment))
-                )
-                continue
+
+        def solve(objective: AffineExpr) -> IlpResult:
+            nonlocal presolved
             if presolved is None:
                 presolved = _presolve_system(self.constraints)
             constraints, back_subst = presolved
             reduced = _apply_back_substitutions(objective, back_subst)
-            result = _solve_presolved(constraints, reduced, back_subst, integer)
-            ILP_CACHE.store(key, result)
-            out.append(IlpResult(result.status, result.value, dict(result.assignment)))
-        return out
+            return _solve_presolved(constraints, reduced, back_subst, integer)
+
+        return [_memoized(system, o, integer, solve) for o in objectives]
 
     def maximize(self, objective: AffineExpr, integer: bool = True) -> IlpResult:
         """Maximise ``objective`` subject to the constraints."""
@@ -228,6 +217,41 @@ class IlpProblem:
             point[name] = value
             extra.append(Constraint.eq(AffineExpr.variable(name), value))
         return point
+
+
+# -- memo entries ---------------------------------------------------------------
+
+
+def _rank_space(constraints: Sequence[Constraint]) -> Optional[RankSpace]:
+    return RankSpace(constraints) if ILP_CACHE.enabled else None
+
+
+def _memoized(
+    system: Optional[RankSpace],
+    objective: AffineExpr,
+    integer: bool,
+    solve: Callable[[AffineExpr], "IlpResult"],
+) -> "IlpResult":
+    """``solve(objective)`` through :data:`ILP_CACHE`: one entry per system x
+    objective, whichever of ``minimize``/``batch_minimize`` poses it.
+
+    An entry is the result with its assignment keys as ranks (the values
+    are immutable and shared).
+    """
+    if system is None:
+        return solve(objective)
+    space, key = system.with_expr(objective)
+    key = (key, integer)
+    entry = ILP_CACHE.lookup(key)
+    if entry is MISS:
+        result = solve(objective)
+        ranks = tuple(map(space.rank.__getitem__, result.assignment))
+        values = tuple(result.assignment.values())
+        ILP_CACHE.store(key, (result.status, result.value, ranks, values))
+        return result
+    status, value, ranks, values = entry
+    names = map(space.names.__getitem__, ranks)
+    return IlpResult(status, value, dict(zip(names, values)))
 
 
 # -- presolve -----------------------------------------------------------------

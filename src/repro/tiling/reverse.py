@@ -15,10 +15,12 @@ the storage manager (footprints, Sec. 4.4).
 
 from __future__ import annotations
 
+from math import floor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.lower import PolyStatement
 from repro.poly.affine import AffineExpr, Constraint
+from repro.poly.cache import EXTENT_CACHE, MISS, RankSpace
 from repro.poly.fm import project_onto, remove_redundant
 from repro.poly.maps import BasicMap
 from repro.poly.sets import Space
@@ -153,7 +155,32 @@ def affine_extent_bound(
     end by coefficient sign), and the minimum over pairs is a sound, and in
     the common single-pair case exact, extent bound.  Returns ``None``
     when ``dim`` has no finite bound pair.
+
+    A pure function of the constraints, ``dim`` and the box, posed once
+    per tensor dimension for every tile candidate: the bound is memoized
+    in :data:`repro.poly.cache.EXTENT_CACHE` under the name-free rows of
+    the system, the rank of ``dim`` and the box range of each variable.
     """
+    if not EXTENT_CACHE.enabled:
+        return _extent_bound_uncached(constraints, dim, box_ranges)
+    space = RankSpace(constraints)
+    key = (
+        space.rows,
+        space.rank.get(dim),
+        tuple([box_ranges.get(name) for name in space.names]),
+    )
+    bound = EXTENT_CACHE.lookup(key)
+    if bound is MISS:
+        bound = _extent_bound_uncached(constraints, dim, box_ranges)
+        EXTENT_CACHE.store(key, bound)
+    return bound
+
+
+def _extent_bound_uncached(
+    constraints: Sequence[Constraint],
+    dim: str,
+    box_ranges: Dict[str, Tuple[int, int]],
+) -> Optional[int]:
     keep = list(box_ranges) + [dim]
     projected = project_onto(constraints, keep)
     lowers: List[AffineExpr] = []
@@ -187,8 +214,6 @@ def affine_extent_bound(
                 value += coeff * (hi_v if coeff > 0 else lo_v)
             if not ok:
                 continue
-            from math import floor
-
             ext = floor(value) + 1
             if best is None or ext < best:
                 best = ext

@@ -63,6 +63,18 @@ class TestAffineExpr:
         assert e.coeff("x") == 1
         assert e.coeff("h") == 0
 
+    def test_rename_adds_colliding_terms(self):
+        # a -> b lands on an existing b: 1*b + 2*b, not the last writer.
+        e = AffineExpr({"a": 1, "b": 2}, 5).rename({"a": "b"})
+        assert e.coeffs == {"b": Fraction(3)} and e.const == 5
+        # Terms that cancel under the renaming disappear altogether.
+        gone = AffineExpr({"a": 1, "b": -1, "c": 4}).rename({"a": "b"})
+        assert gone.coeffs == {"c": Fraction(4)}
+        # An injective renaming keeps coefficient order and values.
+        kept = AffineExpr({"a": 2, "b": -3}).rename({"a": "z", "b": "y"})
+        assert list(kept.coeffs.items()) == [("z", 2), ("y", -3)]
+        assert all(type(c) is Fraction for c in kept.coeffs.values())
+
     def test_equality_and_hash(self):
         a = var("h") + 1
         b = AffineExpr({"h": 1}, 1)
@@ -102,6 +114,18 @@ class TestConstraint:
         c = Constraint.eq(var("h") * 2, 3)
         assert c.expr.coeff("h") == 2
         assert c.expr.const == -3
+
+    def test_rename_keeps_a_normal_constraint_normal(self):
+        c = Constraint.ge(var("h") * 2 - var("w") * 3, 7)
+        renamed = c.rename({"h": "x", "w": "y"})
+        assert list(renamed.expr.coeffs.items()) == [("x", 2), ("y", -3)]
+        assert renamed.expr.const == c.expr.const
+        assert renamed == Constraint(renamed.expr, False)
+        # A collision can leave a common factor to divide out:
+        # h + w - 3 >= 0 becomes 2h - 3 >= 0, which tightens to h - 2 >= 0.
+        merged = Constraint.ge(var("h") * 2 + var("w") * 2, 6).rename({"w": "h"})
+        assert merged.expr.coeffs == {"h": Fraction(1)}
+        assert merged.expr.const == -2
 
     def test_negate_inequality(self):
         c = Constraint.ge(var("h"), 3).negate()  # h <= 2

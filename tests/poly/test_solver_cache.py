@@ -1,19 +1,30 @@
 """Tests for the polyhedral solver memoization layer."""
 
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
+from repro.autotune.tuner import tune_tile_sizes
+from repro.core import diskcache
+from repro.core.compiler import AkgOptions, build
+from repro.ir import ops
+from repro.ir.tensor import placeholder
 from repro.poly.affine import Constraint, var
 from repro.poly.cache import (
     FM_CACHE,
     ILP_CACHE,
+    MISS,
+    SolveCache,
     clear_solver_caches,
     reset_solver_cache_stats,
+    set_solver_cache_enabled,
     solver_cache_stats,
 )
 from repro.poly.fm import project_onto
 from repro.poly.ilp import IlpProblem, IlpStatus
+
+from tests.poly.test_simplex_equivalence import _conv2d_16x32, _subgraph
 
 
 @pytest.fixture(autouse=True)
@@ -73,7 +84,7 @@ class TestIlpCache:
     def test_stats_shape(self):
         _box_problem().minimize(var("i"))
         stats = solver_cache_stats()
-        assert set(stats) == {"ilp", "fm"}
+        assert set(stats) == {"ilp", "fm", "extent"}
         for row in stats.values():
             assert {"hits", "misses", "entries", "hit_rate"} <= set(row)
 
@@ -116,10 +127,41 @@ class TestFmCache:
         assert Constraint.ge(var("i"), 99) not in second
 
 
+# -- cached == uncached on whole compiles -----------------------------------------
+
+
+def _softmax_32x64():
+    return ops.softmax_last_axis(placeholder((32, 64), "fp16", name="X"), name="out")
+
+
+def _matmul_256():
+    a = placeholder((256, 256), "fp16", name="A")
+    b = placeholder((256, 256), "fp16", name="B")
+    return ops.matmul(a, b, name="out")
+
+
+def _compiled(make):
+    result = build(make(), "k", options=AkgOptions(emit_trace=True))
+    return result.program.dump(), result.cycles()
+
+
+def _tuned(make):
+    best, history = tune_tile_sizes(
+        make(), "k", seed=0, first_round=8, round_size=4, max_rounds=2, parallel=False
+    )
+    return best, [(r.sizes, r.cycles) for r in history]
+
+
+PIPELINES = {
+    "subgraph2": (_compiled, lambda: _subgraph(2)),
+    "softmax_32x64": (_compiled, _softmax_32x64),
+    "conv2d_16x32": (_compiled, _conv2d_16x32),
+    "tune_matmul_256": (_tuned, _matmul_256),
+}
+
+
 class TestCacheBehaviour:
     def test_disable_bypasses_lookup_and_store(self):
-        from repro.poly.cache import set_solver_cache_enabled
-
         set_solver_cache_enabled(False)
         try:
             _box_problem().minimize(var("i"))
@@ -130,40 +172,72 @@ class TestCacheBehaviour:
             set_solver_cache_enabled(True)
 
     def test_eviction_bounds_size(self):
-        from repro.poly.cache import SolveCache
-
         cache = SolveCache("t", maxsize=3)
         for i in range(5):
             cache.store(i, i)
         assert len(cache) == 3
-        assert cache.lookup(0) is None  # oldest evicted
+        assert cache.lookup(0) is MISS  # oldest evicted
         assert cache.lookup(4) == 4
 
+    def test_none_is_a_value_not_a_miss(self):
+        cache = SolveCache("t")
+        assert cache.lookup("k") is MISS
+        cache.store("k", None)
+        assert cache.lookup("k") is None
+        assert (cache.hits, cache.misses) == (1, 1)
+
     def test_cache_equivalence_on_pipeline(self):
-        """Cached and uncached compilation produce byte-identical programs.
+        """Cached and uncached compilation produce byte-identical programs,
+        cycle counts and tuner histories, auto-tiling included.
 
         The persistent disk cache is off here: this test isolates the
         in-process solver memoization (a disk hit would skip the solvers
         entirely and prove nothing about them)."""
-        from repro.core import diskcache
-        from repro.core.compiler import AkgOptions, build
-        from repro.ir import ops
-        from repro.ir.tensor import placeholder
-        from repro.poly.cache import set_solver_cache_enabled
+        for name, (run, make) in PIPELINES.items():
+            with diskcache.disabled():
+                set_solver_cache_enabled(False)
+                try:
+                    uncached = run(make)
+                finally:
+                    set_solver_cache_enabled(True)
+                clear_solver_caches()
+                cold = run(make)
+                assert all(r["misses"] for r in solver_cache_stats().values()), name
+                reset_solver_cache_stats()
+                warm = run(make)
+            assert all(r["hits"] for r in solver_cache_stats().values()), name
+            assert uncached == cold == warm, name
 
-        def kernel():
-            x = placeholder((16, 64), "fp16", name="X")
-            return ops.relu(x, name="out")
 
-        opts = AkgOptions(tile_sizes=[8, 32])
-        with diskcache.disabled():
-            set_solver_cache_enabled(False)
-            try:
-                cold = build(kernel(), "k", options=opts)
-            finally:
-                set_solver_cache_enabled(True)
+def test_threads_compiling_renamed_twins_share_entries():
+    """Four threads compile differently-named twins of one kernel at once.
+    Entries are shared across names, so the threads read and fill the
+    same lines; every dump must equal that twin's own serial compile."""
+    def twin(prefix):
+        def make():
+            x = placeholder((64, 128), "fp16", name=prefix + "X")
+            y = placeholder((64, 128), "fp16", name=prefix + "Y")
+            return ops.relu(
+                ops.add(ops.relu(x, name=prefix + "r"), y, name=prefix + "s"),
+                name=prefix + "out",
+            )
+
+        return make
+
+    twins = [twin(prefix) for prefix in ("a_", "kk_", "m3_", "zz_")]
+    with diskcache.disabled():
+        serial = []
+        for make in twins:
             clear_solver_caches()
-            warm1 = build(kernel(), "k", options=opts)
-            warm2 = build(kernel(), "k", options=opts)
-        assert ILP_CACHE.hits > 0
-        assert cold.program.dump() == warm1.program.dump() == warm2.program.dump()
+            serial.append(_compiled(make))
+        misses_of_one = ILP_CACHE.misses + FM_CACHE.misses
+        assert len({dump for dump, _ in serial}) == len(twins)  # names differ
+
+        clear_solver_caches()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(_compiled, twins))
+    assert threaded == serial
+    # Four name-carrying problem sets would be four times one compile's
+    # misses; racing threads may each miss a line once before it is stored.
+    assert ILP_CACHE.misses + FM_CACHE.misses < 4 * misses_of_one
+    assert ILP_CACHE.hits + FM_CACHE.hits > 0
