@@ -94,11 +94,13 @@ if [ "$FAST" -eq 1 ]; then
 fi
 
 echo
-echo "== repo benchmark smoke (compile_sched + compile_tile, correctness checks) =="
+echo "== repo benchmark smoke (compile_sched + compile_tile + serve_mix, correctness checks) =="
 # Non-zero exit = a failed correctness check (replay != oracle, a
-# RuntimeWarning, ...); set -e stops the script.  Timings are not gated here.
+# RuntimeWarning, a warm request that missed the memo, ...); set -e stops
+# the script.  Timings are not gated here.
 python3 bench/run.py --quick --workload compile_sched
 python3 bench/run.py --quick --workload compile_tile
+python3 bench/run.py --quick --workload serve_mix
 
 echo
 echo "== execution-engine equivalence (scalar vs vectorized) =="
@@ -188,9 +190,9 @@ done
 [ -s "$READY_FILE" ] \
     || { echo "FAIL: akgd never became ready"; kill "$AKGD_PID"; exit 1; }
 AKGD_PORT="$(awk '{print $2}' "$READY_FILE")"
-# 8 mixed requests: 7 healthy (duplicates coalesce/memo-hit) + 1 with an
-# injected fault that must come back as a typed per-request error while
-# the daemon keeps serving.
+# 8 mixed requests down one kept-alive connection: 7 healthy (duplicates
+# coalesce/memo-hit) + 1 with an injected fault that must come back as a
+# typed per-request error while the daemon keeps serving.
 python - "$AKGD_PORT" <<'EOF'
 import sys
 
@@ -224,9 +226,16 @@ stats = client.stats()
 # built + memo-answered must cover all 7 healthy requests.
 assert stats["completed"] + stats["memo_hits"] >= 7, stats
 assert stats["failed"] == 1, stats
+# All of it — 8 requests, the ping, this stats call — shared one connection.
+server = stats["server"]
+assert server["connections_accepted"] == 1, server
+assert server["requests_served"] == 9, server
 print(f"serve smoke ok: 7 ok + 1 typed error, "
-      f"{stats['coalesced']} coalesced, {stats['memo_hits']} memo hits")
+      f"{stats['coalesced']} coalesced, {stats['memo_hits']} memo hits, "
+      f"{server['requests_served']} requests on "
+      f"{server['connections_accepted']} connection")
 client.shutdown()
+client.close()
 EOF
 wait "$AKGD_PID" || true
 rm -rf "$SERVE_CACHE_DIR" "$READY_FILE" /tmp/akgd_smoke.log

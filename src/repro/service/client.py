@@ -1,11 +1,20 @@
 """A small blocking client for the akgd JSON-lines protocol.
 
-Each :meth:`ServiceClient.request` opens a fresh connection, sends one
-line and reads one line back — stateless on the wire, so a client
+Each :meth:`ServiceClient.request` sends one line and reads one line
+back on a *kept-alive* connection: the client holds a lock-guarded stack
+of idle connections, a request pops one (or connects when the stack is
+empty) and pushes it back only after it read exactly one complete
+response line for the one request it wrote.  A connection that timed
+out, hit EOF or delivered a partial line is closed, never pooled — a
+late answer can therefore never be read as the next request's.  A
+request owns its connection for its whole round trip, so one client
 object can be shared across threads (the load bench drives one from 16
-closed-loop client threads).  Connection and protocol failures raise
-:class:`~repro.core.errors.ServiceError`; per-request compilation
-failures come back as normal response dicts with ``ok: false``.
+closed-loop client threads; N concurrent callers hold at most N
+connections).  :meth:`~ServiceClient.close`, leaving a ``with`` block
+and garbage collection all close the idle sockets.  Connection and
+protocol failures raise :class:`~repro.core.errors.ServiceError`;
+per-request compilation failures come back as normal response dicts
+with ``ok: false``.
 
 The client is *retry-aware*: a refused or reset connection (the daemon
 restarting, a supervisor replacing it) is retried up to ``retries``
@@ -17,19 +26,35 @@ still fails typed in bounded time.  Retries are safe by construction:
 the protocol is one request line → one response line, so a request
 whose connection died before the response can only have been admitted
 or shed, never half-answered — and service-side coalescing/memoization
-makes the resubmission cheap.
+makes the resubmission cheap.  The same argument covers the pool's own
+artefact: a *reused* connection the daemon closed in the meantime (it
+restarted, or shut the socket down) is retried once on a fresh
+connection without charging ``retries`` — ``retries`` counts failures
+to reach the daemon, and the daemon was never tried.  A timeout is not
+staleness (the daemon holds the connection and is slow), so it is
+charged like any other failure.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, BinaryIO, Dict, List, Optional, Tuple
 
 from repro.core.errors import ServiceError
 
 __all__ = ["ServiceClient"]
+
+#: One kept-alive connection: the socket and its buffered line reader.
+_Connection = Tuple[socket.socket, BinaryIO]
+
+
+def _close(conn: _Connection) -> None:
+    sock, reader = conn
+    reader.close()
+    sock.close()
 
 
 class ServiceClient:
@@ -51,6 +76,8 @@ class ServiceClient:
         overload_retries: int = 0,
         max_retry_after: float = 5.0,
     ):
+        self._idle: List[_Connection] = []
+        self._idle_lock = threading.Lock()
         if not port:
             raise ServiceError("ServiceClient needs the daemon's port")
         self.host = host
@@ -62,23 +89,69 @@ class ServiceClient:
         self.overload_retries = overload_retries
         self.max_retry_after = max_retry_after
 
-    def _request_once(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """One connection, one line out, one line back."""
+    # -- connections --------------------------------------------------------
+
+    def close(self) -> None:
+        """Close every idle connection (the client stays usable)."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            _close(conn)
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __del__(self) -> None:
+        self.close()
+
+    def _connect(self) -> _Connection:
+        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock, sock.makefile("rb")
+
+    def _round_trip(self, conn: _Connection, data: bytes) -> bytes:
+        """One line out, one line back; pools ``conn`` only on success.
+
+        Raises ``OSError`` on any failure (EOF and a partial line become
+        ``ConnectionError``) with the connection already closed.
+        """
+        sock, reader = conn
         try:
-            with socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            ) as sock:
-                sock.sendall(json.dumps(payload).encode() + b"\n")
-                reader = sock.makefile("rb")
-                line = reader.readline()
-        except (ConnectionError, OSError) as exc:
-            raise ServiceError(
-                f"cannot reach akgd at {self.host}:{self.port}: {exc}"
-            )
-        if not line:
-            raise ServiceError(
-                f"akgd at {self.host}:{self.port} closed the connection"
-            )
+            sock.sendall(data)
+            line = reader.readline()
+            if not line.endswith(b"\n"):
+                raise ConnectionResetError(
+                    "closed the connection" + (" mid-response" if line else "")
+                )
+        except OSError:
+            _close(conn)
+            raise
+        with self._idle_lock:
+            self._idle.append(conn)
+        return line
+
+    def _request_once(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """One line out, one line back, on a pooled or a fresh connection."""
+        data = json.dumps(payload).encode() + b"\n"
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        while True:
+            reused = conn is not None
+            try:
+                line = self._round_trip(conn or self._connect(), data)
+                break
+            except OSError as exc:
+                if reused and not isinstance(exc, socket.timeout):
+                    # A stale pooled connection: the daemon was never
+                    # tried, so this costs none of the caller's retries.
+                    conn = None
+                    continue
+                raise ServiceError(
+                    f"cannot reach akgd at {self.host}:{self.port}: {exc}"
+                )
         try:
             return json.loads(line.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

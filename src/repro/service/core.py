@@ -65,13 +65,14 @@ wedging a worker forever.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import itertools
 import queue
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import (
     QuarantinedError,
@@ -98,6 +99,15 @@ DEFAULT_TUNE_PARAMS: Dict[str, Any] = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _default_hw_fingerprint() -> str:
+    """``hw_fingerprint(HardwareSpec())``, rendered once per process."""
+    from repro.core import diskcache
+    from repro.hw.spec import HardwareSpec
+
+    return diskcache.hw_fingerprint(HardwareSpec())
+
+
 class ServiceRequest:
     """One unit of work for the service.
 
@@ -115,6 +125,11 @@ class ServiceRequest:
     end-to-end wall-clock allowance, measured from submission;
     ``client_id`` attributes the request to one client for the optional
     per-client fairness cap.
+
+    A request is a value: :meth:`coalescing_key` and
+    :meth:`quarantine_key` share one rendering of the IR and hardware
+    fingerprints, made when the first of them is called, so ``outputs``
+    and ``hw`` must not be mutated afterwards.
     """
 
     __slots__ = (
@@ -131,6 +146,7 @@ class ServiceRequest:
         "bindings",
         "deadline_seconds",
         "client_id",
+        "_fingerprints",
     )
 
     def __init__(
@@ -168,6 +184,28 @@ class ServiceRequest:
         self.bindings = bindings
         self.deadline_seconds = deadline_seconds
         self.client_id = client_id
+        self._fingerprints: Optional[Tuple[str, str]] = None
+
+    def _kernel_fingerprints(self) -> Optional[Tuple[str, str]]:
+        """``(ir, hw)`` fingerprints, rendered once per request.
+
+        ``None`` when either is unfingerprintable.  Only the default
+        hardware's fingerprint outlives the request: an explicit ``hw``
+        object is mutable, so it is rendered anew for every request.
+        """
+        if self._fingerprints is None:
+            from repro.core import diskcache
+
+            try:
+                self._fingerprints = (
+                    diskcache.ir_fingerprint(self.outputs),
+                    diskcache.hw_fingerprint(self.hw)
+                    if self.hw is not None
+                    else _default_hw_fingerprint(),
+                )
+            except diskcache.FingerprintError:
+                return None
+        return self._fingerprints
 
     def coalescing_key(self) -> Optional[str]:
         """Content digest under which concurrent duplicates merge.
@@ -183,16 +221,19 @@ class ServiceRequest:
             return None
         from repro.core import diskcache
         from repro.core.compiler import AkgOptions
-        from repro.hw.spec import HardwareSpec
 
+        fingerprints = self._kernel_fingerprints()
+        if fingerprints is None:
+            return None
+        ir_fp, hw_fp = fingerprints
         options = self.options or AkgOptions()
         try:
             parts = [
                 "service",
                 self.kind,
-                diskcache.ir_fingerprint(self.outputs),
+                ir_fp,
                 self.name,
-                diskcache.hw_fingerprint(self.hw or HardwareSpec()),
+                hw_fp,
                 diskcache.scheduler_fingerprint(options.scheduler),
                 diskcache.options_fingerprint(options),
             ]
@@ -231,16 +272,11 @@ class ServiceRequest:
         breaker for this request.
         """
         from repro.core import diskcache
-        from repro.hw.spec import HardwareSpec
 
-        try:
-            return diskcache.digest(
-                "poison",
-                diskcache.ir_fingerprint(self.outputs),
-                diskcache.hw_fingerprint(self.hw or HardwareSpec()),
-            )
-        except diskcache.FingerprintError:
+        fingerprints = self._kernel_fingerprints()
+        if fingerprints is None:
             return None
+        return diskcache.digest("poison", *fingerprints)
 
     def __repr__(self) -> str:
         return f"ServiceRequest({self.kind}, {self.name!r})"
@@ -1055,6 +1091,7 @@ class CompileService:
         report = result.simulate()
         return {
             "result": result,
+            "program_sha256": _program_sha256(result),
             "cycles": report.total_cycles,
             "dma_bytes": report.dma_bytes,
             "tile_sizes": list(result.tile_sizes),
@@ -1087,7 +1124,19 @@ class CompileService:
         if inputs is None:
             inputs = _seeded_inputs(result.kernel, request.seed, request.bindings)
         outputs = result.execute(inputs, engine=request.engine)
-        return {"result": result, "outputs": outputs, "inputs": inputs}
+        return {
+            "result": result,
+            "program_sha256": _program_sha256(result),
+            "outputs": outputs,
+            "inputs": inputs,
+        }
+
+
+def _program_sha256(result) -> str:
+    """sha256 of the instruction-stream dump — what bit-identical checks
+    compare.  Hashed here, once per build, so that a memo hit's response
+    does not dump and hash the whole program again."""
+    return hashlib.sha256(result.program.dump().encode()).hexdigest()
 
 
 def _seeded_inputs(

@@ -1,19 +1,26 @@
 """The akgd daemon: a JSON-lines TCP front end over :class:`CompileService`.
 
 One connection may carry any number of newline-delimited JSON requests;
-each gets exactly one newline-delimited JSON response, in order.
-Connections are handled on threads (``socketserver.ThreadingTCPServer``)
-that block in ``service.run`` — admission control, coalescing and the
-worker pool all live in the service, so the socket layer stays a thin
-codec.  A malformed line or unparsable request answers with a
-:class:`~repro.core.errors.ServiceError` body (exit code 12) and the
-connection — and the daemon — live on.
+each gets exactly one newline-delimited JSON response, in order —
+:class:`~repro.service.client.ServiceClient` keeps its connections alive
+and sends thousands of requests down one.  Connections are handled on
+threads (``socketserver.ThreadingTCPServer``, one per connection, not
+per request) that block in ``service.run`` — admission control,
+coalescing and the worker pool all live in the service, so the socket
+layer stays a thin codec.  A malformed line or unparsable request
+answers with a :class:`~repro.core.errors.ServiceError` body (exit code
+12) and the connection — and the daemon — live on.  The server tracks
+every accepted connection and ``server_close()`` shuts them all down: a
+stopped daemon never keeps answering on an old socket against a closed
+service, and its handler threads exit.
 
 Control verbs (handled here, not queued):
 
 - ``{"kind": "ping"}``      → ``{"ok": true, "pong": true, "state": ...}``
   (``state`` is the service's readiness: accepting / draining / stopped)
-- ``{"kind": "stats"}``     → ``{"ok": true, "stats": {...}}``
+- ``{"kind": "stats"}``     → ``{"ok": true, "stats": {...}}`` (the
+  service's counters plus a ``server`` block: ``connections_accepted``,
+  ``connections_open``, ``requests_served``)
 - ``{"kind": "shutdown"}``  → ``{"ok": true, "stopping": true}``; the
   service stops admitting immediately (``draining``), every queued build
   still completes, and the accept loop exits.
@@ -26,9 +33,10 @@ ballooning the daemon's memory.
 from __future__ import annotations
 
 import json
+import socket
 import socketserver
 import threading
-from typing import Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.errors import ServiceError
 from repro.service import wire
@@ -41,6 +49,8 @@ MAX_LINE_BYTES = 1 << 20
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    disable_nagle_algorithm = True  # one small line per response
+
     def _drain_oversized_line(self) -> bool:
         """Discard the rest of an over-long line; False on disconnect.
 
@@ -54,6 +64,18 @@ class _Handler(socketserver.StreamRequestHandler):
                 return False
             if chunk.endswith(b"\n"):
                 return True
+
+    def _answer(self, response: dict) -> bool:
+        """Write one response line; False when the peer is gone."""
+        server: "AkgdServer" = self.server  # type: ignore[assignment]
+        with server._connections_lock:
+            server._requests_served += 1
+        try:
+            self.wfile.write(json.dumps(response).encode() + b"\n")
+            self.wfile.flush()
+        except (ConnectionError, OSError):
+            return False
+        return True
 
     def handle(self) -> None:
         server: "AkgdServer" = self.server  # type: ignore[assignment]
@@ -74,24 +96,18 @@ class _Handler(socketserver.StreamRequestHandler):
                         f"request line exceeds {MAX_LINE_BYTES} bytes"
                     )
                 )
-                try:
-                    self.wfile.write(json.dumps(response).encode() + b"\n")
-                    self.wfile.flush()
-                except (ConnectionError, OSError):
-                    return
-                if not alive:
+                if not self._answer(response) or not alive:
                     return
                 continue
             line = line.strip()
             if not line:
                 continue
             response = server.handle_line(line)
-            try:
-                self.wfile.write(json.dumps(response).encode() + b"\n")
-                self.wfile.flush()
-            except (ConnectionError, OSError):
-                return
-            if response.get("stopping"):
+            if (
+                not self._answer(response)
+                or response.get("stopping")
+                or server._closed
+            ):
                 return
 
 
@@ -105,6 +121,51 @@ class AkgdServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _Handler)
         self.service = service
         self.request_timeout: Optional[float] = None
+        self._connections_lock = threading.Lock()
+        self._connections: Set[socket.socket] = set()
+        self._connections_accepted = 0
+        self._requests_served = 0
+        self._closed = False
+
+    # -- connection tracking ------------------------------------------------
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+            self._connections_accepted += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listening socket and end every open connection.
+
+        Only the read side is shut down: a handler blocked waiting for
+        the next request sees EOF, one still executing a request writes
+        its answer first, and either way the handler thread then returns
+        and closes the socket itself.
+        """
+        super().server_close()
+        with self._connections_lock:
+            self._closed = True
+            connections = list(self._connections)
+        for sock in connections:
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                continue  # the peer (or the handler) got there first
+
+    def server_stats(self) -> Dict[str, int]:
+        """The socket layer's own counters (the ``server`` stats block)."""
+        with self._connections_lock:
+            return {
+                "connections_accepted": self._connections_accepted,
+                "connections_open": len(self._connections),
+                "requests_served": self._requests_served,
+            }
 
     # -- request routing ----------------------------------------------------
 
@@ -124,7 +185,9 @@ class AkgdServer(socketserver.ThreadingTCPServer):
             if kind == "ping":
                 return {"ok": True, "pong": True, "state": self.service.state}
             if kind == "stats":
-                return {"ok": True, "stats": self.service.stats()}
+                stats = self.service.stats()
+                stats["server"] = self.server_stats()
+                return {"ok": True, "stats": stats}
             if kind == "shutdown":
                 self.initiate_shutdown()
                 return {"ok": True, "stopping": True}

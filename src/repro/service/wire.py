@@ -343,8 +343,7 @@ def result_to_json(result: ServiceResult) -> Dict[str, Any]:
     if result.kind in ("compile", "replay"):
         compiled = value.get("result")
         if compiled is not None:
-            dump = compiled.program.dump()
-            out["program_sha256"] = hashlib.sha256(dump.encode()).hexdigest()
+            out["program_sha256"] = value["program_sha256"]
             out["tile_sizes"] = list(compiled.tile_sizes)
             out["degraded"] = bool(compiled.resilience.degraded)
             if getattr(compiled, "verified_clean", False):

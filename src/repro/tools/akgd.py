@@ -5,7 +5,7 @@ Usage::
     python -m repro.tools.akgd --port 7341            # serve until shutdown
     python -m repro.tools.akgd --port 0 --ready-file /tmp/akgd.addr &
     python -m repro.tools.akgd --ping --port 7341     # liveness probe
-    python -m repro.tools.akgd --stats --port 7341    # queue/coalescing counters
+    python -m repro.tools.akgd --stats --port 7341    # service + connection counters
     python -m repro.tools.akgd --shutdown --port 7341
 
 The daemon speaks newline-delimited JSON (schema in
@@ -81,18 +81,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.service.client import ServiceClient
 
         try:
-            client = ServiceClient(args.host, args.port)
-            if args.ping:
-                response = client.request({"kind": "ping"})
-                if response.get("pong"):
-                    print(f"pong ({response.get('state', 'unknown')})")
-                else:
-                    print("no pong")
-            if args.stats:
-                print(json.dumps(client.stats(), indent=2, sort_keys=True))
-            if args.shutdown:
-                client.shutdown()
-                print("shutdown requested")
+            with ServiceClient(args.host, args.port) as client:
+                if args.ping:
+                    response = client.request({"kind": "ping"})
+                    if response.get("pong"):
+                        print(f"pong ({response.get('state', 'unknown')})")
+                    else:
+                        print("no pong")
+                if args.stats:
+                    print(json.dumps(client.stats(), indent=2, sort_keys=True))
+                if args.shutdown:
+                    client.shutdown()
+                    print("shutdown requested")
         except ServiceError as exc:
             print(f"akgd: {type(exc).__name__}: {exc}", file=sys.stderr)
             return exit_code_for(exc)

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -94,6 +95,46 @@ class TestDaemon:
 
     def test_shutdown_stops_the_daemon(self, daemon):
         assert daemon.shutdown() is True
+
+    def test_stats_reports_the_server_block(self, daemon):
+        daemon.ping()
+        server = daemon.stats()["server"]
+        assert server == {
+            "connections_accepted": 1,
+            "connections_open": 1,
+            "requests_served": 1,
+        }
+
+
+def test_stopped_daemon_ends_open_connections():
+    """A connection held open across the daemon's stop must see EOF, not
+    answers from a handler thread that outlived its (closed) service."""
+    import socket
+
+    service = CompileService(workers=1)
+    server = AkgdServer(("127.0.0.1", 0), service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    with socket.create_connection(server.server_address[:2], timeout=30) as sock:
+        reader = sock.makefile("rb")
+        sock.sendall(b'{"kind": "ping"}\n')
+        assert json.loads(reader.readline())["pong"] is True
+        server.shutdown()
+        thread.join(timeout=10)
+        server.server_close()
+        service.close()
+        try:
+            sock.sendall(b'{"kind": "ping"}\n')
+            late = reader.readline()
+        except ConnectionError:
+            late = b""
+        assert late == b""
+        reader.close()
+    # The handler thread's last act is to drop its connection.
+    deadline = time.monotonic() + 5
+    while server.server_stats()["connections_open"]:
+        assert time.monotonic() < deadline, "handler thread still alive"
+        time.sleep(0.01)
 
 
 class TestWireSchema:

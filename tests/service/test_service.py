@@ -87,6 +87,102 @@ class TestCoalescing:
         assert req.coalescing_key() is None
 
 
+#: The repo benchmark's ``serve_mix`` payload kernels, plus one tune and
+#: one replay request.
+KEYED_PAYLOADS = [
+    {"kind": "compile", "op": op, "shape": shape}
+    for op, shape in (
+        ("relu", [64, 128]),
+        ("relu", [48, 96]),
+        ("add", [64, 128]),
+        ("add", [48, 96]),
+        ("softmax", [32, 64]),
+        ("softmax", [16, 48]),
+        ("matmul", [32, 32, 32]),
+        ("matmul", [48, 32, 64]),
+        ("conv2d", [1, 4, 12, 12]),
+        ("conv2d", [1, 8, 8, 8]),
+    )
+] + [
+    {"kind": "tune", "op": "matmul", "shape": [16, 16, 16], "tune": {"max_rounds": 1}},
+    {"kind": "replay", "op": "relu", "shape": [8, 12], "seed": 3, "engine": "scalar"},
+]
+
+
+class TestKeyStability:
+    """The memo, coalescing and quarantine tables key on these digests:
+    however the request renders them, they must equal the composition of
+    the public ``diskcache`` fingerprints."""
+
+    @pytest.mark.parametrize(
+        "payload", KEYED_PAYLOADS, ids=lambda p: f"{p['kind']}-{p['op']}{p['shape']}"
+    )
+    def test_keys_equal_the_public_fingerprint_composition(self, payload):
+        from repro.core import diskcache
+        from repro.hw.spec import HardwareSpec
+        from repro.service.core import DEFAULT_TUNE_PARAMS
+        from repro.service.wire import request_from_json
+
+        req = request_from_json(payload)
+        ir = diskcache.ir_fingerprint(req.outputs)
+        hw = diskcache.hw_fingerprint(HardwareSpec())
+        parts = [
+            "service",
+            req.kind,
+            ir,
+            req.name,
+            hw,
+            diskcache.scheduler_fingerprint(req.options.scheduler),
+            diskcache.options_fingerprint(req.options),
+        ]
+        if req.kind == "tune":
+            merged = dict(DEFAULT_TUNE_PARAMS, **req.tune_params)
+            parts.append(repr(sorted(merged.items())))
+        elif req.kind == "replay":
+            parts += [f"engine={req.engine}", f"seed={req.seed}"]
+        assert req.coalescing_key() == diskcache.digest(*parts)
+        assert req.quarantine_key() == diskcache.digest("poison", ir, hw)
+        # Either key may be asked for first.
+        again = request_from_json(payload)
+        assert again.quarantine_key() == req.quarantine_key()
+        assert again.coalescing_key() == req.coalescing_key()
+
+    def test_mutated_hw_object_changes_both_keys(self):
+        from repro.hw.spec import HardwareSpec
+
+        hw = HardwareSpec()
+        before = ServiceRequest("compile", _relu(), name="hw", hw=hw)
+        default = ServiceRequest("compile", _relu(), name="hw")
+        assert before.coalescing_key() == default.coalescing_key()
+        assert before.quarantine_key() == default.quarantine_key()
+        hw.sync_cycles += 1
+        after = ServiceRequest("compile", _relu(), name="hw", hw=hw)
+        assert after.coalescing_key() != before.coalescing_key()
+        assert after.quarantine_key() != before.quarantine_key()
+        # ... and the default hardware's fingerprint did not move with it.
+        fresh = ServiceRequest("compile", _relu(), name="hw")
+        assert fresh.coalescing_key() == default.coalescing_key()
+
+    def test_unfingerprintable_ir_has_no_keys(self):
+        req = ServiceRequest("compile", object(), name="opaque")
+        assert req.coalescing_key() is None
+        assert req.quarantine_key() is None
+
+    def test_memo_hit_reports_the_programs_sha256(self):
+        import hashlib
+
+        from repro.service.wire import result_to_json
+
+        with CompileService(workers=1) as svc:
+            first = svc.run(ServiceRequest("compile", _relu(), name="sha"), timeout=300)
+            hit = svc.run(ServiceRequest("compile", _relu(), name="sha"), timeout=300)
+        assert hit.cached and not first.cached
+        dump = hit.value["result"].program.dump()
+        expected = hashlib.sha256(dump.encode()).hexdigest()
+        assert result_to_json(hit)["program_sha256"] == expected
+        assert result_to_json(first)["program_sha256"] == expected
+
+
 class TestFailureIsolation:
     def test_typed_error_is_per_request(self):
         """A faulted request fails typed; concurrent healthy ones finish."""
