@@ -18,8 +18,8 @@ exists for three consumers:
 
 ``ReproError`` subclasses ``RuntimeError`` deliberately: pre-taxonomy
 call sites (the auto-tuner's ``except RuntimeError`` around candidate
-measurement, the bench harness) keep working unchanged while new code
-catches the precise class.
+measurement) keep working unchanged while new code catches the precise
+class.
 """
 
 from __future__ import annotations

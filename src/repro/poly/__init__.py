@@ -29,7 +29,6 @@ from repro.poly.ilp import IlpProblem, IlpStatus
 from repro.poly.cache import (
     clear_solver_caches,
     reset_solver_cache_stats,
-    set_solver_cache_enabled,
     solver_cache_stats,
 )
 
@@ -47,5 +46,4 @@ __all__ = [
     "solver_cache_stats",
     "clear_solver_caches",
     "reset_solver_cache_stats",
-    "set_solver_cache_enabled",
 ]

@@ -60,7 +60,6 @@ which makes sharing the values themselves safe.
 
 from __future__ import annotations
 
-import os
 import threading
 from fractions import Fraction
 from itertools import chain
@@ -229,10 +228,6 @@ EXTENT_CACHE = SolveCache("extent")
 
 _ALL = (ILP_CACHE, FM_CACHE, EXTENT_CACHE)
 
-if os.environ.get("REPRO_NO_SOLVER_CACHE", "0") not in ("0", "", "false"):
-    for _c in _ALL:
-        _c.enabled = False
-
 
 def solver_cache_stats() -> Dict[str, Dict[str, float]]:
     """Hit/miss/entry counts for every solver cache, keyed by name."""
@@ -249,7 +244,7 @@ def reset_solver_cache_stats() -> None:
     """Zero hit/miss counters without dropping the memoized entries.
 
     ``solver_cache_stats`` otherwise accumulates across builds, so any
-    per-build hit rate (bench rows, ``akgc --perf``) would blend the
+    per-build hit rate (``akgc --perf``) would blend the
     current kernel's behaviour with everything compiled before it.  Call
     this at the start of the region of interest; the warm entries stay,
     which is the realistic steady-state being measured.
@@ -259,6 +254,10 @@ def reset_solver_cache_stats() -> None:
 
 
 def set_solver_cache_enabled(enabled: bool) -> None:
-    """Globally enable or disable solver memoization (for A/B timing)."""
+    """Globally enable or disable solver memoization.
+
+    A test oracle, not a user switch: the equivalence tests compare
+    cached results against this uncached path.
+    """
     for c in _ALL:
         c.enabled = enabled

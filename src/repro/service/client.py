@@ -8,9 +8,8 @@ response line for the one request it wrote.  A connection that timed
 out, hit EOF or delivered a partial line is closed, never pooled — a
 late answer can therefore never be read as the next request's.  A
 request owns its connection for its whole round trip, so one client
-object can be shared across threads (the load bench drives one from 16
-closed-loop client threads; N concurrent callers hold at most N
-connections).  :meth:`~ServiceClient.close`, leaving a ``with`` block
+object can be shared across threads (N concurrent callers hold at most
+N connections).  :meth:`~ServiceClient.close`, leaving a ``with`` block
 and garbage collection all close the idle sockets.  Connection and
 protocol failures raise :class:`~repro.core.errors.ServiceError`;
 per-request compilation failures come back as normal response dicts

@@ -10,11 +10,11 @@ Usage::
 
 The daemon speaks newline-delimited JSON (schema in
 :mod:`repro.service.wire`); ``--ready-file`` gets ``host port`` written
-once the socket is listening, so scripted launchers (scripts/check.sh,
-the load bench) never poll a port.  Exit codes follow the taxonomy in
-:mod:`repro.core.errors` — a service-level failure (daemon unreachable,
-bad payload) is 12, an admission shed (full queue / fairness cap) is
-14, and a quarantined kernel is 15.
+once the socket is listening, so scripted launchers
+(``tests/tools/test_akgd_cli.py``) never poll a port.  Exit codes follow
+the taxonomy in :mod:`repro.core.errors` — a service-level failure
+(daemon unreachable, bad payload) is 12, an admission shed (full queue /
+fairness cap) is 14, and a quarantined kernel is 15.
 
 Fault-tolerance knobs: ``--max-per-client`` caps one client's queued
 builds, ``--quarantine-threshold``/``--quarantine-cooldown`` configure

@@ -90,9 +90,9 @@ SITES: Dict[str, Type[ReproError]] = {
 _MODES = ("error", "delay", "corrupt", "truncate", "crash", "hang")
 
 #: How long a ``hang`` directive stalls its worker thread.  Long enough
-#: that any supervision watchdog (sub-second in the tests and the
-#: chaos-serve bench) fires first, short enough that an abandoned zombie
-#: thread drains away on its own in bounded time.
+#: that any supervision watchdog (2 s at most in the tests) fires
+#: first, short enough that an abandoned zombie thread drains away on
+#: its own in bounded time.
 HANG_SECONDS = 8.0
 
 

@@ -1,9 +1,7 @@
 """A dependency-free linter for the checks this repo actually gates on.
 
-``scripts/check.sh`` runs `ruff` when one is on the PATH; this module is
-the fallback so the lint gate never silently disappears on machines
-without it.  It implements the small rule set the gate relies on, with
-ruff-compatible codes:
+This is the linter ``scripts/check.sh`` runs.  It implements the small
+rule set the gate relies on, with ruff-compatible codes:
 
 - **F401** — imported name never used.  Usage is counted by word
   occurrence outside the import's own line, so names referenced only in

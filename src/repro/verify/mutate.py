@@ -5,7 +5,7 @@ seeds the four canonical miscompilations — a dropped sync, a swapped
 statement/band order, an off-by-one tile box, an aliased arena slot —
 into an otherwise-correct :class:`~repro.core.compiler.CompileResult`
 (or :class:`~repro.graph.plan.NetworkPlan`) and hands the mutants back
-so tests and ``bench --verify`` can demand a 100% kill rate from
+so tests and the repo benchmark can demand a 100% kill rate from
 :func:`repro.verify.verify_result`.
 
 Every mutation deep-copies its input (the original result is never

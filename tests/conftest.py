@@ -9,6 +9,8 @@ Every test gets its own ``REPRO_CACHE_DIR`` under pytest's tmpdir, so
   afterwards.
 """
 
+import os
+
 import pytest
 
 from repro.core import diskcache
@@ -35,3 +37,13 @@ def _no_leaked_fault_spec(monkeypatch):
     faultinject.set_spec(None)
     yield
     faultinject.set_spec(None)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _fault_spec_does_not_outlive_the_session():
+    """A test that armed a fault by hand and never disarmed it: the
+    per-test fixture above hides that from later tests, this reports it."""
+    at_start = os.environ.get("REPRO_FAULT_SPEC")
+    yield
+    assert os.environ.get("REPRO_FAULT_SPEC") == at_start
+    assert faultinject.current_spec() == at_start

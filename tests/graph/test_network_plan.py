@@ -7,6 +7,7 @@ from repro.core import diskcache
 from repro.core.errors import NetworkPlanError
 from repro.graph import compile_network, network, plan_arena
 from repro.runtime.reference import numpy_dtype
+from repro.runtime.vectorized import exec_stats, reset_exec_stats
 from repro.tools import faultinject, perf
 
 
@@ -129,7 +130,9 @@ def _feeds(plan, seed, batch):
 def test_plan_replay_bit_identical_to_scalar_oracle(name):
     plan = _compiled(name).plan
     feeds = _feeds(plan, seed=7, batch=3)
+    reset_exec_stats()
     got = plan.replay(feeds)
+    assert exec_stats()["scalar_fallback"] == 0, exec_stats()["fallback_reasons"]
     ref = plan.oracle(feeds)
     assert len(got) == len(ref) == 3
     for g, r in zip(got, ref):

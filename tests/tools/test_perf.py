@@ -1,0 +1,63 @@
+"""Tests for the perf instrumentation."""
+
+from repro.tools import perf
+
+
+class TestPerf:
+    def test_stage_accumulates(self):
+        perf.reset()
+        with perf.stage("unit_test_stage"):
+            pass
+        with perf.stage("unit_test_stage"):
+            pass
+        data = perf.report()
+        row = data["stages"]["unit_test_stage"]
+        assert row["calls"] == 2
+        assert row["seconds"] >= 0.0
+        assert "solver_cache" in data
+        perf.reset()
+        assert perf.report()["stages"] == {}
+
+    def test_format_report_renders(self):
+        perf.reset()
+        with perf.stage("render_me"):
+            pass
+        text = perf.format_report()
+        assert "render_me" in text
+        assert "solver cache [ilp]" in text
+        perf.reset()
+
+    def test_build_populates_stage_timings(self):
+        from repro.core.compiler import build
+        from repro.ir import ops
+        from repro.ir.tensor import placeholder
+
+        perf.reset()
+        x = placeholder((16, 64), "fp16", name="X")
+        build(ops.relu(x, name="out"), "k")
+        stages = perf.report()["stages"]
+        for expected in (
+            "frontend.lower",
+            "frontend.deps",
+            "frontend.schedule",
+            "backend.tile_fit",
+            "backend.codegen",
+        ):
+            assert expected in stages, expected
+        perf.reset()
+
+    def test_gemm_pipeline_has_nonzero_solver_cache_hit_rate(self):
+        """Acceptance criterion: the solver cache must hit on GEMM."""
+        from repro.core.compiler import build
+        from repro.ir import ops
+        from repro.ir.tensor import placeholder
+        from repro.poly.cache import clear_solver_caches, solver_cache_stats
+
+        clear_solver_caches()
+        a = placeholder((64, 64), "fp16", name="A")
+        b = placeholder((64, 64), "fp16", name="B")
+        build(ops.matmul(a, b, name="out"), "gemm")
+        stats = solver_cache_stats()
+        assert stats["ilp"]["hits"] > 0
+        assert stats["ilp"]["hit_rate"] > 0.0
+        clear_solver_caches()
