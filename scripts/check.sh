@@ -42,12 +42,15 @@ echo "== chaos sweep (single-fault scenarios, typed-or-identical) =="
 python -m pytest tests/tools/test_chaos.py -m chaos -q
 
 echo
-echo "== repo benchmark smoke (compile_sched + compile_tile + serve_mix, correctness checks) =="
+echo "== repo benchmark smoke (compile_sched + compile_tile + cache_warm + serve_mix, correctness checks) =="
 # Non-zero exit = a failed correctness check (replay != oracle, a
 # RuntimeWarning, a warm request that missed the memo, ...); set -e stops
-# the script.  Timings are not gated here.
+# the script.  Timings are not gated here.  cache_warm is the one whose
+# check executes *unpickled* programs and compares cached dumps with the
+# cold build's -- what a change to the pickled payload must keep.
 python3 bench/run.py --quick --workload compile_sched
 python3 bench/run.py --quick --workload compile_tile
+python3 bench/run.py --quick --workload cache_warm
 python3 bench/run.py --quick --workload serve_mix
 
 TMP="$(mktemp -d)"

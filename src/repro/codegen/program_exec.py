@@ -488,7 +488,13 @@ def _membership_mask(membership, tile, box):
         shape = [1] * n
         shape[k] = hi - lo + 1
         igrids.append(np.arange(lo, hi + 1, dtype=np.int64).reshape(shape))
-    return membership.mask(tile, igrids)
+    mask = membership.mask(tile, igrids)
+    # A schedule step keeps its mask for the replayer's lifetime: an
+    # all-in tile must not hold a box-sized array of True (16 MB over
+    # the 8 tiles of a 256^3 matmul) for what None already says.
+    if isinstance(mask, np.ndarray) and mask.all():
+        return None
+    return mask
 
 
 def _run_tile_vectorized(rep, step: _TileStep, buffers) -> None:

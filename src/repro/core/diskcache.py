@@ -84,7 +84,8 @@ __all__ = [
 #: Bump whenever the pickled payload layout or the fingerprint scheme
 #: changes; old entries then miss instead of unpickling stale shapes.
 #: v2: entries gained the magic + sha256 integrity header.
-CACHE_FORMAT_VERSION = 2
+#: v3: pickled polyhedral numbers are ints (``Fraction`` only when fractional).
+CACHE_FORMAT_VERSION = 3
 
 #: Entry header: magic, then the sha256 of the pickled payload.
 _MAGIC = b"RAKG\x02"

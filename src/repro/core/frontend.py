@@ -6,7 +6,7 @@ scheduling — lowering, dependence analysis, affine clustering and the
 Pluto/Feautrier ILP schedule — depends only on the kernel, never on the
 tile sizes.  The auto-tuner (Sec. 5.3) and the Auto Tiling probe/fit loop
 (Sec. 4.2) evaluate dozens of tile-size candidates per kernel; paying the
-exact-``Fraction`` ILP scheduling cost once instead of once-per-candidate
+exact ILP scheduling cost once instead of once-per-candidate
 is the single largest compile-time lever in this reproduction (AutoTVM
 makes the same split between template instantiation and schedule search).
 

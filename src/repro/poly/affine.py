@@ -4,9 +4,17 @@ An :class:`AffineExpr` is a linear combination of named variables plus an
 integer (rational) constant: ``3*h + 2*w - 5``.  It is the atom from which
 polyhedral constraints, access relations and schedules are built.
 
-Expressions are immutable; arithmetic returns new objects.  Coefficients are
-:class:`fractions.Fraction` internally but are normally integral -- the
-polyhedral layer normalises constraints to integer coefficients.
+Expressions are immutable; arithmetic returns new objects.
+
+**Numbers are exact and canonical**: a value is a plain ``int`` when it is
+integral and a :class:`fractions.Fraction` only when its denominator is
+> 1 (see :func:`canonical`).  Constraints normalise to coprime integers, so
+nearly every number in the polyhedral layer is a machine int; because
+``Fraction(n) == n`` and ``hash(Fraction(n)) == hash(n)``, which of the
+two a value is never shows in an equality, a hash, a memo key or a dict
+order.  Division goes through :func:`ratio`; a ``float`` is rejected with
+``TypeError`` wherever a number enters, so an inexact value (``0.1``, a
+stray ``1 / a``) fails loudly instead of rounding.
 """
 
 from __future__ import annotations
@@ -15,10 +23,30 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
+#: An exact number; stored ones are canonical (see :func:`canonical`).
 Number = Union[int, Fraction]
-Coeffs = Dict[str, Fraction]
+#: Variable name -> nonzero canonical coefficient.
+Coeffs = Dict[str, Number]
 
-_ZERO = Fraction(0)
+
+def canonical(value: Number) -> Number:
+    """``value`` as an ``int`` when integral, else a reduced ``Fraction``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"inexact number {value!r}: use int, Fraction or ratio()")
+    f = Fraction(value)
+    # int(): a numpy integer comes through Fraction as its own type.
+    return int(f.numerator) if f.denominator == 1 else f
+
+
+def ratio(a: Number, b: Number) -> Number:
+    """The exact quotient ``a / b``, canonical."""
+    if type(a) is int and type(b) is int:
+        quotient, remainder = divmod(a, b)
+        if not remainder:
+            return quotient
+    return canonical(Fraction(a, b))
 
 
 class AffineExpr:
@@ -44,20 +72,20 @@ class AffineExpr:
     def __init__(self, coeffs: Mapping[str, Number] | None = None, const: Number = 0):
         clean: Coeffs = {}
         for name, c in (coeffs or {}).items():
-            f = Fraction(c)
-            if f != 0:
-                clean[name] = f
+            c = canonical(c)
+            if c:
+                clean[name] = c
         self.coeffs: Coeffs = clean
-        self.const: Fraction = Fraction(const)
+        self.const: Number = canonical(const)
         self._hash: int | None = None
 
     @classmethod
-    def _of(cls, coeffs: Coeffs, const: Fraction) -> "AffineExpr":
+    def _of(cls, coeffs: Coeffs, const: Number) -> "AffineExpr":
         """Trusted constructor for arithmetic results.
 
-        ``coeffs`` must be a fresh dict of nonzero ``Fraction`` values and
-        ``const`` a ``Fraction`` -- what ``__init__`` would have produced --
-        so its per-coefficient re-wrap and zero filter are skipped.
+        ``coeffs`` must be a fresh dict of nonzero canonical numbers and
+        ``const`` canonical -- what ``__init__`` would have produced -- so
+        its per-coefficient canonicalisation and zero filter are skipped.
         """
         self = cls.__new__(cls)
         self.coeffs = coeffs
@@ -93,9 +121,9 @@ class AffineExpr:
 
     # -- queries -----------------------------------------------------------
 
-    def coeff(self, name: str) -> Fraction:
+    def coeff(self, name: str) -> Number:
         """Coefficient of ``name`` (0 when absent)."""
-        return self.coeffs.get(name, _ZERO)
+        return self.coeffs.get(name, 0)
 
     def variables(self) -> Tuple[str, ...]:
         """Names of variables with nonzero coefficient, sorted."""
@@ -107,16 +135,16 @@ class AffineExpr:
 
     def is_integral(self) -> bool:
         """True when all coefficients and the constant are integers."""
-        return self.const.denominator == 1 and all(
-            c.denominator == 1 for c in self.coeffs.values()
+        return type(self.const) is int and all(
+            type(c) is int for c in self.coeffs.values()
         )
 
-    def evaluate(self, env: Mapping[str, Number]) -> Fraction:
+    def evaluate(self, env: Mapping[str, Number]) -> Number:
         """Evaluate under an assignment of every variable."""
         total = self.const
         for name, c in self.coeffs.items():
-            total += c * Fraction(env[name])
-        return total
+            total += c * env[name]
+        return canonical(total)
 
     def substitute(self, env: Mapping[str, "AffineExpr | Number"]) -> "AffineExpr":
         """Substitute variables by expressions (or numbers)."""
@@ -128,11 +156,11 @@ class AffineExpr:
                 continue
             repl = env[name]
             if isinstance(repl, AffineExpr):
-                _add_into(coeffs, ((n, rc * c) for n, rc in repl.coeffs.items()))
+                _add_into(coeffs, ((n, _times(rc, c)) for n, rc in repl.coeffs.items()))
                 const = const + repl.const * c
             else:
-                const = const + _frac(repl) * c
-        return AffineExpr._of(coeffs, const)
+                const = const + canonical(repl) * c
+        return AffineExpr._of(coeffs, canonical(const))
 
     def rename(self, mapping: Mapping[str, str]) -> "AffineExpr":
         """Rename variables according to ``mapping`` (missing names kept).
@@ -147,23 +175,18 @@ class AffineExpr:
         """Name-free split ``(names, numbers)`` for the solver-memo keys.
 
         ``names`` are the variables in coefficient-dict order; ``numbers``
-        are the coefficients in that order followed by the constant, with
-        integral values as plain ``int`` (equal to the ``Fraction`` and
-        hashed at C speed).
+        are the coefficients in that order followed by the constant.
         """
-        values = (*self.coeffs.values(), self.const)
-        return tuple(self.coeffs), tuple(
-            [v.numerator if v.denominator == 1 else v for v in values]
-        )
+        return tuple(self.coeffs), (*self.coeffs.values(), self.const)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "AffineExpr | Number") -> "AffineExpr":
         if not isinstance(other, AffineExpr):
-            return AffineExpr._of(dict(self.coeffs), self.const + _frac(other))
+            return AffineExpr._of(dict(self.coeffs), canonical(self.const + other))
         coeffs = dict(self.coeffs)
         _add_into(coeffs, other.coeffs.items())
-        return AffineExpr._of(coeffs, self.const + other.const)
+        return AffineExpr._of(coeffs, canonical(self.const + other.const))
 
     __radd__ = __add__
 
@@ -172,17 +195,19 @@ class AffineExpr:
 
     def __sub__(self, other: "AffineExpr | Number") -> "AffineExpr":
         if not isinstance(other, AffineExpr):
-            return AffineExpr._of(dict(self.coeffs), self.const - _frac(other))
+            return AffineExpr._of(dict(self.coeffs), canonical(self.const - other))
         return self + (-other)
 
     def __rsub__(self, other: Number) -> "AffineExpr":
         return (-self) + other
 
     def __mul__(self, factor: Number) -> "AffineExpr":
-        f = _frac(factor)
+        f = canonical(factor)
         if not f:
-            return AffineExpr._of({}, f)
-        return AffineExpr._of({n: c * f for n, c in self.coeffs.items()}, self.const * f)
+            return AffineExpr._of({}, 0)
+        return AffineExpr._of(
+            {n: _times(c, f) for n, c in self.coeffs.items()}, _times(self.const, f)
+        )
 
     __rmul__ = __mul__
 
@@ -214,11 +239,13 @@ class AffineExpr:
         return text.replace("+ -", "- ")
 
 
-def _frac(value: Number) -> Fraction:
-    return value if type(value) is Fraction else Fraction(value)
+def _times(a: Number, b: Number) -> Number:
+    """``a * b`` of two canonical numbers, canonical."""
+    product = a * b
+    return product if type(product) is int else canonical(product)
 
 
-def _add_into(coeffs: Coeffs, terms: Iterable[Tuple[str, Fraction]]) -> None:
+def _add_into(coeffs: Coeffs, terms: Iterable[Tuple[str, Number]]) -> None:
     """``coeffs += terms`` in place, deleting entries that cancel.
 
     A cancelled name that reappears later is appended afresh, exactly as
@@ -232,6 +259,8 @@ def _add_into(coeffs: Coeffs, terms: Iterable[Tuple[str, Fraction]]) -> None:
             if not c:
                 del coeffs[name]
                 continue
+            if type(c) is not int:
+                c = canonical(c)
         coeffs[name] = c
 
 
@@ -370,17 +399,18 @@ def _as_expr(value: AffineExpr | Number) -> AffineExpr:
 def _normalize(expr: AffineExpr, is_equality: bool) -> AffineExpr:
     """Scale to coprime integer coefficients; tighten inequality constants."""
     coeffs, const = expr.coeffs, expr.const
-    scale = lcm(const.denominator, *[c.denominator for c in coeffs.values()])
-    if scale != 1:
-        coeffs = {n: c * scale for n, c in coeffs.items()}
-        const = const * scale
-    g = gcd(*[c.numerator for c in coeffs.values()])
-    if is_equality and g > 1 and const.numerator % g != 0:
+    scale = 1
+    if not expr.is_integral():
+        scale = lcm(const.denominator, *[c.denominator for c in coeffs.values()])
+        coeffs = {n: c.numerator * (scale // c.denominator) for n, c in coeffs.items()}
+        const = const.numerator * (scale // const.denominator)
+    g = gcd(*coeffs.values())
+    if is_equality and g > 1 and const % g != 0:
         g = 1  # no integer point satisfies it; the equality stays as it is
     if scale == 1 and g <= 1:
         return expr  # already normal
     if g > 1:
-        coeffs = {n: c / g for n, c in coeffs.items()}
+        coeffs = {n: c // g for n, c in coeffs.items()}
         # For an inequality floor(const / g) is the tightest integral bound.
-        const = Fraction(const.numerator // g)
+        const = const // g
     return AffineExpr._of(coeffs, const)

@@ -61,7 +61,6 @@ which makes sharing the values themselves safe.
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from itertools import chain
 from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
 
@@ -135,8 +134,7 @@ class RankSpace:
         for ranks, numbers in rows:
             names = tuple(map(name, ranks))
             *coeffs, const, is_equality = numbers
-            terms = dict(zip(names, map(Fraction, coeffs)))
-            expr = AffineExpr._of(terms, Fraction(const))
+            expr = AffineExpr._of(dict(zip(names, coeffs)), const)
             out.append(Constraint._of(expr, is_equality, (names, numbers)))
         return out
 

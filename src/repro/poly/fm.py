@@ -14,7 +14,7 @@ from typing import List, Sequence
 
 from repro.core import resilience
 from repro.core.errors import SolverBudgetError
-from repro.poly.affine import AffineExpr, Constraint
+from repro.poly.affine import AffineExpr, Constraint, ratio
 from repro.poly.cache import FM_CACHE, MISS, RankSpace
 from repro.tools import faultinject
 
@@ -36,7 +36,7 @@ def eliminate_variable(
         a = pivot.expr.coeff(name)
         # name = (-(expr - a*name)) / a
         rest = pivot.expr - AffineExpr({name: a})
-        replacement = rest * (-1 / a)
+        replacement = rest * ratio(-1, a)
         out = []
         for c in constraints:
             if c is pivot:
@@ -144,7 +144,7 @@ def interval_of(
         if a == 0:
             continue
         rest = c.expr - AffineExpr({name: a})
-        bound = -rest.const / a
+        bound = ratio(-rest.const, a)
         if c.is_equality:
             lo = bound if lo is None else max(lo, bound)
             hi = bound if hi is None else min(hi, bound)

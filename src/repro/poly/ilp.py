@@ -20,8 +20,11 @@ rows with integer multipliers and divides each result by its gcd; the
 reduced-cost row is priced out once per phase and carried through the
 pivots, scaled by some positive integer that never needs to be known.
 Sign tests therefore read numerators, the ratio test cross-multiplies, and
-no :class:`fractions.Fraction` exists until the final assignment.  The
-arithmetic is exact, so *which* pivots are taken is decided by the rules
+no :class:`fractions.Fraction` exists until the final assignment -- and
+there only for a coordinate that is fractional: numbers throughout
+``repro.poly`` are ``int`` when integral (see :mod:`repro.poly.affine`;
+:mod:`repro.poly.linalg`, rational Gaussian elimination, is the one module
+that computes in ``Fraction``).  The arithmetic is exact, so *which* pivots are taken is decided by the rules
 alone, and those are a contract:
 
 - column layout ``v+, v-`` per variable (in ``names`` order), one slack per
@@ -40,13 +43,12 @@ Same rules, same vertex: the status, value and assignment of every solve
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import resilience
 from repro.core.errors import SolverBudgetError
-from repro.poly.affine import AffineExpr, Constraint
+from repro.poly.affine import AffineExpr, Constraint, Number, ratio
 from repro.poly.cache import ILP_CACHE, MISS, RankSpace
 from repro.tools import faultinject
 
@@ -67,8 +69,8 @@ class IlpResult:
     def __init__(
         self,
         status: IlpStatus,
-        value: Optional[Fraction] = None,
-        assignment: Optional[Dict[str, Fraction]] = None,
+        value: Optional[Number] = None,
+        assignment: Optional[Dict[str, Number]] = None,
     ):
         self.status = status
         self.value = value
@@ -288,7 +290,7 @@ def _presolve_system(
                 continue
             a = c.expr.coeff(target)
             rest = c.expr - AffineExpr({target: a})
-            replacement = rest * (-1 / a)
+            replacement = rest * ratio(-1, a)
             back.append((target, replacement))
             env = {target: replacement}
             next_cons = []
@@ -361,8 +363,8 @@ def _interval_solve(
     +-1 with an integral bound, so the interval optimum is exact for both
     the integer and the rational problem.
     """
-    lo: Dict[str, Fraction] = {}
-    hi: Dict[str, Fraction] = {}
+    lo: Dict[str, Number] = {}
+    hi: Dict[str, Number] = {}
     for c in constraints:
         vars_in = c.variables()
         if len(vars_in) == 0:
@@ -373,7 +375,7 @@ def _interval_solve(
             return None
         name = vars_in[0]
         a = c.expr.coeff(name)
-        bound = -c.expr.const / a
+        bound = ratio(-c.expr.const, a)
         if c.is_equality:
             if integer and bound.denominator != 1:
                 return IlpResult(IlpStatus.INFEASIBLE)
@@ -384,13 +386,13 @@ def _interval_solve(
         else:  # name <= bound
             hi[name] = min(hi.get(name, bound), bound)
 
-    assignment: Dict[str, Fraction] = {}
+    assignment: Dict[str, Number] = {}
     for name in names:
         low = lo.get(name)
         high = hi.get(name)
         if integer:
-            low = None if low is None else Fraction(-(-low.numerator // low.denominator))
-            high = None if high is None else Fraction(high.numerator // high.denominator)
+            low = None if low is None else -(-low.numerator // low.denominator)
+            high = None if high is None else high.numerator // high.denominator
         if low is not None and high is not None and low > high:
             return IlpResult(IlpStatus.INFEASIBLE)
         coeff = objective.coeff(name)
@@ -399,7 +401,7 @@ def _interval_solve(
         elif coeff < 0:
             pick = high
         else:
-            pick = low if low is not None else (high if high is not None else Fraction(0))
+            pick = low if low is not None else (high if high is not None else 0)
         if pick is None:
             return IlpResult(IlpStatus.UNBOUNDED)
         assignment[name] = pick
@@ -464,10 +466,10 @@ def _simplex_solve(
     if status is IlpStatus.UNBOUNDED:
         return IlpResult(IlpStatus.UNBOUNDED)
 
-    assignment: Dict[str, Fraction] = {name: Fraction(0) for name in names}
+    assignment: Dict[str, Number] = dict.fromkeys(names, 0)
     for row, col in zip(tableau, basis):
         if col < 2 * n:
-            value = Fraction(row[-1], row[col])
+            value = ratio(row[-1], row[col])
             assignment[names[col // 2]] += value if col % 2 == 0 else -value
     value = objective.evaluate(assignment)
     return IlpResult(IlpStatus.OPTIMAL, value, assignment)
@@ -606,7 +608,7 @@ def _branch_and_bound(
             (
                 name
                 for name in names
-                if relax.assignment.get(name, Fraction(0)).denominator != 1
+                if relax.assignment.get(name, 0).denominator != 1
             ),
             None,
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.poly.affine import AffineExpr, Constraint
+from repro.poly.affine import AffineExpr, Constraint, ratio
 from repro.poly.fm import project_onto, remove_redundant
 from repro.poly.ilp import IlpProblem, IlpStatus
 
@@ -208,14 +208,11 @@ class BasicSet:
             if a == 0:
                 continue
             rest = c.expr - AffineExpr({dim: a})
-            if c.is_equality:
-                bound = rest * (-1 / a)
+            bound = rest * ratio(-1, a)  # dim (>=, <=, ==) -rest/a
+            if c.is_equality or a > 0:
                 lowers.append(bound)
+            if c.is_equality or a < 0:
                 uppers.append(bound)
-            elif a > 0:
-                lowers.append(rest * (-1 / a))  # dim >= -rest/a
-            else:
-                uppers.append(rest * (1 / -a))  # dim <= rest/(-a)
         return lowers, uppers
 
     def count_points(self, limit: int = 1_000_000) -> int:

@@ -23,7 +23,6 @@ dependence set; property tests rely on it.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core import resilience
@@ -318,13 +317,9 @@ class PolyScheduler:
 
         row: Dict[str, AffineExpr] = {}
         for stmt in cluster:
-            expr = AffineExpr.constant(
-                result.assignment.get(const_vars[stmt.stmt_id], Fraction(0))
-            )
+            expr = AffineExpr.constant(result.assignment.get(const_vars[stmt.stmt_id], 0))
             for dim in stmt.iter_names:
-                c = result.assignment.get(
-                    coeff_vars[(stmt.stmt_id, dim)], Fraction(0)
-                )
+                c = result.assignment.get(coeff_vars[(stmt.stmt_id, dim)], 0)
                 if c:
                     expr = expr + AffineExpr.variable(dim) * c
             row[stmt.stmt_id] = expr

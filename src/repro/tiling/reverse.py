@@ -19,7 +19,7 @@ from math import floor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.lower import PolyStatement
-from repro.poly.affine import AffineExpr, Constraint
+from repro.poly.affine import AffineExpr, Constraint, ratio
 from repro.poly.cache import EXTENT_CACHE, MISS, RankSpace
 from repro.poly.fm import project_onto, remove_redundant
 from repro.poly.maps import BasicMap
@@ -190,13 +190,11 @@ def _extent_bound_uncached(
         if a == 0:
             continue
         rest = c.expr - AffineExpr({dim: a})
-        if c.is_equality:
-            lowers.append(rest * (-1 / a))
-            uppers.append(rest * (-1 / a))
-        elif a > 0:
-            lowers.append(rest * (-1 / a))
-        else:
-            uppers.append(rest * (1 / -a))
+        bound = rest * ratio(-1, a)  # dim (>=, <=, ==) -rest/a
+        if c.is_equality or a > 0:
+            lowers.append(bound)
+        if c.is_equality or a < 0:
+            uppers.append(bound)
     if not lowers or not uppers:
         return None
     best: Optional[int] = None

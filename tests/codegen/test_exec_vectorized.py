@@ -249,6 +249,30 @@ class TestParametricBox:
                     )
                     assert bool(full[offsets]) == expected, (tile, pt)
 
+    def test_schedule_keeps_no_all_true_mask(self):
+        """A step's mask lives as long as the replayer: an all-in tile
+        stores None, not a box-sized array of True (which cost a 256^3
+        matmul replayer 16 MB and made a dead replayer's heap holes the
+        largest term of the benchmark's peak RSS)."""
+        from repro.codegen.program_exec import ProgramReplay
+
+        a = placeholder((24, 20), name="A")
+        b = placeholder((20, 12), name="B")
+        result = build(
+            ops.matmul(a, b, name="C"),
+            "k",
+            options=AkgOptions(emit_trace=True, tile_sizes=[16, 8, 8]),
+        )
+        inputs = {"A": rand((24, 20)), "B": rand((20, 12))}
+        replayer = ProgramReplay(result.program, "vectorized")
+        out = replayer.run(inputs)
+        steps = [s for steps in replayer._schedules[()] for s in steps]
+        assert steps
+        for step in steps:
+            assert step.mask is None or not step.mask.all()
+        scalar = result.execute(inputs, engine="scalar")
+        assert np.array_equal(out["C"], scalar["C"])
+
 
 def _points(box):
     import itertools

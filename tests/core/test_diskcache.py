@@ -274,6 +274,21 @@ class TestCompilationReuse:
         np.testing.assert_allclose(got_warm, got_cold, rtol=1e-5)
         np.testing.assert_allclose(got_warm, a @ b, rtol=1e-2, atol=1e-2)
 
+    def test_older_format_entries_are_never_probed(self, monkeypatch):
+        """An entry written under format 2's digest is not reinterpreted
+        by format 3 code: the version salts the key, so it simply misses."""
+        assert diskcache.CACHE_FORMAT_VERSION == 3
+        with monkeypatch.context() as patch:
+            patch.setattr(diskcache, "CACHE_FORMAT_VERSION", 2)
+            old = run_frontend(_matmul_kernel(), "fmt")
+        diskcache.reset_disk_cache_stats()
+        new = run_frontend(_matmul_kernel(), "fmt")
+        assert new.cache_key != old.cache_key
+        stats = diskcache.disk_cache_stats()
+        assert stats["hits"] == 0 and stats["misses"] >= 1 and stats["stores"] >= 1
+        # The old entry is still there, under a key nothing asks for.
+        assert isinstance(diskcache.load(old.cache_key), FrontEnd)
+
     def test_frontend_pickle_round_trip_directly(self):
         fe = run_frontend(_matmul_kernel(), "pickle")
         clone = pickle.loads(pickle.dumps(fe))

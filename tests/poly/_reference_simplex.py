@@ -2,7 +2,10 @@
 
 This is the simplex core ``repro.poly.ilp`` shipped before the integer
 row-scaled tableau replaced it, moved here verbatim (dead no-ops and
-all).  It is the oracle for ``test_simplex_equivalence``: the production
+all) except that it converts the numbers it reads off its inputs to
+``Fraction`` on entry -- expressions now store integral numbers as plain
+``int`` -- so every cell of the tableau is a ``Fraction`` as it always
+was.  It is the oracle for ``test_simplex_equivalence``: the production
 solver must agree with it on status, value and full assignment, and take
 the same number of pivots -- the pivot sequence is the contract that
 keeps every schedule and emitted program byte-identical.
@@ -51,9 +54,9 @@ def _simplex_solve(
         row = [Fraction(0)] * total_structural
         for name, coeff in c.expr.coeffs.items():
             j = index[name]
-            row[2 * j] = coeff
-            row[2 * j + 1] = -coeff
-        b = -c.expr.const
+            row[2 * j] = Fraction(coeff)
+            row[2 * j + 1] = Fraction(-coeff)
+        b = Fraction(-c.expr.const)
         if not c.is_equality:
             # expr >= 0  <=>  expr - s = 0, s >= 0  <=>  a.x - s = b
             row[slack_at + slack_idx] = Fraction(-1)
@@ -91,8 +94,8 @@ def _simplex_solve(
     cost2 = [Fraction(0)] * n_cols
     for name, coeff in objective.coeffs.items():
         j = index[name]
-        cost2[2 * j] = coeff
-        cost2[2 * j + 1] = -coeff
+        cost2[2 * j] = Fraction(coeff)
+        cost2[2 * j + 1] = Fraction(-coeff)
     status = _simplex_iterate(tableau, basis, cost2, used_cols)
     if status is IlpStatus.UNBOUNDED:
         return IlpResult(IlpStatus.UNBOUNDED)

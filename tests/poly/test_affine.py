@@ -73,7 +73,13 @@ class TestAffineExpr:
         # An injective renaming keeps coefficient order and values.
         kept = AffineExpr({"a": 2, "b": -3}).rename({"a": "z", "b": "y"})
         assert list(kept.coeffs.items()) == [("z", 2), ("y", -3)]
-        assert all(type(c) is Fraction for c in kept.coeffs.values())
+        # Numbers stay canonical: int when integral, Fraction only beyond.
+        assert all(type(c) is int for c in kept.coeffs.values())
+        assert type(e.coeffs["b"]) is int and type(e.const) is int
+        halves = AffineExpr({"a": Fraction(1, 2), "b": Fraction(1, 2), "c": Fraction(1, 3)})
+        merged = halves.rename({"a": "b"})
+        assert merged.coeffs == {"b": 1, "c": Fraction(1, 3)}
+        assert type(merged.coeffs["b"]) is int and type(merged.coeffs["c"]) is Fraction
 
     def test_equality_and_hash(self):
         a = var("h") + 1
