@@ -2,12 +2,12 @@
 
 from repro.autotune.tuner import AutoTuner, TuningRecord, tune_tile_sizes
 from repro.autotune.model import PerformanceModel
-from repro.autotune.parallel import ParallelMeasurer
+from repro.autotune.parallel import Measurer
 
 __all__ = [
     "AutoTuner",
     "TuningRecord",
     "tune_tile_sizes",
     "PerformanceModel",
-    "ParallelMeasurer",
+    "Measurer",
 ]

@@ -1,105 +1,68 @@
-"""Parallel candidate measurement for the auto-tuner.
+"""Candidate measurement for the auto-tuner, serial or on a process pool.
 
 The staged pipeline makes tile-size candidates embarrassingly parallel:
 every measurement is ``backend_build(frontend, sizes)`` + simulation over
-a shared, *picklable* :class:`~repro.core.frontend.FrontEnd`.  The
-:class:`ParallelMeasurer` ships one front-end copy to each worker process
-(via the pool initializer, so it is pickled once per worker rather than
-once per task) and evaluates each round's candidate batch concurrently.
+a shared, *picklable* :class:`~repro.core.frontend.FrontEnd` —
+:func:`measure_candidate`.  A :class:`Measurer` holds ``{kernel id:
+FrontEnd}`` (one entry for the single-kernel tuner, every unique subgraph
+for the graph pipeline), ships the front-ends to each worker once via the
+pool initializer, and measures ``(kernel id, sizes)`` tasks, so tuners
+running concurrently share the same warm workers.
 
 Determinism: results come back through ``Executor.map``, which preserves
 submission order, and each measurement is a pure function of
 ``(frontend, sizes)`` — so the tuner's history, model fits and final best
 sizes are bit-identical to a serial run.  Any failure to parallelise
-(pickling, missing ``fork``, sandboxed environments without working
-process pools) degrades permanently to in-process serial measurement.
+(pickling, missing ``fork``, a dead worker) is retried once on a fresh
+pool and then degrades permanently to in-process serial measurement.
 """
 
 from __future__ import annotations
 
+import threading
+import time
 from typing import List, Optional, Sequence
 
-__all__ = ["ParallelMeasurer", "MultiKernelMeasurer"]
+__all__ = ["Measurer", "measure_candidate"]
 
 # Worker-process state, populated once by the pool initializer.
-_WORKER_STATE: dict = {}
+_WORKER_FRONTENDS: dict = {}
 
 
-def _init_worker(frontend) -> None:
-    _WORKER_STATE["frontend"] = frontend
-
-
-def _measure_worker(sizes: List[int]) -> Optional[float]:
-    """Compile + simulate one candidate in a worker process."""
+def measure_candidate(frontend, sizes: Sequence[int]) -> Optional[float]:
+    """Simulated cycles of ``frontend`` compiled at ``sizes``; ``None``
+    for an infeasible candidate."""
     from repro.core.compiler import AkgOptions, backend_build
-    from repro.tools import faultinject
 
-    # Outside the try: an injected worker fault must look like a *dead or
-    # misbehaving worker* to the parent (task exception / hard exit), not
-    # like an ordinary infeasible candidate.
-    faultinject.fire("autotune.worker")
     try:
-        result = backend_build(
-            _WORKER_STATE["frontend"], AkgOptions(tile_sizes=sizes)
-        )
+        result = backend_build(frontend, AkgOptions(tile_sizes=list(sizes)))
     except RuntimeError:
         return None
     return float(result.cycles())
 
 
-class ParallelMeasurer:
-    """Batch-measure tile-size candidates over a process pool.
+def _init_worker(frontends) -> None:
+    _WORKER_FRONTENDS.update(frontends)
 
-    Callable with a batch (list of size vectors); returns one
-    ``Optional[float]`` per candidate, in order.  Usable as the
-    ``batch_measure`` hook of :class:`repro.autotune.tuner.AutoTuner`.
+
+def _measure_in_worker(task) -> Optional[float]:
+    from repro.tools import faultinject
+
+    kid, sizes = task
+    # Outside measure_candidate's try: an injected worker fault must look
+    # like a *dead or misbehaving worker* to the parent (task exception /
+    # hard exit), not like an ordinary infeasible candidate.
+    faultinject.fire("autotune.worker")
+    return measure_candidate(_WORKER_FRONTENDS[kid], sizes)
+
+
+class Measurer:
+    """Batch-measure tile-size candidates of many kernels on one pool.
+
+    Thread-safe: per-kernel tuners call :meth:`measure` from separate
+    threads; pool creation, teardown and the retry ladder are serialized
+    behind a lock while the ``pool.map`` calls themselves overlap freely.
     """
-
-    def __init__(self, frontend, workers: Optional[int] = None):
-        self.frontend = frontend
-        self.workers = workers
-        self._pool = None
-        self._serial_fallback = False
-
-    # -- pool management ----------------------------------------------------
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            import os
-            from concurrent.futures import ProcessPoolExecutor
-
-            workers = self.workers or min(os.cpu_count() or 1, 8)
-            self._pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(self.frontend,),
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "ParallelMeasurer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- measurement --------------------------------------------------------
-
-    def _measure_serial(self, sizes: Sequence[int]) -> Optional[float]:
-        from repro.core.compiler import AkgOptions, backend_build
-
-        try:
-            result = backend_build(
-                self.frontend, AkgOptions(tile_sizes=list(sizes))
-            )
-        except RuntimeError:
-            return None
-        return float(result.cycles())
 
     #: Pool attempts per batch before degrading to serial: the first try
     #: plus one retry against a freshly recreated pool.  Transient worker
@@ -109,100 +72,12 @@ class ParallelMeasurer:
     MAX_POOL_ATTEMPTS = 2
     RETRY_BACKOFF_SECONDS = 0.05
 
-    def __call__(self, batch: Sequence[List[int]]) -> List[Optional[float]]:
-        if not batch:
-            return []
-        if not self._serial_fallback and len(batch) > 1:
-            import time
-
-            from repro.core import resilience
-
-            delay = self.RETRY_BACKOFF_SECONDS
-            for attempt in range(self.MAX_POOL_ATTEMPTS):
-                try:
-                    pool = self._ensure_pool()
-                    return list(
-                        pool.map(_measure_worker, [list(s) for s in batch])
-                    )
-                except Exception as exc:
-                    # A dead worker poisons the whole ProcessPoolExecutor
-                    # (every queued future raises BrokenProcessPool), so
-                    # recreate the pool rather than reuse it.
-                    self.close()
-                    if attempt + 1 < self.MAX_POOL_ATTEMPTS:
-                        resilience.note_event(
-                            "autotune.pool", "retry",
-                            error=type(exc).__name__,
-                            detail=f"recreating pool (attempt {attempt + 2})",
-                        )
-                        time.sleep(delay)
-                        delay *= 4.0
-                    else:
-                        resilience.note_event(
-                            "autotune.pool", "fallback", fallback="serial",
-                            error=type(exc).__name__,
-                            detail="pool attempts exhausted",
-                        )
-            # Degrade for the rest of the session rather than paying the
-            # attempt cost on every subsequent batch.  Serial measurement
-            # is a pure function of (frontend, sizes), so the tuner's
-            # history stays bit-identical to a healthy parallel run.
-            self._serial_fallback = True
-        return [self._measure_serial(s) for s in batch]
-
-
-def _init_multi_worker(frontends) -> None:
-    _WORKER_STATE["frontends"] = frontends
-
-
-def _measure_multi_worker(task) -> Optional[float]:
-    """Compile + simulate one (kernel id, sizes) candidate in a worker."""
-    from repro.core.compiler import AkgOptions, backend_build
-    from repro.tools import faultinject
-
-    kid, sizes = task
-    faultinject.fire("autotune.worker")
-    try:
-        result = backend_build(
-            _WORKER_STATE["frontends"][kid], AkgOptions(tile_sizes=sizes)
-        )
-    except RuntimeError:
-        return None
-    return float(result.cycles())
-
-
-class MultiKernelMeasurer:
-    """One process pool measuring candidates for *many* kernels at once.
-
-    The graph pipeline tunes every unique subgraph of a network; spinning
-    up one :class:`ParallelMeasurer` pool per subgraph would pay the
-    worker-spawn cost N times and leave each pool idle while its tuner
-    thinks.  Here every worker holds *all* front-ends (shipped once via
-    the initializer, keyed by kernel id) and tasks are ``(kid, sizes)``
-    pairs, so concurrently running tuners share the same warm workers.
-
-    Thread-safe: per-kernel tuners drive :meth:`measure_batch` /
-    :meth:`measure_one` from separate threads; pool creation, teardown
-    and the retry ladder are serialized behind a lock while the
-    ``pool.map`` calls themselves overlap freely.  Degradation mirrors
-    :class:`ParallelMeasurer`: two pool attempts, then a permanent
-    serial fallback (still bit-identical results — each measurement is a
-    pure function of ``(frontend, sizes)``).
-    """
-
-    MAX_POOL_ATTEMPTS = 2
-    RETRY_BACKOFF_SECONDS = 0.05
-
     def __init__(self, frontends: dict, workers: Optional[int] = None):
-        import threading
-
         self.frontends = dict(frontends)
         self.workers = workers
         self._pool = None
         self._serial_fallback = False
         self._lock = threading.Lock()
-
-    # -- pool management ----------------------------------------------------
 
     def _ensure_pool(self):
         # Caller holds self._lock.
@@ -210,90 +85,70 @@ class MultiKernelMeasurer:
             import os
             from concurrent.futures import ProcessPoolExecutor
 
-            workers = self.workers or min(os.cpu_count() or 1, 8)
             self._pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_multi_worker,
+                max_workers=self.workers or min(os.cpu_count() or 1, 8),
+                initializer=_init_worker,
                 initargs=(self.frontends,),
             )
         return self._pool
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent)."""
-        with self._lock:
-            self._close_locked()
 
     def _close_locked(self) -> None:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
 
-    def __enter__(self) -> "MultiKernelMeasurer":
+    def close(self) -> None:
+        """Shut the pool down (idempotent)."""
+        with self._lock:
+            self._close_locked()
+
+    def __enter__(self) -> "Measurer":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- measurement --------------------------------------------------------
+    def measure(self, kid, batch: Sequence[Sequence[int]]) -> List[Optional[float]]:
+        """Cycles (or ``None``) per candidate of kernel ``kid``, in order.
 
-    def _measure_serial(self, kid, sizes: Sequence[int]) -> Optional[float]:
-        from repro.core.compiler import AkgOptions, backend_build
-
-        try:
-            result = backend_build(
-                self.frontends[kid], AkgOptions(tile_sizes=list(sizes))
-            )
-        except RuntimeError:
-            return None
-        return float(result.cycles())
-
-    def measure_one(self, kid, sizes: Sequence[int]) -> Optional[float]:
-        """Serial single-candidate measurement (AutoTuner's plain hook)."""
-        return self._measure_serial(kid, sizes)
-
-    def measure_batch(
-        self, kid, batch: Sequence[List[int]]
-    ) -> List[Optional[float]]:
-        """Measure one kernel's candidate batch on the shared pool."""
-        if not batch:
-            return []
-        if not self._serial_fallback and len(batch) > 1:
-            import time
-
+        A single candidate never pays for the pool.
+        """
+        if len(batch) > 1 and not self._serial_fallback:
             from repro.core import resilience
 
             delay = self.RETRY_BACKOFF_SECONDS
-            for attempt in range(self.MAX_POOL_ATTEMPTS):
+            for attempt in range(1, self.MAX_POOL_ATTEMPTS + 1):
                 try:
                     with self._lock:
                         pool = self._ensure_pool()
                     return list(
-                        pool.map(
-                            _measure_multi_worker,
-                            [(kid, list(s)) for s in batch],
-                        )
+                        pool.map(_measure_in_worker, [(kid, list(s)) for s in batch])
                     )
                 except Exception as exc:
+                    # A dead worker poisons the whole ProcessPoolExecutor
+                    # (every queued future raises BrokenProcessPool), so
+                    # recreate the pool rather than reuse it.
+                    retry = attempt < self.MAX_POOL_ATTEMPTS
                     with self._lock:
                         self._close_locked()
-                        if attempt + 1 < self.MAX_POOL_ATTEMPTS:
+                        if retry:
                             resilience.note_event(
                                 "autotune.pool", "retry",
                                 error=type(exc).__name__,
-                                detail=(
-                                    "recreating shared pool "
-                                    f"(attempt {attempt + 2})"
-                                ),
+                                detail=f"recreating pool (attempt {attempt + 1})",
                             )
                         else:
                             resilience.note_event(
-                                "autotune.pool", "fallback",
-                                fallback="serial",
+                                "autotune.pool", "fallback", fallback="serial",
                                 error=type(exc).__name__,
                                 detail="pool attempts exhausted",
                             )
+                            # Degrade for the rest of the session rather
+                            # than paying the attempts on every batch:
+                            # serial results are the same numbers.
                             self._serial_fallback = True
-                    if attempt + 1 < self.MAX_POOL_ATTEMPTS:
+                    if retry:
                         time.sleep(delay)
                         delay *= 4.0
-        return [self._measure_serial(kid, s) for s in batch]
+        frontend = self.frontends[kid]
+        return [measure_candidate(frontend, s) for s in batch]

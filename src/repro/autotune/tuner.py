@@ -25,7 +25,7 @@ Performance notes (the staged-pipeline PR):
   *before* the round (the fitted model, the ranked pool, the RNG), never
   on that round's measurements — so each round's candidates are generated
   up front and measured as one batch.  With a ``batch_measure`` hook
-  (e.g. :class:`repro.autotune.parallel.ParallelMeasurer`) the batch runs
+  (e.g. :meth:`repro.autotune.parallel.Measurer.measure`) the batch runs
   on a process pool; results are collected in submission order, keeping
   history and best sizes bit-identical to a serial run.
 - :func:`tune_tile_sizes` runs the polyhedral front-end once and compiles
@@ -119,9 +119,6 @@ class AutoTuner:
         if self._best is None or record.cycles < self._best.cycles:
             self._best = record
 
-    def _measure_once(self, sizes: List[int]) -> None:
-        self._measure_batch([sizes])
-
     def _measure_batch(self, candidates: Sequence[List[int]]) -> None:
         """Measure every not-yet-seen candidate, appending in given order."""
         fresh: List[List[int]] = []
@@ -179,6 +176,84 @@ class AutoTuner:
         return list(self._best.sizes), self.history
 
 
+#: The small tuning budget of interactive callers (the compile service's
+#: tune requests, ``compile_network(tune=True)``): the simulator measures
+#: every candidate, deep searches belong to the offline tuner.  The values
+#: are part of the service's tune ``coalescing_key``.
+DEFAULT_TUNE_PARAMS: Dict[str, int] = {
+    "first_round": 6,
+    "round_size": 3,
+    "max_rounds": 2,
+}
+
+
+def tune_frontend(
+    frontend,
+    seed: int = 0,
+    measure: Optional[Callable[[List[List[int]]], List[Optional[float]]]] = None,
+    **params: int,
+) -> Tuple[List[int], List[TuningRecord]]:
+    """Tune one kernel's tile sizes over its finished front-end.
+
+    Every candidate is compiled backend-only against ``frontend``:
+    ``measure`` maps a batch of size vectors to their cycles (a
+    :class:`~repro.autotune.parallel.Measurer`'s pool, bound to this
+    kernel's id); without one, candidates are measured in process — same
+    numbers either way.  ``params`` are :class:`AutoTuner`'s budget
+    (``first_round``/``round_size``/``max_rounds``).
+
+    Per-candidate measurements (simulated cycles, or infeasibility) are
+    memoized in the persistent disk cache keyed by the front-end's
+    content digest plus the size vector: a warm-process tuning run
+    replays measurements instead of compiling, and — because the
+    simulator is deterministic — converges on exactly the same best
+    sizes a cold run would.
+    """
+    from repro.autotune.parallel import measure_candidate
+    from repro.core import diskcache
+
+    if measure is None:
+
+        def measure(batch):
+            return [measure_candidate(frontend, sizes) for sizes in batch]
+
+    def cycles_key(sizes: Sequence[int]) -> Optional[str]:
+        if frontend.cache_key is None or not diskcache.enabled():
+            return None
+        return diskcache.digest(
+            "cycles",
+            frontend.cache_key,
+            repr(tuple(int(s) for s in sizes)),
+        )
+
+    def measure_batch(batch: List[List[int]]) -> List[Optional[float]]:
+        # Serve disk-cached candidates locally; measure the rest
+        # (submission order preserved, so history stays bit-identical).
+        keys = [cycles_key(sizes) for sizes in batch]
+        results: List[Optional[float]] = [None] * len(batch)
+        todo: List[int] = []
+        for i, key in enumerate(keys):
+            cached = diskcache.load(key)
+            if isinstance(cached, dict) and "cycles" in cached:
+                results[i] = cached["cycles"]
+            else:
+                todo.append(i)
+        if todo:
+            for i, value in zip(todo, measure([batch[i] for i in todo])):
+                results[i] = value
+                diskcache.store(keys[i], {"cycles": value})
+        return results
+
+    tuner = AutoTuner(
+        lambda sizes: measure_batch([sizes])[0],
+        frontend.extents,
+        seed=seed,
+        batch_measure=measure_batch,
+        **params,
+    )
+    return tuner.tune()
+
+
 def tune_tile_sizes(
     outputs,
     name: str = "kernel",
@@ -193,93 +268,27 @@ def tune_tile_sizes(
     """Tune AKG tile sizes for a kernel by measuring simulated cycles.
 
     The polyhedral front-end (lowering, dependences, ILP scheduling,
-    clustering) runs exactly once; every candidate is then compiled
-    backend-only against the shared :class:`~repro.core.frontend.FrontEnd`.
-    With ``parallel=True`` each round's candidate batch is measured on a
-    process pool (``workers`` processes, default ``min(cpu_count, 8)``),
-    falling back to serial measurement when no pool can be created; the
-    returned best sizes and history are identical either way.
-
-    Per-candidate measurements (simulated cycles, or infeasibility) are
-    memoized in the persistent disk cache keyed by the front-end's
-    content digest plus the size vector: a warm-process tuning run
-    replays measurements instead of compiling, and — because the
-    simulator is deterministic — converges on exactly the same best
-    sizes a cold run would.
+    clustering) runs exactly once; :func:`tune_frontend` then compiles
+    every candidate backend-only against the shared
+    :class:`~repro.core.frontend.FrontEnd`.  With ``parallel=True`` each
+    round's candidate batch is measured on a process pool (``workers``
+    processes, default ``min(cpu_count, 8)``), falling back to serial
+    measurement when no pool can be created; the returned best sizes and
+    history are identical either way.
     """
-    from repro.core import diskcache
-    from repro.core.compiler import AkgOptions, backend_build
+    from functools import partial
+
+    from repro.autotune.parallel import Measurer
     from repro.core.frontend import run_frontend
     from repro.hw.spec import HardwareSpec
 
-    hw = hw or HardwareSpec()
-    frontend = run_frontend(outputs, name, hw=hw)
-    probe = backend_build(frontend)
-    # Recover the full band extents from the live-out group.
-    group = probe.groups[-1]
-    lead = group.statements[-1]
-    extents = lead.iter_extents[: len(group.tile_dims)]
-
-    def cycles_key(sizes: Sequence[int]) -> Optional[str]:
-        if frontend.cache_key is None or not diskcache.enabled():
-            return None
-        return diskcache.digest(
-            "cycles",
-            frontend.cache_key,
-            repr(tuple(int(s) for s in sizes)),
-        )
-
-    def measure(sizes: List[int]) -> Optional[float]:
-        key = cycles_key(sizes)
-        cached = diskcache.load(key)
-        if isinstance(cached, dict) and "cycles" in cached:
-            return cached["cycles"]
-        try:
-            result = backend_build(frontend, AkgOptions(tile_sizes=sizes))
-        except RuntimeError:
-            diskcache.store(key, {"cycles": None})
-            return None
-        cycles = float(result.cycles())
-        diskcache.store(key, {"cycles": cycles})
-        return cycles
-
-    measurer = None
-    batch_measure = None
-    if parallel:
-        from repro.autotune.parallel import ParallelMeasurer
-
-        measurer = ParallelMeasurer(frontend, workers=workers)
-
-        def batch_measure(batch: List[List[int]]) -> List[Optional[float]]:
-            # Serve disk-cached candidates locally; pool-measure the rest
-            # (submission order preserved, so history stays bit-identical).
-            keys = [cycles_key(sizes) for sizes in batch]
-            results: List[Optional[float]] = [None] * len(batch)
-            todo: List[int] = []
-            for i, key in enumerate(keys):
-                cached = diskcache.load(key)
-                if isinstance(cached, dict) and "cycles" in cached:
-                    results[i] = cached["cycles"]
-                else:
-                    todo.append(i)
-            if todo:
-                fresh = measurer([batch[i] for i in todo])
-                for i, value in zip(todo, fresh):
-                    results[i] = value
-                    diskcache.store(keys[i], {"cycles": value})
-            return results
-
-    tuner = AutoTuner(
-        measure,
-        extents,
-        first_round=first_round,
-        round_size=round_size,
-        max_rounds=max_rounds,
-        seed=seed,
-        batch_measure=batch_measure,
+    frontend = run_frontend(outputs, name, hw=hw or HardwareSpec())
+    params = dict(
+        first_round=first_round, round_size=round_size, max_rounds=max_rounds
     )
-    try:
-        return tuner.tune()
-    finally:
-        if measurer is not None:
-            measurer.close()
+    if not parallel:
+        return tune_frontend(frontend, seed, **params)
+    with Measurer({name: frontend}, workers=workers) as measurer:
+        return tune_frontend(
+            frontend, seed, partial(measurer.measure, name), **params
+        )

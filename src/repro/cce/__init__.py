@@ -14,6 +14,6 @@
 """
 
 from repro.cce.naive import cce_naive_build
-from repro.cce.expert import cce_expert_build, expert_supports
+from repro.cce.expert import cce_expert_build
 
-__all__ = ["cce_naive_build", "cce_expert_build", "expert_supports"]
+__all__ = ["cce_naive_build", "cce_expert_build"]

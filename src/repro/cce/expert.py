@@ -40,11 +40,6 @@ from repro.ir.tensor import ComputeOp, Tensor, placeholder
 _PREFETCH_LATENCY_SCALE = 0.7
 
 
-def expert_supports(tensor: Tensor) -> bool:
-    """Vendor coverage check (single operators: always; used by benches)."""
-    return tensor.op is not None
-
-
 def _prefetch_spec(hw: HardwareSpec) -> HardwareSpec:
     """The expert's effective machine: prefetching hides DMA start-up."""
     spec = copy.deepcopy(hw)

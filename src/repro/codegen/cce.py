@@ -19,7 +19,6 @@ from repro.hw.isa import (
     Img2ColInstr,
     Instr,
     Loop,
-    Program,
     ScalarInstr,
     SetFlag,
     VectorInstr,
@@ -82,11 +81,6 @@ def emit_cce(result) -> str:
     except Exception:  # pragma: no cover - the AST is best-effort decoration
         pass
     return "\n".join(lines)
-
-
-def emit_program(program: Program) -> str:
-    """Render a bare instruction stream as CCE intrinsic calls."""
-    return "\n".join(_render_instrs(program.instructions, indent=0))
 
 
 def _render_instrs(instrs: Sequence[Instr], indent: int) -> List[str]:

@@ -9,7 +9,7 @@
   fragment that gets grafted over the convolution subtree.
 """
 
-from repro.conv.img2col import Img2ColParams, img2col_index_map, img2col_expansion
+from repro.conv.img2col import Img2ColParams, img2col_index_map
 from repro.conv.fractal import (
     FractalGemm,
     fractal_gemm_for,
@@ -20,7 +20,6 @@ from repro.conv.fractal import (
 __all__ = [
     "Img2ColParams",
     "img2col_index_map",
-    "img2col_expansion",
     "FractalGemm",
     "fractal_gemm_for",
     "fractal_subtree",

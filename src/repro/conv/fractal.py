@@ -182,3 +182,22 @@ def graft_fractal(
         raise ValueError(f"no subtree found for {stmt.stmt_id}")
     target.set_child(fractal_subtree(stmt, gemm))
     return tree
+
+
+def graft_fractal_subtrees(tree, groups, assignment, block: int) -> None:
+    """Replace every cube statement's point subtree with the external
+    fractal GEMM IR (the Sec. 4.5 graft, pink region of Fig. 3f)."""
+    for group in groups:
+        for stmt in group.statements:
+            if assignment.units.get(stmt.stmt_id) != "cube":
+                continue
+            if stmt.kind != "reduce":
+                continue
+            extents = dict(
+                zip(stmt.iter_names, group.instance_extents(stmt.stmt_id))
+            )
+            gemm = fractal_gemm_for(stmt, extents, block=block)
+            try:
+                graft_fractal(tree, stmt, gemm)
+            except ValueError:
+                pass  # statement scheduled without its own filter subtree

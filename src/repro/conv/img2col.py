@@ -4,16 +4,12 @@ img2col rewrites a convolution as a GEMM: every local input patch becomes
 a row of the matrix ``X``, the kernels become columns of ``Y`` and the
 output feature map flattens into ``Z``.  On DaVinci the data expansion is
 performed by the memory transfer engine (MTE) while the *iteration-space*
-side is handled polyhedrally; this module provides both:
-
-- :func:`img2col_index_map` -- the affine relation of Eq. 1 between the
-  5-D input feature map ``A[N, C1, Hi, Wi, C0]`` and the fractal matrix
-  ``X[N, Mo, Ko, Mi, Ki]``, exposed as index arithmetic (with the floor/
-  modulo pairs modelled through auxiliary dimensions) and as a plain
-  Python function for testing;
-- :func:`img2col_expansion` -- how many bytes the MTE writes when
-  expanding one input tile (overlap duplicates data by roughly
-  ``KH*KW / (sh*sw)``).
+side is handled polyhedrally; this module provides
+:func:`img2col_index_map` -- the affine relation of Eq. 1 between the
+5-D input feature map ``A[N, C1, Hi, Wi, C0]`` and the fractal matrix
+``X[N, Mo, Ko, Mi, Ki]``, exposed as index arithmetic (with the floor/
+modulo pairs modelled through auxiliary dimensions) and as a plain
+Python function for testing.
 """
 
 from __future__ import annotations
@@ -83,23 +79,6 @@ def inverse_patch_index(
     m = ho * params.wo + wo_idx
     k = (c1 * params.kh * params.kw + rkh * params.kw + rkw) * params.f + c0
     return m, k
-
-
-def img2col_expansion(
-    tile_elems_in: int,
-    kh: int,
-    kw: int,
-    stride: Tuple[int, int] = (1, 1),
-) -> float:
-    """Expansion factor of img2col on one input tile.
-
-    Each input element is replicated into up to ``ceil(kh/sh)*ceil(kw/sw)``
-    patches; the MTE therefore writes roughly that many times the tile's
-    bytes when building matrix X.
-    """
-    sh, sw = stride
-    dup = -(-kh // max(sh, 1)) * -(-kw // max(sw, 1))
-    return float(tile_elems_in) * dup
 
 
 def is_padding_statement(stmt) -> bool:

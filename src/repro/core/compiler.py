@@ -1,21 +1,17 @@
-"""The end-to-end AKG compilation driver (Fig. 2).
+"""The end-to-end AKG compilation driver (Fig. 2): orchestration only.
 
-``build`` orchestrates every pass in the paper's order.  Tile sizes come
-from one of three sources, in precedence order:
-
-1. an explicit ``tile_policy`` written in the Fig. 4 specification
-   language (or a plain ``tile_sizes`` list),
-2. Auto Tiling (Sec. 4.2): footprints are probed at a few candidate sizes
-   to fit the multivariate buffer-utilisation polynomial, then the greedy
-   search of :class:`~repro.tiling.auto.AutoTiler` picks the sizes that
-   minimise data movement under double-buffered capacities,
-3. a final safety loop that halves sizes until the exact storage plan
-   fits (the linear fit is an approximation; the exact plan is the law).
+``build`` = the tile-size-invariant front-end
+(:func:`repro.core.frontend.run_frontend`) + ``backend_build``, memoized
+in the disk cache.  ``backend_build`` runs the paper's passes in order —
+tile-size selection, the exact-fit retile ladder (:data:`VARIANTS`, each
+row fitted by :func:`fit`, the faster measured candidate wins),
+intra-tile rewrites, code generation — and decides nothing itself:
+where sizes start and how they shrink is :mod:`repro.tiling.policy`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,15 +21,18 @@ from repro.core import resilience
 from repro.core.errors import ReproError, SchedulingError, TilingError
 from repro.core.frontend import FrontEnd, run_frontend
 from repro.core.resilience import ResilienceReport, StageBudget
+from repro.conv.fractal import graft_fractal_subtrees
 from repro.fusion.intratile import (
     UnitAssignment,
     assign_compute_units,
     mark_local_buffers,
+    sink_vector_dims,
 )
 from repro.fusion.posttile import (
     FusionResult,
     TiledGroup,
     apply_post_tiling_fusion,
+    tile_groups_separately,
 )
 from repro.hw.isa import Program
 from repro.hw.simulator import SimReport, Simulator
@@ -43,9 +42,9 @@ from repro.ir.tensor import Tensor
 from repro.sched.clustering import Clustering
 from repro.sched.deps import Dependence
 from repro.sched.scheduler import SchedulerOptions, check_legality
-from repro.sched.tree import BandNode, DomainNode
+from repro.sched.tree import DomainNode
 from repro.storage.promote import StoragePlan, plan_storage
-from repro.tiling.auto import AutoTiler, LinearFootprintEvaluator
+from repro.tiling import policy
 from repro.tiling.spec import TilingPolicy, parse_tiling_policy
 from repro.tools import perf
 
@@ -260,6 +259,52 @@ def _program_cache_key(frontend: FrontEnd, options: AkgOptions) -> Optional[str]
         return None
 
 
+class Fit(NamedTuple):
+    """One fitted candidate: tiled groups whose exact storage plans fit."""
+
+    fusion: FusionResult
+    assignments: List[UnitAssignment]
+    plans: List[StoragePlan]
+    sizes: List[int]
+    shrunk: bool  # the start sizes did not fit as proposed
+
+
+class Variant(NamedTuple):
+    """One row of the retile ladder: how :func:`fit` shrinks, what it
+    tiles, and when the row is worth fitting (judged on the first row's
+    fit)."""
+
+    shrink: policy.ShrinkRule
+    split: bool  # tile the stencil-split clustering, no post-tiling fusion
+    applies: Callable[[Fit, AkgOptions], bool]
+
+
+#: The retile ladder.  The first row always runs; when its start sizes
+#: had to shrink, or it fused a stencil producer, the later rows are
+#: fitted too and the faster *measured* candidate wins (Auto Tiling
+#: refined by measurement, the paper's Sec. 4.2 + 5.3 combination).
+VARIANTS: Tuple[Variant, ...] = (
+    Variant(policy.capacity_shrink, False, lambda first, options: True),
+    # Conv-shaped kernels: also try the spatial-first shrink order.
+    Variant(
+        policy.halve_conv_spatial,
+        False,
+        lambda first, options: first.shrunk and len(first.sizes) == 4,
+    ),
+    # The greedy fusion absorbed a stencil producer; also measure the
+    # split alternative (overlap recompute + shared-buffer pressure can
+    # lose to lean separate nests on some shapes -- the tuner decides).
+    # The split still fuses plain uniform chains; only the stencil
+    # boundaries cut kernels.
+    Variant(
+        policy.capacity_shrink,
+        True,
+        lambda first, options: options.post_tiling_fusion
+        and any(g.fused_producer_ids for g in first.fusion.groups),
+    ),
+)
+
+
 def backend_build(
     frontend: FrontEnd, options: Optional[AkgOptions] = None
 ) -> CompileResult:
@@ -273,13 +318,10 @@ def backend_build(
     options = options or AkgOptions()
     hw = frontend.hw
     kernel = frontend.kernel
-    deps = frontend.deps
-    clustering = frontend.clustering
-    fresh_tree = frontend.fresh_tree
     budget = getattr(options, "budget", None)
 
     if options.verify_schedule:
-        violations = check_legality(fresh_tree(), deps)
+        violations = check_legality(frontend.fresh_tree(), frontend.deps)
         if violations:
             raise SchedulingError(
                 f"illegal schedule: {violations}",
@@ -287,596 +329,139 @@ def backend_build(
                 kernel=kernel.name,
             )
 
-    extents = frontend.extents
-
     with perf.stage("backend.tile_select"), resilience.stage_scope(
         "backend.tile_select", budget
     ):
-        sizes = _select_tile_sizes(frontend, options)
+        sizes = policy.select_start_sizes(frontend, options)
     for _ in range(options.tile_shrink):
-        sizes = _halve_largest(sizes)
-
-    # Final build at the chosen sizes, with an exact-fit safety loop.  When
-    # the initial sizes must shrink, two shrink policies are attempted and
-    # the faster *measured* candidate wins (Auto Tiling refined by
-    # measurement, the paper's Sec. 4.2 + 5.3 combination).
-    from repro.fusion.posttile import tile_single_group
-
-    stmt_by_id = {s.stmt_id: s for s in kernel.statements}
-
-    def attempt(shrink_fn, start_sizes, tree_fn=None, cl=None, fuse=None):
-        tree_fn = tree_fn or fresh_tree
-        cl = cl or clustering
-        fuse = options.post_tiling_fusion if fuse is None else fuse
-        sizes_local = list(start_sizes)
-        shrunk = False
-        for _ in range(64):
-            resilience.check_deadline()
-            tree = tree_fn()
-            if fuse:
-                try:
-                    fusion = apply_post_tiling_fusion(
-                        tree, kernel, deps, cl, sizes_local
-                    )
-                except ReproError as exc:
-                    if isinstance(exc, resilience.StageTimeoutError):
-                        raise  # the whole stage is out of time
-                    # Fusion rung of the ladder: tile the groups
-                    # separately instead.  The tree may be partially
-                    # rewritten, so restart from a fresh clone.
-                    resilience.note_event(
-                        "backend.fusion",
-                        "fallback",
-                        fallback="fusionless",
-                        error=type(exc).__name__,
-                        detail=str(exc),
-                        dedupe=True,
-                    )
-                    fusion = _fusionless(
-                        tree_fn(), kernel, deps, cl, sizes_local
-                    )
-            else:
-                fusion = _fusionless(tree, kernel, deps, cl, sizes_local)
-
-            # Unfused producer groups (barriers, recompute-guarded
-            # reductions, split contractions) are re-tiled independently
-            # until they fit, starting from the same closed-form sizes a
-            # standalone kernel would get.
-            for gi, group in enumerate(fusion.groups):
-                if group.source_filter is None:
-                    continue
-                own = _own_group_sizes(group, hw)
-                group = tile_single_group(group.source_filter, stmt_by_id, own)
-                for _ in range(40):
-                    resilience.check_deadline()
-                    assignment = assign_compute_units(group.statements)
-                    plan = plan_storage(
-                        group, assignment, kernel, hw, options.double_buffer
-                    )
-                    if plan.fits(hw, options.double_buffer):
-                        break
-                    own = _capacity_shrink(group, plan, own)
-                    group = tile_single_group(group.source_filter, stmt_by_id, own)
-                fusion.groups[gi] = group
-
-            assignments = [assign_compute_units(g.statements) for g in fusion.groups]
-            plans = [
-                plan_storage(g, a, kernel, hw, options.double_buffer)
-                for g, a in zip(fusion.groups, assignments)
-            ]
-            if all(p.fits(hw, options.double_buffer) for p in plans):
-                return fusion, assignments, plans, sizes_local, shrunk
-            shrunk = True
-            main_idx = next(
-                (i for i, g in enumerate(fusion.groups) if g.source_filter is None),
-                len(fusion.groups) - 1,
-            )
-            sizes_local = shrink_fn(
-                fusion.groups[main_idx], plans[main_idx], sizes_local
-            )
-        return None
+        sizes = policy.halve_largest(sizes)
 
     with perf.stage("backend.tile_fit"), resilience.stage_scope(
         "backend.tile_fit", budget
     ):
-        result = attempt(_capacity_shrink, sizes)
-        if result is None:  # pragma: no cover - converges at size 1
+        first = fit(frontend, options, VARIANTS[0], sizes)
+        if first is None:  # pragma: no cover - converges at size 1
             raise TilingError(
                 "could not fit tiles into on-chip buffers",
                 stage="backend.tile_fit",
                 kernel=kernel.name,
             )
-
-        candidates = [result]
-        if result[4] and len(sizes) == 4:
-            # Conv-shaped kernels: also try the spatial-first shrink order.
-            alt = attempt(lambda g, p, s: _halve_conv_spatial(s), sizes)
-            if alt is not None:
-                candidates.append(alt)
-        if options.post_tiling_fusion and any(
-            g.fused_producer_ids for g in result[0].groups
-        ):
-            # The greedy fusion absorbed a stencil producer; also measure the
-            # split alternative (overlap recompute + shared-buffer pressure
-            # can lose to lean separate nests on some shapes -- the tuner
-            # decides).  The split still fuses plain uniform chains; only the
-            # stencil boundaries cut kernels.  The split clustering and its
-            # schedule are tile-size-independent, so the front-end caches
-            # them across backend builds.
-            split_clustering, _ = frontend.split_variant()
-            split = attempt(
-                _capacity_shrink, sizes,
-                tree_fn=frontend.split_tree, cl=split_clustering, fuse=False,
-            )
-            if split is not None:
-                candidates.append(split)
+        candidates = [first]
+        for variant in VARIANTS[1:]:
+            if variant.applies(first, options):
+                alt = fit(frontend, options, variant, sizes)
+                if alt is not None:
+                    candidates.append(alt)
+        best = first
         if len(candidates) > 1:
-            result = min(
-                candidates, key=lambda r: _candidate_cycles(kernel, r, hw, options)
+            best = min(
+                candidates, key=lambda c: _candidate_cycles(kernel, c, hw, options)
             )
 
-    fusion, assignments, plans, sizes, _ = result
-
-    merged_assignment = _merge_assignments(assignments)
-    mark_local_buffers(fusion.tree, merged_assignment)
-    _sink_vector_dims(fusion, kernel, merged_assignment)
-    _graft_fractal_subtrees(fusion, merged_assignment, hw)
+    merged_assignment = _merge_assignments(best.assignments)
+    mark_local_buffers(best.fusion.tree, merged_assignment)
+    sink_vector_dims(best.fusion.tree, kernel, merged_assignment)
+    graft_fractal_subtrees(
+        best.fusion.tree, best.fusion.groups, merged_assignment, hw.cube_block
+    )
 
     with perf.stage("backend.codegen"), resilience.stage_scope(
         "backend.codegen", budget
     ):
-        codegen = ProgramBuilder(
-            hw,
-            CodegenOptions(
-                sync_policy=options.sync_policy,
-                double_buffer=options.double_buffer,
-                vectorize=options.vectorize,
-                emit_trace=options.emit_trace,
-            ),
-        )
-        program = codegen.build(kernel, fusion.groups, plans, assignments)
+        program = _emit(kernel, best, hw, options, options.emit_trace)
     return CompileResult(
         program,
         kernel,
-        fusion.tree,
-        deps,
-        clustering,
-        fusion.groups,
-        plans,
-        assignments,
-        list(sizes),
+        best.fusion.tree,
+        frontend.deps,
+        frontend.clustering,
+        best.fusion.groups,
+        best.plans,
+        best.assignments,
+        list(best.sizes),
         hw,
     )
 
 
-# -- tile-size selection ------------------------------------------------------------
+def fit(
+    frontend: FrontEnd, options: AkgOptions, variant: Variant, start_sizes
+) -> Optional[Fit]:
+    """Tile, fuse and plan storage from ``start_sizes``, shrinking the
+    main group with the variant's rule until every exact plan fits.
 
+    The linear footprint fit behind the start sizes is an approximation;
+    the exact plan is the law.  ``None`` when 64 shrinks do not get there.
+    """
+    kernel, hw, deps = frontend.kernel, frontend.hw, frontend.deps
+    # The split clustering and its schedule are tile-size-independent, so
+    # the front-end caches them across backend builds.
+    tree_fn = frontend.split_tree if variant.split else frontend.fresh_tree
+    fuse = options.post_tiling_fusion and not variant.split
+    sizes = list(start_sizes)
+    shrunk = False
+    for _ in range(64):
+        resilience.check_deadline()
+        tree = tree_fn()
+        if fuse:
+            try:
+                fusion = apply_post_tiling_fusion(
+                    tree, kernel, deps, frontend.clustering, sizes
+                )
+            except ReproError as exc:
+                if isinstance(exc, resilience.StageTimeoutError):
+                    raise  # the whole stage is out of time
+                # Fusion rung of the ladder: tile the groups
+                # separately instead.  The tree may be partially
+                # rewritten, so restart from a fresh clone.
+                resilience.note_event(
+                    "backend.fusion",
+                    "fallback",
+                    fallback="fusionless",
+                    error=type(exc).__name__,
+                    detail=str(exc),
+                    dedupe=True,
+                )
+                fusion = tile_groups_separately(tree_fn(), kernel, sizes)
+        else:
+            fusion = tile_groups_separately(tree, kernel, sizes)
 
-def _select_tile_sizes(frontend: FrontEnd, options: AkgOptions) -> List[int]:
-    kernel = frontend.kernel
-    clustering = frontend.clustering
-    hw = frontend.hw
-    extents = frontend.extents
-    if not extents:
-        return []
-    liveout_ids = [
-        s.stmt_id for ci in sorted(clustering.live_out) for s in clustering.clusters[ci]
-    ]
-    if options.tile_sizes is not None:
-        return list(options.tile_sizes)[: len(extents)] + extents[
-            len(options.tile_sizes) :
+        policy.refit_own_groups(fusion.groups, kernel, hw, options.double_buffer)
+        assignments = [assign_compute_units(g.statements) for g in fusion.groups]
+        plans = [
+            plan_storage(g, a, kernel, hw, options.double_buffer)
+            for g, a in zip(fusion.groups, assignments)
         ]
-    if options.tile_policy is not None:
-        for sid in liveout_ids:
-            manual = options.tile_policy.sizes_for(sid)
-            if manual:
-                return list(manual)[: len(extents)] + extents[len(manual) :]
-    if not options.auto_tiling:
-        return list(extents)
-
-    # Contractions (matmul / batched matmul) have a closed-form optimum:
-    # the largest square output tile the L0C accumulator can hold, with
-    # the reduction streamed through L1 in chunks (plan_storage's
-    # hierarchical tiling).  Maximising Tm = Tn minimises the movement
-    # metric 2*K*(M*N/Tn + M*N/Tm) directly.
-    from repro.fusion.intratile import is_cube_statement
-
-    liveout_stmts = [
-        s
-        for ci in sorted(clustering.live_out)
-        for s in clustering.clusters[ci]
-    ]
-    cube = [s for s in liveout_stmts if is_cube_statement(s)]
-    if cube and cube[0].data_rank <= 3 and len(extents) == cube[0].data_rank:
-        return _contraction_tile_sizes(cube[0], hw, extents)
-    if cube and cube[0].data_rank == 4 and len(extents) == 4:
-        return _conv_tile_sizes(extents)
-
-    # The tiling ladder: footprint-fitted greedy search → a static
-    # power-of-two heuristic → minimal sizes.  Every rung only *starts*
-    # the exact-fit loop of backend_build, which shrinks to fit from
-    # whatever the rung proposes, so any rung yields a legal build.
-    def _auto_search() -> List[int]:
-        evaluator = _fit_evaluator(frontend, options)
-        # Symbolic band dims tile at size 1: the tile grid along a
-        # runtime-bound extent must stay binding-independent, and
-        # unit tiles clamp exactly (whole tiles drop, none split).
-        tiler = AutoTiler(
-            hw,
-            evaluator,
-            extents,
-            double_buffered=options.double_buffer,
-            fixed_sizes={k: 1 for k in _sym_band_positions(frontend)},
+        if all(p.fits(hw, options.double_buffer) for p in plans):
+            return Fit(fusion, assignments, plans, sizes, shrunk)
+        shrunk = True
+        main_idx = next(
+            (i for i, g in enumerate(fusion.groups) if g.source_filter is None),
+            len(fusion.groups) - 1,
         )
-        return tiler.search()
-
-    return resilience.with_fallback(
-        "backend.tiling",
-        ("auto-search", _auto_search),
-        ("static-heuristic", lambda: _static_tile_sizes(extents)),
-        ("minimal", lambda: [1] * len(extents)),
-    )
+        sizes = variant.shrink(fusion.groups[main_idx], plans[main_idx], sizes)
+    return None
 
 
-def _sym_band_positions(frontend: FrontEnd) -> List[int]:
-    """Band dims of the live-out statement carrying a symbolic dim.
-
-    Mirrors ``_liveout_extents``: the tiler's size vector aligns with
-    the leading iter dims of the last live-out statement.  Empty unless
-    the kernel passed the parametric legality proof — a concretized
-    kernel tiles like any concrete one.
-    """
-    kernel = frontend.kernel
-    if not getattr(kernel, "shape_generic", False):
-        return []
-    clustering = frontend.clustering
-    liveout_ids = [
-        s.stmt_id
-        for ci in sorted(clustering.live_out)
-        for s in clustering.clusters[ci]
-    ]
-    stmt = next(s for s in kernel.statements if s.stmt_id == liveout_ids[-1])
-    sym_extents = getattr(stmt, "sym_extents", None) or {}
-    return [
-        k
-        for k, name in enumerate(stmt.iter_names[: frontend.band_rows])
-        if name in sym_extents
-    ]
-
-
-def _static_tile_sizes(extents: List[int]) -> List[int]:
-    """Search-free fallback sizes: modest power-of-two outer tiles, the
-    innermost dimension kept whole for DMA contiguity.  Deliberately
-    conservative — the exact-fit loop shrinks further when needed."""
-    sizes = []
-    for k, e in enumerate(extents):
-        if k == len(extents) - 1:
-            sizes.append(max(e, 1))
-            continue
-        cap = max(min(e, 32), 1)
-        sizes.append(1 << (cap.bit_length() - 1))
-    return sizes
-
-
-def _conv_tile_sizes(extents: List[int]) -> List[int]:
-    """Closed-form NCHW convolution tiling.
-
-    One image at a time (pipelines the batch), full output channels (no
-    input recompute across channel tiles), and a spatial block sized to a
-    fixed working-set budget -- wider blocks for thin-channel (depthwise)
-    layers, 32x32 for deep ones.  The exact-fit loop shrinks further when
-    L1 demands it.
-    """
-    n, co, ho, wo = extents
-    budget_elems = 64 * 1024
-    spatial = max(budget_elems // max(co, 1), 256)
-    w_t = wo  # keep the row whole: splitting it multiplies DMA bursts
-    h_t = min(ho, max(spatial // w_t, 4))
-    if h_t < ho:
-        # Round a genuine split down to a power of two for even tiles;
-        # a full extent stays whole (no pointless partial tiles).
-        h_t = 1 << (h_t.bit_length() - 1)
-    return [1, co, min(h_t, ho), w_t]
-
-
-def _contraction_tile_sizes(stmt, hw, extents) -> List[int]:
-    """Movement-optimal (Tm, Tn) for a GEMM-shaped live-out statement.
-
-    Square tiles minimise ``K*(M*N/Tn + M*N/Tm)``; when one extent clamps
-    below the square side, the freed accumulator budget goes to the other
-    side (tall/flat GEMMs such as fully-connected layers at small batch).
-    """
-    acc_bytes = 4  # the L0C accumulator holds fp32 partials
-    l0c_elems = hw.usable_capacity("L0C") // acc_bytes
-    t = 16
-    while (2 * t) * (2 * t) <= l0c_elems:
-        t *= 2
-    m_idx, n_idx = len(extents) - 2, len(extents) - 1
-    tm = min(t, extents[m_idx])
-    tn = min(t, extents[n_idx])
-    # Redistribute slack to the unclamped side (in fractal multiples).
-    if tm < t:
-        tn = min(extents[n_idx], max((l0c_elems // max(tm, 1)) // 16 * 16, tn))
-    elif tn < t:
-        tm = min(extents[m_idx], max((l0c_elems // max(tn, 1)) // 16 * 16, tm))
-    sizes = [1] * len(extents)
-    sizes[m_idx] = tm
-    sizes[n_idx] = tn
-    return sizes
-
-
-def _probe_plan(
-    frontend: FrontEnd, options: AkgOptions, sizes
-) -> Tuple[Dict[str, List[int]], Dict[str, Tuple[str, int, bool]]]:
-    """Footprints at one candidate size vector: per-tensor boxes + roles."""
-    kernel = frontend.kernel
-    hw = frontend.hw
-    tree = frontend.fresh_tree()
-    fusion = apply_post_tiling_fusion(
-        tree, kernel, frontend.deps, frontend.clustering, sizes
-    )
-    boxes: Dict[str, List[int]] = {}
-    meta: Dict[str, Tuple[str, int, bool]] = {}
-    for group in fusion.groups:
-        assignment = assign_compute_units(group.statements)
-        plan = plan_storage(group, assignment, kernel, hw, options.double_buffer)
-        moved_names = {m.tensor_name for m in plan.moves}
-        # Liveness: only the two largest tile-local intermediates count
-        # towards utilisation (slots of dead values are reused), mirroring
-        # StoragePlan.utilization's peak-live accounting.
-        locals_by_size = sorted(
-            (
-                alloc
-                for key, alloc in plan.allocations.items()
-                if key == alloc.tensor_name
-                and alloc.tensor_name in plan.local_tensors
-                and alloc.scope == "UB"
-            ),
-            key=lambda a: -a.nbytes,
-        )
-        counted_locals = {a.tensor_name for a in locals_by_size[:2]}
-        for key, alloc in plan.allocations.items():
-            if key != alloc.tensor_name:
-                continue  # skip the derived L0 allocations
-            is_local = (
-                alloc.tensor_name in plan.local_tensors and alloc.scope == "UB"
-            )
-            if is_local and alloc.tensor_name not in counted_locals:
-                continue
-            boxes[key] = list(alloc.box)
-            meta[key] = (
-                alloc.scope,
-                hw.dtype_bytes(alloc.dtype),
-                alloc.tensor_name in moved_names,
-            )
-    return boxes, meta
-
-
-def _fit_evaluator(
-    frontend: FrontEnd, options: AkgOptions
-) -> LinearFootprintEvaluator:
-    """Fit the per-tensor affine footprint polynomial by probing.
-
-    Footprint extents of affine accesses are affine in each tile size
-    (``alpha*T + beta``); two probes per dimension recover the
-    coefficients exactly.  Every probe reuses the shared front-end (one
-    tree clone per probe, no re-scheduling).
-    """
-    extents = frontend.extents
-    base_sizes = [min(4, e) for e in extents]
-    base_boxes, meta = _probe_plan(frontend, options, base_sizes)
-    bump_boxes: List[Dict[str, List[int]]] = []
-    for d in range(len(extents)):
-        probe = list(base_sizes)
-        probe[d] = min(8, extents[d])
-        boxes, _ = _probe_plan(frontend, options, probe)
-        bump_boxes.append(boxes)
-
-    terms = []
-    for tname, box0 in base_boxes.items():
-        scope, dbytes, moved = meta[tname]
-        factors = []
-        for k, e0 in enumerate(box0):
-            # Find the tile dim this tensor dim responds to.
-            alpha, dim_index = 0.0, None
-            for d in range(len(extents)):
-                delta_size = min(8, extents[d]) - base_sizes[d]
-                if delta_size == 0:
-                    continue
-                e1 = bump_boxes[d].get(tname, box0)[k]
-                a = (e1 - e0) / delta_size
-                if abs(a) > abs(alpha):
-                    alpha, dim_index = a, d
-            beta = e0 - alpha * (base_sizes[dim_index] if dim_index is not None else 0)
-            factors.append((dim_index, alpha, beta))
-        terms.append((scope, dbytes, factors, moved))
-    return LinearFootprintEvaluator(terms)
-
-
-def _own_group_sizes(group, hw) -> List[int]:
-    """Standalone tile sizes for one unfused group's band.
-
-    Mirrors what _select_tile_sizes would pick for the group as its own
-    kernel: the conv/contraction closed forms when a cube statement leads,
-    otherwise the whole space (the exact-fit loop shrinks from there).
-    """
-    from repro.fusion.intratile import is_cube_statement
-
-    n_dims = len(group.tile_dims)
-    cube = [s for s in group.statements if is_cube_statement(s)]
-    if cube:
-        lead = cube[0]
-        extents = list(lead.iter_extents[: lead.data_rank])
-        if lead.data_rank == 4 and n_dims == 4:
-            return _conv_tile_sizes(extents)
-        if lead.data_rank <= 3 and n_dims == lead.data_rank:
-            return _contraction_tile_sizes(lead, hw, extents)
-    return list(group.tile_sizes)
-
-
-def _candidate_cycles(kernel, candidate, hw, options) -> int:
-    """Simulated cycles of one (fusion, assignments, plans) candidate."""
-    fusion, assignments, plans, _sizes, _ = candidate
+def _emit(kernel, candidate: Fit, hw, options: AkgOptions, emit_trace: bool) -> Program:
+    """Instruction emission for one fitted candidate."""
     builder = ProgramBuilder(
         hw,
         CodegenOptions(
             sync_policy=options.sync_policy,
             double_buffer=options.double_buffer,
             vectorize=options.vectorize,
+            emit_trace=emit_trace,
         ),
     )
-    program = builder.build(kernel, fusion.groups, plans, assignments)
+    return builder.build(
+        kernel, candidate.fusion.groups, candidate.plans, candidate.assignments
+    )
+
+
+def _candidate_cycles(kernel, candidate: Fit, hw, options: AkgOptions) -> int:
+    """Simulated cycles of one fitted candidate (no trace: only timing)."""
+    program = _emit(kernel, candidate, hw, options, emit_trace=False)
     return Simulator(hw).run(program).total_cycles
-
-
-def _halve_conv_spatial(sizes: List[int]) -> List[int]:
-    """Spatial-first shrink order for NCHW tiles (H, then channels, W last)."""
-    out = list(sizes)
-    if out[2] > 2:
-        out[2] //= 2
-    elif out[1] > 1:
-        out[1] = max(out[1] // 2, 1)
-    elif out[3] > 1:
-        out[3] = max(out[3] // 2, 1)
-    elif out[0] > 1:
-        out[0] = max(out[0] // 2, 1)
-    return out
-
-
-def _move_tile_dependence(group, plan) -> Dict[str, set]:
-    """Which tile dims each inbound tensor's footprint depends on.
-
-    A move whose footprint does not involve a tile dim gets *reloaded
-    identically* when that dim is split further -- halving such a dim
-    doubles that tensor's total traffic.  Derived structurally from the
-    composed ``tile -> elements`` relations.
-    """
-    
-    deps: Dict[str, set] = {}
-    tile_dims = set(group.tile_dims)
-    for stmt in group.statements:
-        for access in [stmt.write] + list(stmt.reads):
-            name = access.tensor.name
-            if not access.is_affine:
-                deps.setdefault(name, set())
-                continue
-            rel = group.instance_relations[stmt.stmt_id]
-            fp = rel.compose(access.as_map(stmt.space))
-            tensor_dims = set(fp.out_space.dims)
-            used = set()
-            for con in fp.constraints:
-                names = set(con.variables())
-                # Only constraints *linking* a tensor dim to a tile dim
-                # make the footprint vary with the tile; pure tile-range
-                # bounds (0 <= o < count) do not.
-                if names & tensor_dims:
-                    used.update(names & tile_dims)
-            deps.setdefault(name, set()).update(used)
-    return deps
-
-
-def _capacity_shrink(group, plan, sizes: List[int]) -> List[int]:
-    """Pick the halving that satisfies capacity at least traffic cost.
-
-    For each candidate dim: inbound tensors whose footprints *depend* on
-    the dim keep their total traffic (half the bytes, twice the tiles);
-    independent tensors (weights vs spatial splits, inputs vs channel
-    splits) double theirs.  The innermost dim (DMA contiguity) is only
-    split when nothing else can shrink.
-    """
-    dependence = _move_tile_dependence(group, plan)
-    in_moves = [m for m in plan.moves if m.direction == "in"]
-    candidates = []
-    for d in range(len(sizes)):
-        if sizes[d] <= 1:
-            continue
-        dim_name = group.tile_dims[d] if d < len(group.tile_dims) else None
-        traffic = 0.0
-        for m in in_moves:
-            depends = dim_name in dependence.get(m.tensor_name, set())
-            traffic += m.nbytes * (1.0 if depends else 2.0)
-        if d == len(sizes) - 1:
-            traffic *= 1.5  # innermost: splitting multiplies DMA bursts
-        if sizes[d] <= 16 and any(
-            sizes[e] > 16 for e in range(len(sizes)) if e != d
-        ):
-            # Dropping below the fractal block wastes Cube MACs and
-            # vector lanes; avoid while a larger dim can shrink.
-            traffic *= 2.0
-        candidates.append((traffic, -sizes[d], d))
-    if not candidates:
-        return list(sizes)
-    candidates.sort()
-    out = list(sizes)
-    d = candidates[0][2]
-    out[d] = max(out[d] // 2, 1)
-    return out
-
-
-def _halve_largest(sizes: List[int]) -> List[int]:
-    """Halve the largest tile dimension, sparing the innermost.
-
-    The innermost dimension carries DMA contiguity: shrinking it multiplies
-    burst counts, so it is only touched when every outer dim is already 1.
-    """
-    out = list(sizes)
-    if not out:
-        return out
-    outer = range(len(out) - 1) if len(out) > 1 else range(1)
-    dim = max(outer, key=lambda d: out[d], default=0)
-    if out[dim] <= 1:
-        dim = len(out) - 1
-    if out[dim] > 1:
-        out[dim] = max(out[dim] // 2, 1)
-    return out
-
-
-def _sink_vector_dims(fusion, kernel, assignment: UnitAssignment) -> None:
-    """Sink each vector statement's fast-varying dim innermost (Sec. 4.3).
-
-    Applies the permutable-band interchange to single-statement bands in
-    the tree; the legality argument is the band's permutability, so no ILP
-    re-run is needed (exactly the paper's shortcut over re-scheduling).
-    """
-    from repro.fusion.intratile import sink_fast_dim
-    from repro.sched.tree import find_parent, replace_child
-
-    stmt_by_id = {s.stmt_id: s for s in kernel.statements}
-    for band in list(fusion.tree.find_all(BandNode)):
-        if len(band.schedules) != 1 or not band.permutable or band.tile_sizes:
-            continue
-        sid = next(iter(band.schedules))
-        if assignment.units.get(sid) != "vector":
-            continue
-        stmt = stmt_by_id.get(sid)
-        if stmt is None:
-            continue
-        sunk = sink_fast_dim(band, stmt)
-        if sunk is not band:
-            parent = find_parent(fusion.tree, band)
-            if parent is not None:
-                replace_child(parent, band, sunk)
-
-
-def _graft_fractal_subtrees(fusion, assignment: UnitAssignment, hw) -> None:
-    """Replace every cube statement's point subtree with the external
-    fractal GEMM IR (the Sec. 4.5 graft, pink region of Fig. 3f)."""
-    from repro.conv.fractal import fractal_gemm_for, graft_fractal
-
-    for group in fusion.groups:
-        for stmt in group.statements:
-            if assignment.units.get(stmt.stmt_id) != "cube":
-                continue
-            if stmt.kind != "reduce":
-                continue
-            extents = dict(
-                zip(stmt.iter_names, group.instance_extents(stmt.stmt_id))
-            )
-            gemm = fractal_gemm_for(stmt, extents, block=hw.cube_block)
-            try:
-                graft_fractal(fusion.tree, stmt, gemm)
-            except ValueError:
-                pass  # statement scheduled without its own filter subtree
 
 
 def _merge_assignments(assignments: Sequence[UnitAssignment]) -> UnitAssignment:
@@ -886,16 +471,3 @@ def _merge_assignments(assignments: Sequence[UnitAssignment]) -> UnitAssignment:
         units.update(a.units)
         buffers.update(a.buffers)
     return UnitAssignment(units, buffers)
-
-
-def _fusionless(tree, kernel, deps, clustering, sizes) -> FusionResult:
-    """Ablation path: tile every group separately (no post-tiling fusion)."""
-    from repro.fusion.posttile import tile_single_group, _group_filters
-
-    stmt_by_id = {s.stmt_id: s for s in kernel.statements}
-    groups = []
-    for f in _group_filters(tree):
-        band = f.child
-        n = band.n_rows if isinstance(band, BandNode) else 1
-        groups.append(tile_single_group(f, stmt_by_id, list(sizes)[:n] or None))
-    return FusionResult(tree, groups)

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 from repro.core import resilience
 from repro.core.resilience import StageBudget
 from repro.hw.spec import HardwareSpec
-from repro.ir.lower import LoweredKernel, lower
+from repro.ir.lower import LoweredKernel, PolyStatement, lower
 from repro.sched.clustering import Clustering, conservative_clustering
 from repro.sched.deps import Dependence, compute_dependences
 from repro.sched.scheduler import PolyScheduler, SchedulerOptions
@@ -43,9 +43,9 @@ class FrontEnd:
 
     Holds the lowered kernel, its dependences, the affine clustering and
     the master schedule tree, plus the live-out band geometry the tiler
-    needs.  ``fresh_tree()`` hands out clones, so one ``FrontEnd`` can be
-    reused across any number of backend builds (the master tree itself is
-    never mutated).
+    needs (``band_rows``, ``extents``).  ``fresh_tree()`` hands out
+    clones, so one ``FrontEnd`` can be reused across any number of backend
+    builds (the master tree itself is never mutated).
 
     The alternative *split* clustering/schedule — used when post-tiling
     fusion absorbs a stencil producer and the driver wants to measure the
@@ -63,8 +63,6 @@ class FrontEnd:
         deps: List[Dependence],
         clustering: Clustering,
         master_tree: DomainNode,
-        band_rows: int,
-        extents: List[int],
     ):
         self.name = name
         self.hw = hw
@@ -73,12 +71,23 @@ class FrontEnd:
         self.deps = deps
         self.clustering = clustering
         self.master_tree = master_tree
-        self.band_rows = band_rows
-        self.extents = extents
+        # Live-out band geometry: the tiler's size vector aligns with the
+        # leading iter dims of the last live-out statement.
+        liveout = self.liveout_statements
+        self.band_rows = _liveout_band_rows(master_tree, liveout)
+        self.extents = list(liveout[-1].iter_extents[: self.band_rows])
         self._split: Optional[Tuple[Clustering, DomainNode]] = None
         # Content digest of (IR, name, hw, scheduler options) when the
         # kernel could be fingerprinted; backend products key off it.
         self.cache_key: Optional[str] = None
+
+    @property
+    def liveout_statements(self) -> List[PolyStatement]:
+        """Statements of the live-out clusters, in cluster order."""
+        clustering = self.clustering
+        return [
+            s for ci in sorted(clustering.live_out) for s in clustering.clusters[ci]
+        ]
 
     # -- schedule-tree hand-out ---------------------------------------------------
 
@@ -184,18 +193,8 @@ def run_frontend(
             for e in report.events[events_before:]
         )
 
-    band_rows = _liveout_band_rows(master_tree, clustering)
-    extents = _liveout_extents(kernel, clustering, band_rows)
     frontend = FrontEnd(
-        name,
-        hw,
-        scheduler_options,
-        kernel,
-        deps,
-        clustering,
-        master_tree,
-        band_rows,
-        extents,
+        name, hw, scheduler_options, kernel, deps, clustering, master_tree
     )
     frontend.cache_key = key
     if not degraded:
@@ -307,25 +306,11 @@ def _frontend_cache_key(
 # -- live-out band geometry ------------------------------------------------------
 
 
-def _liveout_band_rows(tree: DomainNode, clustering: Clustering) -> int:
-    liveout_ids = {
-        s.stmt_id
-        for ci in clustering.live_out
-        for s in clustering.clusters[ci]
-    }
+def _liveout_band_rows(tree: DomainNode, liveout: List[PolyStatement]) -> int:
+    liveout_ids = {s.stmt_id for s in liveout}
     for node in tree.walk():
         if isinstance(node, FilterNode) and set(node.stmt_ids) & liveout_ids:
             band = node.child
             if isinstance(band, BandNode):
                 return band.n_rows
     return 0
-
-
-def _liveout_extents(
-    kernel: LoweredKernel, clustering: Clustering, n_rows: int
-) -> List[int]:
-    liveout_ids = [
-        s.stmt_id for ci in sorted(clustering.live_out) for s in clustering.clusters[ci]
-    ]
-    stmt = next(s for s in kernel.statements if s.stmt_id == liveout_ids[-1])
-    return list(stmt.iter_extents[:n_rows])

@@ -24,7 +24,14 @@ from typing import Dict, Optional, Sequence
 from repro.ir.expr import BinaryOp, TensorRef
 from repro.ir.lower import PolyStatement
 from repro.poly.affine import AffineExpr
-from repro.sched.tree import BandNode, DomainNode, FilterNode, MarkNode
+from repro.sched.tree import (
+    BandNode,
+    DomainNode,
+    FilterNode,
+    MarkNode,
+    find_parent,
+    replace_child,
+)
 
 
 class UnitAssignment:
@@ -207,3 +214,27 @@ def sink_fast_dim(band: BandNode, stmt: PolyStatement) -> BandNode:
         coincident=coincident,
         tile_sizes=band.tile_sizes,
     )
+
+
+def sink_vector_dims(tree: DomainNode, kernel, assignment: UnitAssignment) -> None:
+    """Sink each vector statement's fast-varying dim innermost (Sec. 4.3).
+
+    Applies the permutable-band interchange to single-statement bands in
+    the tree; the legality argument is the band's permutability, so no ILP
+    re-run is needed (exactly the paper's shortcut over re-scheduling).
+    """
+    stmt_by_id = {s.stmt_id: s for s in kernel.statements}
+    for band in list(tree.find_all(BandNode)):
+        if len(band.schedules) != 1 or not band.permutable or band.tile_sizes:
+            continue
+        sid = next(iter(band.schedules))
+        if assignment.units.get(sid) != "vector":
+            continue
+        stmt = stmt_by_id.get(sid)
+        if stmt is None:
+            continue
+        sunk = sink_fast_dim(band, stmt)
+        if sunk is not band:
+            parent = find_parent(tree, band)
+            if parent is not None:
+                replace_child(parent, band, sunk)

@@ -131,7 +131,7 @@ class FusionResult:
         self.groups = groups  # in execution order
 
 
-def _group_filters(tree: DomainNode) -> List[FilterNode]:
+def group_filters(tree: DomainNode) -> List[FilterNode]:
     """Top-level fusion-group filters of a scheduled tree."""
     body = tree.child
     if isinstance(body, SequenceNode):
@@ -182,7 +182,7 @@ def apply_post_tiling_fusion(
     tile nests in execution order (unfused producers first).
     """
     faultinject.fire("fusion.posttile")
-    filters = _group_filters(tree)
+    filters = group_filters(tree)
     liveout_ids = [
         s.stmt_id for ci in sorted(clustering.live_out) for s in clustering.clusters[ci]
     ]
@@ -431,3 +431,18 @@ def _untiled_group(
 ) -> TiledGroup:
     """A degenerate group: one tile covering the whole iteration space."""
     return tile_single_group(f, stmt_by_id, sizes=None)
+
+
+def tile_groups_separately(
+    tree: DomainNode, kernel: LoweredKernel, sizes: Sequence[int]
+) -> FusionResult:
+    """The fusionless path: every group tiled on its own band (the
+    ``post_tiling_fusion=False`` ablation, the fusion-failure fallback
+    and the stencil-split variant)."""
+    stmt_by_id = {s.stmt_id: s for s in kernel.statements}
+    groups = []
+    for f in group_filters(tree):
+        band = f.child
+        n = band.n_rows if isinstance(band, BandNode) else 1
+        groups.append(tile_single_group(f, stmt_by_id, list(sizes)[:n] or None))
+    return FusionResult(tree, groups)

@@ -86,10 +86,6 @@ class SubgraphSpec:
         )
 
 
-def _is_anchor(t: Tensor) -> bool:
-    return t.op is not None and bool(t.op.reduce_axes)
-
-
 def _is_heavy(t: Tensor) -> bool:
     """Contraction anchors (conv/matmul): at most one per fused kernel.
 

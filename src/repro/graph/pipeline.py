@@ -24,6 +24,7 @@ import copy
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.autotune.tuner import DEFAULT_TUNE_PARAMS
 from repro.core.errors import NetworkPlanError
 from repro.core.resilience import ResilienceReport
 from repro.graph.fusion import SubgraphSpec, extract_subgraph, fuse_graph
@@ -33,10 +34,6 @@ from repro.ir.tensor import Tensor
 from repro.tools import perf
 
 __all__ = ["compile_network", "CompiledNetwork"]
-
-#: Default tuning-budget parameters for ``tune=True`` (small on purpose:
-#: the simulator measures every candidate).
-TUNE_PARAMS = {"first_round": 6, "round_size": 3, "max_rounds": 2}
 
 
 class CompiledNetwork:
@@ -73,8 +70,8 @@ def compile_network(
 
     ``tune=True`` auto-tunes each unique subgraph's tile sizes first,
     measuring every tuner's candidate batches concurrently on one shared
-    :class:`~repro.autotune.parallel.MultiKernelMeasurer` process pool
-    (``workers`` processes), then compiles at the best sizes.
+    :class:`~repro.autotune.parallel.Measurer` process pool (``workers``
+    processes), then compiles at the best sizes.
 
     ``service`` (a :class:`repro.service.CompileService`) routes the
     unique-subgraph compiles through the compile daemon as one request
@@ -121,7 +118,7 @@ def compile_network(
     if tune:
         with perf.stage("graph.tune"):
             tile_overrides = _tune_unique(
-                unique, order, hw, seed, tune_params or TUNE_PARAMS, workers
+                unique, order, hw, seed, tune_params or DEFAULT_TUNE_PARAMS, workers
             )
 
     base_options = copy.copy(options) if options is not None else None
@@ -285,64 +282,49 @@ def _tune_unique(
 ) -> Dict[str, List[int]]:
     """Tune every unique subgraph, candidate batches pooled together.
 
-    Each subgraph gets its own deterministic :class:`AutoTuner` (seeded
-    by position), all sharing one :class:`MultiKernelMeasurer`: while
-    one tuner waits for its batch, other tuners' candidates keep the
-    pool busy.  A subgraph with no feasible candidate simply keeps the
-    analytic Auto Tiling sizes.
+    Each subgraph runs the single-kernel routine
+    (:func:`repro.autotune.tuner.tune_frontend`, seeded by position) on
+    its own thread, all sharing one
+    :class:`~repro.autotune.parallel.Measurer`: while one tuner waits for
+    its batch, other tuners' candidates keep the pool busy.  A subgraph
+    with no feasible candidate simply keeps the analytic Auto Tiling
+    sizes.
     """
     from concurrent.futures import ThreadPoolExecutor
+    from functools import partial
 
-    from repro.autotune.parallel import MultiKernelMeasurer
-    from repro.autotune.tuner import AutoTuner
-    from repro.core.compiler import backend_build
+    from repro.autotune.parallel import Measurer
+    from repro.autotune.tuner import tune_frontend
     from repro.core.frontend import run_frontend
 
     frontends = {}
-    extents: Dict[str, List[int]] = {}
     for digest in order:
-        spec = unique[digest]
         frontend = run_frontend(
-            spec.canonical_outputs, f"sg_{digest[:12]}", hw=hw
+            unique[digest].canonical_outputs, f"sg_{digest[:12]}", hw=hw
         )
-        probe = backend_build(frontend)
-        group = probe.groups[-1]
-        lead = group.statements[-1]
-        dims = lead.iter_extents[: len(group.tile_dims)]
-        if not dims:
-            continue  # nothing to tune
-        frontends[digest] = frontend
-        extents[digest] = list(dims)
+        if frontend.extents:  # else: nothing to tune
+            frontends[digest] = frontend
     if not frontends:
         return {}
 
-    best: Dict[str, List[int]] = {}
-    with MultiKernelMeasurer(frontends, workers=workers) as measurer:
+    with Measurer(frontends, workers=workers) as measurer:
 
         def tune_one(position: int, digest: str) -> Optional[List[int]]:
-            tuner = AutoTuner(
-                lambda sizes: measurer.measure_one(digest, sizes),
-                extents[digest],
-                seed=seed + position,
-                batch_measure=lambda batch: measurer.measure_batch(
-                    digest, batch
-                ),
-                **params,
-            )
             try:
-                sizes, _history = tuner.tune()
+                sizes, _history = tune_frontend(
+                    frontends[digest],
+                    seed + position,
+                    partial(measurer.measure, digest),
+                    **params,
+                )
             except RuntimeError:
                 return None  # no feasible candidate: keep auto tiling
             return sizes
 
-        tuned = list(frontends)
-        with ThreadPoolExecutor(max_workers=min(len(tuned), 8)) as tp:
+        with ThreadPoolExecutor(max_workers=min(len(frontends), 8)) as tp:
             futures = {
                 digest: tp.submit(tune_one, pos, digest)
-                for pos, digest in enumerate(tuned)
+                for pos, digest in enumerate(frontends)
             }
-            for digest, future in futures.items():
-                sizes = future.result()
-                if sizes is not None:
-                    best[digest] = sizes
-    return best
+            tuned = {digest: future.result() for digest, future in futures.items()}
+    return {digest: sizes for digest, sizes in tuned.items() if sizes is not None}

@@ -12,7 +12,7 @@ This package is the substitution for the physical chip (see DESIGN.md):
   producing execution cycles.
 """
 
-from repro.hw.spec import HardwareSpec, default_spec
+from repro.hw.spec import HardwareSpec
 from repro.hw.isa import (
     CubeInstr,
     DmaInstr,
@@ -30,7 +30,6 @@ from repro.hw.simulator import Simulator
 
 __all__ = [
     "HardwareSpec",
-    "default_spec",
     "Pipe",
     "Instr",
     "DmaInstr",

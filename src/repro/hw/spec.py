@@ -144,8 +144,3 @@ class HardwareSpec:
     def scalar_cycles(self, count: int) -> int:
         """Cycles for ``count`` scalar operations."""
         return count * self.scalar_cycles_per_op
-
-
-def default_spec() -> HardwareSpec:
-    """The Ascend-910-like configuration used across the benchmarks."""
-    return HardwareSpec()

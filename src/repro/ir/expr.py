@@ -61,10 +61,6 @@ class Expr:
     def __neg__(self):
         return UnaryOp("neg", self)
 
-    def equal(self, other) -> "BinaryOp":
-        """Element-wise comparison (1.0 / 0.0 result)."""
-        return BinaryOp("eq", self, wrap(other))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return self.to_str()
 
@@ -286,17 +282,3 @@ def walk(expr: Expr) -> Iterable[Expr]:
 def collect_reads(expr: Expr) -> List[TensorRef]:
     """All tensor reads in the tree, in traversal order."""
     return [node for node in walk(expr) if isinstance(node, TensorRef)]
-
-
-def collect_itervars(expr: Expr) -> List[IterVar]:
-    """All distinct iter vars referenced, in first-seen order."""
-    seen: List[IterVar] = []
-    for node in walk(expr):
-        if isinstance(node, IterVar) and node not in seen:
-            seen.append(node)
-    return seen
-
-
-def find_reduce(expr: Expr) -> Optional[Reduce]:
-    """Return the root Reduce node if the body is a reduction."""
-    return expr if isinstance(expr, Reduce) else None

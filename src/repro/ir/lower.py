@@ -263,10 +263,6 @@ class LoweredKernel:
                 seen.append(t)
         return seen
 
-    def statements_for(self, tensor: Tensor) -> List[PolyStatement]:
-        """All statements writing to ``tensor``."""
-        return [s for s in self.statements if s.tensor is tensor]
-
     def __repr__(self) -> str:
         return f"LoweredKernel({self.name}, {len(self.statements)} stmts)"
 

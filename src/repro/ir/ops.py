@@ -481,22 +481,6 @@ def layer_norm(
     )
 
 
-def dense(
-    x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, name: Optional[str] = None
-) -> Tensor:
-    """Fully-connected layer: ``x @ weight (+ bias)``."""
-    out = matmul(x, weight, name=name or "dense")
-    if bias is None:
-        return out
-    if bias.shape != (weight.shape[1],):
-        raise ValueError("dense bias must match the output features")
-    return compute(
-        out.sym_shape,
-        lambda i, j: out[i, j] + bias[j],
-        name=f"{name or 'dense'}_bias",
-    )
-
-
 def embedding_lookup(
     table: Tensor, indices: Tensor, name: Optional[str] = None
 ) -> Tensor:

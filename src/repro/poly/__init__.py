@@ -4,7 +4,6 @@ This package is a from-scratch, pure-Python replacement for the parts of
 `isl` (the Integer Set Library) that AKG relies on:
 
 - :mod:`repro.poly.affine`    -- affine expressions over named dimensions.
-- :mod:`repro.poly.linalg`    -- exact rational linear algebra helpers.
 - :mod:`repro.poly.ilp`       -- rational simplex + branch-and-bound ILP.
 - :mod:`repro.poly.sets`      -- basic sets / unions of basic sets.
 - :mod:`repro.poly.maps`      -- basic maps (relations) / unions.

@@ -22,10 +22,9 @@ pivots, scaled by some positive integer that never needs to be known.
 Sign tests therefore read numerators, the ratio test cross-multiplies, and
 no :class:`fractions.Fraction` exists until the final assignment -- and
 there only for a coordinate that is fractional: numbers throughout
-``repro.poly`` are ``int`` when integral (see :mod:`repro.poly.affine`;
-:mod:`repro.poly.linalg`, rational Gaussian elimination, is the one module
-that computes in ``Fraction``).  The arithmetic is exact, so *which* pivots are taken is decided by the rules
-alone, and those are a contract:
+``repro.poly`` are ``int`` when integral (see :mod:`repro.poly.affine`).
+The arithmetic is exact, so *which* pivots are taken is decided by the
+rules alone, and those are a contract:
 
 - column layout ``v+, v-`` per variable (in ``names`` order), one slack per
   inequality, one artificial per row;

@@ -53,12 +53,6 @@ class BasicMap:
         ]
         return BasicMap(in_space, out_space, cons)
 
-    @staticmethod
-    def identity(in_space: Space, out_space: Space) -> "BasicMap":
-        """Identity map (spaces must have equal arity)."""
-        exprs = [AffineExpr.variable(d) for d in in_space.dims]
-        return BasicMap.from_exprs(in_space, out_space, exprs)
-
     # -- algebra ----------------------------------------------------------------
 
     def reverse(self) -> "BasicMap":
@@ -133,17 +127,6 @@ class BasicMap:
         name = f"{self.in_space.name}->{self.out_space.name}"
         return BasicSet(Space(name, dims), list(self.constraints))
 
-    def rename_dims(self, mapping: Mapping[str, str]) -> "BasicMap":
-        """Rename dimensions on either side."""
-        in_space = Space(
-            self.in_space.name, [mapping.get(d, d) for d in self.in_space.dims]
-        )
-        out_space = Space(
-            self.out_space.name, [mapping.get(d, d) for d in self.out_space.dims]
-        )
-        cons = [c.rename(mapping) for c in self.constraints]
-        return BasicMap(in_space, out_space, cons)
-
     def add_constraints(self, constraints: Sequence[Constraint]) -> "BasicMap":
         """New map with extra constraints."""
         return BasicMap(
@@ -213,10 +196,6 @@ class Map:
     def domain(self) -> Set:
         """Union of disjunct domains."""
         return Set(self.in_space, [p.domain() for p in self.parts])
-
-    def range(self) -> Set:
-        """Union of disjunct ranges."""
-        return Set(self.out_space, [p.range() for p in self.parts])
 
     def is_empty(self) -> bool:
         """True when every disjunct is empty."""

@@ -49,10 +49,6 @@ class Space:
     def __repr__(self) -> str:
         return f"{self.name}[{', '.join(self.dims)}]"
 
-    def with_dims(self, dims: Sequence[str]) -> "Space":
-        """Same tuple name, different dimensions."""
-        return Space(self.name, dims)
-
 
 class BasicSet:
     """Integer points of ``space`` satisfying a constraint conjunction."""
@@ -126,11 +122,6 @@ class BasicSet:
         cons = project_onto(self.constraints, keep)
         return BasicSet(Space(self.space.name, keep), cons)
 
-    def project_onto(self, keep: Sequence[str]) -> "BasicSet":
-        """Keep only dimensions in ``keep`` (ordered as given)."""
-        cons = project_onto(self.constraints, keep)
-        return BasicSet(Space(self.space.name, tuple(keep)), cons)
-
     # -- decision procedures ---------------------------------------------------
 
     def _problem(self) -> IlpProblem:
@@ -146,10 +137,6 @@ class BasicSet:
             point = dict(zip(self.space.dims, point))
         env = {d: point.get(d, 0) for d in self.space.dims}
         return all(c.satisfied(env) for c in self.constraints)
-
-    def sample(self) -> Optional[Dict[str, int]]:
-        """One integer point of the set, or ``None``."""
-        return self._problem().lexmin(list(self.space.dims))
 
     def lexmin(self) -> Optional[Dict[str, int]]:
         """Lexicographically smallest point."""
@@ -263,11 +250,6 @@ class Set:
         """A union with no disjuncts."""
         return Set(space, [])
 
-    @staticmethod
-    def universe(space: Space) -> "Set":
-        """The whole space."""
-        return Set(space, [BasicSet.universe(space)])
-
     def union(self, other: "Set | BasicSet") -> "Set":
         """Set union (disjuncts concatenated; no coalescing)."""
         other = _as_set(other)
@@ -343,15 +325,6 @@ class Set:
             for point in p.points(limit=limit):
                 seen.add(point)
         return len(seen)
-
-    def points(self, limit: int = 1_000_000) -> Iterator[Tuple[int, ...]]:
-        """Enumerate union points without duplicates (tests only)."""
-        seen = set()
-        for p in self.parts:
-            for point in p.points(limit=limit):
-                if point not in seen:
-                    seen.add(point)
-                    yield point
 
     def __repr__(self) -> str:
         return " u ".join(repr(p) for p in self.parts) or f"{{ {self.space!r} : false }}"

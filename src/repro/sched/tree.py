@@ -23,7 +23,7 @@ the extensions the paper relies on (Sec. 4):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.poly.affine import AffineExpr
 from repro.poly.maps import BasicMap
@@ -271,14 +271,6 @@ def insert_mark_above(
         raise ValueError("cannot insert a mark above the root")
     replace_child(parent, target, mark)
     return mark
-
-
-def map_tree(
-    node: ScheduleNode, fn: Callable[[ScheduleNode], ScheduleNode]
-) -> ScheduleNode:
-    """Rebuild the tree bottom-up, applying ``fn`` to every node."""
-    node.children = [map_tree(c, fn) for c in node.children]
-    return fn(node)
 
 
 def clone_tree(node: ScheduleNode) -> ScheduleNode:

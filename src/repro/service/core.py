@@ -74,6 +74,9 @@ import time
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+# The tune budget applied when a tune request does not override it; its
+# values are part of the tune coalescing_key.
+from repro.autotune.tuner import DEFAULT_TUNE_PARAMS
 from repro.core.errors import (
     QuarantinedError,
     ReproError,
@@ -88,15 +91,6 @@ __all__ = ["ServiceRequest", "ServiceResult", "Ticket", "CompileService"]
 
 #: Request kinds the service executes.
 KINDS = ("compile", "tune", "replay")
-
-#: Tuning parameters applied when a tune request does not override them
-#: (small: a service answers interactively, deep searches belong to the
-#: offline tuner).
-DEFAULT_TUNE_PARAMS: Dict[str, Any] = {
-    "first_round": 6,
-    "round_size": 3,
-    "max_rounds": 2,
-}
 
 
 @functools.lru_cache(maxsize=None)
@@ -831,10 +825,6 @@ class CompileService:
                 and self._inflight.get(entry.digest) is entry
             ):
                 self._inflight.pop(entry.digest)
-
-    def submit_many(self, requests: List[ServiceRequest]) -> List[Ticket]:
-        """Submit a batch; duplicates inside the batch coalesce too."""
-        return [self.submit(r) for r in requests]
 
     def run(
         self, request: ServiceRequest, timeout: Optional[float] = None

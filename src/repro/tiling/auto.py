@@ -10,9 +10,16 @@ capacity, enabling double buffering (Sec. 5.2).  A greedy search walks a
 power-of-two ladder per dimension: shrink the most over-budget dimension
 until feasible, then hill-climb on the movement-per-computation metric.
 
-The tiler is generic over a :class:`TileEvaluator`; the AKG driver builds
-one from exact polyhedral footprints, and the tests use synthetic
-evaluators to probe the search behaviour.
+The tiler asks one evaluator object three questions about a size vector:
+
+- ``utilization(sizes) -> {buffer: bytes}``: on-chip bytes a tile needs;
+- ``movement(sizes) -> (bytes, contiguous_runs)``: data moved per tile;
+- ``computation(sizes) -> instances``: statement instances per tile.
+
+:class:`LinearFootprintEvaluator` answers them from fitted affine
+footprints; :func:`repro.tiling.policy.fit_evaluator` builds one by
+probing exact storage plans, and the tests build synthetic ones to probe
+the search behaviour.
 """
 
 from __future__ import annotations
@@ -26,28 +33,7 @@ from repro.tiling.spec import StatementSpec, TileSpec, TilingPolicy
 from repro.tools import faultinject
 
 
-class TileEvaluator:
-    """Cost/feasibility oracle for candidate tile sizes.
-
-    Subclasses (or duck-typed equivalents) provide:
-
-    - ``utilization(sizes) -> {buffer: bytes}``: on-chip bytes needed by a
-      tile of the given sizes;
-    - ``movement(sizes) -> (bytes, contiguous_runs)``: data moved per tile;
-    - ``computation(sizes) -> instances``: statement instances per tile.
-    """
-
-    def utilization(self, sizes: Sequence[int]) -> Dict[str, int]:
-        raise NotImplementedError
-
-    def movement(self, sizes: Sequence[int]) -> Tuple[float, int]:
-        raise NotImplementedError
-
-    def computation(self, sizes: Sequence[int]) -> int:
-        raise NotImplementedError
-
-
-class LinearFootprintEvaluator(TileEvaluator):
+class LinearFootprintEvaluator:
     """Closed-form evaluator for affine footprints.
 
     Each tensor contributes ``prod_d (alpha_d * T_d + beta_d)`` elements,
@@ -108,7 +94,7 @@ class AutoTiler:
     def __init__(
         self,
         hw: HardwareSpec,
-        evaluator: TileEvaluator,
+        evaluator: LinearFootprintEvaluator,
         extents: Sequence[int],
         warmup_cycles: float = 100.0,
         double_buffered: bool = True,

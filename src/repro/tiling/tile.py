@@ -56,16 +56,3 @@ def tile_band(
 
 
 _HUGE = 1 << 30
-
-
-def point_band_of(tile: BandNode) -> BandNode:
-    """The point band nested under a tile band produced by ``tile_band``."""
-    child = tile.child
-    if not isinstance(child, BandNode):
-        raise ValueError("tile band has no point band child")
-    return child
-
-
-def tile_dim_names(tile: BandNode, prefix: str = "o") -> List[str]:
-    """Canonical names for the tile-loop dimensions (``o0``, ``o1``, ...)."""
-    return [f"{prefix}{i}" for i in range(tile.n_rows)]

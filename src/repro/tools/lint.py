@@ -16,6 +16,12 @@ rule set the gate relies on, with ruff-compatible codes:
   enforced only under ``repro/service/``: the daemon's whole fault
   model rests on every failure becoming a *typed* response, so a
   swallowed exception there is a correctness bug, not a style nit.
+- **D001** — module-level ``def``/``class`` under a linted ``src/``
+  directory whose name occurs nowhere else in the repo's Python
+  (``src tests bench benchmarks examples`` beside it): code nothing can
+  reach.  Occurrence is by word, as for F401, so a mention in a comment
+  or docstring silences it; dunder names are exempt, and a module's own
+  ``__all__`` entry counts only when another file imports that module.
 
 Usage::
 
@@ -29,6 +35,7 @@ import builtins
 import os
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, List, Tuple
 
@@ -221,6 +228,72 @@ def _check_silent_excepts(path: str, tree: ast.Module) -> List[Finding]:
     return findings
 
 
+#: Directories beside a linted ``src/`` whose Python counts as "the repo"
+#: for D001.
+_REPO_PYTHON_DIRS = ("src", "tests", "bench", "benchmarks", "examples")
+
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def _check_unreferenced_defs(src_root: Path) -> List[Finding]:
+    """D001 over every module under ``src_root`` (a directory named src)."""
+    sources = {
+        f: f.read_text()
+        for d in _REPO_PYTHON_DIRS
+        for f in sorted((src_root.parent / d).rglob("*.py"))
+    }
+    words = Counter(w for text in sources.values() for w in _WORD.findall(text))
+    findings: List[Finding] = []
+    for path, source in sources.items():
+        if src_root not in path.parents:
+            continue
+        try:
+            tree = ast.parse(source, filename=str(path))
+        except SyntaxError:
+            continue  # lint_file reports it as E999
+        lines = source.splitlines()
+        # Mentions that are not references: a name's own def line, and the
+        # module's own __all__ unless another file imports the module.
+        own_all = [
+            i
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for i in range(node.lineno, (node.end_lineno or node.lineno) + 1)
+        ]
+        if own_all:
+            parts = path.relative_to(src_root).with_suffix("").parts
+            dotted = ".".join(p for p in parts if p != "__init__")
+            parent, _, leaf = dotted.rpartition(".")
+            pattern = rf"\b{re.escape(dotted)}\b"
+            if parent:
+                pattern += rf"|\bfrom\s+{re.escape(parent)}\s+import\s[^)]*?\b{leaf}\b"
+            imported = re.compile(pattern)
+            if any(imported.search(t) for f, t in sources.items() if f != path):
+                own_all = []
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) or (node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            own = sum(
+                _WORD.findall(lines[i - 1]).count(node.name)
+                for i in [node.lineno] + own_all
+            )
+            if words[node.name] <= own:
+                findings.append(
+                    (
+                        str(path),
+                        node.lineno,
+                        node.col_offset,
+                        "D001",
+                        f"{node.name!r} is defined but its name occurs nowhere "
+                        "else in the repo's Python",
+                    )
+                )
+    return findings
+
+
 def lint_file(path: Path) -> List[Finding]:
     """All findings for one Python source file."""
     source = path.read_text()
@@ -247,6 +320,8 @@ def lint_paths(paths: Iterable[str]) -> List[Finding]:
         files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         for f in files:
             findings.extend(lint_file(f))
+        if root.is_dir() and root.resolve().name == "src":
+            findings.extend(_check_unreferenced_defs(root.resolve()))
     return findings
 
 

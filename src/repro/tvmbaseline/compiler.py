@@ -20,11 +20,11 @@ differences from AKG:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.codegen.program import CodegenOptions, ProgramBuilder
-from repro.fusion.intratile import assign_compute_units
-from repro.fusion.posttile import TiledGroup, tile_single_group, _group_filters
+from repro.fusion.intratile import assign_compute_units, is_cube_statement
+from repro.fusion.posttile import TiledGroup, group_filters
 from repro.hw.isa import Program, VectorInstr
 from repro.hw.simulator import SimReport, Simulator
 from repro.hw.spec import HardwareSpec
@@ -34,6 +34,7 @@ from repro.sched.clustering import Clustering, conservative_clustering
 from repro.sched.deps import compute_dependences
 from repro.sched.scheduler import PolyScheduler
 from repro.storage.promote import StoragePlan, plan_storage
+from repro.tiling import policy
 from repro.tvmbaseline.schedule import Schedule
 from repro.tvmbaseline.templates import expert_tile_sizes, template_for
 
@@ -111,7 +112,6 @@ def tvm_build(
     outputs: Sequence[Tensor] | Tensor,
     name: str = "kernel",
     hw: Optional[HardwareSpec] = None,
-    tile_overrides: Optional[Dict[str, List[int]]] = None,
     emit_trace: bool = False,
     sync_policy: str = "empirical",
     apply_templates: bool = True,
@@ -130,16 +130,12 @@ def tvm_build(
     clustering = _pointwise_clustering(kernel, deps)
     tree = PolyScheduler().schedule_kernel(kernel, deps, clustering)
 
-    from repro.core.compiler import _capacity_shrink, _halve_conv_spatial
-    from repro.fusion.intratile import is_cube_statement
-    from repro.hw.simulator import Simulator
-
     stmt_by_id = {s.stmt_id: s for s in kernel.statements}
 
     def build_groups(shrink_fn):
         groups: List[TiledGroup] = []
         shrunk = False
-        for f in _group_filters(tree):
+        for f in group_filters(tree):
             # Templates key off the group's anchor: the contraction when
             # there is one, else the last (output) statement.
             cube_in_group = [
@@ -150,21 +146,13 @@ def tvm_build(
             lead = (
                 cube_in_group[0] if cube_in_group else stmt_by_id[f.stmt_ids[-1]]
             )
-            sizes = (tile_overrides or {}).get(lead.stmt_id)
-            if sizes is None:
-                sizes = expert_tile_sizes(lead, hw)
-            group = tile_single_group(f, stmt_by_id, sizes)
             # Refit: shrink until the exact storage plan fits (the tuner's
             # feedback loop the vendor team ran).
-            for _ in range(40):
-                assignment = assign_compute_units(group.statements)
-                plan = plan_storage(group, assignment, kernel, hw)
-                if plan.fits(hw):
-                    break
-                shrunk = True
-                sizes = shrink_fn(group, plan, sizes)
-                group = tile_single_group(f, stmt_by_id, sizes)
+            group, group_shrunk = policy.fit_group(
+                f, stmt_by_id, kernel, hw, expert_tile_sizes(lead, hw), shrink_fn
+            )
             groups.append(group)
+            shrunk = shrunk or group_shrunk
         return groups, shrunk
 
     def compile_groups(groups):
@@ -184,12 +172,12 @@ def tvm_build(
         program = builder.build(kernel, groups, plans, assignments)
         return program, plans
 
-    groups, shrunk = build_groups(_capacity_shrink)
+    groups, shrunk = build_groups(policy.capacity_shrink)
     program, plans = compile_groups(groups)
     if shrunk and any(len(g.tile_sizes) == 4 for g in groups):
         # The vendor auto-tuner measures: also try the spatial-first
         # shrink order and keep the faster candidate.
-        alt_groups, _ = build_groups(lambda g, p, s: _halve_conv_spatial(s))
+        alt_groups, _ = build_groups(policy.halve_conv_spatial)
         alt_program, alt_plans = compile_groups(alt_groups)
         if (
             Simulator(hw).run(alt_program).total_cycles
@@ -197,9 +185,3 @@ def tvm_build(
         ):
             groups, program, plans = alt_groups, alt_program, alt_plans
     return TvmCompileResult(program, kernel, groups, plans, hw, schedule)
-
-
-def _halve_largest(sizes: List[int]) -> List[int]:
-    from repro.core.compiler import _halve_largest as _core_halve
-
-    return _core_halve(sizes)

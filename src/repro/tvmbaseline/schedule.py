@@ -94,15 +94,6 @@ class Schedule:
         stage.tile_sizes[axis] = factor
         return outer.name, inner.name
 
-    def tile(
-        self, tensor: Tensor, x: str, y: str, x_factor: int, y_factor: int
-    ) -> Tuple[str, str, str, str]:
-        """2-D tiling sugar: split both axes then reorder outers first."""
-        xo, xi = self.split(tensor, x, x_factor)
-        yo, yi = self.split(tensor, y, y_factor)
-        self.reorder(tensor, [xo, yo, xi, yi])
-        return xo, yo, xi, yi
-
     def reorder(self, tensor: Tensor, order: Sequence[str]) -> None:
         """Permute the listed axes into the given relative order."""
         stage = self[tensor]
@@ -158,12 +149,3 @@ class Schedule:
         """
         self[consumer].axis(axis)
         self[tensor].compute_at = (consumer, axis)
-
-    def stage_tile_sizes(self, tensor: Tensor, dims: int) -> List[int]:
-        """Resolved per-dimension tile sizes for code generation."""
-        stage = self[tensor]
-        sizes = []
-        op_axes = stage.tensor.op.axes if stage.tensor.op else []
-        for iv in op_axes[:dims]:
-            sizes.append(stage.tile_sizes.get(iv.name, iv.extent))
-        return sizes

@@ -26,7 +26,7 @@ A failed check raises :class:`~repro.core.errors.VerificationError`
 ``akgd``, or stitched into a network plan.  The mutation harness in
 :mod:`repro.verify.mutate` proves the checkers have teeth: seeded
 mutations (dropped sync, swapped statement order, off-by-one tile box,
-aliased arena slot) must all be rejected.
+shifted fused-producer tile, aliased arena slot) must all be rejected.
 """
 
 from __future__ import annotations

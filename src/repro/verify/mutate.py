@@ -1,10 +1,11 @@
 """Schedule-mutation harness: prove the verifier has teeth.
 
 A checker that accepts everything is worse than no checker.  This module
-seeds the four canonical miscompilations — a dropped sync, a swapped
-statement/band order, an off-by-one tile box, an aliased arena slot —
-into an otherwise-correct :class:`~repro.core.compiler.CompileResult`
-(or :class:`~repro.graph.plan.NetworkPlan`) and hands the mutants back
+seeds the five canonical miscompilations — a dropped sync, a swapped
+statement/band order, an off-by-one tile box, a fused producer recomputed
+for the wrong tile, an aliased arena slot — into an otherwise-correct
+:class:`~repro.core.compiler.CompileResult` (or
+:class:`~repro.graph.plan.NetworkPlan`) and hands the mutants back
 so tests and the repo benchmark can demand a 100% kill rate from
 :func:`repro.verify.verify_result`.
 
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import VerificationError
 from repro.hw.isa import Barrier, Instr, Loop, SetFlag, WaitFlag
-from repro.poly.affine import Constraint
+from repro.poly.affine import AffineExpr, Constraint
 from repro.poly.maps import BasicMap
 from repro.verify.syncs import check_program_sync
 
@@ -39,6 +40,7 @@ __all__ = [
     "drop_sync",
     "swap_stmts",
     "tile_off_by_one",
+    "shift_fused_producer",
     "alias_arena",
     "seeded_mutations",
 ]
@@ -130,6 +132,31 @@ def tile_off_by_one(result: "CompileResult") -> Optional["CompileResult"]:
     return None
 
 
+def shift_fused_producer(result: "CompileResult") -> Optional["CompileResult"]:
+    """Shift a fused producer's instance relation by one tile.
+
+    Each tile then recomputes the producer instances its *neighbour*
+    needs and its own consumers read elements it never produced — what a
+    wrong reverse-strategy preimage would emit.  ``None`` when no group
+    recomputes a producer along a tile dim with at least two tiles.
+    """
+    mutant = copy.deepcopy(result)
+    for group in mutant.groups:
+        for sid in group.fused_producer_ids:
+            rel = group.instance_relations[sid]
+            for d, count in zip(group.tile_dims, group.tile_counts):
+                if count < 2 or not any(d in c.variables() for c in rel.constraints):
+                    continue
+                shift = {d: AffineExpr.variable(d) + 1}
+                group.instance_relations[sid] = BasicMap(
+                    rel.in_space,
+                    rel.out_space,
+                    [c.substitute(shift) for c in rel.constraints],
+                )
+                return mutant
+    return None
+
+
 def alias_arena(plan: "NetworkPlan") -> Optional["NetworkPlan"]:
     """Force two live-range-overlapping tensors into one arena slot."""
     mutant = copy.deepcopy(plan)
@@ -156,6 +183,7 @@ KERNEL_MUTATIONS: List[
     ("drop_sync", drop_sync),
     ("swap_stmts", swap_stmts),
     ("tile_off_by_one", tile_off_by_one),
+    ("shift_fused_producer", shift_fused_producer),
 ]
 
 

@@ -99,3 +99,40 @@ class TestTuneKernel:
         )
         tuned_cycles = min(rec.cycles for rec in history)
         assert tuned_cycles <= auto_cycles * 1.01
+
+
+def _band_kernels():
+    from functools import partial
+
+    from repro.graph.subgraphs import paper_subgraphs
+    from repro.service.wire import demo_kernel
+
+    demos = [
+        ("relu", [64, 128]),
+        ("add", [64, 128]),
+        ("softmax", [32, 64]),
+        ("matmul", [32, 32, 32]),
+        ("matmul", [48, 32, 64]),
+        ("conv2d", [1, 4, 12, 12]),
+        ("conv2d", [1, 8, 8, 8]),
+    ]
+    kernels = {
+        f"{op}_{'x'.join(map(str, shape))}": partial(demo_kernel, op, shape)
+        for op, shape in demos
+    }
+    kernels.update({s.name: s.build for s in paper_subgraphs()})
+    return kernels
+
+
+class TestTuningSpace:
+    @pytest.mark.parametrize("name", sorted(_band_kernels()))
+    def test_frontend_extents_are_the_built_band(self, name):
+        """The tuner ladders ``frontend.extents`` without building first:
+        they must equal the band extents an Auto Tiling build ends with."""
+        from repro.core.compiler import backend_build
+        from repro.core.frontend import run_frontend
+
+        frontend = run_frontend(_band_kernels()[name](), name)
+        group = backend_build(frontend).groups[-1]
+        built = group.statements[-1].iter_extents[: len(group.tile_dims)]
+        assert frontend.extents == list(built)

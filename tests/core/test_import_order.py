@@ -19,7 +19,7 @@ import repro
 
 MODULES = sorted(
     f"repro.{m.name}" for m in pkgutil.iter_modules(repro.__path__) if m.ispkg
-) + ["repro.autotune.tuner"]
+) + ["repro.autotune.tuner", "repro.tiling.policy"]
 
 
 @pytest.mark.parametrize("module", MODULES)

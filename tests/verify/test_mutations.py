@@ -3,21 +3,23 @@
 A verifier that passes everything is worse than none — it launders
 broken schedules as "verified".  Each mutation here models a real pass
 bug (dropped sync flag, reordered statements, off-by-one tile box,
-aliased arena slot); the corresponding checker must raise the typed
+fused producer recomputed for the wrong tile, aliased arena slot); the
+corresponding checker must raise the typed
 :class:`~repro.core.errors.VerificationError`, and the CLI must turn it
 into exit code 13.
 """
 
 import pytest
 
-from repro.core.compiler import build
+from repro.core.compiler import AkgOptions, build
 from repro.core.errors import EXIT_CODES, VerificationError
 from repro.graph import compile_network, network
+from repro.graph.subgraphs import paper_subgraphs
 from repro.service.wire import demo_kernel
 from repro.tools import faultinject
 from repro.tools.akgc import main as akgc_main
 from repro.verify import verify_network_plan, verify_result
-from repro.verify.mutate import alias_arena, seeded_mutations
+from repro.verify.mutate import alias_arena, seeded_mutations, shift_fused_producer
 
 CATALOG = [
     ("relu", [8, 32]),
@@ -38,6 +40,39 @@ def test_every_seeded_mutant_is_killed(op, shape):
             verify_result(mutant)
     # Mutation worked on deep copies: the original still verifies clean.
     assert verify_result(result)["sync"]
+
+
+def _subgraph5():
+    return next(s for s in paper_subgraphs() if s.index == 5).build()
+
+
+def test_fused_producer_containment_is_checked_and_has_teeth(monkeypatch):
+    """Table 1 subgraph5 fuses its stencil producer (S0) into the live-out
+    tile nest: the containment proof must run on the clean build, and a
+    producer recomputed for the neighbouring tile must be rejected by it."""
+    from repro.verify import schedule
+
+    reasons = []
+    proof = schedule._check_fused_producer_pair
+
+    def recording(dep, group, pos):
+        reasons.append(proof(dep, group, pos))
+        return reasons[-1]
+
+    monkeypatch.setattr(schedule, "_check_fused_producer_pair", recording)
+    result = build(_subgraph5(), "fused_sg5", options=AkgOptions(verify=True))
+    assert result.verified_clean
+    assert {sid for g in result.groups for sid in g.fused_producer_ids} == {"S0"}
+    assert reasons == [None]  # the branch ran once, clean
+
+    mutant = shift_fused_producer(result)
+    assert mutant is not None
+    assert "shift_fused_producer" in dict(seeded_mutations(result))
+    with pytest.raises(VerificationError, match="does not contain"):
+        verify_result(mutant)
+    assert reasons[-1] is not None
+    # No fused producer, no site: the operator does not apply.
+    assert shift_fused_producer(build(demo_kernel("relu", [8, 32]), "plain")) is None
 
 
 def test_aliased_arena_slot_is_rejected():
