@@ -1,395 +1,77 @@
-"""The in-process compile service: queue, coalescing, worker pool.
+"""The in-process compile service: one queue, one lock, one worker loop.
 
 :class:`CompileService` is the heart of ``akgd``.  Callers
 :meth:`~CompileService.submit` a :class:`ServiceRequest` and get a
 :class:`Ticket` back immediately; a bounded pool of worker threads
 drains the queue and fulfils each ticket with a :class:`ServiceResult`.
-Three properties make it a *service* rather than a loop:
+This module is the mechanics only: the bounded FIFO, the lifecycle, the
+threads and the lock.  What a request *is* lives in
+:mod:`repro.service.request`, what a worker does with it in
+:mod:`repro.service.handlers`, and every decision about it in the four
+objects of :mod:`repro.service.policies`, which the service calls with
+its lock held and whose verdicts it turns into typed errors and counters.
 
-**In-flight coalescing.**  Every fingerprintable request carries a
-content digest (the same IR/hw/options fingerprints the disk cache keys
-off).  While a build for digest D is queued or running, further
-submissions of D attach to it instead of enqueueing — N concurrent
-clients compiling the same kernel cost one compilation, and all N
-tickets resolve to the same result object (bit-identical by
-construction).  Completed results additionally stay in a bounded
-in-memory memo, so a warm service answers repeats without touching the
-queue at all (no unpickling, no re-simulation — this, not thread
-parallelism, is where the measured throughput win comes from; the
-workers themselves are GIL-bound).
-
-**Failure isolation.**  A request that fails — typed pipeline error,
-injected fault, even an unexpected exception — fulfils *its* ticket
-with an error result carrying the class name, message and documented
-exit code.  The worker thread survives, the queue keeps draining, and
-concurrent requests are untouched.  Requests with a ``fault_spec``
-install it thread-locally for the duration of their execution
-(:mod:`repro.tools.faultinject`), so injected chaos cannot leak into a
-sibling worker, and such requests are never coalesced or memoized.
-
-**Service-grade fault tolerance.**  Beyond per-request isolation the
-service defends *itself*:
-
-- *Admission control*: the queue is bounded and a full queue (or a
-  client over its fairness cap) sheds the submission with a typed
-  :class:`~repro.core.errors.ServiceOverloadError` carrying a computed
-  ``retry_after`` hint — queued requests always get a result, shed ones
-  fail fast at the submitter.
-- *End-to-end deadlines*: a request's ``deadline_seconds`` becomes an
-  absolute wall-clock deadline pushed onto the resilience stack around
-  the whole execution (and clamped into the per-stage budget), so the
-  cooperative :func:`~repro.core.resilience.check_deadline` machinery
-  enforces the *request's* deadline, not just each stage's.  Requests
-  that expire while still queued fail fast without touching a handler.
-- *Poison-kernel quarantine*: a circuit breaker keyed by IR digest
-  counts consecutive timeouts/crashes; at the threshold it opens and
-  further requests for that digest fail immediately with
-  :class:`~repro.core.errors.QuarantinedError` until a cool-down
-  elapses, after which exactly one half-open probe is let through.
-- *Worker supervision*: every execution stamps a heartbeat with a
-  watchdog deadline; a supervisor thread declares overdue workers
-  stuck, requeues their entry at most once (with an epoch bump so the
-  zombie's late result is discarded), fails the waiters typed on the
-  second strike, and starts replacement workers.
-- *Graceful drain*: the service moves ``accepting → draining →
-  stopped``; draining rejects new work typed while every already-queued
-  ticket is still fulfilled (the stop sentinels sit behind them in the
-  FIFO).
-
-**Budget enforcement.**  Requests without an explicit stage deadline
-inherit the service default (``default_stage_seconds``), so one
-pathological kernel times out with a typed per-request error instead of
-wedging a worker forever.
+**Queued requests always get a result.**  Admission failures raise typed
+at the submitter; anything admitted is fulfilled — by a handler's
+payload, by its failure (typed pipeline error, injected fault, even an
+unexpected exception: the worker survives and the queue keeps draining),
+by a deadline that expired in the queue, or by the supervisor's second
+strike.  A request's ``fault_spec`` is installed thread-locally for the
+duration of its execution only, so injected chaos cannot leak into a
+sibling worker.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
-import hashlib
 import itertools
+import logging
 import queue
 import threading
 import time
-from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Optional
 
-# The tune budget applied when a tune request does not override it; its
-# values are part of the tune coalescing_key.
-from repro.autotune.tuner import DEFAULT_TUNE_PARAMS
 from repro.core.errors import (
     QuarantinedError,
     ReproError,
     ServiceError,
     ServiceOverloadError,
     StageTimeoutError,
-    exit_code_for,
 )
+from repro.service import handlers
+from repro.service.policies import Admission, Breaker, Coalescer, Supervisor
+from repro.service.request import ServiceRequest, ServiceResult
 from repro.tools import perf
 
 __all__ = ["ServiceRequest", "ServiceResult", "Ticket", "CompileService"]
 
-#: Request kinds the service executes.
-KINDS = ("compile", "tune", "replay")
+_LOG = logging.getLogger("repro.service")
 
 
-@functools.lru_cache(maxsize=None)
-def _default_hw_fingerprint() -> str:
-    """``hw_fingerprint(HardwareSpec())``, rendered once per process."""
-    from repro.core import diskcache
-    from repro.hw.spec import HardwareSpec
-
-    return diskcache.hw_fingerprint(HardwareSpec())
-
-
-class ServiceRequest:
-    """One unit of work for the service.
-
-    ``outputs`` is the tensor-expression DAG exactly as
-    :func:`repro.core.compiler.build` accepts it.  ``options``/``hw``
-    default like the direct pipeline entry points.  ``fault_spec``, when
-    set, is installed thread-locally around this request's execution
-    only.  ``inputs`` (replay) maps input names to arrays; when None the
-    replay handler draws seeded random inputs, so a wire client can
-    request a reproducible replay without shipping tensors.  ``bindings``
-    (replay of a shape-generic kernel) maps symbolic dim names to the
-    concrete values to replay at — compile and tune requests ignore it,
-    which is exactly what lets different batch sizes of one shape class
-    coalesce into a single build.  ``deadline_seconds`` is the request's
-    end-to-end wall-clock allowance, measured from submission;
-    ``client_id`` attributes the request to one client for the optional
-    per-client fairness cap.
-
-    A request is a value: :meth:`coalescing_key` and
-    :meth:`quarantine_key` share one rendering of the IR and hardware
-    fingerprints, made when the first of them is called, so ``outputs``
-    and ``hw`` must not be mutated afterwards.
-    """
-
-    __slots__ = (
-        "kind",
-        "outputs",
-        "name",
-        "hw",
-        "options",
-        "fault_spec",
-        "tune_params",
-        "inputs",
-        "seed",
-        "engine",
-        "bindings",
-        "deadline_seconds",
-        "client_id",
-        "_fingerprints",
-    )
-
-    def __init__(
-        self,
-        kind: str,
-        outputs: Any,
-        name: str = "kernel",
-        hw: Any = None,
-        options: Any = None,
-        fault_spec: Optional[str] = None,
-        tune_params: Optional[Dict[str, Any]] = None,
-        inputs: Optional[Dict[str, Any]] = None,
-        seed: int = 0,
-        engine: str = "auto",
-        bindings: Optional[Dict[str, int]] = None,
-        deadline_seconds: Optional[float] = None,
-        client_id: Optional[str] = None,
-    ):
-        if kind not in KINDS:
-            raise ServiceError(f"unknown request kind {kind!r} (known: {KINDS})")
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise ServiceError(
-                f"deadline_seconds must be positive, got {deadline_seconds!r}"
-            )
-        self.kind = kind
-        self.outputs = outputs
-        self.name = name
-        self.hw = hw
-        self.options = options
-        self.fault_spec = fault_spec
-        self.tune_params = tune_params
-        self.inputs = inputs
-        self.seed = seed
-        self.engine = engine
-        self.bindings = bindings
-        self.deadline_seconds = deadline_seconds
-        self.client_id = client_id
-        self._fingerprints: Optional[Tuple[str, str]] = None
-
-    def _kernel_fingerprints(self) -> Optional[Tuple[str, str]]:
-        """``(ir, hw)`` fingerprints, rendered once per request.
-
-        ``None`` when either is unfingerprintable.  Only the default
-        hardware's fingerprint outlives the request: an explicit ``hw``
-        object is mutable, so it is rendered anew for every request.
-        """
-        if self._fingerprints is None:
-            from repro.core import diskcache
-
-            try:
-                self._fingerprints = (
-                    diskcache.ir_fingerprint(self.outputs),
-                    diskcache.hw_fingerprint(self.hw)
-                    if self.hw is not None
-                    else _default_hw_fingerprint(),
-                )
-            except diskcache.FingerprintError:
-                return None
-        return self._fingerprints
-
-    def coalescing_key(self) -> Optional[str]:
-        """Content digest under which concurrent duplicates merge.
-
-        Mirrors the disk-cache key composition (IR + hardware + scheduler
-        + backend options fingerprints) extended with the request kind and
-        kind-specific parameters.  ``None`` — unfingerprintable IR, or a
-        ``fault_spec`` request (injected faults are per-request by
-        definition; sharing a faulted build would leak the fault into an
-        innocent ticket) — disables coalescing and memoization.
-        """
-        if self.fault_spec:
-            return None
-        from repro.core import diskcache
-        from repro.core.compiler import AkgOptions
-
-        fingerprints = self._kernel_fingerprints()
-        if fingerprints is None:
-            return None
-        ir_fp, hw_fp = fingerprints
-        options = self.options or AkgOptions()
-        try:
-            parts = [
-                "service",
-                self.kind,
-                ir_fp,
-                self.name,
-                hw_fp,
-                diskcache.scheduler_fingerprint(options.scheduler),
-                diskcache.options_fingerprint(options),
-            ]
-        except diskcache.FingerprintError:
-            return None
-        if getattr(options, "verify", False):
-            # ``verify`` is excluded from the options fingerprint (it does
-            # not change the artefact), but a verify ticket must not be
-            # answered by a coalesced unverified build.
-            parts.append("verify")
-        if self.kind == "tune":
-            merged = dict(DEFAULT_TUNE_PARAMS)
-            merged.update(self.tune_params or {})
-            parts.append(repr(sorted(merged.items())))
-        elif self.kind == "replay":
-            parts.append(f"engine={self.engine}")
-            if self.bindings:
-                parts.append(f"bindings={sorted(self.bindings.items())}")
-            if self.inputs is None:
-                parts.append(f"seed={self.seed}")
-            else:
-                for iname in sorted(self.inputs):
-                    array = self.inputs[iname]
-                    h = hashlib.sha256(array.tobytes()).hexdigest()
-                    parts.append(f"{iname}:{array.dtype}:{array.shape}:{h}")
-        return diskcache.digest(*parts)
-
-    def quarantine_key(self) -> Optional[str]:
-        """The poison-kernel breaker's digest: the *kernel*, not the job.
-
-        Deliberately coarser than :meth:`coalescing_key` — just IR +
-        hardware, without options, kind parameters or the fault spec — so
-        a kernel that keeps timing out under any of its request variants
-        trips one breaker, and a quarantined digest blocks compile, tune
-        and replay alike.  ``None`` (unfingerprintable) disables the
-        breaker for this request.
-        """
-        from repro.core import diskcache
-
-        fingerprints = self._kernel_fingerprints()
-        if fingerprints is None:
-            return None
-        return diskcache.digest("poison", *fingerprints)
-
-    def __repr__(self) -> str:
-        return f"ServiceRequest({self.kind}, {self.name!r})"
-
-
-class ServiceResult:
-    """The outcome of one request (shared by every coalesced ticket).
-
-    ``ok`` results carry ``value`` (handler-specific payload, always
-    including the full in-process objects — the wire layer summarises).
-    Failed results carry ``error`` (a JSON-able dict with ``type``,
-    ``message``, ``exit_code``, ``action``, plus ``retry_after`` when
-    the error names one) plus ``error_exc``, the original exception
-    object, so in-process callers can re-raise with full fidelity.
-    ``coalesced``/``cached`` are per-ticket flags set on the copy each
-    ticket hands out.
-    """
-
-    __slots__ = (
-        "ok",
-        "kind",
-        "request_id",
-        "value",
-        "error",
-        "error_exc",
-        "coalesced",
-        "cached",
-        "queue_seconds",
-        "run_seconds",
-    )
-
-    def __init__(self, kind: str, request_id: int):
-        self.ok = False
-        self.kind = kind
-        self.request_id = request_id
-        self.value: Optional[Dict[str, Any]] = None
-        self.error: Optional[Dict[str, Any]] = None
-        self.error_exc: Optional[BaseException] = None
-        self.coalesced = False
-        self.cached = False
-        self.queue_seconds = 0.0
-        self.run_seconds = 0.0
-
-    def fail(self, exc: BaseException) -> "ServiceResult":
-        """Record a failure (typed or not) as this result's outcome."""
-        if isinstance(exc, ReproError):
-            self.error = {
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "exit_code": exit_code_for(exc),
-                "action": exc.action,
-            }
-            retry_after = getattr(exc, "retry_after", None)
-            if retry_after is not None:
-                self.error["retry_after"] = retry_after
-        else:
-            self.error = {
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "exit_code": 1,
-                "action": "unexpected failure; see the daemon log",
-            }
-        self.error_exc = exc
-        return self
-
-    def raise_for_error(self) -> None:
-        """Re-raise the request's failure (no-op on success)."""
-        if self.ok:
-            return
-        if self.error_exc is not None:
-            raise self.error_exc
-        message = (self.error or {}).get("message", "request failed")
-        raise ServiceError(message)
-
-    def __repr__(self) -> str:
-        status = "ok" if self.ok else (self.error or {}).get("type", "error")
-        return f"ServiceResult(#{self.request_id} {self.kind}: {status})"
-
-
+@dataclass(eq=False, slots=True)
 class _InFlight:
     """Bookkeeping for one queued-or-running build (one per digest).
 
-    ``waiters`` is a refcount of live tickets; when every waiter
-    abandons, the entry is ``cancelled`` and evicted so it stops
-    attracting coalescers and a worker skips it cheaply.  ``epoch``
-    versions executions: the supervisor bumps it when it requeues or
-    fails a stuck entry, and a zombie worker's late result is discarded
-    on the mismatch.  ``deadline`` is the absolute monotonic end-to-end
-    deadline (None = unbounded).
+    ``waiters``/``cancelled`` belong to the
+    :class:`~repro.service.policies.Coalescer`, ``epoch``/``requeues`` to
+    the :class:`~repro.service.policies.Supervisor`.  ``deadline`` is the
+    absolute end-to-end deadline on the service's clock (None =
+    unbounded).  ``result`` is written once, under the service lock;
+    ``event`` is set right after.
     """
 
-    __slots__ = (
-        "digest",
-        "qkey",
-        "request",
-        "event",
-        "result",
-        "waiters",
-        "enqueued_at",
-        "deadline",
-        "cancelled",
-        "epoch",
-        "requeues",
-        "probe",
-    )
-
-    def __init__(self, digest: Optional[str], request: ServiceRequest):
-        self.digest = digest
-        self.qkey: Optional[str] = None
-        self.request = request
-        self.event = threading.Event()
-        self.result: Optional[ServiceResult] = None
-        self.waiters = 1
-        self.enqueued_at = time.perf_counter()
-        self.deadline: Optional[float] = None
-        self.cancelled = False
-        self.epoch = 0
-        self.requeues = 0
-        self.probe = False
+    digest: Optional[str]
+    qkey: Optional[str]
+    request: ServiceRequest
+    deadline: Optional[float]
+    event: threading.Event = field(default_factory=threading.Event)
+    enqueued_at: float = field(default_factory=time.perf_counter)
+    result: Optional[ServiceResult] = None
+    waiters: int = 1
+    cancelled: bool = False
+    epoch: int = 0
+    requeues: int = 0
 
 
 class Ticket:
@@ -435,10 +117,7 @@ class Ticket:
         if self._abandoned or self._done is not None:
             return
         self._abandoned = True
-        entry, service = self._entry, self._service
-        if entry is None or service is None:
-            return
-        service._abandon_entry(entry)
+        self._service._abandon_entry(self._entry)
 
     def result(self, timeout: Optional[float] = None) -> ServiceResult:
         if self._done is None:
@@ -460,84 +139,38 @@ class Ticket:
 #: Queue sentinel that tells one worker thread to exit.
 _STOP = object()
 
-#: Readiness states of the drain state machine.
-STATES = ("accepting", "draining", "stopped")
+#: Lifecycle: ``new`` (constructed, workers not started) → ``accepting``
+#: → ``draining`` → ``stopped``.  The first two admit submissions and
+#: both read as ``accepting`` through :attr:`CompileService.state`.
+_ADMITTING = ("new", "accepting")
 
-
-class _Quarantine:
-    """Per-digest circuit breaker (caller holds the service lock).
-
-    Closed → counts consecutive countable failures; at ``threshold`` it
-    opens.  Open → every admit raises until ``cooldown`` elapsed, then
-    exactly one half-open probe is admitted.  A success (or a
-    deterministic, non-countable failure) closes the breaker; a
-    countable failure during the probe re-opens it with a fresh
-    cool-down.
-    """
-
-    __slots__ = ("threshold", "cooldown", "entries")
-
-    def __init__(self, threshold: int, cooldown: float):
-        self.threshold = threshold
-        self.cooldown = cooldown
-        # key -> [consecutive_failures, opened_at or None, probing]
-        self.entries: Dict[str, List[Any]] = {}
-
-    def admit(self, key: str) -> Optional[str]:
-        """None to admit; "blocked" or "probe" otherwise."""
-        state = self.entries.get(key)
-        if state is None or state[1] is None:
-            return None
-        elapsed = time.monotonic() - state[1]
-        if elapsed < self.cooldown or state[2]:
-            return "blocked"
-        state[2] = True
-        return "probe"
-
-    def retry_after(self, key: str) -> float:
-        state = self.entries.get(key)
-        if state is None or state[1] is None:
-            return 0.0
-        return max(0.0, self.cooldown - (time.monotonic() - state[1]))
-
-    def record_failure(self, key: str) -> bool:
-        """Count one countable failure; True when the breaker trips."""
-        state = self.entries.setdefault(key, [0, None, False])
-        state[0] += 1
-        if state[1] is None and state[0] >= self.threshold:
-            state[1] = time.monotonic()
-            return True
-        if state[2]:  # the half-open probe failed: re-open
-            state[1] = time.monotonic()
-            state[2] = False
-            return True
-        return False
-
-    def record_success(self, key: str) -> None:
-        self.entries.pop(key, None)
-
-    def open_keys(self) -> List[str]:
-        return [k for k, s in self.entries.items() if s[1] is not None]
+#: Real seconds between two supervisor scans (whatever the clock says).
+SUPERVISE_INTERVAL = 0.05
 
 
 class CompileService:
     """Bounded-queue, coalescing, multi-worker compile service.
 
     ``workers`` threads drain a queue of at most ``queue_size`` pending
-    builds; ``memo_size`` bounds the completed-result LRU.  Constructed
-    started; ``autostart=False`` defers the workers until
-    :meth:`start` — tests use this to stage deterministic coalescing
-    races.  Usable as a context manager (``close`` on exit).
+    builds; ``memo_size`` bounds the completed-result LRU; requests
+    without a stage deadline of their own inherit
+    ``default_stage_seconds``, so one pathological kernel times out typed
+    instead of wedging a worker.  Constructed started;
+    ``autostart=False`` defers the workers until :meth:`start` — tests
+    use this to stage deterministic coalescing races.  Usable as a
+    context manager (``close`` on exit).
 
     Fault-tolerance knobs: ``max_per_client`` caps one client's
     concurrently queued builds (None = no cap);
     ``quarantine_threshold``/``quarantine_cooldown`` configure the
     poison-kernel breaker; ``watchdog_seconds`` is how long one request
     may occupy a worker before the supervisor declares the worker stuck
-    (None = only requests with their own deadline are supervised);
-    ``supervise_grace`` is the slack added beyond a request's deadline
-    before supervision fires, and ``supervise_interval`` the scan
-    period.
+    (None = only requests with their own deadline are supervised).
+
+    ``clock`` is the monotonic clock of every time-dependent policy
+    decision.  It exists so tests can drive deadlines, cool-downs and the
+    watchdog by advancing a number instead of sleeping; nothing outside
+    the tests passes it.
     """
 
     def __init__(
@@ -551,32 +184,23 @@ class CompileService:
         quarantine_threshold: int = 3,
         quarantine_cooldown: float = 30.0,
         watchdog_seconds: Optional[float] = None,
-        supervise_grace: float = 0.25,
-        supervise_interval: float = 0.05,
+        clock: Callable[[], float] = time.monotonic,
     ):
         self.workers = workers or 4
-        self.memo_size = memo_size
         self.default_stage_seconds = default_stage_seconds
-        self.max_per_client = max_per_client
-        self.watchdog_seconds = watchdog_seconds
-        self.supervise_grace = supervise_grace
-        self.supervise_interval = supervise_interval
+        self._clock = clock
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_size)
         self._lock = threading.Lock()
-        self._inflight: Dict[str, _InFlight] = {}
-        self._memo: "OrderedDict[str, ServiceResult]" = OrderedDict()
+        self._admission = Admission(self.workers, max_per_client)
+        self._coalescer = Coalescer(memo_size)
+        self._breaker = Breaker(quarantine_threshold, quarantine_cooldown)
+        self._supervisor = Supervisor(watchdog_seconds)
         self._ids = itertools.count(1)
         self._worker_ids = itertools.count()
         self._threads: Dict[str, threading.Thread] = {}
-        self._zombies: Dict[str, threading.Thread] = {}
-        self._heartbeats: Dict[str, List[Any]] = {}
-        self._supervisor: Optional[threading.Thread] = None
-        self._client_load: Dict[str, int] = {}
-        self._quarantine = _Quarantine(quarantine_threshold, quarantine_cooldown)
-        self._run_ewma: Optional[float] = None
-        self._closed = False
-        self._started = False
-        self._state = "accepting"
+        self._supervisor_thread: Optional[threading.Thread] = None
+        self._state = "new"
+        self._stopped = threading.Event()
         self._stats: Dict[str, int] = {
             "submitted": 0,
             "completed": 0,
@@ -594,11 +218,6 @@ class CompileService:
             "worker_restarts": 0,
             "stale_results": 0,
         }
-        self._handlers: Dict[str, Callable[[ServiceRequest], Dict[str, Any]]] = {
-            "compile": self._handle_compile,
-            "tune": self._handle_tune,
-            "replay": self._handle_replay,
-        }
         if autostart:
             self.start()
 
@@ -607,20 +226,20 @@ class CompileService:
     @property
     def state(self) -> str:
         """Readiness: ``accepting`` | ``draining`` | ``stopped``."""
-        return self._state
+        return "accepting" if self._state == "new" else self._state
 
     def start(self) -> None:
         """Spin up the worker threads and the supervisor (idempotent)."""
         with self._lock:
-            if self._started or self._closed:
+            if self._state != "new":
                 return
-            self._started = True
+            self._state = "accepting"
         for _ in range(self.workers):
             self._spawn_worker()
-        self._supervisor = threading.Thread(
+        self._supervisor_thread = threading.Thread(
             target=self._supervisor_loop, name="akgd-supervisor", daemon=True
         )
-        self._supervisor.start()
+        self._supervisor_thread.start()
 
     def _spawn_worker(self) -> None:
         name = f"akgd-worker-{next(self._worker_ids)}"
@@ -628,7 +247,7 @@ class CompileService:
             target=self._worker_loop, args=(name,), name=name, daemon=True
         )
         with self._lock:
-            if self._closed:
+            if self._state != "accepting":
                 # Draining: the stop sentinels were counted without this
                 # worker, so close() would join it forever.
                 return
@@ -636,6 +255,11 @@ class CompileService:
             # thread it can see in ``_threads``.
             self._threads[name] = t
             t.start()
+
+    def _stop(self) -> None:
+        """Enter ``stopped`` and wake the supervisor (lock held)."""
+        self._state = "stopped"
+        self._stopped.set()
 
     def initiate_shutdown(self) -> None:
         """Stop admitting and begin the drain (idempotent, non-blocking).
@@ -647,14 +271,16 @@ class CompileService:
         workers that will never come.
         """
         with self._lock:
-            if self._closed:
+            if self._state not in _ADMITTING:
                 return
-            self._closed = True
-            started = self._started
-            self._state = "draining" if started else "stopped"
+            started = self._state == "accepting"
+            if started:
+                self._state = "draining"
+            else:
+                self._stop()
             sentinels = len(self._threads)
         if not started:
-            self._fail_queued("compile service stopped before executing this request")
+            self._fail_queued()
             return
         for _ in range(sentinels):
             self._queue.put(_STOP)
@@ -672,28 +298,25 @@ class CompileService:
             return
         with self._lock:
             threads = list(self._threads.values())
-            supervisor = self._supervisor
+            supervisor = self._supervisor_thread
         for t in threads:
             if t is not threading.current_thread():
                 t.join()
         with self._lock:
-            self._state = "stopped"
+            self._stop()
         if supervisor is not None and supervisor is not threading.current_thread():
             supervisor.join(timeout=2.0)
 
-    def _fail_queued(self, message: str) -> None:
+    def _fail_queued(self) -> None:
         """Fulfil every entry still in the queue with a typed error."""
+        message = "compile service stopped before executing this request"
         while True:
             try:
                 entry = self._queue.get_nowait()
             except queue.Empty:
                 return
-            if entry is _STOP:
-                continue
-            result = ServiceResult(entry.request.kind, next(self._ids)).fail(
-                ServiceError(message)
-            )
-            self._fulfil(entry, result, entry.epoch)
+            if entry is not _STOP:
+                self._fail(entry, ServiceError(message))
 
     def __enter__(self) -> "CompileService":
         return self
@@ -702,17 +325,6 @@ class CompileService:
         self.close()
 
     # -- submission ---------------------------------------------------------
-
-    def _retry_after_hint(self) -> float:
-        """Seconds until a resubmission should find room (lock held).
-
-        ``(depth + 1)`` builds ahead of the retry, spread over the
-        worker pool, each costing about the recent average — clamped to
-        a small floor so the hint is never zero.
-        """
-        avg = self._run_ewma if self._run_ewma is not None else 0.05
-        depth = self._queue.qsize()
-        return round(max(0.05, (depth + 1) * avg / max(1, self.workers)), 3)
 
     def submit(self, request: ServiceRequest) -> Ticket:
         """Enqueue (or coalesce, or memo-answer) one request.
@@ -729,102 +341,70 @@ class CompileService:
           request's kernel digest has tripped the poison breaker.
         """
         digest = request.coalescing_key()
-        qkey = request.quarantine_key()
-        entry: Optional[_InFlight] = None
         with self._lock:
-            if self._closed:
+            if self._state not in _ADMITTING:
                 raise ServiceError(
                     f"compile service is {self._state}, not accepting requests"
                 )
             self._stats["submitted"] += 1
             if digest is not None:
-                memo = self._memo.get(digest)
+                memo = self._coalescer.memo_hit(digest)
                 if memo is not None:
-                    self._memo.move_to_end(digest)
                     self._stats["memo_hits"] += 1
-                    perf.add("service.memo_hit", 0.0)
                     return Ticket(None, done=memo, cached=True)
-                running = self._inflight.get(digest)
-                if running is not None and not running.cancelled:
-                    running.waiters += 1
+                running = self._coalescer.attach(digest)
+                if running is not None:
                     self._stats["coalesced"] += 1
-                    perf.add("service.coalesced", 0.0)
                     return Ticket(running, coalesced=True, service=self)
-            probe = False
+            # Only a submission that will enqueue pays for the second digest.
+            qkey = request.quarantine_key()
+            now = self._clock()
             if qkey is not None:
-                verdict = self._quarantine.admit(qkey)
+                verdict = self._breaker.admit(qkey, now)
                 if verdict == "blocked":
                     self._stats["quarantine_blocked"] += 1
                     raise QuarantinedError(
                         f"kernel digest {qkey[:12]} is quarantined after "
-                        f"{self._quarantine.threshold} consecutive "
+                        f"{self._breaker.threshold} consecutive "
                         "timeouts/crashes",
                         kernel=request.name,
-                        retry_after=round(self._quarantine.retry_after(qkey), 3),
+                        retry_after=round(self._breaker.retry_after(qkey, now), 3),
                     )
                 if verdict == "probe":
                     self._stats["quarantine_probes"] += 1
-                    probe = True
             client = request.client_id
-            if (
-                self.max_per_client is not None
-                and client is not None
-                and self._client_load.get(client, 0) >= self.max_per_client
-            ):
+            if not self._admission.admit(client):
                 self._stats["client_sheds"] += 1
                 raise ServiceOverloadError(
                     f"client {client!r} already has "
-                    f"{self._client_load[client]} builds queued "
-                    f"(cap {self.max_per_client})",
-                    retry_after=self._retry_after_hint(),
+                    f"{self._admission.load[client]} builds queued "
+                    f"(cap {self._admission.max_per_client})",
+                    retry_after=self._admission.retry_after(self._queue.qsize()),
                 )
-            entry = _InFlight(digest, request)
-            entry.qkey = qkey
-            entry.probe = probe
-            if request.deadline_seconds is not None:
-                entry.deadline = time.monotonic() + request.deadline_seconds
-            if digest is not None:
-                self._inflight[digest] = entry
-            if client is not None:
-                self._client_load[client] = self._client_load.get(client, 0) + 1
-        try:
-            self._queue.put_nowait(entry)
-        except queue.Full:
-            with self._lock:
-                if digest is not None and self._inflight.get(digest) is entry:
-                    self._inflight.pop(digest)
-                if entry.request.client_id is not None:
-                    self._drop_client_load(entry.request.client_id)
-                self._stats["rejected"] += 1
-                hint = self._retry_after_hint()
-            raise ServiceOverloadError(
-                f"compile service queue is full ({self._queue.maxsize} pending)",
-                retry_after=hint,
+            deadline = request.deadline_seconds
+            entry = _InFlight(
+                digest, qkey, request, None if deadline is None else now + deadline
             )
+            try:
+                # Under the lock: a worker that dequeues the entry at once
+                # still finds it registered by the time it may look.
+                self._queue.put_nowait(entry)
+            except queue.Full:
+                self._admission.release(client)
+                self._stats["rejected"] += 1
+                raise ServiceOverloadError(
+                    "compile service queue is full "
+                    f"({self._queue.maxsize} pending)",
+                    retry_after=self._admission.retry_after(self._queue.qsize()),
+                )
+            self._coalescer.register(entry)
         return Ticket(entry, service=self)
-
-    def _drop_client_load(self, client: str) -> None:
-        """Release one unit of a client's fairness budget (lock held)."""
-        count = self._client_load.get(client, 0) - 1
-        if count > 0:
-            self._client_load[client] = count
-        else:
-            self._client_load.pop(client, None)
 
     def _abandon_entry(self, entry: _InFlight) -> None:
         """One waiter walked away; cancel the entry when none remain."""
         with self._lock:
-            if entry.event.is_set():
-                return
-            entry.waiters -= 1
-            if entry.waiters > 0:
-                return
-            entry.cancelled = True
-            if (
-                entry.digest is not None
-                and self._inflight.get(entry.digest) is entry
-            ):
-                self._inflight.pop(entry.digest)
+            if entry.result is None:
+                self._coalescer.abandon(entry)
 
     def run(
         self, request: ServiceRequest, timeout: Optional[float] = None
@@ -838,14 +418,17 @@ class CompileService:
 
         with self._lock:
             snap: Dict[str, Any] = dict(self._stats)
-            snap["inflight"] = len(self._inflight)
-            snap["memo_entries"] = len(self._memo)
-            snap["state"] = self._state
+            snap["inflight"] = len(self._coalescer.inflight)
+            snap["memo_entries"] = len(self._coalescer.memo)
+            snap["state"] = self.state
             snap["live_workers"] = len(self._threads)
-            snap["zombie_workers"] = len(self._zombies)
-            snap["quarantine_open"] = len(self._quarantine.open_keys())
-            snap["retry_after_hint"] = self._retry_after_hint()
-            snap["clients_tracked"] = len(self._client_load)
+            # A replaced worker cannot be killed, only left behind.
+            snap["zombie_workers"] = snap["worker_restarts"]
+            snap["quarantine_open"] = self._breaker.open_count()
+            snap["retry_after_hint"] = self._admission.retry_after(
+                self._queue.qsize()
+            )
+            snap["clients_tracked"] = len(self._admission.load)
         snap["queue_depth"] = self._queue.qsize()
         snap["workers"] = self.workers
         snap["shapeclass"] = diskcache.shapeclass_stats()
@@ -868,287 +451,121 @@ class CompileService:
                     # was executing; a replacement already took its slot.
                     return
 
-    def _execute(self, entry: _InFlight, worker_name: str) -> None:
-        from repro.core import resilience
+    def _execute(self, entry: _InFlight, worker: str) -> None:
         from repro.tools import faultinject
 
         request = entry.request
         with self._lock:
             epoch = entry.epoch
-            if entry.cancelled and not entry.event.is_set():
+            cancelled = entry.cancelled
+            if not cancelled:
+                self._supervisor.begin(worker, entry, self._clock())
+            elif entry.result is None:
                 self._stats["cancelled"] += 1
-        if entry.cancelled:
-            result = ServiceResult(request.kind, next(self._ids)).fail(
-                ServiceError("request cancelled: every waiter abandoned its ticket")
+        if cancelled:
+            self._fail(
+                entry,
+                ServiceError("request cancelled: every waiter abandoned its ticket"),
             )
-            self._fulfil(entry, result, epoch)
             return
         result = ServiceResult(request.kind, next(self._ids))
         started = time.perf_counter()
         result.queue_seconds = started - entry.enqueued_at
-        watchdog = self._watchdog_deadline(entry)
-        with self._lock:
-            self._heartbeats[worker_name] = [entry, epoch, time.monotonic(), watchdog]
         try:
             if request.fault_spec:
                 faultinject.set_spec(request.fault_spec)
             faultinject.fire("service.dispatch")
-            if entry.deadline is not None and time.monotonic() > entry.deadline:
-                with self._lock:
-                    self._stats["deadline_expired"] += 1
-                raise StageTimeoutError(
-                    "request deadline expired before dispatch",
-                    stage="service.dispatch",
-                    kernel=request.name,
-                    elapsed=time.perf_counter() - entry.enqueued_at,
-                )
-            with resilience.deadline_scope("service.request", entry.deadline):
-                faultinject.fire("service.worker")
-                resilience.check_deadline()
-                result.value = self._handlers[request.kind](request)
+            remaining = None
+            if entry.deadline is not None:
+                remaining = entry.deadline - self._clock()
+                if remaining < 0:
+                    with self._lock:
+                        self._stats["deadline_expired"] += 1
+                    raise StageTimeoutError(
+                        "request deadline expired before dispatch",
+                        stage="service.dispatch",
+                        kernel=request.name,
+                        elapsed=time.perf_counter() - entry.enqueued_at,
+                    )
+            result.value = handlers.execute(
+                request, remaining, self.default_stage_seconds
+            )
             result.ok = True
         except Exception as exc:  # noqa: BLE001 - the daemon must survive
+            if not isinstance(exc, ReproError):
+                # The one place an untyped failure is seen whole: the
+                # ticket gets its class and message, the log its traceback.
+                _LOG.exception(
+                    "request #%d (%s %r) failed with an untyped exception",
+                    result.request_id,
+                    request.kind,
+                    request.name,
+                )
             result.fail(exc)
         finally:
             if request.fault_spec:
                 faultinject.set_spec(None)
             with self._lock:
-                hb = self._heartbeats.get(worker_name)
-                if hb is not None and hb[0] is entry and hb[1] == epoch:
-                    self._heartbeats.pop(worker_name)
+                self._supervisor.end(worker)
         result.run_seconds = time.perf_counter() - started
         perf.add("service.request", result.run_seconds)
         self._fulfil(entry, result, epoch)
 
-    def _watchdog_deadline(self, entry: _InFlight) -> Optional[float]:
-        """When the supervisor may declare this execution stuck.
-
-        The request's own end-to-end deadline (plus grace) bounds it
-        when present; otherwise the service-wide ``watchdog_seconds``.
-        Both unset means this execution is unsupervised — there is no
-        deadline whose overrun could prove the worker stuck.
-        """
-        candidates = []
-        if entry.deadline is not None:
-            candidates.append(entry.deadline + self.supervise_grace)
-        if self.watchdog_seconds is not None:
-            candidates.append(
-                time.monotonic() + self.watchdog_seconds + self.supervise_grace
-            )
-        return min(candidates) if candidates else None
-
     def _fulfil(self, entry: _InFlight, result: ServiceResult, epoch: int) -> None:
         """Publish one execution's outcome (discarding stale epochs)."""
         with self._lock:
-            if entry.event.is_set() or entry.epoch != epoch:
+            if entry.result is not None or entry.epoch != epoch:
                 self._stats["stale_results"] += 1
                 return
             self._stats["completed" if result.ok else "failed"] += 1
-            alpha = 0.2
-            if self._run_ewma is None:
-                self._run_ewma = result.run_seconds
-            else:
-                self._run_ewma += alpha * (result.run_seconds - self._run_ewma)
-            if entry.digest is not None:
-                if self._inflight.get(entry.digest) is entry:
-                    self._inflight.pop(entry.digest)
-                # Only healthy results are worth remembering: a failure
-                # may be environmental (full disk, injected chaos) and a
-                # retry deserves a fresh attempt.
-                if result.ok:
-                    self._memo[entry.digest] = result
-                    while len(self._memo) > self.memo_size:
-                        self._memo.popitem(last=False)
-            if entry.request.client_id is not None:
-                self._drop_client_load(entry.request.client_id)
-            if entry.qkey is not None:
-                if result.ok or not self._quarantine_countable(result.error_exc):
-                    self._quarantine.record_success(entry.qkey)
-                elif self._quarantine.record_failure(entry.qkey):
-                    self._stats["quarantine_trips"] += 1
+            self._admission.observe(result.run_seconds)
+            self._admission.release(entry.request.client_id)
+            self._coalescer.complete(entry, result)
+            if entry.qkey is not None and self._breaker.record(
+                entry.qkey, result.error_exc, self._clock()
+            ):
+                self._stats["quarantine_trips"] += 1
             entry.result = result
         entry.event.set()
-
-    @staticmethod
-    def _quarantine_countable(exc: Optional[BaseException]) -> bool:
-        """Only timeouts and crashes poison a digest — a deterministic
-        typed pipeline error is the *request's* failure, not a reason to
-        stop serving the kernel."""
-        if exc is None:
-            return False
-        if isinstance(exc, StageTimeoutError):
-            return True
-        return not isinstance(exc, ReproError)
 
     # -- supervision --------------------------------------------------------
 
     def _supervisor_loop(self) -> None:
-        while True:
-            time.sleep(self.supervise_interval)
+        while not self._stopped.wait(SUPERVISE_INTERVAL):
             with self._lock:
+                if self._state == "draining" and not self._threads:
+                    self._stop()
                 if self._state == "stopped":
                     return
-                if self._closed and not self._threads:
-                    self._state = "stopped"
-                    return
-                now = time.monotonic()
-                overdue = [
-                    (name, hb)
-                    for name, hb in self._heartbeats.items()
-                    if hb[3] is not None and now > hb[3]
-                ]
-                actions = []
-                for name, (entry, epoch, _started, _deadline) in overdue:
-                    self._heartbeats.pop(name)
-                    zombie = self._threads.pop(name, None)
-                    if zombie is not None:
-                        self._zombies[name] = zombie
-                    if entry.event.is_set() or entry.epoch != epoch:
-                        actions.append(("spawn", None))
-                        continue
-                    entry.epoch += 1
-                    if entry.requeues == 0 and not entry.cancelled:
-                        entry.requeues = 1
+                verdicts = self._supervisor.scan(self._clock())
+                for verdict, worker, _entry in verdicts:
+                    self._threads.pop(worker, None)
+                    self._stats["worker_restarts"] += 1
+                    if verdict == "requeue":
                         self._stats["supervisor_requeues"] += 1
-                        actions.append(("requeue", entry))
-                    else:
-                        actions.append(("fail", entry))
-                    actions.append(("spawn", None))
-            for action, entry in actions:
-                if action == "spawn":
-                    with self._lock:
-                        self._stats["worker_restarts"] += 1
-                    self._spawn_worker()
-                elif action == "requeue":
+            for verdict, _worker, entry in verdicts:
+                self._spawn_worker()
+                if verdict == "requeue":
                     try:
                         self._queue.put_nowait(entry)
                     except queue.Full:
                         self._fail_stuck(entry)
-                elif action == "fail":
+                elif verdict == "fail":
                     self._fail_stuck(entry)
 
     def _fail_stuck(self, entry: _InFlight) -> None:
         """Second strike (or no room to retry): fail all waiters typed."""
-        result = ServiceResult(entry.request.kind, next(self._ids)).fail(
+        self._fail(
+            entry,
             StageTimeoutError(
                 "worker stuck past its watchdog deadline "
                 f"(requeued {entry.requeues} time(s))",
                 stage="service.worker",
                 kernel=entry.request.name,
-            )
-        )
-        self._fulfil(entry, result, entry.epoch)
-
-    def _effective_options(self, request: ServiceRequest):
-        """The request's options with service deadlines applied.
-
-        Copies before mutating (callers may share one options object
-        across requests); an explicit per-request ``stage_seconds``
-        always wins over the service default, but the request's
-        *end-to-end* deadline (already on the resilience stack as a
-        :func:`~repro.core.resilience.deadline_scope`) clamps whatever
-        stage budget results — a stage can never be granted more time
-        than the whole request has left.
-        """
-        from repro.core.compiler import AkgOptions
-        from repro.core.resilience import StageBudget, remaining_deadline
-
-        options = copy.copy(request.options) if request.options else AkgOptions()
-        budget = options.budget
-        stage_seconds = budget.stage_seconds
-        if stage_seconds is None and self.default_stage_seconds is not None:
-            stage_seconds = self.default_stage_seconds
-        remaining = remaining_deadline()
-        if remaining is not None:
-            remaining = max(0.001, remaining)
-            if stage_seconds is None or stage_seconds > remaining:
-                stage_seconds = remaining
-        if stage_seconds is not budget.stage_seconds:
-            options.budget = StageBudget(
-                stage_seconds=stage_seconds,
-                solver_nodes=budget.solver_nodes,
-                fm_constraints=budget.fm_constraints,
-            )
-        return options
-
-    # -- handlers -----------------------------------------------------------
-
-    def _handle_compile(self, request: ServiceRequest) -> Dict[str, Any]:
-        from repro.core.compiler import build
-
-        options = self._effective_options(request)
-        result = build(request.outputs, request.name, hw=request.hw, options=options)
-        report = result.simulate()
-        return {
-            "result": result,
-            "program_sha256": _program_sha256(result),
-            "cycles": report.total_cycles,
-            "dma_bytes": report.dma_bytes,
-            "tile_sizes": list(result.tile_sizes),
-            "degraded": bool(result.resilience.degraded),
-        }
-
-    def _handle_tune(self, request: ServiceRequest) -> Dict[str, Any]:
-        from repro.autotune.tuner import tune_tile_sizes
-
-        params = dict(DEFAULT_TUNE_PARAMS)
-        params.update(request.tune_params or {})
-        best, records = tune_tile_sizes(
-            request.outputs, request.name, hw=request.hw, **params
-        )
-        return {
-            "best_sizes": list(best),
-            "candidates": len(records),
-            "best_cycles": min(
-                (r.cycles for r in records if r.cycles is not None), default=None
             ),
-        }
+        )
 
-    def _handle_replay(self, request: ServiceRequest) -> Dict[str, Any]:
-        from repro.core.compiler import build
-
-        options = self._effective_options(request)
-        options.emit_trace = True
-        result = build(request.outputs, request.name, hw=request.hw, options=options)
-        inputs = request.inputs
-        if inputs is None:
-            inputs = _seeded_inputs(result.kernel, request.seed, request.bindings)
-        outputs = result.execute(inputs, engine=request.engine)
-        return {
-            "result": result,
-            "program_sha256": _program_sha256(result),
-            "outputs": outputs,
-            "inputs": inputs,
-        }
-
-
-def _program_sha256(result) -> str:
-    """sha256 of the instruction-stream dump — what bit-identical checks
-    compare.  Hashed here, once per build, so that a memo hit's response
-    does not dump and hash the whole program again."""
-    return hashlib.sha256(result.program.dump().encode()).hexdigest()
-
-
-def _seeded_inputs(
-    kernel, seed: int, bindings: Optional[Dict[str, int]] = None
-) -> Dict[str, Any]:
-    """Deterministic random inputs for a lowered kernel (wire replays).
-
-    ``bindings`` draws symbolic dims at their bound extents, so a
-    shape-generic replay at batch ``b`` sees exactly the arrays a
-    concrete batch-``b`` kernel would.
-    """
-    import numpy as np
-
-    from repro.runtime.reference import bound_shape, numpy_dtype
-
-    rng = np.random.default_rng(seed)
-    inputs = {}
-    for t in kernel.inputs:
-        dt = numpy_dtype(t.dtype)
-        shape = bound_shape(t, bindings)
-        if dt.kind == "i":
-            inputs[t.name] = rng.integers(0, 7, size=shape).astype(dt)
-        else:
-            inputs[t.name] = rng.standard_normal(shape).astype(dt)
-    return inputs
+    def _fail(self, entry: _InFlight, exc: BaseException) -> None:
+        """Fulfil ``entry`` with a failure that no execution produced."""
+        result = ServiceResult(entry.request.kind, next(self._ids)).fail(exc)
+        self._fulfil(entry, result, entry.epoch)

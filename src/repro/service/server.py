@@ -122,6 +122,7 @@ class AkgdServer(socketserver.ThreadingTCPServer):
         self.service = service
         self.request_timeout: Optional[float] = None
         self._connections_lock = threading.Lock()
+        self._connections_gone = threading.Condition(self._connections_lock)
         self._connections: Set[socket.socket] = set()
         self._connections_accepted = 0
         self._requests_served = 0
@@ -138,6 +139,7 @@ class AkgdServer(socketserver.ThreadingTCPServer):
     def shutdown_request(self, request) -> None:
         with self._connections_lock:
             self._connections.discard(request)
+            self._connections_gone.notify_all()
         super().shutdown_request(request)
 
     def server_close(self) -> None:
@@ -146,7 +148,9 @@ class AkgdServer(socketserver.ThreadingTCPServer):
         Only the read side is shut down: a handler blocked waiting for
         the next request sees EOF, one still executing a request writes
         its answer first, and either way the handler thread then returns
-        and closes the socket itself.
+        and closes the socket itself.  Waits (bounded) for that: handler
+        threads are daemons, and the process that exits right after this
+        call must not take an unwritten answer with it.
         """
         super().server_close()
         with self._connections_lock:
@@ -157,6 +161,8 @@ class AkgdServer(socketserver.ThreadingTCPServer):
                 sock.shutdown(socket.SHUT_RD)
             except OSError:
                 continue  # the peer (or the handler) got there first
+        with self._connections_lock:
+            self._connections_gone.wait_for(lambda: not self._connections, 5.0)
 
     def server_stats(self) -> Dict[str, int]:
         """The socket layer's own counters (the ``server`` stats block)."""
@@ -212,33 +218,16 @@ class AkgdServer(socketserver.ThreadingTCPServer):
 
 
 def serve(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    workers: Optional[int] = None,
-    queue_size: int = 256,
-    default_stage_seconds: Optional[float] = 120.0,
-    ready_callback=None,
-    max_per_client: Optional[int] = None,
-    quarantine_threshold: int = 3,
-    quarantine_cooldown: float = 30.0,
-    watchdog_seconds: Optional[float] = None,
+    host: str = "127.0.0.1", port: int = 0, ready_callback=None, **service_options
 ) -> None:
     """Run a daemon until a ``shutdown`` request arrives.
 
     ``port=0`` binds an ephemeral port; ``ready_callback(host, port)``
     fires once the socket is listening (the CLI writes its ready-file
-    there), so launchers never poll.  The fault-tolerance knobs map
-    one-to-one onto :class:`CompileService`.
+    there), so launchers never poll.  ``service_options`` are
+    :class:`CompileService`'s own keyword arguments.
     """
-    service = CompileService(
-        workers=workers,
-        queue_size=queue_size,
-        default_stage_seconds=default_stage_seconds,
-        max_per_client=max_per_client,
-        quarantine_threshold=quarantine_threshold,
-        quarantine_cooldown=quarantine_cooldown,
-        watchdog_seconds=watchdog_seconds,
-    )
+    service = CompileService(**service_options)
     with AkgdServer((host, port), service) as server:
         bound_host, bound_port = server.server_address[:2]
         if ready_callback is not None:

@@ -52,7 +52,7 @@ import hashlib
 from typing import Any, Dict, List, Optional
 
 from repro.core.errors import ServiceError
-from repro.service.core import ServiceRequest, ServiceResult
+from repro.service.request import ServiceRequest, ServiceResult, error_body
 
 __all__ = ["DEMO_OPS", "demo_kernel", "request_from_json", "result_to_json"]
 
@@ -369,16 +369,4 @@ def result_to_json(result: ServiceResult) -> Dict[str, Any]:
 
 def error_to_json(exc: BaseException) -> Dict[str, Any]:
     """The response body for a failure outside any request's execution."""
-    from repro.core.errors import exit_code_for
-
-    action = getattr(exc, "action", "check the request payload")
-    body: Dict[str, Any] = {
-        "type": type(exc).__name__,
-        "message": str(exc),
-        "exit_code": exit_code_for(exc),
-        "action": action,
-    }
-    retry_after = getattr(exc, "retry_after", None)
-    if retry_after is not None:
-        body["retry_after"] = retry_after
-    return {"ok": False, "error": body}
+    return {"ok": False, "error": error_body(exc, "check the request payload")}

@@ -16,6 +16,13 @@ rule set the gate relies on, with ruff-compatible codes:
   enforced only under ``repro/service/``: the daemon's whole fault
   model rests on every failure becoming a *typed* response, so a
   swallowed exception there is a correctness bug, not a style nit.
+- **C001** — the service's clock stays injected.  Under
+  ``repro/service/``, ``policies.py`` may not import ``time`` or
+  ``threading`` (a policy is handed ``now`` and runs under its caller's
+  lock), and ``core.py`` may mention ``time.monotonic``/``time.sleep``
+  only as a parameter default (``clock=time.monotonic``) — otherwise its
+  tests go back to waiting on the wall clock.  ``time.perf_counter``
+  measures durations and is not policy.
 - **D001** — module-level ``def``/``class`` under a linted ``src/``
   directory whose name occurs nowhere else in the repo's Python
   (``src tests bench benchmarks examples`` beside it): code nothing can
@@ -181,9 +188,9 @@ def _check_shadowed_builtins(path: str, tree: ast.Module) -> List[Finding]:
     return findings
 
 
-#: Path fragment under which E722/S110 are enforced (the daemon's typed
-#: fault model makes swallowed exceptions correctness bugs there).
-_STRICT_EXCEPT_FRAGMENT = os.path.join("repro", "service") + os.sep
+#: Path fragment under which E722/S110 (the daemon's typed fault model
+#: makes swallowed exceptions correctness bugs there) and C001 apply.
+_SERVICE_FRAGMENT = os.path.join("repro", "service") + os.sep
 
 
 def _check_silent_excepts(path: str, tree: ast.Module) -> List[Finding]:
@@ -226,6 +233,42 @@ def _check_silent_excepts(path: str, tree: ast.Module) -> List[Finding]:
                 )
             )
     return findings
+
+
+def _check_injected_clock(path: Path, tree: ast.Module) -> List[Finding]:
+    """C001, for the two service modules it names."""
+    culprits: List[Tuple[ast.AST, str]] = []
+    if path.name == "policies.py":
+        culprits = [
+            (node, f"a service policy imports {target!r}")
+            for node, _bound, target in _iter_imports(tree)
+            if target.split(".")[0] in ("time", "threading")
+        ]
+    elif path.name == "core.py":
+        defaults = {
+            id(default)
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for default in fn.args.defaults + fn.args.kw_defaults
+        }
+        culprits = [
+            (node, f"time.{node.attr} outside a parameter default")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("monotonic", "sleep")
+            and getattr(node.value, "id", None) == "time"
+            and id(node) not in defaults
+        ]
+    return [
+        (
+            str(path),
+            node.lineno,
+            node.col_offset,
+            "C001",
+            f"{why} — service time comes from CompileService(clock=...)",
+        )
+        for node, why in culprits
+    ]
 
 
 #: Directories beside a linted ``src/`` whose Python counts as "the repo"
@@ -307,8 +350,9 @@ def lint_file(path: Path) -> List[Finding]:
         + _check_fstrings(name, tree)
         + _check_shadowed_builtins(name, tree)
     )
-    if _STRICT_EXCEPT_FRAGMENT in str(path.resolve()):
+    if _SERVICE_FRAGMENT in str(path.resolve()):
         findings += _check_silent_excepts(name, tree)
+        findings += _check_injected_clock(path, tree)
     return findings
 
 

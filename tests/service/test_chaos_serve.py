@@ -29,9 +29,8 @@ import pytest
 from repro.core.compiler import AkgOptions, build
 from repro.core.errors import ReproError, ServiceError, ServiceOverloadError
 from repro.poly.cache import clear_solver_caches
-from repro.service.client import ServiceClient
 from repro.service.core import CompileService, ServiceRequest
-from repro.service.server import MAX_LINE_BYTES, AkgdServer
+from repro.service.server import MAX_LINE_BYTES
 from repro.service.wire import demo_kernel
 
 pytestmark = pytest.mark.chaos
@@ -152,22 +151,6 @@ def stream(count, fault_spec=None, every=0, exclude=(), unique_names=False):
     ]
 
 
-class _Daemon:
-    """A live daemon on an ephemeral port (the caller stops it)."""
-
-    def __init__(self, **service_kwargs):
-        self.service = CompileService(**service_kwargs)
-        self.server = AkgdServer(("127.0.0.1", 0), self.service)
-        self.thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True
-        )
-        self.thread.start()
-        self.port = self.server.server_address[1]
-
-    def client(self, retries):
-        return ServiceClient("127.0.0.1", self.port, timeout=60, retries=retries)
-
-
 # -- scenarios ----------------------------------------------------------------
 
 
@@ -197,9 +180,7 @@ def test_worker_hang_is_requeued(monkeypatch):
     monkeypatch.setenv("REPRO_FAULT_SPEC", WORKER_HANG)
     # The watchdog must out-wait the slowest *healthy* cold build by a
     # wide margin or it would requeue innocents.
-    with CompileService(
-        workers=2, watchdog_seconds=2.0, supervise_interval=0.05
-    ) as service:
+    with CompileService(workers=2, watchdog_seconds=2.0) as service:
         # Each hang is requeued to success or (second strike on one
         # entry) failed typed; none may reach a caller.
         tally(drive(service, stream(8), 2))
@@ -263,9 +244,9 @@ def test_overload_is_shed_with_honoured_retry_after():
     assert served.ok
 
 
-def test_wire_chaos_on_a_live_daemon(monkeypatch):
+def test_wire_chaos_on_a_live_daemon(monkeypatch, running_daemon):
     monkeypatch.setenv("REPRO_FAULT_SPEC", WIRE_FAULT)
-    daemon = _Daemon(workers=2)
+    daemon = running_daemon(workers=2)
     shape = SHAPES["softmax"]
     payloads = [
         {"kind": "compile", "op": "relu", "shape": shape},
@@ -278,24 +259,16 @@ def test_wire_chaos_on_a_live_daemon(monkeypatch):
         {"kind": "compile", "op": "relu", "shape": shape,
          "options": {"stage_timeout": "soon"}},
     ]
-    try:
-        with daemon.client(retries=2) as client:
-            outcomes = [wire_outcome(client.request(p)) for p in payloads]
-            # An oversized line answers typed and leaves the daemon alive.
-            with socket.create_connection(
-                ("127.0.0.1", daemon.port), timeout=60
-            ) as sock:
-                sock.sendall(
-                    b'{"pad": "' + b"x" * (MAX_LINE_BYTES + 16) + b'"}\n'
-                )
-                big = json.loads(sock.makefile("rb").readline())
-            outcomes.append(wire_outcome(big))
-            alive = client.ping()
-    finally:
-        daemon.server.shutdown()
-        daemon.thread.join(timeout=10)
-        daemon.server.server_close()
-        daemon.service.close()
+    with daemon.client(timeout=60, retries=2) as client:
+        outcomes = [wire_outcome(client.request(p)) for p in payloads]
+        # An oversized line answers typed and leaves the daemon alive.
+        with socket.create_connection(
+            ("127.0.0.1", daemon.port), timeout=60
+        ) as sock:
+            sock.sendall(b'{"pad": "' + b"x" * (MAX_LINE_BYTES + 16) + b'"}\n')
+            big = json.loads(sock.makefile("rb").readline())
+        outcomes.append(wire_outcome(big))
+        alive = client.ping()
     by = tally(outcomes)
     # Typed: the three malformed payloads, the oversized line, and the one
     # well-formed request an injected codec fault landed on (the other
@@ -304,17 +277,17 @@ def test_wire_chaos_on_a_live_daemon(monkeypatch):
     assert alive
 
 
-def test_drain_under_load():
+def test_drain_under_load(running_daemon):
     """Shutdown mid-load: accepted builds finish, late submissions are
     rejected typed (at the daemon, or as connection errors at the
     client), and the daemon actually exits."""
-    daemon = _Daemon(workers=2, queue_size=64)
+    daemon = running_daemon(workers=2, queue_size=64)
     outcomes = []
 
     def load_client(idx):
         # Keeps submitting until the drain turns it away (the cap only
         # bounds a daemon that never stops).
-        with daemon.client(retries=0) as client:
+        with daemon.client(timeout=60, retries=0) as client:
             for j in range(2000):
                 try:
                     outcome = wire_outcome(
@@ -336,7 +309,7 @@ def test_drain_under_load():
     for t in clients:
         t.start()
     time.sleep(0.15)  # let load build up, then pull the plug mid-stream
-    with daemon.client(retries=2) as stopper:
+    with daemon.client(timeout=60, retries=2) as stopper:
         acknowledged = stopper.shutdown()
     daemon.thread.join(timeout=30)
     exited = not daemon.thread.is_alive()

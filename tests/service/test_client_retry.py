@@ -9,23 +9,6 @@ import pytest
 
 from repro.core.errors import ServiceError
 from repro.service.client import ServiceClient
-from repro.service.core import CompileService
-from repro.service.server import AkgdServer
-
-
-def _start_daemon(port=0, **service_kwargs):
-    service = CompileService(workers=1, **service_kwargs)
-    server = AkgdServer(("127.0.0.1", port), service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return service, server, thread
-
-
-def _stop_daemon(service, server, thread):
-    server.shutdown()
-    thread.join(timeout=10)
-    server.server_close()
-    service.close()
 
 
 def _free_port():
@@ -35,24 +18,17 @@ def _free_port():
 
 
 class TestReconnect:
-    def test_client_survives_daemon_restart(self):
-        service1, server1, thread1 = _start_daemon()
-        port = server1.server_address[1]
-        client = ServiceClient(
-            "127.0.0.1", port, timeout=60, retries=10, backoff=0.05
-        )
+    def test_client_survives_daemon_restart(self, running_daemon):
+        first = running_daemon(workers=1)
+        client = first.client(timeout=60, retries=10, backoff=0.05)
         assert client.ping()
-        _stop_daemon(service1, server1, thread1)
+        first.stop()
 
         # The daemon is down; bring a replacement up on the same port
         # while the client is already retrying.
-        replacement = {}
-
         def restart():
             time.sleep(0.3)
-            replacement["service"], replacement["server"], replacement[
-                "thread"
-            ] = _start_daemon(port=port)
+            running_daemon(port=first.port, workers=1)
 
         restarter = threading.Thread(target=restart)
         restarter.start()
@@ -61,11 +37,6 @@ class TestReconnect:
             assert response["ok"] is True
         finally:
             restarter.join()
-            _stop_daemon(
-                replacement["service"],
-                replacement["server"],
-                replacement["thread"],
-            )
 
     def test_retry_budget_exhausts_typed(self):
         client = ServiceClient(
@@ -153,32 +124,21 @@ class TestRetryAfter:
         response = client.request({"kind": "ping"})
         assert response["error"]["type"] == "ServiceOverloadError"
 
-    def test_live_overload_response_carries_hint(self):
+    def test_live_overload_response_carries_hint(self, running_daemon):
         """End-to-end: a saturated daemon's wire response has the hint."""
-        service = CompileService(workers=1, queue_size=1, autostart=False)
-        server = AkgdServer(("127.0.0.1", 0), service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        client = ServiceClient(
-            "127.0.0.1", server.server_address[1], timeout=60
+        daemon = running_daemon(workers=1, queue_size=1, autostart=False)
+        client = daemon.client(timeout=60)
+        filler = threading.Thread(
+            target=client.compile,
+            args=("matmul", [16, 16, 16]),
+            kwargs={"name": "filler"},
         )
-        try:
-            filler = threading.Thread(
-                target=client.compile,
-                args=("matmul", [16, 16, 16]),
-                kwargs={"name": "filler"},
-            )
-            filler.start()
-            time.sleep(0.1)  # the filler occupies the single queue slot
-            shed = client.compile("matmul", [32, 32, 32], name="shed")
-            assert shed["ok"] is False
-            assert shed["error"]["type"] == "ServiceOverloadError"
-            assert shed["error"]["exit_code"] == 14
-            assert shed["error"]["retry_after"] > 0
-            service.start()
-            filler.join(timeout=300)
-        finally:
-            server.shutdown()
-            thread.join(timeout=10)
-            server.server_close()
-            service.close()
+        filler.start()
+        time.sleep(0.1)  # the filler occupies the single queue slot
+        shed = client.compile("matmul", [32, 32, 32], name="shed")
+        assert shed["ok"] is False
+        assert shed["error"]["type"] == "ServiceOverloadError"
+        assert shed["error"]["exit_code"] == 14
+        assert shed["error"]["retry_after"] > 0
+        daemon.service.start()
+        filler.join(timeout=300)

@@ -1,6 +1,7 @@
 """The akgd TCP daemon: wire schema, control verbs, per-request errors."""
 
 import json
+import socket
 import threading
 import time
 
@@ -8,26 +9,14 @@ import pytest
 
 from repro.core.errors import ServiceError
 from repro.service.client import ServiceClient
-from repro.service.core import CompileService
-from repro.service.server import AkgdServer
+from repro.service.server import AkgdServer, serve
 from repro.service.wire import demo_kernel, request_from_json
 
 
 @pytest.fixture()
-def daemon():
-    """A live daemon on an ephemeral port + a client bound to it."""
-    service = CompileService(workers=2, default_stage_seconds=120.0)
-    server = AkgdServer(("127.0.0.1", 0), service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    client = ServiceClient("127.0.0.1", server.server_address[1], timeout=300.0)
-    try:
-        yield client
-    finally:
-        server.initiate_shutdown()
-        thread.join(timeout=10)
-        server.server_close()
-        service.close()
+def daemon(running_daemon):
+    """A client bound to a live daemon on an ephemeral port."""
+    return running_daemon(workers=2, default_stage_seconds=120.0).client()
 
 
 class TestDaemon:
@@ -106,23 +95,16 @@ class TestDaemon:
         }
 
 
-def test_stopped_daemon_ends_open_connections():
+def test_stopped_daemon_ends_open_connections(running_daemon):
     """A connection held open across the daemon's stop must see EOF, not
     answers from a handler thread that outlived its (closed) service."""
-    import socket
-
-    service = CompileService(workers=1)
-    server = AkgdServer(("127.0.0.1", 0), service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    daemon = running_daemon(workers=1)
+    server = daemon.server
     with socket.create_connection(server.server_address[:2], timeout=30) as sock:
         reader = sock.makefile("rb")
         sock.sendall(b'{"kind": "ping"}\n')
         assert json.loads(reader.readline())["pong"] is True
-        server.shutdown()
-        thread.join(timeout=10)
-        server.server_close()
-        service.close()
+        daemon.stop()
         try:
             sock.sendall(b'{"kind": "ping"}\n')
             late = reader.readline()
@@ -135,6 +117,44 @@ def test_stopped_daemon_ends_open_connections():
     while server.server_stats()["connections_open"]:
         assert time.monotonic() < deadline, "handler thread still alive"
         time.sleep(0.01)
+
+
+def test_serve_outlasts_the_shutdown_answer(monkeypatch):
+    """``akgd`` exits when ``serve()`` returns, and its handler threads are
+    daemons: the one answering ``shutdown`` must be done by then, however
+    late it gets the CPU back after setting the stop in motion."""
+    initiate = AkgdServer.initiate_shutdown
+
+    def initiate_then_stall(server):
+        initiate(server)
+        time.sleep(0.3)
+
+    monkeypatch.setattr(AkgdServer, "initiate_shutdown", initiate_then_stall)
+    close = AkgdServer.server_close
+    served_at_close = []
+
+    def close_and_look(server):
+        close(server)
+        served_at_close.append(server.server_stats()["requests_served"])
+
+    monkeypatch.setattr(AkgdServer, "server_close", close_and_look)
+    ready, address = threading.Event(), []
+
+    def on_ready(host, port):
+        address.append((host, port))
+        ready.set()
+
+    daemon = threading.Thread(
+        target=serve, kwargs={"ready_callback": on_ready, "workers": 1}
+    )
+    daemon.start()
+    assert ready.wait(timeout=30)
+    with socket.create_connection(address[0], timeout=30) as sock:
+        sock.sendall(b'{"kind": "shutdown"}\n')
+        daemon.join(timeout=30)
+        assert not daemon.is_alive()
+        assert served_at_close == [1]
+        assert json.loads(sock.makefile("rb").readline())["stopping"] is True
 
 
 class TestWireSchema:

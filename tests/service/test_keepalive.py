@@ -14,35 +14,11 @@ import pytest
 from repro.core.errors import ServiceError
 from repro.service import server as server_module
 from repro.service.client import ServiceClient
-from repro.service.core import CompileService
-from repro.service.server import AkgdServer
-
-
-class _Daemon:
-    def __init__(self, port=0):
-        self.service = CompileService(workers=1)
-        self.server = AkgdServer(("127.0.0.1", port), self.service)
-        self.port = self.server.server_address[1]
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
-        self.thread.start()
-
-    def stats(self):
-        return self.server.server_stats()
-
-    def stop(self):
-        self.server.shutdown()
-        self.thread.join(timeout=10)
-        self.server.server_close()
-        self.service.close()
 
 
 @pytest.fixture()
-def daemon():
-    d = _Daemon()
-    try:
-        yield d
-    finally:
-        d.stop()
+def daemon(running_daemon):
+    return running_daemon(workers=1)
 
 
 def _wait_until(predicate, seconds=5.0):
@@ -106,7 +82,7 @@ class TestReuse:
                 assert len(client._idle) <= callers
         finally:
             sys.setswitchinterval(interval)
-        stats = daemon.stats()
+        stats = daemon.server.server_stats()
         assert 1 <= stats["connections_accepted"] <= callers
         assert stats["requests_served"] == callers * rounds
         shas = set()
@@ -127,27 +103,28 @@ class TestReuse:
             line = client._round_trip(client._idle.pop(), b"this is not json\n")
             assert json.loads(line)["error"]["exit_code"] == 12
             assert client.ping()
-        assert daemon.stats()["connections_accepted"] == 1
+        assert daemon.server.server_stats()["connections_accepted"] == 1
 
 
 class TestStaleness:
-    def test_stale_reuse_reconnects_once_without_charging_retries(self, monkeypatch):
-        first = _Daemon()
+    def test_stale_reuse_reconnects_once_without_charging_retries(
+        self, running_daemon, monkeypatch
+    ):
+        first = running_daemon(workers=1)
         client = ServiceClient(port=first.port, retries=0)
         connects = _count_connects(client, monkeypatch)
         assert client.ping()
         first.stop()  # the pooled connection is now dead
-        second = _Daemon(port=first.port)
+        second = running_daemon(port=first.port, workers=1)
         try:
             assert client.ping()
             assert len(connects) == 2
-            assert second.stats()["connections_accepted"] == 1
+            assert second.server.server_stats()["connections_accepted"] == 1
         finally:
             client.close()
-            second.stop()
 
-    def test_fresh_connect_failure_still_raises(self, monkeypatch):
-        gone = _Daemon()
+    def test_fresh_connect_failure_still_raises(self, running_daemon, monkeypatch):
+        gone = running_daemon(workers=1)
         client = ServiceClient(port=gone.port, retries=0, timeout=1)
         connects = _count_connects(client, monkeypatch)
         assert client.ping()
@@ -200,7 +177,7 @@ class TestClosing:
         for conn in conns:
             client._round_trip(conn, b'{"kind": "ping"}\n')
         assert len(client._idle) == 2
-        _wait_until(lambda: daemon.stats()["connections_open"] == 2)
+        _wait_until(lambda: daemon.server.server_stats()["connections_open"] == 2)
         return client
 
     def test_close_closes_the_sockets(self, daemon, unraisable):
@@ -208,7 +185,7 @@ class TestClosing:
         client.close()
         assert client._idle == []
         # The daemon's handler threads saw EOF and exited.
-        _wait_until(lambda: daemon.stats()["connections_open"] == 0)
+        _wait_until(lambda: daemon.server.server_stats()["connections_open"] == 0)
         assert client.ping()  # still usable: it just reconnects
         client.close()
         gc.collect()
@@ -218,5 +195,5 @@ class TestClosing:
         client = self._two_pooled_connections(daemon)
         del client
         gc.collect()
-        _wait_until(lambda: daemon.stats()["connections_open"] == 0)
+        _wait_until(lambda: daemon.server.server_stats()["connections_open"] == 0)
         assert unraisable == []

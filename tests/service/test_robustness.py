@@ -15,6 +15,7 @@ from repro.core.errors import (
 from repro.ir import ops
 from repro.ir.tensor import placeholder
 from repro.service import CompileService, ServiceRequest
+from repro.service.handlers import effective_options
 
 
 def _matmul(m=24):
@@ -83,14 +84,14 @@ class TestAdmissionControl:
 
 
 class TestDeadlines:
-    def test_expired_in_queue_fails_fast(self):
-        with CompileService(workers=1, autostart=False) as svc:
+    def test_expired_in_queue_fails_fast(self, fake_clock):
+        with CompileService(workers=1, autostart=False, clock=fake_clock) as svc:
             t = svc.submit(
                 ServiceRequest(
                     "compile", _matmul(), name="dl", deadline_seconds=0.01
                 )
             )
-            time.sleep(0.05)
+            fake_clock.advance(0.05)
             svc.start()
             res = t.result(timeout=60)
             assert not res.ok
@@ -100,16 +101,10 @@ class TestDeadlines:
     def test_deadline_clamps_stage_budget(self):
         """The end-to-end deadline bounds every stage's budget: a stage
         can never be granted more time than the whole request has left."""
-        svc = CompileService(workers=1, autostart=False, default_stage_seconds=120.0)
-        try:
-            req = ServiceRequest("compile", _relu(), deadline_seconds=5.0)
-            with resilience.deadline_scope(
-                "service.request", time.monotonic() + 2.0
-            ):
-                options = svc._effective_options(req)
-            assert options.budget.stage_seconds <= 2.0
-        finally:
-            svc.close()
+        req = ServiceRequest("compile", _relu(), deadline_seconds=5.0)
+        with resilience.deadline_scope("service.request", time.monotonic() + 2.0):
+            options = effective_options(req, 120.0)
+        assert options.budget.stage_seconds <= 2.0
 
     def test_nonpositive_deadline_rejected(self):
         with pytest.raises(ServiceError):
@@ -127,12 +122,12 @@ class TestDeadlines:
 
 
 class TestQuarantine:
-    def test_breaker_trips_blocks_and_probes(self):
+    def test_breaker_trips_blocks_and_probes(self, fake_clock):
         with CompileService(
             workers=1,
             quarantine_threshold=2,
-            quarantine_cooldown=0.2,
             default_stage_seconds=5.0,
+            clock=fake_clock,
         ) as svc:
 
             def poison():
@@ -164,9 +159,9 @@ class TestQuarantine:
                 ServiceRequest("compile", _relu(), name="healthy"), timeout=300
             )
             assert healthy.ok
-            # After the cool-down one half-open probe goes through; its
-            # success closes the breaker.
-            time.sleep(0.25)
+            # After the (default 30 s) cool-down one half-open probe goes
+            # through; its success closes the breaker.
+            fake_clock.advance(30.5)
             probe = svc.run(
                 ServiceRequest("compile", _matmul(), name="poison"), timeout=300
             )
@@ -198,14 +193,21 @@ class TestQuarantine:
 
 
 class TestSupervision:
-    def test_stuck_worker_requeued_once_and_succeeds(self, monkeypatch):
+    # The watchdog is tens of seconds on a clock only the test moves: a
+    # healthy build can never be declared stuck by host load, and a hung
+    # one is declared stuck the moment the test says its time is up.
+
+    def test_stuck_worker_requeued_once_and_succeeds(
+        self, monkeypatch, fake_clock, worker_arrivals
+    ):
         monkeypatch.setenv("REPRO_FAULT_SPEC", "service.worker:hang#limit=1")
         with CompileService(
-            workers=1, watchdog_seconds=0.3, supervise_interval=0.05
+            workers=1, watchdog_seconds=30.0, clock=fake_clock
         ) as svc:
-            res = svc.run(
-                ServiceRequest("compile", _relu(), name="stuck"), timeout=60
-            )
+            ticket = svc.submit(ServiceRequest("compile", _relu(), name="stuck"))
+            worker_arrivals.get(timeout=60)  # the hang has the worker
+            fake_clock.advance(31.0)
+            res = ticket.result(timeout=60)
             assert res.ok
             stats = svc.stats()
             assert stats["supervisor_requeues"] == 1
@@ -214,14 +216,16 @@ class TestSupervision:
             # The replacement keeps the pool at strength.
             assert stats["live_workers"] >= 1
 
-    def test_stuck_twice_fails_typed(self, monkeypatch):
+    def test_stuck_twice_fails_typed(self, monkeypatch, fake_clock, worker_arrivals):
         monkeypatch.setenv("REPRO_FAULT_SPEC", "service.worker:hang#limit=2")
         with CompileService(
-            workers=1, watchdog_seconds=0.2, supervise_interval=0.05
+            workers=1, watchdog_seconds=30.0, clock=fake_clock
         ) as svc:
-            res = svc.run(
-                ServiceRequest("compile", _relu(), name="stuck2"), timeout=60
-            )
+            ticket = svc.submit(ServiceRequest("compile", _relu(), name="stuck2"))
+            for _strike in range(2):
+                worker_arrivals.get(timeout=60)
+                fake_clock.advance(31.0)
+            res = ticket.result(timeout=60)
             assert not res.ok
             assert res.error["type"] == "StageTimeoutError"
             assert "stuck" in res.error["message"]

@@ -120,7 +120,7 @@ class TestKeyStability:
     def test_keys_equal_the_public_fingerprint_composition(self, payload):
         from repro.core import diskcache
         from repro.hw.spec import HardwareSpec
-        from repro.service.core import DEFAULT_TUNE_PARAMS
+        from repro.service.request import DEFAULT_TUNE_PARAMS
         from repro.service.wire import request_from_json
 
         req = request_from_json(payload)
@@ -244,6 +244,36 @@ class TestFailureIsolation:
             )
             assert svc.stats()["memo_entries"] == 0
 
+    def test_untyped_failure_is_logged_a_typed_one_is_not(self, caplog, monkeypatch):
+        """The action line "see the daemon log" points at a real record:
+        the traceback of an untyped failure, and of nothing else."""
+        from repro.service import handlers
+
+        def crash(request, options):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(handlers.HANDLERS, "tune", crash)
+        with CompileService(workers=1) as svc:
+            typed = svc.run(
+                ServiceRequest(
+                    "compile",
+                    _relu(),
+                    name="typed",
+                    fault_spec="service.dispatch:error",
+                ),
+                timeout=60,
+            )
+            untyped = svc.run(ServiceRequest("tune", _relu(), name="crash"), timeout=60)
+        assert typed.error["exit_code"] == 12
+        assert untyped.error["exit_code"] == 1
+        assert untyped.error["action"] == "unexpected failure; see the daemon log"
+        (record,) = [r for r in caplog.records if r.name == "repro.service"]
+        assert record.levelname == "ERROR"
+        assert record.exc_info[0] is RuntimeError
+        message = record.getMessage()
+        assert f"#{untyped.request_id}" in message
+        assert "tune" in message and "crash" in message
+
     def test_queue_full_raises_service_error(self):
         with CompileService(workers=1, queue_size=1, autostart=False) as svc:
             svc.submit(ServiceRequest("compile", _relu(), name="q0"))
@@ -262,7 +292,7 @@ class TestRequestKinds:
     def test_replay_matches_direct_execution(self):
         import numpy as np
 
-        from repro.service.core import _seeded_inputs
+        from repro.service.handlers import _seeded_inputs
 
         with CompileService(workers=2) as svc:
             res = svc.run(
@@ -297,21 +327,18 @@ class TestRequestKinds:
             ServiceRequest("nonsense", _relu())
 
     def test_default_budget_applied_without_clobbering_request(self):
-        svc = CompileService(workers=1, default_stage_seconds=42.0)
-        try:
-            opts = AkgOptions()
-            req = ServiceRequest("compile", _relu(), options=opts)
-            eff = svc._effective_options(req)
-            assert eff.budget.stage_seconds == 42.0
-            assert opts.budget.stage_seconds is None  # caller's untouched
-            explicit = AkgOptions()
-            explicit.budget.stage_seconds = 7.0
-            eff2 = svc._effective_options(
-                ServiceRequest("compile", _relu(), options=explicit)
-            )
-            assert eff2.budget.stage_seconds == 7.0
-        finally:
-            svc.close()
+        from repro.service.handlers import effective_options
+
+        opts = AkgOptions()
+        eff = effective_options(ServiceRequest("compile", _relu(), options=opts), 42.0)
+        assert eff.budget.stage_seconds == 42.0
+        assert opts.budget.stage_seconds is None  # caller's untouched
+        explicit = AkgOptions()
+        explicit.budget.stage_seconds = 7.0
+        eff2 = effective_options(
+            ServiceRequest("compile", _relu(), options=explicit), 42.0
+        )
+        assert eff2.budget.stage_seconds == 7.0
 
 
 @pytest.mark.slow

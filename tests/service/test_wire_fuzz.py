@@ -5,7 +5,6 @@ import json
 import random
 import socket
 import string
-import threading
 
 import pytest
 
@@ -148,31 +147,24 @@ class TestHandleLineFuzz:
 
 
 class TestOversizedLines:
-    def test_oversized_line_gets_typed_error_and_connection_survives(self):
-        service = CompileService(workers=1)
-        srv = AkgdServer(("127.0.0.1", 0), service)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with socket.create_connection(
-                ("127.0.0.1", srv.server_address[1]), timeout=30
-            ) as sock:
-                big = b'{"op": "relu", "pad": "' + b"x" * (MAX_LINE_BYTES + 64)
-                sock.sendall(big + b'"}\n')
-                reader = sock.makefile("rb")
-                line = reader.readline()
-                response = json.loads(line.decode())
-                _assert_typed_error(response)
-                assert "exceeds" in response["error"]["message"]
-                # Same connection still serves the next request.
-                sock.sendall(b'{"kind": "ping"}\n')
-                pong = json.loads(reader.readline().decode())
-                assert pong["ok"] is True and pong["pong"] is True
-        finally:
-            srv.shutdown()
-            thread.join(timeout=10)
-            srv.server_close()
-            service.close()
+    def test_oversized_line_gets_typed_error_and_connection_survives(
+        self, running_daemon
+    ):
+        daemon = running_daemon(workers=1)
+        with socket.create_connection(
+            ("127.0.0.1", daemon.port), timeout=30
+        ) as sock:
+            big = b'{"op": "relu", "pad": "' + b"x" * (MAX_LINE_BYTES + 64)
+            sock.sendall(big + b'"}\n')
+            reader = sock.makefile("rb")
+            line = reader.readline()
+            response = json.loads(line.decode())
+            _assert_typed_error(response)
+            assert "exceeds" in response["error"]["message"]
+            # Same connection still serves the next request.
+            sock.sendall(b'{"kind": "ping"}\n')
+            pong = json.loads(reader.readline().decode())
+            assert pong["ok"] is True and pong["pong"] is True
 
 
 class TestWireFaultSite:

@@ -26,7 +26,8 @@ from repro.ir import ops
 from repro.ir.lower import lower
 from repro.ir.tensor import placeholder
 from repro.poly.cache import clear_solver_caches
-from repro.service.core import CompileService, ServiceRequest, _seeded_inputs
+from repro.service.core import CompileService, ServiceRequest
+from repro.service.handlers import _seeded_inputs
 from repro.service.wire import demo_kernel
 from repro.tools import faultinject
 from tests.graph.test_network_plan import _feeds
