@@ -42,15 +42,18 @@ echo "== chaos sweep (single-fault scenarios, typed-or-identical) =="
 python -m pytest tests/tools/test_chaos.py -m chaos -q
 
 echo
-echo "== repo benchmark smoke (compile_sched + compile_tile + cache_warm + serve_mix, correctness checks) =="
+echo "== repo benchmark smoke (all five workloads, correctness checks) =="
 # Non-zero exit = a failed correctness check (replay != oracle, a
 # RuntimeWarning, a warm request that missed the memo, ...); set -e stops
 # the script.  Timings are not gated here.  cache_warm is the one whose
 # check executes *unpickled* programs and compares cached dumps with the
-# cold build's -- what a change to the pickled payload must keep.
+# cold build's -- what a change to the pickled payload must keep;
+# exec_replay the one that compares compiled-program replay with
+# kernel-level evaluation bit for bit at the timed shapes.
 python3 bench/run.py --quick --workload compile_sched
 python3 bench/run.py --quick --workload compile_tile
 python3 bench/run.py --quick --workload cache_warm
+python3 bench/run.py --quick --workload exec_replay
 python3 bench/run.py --quick --workload serve_mix
 
 TMP="$(mktemp -d)"

@@ -25,11 +25,16 @@ Classification, per statement (cached on the statement object):
   scalar path would not have read;
 - reductions vectorize over the data dims and step *sequentially* over
   the flattened reduction axes in row-major order -- the exact scalar
-  instance order -- re-casting the accumulator to the output dtype after
-  every step, which is what makes fp16/fp32/int32 results bit-identical
-  to the oracle.  ``max``/``min`` additionally use a one-shot
-  ``np.fmax.reduce`` fast path (exact: round-to-nearest is monotone and
-  NaN never enters a Python ``max`` accumulator).
+  instance order.  ``sum``/``prod`` are *streamed*: the operands of the
+  expression's root ``add``/``sub``/``mul``/``div`` are evaluated once as
+  broadcast views and each step applies the root to two data-shaped
+  slices, so a contraction's ``data x K`` product is never materialised
+  (any other root is evaluated whole and sliced).  The accumulate is one
+  mixed-dtype ufunc call per step: numpy computes in float64 and rounds
+  to the output dtype on store, which is the oracle's per-step cast and
+  what makes fp16/fp32/int32 results bit-identical to it.  ``max``/
+  ``min`` fold in one shot with ``np.fmax.reduce`` (exact: round-to-
+  nearest is monotone and NaN never enters a Python ``max`` accumulator).
 
 Anything unclassifiable -- data-dependent indexing, non-identity writes,
 foreign iterators, unknown ops -- falls back to the scalar interpreter,
@@ -46,6 +51,8 @@ into the scalar path.
 
 from __future__ import annotations
 
+import contextvars
+import math
 import threading
 import time
 from typing import Dict, Optional, Sequence, Tuple
@@ -179,10 +186,10 @@ _V_UNARY = {
 }
 
 _V_BINARY = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "div": np.divide,
     # Python's max(a, b) is "b if a < b else a": ties and NaN-in-a keep a,
     # NaN-in-b returns b.  np.where(b > a, b, a) reproduces that exactly;
     # np.maximum would propagate NaN from either side.
@@ -512,79 +519,132 @@ def _box_shape(ranges) -> Tuple[int, ...]:
     return tuple(hi - lo + 1 for lo, hi in ranges)
 
 
-def _evaluate_box(plan: StatementPlan, buffers, ranges, mask):
-    """Evaluate the statement's value over the box; raises on OOB lanes."""
+class _Quiet(threading.local):
+    """``run(f, *args)`` calls ``f`` with numpy's floating-point errors
+    ignored, at no Python-level call (``np.errstate`` costs three).
+
+    numpy >= 2 keeps its error state in a context variable, so a
+    ``contextvars.Context`` that ran ``np.seterr`` once carries "all
+    ignore" for whatever later runs inside it and leaves the caller's
+    state alone.  A context cannot be entered twice at once, hence one
+    per thread.
+    """
+
+    def __init__(self):
+        self.run = contextvars.Context().run
+        self.run(np.seterr, all="ignore")
+
+
+_QUIET = _Quiet()
+
+
+def _evaluate_box(plan: StatementPlan, exprs, buffers, ranges, mask):
+    """Evaluate each of ``exprs`` over the box; raises on OOB lanes.
+
+    The values are what ``_eval`` returns: float64 scalars or arrays that
+    broadcast against the box (extent or 1 on every grid axis).
+    """
     ctx = _Ctx(plan, buffers, ranges)
-    with np.errstate(all="ignore"):
-        value, oob = _eval(plan.stmt.expr, ctx)
+    quiet = _QUIET.run
+    values = []
+    oob = None
+    for expr in exprs:
+        value, lanes = quiet(_eval, expr, ctx)
+        values.append(value)
+        oob = _merge_oob(oob, lanes)
     if oob is not None:
         live = oob if mask is None else (oob & mask)
         if np.any(live):
             raise Unvectorizable("guarded read escapes its Select guard")
-    return np.broadcast_to(np.asarray(value, dtype=np.float64), _box_shape(ranges))
+    return values
 
 
-def _reduce_steps(plan: StatementPlan, values, mask, region, k_count):
-    """Sequential reduction over the flattened reduce axes.
+# Sum/prod accumulate per step; an arithmetic root (these entries of
+# ``_V_BINARY`` are ufuncs, they take ``out=``) is applied per step too.
+_ACCUMULATE = {"sum": np.add, "prod": np.multiply}
+_STREAMED_ROOTS = ("add", "sub", "mul", "div")
 
-    ``values``/``mask`` are shaped ``data_box + (k_count,)``; accumulation
-    re-casts to the output dtype after every step, replicating the scalar
-    ``out[idx] = combine(float(out[idx]), value)`` order bit-for-bit.
+
+def _per_step(value, data_rank, reduce_shape, k_count):
+    """View a box value as ``data... x K``, K the flattened reduce box.
+
+    A value that spans every reduce axis is reshaped, one that spans none
+    gets stride 0 along K, and only one that spans some of them is
+    materialised -- alone, at its own data extent.
     """
-    op = plan.stmt.reduce_op or "sum"
-    dtype = region.dtype
-    if mask is None and op in ("max", "min") and k_count > 0:
-        # One-shot fast path: iterated round(max(acc, v)) equals
-        # round(max over all v) because round-to-nearest is monotone, and
-        # fmax/fmin ignore NaN exactly like a NaN-free Python max chain.
-        red = np.fmax.reduce if op == "max" else np.fmin.reduce
-        best = red(values, axis=-1)
+    value = np.asarray(value, dtype=np.float64)
+    lead = value.shape[:data_rank] if value.ndim else (1,) * data_rank
+    if value.shape[data_rank:] != reduce_shape:
+        value = np.broadcast_to(value, lead + reduce_shape)
+    return value.reshape(lead + (k_count,))
+
+
+def _reduce_box(plan: StatementPlan, buffers, ranges, mask, region) -> None:
+    """Fold the box's instances into ``region`` in the scalar instance
+    order: data dims vectorized, the flattened reduce axes row-major.
+
+    Sum/prod stream (module docstring): the root's operands stay the
+    broadcast views ``_eval`` returns (matmul: ``(M,1,K)`` and
+    ``(1,N,K)``) and each step applies the root to two slices.  The
+    mixed-dtype accumulate is the oracle's ``out[idx] = float(out[idx]) +
+    value``: float64 loop, rounded to the output dtype on store, warning
+    when that store overflows.  It runs in the caller's error state; the
+    root, like all of ``_eval``, with errors ignored.
+    """
+    stmt = plan.stmt
+    op = stmt.reduce_op or "sum"
+    expr = stmt.expr
+    accumulate = _ACCUMULATE.get(op)
+    root = None
+    operands = (expr,)
+    if (
+        accumulate is not None
+        and isinstance(expr, BinaryOp)
+        and expr.op in _STREAMED_ROOTS
+    ):
+        root = _V_BINARY[expr.op]
+        operands = (expr.a, expr.b)
+    shape = _box_shape(ranges)
+    data_shape = shape[: stmt.data_rank]
+    reduce_shape = shape[stmt.data_rank :]
+    k_count = math.prod(reduce_shape)
+    # A guarded read that escapes aborts here, before anything is written.
+    values = _evaluate_box(plan, operands, buffers, ranges, mask)
+    a = _per_step(values[0], stmt.data_rank, reduce_shape, k_count)
+    if root is not None:
+        b = _per_step(values[1], stmt.data_rank, reduce_shape, k_count)
+        step = np.empty(data_shape)
+    if mask is not None:
+        mask = mask.reshape(data_shape + (k_count,))
+    if accumulate is None:
+        # One shot: iterated round(max(acc, v)) equals round(max over all
+        # v) because round-to-nearest is monotone, and fmax/fmin ignore
+        # NaN exactly like a NaN-free Python max chain.  A lane with no
+        # member keeps ``initial`` and so never beats its accumulator.
+        fold, initial = (np.fmax, -np.inf) if op == "max" else (np.fmin, np.inf)
+        if mask is None:
+            best = fold.reduce(a, axis=-1, initial=initial)
+        else:
+            best = fold.reduce(
+                np.broadcast_to(a, mask.shape), axis=-1, initial=initial, where=mask
+            )
         accf = region.astype(np.float64)
         pick = best > accf if op == "max" else best < accf
         region[...] = np.where(pick, best, accf)
         return
     cur = region.copy()
-    curf = cur.astype(np.float64)
+    quiet = _QUIET.run
+    # No Python-level call and no allocation per step.
     for t in range(k_count):
-        step = values[..., t]
-        if op == "sum":
-            newf = curf + step
-        elif op == "prod":
-            newf = curf * step
-        elif op == "max":
-            newf = np.where(step > curf, step, curf)
-        elif op == "min":
-            newf = np.where(step < curf, step, curf)
+        if root is None:
+            step = a[..., t]
         else:
-            raise Unvectorizable(f"unknown reduce op {op!r}")
-        newd = newf.astype(dtype)
+            quiet(root, a[..., t], b[..., t], out=step)
         if mask is None:
-            cur = newd
+            accumulate(cur, step, out=cur, casting="unsafe")
         else:
-            cur = np.where(mask[..., t], newd, cur)
-        curf = cur.astype(np.float64)
+            accumulate(cur, step, out=cur, where=mask[..., t], casting="unsafe")
     region[...] = cur
-
-
-def run_full(plan: StatementPlan, buffers: Dict[str, np.ndarray]) -> None:
-    """Execute every instance of the planned statement (full domain)."""
-    stmt = plan.stmt
-    extents = stmt.iter_extents
-    if any(e <= 0 for e in extents):
-        return
-    ranges = [(0, e - 1) for e in extents]
-    values = _evaluate_box(plan, buffers, ranges, None)
-    out = buffers[stmt.tensor.name]
-    if stmt.kind != "reduce":
-        out[...] = values
-        return
-    data_shape = tuple(extents[: stmt.data_rank])
-    k_count = 1
-    for e in extents[stmt.data_rank :]:
-        k_count *= e
-    _reduce_steps(
-        plan, values.reshape(data_shape + (k_count,)), None, out, k_count
-    )
 
 
 def run_statement_box(
@@ -617,7 +677,17 @@ def run_statement_box(
             return
         if eff.all():
             eff = None
-    values = _evaluate_box(plan, buffers, list(box), eff)
+    # The Ellipsis keeps a rank-0 output an array view.
+    region = buffers[stmt.tensor.name][box_slices[: stmt.data_rank] + (...,)]
+    if stmt.kind == "reduce":
+        _reduce_box(plan, buffers, box, eff, region)
+    else:
+        (value,) = _evaluate_box(plan, (stmt.expr,), buffers, box, eff)
+        # same_kind would reject float64 -> int32; plain ndarray
+        # assignment (the scalar path) uses unsafe casting.
+        np.copyto(
+            region, value, where=True if eff is None else eff, casting="unsafe"
+        )
     # Record executed instances only now: if evaluation aborted to the
     # scalar fallback, the caller must still see these as un-executed.
     if executed is not None:
@@ -625,24 +695,6 @@ def run_statement_box(
             executed[box_slices] = True
         else:
             executed[box_slices] |= eff
-    out = buffers[stmt.tensor.name]
-    data_slices = box_slices[: stmt.data_rank]
-    region = out[data_slices]
-    if stmt.kind != "reduce":
-        if eff is None:
-            region[...] = values
-        else:
-            # same_kind would reject float64 -> int32; plain ndarray
-            # assignment (the scalar path) uses unsafe casting.
-            np.copyto(region, values, where=eff, casting="unsafe")
-        return
-    data_shape = shape[: stmt.data_rank]
-    k_count = 1
-    for s in shape[stmt.data_rank :]:
-        k_count *= s
-    values = values.reshape(data_shape + (k_count,))
-    mask3 = None if eff is None else eff.reshape(data_shape + (k_count,))
-    _reduce_steps(plan, values, mask3, region, k_count)
 
 
 def run_statement(
@@ -670,7 +722,8 @@ def run_statement(
         # propagates.
         faultinject.fire("exec.vectorized")
         plan = plan_for(stmt)
-        run_full(plan, buffers)
+        full = [(0, extent - 1) for extent in stmt.iter_extents]
+        run_statement_box(plan, buffers, full, None, None)
     except ExecutionFallbackError as exc:
         fb_start = time.perf_counter()
         reference.run_statement(stmt, buffers)

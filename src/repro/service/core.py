@@ -359,6 +359,7 @@ class CompileService:
             # Only a submission that will enqueue pays for the second digest.
             qkey = request.quarantine_key()
             now = self._clock()
+            verdict = None
             if qkey is not None:
                 verdict = self._breaker.admit(qkey, now)
                 if verdict == "blocked":
@@ -374,6 +375,8 @@ class CompileService:
                     self._stats["quarantine_probes"] += 1
             client = request.client_id
             if not self._admission.admit(client):
+                if verdict == "probe":
+                    self._breaker.release_probe(qkey)
                 self._stats["client_sheds"] += 1
                 raise ServiceOverloadError(
                     f"client {client!r} already has "
@@ -390,6 +393,8 @@ class CompileService:
                 # still finds it registered by the time it may look.
                 self._queue.put_nowait(entry)
             except queue.Full:
+                if verdict == "probe":
+                    self._breaker.release_probe(qkey)
                 self._admission.release(client)
                 self._stats["rejected"] += 1
                 raise ServiceOverloadError(
@@ -511,8 +516,16 @@ class CompileService:
         perf.add("service.request", result.run_seconds)
         self._fulfil(entry, result, epoch)
 
-    def _fulfil(self, entry: _InFlight, result: ServiceResult, epoch: int) -> None:
-        """Publish one execution's outcome (discarding stale epochs)."""
+    def _fulfil(
+        self, entry: _InFlight, result: ServiceResult, epoch: int, ran: bool = True
+    ) -> None:
+        """Publish one execution's outcome (discarding stale epochs).
+
+        ``ran=False``: the entry never reached a handler (cancelled or
+        stopped in the queue).  That says nothing about its kernel, so
+        the breaker records nothing -- but if the entry was the half-open
+        probe, the next submission has to be.
+        """
         with self._lock:
             if entry.result is not None or entry.epoch != epoch:
                 self._stats["stale_results"] += 1
@@ -521,10 +534,13 @@ class CompileService:
             self._admission.observe(result.run_seconds)
             self._admission.release(entry.request.client_id)
             self._coalescer.complete(entry, result)
-            if entry.qkey is not None and self._breaker.record(
-                entry.qkey, result.error_exc, self._clock()
-            ):
-                self._stats["quarantine_trips"] += 1
+            if entry.qkey is not None:
+                if not ran:
+                    self._breaker.release_probe(entry.qkey)
+                elif self._breaker.record(
+                    entry.qkey, result.error_exc, self._clock()
+                ):
+                    self._stats["quarantine_trips"] += 1
             entry.result = result
         entry.event.set()
 
@@ -563,9 +579,11 @@ class CompileService:
                 stage="service.worker",
                 kernel=entry.request.name,
             ),
+            ran=True,
         )
 
-    def _fail(self, entry: _InFlight, exc: BaseException) -> None:
-        """Fulfil ``entry`` with a failure that no execution produced."""
+    def _fail(self, entry: _InFlight, exc: BaseException, ran: bool = False) -> None:
+        """Fulfil ``entry`` with a failure the service decided on; ``ran``
+        tells whether an execution (one that hung) stands behind it."""
         result = ServiceResult(entry.request.kind, next(self._ids)).fail(exc)
-        self._fulfil(entry, result, entry.epoch)
+        self._fulfil(entry, result, entry.epoch, ran)

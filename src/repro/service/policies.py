@@ -172,6 +172,13 @@ class Breaker:
         circuit.probing = True
         return "probe"
 
+    def release_probe(self, key: str) -> None:
+        """The admitted probe for ``key`` will never run (shed at the
+        queue, cancelled in it): the next admit is the probe again."""
+        circuit = self.circuits.get(key)
+        if circuit is not None:
+            circuit.probing = False
+
     def retry_after(self, key: str, now: float) -> float:
         circuit = self.circuits.get(key)
         if circuit is None or circuit.opened_at is None:

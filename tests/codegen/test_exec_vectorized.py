@@ -273,6 +273,29 @@ class TestParametricBox:
         scalar = result.execute(inputs, engine="scalar")
         assert np.array_equal(out["C"], scalar["C"])
 
+    def test_replay_makes_no_python_level_call_per_reduce_step(self, python_calls):
+        """Two matmuls that differ only in K replay at the same number of
+        Python-level calls, and bit-exactly: each tile streams its
+        reduction inside numpy."""
+        from repro.codegen.program_exec import ProgramReplay
+
+        counts = []
+        for k in (8, 64):
+            a = placeholder((16, k), name="A")
+            b = placeholder((k, 16), name="B")
+            result = build(
+                ops.matmul(a, b, name="C"),
+                "k",
+                options=AkgOptions(emit_trace=True, tile_sizes=[8, 8, 64]),
+            )
+            inputs = {"A": rand((16, k)), "B": rand((k, 16))}
+            replayer = ProgramReplay(result.program, "vectorized")
+            out = replayer.run(inputs)  # schedules and plans built
+            scalar = result.execute(inputs, engine="scalar")
+            assert np.array_equal(out["C"], scalar["C"])
+            counts.append(python_calls(lambda: replayer.run(inputs)))
+        assert counts[0] == counts[1], counts
+
 
 def _points(box):
     import itertools

@@ -9,6 +9,7 @@ Every test gets its own ``REPRO_CACHE_DIR`` under pytest's tmpdir, so
   afterwards.
 """
 
+import cProfile
 import os
 
 import pytest
@@ -47,3 +48,21 @@ def _fault_spec_does_not_outlive_the_session():
     yield
     assert os.environ.get("REPRO_FAULT_SPEC") == at_start
     assert faultinject.current_spec() == at_start
+
+
+@pytest.fixture()
+def python_calls():
+    """``python_calls(fn)``: the Python-level calls ``fn`` makes -- what
+    the benchmark's ``kcalls`` counts: exact, and blind to C builtins."""
+
+    def count(fn):
+        profiler = cProfile.Profile(builtins=False, subcalls=False)
+        profiler.enable()
+        try:
+            fn()
+        finally:
+            profiler.disable()
+        profiler.create_stats()
+        return sum(entry[1] for entry in profiler.stats.values())
+
+    return count

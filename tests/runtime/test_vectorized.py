@@ -6,18 +6,34 @@ oracle bit-for-bit on fp16/fp32/int32, including reduction accumulation
 order and the lazy-``Select`` out-of-bounds guarantee.
 """
 
+import sys
+import threading
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.ir import ops
-from repro.ir.expr import BinaryOp, Select
+from repro.ir.expr import BinaryOp, Cast, Reduce, Select, UnaryOp
 from repro.ir.lower import lower
 from repro.ir.tensor import compute, placeholder, reduce_axis, te_max, te_sum
 from repro.runtime.reference import (
     AUTO_VECTORIZE_MIN_INSTANCES,
+    allocate_outputs,
+    bind_inputs,
     evaluate_kernel,
+    numpy_dtype,
+    run_instance,
 )
-from repro.runtime.vectorized import exec_stats, reset_exec_stats
+from repro.runtime.vectorized import (
+    Unvectorizable,
+    exec_stats,
+    plan_for,
+    reset_exec_stats,
+    run_statement,
+    run_statement_box,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -267,3 +283,319 @@ class TestEdgeCases:
         report = perf.report()
         assert report["exec"]["vectorized"] >= 1
         assert "exec engine:" in perf.format_report()
+
+
+# -- streamed reductions -------------------------------------------------------
+#
+# Sum/prod never materialise the data x K box: the operands of the root
+# add/sub/mul/div are sliced per step.  The cross product below is every way
+# that path can be entered, each compared bit for bit with the scalar oracle.
+
+DATA = (3, 4)  # i, j
+REDUCE = (2, 3)  # k1, k2
+
+# Value ranges keep six-step products of every root finite in every dtype:
+# the oracle itself warns on overflow and warnings are errors here.
+_LOW_HIGH = {"fp16": (0.25, 1.0), "fp32": (0.25, 1.0), "int32": (1, 3)}
+
+
+def _values(rng, shape, dtype):
+    lo, hi = _LOW_HIGH[dtype]
+    if dtype == "int32":
+        return rng.integers(lo, hi, size=shape).astype(np.int32)
+    sign = rng.choice([-1.0, 1.0], size=shape)
+    return (sign * rng.uniform(lo, hi, size=shape)).astype(numpy_dtype(dtype))
+
+
+ROOTS = {
+    "mul": lambda x, y: x * y,
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "div": lambda x, y: x / y,
+    "cast_mul": lambda x, y: Cast(x.dtype, x * y),
+    "exp": lambda x, y: UnaryOp("exp", x - y),
+}
+# The second operand of the root, by how much of the reduce box it spans.
+OPERANDS = {
+    "scalar": ((), lambda i, j, k1, k2: ()),
+    "spans_all": ((4, 2, 3), lambda i, j, k1, k2: (j, k1, k2)),
+    "spans_none": ((3, 4), lambda i, j, k1, k2: (i, j)),
+    "spans_some": ((4, 3), lambda i, j, k1, k2: (j, k2)),
+}
+
+
+def _streamed_case(dtype, reduce_op, root, operand, seed=0):
+    """``OUT[i, j] = reduce_op over k1, k2 of root(X[i, k1, k2], operand)``,
+    lowered, with seeded inputs."""
+    rng = np.random.default_rng(seed)
+    x = placeholder(DATA[:1] + REDUCE, dtype, "X")
+    inputs = {"X": _values(rng, x.shape, dtype)}
+    shape, index = OPERANDS[operand]
+    if shape:
+        y = placeholder(shape, dtype, "Y")
+        inputs["Y"] = _values(rng, shape, dtype)
+    k1, k2 = reduce_axis((0, REDUCE[0]), "k1"), reduce_axis((0, REDUCE[1]), "k2")
+
+    def body(i, j):
+        second = y[index(i, j, k1, k2)] if shape else (2 if dtype == "int32" else 0.75)
+        return Reduce(reduce_op, ROOTS[root](x[i, k1, k2], second), [k1, k2])
+
+    return lower(compute(DATA, body, name="OUT")), inputs
+
+
+def _scalar_box(stmt, buffers, box, mask, executed):
+    """The oracle for one tile: member instances, one at a time."""
+    shape = tuple(hi - lo + 1 for lo, hi in box)
+    member = np.ones(shape, bool) if mask is None else np.broadcast_to(mask, shape)
+    for offsets in np.ndindex(shape):
+        point = tuple(lo + o for (lo, _), o in zip(box, offsets))
+        if not member[offsets]:
+            continue
+        if executed is not None:
+            if executed[point]:
+                continue
+            executed[point] = True
+        run_instance(stmt, point, buffers)
+
+
+def _assert_boxes_equal(kernel, inputs, tiles, dedup):
+    """Replay ``tiles`` -- ``(box, mask)`` pairs -- of the kernel's last
+    statement on both engines, after running what precedes it."""
+    stmt = kernel.statements[-1]
+    plan = plan_for(stmt)
+    results = []
+    for run_box in (run_statement_box, None):
+        buffers = bind_inputs(kernel, inputs)
+        allocate_outputs(kernel, buffers)
+        for earlier in kernel.statements[:-1]:
+            run_statement(earlier, buffers)
+        executed = np.zeros(stmt.iter_extents, bool) if dedup else None
+        if dedup:
+            executed[0, 1] = True  # a neighbouring tile got here first
+        for box, mask in tiles:
+            if run_box is None:
+                _scalar_box(stmt, buffers, box, mask, executed)
+            else:
+                run_box(plan, buffers, box, mask, executed)
+        results.append((buffers[stmt.tensor.name], executed))
+    (got, got_executed), (want, want_executed) = results
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    if dedup:
+        assert np.array_equal(got_executed, want_executed)
+
+
+# A tile that cuts every axis, under a membership mask with holes; the dedup
+# pair overlaps, so the second tile finds part of its box already executed.
+PARTIAL_BOX = [(1, 2), (0, 2), (0, 1), (1, 2)]
+OVERLAPPING = [
+    ([(0, 1), (0, 3), (0, 1), (0, 2)], None),
+    ([(1, 2), (1, 3), (0, 1), (0, 2)], None),
+]
+
+
+class TestStreamedReductions:
+    @pytest.mark.parametrize("operand", list(OPERANDS))
+    @pytest.mark.parametrize("root", list(ROOTS))
+    @pytest.mark.parametrize(
+        "dtype,reduce_op",
+        [
+            (dtype, reduce_op)
+            for dtype in ("fp16", "fp32", "int32")
+            for reduce_op in ("sum", "prod", "max", "min")
+            # An int32 max/min initialises with an infinity no int32 holds:
+            # the oracle's init store raises OverflowError.
+            if not (dtype == "int32" and reduce_op in ("max", "min"))
+        ],
+    )
+    def test_every_entry_matches_the_oracle(self, dtype, reduce_op, root, operand):
+        kernel, inputs = _streamed_case(dtype, reduce_op, root, operand)
+        # Full box.
+        want = evaluate_kernel(kernel, inputs, engine="scalar")
+        reset_exec_stats()
+        got = evaluate_kernel(kernel, inputs, engine="vectorized")
+        assert exec_stats()["scalar_fallback"] == 0
+        assert got["OUT"].dtype == want["OUT"].dtype == numpy_dtype(dtype)
+        assert np.array_equal(got["OUT"], want["OUT"])
+        # Partial tile under a membership mask.
+        shape = tuple(hi - lo + 1 for lo, hi in PARTIAL_BOX)
+        mask = np.random.default_rng(1).random(shape) < 0.6
+        mask[0, 0] = False  # an output lane with no member at all
+        _assert_boxes_equal(kernel, inputs, [(PARTIAL_BOX, mask)], dedup=False)
+        # Fused producer: overlapping tiles deduplicated through ``executed``.
+        _assert_boxes_equal(kernel, inputs, OVERLAPPING, dedup=True)
+
+    def test_broadcast_membership_mask(self):
+        """Replay hands masks that merely broadcast to the box."""
+        kernel, inputs = _streamed_case("fp16", "sum", "mul", "spans_all")
+        mask = np.array([True, False, True]).reshape(1, 3, 1, 1)
+        _assert_boxes_equal(kernel, inputs, [(PARTIAL_BOX, mask)], dedup=False)
+
+    @pytest.mark.parametrize("reduce_op", ["sum", "max"])
+    def test_rank_zero_output(self, reduce_op):
+        x = placeholder((70,), "fp16", "X")
+        k = reduce_axis((0, 70), "k")
+        out = compute((), lambda: Reduce(reduce_op, x[k] * 0.5, [k]), name="Z")
+        assert_engines_equal(out, {"X": rand((70,), "fp16")})
+
+    def test_escaping_guarded_read_aborts_before_the_first_accumulate(self):
+        """``X[i + k - 1]`` under a guard that does not cover ``i + k == 0``:
+        the tile holding that lane raises for the scalar fallback with the
+        output and the dedup mask exactly as they were; every other tile
+        streams."""
+        x = placeholder((8,), "fp32", "X")
+        k = reduce_axis((0, 3), "k")
+        out = compute(
+            (6,),
+            lambda i: te_sum(
+                Select(BinaryOp("ge", i + k, 0), x[i + k - 1], 0.0) * 2.0, axis=k
+            ),
+            name="OUT",
+        )
+        kernel = lower(out)
+        stmt = kernel.statements[-1]
+        buffers = bind_inputs(kernel, {"X": rand((8,))})
+        allocate_outputs(kernel, buffers)
+        buffers["OUT"][...] = rand((6,))
+        executed = np.zeros(stmt.iter_extents, bool)
+        executed[1, 2] = True
+        before = buffers["OUT"].copy(), executed.copy()
+        with pytest.raises(Unvectorizable):
+            run_statement_box(
+                plan_for(stmt), buffers, [(0, 2), (0, 2)], None, executed
+            )
+        assert np.array_equal(buffers["OUT"], before[0])
+        assert np.array_equal(executed, before[1])
+        inputs = {"X": buffers["X"]}
+        _assert_boxes_equal(kernel, inputs, [([(1, 5), (0, 2)], None)], dedup=True)
+
+
+def _fp16_sum(values):
+    """``OUT[i] = sum over k of X[i, k] * Y[i, k]`` with ``X = values``, Y ones."""
+    values = np.asarray(values, np.float16)
+    x = placeholder(values.shape, "fp16", "X")
+    y = placeholder(values.shape, "fp16", "Y")
+    k = reduce_axis((0, values.shape[1]), "k")
+    out = compute(
+        values.shape[:1], lambda i: te_sum(x[i, k] * y[i, k], axis=k), name="OUT"
+    )
+    return lower(out), {"X": values, "Y": np.ones(values.shape, np.float16)}
+
+
+def _run_box(kernel, inputs, mask):
+    stmt = kernel.statements[-1]
+    buffers = bind_inputs(kernel, inputs)
+    allocate_outputs(kernel, buffers)
+    box = [(0, extent - 1) for extent in stmt.iter_extents]
+    run_statement_box(plan_for(stmt), buffers, box, mask, None)
+    return buffers["OUT"]
+
+
+class TestReductionWarnings:
+    """The accumulate runs in the caller's error state, the root (like all
+    of expression evaluation) with errors ignored -- as the oracle, whose
+    Python-float arithmetic is silent and whose store into the output
+    dtype warns."""
+
+    OVERFLOWING = [[60000.0, 60000.0], [1.0, 2.0]]
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_fp16_overflow_warns_unmasked(self):
+        kernel, inputs = _fp16_sum(self.OVERFLOWING)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            evaluate_kernel(kernel, inputs, engine="scalar")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            evaluate_kernel(kernel, inputs, engine="vectorized")
+
+    def test_fp16_overflow_warns_under_a_mask(self):
+        kernel, inputs = _fp16_sum(self.OVERFLOWING)
+        mask = np.array([[True, True], [True, False]])
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            _run_box(kernel, inputs, mask)
+
+    def test_masked_out_lane_that_would_overflow_is_silent(self):
+        kernel, inputs = _fp16_sum(self.OVERFLOWING)
+        mask = np.array([[True, False], [True, True]])
+        out = _run_box(kernel, inputs, mask)
+        assert np.array_equal(out, np.array([60000.0, 3.0], np.float16))
+
+    def test_inf_times_zero_in_the_root_is_silent(self):
+        kernel, inputs = _fp16_sum([[np.inf, 1.0], [1.0, 2.0]])
+        inputs["Y"][0, 0] = 0.0
+        want = evaluate_kernel(kernel, inputs, engine="scalar")
+        got = evaluate_kernel(kernel, inputs, engine="vectorized")
+        assert np.isnan(want["OUT"][0]) and want["OUT"][1] == 3.0
+        assert np.array_equal(got["OUT"], want["OUT"], equal_nan=True)
+
+    def test_root_is_quiet_per_thread_and_the_caller_still_warns(self):
+        """The root's error state is a per-thread context entered for the
+        call alone: threads replaying at once neither collide in it nor
+        inherit it, and each still hears its own accumulate overflow."""
+        quiet = _fp16_sum([[np.inf, 1.0]] * 64)
+        quiet[1]["Y"][:, 0] = 0.0
+        loud = _fp16_sum(self.OVERFLOWING)
+        evaluate_kernel(quiet[0], quiet[1], engine="vectorized")  # plans built
+        failures = []
+        start = threading.Barrier(4)
+
+        def replay():
+            try:
+                start.wait(timeout=60)
+                for _ in range(150):
+                    out = evaluate_kernel(*quiet, engine="vectorized")["OUT"]
+                    assert np.isnan(out).all()
+                    with pytest.raises(RuntimeWarning, match="overflow"):
+                        evaluate_kernel(*loud, engine="vectorized")
+                    assert np.geterr()["over"] == "warn"
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=replay) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+
+
+def _matmul_kernel(m, k, dtype="fp32"):
+    a, b = placeholder((m, k), dtype, "A"), placeholder((k, m), dtype, "B")
+    return lower(ops.matmul(a, b)), {"A": rand((m, k), dtype), "B": rand((k, m), dtype)}
+
+
+class TestStreamedCost:
+    def test_matmul_never_holds_its_product(self):
+        """128^3 float64 products are 16 MB; streaming needs two operand
+        views, one step buffer and the accumulator."""
+        kernel, inputs = _matmul_kernel(128, 128)
+        evaluate_kernel(kernel, inputs, engine="vectorized")  # plans built
+        tracemalloc.start()
+        try:
+            evaluate_kernel(kernel, inputs, engine="vectorized")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
+    def test_no_python_level_call_per_reduce_step(self, python_calls):
+        counts = []
+        for k in (8, 64):
+            kernel, inputs = _matmul_kernel(16, k)
+            evaluate_kernel(kernel, inputs, engine="vectorized")  # plans built
+            counts.append(
+                python_calls(
+                    lambda: evaluate_kernel(kernel, inputs, engine="vectorized")
+                )
+            )
+        assert counts[0] == counts[1], counts

@@ -62,6 +62,21 @@ class TestBreaker:
         assert breaker.admit("k", 20.9) == "blocked"  # counted from 11, not 0
         assert breaker.admit("k", 21.0) == "probe"
 
+    def test_released_probe_is_handed_to_the_next_admit(self):
+        """A probe the service then sheds (fairness cap, full queue) or
+        cancels in the queue never reports back; without the release every
+        later admit would find ``probing`` set and answer "blocked"."""
+        breaker = Breaker(threshold=1, cooldown=10.0)
+        breaker.release_probe("never seen")  # no circuit: nothing to do
+        assert breaker.record("k", TIMEOUT, 0.0) is True
+        assert breaker.admit("k", 10.0) == "probe"
+        breaker.release_probe("k")
+        assert breaker.open_count() == 1  # still open: nothing was learnt
+        assert breaker.admit("k", 10.1) == "probe"
+        assert breaker.admit("k", 10.2) == "blocked"
+        assert breaker.record("k", None, 11.0) is False
+        assert breaker.admit("k", 11.1) is None
+
     @pytest.mark.parametrize(
         "exc,counts",
         [

@@ -1,6 +1,7 @@
 """Service-grade fault tolerance: admission control, deadlines,
 quarantine, worker supervision, ticket abandonment and graceful drain."""
 
+import threading
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from repro.ir import ops
 from repro.ir.tensor import placeholder
 from repro.service import CompileService, ServiceRequest
 from repro.service.handlers import effective_options
+from repro.tools import faultinject
 
 
 def _matmul(m=24):
@@ -169,6 +171,81 @@ class TestQuarantine:
             stats = svc.stats()
             assert stats["quarantine_probes"] == 1
             assert stats["quarantine_open"] == 0
+
+    @pytest.mark.parametrize("shed_by", ["fairness cap", "full queue", "cancel"])
+    def test_probe_that_never_runs_hands_the_probe_on(
+        self, shed_by, fake_clock, worker_arrivals, monkeypatch
+    ):
+        """The half-open probe is shed at admission, or cancelled in the
+        queue: the next submission after the cool-down is the probe (it
+        used to be blocked for good, ``probing`` never cleared)."""
+        release = threading.Event()
+        fire = faultinject.fire  # worker_arrivals' reporting wrapper
+
+        def fire_and_hold(site, detail=""):
+            fire(site, detail)
+            if site == "service.worker":
+                release.wait(60)
+
+        def clean(client=None):
+            return ServiceRequest(
+                "compile", _matmul(), name="poison", client_id=client
+            )
+
+        with CompileService(
+            workers=1,
+            queue_size=1,
+            max_per_client=1,
+            quarantine_threshold=1,
+            default_stage_seconds=5.0,
+            clock=fake_clock,
+        ) as svc:
+            # Times out whatever the solver memo holds: the injected
+            # overrun is of the request's own deadline.
+            poisoned = ServiceRequest(
+                "compile",
+                _matmul(),
+                name="poison",
+                fault_spec="service.worker:delay",
+                deadline_seconds=60.0,
+            )
+            assert not svc.run(poisoned, timeout=300).ok
+            worker_arrivals.get(timeout=60)
+            assert svc.stats()["quarantine_open"] == 1
+            fake_clock.advance(30.5)
+
+            # Client "a" occupies the only worker and its whole fair share.
+            monkeypatch.setattr(faultinject, "fire", fire_and_hold)
+            held = svc.submit(
+                ServiceRequest("compile", _relu(), name="held", client_id="a")
+            )
+            worker_arrivals.get(timeout=60)
+            if shed_by == "fairness cap":
+                with pytest.raises(ServiceOverloadError):
+                    svc.submit(clean(client="a"))
+                assert svc.stats()["client_sheds"] == 1
+            elif shed_by == "full queue":
+                filler = svc.submit(
+                    ServiceRequest("compile", _relu((8, 8)), name="filler")
+                )
+                with pytest.raises(ServiceOverloadError):
+                    svc.submit(clean())
+                assert svc.stats()["rejected"] == 1
+            else:
+                svc.submit(clean()).abandon()
+            assert svc.stats()["quarantine_probes"] == 1
+            release.set()
+            assert held.result(timeout=300).ok
+            if shed_by == "full queue":
+                assert filler.result(timeout=300).ok
+
+            probe = svc.run(clean(client="b"), timeout=300)
+            assert probe.ok
+            stats = svc.stats()
+            assert stats["quarantine_probes"] == 2
+            assert stats["quarantine_blocked"] == 0
+            assert stats["quarantine_open"] == 0
+            assert stats["cancelled"] == (1 if shed_by == "cancel" else 0)
 
     def test_deterministic_typed_errors_do_not_quarantine(self):
         """A kernel that fails *deterministically* with a typed pipeline
