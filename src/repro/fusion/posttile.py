@@ -204,7 +204,7 @@ def apply_post_tiling_fusion(
 
     # Instance relations for live-out statements.
     instance_relations: Dict[str, BasicMap] = {}
-    clamped_sizes = _clamp_sizes(band, stmt_by_id, sizes)
+    clamped_sizes, tile_counts = _clamp_and_count(band, stmt_by_id, sizes)
     for sid in liveout_filter.stmt_ids:
         stmt = stmt_by_id[sid]
         rows = band.schedules[sid]
@@ -219,7 +219,6 @@ def apply_post_tiling_fusion(
     consumer_rel: Dict[str, Tuple[PolyStatement, BasicMap]] = {
         sid: (stmt_by_id[sid], rel) for sid, rel in instance_relations.items()
     }
-    tile_counts = _tile_counts(band, stmt_by_id, clamped_sizes)
     n_tiles = 1
     for c in tile_counts:
         n_tiles *= c
@@ -275,13 +274,12 @@ def apply_post_tiling_fusion(
             f.set_child(mark)
 
     # -- build group records ------------------------------------------------------
-    counts = _tile_counts(band, stmt_by_id, clamped_sizes)
     order: List[PolyStatement] = [stmt_by_id[sid] for sid in fused_producer_ids]
     order += [stmt_by_id[sid] for sid in liveout_filter.stmt_ids]
     main_group = TiledGroup(
         tile_dims=tile_dims,
         tile_sizes=clamped_sizes,
-        tile_counts=counts,
+        tile_counts=tile_counts,
         statements=order,
         instance_relations=instance_relations,
         fused_producer_ids=fused_producer_ids,
@@ -340,18 +338,17 @@ def _recompute_acceptable(
     return per_tile * n_tiles <= RECOMPUTE_THRESHOLD * total
 
 
-def _clamp_sizes(
+def _clamp_and_count(
     band: BandNode, stmt_by_id: Dict[str, PolyStatement], sizes: Sequence[int]
-) -> List[int]:
-    """Clamp tile sizes to the band extents (identity rows assumed)."""
-    out: List[int] = []
+) -> Tuple[List[int], List[int]]:
+    """Tile sizes clamped to the band extents (identity rows assumed) and
+    the tile count per dim they give; each row's extent is posed once."""
     any_sid = next(iter(band.schedules))
     stmt = stmt_by_id[any_sid]
-    dom = stmt.domain()
-    for i, (size, row) in enumerate(zip(sizes, band.schedules[any_sid])):
-        hi = _row_extent(row, stmt)
-        out.append(min(size, hi))
-    return out
+    extents = [_row_extent(row, stmt) for row in band.schedules[any_sid]]
+    clamped = [min(size, extent) for size, extent in zip(sizes, extents)]
+    counts = [-(-extent // size) for size, extent in zip(clamped, extents)]
+    return clamped, counts
 
 
 def _row_extent(row: AffineExpr, stmt: PolyStatement) -> int:
@@ -367,18 +364,6 @@ def _row_extent(row: AffineExpr, stmt: PolyStatement) -> int:
             stage=resilience.active_stage(),
         )
     return int(hi.value - lo.value) + 1
-
-
-def _tile_counts(
-    band: BandNode, stmt_by_id: Dict[str, PolyStatement], sizes: Sequence[int]
-) -> List[int]:
-    any_sid = next(iter(band.schedules))
-    stmt = stmt_by_id[any_sid]
-    counts = []
-    for size, row in zip(sizes, band.schedules[any_sid]):
-        extent = _row_extent(row, stmt)
-        counts.append(-(-extent // size))
-    return counts
 
 
 def tile_single_group(
@@ -404,7 +389,7 @@ def tile_single_group(
         sizes = [1 << 30] * band.n_rows
     sizes = list(sizes)[: band.n_rows]
     sizes += [1 << 30] * (band.n_rows - len(sizes))
-    clamped = _clamp_sizes(band, stmt_by_id, sizes)
+    clamped, counts = _clamp_and_count(band, stmt_by_id, sizes)
     tile_dims = [f"p{i}" for i in range(band.n_rows)]
     relations: Dict[str, BasicMap] = {}
     for stmt in stmts:
@@ -412,7 +397,6 @@ def tile_single_group(
         relations[stmt.stmt_id] = liveout_instance_relation(
             stmt, rows, clamped, tile_dims
         )
-    counts = _tile_counts(band, stmt_by_id, clamped)
     group = TiledGroup(
         tile_dims=tile_dims,
         tile_sizes=clamped,

@@ -134,6 +134,7 @@ class PolyStatement:
         # Per-process executor caches: keyed by object ids / rebuilt cheaply.
         state.pop("_iter_var_ids", None)
         state.pop("_write_plan", None)
+        state.pop("_domain", None)
         by_id = {id(v): v for v in self._axis_objects()}
         state["var_names"] = [
             (by_id[iv_id], name)
@@ -164,12 +165,19 @@ class PolyStatement:
         return self.iter_names[self.data_rank :]
 
     def domain(self) -> BasicSet:
-        """Rectangular iteration domain derived from axis extents."""
-        bounds = {
-            name: (0, extent - 1)
-            for name, extent in zip(self.iter_names, self.iter_extents)
-        }
-        return BasicSet.from_bounds(self.space, bounds)
+        """Rectangular iteration domain derived from axis extents.
+
+        Names and extents never change after lowering, so the set is built
+        once per statement (per process: it stays out of pickles).
+        """
+        cached = self.__dict__.get("_domain")
+        if cached is None:
+            bounds = {
+                name: (0, extent - 1)
+                for name, extent in zip(self.iter_names, self.iter_extents)
+            }
+            cached = self._domain = BasicSet.from_bounds(self.space, bounds)
+        return cached
 
     def instance_count(self) -> int:
         """Number of dynamic instances of this statement."""

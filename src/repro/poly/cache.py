@@ -50,6 +50,22 @@ keep-mask) and :data:`EXTENT_CACHE`
 dimension x box, counted apart so the ``fm`` counters keep meaning
 "projections").
 
+**The footprint table** (:data:`FOOTPRINT_CACHE`) sits in front of those
+three.  The storage planner asks which box an access touches per tile
+(:func:`repro.storage.promote.footprint_extents`) once per statement x
+access x probed size vector -- 288 times for ``subgraph2``, 6 of them
+distinct -- and the rank-space tables answer a repeat only after the
+question is *built*: an access map, a ``compose`` and one
+:class:`RankSpace` per tensor dimension.  Its key is made before any map
+is (:func:`repro.tiling.reverse.footprint_key`): the instance relation
+with every variable replaced by its *position* among ``tile dims +
+iteration dims``, the index expressions over iteration-dim positions,
+the tensor's shape (the clip) and the tile counts (the box).  No sort
+order needs recording because none exists: a footprint is solved under
+positional names (``o00``, ``s00``, ``x00``), so the solve is a function
+of the key alone and a hit is the fresh solve.  Entries are tuples;
+every answer is handed out as a new list.
+
 Caches are process-global.  Worker processes of the parallel auto-tuner
 each grow their own copy (the cache is warm within a worker, cold across
 them) -- no cross-process synchronisation is needed or attempted.  Worker
@@ -73,6 +89,7 @@ __all__ = [
     "ILP_CACHE",
     "FM_CACHE",
     "EXTENT_CACHE",
+    "FOOTPRINT_CACHE",
     "solver_cache_stats",
     "clear_solver_caches",
     "reset_solver_cache_stats",
@@ -224,7 +241,10 @@ FM_CACHE = SolveCache("fm")
 #: Memo table for :func:`repro.tiling.reverse.affine_extent_bound`.
 EXTENT_CACHE = SolveCache("extent")
 
-_ALL = (ILP_CACHE, FM_CACHE, EXTENT_CACHE)
+#: Memo table for :func:`repro.storage.promote.footprint_extents`.
+FOOTPRINT_CACHE = SolveCache("footprint")
+
+_ALL = (ILP_CACHE, FM_CACHE, EXTENT_CACHE, FOOTPRINT_CACHE)
 
 
 def solver_cache_stats() -> Dict[str, Dict[str, float]]:

@@ -19,7 +19,7 @@ instructions) and the Auto-Tiler's utilisation polynomial.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core import resilience
 from repro.core.errors import CodegenError
@@ -27,6 +27,14 @@ from repro.fusion.intratile import UnitAssignment
 from repro.fusion.posttile import TiledGroup
 from repro.hw.spec import HardwareSpec
 from repro.ir.lower import LoweredKernel, PolyStatement, TensorAccess
+from repro.poly.cache import FOOTPRINT_CACHE, MISS
+from repro.poly.maps import BasicMap
+from repro.tiling.reverse import (
+    affine_extent_bound,
+    footprint_key,
+    positional_footprint,
+    relation_key,
+)
 
 
 class BufferAllocation:
@@ -169,6 +177,7 @@ def footprint_extents(
     group: TiledGroup,
     stmt: PolyStatement,
     access: TensorAccess,
+    rel_key: Optional[Hashable] = None,
 ) -> List[int]:
     """Max per-dimension extent of ``access`` over any tile of the group.
 
@@ -179,9 +188,11 @@ def footprint_extents(
 
     which is the tightest constant box covering every tile's accesses.
     Non-affine accesses conservatively return the whole tensor shape.
-    """
-    from repro.tiling.reverse import affine_extent_bound
 
+    Memoized in :data:`repro.poly.cache.FOOTPRINT_CACHE` and looked up
+    before any map is built; ``rel_key`` is the relation's
+    :func:`~repro.tiling.reverse.relation_key` when the caller has it.
+    """
     tensor = access.tensor
     if not access.is_affine:
         # Data-dependent gather: at most one row per consumer instance is
@@ -199,19 +210,30 @@ def footprint_extents(
                 box.append(tensor.shape[k])
         return box
     inst_rel = group.instance_relations[stmt.stmt_id]
-    acc_map = access.as_map(stmt.space)
-    fp = inst_rel.compose(acc_map)
+    if not FOOTPRINT_CACHE.enabled:
+        return _footprint_uncached(inst_rel, access, group.tile_counts)
+    rel_key = rel_key or relation_key(inst_rel)
+    key = footprint_key(rel_key, inst_rel, access, group.tile_counts)
+    box = FOOTPRINT_CACHE.lookup(key)
+    if box is MISS:
+        box = tuple(_footprint_uncached(inst_rel, access, group.tile_counts))
+        FOOTPRINT_CACHE.store(key, box)
+    return list(box)  # a fresh list: the planner shrinks boxes in place
 
-    box_ranges = {
-        d: (0, count - 1) for d, count in zip(group.tile_dims, group.tile_counts)
-    }
+
+def _footprint_uncached(
+    inst_rel: BasicMap, access: TensorAccess, tile_counts: Sequence[int]
+) -> List[int]:
+    shape = access.tensor.shape
+    fp = positional_footprint(inst_rel, access)
+    box_ranges = {d: (0, n - 1) for d, n in zip(fp.in_space.dims, tile_counts)}
     extents: List[int] = []
     for k, dim in enumerate(fp.out_space.dims):
         bound = affine_extent_bound(fp.constraints, dim, box_ranges)
         if bound is None:
-            extents.append(tensor.shape[k])
+            extents.append(shape[k])
         else:
-            extents.append(max(min(bound, tensor.shape[k]), 1))
+            extents.append(max(min(bound, shape[k]), 1))
     return extents
 
 
@@ -304,6 +326,7 @@ def plan_storage(
     }
     for stmt in group.statements:
         unit = assignment.unit_of(stmt.stmt_id)
+        rel_key = relation_key(group.instance_relations[stmt.stmt_id])
         accesses = [(stmt.write, True)] + [(r, False) for r in stmt.reads]
         for access, is_write in accesses:
             name = access.tensor.name
@@ -311,7 +334,7 @@ def plan_storage(
                 # Absorbed padding: the tensor never materialises -- the
                 # MTE's img2col reads the raw input and pads in flight.
                 continue
-            ext = footprint_extents(group, stmt, access)
+            ext = footprint_extents(group, stmt, access, rel_key)
             prev = boxes.get(name)
             boxes[name] = (
                 [max(a, b) for a, b in zip(prev, ext)] if prev else ext
@@ -402,7 +425,6 @@ def plan_storage(
         }
 
         def l1_usage() -> int:
-            cap_scale = {}
             total = 0
             for alloc in allocations.values():
                 if alloc.scope != "L1":

@@ -40,6 +40,7 @@ from repro.fusion.posttile import (
 )
 from repro.storage.promote import StoragePlan, plan_storage
 from repro.tiling.auto import AutoTiler, LinearFootprintEvaluator
+from repro.tiling.reverse import tile_footprint
 
 #: A shrink rule: ``(group, plan, sizes) -> smaller sizes``.
 ShrinkRule = Callable[[TiledGroup, StoragePlan, List[int]], List[int]]
@@ -284,9 +285,9 @@ def fit_evaluator(frontend, options) -> LinearFootprintEvaluator:
     """Fit the per-tensor affine footprint polynomial by probing.
 
     Footprint extents of affine accesses are affine in each tile size
-    (``alpha*T + beta``); two probes per dimension recover the
-    coefficients exactly.  Every probe reuses the shared front-end (one
-    tree clone per probe, no re-scheduling).
+    (``alpha*T + beta``); one base probe and one bump per dimension
+    recover the coefficients exactly.  Every probe reuses the shared
+    front-end (one tree clone per probe, no re-scheduling).
     """
     extents = frontend.extents
     base_sizes = [min(4, e) for e in extents]
@@ -295,6 +296,10 @@ def fit_evaluator(frontend, options) -> LinearFootprintEvaluator:
     for d in range(len(extents)):
         probe = list(base_sizes)
         probe[d] = min(8, extents[d])
+        if probe == base_sizes:
+            # A dim too short to bump has nothing to teach: no second plan.
+            bump_boxes.append(base_boxes)
+            continue
         boxes, _ = probe_plan(frontend, options, probe)
         bump_boxes.append(boxes)
 
@@ -339,7 +344,7 @@ def move_tile_dependence(group: TiledGroup) -> Dict[str, set]:
                 deps.setdefault(name, set())
                 continue
             rel = group.instance_relations[stmt.stmt_id]
-            fp = rel.compose(access.as_map(stmt.space))
+            fp = tile_footprint(access.as_map(stmt.space), rel)
             tensor_dims = set(fp.out_space.dims)
             used = set()
             for con in fp.constraints:

@@ -15,10 +15,11 @@ the storage manager (footprints, Sec. 4.4).
 
 from __future__ import annotations
 
+from itertools import chain
 from math import floor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.ir.lower import PolyStatement
+from repro.ir.lower import PolyStatement, TensorAccess
 from repro.poly.affine import AffineExpr, Constraint, ratio
 from repro.poly.cache import EXTENT_CACHE, MISS, RankSpace
 from repro.poly.fm import project_onto, remove_redundant
@@ -38,9 +39,9 @@ def tile_membership_constraints(
     """
     cons: List[Constraint] = []
     for expr, size, o in zip(rows, sizes, tile_dims):
-        ovar = AffineExpr.variable(o)
-        cons.append(Constraint.ge(expr - ovar * size, 0))
-        cons.append(Constraint.le(expr - ovar * size, size - 1))
+        offset = expr - AffineExpr.variable(o) * size
+        cons.append(Constraint.ge(offset, 0))
+        cons.append(Constraint.le(offset, size - 1))
     return cons
 
 
@@ -139,6 +140,55 @@ def tile_footprint(
     statement's access relation (instances -> tensor elements).
     """
     return instance_relation.compose(access_map)
+
+
+def relation_key(relation: BasicMap) -> Hashable:
+    """The relation's half of :func:`footprint_key`, made once per
+    relation: its constraints with each variable replaced by its position
+    in ``tile dims + instance dims``."""
+    dims = relation.in_space.dims + relation.out_space.dims
+    position = {d: i for i, d in enumerate(dims)}.__getitem__
+    shapes = [c.shape() for c in relation.constraints]
+    return (
+        len(relation.in_space.dims),
+        len(relation.out_space.dims),
+        tuple(map(position, chain.from_iterable([names for names, _ in shapes]))),
+        tuple([numbers for _, numbers in shapes]),
+    )
+
+
+def footprint_key(
+    rel_key: Hashable,
+    relation: BasicMap,
+    access: TensorAccess,
+    tile_counts: Sequence[int],
+) -> Hashable:
+    """Key of "which box does ``access`` touch per tile", made before any
+    map is: all of its :func:`positional_footprint`, the tensor's shape
+    (the clip) and the tile counts (the box ranges)."""
+    position = {d: i for i, d in enumerate(relation.out_space.dims)}.__getitem__
+    index = [
+        (tuple(map(position, names)), numbers)
+        for names, numbers in map(AffineExpr.shape, access.indices)
+    ]
+    return (rel_key, tuple(index), tuple(access.tensor.shape), tuple(tile_counts))
+
+
+def positional_footprint(relation: BasicMap, access: TensorAccess) -> BasicMap:
+    """:func:`tile_footprint` of one affine access with every dim named by
+    its position: tiles ``o00..``, instances ``s00..``, elements ``x00..``.
+    No caller-chosen name is left for a solver to rank, so the result is a
+    function of :func:`footprint_key` alone (see :mod:`repro.poly.cache`).
+    """
+    tiles = [f"o{i:02d}" for i in range(len(relation.in_space.dims))]
+    iters = [f"s{i:02d}" for i in range(len(relation.out_space.dims))]
+    elems = [f"x{i:02d}" for i in range(len(access.indices))]
+    rename = dict(zip(relation.in_space.dims + relation.out_space.dims, tiles + iters))
+    cons = [c.rename(rename) for c in relation.constraints]
+    instances = BasicMap(Space("T", tiles), Space("S", iters), cons)
+    indices = [e.rename(rename) for e in access.indices]
+    access_map = BasicMap.from_exprs(instances.out_space, Space("X", elems), indices)
+    return tile_footprint(access_map, instances)
 
 
 def affine_extent_bound(

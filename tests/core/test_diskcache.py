@@ -332,3 +332,48 @@ class TestCompilationReuse:
             )
         assert best_nocache == best_cold
         assert len(hist_nocache) == len(hist_cold)
+
+
+class TestMemosStayOutOfPickles:
+    """``FrontEnd`` and ``CompileResult`` travel to disk and to tuner
+    workers; what the solver tables or a statement memoised on the way
+    must not ride along, or an entry's bytes would depend on what the
+    process compiled before."""
+
+    @pytest.mark.parametrize("name", ["subgraph2", "softmax_32x64"])
+    def test_bytes_equal_cold_warm_and_uncached(self, name):
+        from repro.core.compiler import backend_build
+        from repro.poly.cache import clear_solver_caches, set_solver_cache_enabled
+        from tests.core.test_golden_programs import GOLDEN
+
+        make = GOLDEN[name][0]
+
+        def blobs():
+            frontend = run_frontend(make(), name)
+            result = backend_build(frontend, AkgOptions())
+            assert all("_domain" in s.__dict__ for s in frontend.kernel.statements)
+            return pickle.dumps(frontend), pickle.dumps(result)
+
+        with diskcache.disabled():
+            # The first compile of a graph in a process shares a few name
+            # strings the later ones do not (not the tables' doing: it is
+            # so with them cleared); compare from the second on.
+            blobs()
+            clear_solver_caches()
+            cold = blobs()
+            warm = blobs()
+            set_solver_cache_enabled(False)
+            try:
+                uncached = blobs()
+            finally:
+                set_solver_cache_enabled(True)
+        assert cold == warm == uncached
+
+    def test_cached_domain_is_dropped_and_rebuilt(self):
+        fe = run_frontend(_matmul_kernel(), "pickle")
+        stmt = fe.kernel.statements[-1]
+        assert stmt.domain() is stmt.domain()
+        assert "_domain" not in stmt.__getstate__()
+        clone = pickle.loads(pickle.dumps(stmt))
+        assert "_domain" not in clone.__dict__
+        assert repr(clone.domain()) == repr(stmt.domain())

@@ -20,16 +20,19 @@ from repro.poly.affine import AffineExpr, Constraint, var
 from repro.poly.cache import (
     EXTENT_CACHE,
     FM_CACHE,
+    FOOTPRINT_CACHE,
     ILP_CACHE,
     clear_solver_caches,
-    set_solver_cache_enabled,
     solver_cache_stats,
 )
 from repro.poly.fm import project_onto
 from repro.poly.ilp import IlpProblem, IlpStatus
 from repro.poly.maps import BasicMap
 from repro.poly.sets import Space
+from repro.storage.promote import footprint_extents
 from repro.tiling.reverse import affine_extent_bound
+
+from tests.storage.test_promote import _named_footprint, _uncached, fused_group
 
 
 @pytest.fixture(autouse=True)
@@ -37,14 +40,6 @@ def _fresh_caches():
     clear_solver_caches()
     yield
     clear_solver_caches()
-
-
-def _uncached(solve):
-    set_solver_cache_enabled(False)
-    try:
-        return solve()
-    finally:
-        set_solver_cache_enabled(True)
 
 
 # -- exact views: everything a caller could observe, order included -------------
@@ -320,3 +315,41 @@ def test_mutating_a_result_never_reaches_the_table():
         solved.assignment["i"] = Fraction(999)
         solved.assignment["extra"] = Fraction(1)
     assert FM_CACHE.hits == 2 and ILP_CACHE.hits == 2
+
+
+# -- (f) the footprint table: positional, so no name order is left to record -------------
+
+
+def _relu_chain(x_name, op_name):
+    x = placeholder((32, 48), "fp16", name=x_name)
+    return ops.relu(ops.relu(x, name=op_name + "0"), name=op_name + "1")
+
+
+def test_footprints_of_order_permuted_twins_share_one_entry():
+    """The twin of ``test_order_permuting_renaming_is_a_different_key`` for
+    the footprint table.  ``X_d0 < o0 < r0_ax0__n`` in one kernel and
+    ``a0_ax0__n < o0 < zz_d0`` in the other: the rank-space tables would
+    keep them apart, but a footprint is solved under positional names
+    (``o00``, ``s00``, ``x00``), so no such order reaches a solver, one
+    entry serves both -- and equals each twin's solve under its own names."""
+    for x_name, op_name in (("X", "r"), ("zz", "a")):
+        kernel, group = fused_group(_relu_chain(x_name, op_name), [8, 16])
+        stmt = group.statements[0]
+        read = stmt.reads[0]
+        names = sorted([*group.tile_dims, *stmt.iter_names, read.tensor.name + "_d0"])
+        assert names.index("o0") == (1 if x_name == "X" else 2)  # orders differ
+        assert footprint_extents(group, stmt, read) == _named_footprint(
+            group, stmt, read
+        )
+    assert (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses) == (1, 1)
+
+
+def test_mutating_a_footprint_box_never_reaches_the_table():
+    kernel, group = fused_group(_relu_chain("X", "r"), [8, 16])
+    stmt = group.statements[0]
+    for attempt in range(3):  # the miss, then two hits
+        box = footprint_extents(group, stmt, stmt.write)
+        assert box == [8, 16]
+        box[0] = 99  # what ``_clip_box_to_capacity`` does to a plan's box
+        box.append(1)
+    assert (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses) == (2, 1)

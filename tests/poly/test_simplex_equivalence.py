@@ -71,21 +71,31 @@ def _build(make):
     return lambda: build(make(), "equiv", options=AkgOptions(emit_trace=True))
 
 
-# name -> (compile, simplex solves, (hits, misses) of the ilp, fm and extent
-# tables).  The ilp query totals are those of the Fraction simplex this
-# solver replaced; the split into hits and misses is that of the name-free
-# keys (with name-carrying keys subgraph5 read ilp 373/164, fm 223/244).
-# subgraph2's systems are all interval-shaped and never reach the simplex.
+# name -> (compile, simplex solves, (hits, misses) of the ilp, fm, extent and
+# footprint tables).  The split into hits and misses is that of the
+# name-free keys (with name-carrying keys subgraph5 read ilp 373/164, fm
+# 223/244).  subgraph2's systems are all interval-shaped and never reach
+# the simplex.  Re-recorded when the footprint table went in front of
+# ``compose`` (every repeat of a footprint question used to reach fm and
+# extent as hits -- subgraph2 read fm 270/66, extent 1188/48 -- and band
+# row extents were posed three times per fusion: ilp hits 723 -> 627);
+# misses and simplex solves may only fall.  subgraph2 asks 288 footprint
+# questions, one distinct per probed size vector.
 COMPILES = {
-    "conv2d_16x32": (_build(_conv2d_16x32), 27, (87, 52), (1, 23), (15, 19)),
-    "subgraph5": (_build(lambda: _subgraph(5)), 27, (458, 79), (61, 38), (368, 29)),
-    "subgraph2": (_build(lambda: _subgraph(2)), 0, (723, 30), (270, 66), (1188, 48)),
+    "conv2d_16x32": (_build(_conv2d_16x32), 27, (71, 52), (0, 23), (11, 19), (1, 4)),
+    "subgraph5": (
+        _build(lambda: _subgraph(5)), 27, (410, 79), (0, 27), (122, 21), (64, 5)
+    ),
+    "subgraph2": (
+        _build(lambda: _subgraph(2)), 0, (627, 30), (0, 30), (84, 24), (282, 6)
+    ),
     "mobilenetv2_tiny": (
         lambda: compile_network(network("mobilenetv2_tiny")),
         67,
-        (626, 215),
-        (33, 93),
-        (199, 76),
+        (546, 215),
+        (0, 84),
+        (89, 68),
+        (34, 16),
     ),
 }
 
@@ -111,7 +121,8 @@ def test_compile_time_solves_equal_the_reference(name, monkeypatch):
     compile_it()
     assert len(solves) == n_solves
     stats = solver_cache_stats()
-    for table, pin in zip(("ilp", "fm", "extent"), pins):
+    assert len(pins) == len(stats)
+    for table, pin in zip(("ilp", "fm", "extent", "footprint"), pins):
         assert (stats[table]["hits"], stats[table]["misses"]) == pin, table
         # The tables were cold, so every kernel must have real solves left
         # to compare -- a memo that absorbed them all would pass vacuously.

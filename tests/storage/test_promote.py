@@ -1,6 +1,10 @@
 """Tests for buffer promotion and footprint computation."""
 
+import pytest
 
+from repro.core import diskcache
+from repro.core.compiler import AkgOptions, backend_build, build
+from repro.core.frontend import run_frontend
 from repro.fusion.intratile import assign_compute_units
 from repro.fusion.posttile import apply_post_tiling_fusion
 from repro.hw.spec import HardwareSpec
@@ -9,7 +13,21 @@ from repro.ir.tensor import compute, placeholder, reduce_axis, te_sum
 from repro.sched.clustering import conservative_clustering
 from repro.sched.deps import compute_dependences
 from repro.sched.scheduler import PolyScheduler
+from repro.poly.cache import (
+    FOOTPRINT_CACHE,
+    clear_solver_caches,
+    set_solver_cache_enabled,
+)
 from repro.storage.promote import contiguous_runs, footprint_extents, plan_storage
+from repro.tiling.reverse import (
+    affine_extent_bound,
+    footprint_key,
+    relation_key,
+    tile_footprint,
+)
+
+from tests.core.test_golden_programs import GOLDEN
+from tests.core.test_staged_equivalence import KERNELS as STAGED
 
 
 def fused_group(out, sizes):
@@ -157,3 +175,223 @@ class TestStoragePlan:
 
 def _gather_idx(t, i):
     return t[i, 0]
+
+
+# -- the footprint table (repro.poly.cache.FOOTPRINT_CACHE) ------------------------
+
+
+@pytest.fixture
+def cold_tables():
+    clear_solver_caches()
+    yield
+    clear_solver_caches()
+
+
+def _uncached(solve):
+    set_solver_cache_enabled(False)
+    try:
+        return solve()
+    finally:
+        set_solver_cache_enabled(True)
+
+
+def _named_footprint(group, stmt, access):
+    """The footprint solved under the statement's own names, the way it
+    was before the table: ``compose`` of the real maps, one extent bound
+    per tensor dim.  Consults neither the table nor its positional names."""
+    fp = tile_footprint(
+        access.as_map(stmt.space), group.instance_relations[stmt.stmt_id]
+    )
+    box = {d: (0, c - 1) for d, c in zip(group.tile_dims, group.tile_counts)}
+    shape = access.tensor.shape
+    out = []
+    for k, dim in enumerate(fp.out_space.dims):
+        bound = _uncached(lambda: affine_extent_bound(fp.constraints, dim, box))
+        out.append(shape[k] if bound is None else max(min(bound, shape[k]), 1))
+    return out
+
+
+def _key(group, stmt, access):
+    rel = group.instance_relations[stmt.stmt_id]
+    return footprint_key(relation_key(rel), rel, access, group.tile_counts)
+
+
+def _plan_view(result):
+    """Everything a ``StoragePlan`` decides, per group."""
+    return [
+        (
+            group.tile_sizes,
+            group.tile_counts,
+            {
+                key: (a.tensor_name, a.scope, a.box, a.nbytes)
+                for key, a in plan.allocations.items()
+            },
+            [
+                (m.tensor_name, m.src, m.dst, m.nbytes, m.runs, m.direction, m.chunked)
+                for m in plan.moves
+            ],
+            sorted(plan.local_tensors),
+            plan.reduce_chunks,
+            plan.peak_local_bytes,
+        )
+        for group, plan in zip(result.groups, result.plans)
+    ]
+
+
+def _conv_after_bias():
+    d = placeholder((1, 8, 16, 16), "fp16", name="D")
+    w = placeholder((8, 8, 3, 3), "fp16", name="W")
+    pre = ops.scalar_add(d, 1.0, name="PRE")
+    conv = ops.conv2d(pre, w, stride=(1, 1), padding=(1, 1), name="CONV")
+    return ops.relu(conv, name="OUT")
+
+
+def _affine_accesses(group):
+    return [
+        (stmt, access)
+        for stmt in group.statements
+        for access in [stmt.write] + stmt.reads
+        if access.is_affine
+    ]
+
+
+@pytest.mark.usefixtures("cold_tables")
+class TestFootprintTable:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_plans_equal_cold_warm_and_uncached(self, name):
+        """The golden programs are also the kernels of the eight
+        non-network bench rows."""
+        builder = GOLDEN[name][0]
+        with diskcache.disabled():
+            cold = _plan_view(build(builder(), name))
+            assert FOOTPRINT_CACHE.misses
+            misses = FOOTPRINT_CACHE.misses
+            warm = _plan_view(build(builder(), name))
+            assert FOOTPRINT_CACHE.misses == misses
+            uncached = _uncached(lambda: _plan_view(build(builder(), name)))
+        assert cold == warm == uncached
+
+    @pytest.mark.parametrize("name", sorted(STAGED))
+    def test_staged_plans_equal_cold_warm_and_uncached(self, name):
+        builder, size_lists = STAGED[name]
+        with diskcache.disabled():
+            frontend = run_frontend(builder(), name)
+
+            def plans():
+                return [
+                    _plan_view(backend_build(frontend, AkgOptions(tile_sizes=sizes)))
+                    for sizes in size_lists
+                ]
+
+            cold = plans()
+            warm = plans()
+            uncached = _uncached(plans)
+        assert cold == warm == uncached
+
+    @pytest.mark.parametrize(
+        "make,sizes",
+        [
+            (_conv_after_bias, [1, 8, 4, 16]),
+            (GOLDEN["subgraph5"][0], [1, 1, 8, 8]),
+            (GOLDEN["subgraph2"][0], [4, 4, 8, 4]),
+            (GOLDEN["softmax_32x64"][0], [8, 64]),
+            (GOLDEN["matmul_256"][0], [64, 32]),
+        ],
+    )
+    def test_positional_answers_equal_the_named_solve(self, make, sizes):
+        """Solving under ``o00``/``s00``/``x00`` must not change an answer
+        the statement's own names would have given -- miss, hit or off."""
+        kernel, group = fused_group(make(), sizes)
+        for stmt, access in _affine_accesses(group):
+            named = _named_footprint(group, stmt, access)
+            assert footprint_extents(group, stmt, access) == named
+            assert footprint_extents(group, stmt, access) == named
+            assert _uncached(lambda: footprint_extents(group, stmt, access)) == named
+
+    @pytest.mark.parametrize(
+        "make,sizes,halo",
+        [
+            (_conv_after_bias, [1, 8, 4, 16], [1, 8, 6, 16]),
+            (GOLDEN["subgraph5"][0], [1, 1, 8, 8], [1, 1, 10, 10]),
+        ],
+    )
+    def test_halo_producer_and_its_consumer_do_not_share(self, make, sizes, halo):
+        """Equal iteration boxes, equal (identity) index functions, equal
+        tensor shapes -- but the fused producer runs on the overlapped
+        tile, and only its instance relation says so."""
+        kernel, group = fused_group(make(), sizes)
+        producer, consumer = group.statements[0], group.statements[-1]
+        assert producer.stmt_id in group.fused_producer_ids
+        assert producer.iter_extents == consumer.iter_extents
+        assert producer.write.tensor.shape == consumer.write.tensor.shape
+        assert _key(group, producer, producer.write) != _key(
+            group, consumer, consumer.write
+        )
+        assert footprint_extents(group, producer, producer.write) == halo
+        assert footprint_extents(group, consumer, consumer.write) == sizes
+        assert (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses) == (0, 2)
+
+    def test_same_index_function_into_another_shape_is_another_entry(self):
+        """The clip is part of the answer: ``[i, j]`` into an 8x16 tensor
+        and into a 32x64 one are two questions."""
+        small = placeholder((8, 16), name="SMALL")
+        big = placeholder((32, 64), name="BIG")
+        out = compute((8, 16), lambda i, j: small[i, j] + big[i, j], name="O")
+        kernel, group = fused_group(out, [8, 16])
+        stmt = group.statements[0]
+        reads = {r.tensor.name: r for r in stmt.reads}
+        assert [repr(e) for e in reads["SMALL"].indices] == [
+            repr(e) for e in reads["BIG"].indices
+        ]
+        assert _key(group, stmt, reads["SMALL"]) != _key(group, stmt, reads["BIG"])
+        for read in reads.values():
+            assert footprint_extents(group, stmt, read) == _named_footprint(
+                group, stmt, read
+            )
+        assert (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses) == (0, 2)
+
+    def test_equal_relations_under_other_tile_counts_are_another_entry(self):
+        """The tile counts are the box the extent is maximised over."""
+        x = placeholder((32, 48), name="X")
+        kernel, group = fused_group(ops.relu(x, name="R"), [8, 16])
+        stmt = group.statements[0]
+        before = _key(group, stmt, stmt.write)
+        assert footprint_extents(group, stmt, stmt.write) == [8, 16]
+        group.tile_counts = [2, 3]  # the same relation, a smaller tile grid
+        assert _key(group, stmt, stmt.write) != before
+        assert footprint_extents(group, stmt, stmt.write) == _named_footprint(
+            group, stmt, stmt.write
+        )
+        assert (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses) == (0, 2)
+
+    def test_cold_means_cold_and_the_verifier_stays_independent(self):
+        """No footprint state outlives ``clear_solver_caches()`` (the
+        benchmark's definition of a cold compile), and the checker never
+        consults the table of the code it checks."""
+        from repro.verify import verify_result
+
+        make = GOLDEN["subgraph2"][0]
+        with diskcache.disabled():
+            build(make(), "subgraph2")
+            first = (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses)
+            clear_solver_caches()
+            result = build(make(), "subgraph2")
+            assert (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses) == first == (282, 6)
+            verify_result(result)
+        assert (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses) == first
+
+    def test_twenty_one_statements_pose_one_question_per_size(self):
+        kernel, group = fused_group(GOLDEN["subgraph2"][0](), [4, 4, 8, 4])
+        plan_storage(group, assign_compute_units(group.statements), kernel, HardwareSpec())
+        assert FOOTPRINT_CACHE.misses == 1 and FOOTPRINT_CACHE.hits > 40
+
+    def test_gather_is_sized_by_the_consumer_tile_and_never_keyed(self):
+        table = placeholder((64, 32), name="TAB")
+        idx = placeholder((16,), "int32", name="IDX")
+        kernel, group = fused_group(ops.embedding_lookup(table, idx, name="G"), [4, 32])
+        stmt = group.statements[0]
+        gather = next(r for r in stmt.reads if not r.is_affine)
+        assert gather.tensor.name == "TAB"
+        assert footprint_extents(group, stmt, gather) == [4, 32]
+        assert (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses) == (0, 0)
+        assert _uncached(lambda: footprint_extents(group, stmt, gather)) == [4, 32]

@@ -61,3 +61,24 @@ class TestPerf:
         assert stats["ilp"]["hits"] > 0
         assert stats["ilp"]["hit_rate"] > 0.0
         clear_solver_caches()
+
+    def test_footprint_table_shows_in_akgc_perf(self, capsys):
+        """The fourth solver table needs no flag of its own: it reaches
+        ``akgc --perf`` and ``perf.report()`` through ``solver_cache_stats``."""
+        import re
+
+        from repro.poly.cache import clear_solver_caches
+        from repro.tools.akgc import main
+
+        clear_solver_caches()
+        code = main(["softmax", "--shape", "32,64", "--perf", "--no-disk-cache"])
+        assert code == 0
+        line = re.search(
+            r"solver cache \[footprint\]: (\d+) hits / (\d+) misses",
+            capsys.readouterr().out,
+        )
+        assert line and int(line.group(1)) > 0 and int(line.group(2)) > 0
+        row = perf.report()["solver_cache"]["footprint"]
+        assert (row["hits"], row["misses"]) == (int(line.group(1)), int(line.group(2)))
+        clear_solver_caches()
+        perf.reset()
