@@ -163,16 +163,22 @@ class SolveCache:
     bound exists only to keep pathological workloads from growing the
     table without limit (eviction is oldest-first, which is close enough
     to LRU for the highly repetitive solve streams seen here).
+
+    ``work`` names further counters the solver behind the table keeps
+    (:meth:`count`): what its misses cost, reported and reset with them.
     """
 
-    __slots__ = ("name", "maxsize", "enabled", "hits", "misses", "_data", "_lock")
+    __slots__ = (
+        "name", "maxsize", "enabled", "hits", "misses", "work", "_data", "_lock"
+    )
 
-    def __init__(self, name: str, maxsize: int = 200_000):
+    def __init__(self, name: str, maxsize: int = 200_000, work: Sequence[str] = ()):
         self.name = name
         self.maxsize = maxsize
         self.enabled = True
         self.hits = 0
         self.misses = 0
+        self.work: Dict[str, int] = dict.fromkeys(work, 0)
         self._data: Dict[Hashable, Any] = {}
         self._lock = threading.Lock()
 
@@ -197,18 +203,25 @@ class SolveCache:
                 self._data.pop(next(iter(self._data)))
             self._data[key] = value
 
+    def count(self, counter: str, amount: int = 1) -> None:
+        """Add ``amount`` to one of the ``work`` counters."""
+        with self._lock:
+            self.work[counter] += amount
+
     def clear(self) -> None:
         """Drop all entries and reset the counters."""
         with self._lock:
             self._data.clear()
             self.hits = 0
             self.misses = 0
+            self.work = dict.fromkeys(self.work, 0)
 
     def reset_stats(self) -> None:
         """Zero the counters while keeping the memoized entries."""
         with self._lock:
             self.hits = 0
             self.misses = 0
+            self.work = dict.fromkeys(self.work, 0)
 
     def stats(self) -> Dict[str, float]:
         """Counters plus derived hit rate (0.0 when never queried)."""
@@ -219,6 +232,7 @@ class SolveCache:
                 "misses": self.misses,
                 "entries": len(self._data),
                 "hit_rate": (self.hits / total) if total else 0.0,
+                **self.work,
             }
 
     def __len__(self) -> int:
@@ -232,8 +246,9 @@ class SolveCache:
         )
 
 
-#: Memo table for :meth:`repro.poly.ilp.IlpProblem.minimize`.
-ILP_CACHE = SolveCache("ilp")
+#: Memo table for :meth:`repro.poly.ilp.IlpProblem.minimize`; beside it, the
+#: simplex pivots taken and tableau rows laid out, summed over its solves.
+ILP_CACHE = SolveCache("ilp", work=("pivots", "rows"))
 
 #: Memo table for :func:`repro.poly.fm.project_onto`.
 FM_CACHE = SolveCache("fm")

@@ -23,20 +23,26 @@ Sign tests therefore read numerators, the ratio test cross-multiplies, and
 no :class:`fractions.Fraction` exists until the final assignment -- and
 there only for a coordinate that is fractional: numbers throughout
 ``repro.poly`` are ``int`` when integral (see :mod:`repro.poly.affine`).
-The arithmetic is exact, so *which* pivots are taken is decided by the
-rules alone, and those are a contract:
+**Bounds are columns, not rows**, as in isl: a single-variable constraint
+tightens its variable's ``lo``/``hi`` and shifts its column; the tableau
+holds only the rows that couple variables (plus one ``p <= hi - lo`` row
+per doubly-bounded variable), and a system with none is read off its box.
 
-- column layout ``v+, v-`` per variable (in ``names`` order), one slack per
-  inequality, one artificial per row;
-- entering column: the first with a negative reduced cost;
-- leaving row: minimum ratio, ties to the lowest basis index;
-- after phase 1, basic artificials are driven out in row order on their
-  first nonzero structural column.
+**The contract** is what callers read, not how the simplex walks:
 
-Same rules, same vertex: the status, value and assignment of every solve
--- and with them every schedule and emitted program -- are those of the
-``Fraction`` tableau this replaced, which lives on as the reference in
-``tests/poly/_reference_simplex.py``.
+- *status* and *optimal value* of every solve are those of the textbook
+  ``Fraction`` tableau (one row per constraint, one artificial per row)
+  that lives on as ``tests/poly/_reference_simplex.py``;
+- the *assignment* is a certificate -- a feasible point that attains the
+  value, integral for an integer solve -- not necessarily the reference's
+  vertex: a caller that needs one particular optimum must state it
+  (``PolyScheduler._pluto_row`` does; all others read status and value);
+- a solve is a pure function of its input: exact arithmetic, fixed rules
+  (columns in ``names`` order; the first column with a negative reduced
+  cost enters; minimum ratio leaves, ties to the lowest basis index;
+  basic artificials are driven out in row order);
+- the work is pinned: pivots and tableau rows are counted beside the
+  memo's hits (``solver_cache_stats()["ilp"]``), exactly, per compile.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import resilience
 from repro.core.errors import SolverBudgetError
-from repro.poly.affine import AffineExpr, Constraint, Number, ratio
+from repro.poly.affine import AffineExpr, Constraint, Number, canonical, ratio
 from repro.poly.cache import ILP_CACHE, MISS, RankSpace
 from repro.tools import faultinject
 
@@ -79,6 +85,12 @@ class IlpResult:
         return f"IlpResult({self.status.value}, {self.value}, {self.assignment})"
 
 
+#: A reduced system and the substitutions that lead back from it.
+Presolved = Tuple[List[Constraint], List[Tuple[str, AffineExpr]]]
+#: Variable -> finite bound; a variable without one on that side is absent.
+Bounds = Dict[str, Number]
+
+
 class IlpProblem:
     """A conjunction of affine constraints over named variables.
 
@@ -94,14 +106,17 @@ class IlpProblem:
 
     def __init__(self, constraints: Optional[Sequence[Constraint]] = None):
         self.constraints: List[Constraint] = list(constraints or [])
+        self._presolved: Optional[Presolved] = None
 
     def add_constraint(self, constraint: Constraint) -> None:
         """Append one constraint."""
         self.constraints.append(constraint)
+        self._presolved = None
 
     def add_constraints(self, constraints: Sequence[Constraint]) -> None:
         """Append several constraints."""
         self.constraints.extend(constraints)
+        self._presolved = None
 
     def variables(self) -> List[str]:
         """All variable names referenced by the constraints, sorted."""
@@ -116,24 +131,29 @@ class IlpProblem:
         """Minimise ``objective`` subject to the constraints.
 
         A presolve phase substitutes away unit-coefficient equalities (very
-        common in dependence relations) and solves pure interval systems
-        directly; the simplex/branch-and-bound only sees the residual.
+        common in dependence relations) and folds single-variable rows into
+        bounds; the simplex/branch-and-bound only sees the rows that couple
+        variables, and a system without any is read off its bounds.
 
         Solves are memoized in :data:`repro.poly.cache.ILP_CACHE` under the
         name-free rows of system and objective; a hit is rebuilt under the
         caller's names and is what a fresh solve would return (see
         :mod:`repro.poly.cache`).
         """
-        return _memoized(
-            _rank_space(self.constraints),
-            objective,
-            integer,
-            lambda objective: self._minimize_uncached(objective, integer),
-        )
+        system = _rank_space(self.constraints)
+        return _memoized(system, objective, integer, self._minimize_uncached)
 
     def _minimize_uncached(self, objective: AffineExpr, integer: bool) -> IlpResult:
         faultinject.fire("ilp.solve")
-        constraints, back_subst = _presolve_system(self.constraints)
+        return self._solve(objective, integer)
+
+    def _solve(self, objective: AffineExpr, integer: bool) -> IlpResult:
+        """One uncached solve.  The equality-elimination presolve depends
+        only on the constraints, so the problem computes it once and every
+        objective posed to it shares it (``add_constraint`` drops it)."""
+        if self._presolved is None:
+            self._presolved = _presolve_system(self.constraints)
+        constraints, back_subst = self._presolved
         objective = _apply_back_substitutions(objective, back_subst)
         return _solve_presolved(constraints, objective, back_subst, integer)
 
@@ -142,29 +162,15 @@ class IlpProblem:
     ) -> List[IlpResult]:
         """Minimise several objectives over the *same* constraint system.
 
-        The equality-elimination presolve depends only on the constraints,
-        so it runs at most once for the whole batch instead of once per
-        objective — dependence analysis poses 2·rank bounds queries per
-        relation and this is where that repetition is collapsed.  Each
+        One key for the system and one presolve serve the whole batch --
+        dependence analysis poses 2·rank bounds queries per relation.  Each
         objective still gets its own :data:`~repro.poly.cache.ILP_CACHE`
         entry under exactly the key :meth:`minimize` would use, so batched
         and one-at-a-time solves are interchangeable (bit-identical
         results, shared cache lines).
         """
         system = _rank_space(self.constraints)
-        presolved: Optional[
-            Tuple[List[Constraint], List[Tuple[str, AffineExpr]]]
-        ] = None
-
-        def solve(objective: AffineExpr) -> IlpResult:
-            nonlocal presolved
-            if presolved is None:
-                presolved = _presolve_system(self.constraints)
-            constraints, back_subst = presolved
-            reduced = _apply_back_substitutions(objective, back_subst)
-            return _solve_presolved(constraints, reduced, back_subst, integer)
-
-        return [_memoized(system, o, integer, solve) for o in objectives]
+        return [_memoized(system, o, integer, self._solve) for o in objectives]
 
     def maximize(self, objective: AffineExpr, integer: bool = True) -> IlpResult:
         """Maximise ``objective`` subject to the constraints."""
@@ -180,8 +186,7 @@ class IlpProblem:
 
     def sample(self) -> Optional[Dict[str, int]]:
         """Return one integer point, or ``None`` when infeasible."""
-        point = self.lexmin(self.variables())
-        return point
+        return self.lexmin(self.variables())
 
     def lexmin(self, order: Sequence[str]) -> Optional[Dict[str, int]]:
         """Lexicographic integer minimum along ``order``.
@@ -189,33 +194,25 @@ class IlpProblem:
         Dimensions unbounded below make the lexmin undefined; this raises
         ``ValueError`` in that case (polyhedral domains here are bounded).
         """
-        extra: List[Constraint] = []
-        point: Dict[str, int] = {}
-        for name in order:
-            problem = IlpProblem(self.constraints + extra)
-            result = problem.minimize(AffineExpr.variable(name), integer=True)
-            if result.status is IlpStatus.INFEASIBLE:
-                return None
-            if result.status is IlpStatus.UNBOUNDED:
-                raise ValueError(f"lexmin: dimension {name!r} unbounded below")
-            value = int(result.value)
-            point[name] = value
-            extra.append(Constraint.eq(AffineExpr.variable(name), value))
-        return point
+        return self._lex(order, 1, "lexmin", "below")
 
     def lexmax(self, order: Sequence[str]) -> Optional[Dict[str, int]]:
         """Lexicographic integer maximum along ``order``."""
+        return self._lex(order, -1, "lexmax", "above")
+
+    def _lex(
+        self, order: Sequence[str], sign: int, what: str, side: str
+    ) -> Optional[Dict[str, int]]:
         extra: List[Constraint] = []
         point: Dict[str, int] = {}
         for name in order:
             problem = IlpProblem(self.constraints + extra)
-            result = problem.maximize(AffineExpr.variable(name), integer=True)
+            result = problem.minimize(AffineExpr.variable(name) * sign, integer=True)
             if result.status is IlpStatus.INFEASIBLE:
                 return None
             if result.status is IlpStatus.UNBOUNDED:
-                raise ValueError(f"lexmax: dimension {name!r} unbounded above")
-            value = int(result.value)
-            point[name] = value
+                raise ValueError(f"{what}: dimension {name!r} unbounded {side}")
+            point[name] = value = sign * int(result.value)
             extra.append(Constraint.eq(AffineExpr.variable(name), value))
         return point
 
@@ -231,21 +228,21 @@ def _memoized(
     system: Optional[RankSpace],
     objective: AffineExpr,
     integer: bool,
-    solve: Callable[[AffineExpr], "IlpResult"],
+    solve: Callable[[AffineExpr, bool], "IlpResult"],
 ) -> "IlpResult":
-    """``solve(objective)`` through :data:`ILP_CACHE`: one entry per system x
+    """``solve(objective, integer)`` through :data:`ILP_CACHE`: one entry per system x
     objective, whichever of ``minimize``/``batch_minimize`` poses it.
 
     An entry is the result with its assignment keys as ranks (the values
     are immutable and shared).
     """
     if system is None:
-        return solve(objective)
+        return solve(objective, integer)
     space, key = system.with_expr(objective)
     key = (key, integer)
     entry = ILP_CACHE.lookup(key)
     if entry is MISS:
-        result = solve(objective)
+        result = solve(objective, integer)
         ranks = tuple(map(space.rank.__getitem__, result.assignment))
         values = tuple(result.assignment.values())
         ILP_CACHE.store(key, (result.status, result.value, ranks, values))
@@ -258,17 +255,14 @@ def _memoized(
 # -- presolve -----------------------------------------------------------------
 
 
-def _presolve_system(
-    constraints: Sequence[Constraint],
-) -> Tuple[List[Constraint], List[Tuple[str, AffineExpr]]]:
+def _presolve_system(constraints: Sequence[Constraint]) -> Presolved:
     """Substitute away equalities with a +-1 coefficient variable.
 
     Unit-coefficient substitution is exact over the integers, so the
     reduced problem has the same optimum.  Returns the reduced system and
     the back-substitution list.  The elimination order depends only on
-    the constraints, never on any objective — :meth:`IlpProblem.batch_minimize`
-    relies on this to run the presolve once for a whole batch of
-    objectives over one system.
+    the constraints, never on any objective: an :class:`IlpProblem` runs
+    this once for every objective it is posed.
     """
     current = list(constraints)
     back: List[Tuple[str, AffineExpr]] = []
@@ -331,16 +325,17 @@ def _solve_presolved(
 ) -> IlpResult:
     """Solve a presolved system and back-substitute the assignment."""
     names = sorted(
-        {v for c in constraints for v in c.variables()}
-        | set(objective.variables())
+        {v for c in constraints for v in c.expr.coeffs} | set(objective.coeffs)
     )
-    interval = _interval_solve(constraints, objective, names, integer)
-    if interval is not None:
-        result = interval
+    box = _fold_bounds(constraints, integer)
+    if box is None:
+        result = IlpResult(IlpStatus.INFEASIBLE)
+    elif not box[2]:
+        result = _box_optimum(box[0], box[1], objective, names)
     elif integer:
-        result = _branch_and_bound(constraints, objective, names)
+        result = _branch_and_bound(*box, objective, names)
     else:
-        result = _simplex_solve(constraints, objective, names)
+        result = _simplex_solve(*box, objective, names)
     if result.status is IlpStatus.OPTIMAL and back_subst:
         assignment = dict(result.assignment)
         for name, expr in reversed(back_subst):
@@ -349,51 +344,49 @@ def _solve_presolved(
     return result
 
 
-def _interval_solve(
-    constraints: Sequence[Constraint],
-    objective: AffineExpr,
-    names: Sequence[str],
-    integer: bool,
-) -> Optional[IlpResult]:
-    """Direct solution when every constraint bounds a single variable.
-
-    Returns ``None`` when the system is not interval-shaped.  Constraint
-    normalisation guarantees single-variable inequalities have coefficient
-    +-1 with an integral bound, so the interval optimum is exact for both
-    the integer and the rational problem.
+def _fold_bounds(
+    constraints: Sequence[Constraint], integer: bool
+) -> Optional[Tuple[Bounds, Bounds, List[Constraint]]]:
+    """Split a system into ``(lo, hi, rows)``: every single-variable
+    constraint tightens a bound of its variable (rounded inwards for an
+    integer solve) and is gone; only ``rows``, which couple variables, ever
+    reach a tableau.  ``None`` when a constant row or an empty interval
+    already makes the system infeasible.
     """
-    lo: Dict[str, Number] = {}
-    hi: Dict[str, Number] = {}
+    lo: Bounds = {}
+    hi: Bounds = {}
+    rows: List[Constraint] = []
     for c in constraints:
-        vars_in = c.variables()
-        if len(vars_in) == 0:
-            if c.is_trivially_false():
-                return IlpResult(IlpStatus.INFEASIBLE)
+        coeffs = c.expr.coeffs
+        if len(coeffs) > 1:
+            rows.append(c)
             continue
-        if len(vars_in) > 1:
-            return None
-        name = vars_in[0]
-        a = c.expr.coeff(name)
-        bound = ratio(-c.expr.const, a)
-        if c.is_equality:
-            if integer and bound.denominator != 1:
-                return IlpResult(IlpStatus.INFEASIBLE)
-            lo[name] = max(lo.get(name, bound), bound)
-            hi[name] = min(hi.get(name, bound), bound)
-        elif a > 0:  # name >= bound
-            lo[name] = max(lo.get(name, bound), bound)
-        else:  # name <= bound
-            hi[name] = min(hi.get(name, bound), bound)
+        if not coeffs:
+            if c.is_trivially_false():
+                return None
+            continue
+        ((name, a),) = coeffs.items()
+        low = high = ratio(-c.expr.const, a)
+        if integer:
+            high = low.numerator // low.denominator
+            low = -(-low.numerator // low.denominator)
+        if c.is_equality or a > 0:  # name >= low
+            lo[name] = max(lo.get(name, low), low)
+        if c.is_equality or a < 0:  # name <= high
+            hi[name] = min(hi.get(name, high), high)
+    if any(lo[name] > hi[name] for name in lo.keys() & hi.keys()):
+        return None
+    return lo, hi, rows
 
+
+def _box_optimum(
+    lo: Bounds, hi: Bounds, objective: AffineExpr, names: Sequence[str]
+) -> IlpResult:
+    """The optimum over a box: nothing couples the variables, so each sits
+    at the bound its objective coefficient points to."""
     assignment: Dict[str, Number] = {}
     for name in names:
-        low = lo.get(name)
-        high = hi.get(name)
-        if integer:
-            low = None if low is None else -(-low.numerator // low.denominator)
-            high = None if high is None else high.numerator // high.denominator
-        if low is not None and high is not None and low > high:
-            return IlpResult(IlpStatus.INFEASIBLE)
+        low, high = lo.get(name), hi.get(name)
         coeff = objective.coeff(name)
         if coeff > 0:
             pick = low
@@ -404,92 +397,140 @@ def _interval_solve(
         if pick is None:
             return IlpResult(IlpStatus.UNBOUNDED)
         assignment[name] = pick
-    value = objective.evaluate(assignment)
-    return IlpResult(IlpStatus.OPTIMAL, value, assignment)
+    return IlpResult(IlpStatus.OPTIMAL, objective.evaluate(assignment), assignment)
 
 
 # -- simplex core ------------------------------------------------------------
 
+#: name -> (column, sign, shift, free): ``x = shift + sign * p`` with ``p``
+#: in ``column``, or ``x = p+ - p-`` in ``column``, ``column + 1`` when free.
+Layout = Dict[str, Tuple[int, int, Number, bool]]
+
 
 def _simplex_solve(
-    constraints: Sequence[Constraint], objective: AffineExpr, names: Sequence[str]
+    lo: Bounds,
+    hi: Bounds,
+    rows: Sequence[Constraint],
+    objective: AffineExpr,
+    names: Sequence[str],
 ) -> IlpResult:
-    """Solve the rational LP ``min objective s.t. constraints``.
+    """Solve the rational LP ``min objective s.t. rows, lo <= x <= hi``.
 
-    Free variables are split as ``v = v+ - v-``; inequalities get slack
-    variables; feasibility is established by a phase-1 with artificial
-    variables.  Bland's rule prevents cycling.  The tableau is the integer
-    row-scaled one described in the module docstring.
+    A variable is shifted to a finite bound (``x = lo + p``, or ``x = hi - p``
+    when only ``hi`` exists; ``p >= 0``, one column) and split ``p+ - p-``
+    only when it is free.  The tableau (integer and row-scaled, see the
+    module docstring) holds ``rows`` plus one ``p + s = hi - lo`` per
+    doubly-bounded variable.  A row whose slack can start basic -- every
+    upper-bound row, every inequality the shifted origin satisfies -- gets
+    no artificial, and phase 1 runs only if an artificial exists.
     """
-    for c in constraints:
-        if c.is_trivially_false():
-            return IlpResult(IlpStatus.INFEASIBLE)
-    live = [c for c in constraints if not c.is_trivially_true()]
-    names = list(names)
-    n = len(names)
-    index = {name: i for i, name in enumerate(names)}
+    layout: Layout = {}
+    boxed: List[Tuple[int, Number]] = []
+    n = 0
+    for name in names:
+        low, high = lo.get(name), hi.get(name)
+        if low is not None:
+            layout[name] = (n, 1, low, False)
+            if high is not None:
+                boxed.append((n, high - low))
+        elif high is not None:
+            layout[name] = (n, -1, high, False)
+        else:
+            layout[name] = (n, 1, 0, True)
+            n += 1
+        n += 1
 
-    # Column layout: [v0+, v0-, v1+, v1-, ..., slacks..., artificials..., rhs]
-    n_rows = len(live)
-    n_struct = 2 * n + sum(1 for c in live if not c.is_equality)
-    n_cols = n_struct + n_rows
-    tableau: List[List[int]] = []
-    slack = 2 * n
-    for i, c in enumerate(live):
-        row, const, scale = _structural_row(c.expr, index, n_cols + 1)
-        b = -const
+    # Columns: [p..., slacks..., artificials..., rhs].  Rows are first laid
+    # out over the structural ones as (row, rhs >= 0, basic column or None):
+    # how many need an artificial is known only once all are.
+    n_struct = n + len(boxed) + sum(1 for c in rows if not c.is_equality)
+    pending: List[Tuple[List[int], int, Optional[int]]] = []
+    slack = n
+    for j, width in boxed:
+        row = [0] * n_struct
+        row[j] = row[slack] = width.denominator
+        pending.append((row, width.numerator, slack))
+        slack += 1
+    for c in rows:
+        row, const, scale = _shifted_row(c.expr, layout, n_struct)
+        basic = None
         if not c.is_equality:
-            # expr >= 0  <=>  expr - s = 0, s >= 0  <=>  a.x - s = b
+            # expr >= 0  <=>  a.p - s = -const, s >= 0: once the row is
+            # negated the slack is basic at const, if that is >= 0.
             row[slack] = -scale
+            if const >= 0:
+                basic = slack
             slack += 1
-        if b < 0:
+        if const > 0 or basic is not None:
             row = [-x for x in row]
-            b = -b
-        row[n_struct + i] = scale  # the artificial: basic, so the row's denominator
-        row[-1] = b
+        pending.append((row, abs(const), basic))
+    n_art = sum(1 for _, _, basic in pending if basic is None)
+    n_cols = n_struct + n_art
+    tableau: List[List[int]] = []
+    basis: List[int] = []
+    artificial = n_struct
+    for row, rhs, basic in pending:
+        row += [0] * n_art
+        row.append(rhs)
+        if basic is None:
+            basic = artificial
+            row[basic] = 1
+            artificial += 1
         tableau.append(row)
-    basis = list(range(n_struct, n_cols))
+        basis.append(basic)
+    ILP_CACHE.count("rows", len(tableau))
 
-    # Phase 1: minimise the sum of artificial variables.
-    cost1 = [0] * n_struct + [1] * n_rows
-    status = _simplex_iterate(tableau, basis, cost1, n_cols)
-    if status is IlpStatus.UNBOUNDED:  # pragma: no cover - phase 1 is bounded
-        raise RuntimeError("phase-1 LP cannot be unbounded")
-    if any(col >= n_struct and row[-1] for row, col in zip(tableau, basis)):
-        return IlpResult(IlpStatus.INFEASIBLE)  # an artificial is stuck above zero
-    _drive_out_artificials(tableau, basis, n_struct)
+    if n_art:  # Phase 1: minimise the sum of artificial variables.
+        cost1 = [0] * n_struct + [1] * n_art
+        status = _simplex_iterate(tableau, basis, cost1, n_cols)
+        if status is IlpStatus.UNBOUNDED:  # pragma: no cover - phase 1 is bounded
+            raise RuntimeError("phase-1 LP cannot be unbounded")
+        if any(col >= n_struct and row[-1] for row, col in zip(tableau, basis)):
+            return IlpResult(IlpStatus.INFEASIBLE)  # an artificial is stuck above zero
+        _drive_out_artificials(tableau, basis, n_struct)
 
     # Phase 2: original objective over structural columns only.
-    cost2, _, _ = _structural_row(objective, index, n_cols)
+    cost2, _, _ = _shifted_row(objective, layout, n_cols)
     status = _simplex_iterate(tableau, basis, cost2, n_struct)
     if status is IlpStatus.UNBOUNDED:
         return IlpResult(IlpStatus.UNBOUNDED)
 
-    assignment: Dict[str, Number] = dict.fromkeys(names, 0)
+    point: List[Number] = [0] * n
     for row, col in zip(tableau, basis):
-        if col < 2 * n:
-            value = ratio(row[-1], row[col])
-            assignment[names[col // 2]] += value if col % 2 == 0 else -value
+        if col < n:
+            point[col] = ratio(row[-1], row[col])
+    assignment: Dict[str, Number] = {}
+    for name, (j, sign, shift, free) in layout.items():
+        p = point[j] - point[j + 1] if free else point[j]
+        assignment[name] = canonical(shift + sign * p)
     value = objective.evaluate(assignment)
     return IlpResult(IlpStatus.OPTIMAL, value, assignment)
 
 
-def _structural_row(
-    expr: AffineExpr, index: Dict[str, int], width: int
+def _shifted_row(
+    expr: AffineExpr, layout: Layout, width: int
 ) -> Tuple[List[int], int, int]:
-    """``scale * expr`` laid out over the ``v+``/``v-`` columns, in integers.
+    """``scale * expr`` laid out over the shifted columns, in integers.
 
+    Every variable is replaced by its ``shift + sign * p`` first and the
+    denominators are cleared after, so a fractional bound stays exact.
     Returns ``(row, const, scale)``: ``scale`` is the least positive integer
-    that clears every denominator of ``expr``, ``row`` has ``width`` entries
-    (zero beyond the variable columns) and ``const`` is the scaled constant.
+    that clears every denominator, ``row`` has ``width`` entries (zero
+    beyond the variable columns) and ``const`` is the scaled constant.
     """
-    scale = lcm(expr.const.denominator, *[a.denominator for a in expr.coeffs.values()])
+    const = expr.const
+    terms = []
+    for name, a in expr.coeffs.items():
+        j, sign, shift, free = layout[name]
+        const += a * shift
+        terms.append((j, sign * a, free))
+    scale = lcm(const.denominator, *[a.denominator for _, a, _ in terms])
     row = [0] * width
-    for name, coeff in expr.coeffs.items():
-        j = 2 * index[name]
-        row[j] = a = coeff.numerator * (scale // coeff.denominator)
-        row[j + 1] = -a
-    return row, expr.const.numerator * (scale // expr.const.denominator), scale
+    for j, a, free in terms:
+        row[j] = a = a.numerator * (scale // a.denominator)
+        if free:
+            row[j + 1] = -a
+    return row, const.numerator * (scale // const.denominator), scale
 
 
 def _eliminate(
@@ -548,6 +589,7 @@ def _simplex_iterate(
 
 def _pivot(tableau: List[List[int]], basis: List[int], row: int, col: int) -> None:
     """Make ``col`` basic in ``row``."""
+    ILP_CACHE.count("pivots")
     pivot_row = tableau[row]
     pivot = pivot_row[col]
     if pivot < 0:  # only when driving out an artificial that sits at zero
@@ -577,11 +619,19 @@ def _drive_out_artificials(
 
 
 def _branch_and_bound(
-    constraints: Sequence[Constraint], objective: AffineExpr, names: Sequence[str]
+    lo: Bounds,
+    hi: Bounds,
+    rows: Sequence[Constraint],
+    objective: AffineExpr,
+    names: Sequence[str],
 ) -> IlpResult:
-    """Integer minimisation by LP-relaxation branch and bound."""
+    """Integer minimisation by LP-relaxation branch and bound.
+
+    A node is a pair of bounds: branching on ``x <= floor(v)`` /
+    ``x >= floor(v) + 1`` tightens a column and never grows the tableau.
+    """
     best: Optional[IlpResult] = None
-    stack: List[List[Constraint]] = [list(constraints)]
+    stack: List[Tuple[Bounds, Bounds]] = [(lo, hi)]
     nodes = 0
     max_nodes = resilience.solver_node_budget(IlpProblem.MAX_BB_NODES)
     while stack:
@@ -593,8 +643,8 @@ def _branch_and_bound(
             )
         if nodes % 64 == 0:
             resilience.check_deadline()
-        current = stack.pop()
-        relax = _simplex_solve(current, objective, names)
+        lo, hi = stack.pop()
+        relax = _simplex_solve(lo, hi, rows, objective, names)
         if relax.status is IlpStatus.INFEASIBLE:
             continue
         if relax.status is IlpStatus.UNBOUNDED:
@@ -603,28 +653,13 @@ def _branch_and_bound(
             return IlpResult(IlpStatus.UNBOUNDED)
         if best is not None and relax.value >= best.value:
             continue  # Bound: cannot improve.
-        frac_name = next(
-            (
-                name
-                for name in names
-                if relax.assignment.get(name, 0).denominator != 1
-            ),
-            None,
-        )
+        point = relax.assignment
+        frac_name = next((n for n in names if point[n].denominator != 1), None)
         if frac_name is None:
-            if best is None or relax.value < best.value:
-                best = IlpResult(
-                    IlpStatus.OPTIMAL,
-                    relax.value,
-                    {k: v for k, v in relax.assignment.items()},
-                )
+            best = relax  # integral, and better than the incumbent
             continue
-        value = relax.assignment[frac_name]
+        value = point[frac_name]
         floor_v = value.numerator // value.denominator
-        below = current + [Constraint.le(AffineExpr.variable(frac_name), floor_v)]
-        above = current + [Constraint.ge(AffineExpr.variable(frac_name), floor_v + 1)]
-        stack.append(below)
-        stack.append(above)
-    if best is None:
-        return IlpResult(IlpStatus.INFEASIBLE)
-    return best
+        stack.append((lo, {**hi, frac_name: floor_v}))
+        stack.append(({**lo, frac_name: floor_v + 1}, hi))
+    return best or IlpResult(IlpStatus.INFEASIBLE)

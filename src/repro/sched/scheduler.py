@@ -45,6 +45,9 @@ from repro.sched.tree import (
 
 _farkas_counter = itertools.count()
 
+#: A dependence beside the problem its relation's questions are posed to.
+Posed = Tuple[Dependence, IlpProblem]
+
 
 class SchedulerOptions:
     """Tuning knobs (the paper's "fine-tuned combination of scheduling
@@ -188,6 +191,9 @@ class PolyScheduler:
         coincident: List[bool] = []
         used_leading: Set[str] = set()
         permutable = True
+        # One problem per dependence for the whole band: every row poses its
+        # delta to the same relation, which is then presolved once.
+        posed = [(dep, IlpProblem(dep.relation.constraints)) for dep in deps]
 
         for pos in range(depth):
             resilience.check_deadline()
@@ -196,11 +202,11 @@ class PolyScheduler:
             }
             row = None
             if self.options.identity_fast_path and self._row_weakly_legal(
-                candidate, deps
+                candidate, posed
             ):
                 row = candidate
             elif self.options.enable_skewing:
-                row = self._pluto_row(cluster, deps, pos, used_leading)
+                row = self._pluto_row(cluster, posed, pos, used_leading)
             if row is None:
                 # Could not extend the band: stop here (callers fall back to
                 # the sequence order for whatever dimensions remain).
@@ -209,7 +215,7 @@ class PolyScheduler:
             for sid, expr in row.items():
                 rows[sid].append(expr)
             used_leading.add(cluster[0].iter_names[pos])
-            coincident.append(self._row_coincident(row, deps))
+            coincident.append(self._row_coincident(row, posed))
 
         return ClusterSchedule(rows, coincident, permutable)
 
@@ -224,13 +230,11 @@ class PolyScheduler:
         return dst_expr - src_expr
 
     def _row_weakly_legal(
-        self, row: Dict[str, AffineExpr], deps: Sequence[Dependence]
+        self, row: Dict[str, AffineExpr], posed: Sequence[Posed]
     ) -> bool:
         """True when delta >= 0 over every dependence relation."""
-        for dep in deps:
-            delta = self._row_delta(row, dep)
-            problem = IlpProblem(dep.relation.constraints)
-            result = problem.minimize(delta, integer=True)
+        for dep, problem in posed:
+            result = problem.minimize(self._row_delta(row, dep), integer=True)
             if result.status is IlpStatus.OPTIMAL and result.value < 0:
                 return False
             if result.status is IlpStatus.UNBOUNDED:
@@ -238,12 +242,11 @@ class PolyScheduler:
         return True
 
     def _row_coincident(
-        self, row: Dict[str, AffineExpr], deps: Sequence[Dependence]
+        self, row: Dict[str, AffineExpr], posed: Sequence[Posed]
     ) -> bool:
         """True when delta == 0 over every dependence (parallel row)."""
-        for dep in deps:
+        for dep, problem in posed:
             delta = self._row_delta(row, dep)
-            problem = IlpProblem(dep.relation.constraints)
             hi = problem.maximize(delta, integer=True)
             if hi.status is not IlpStatus.OPTIMAL or hi.value != 0:
                 lo = problem.minimize(delta, integer=True)
@@ -262,7 +265,7 @@ class PolyScheduler:
     def _pluto_row(
         self,
         cluster: List[PolyStatement],
-        deps: Sequence[Dependence],
+        posed: Sequence[Posed],
         pos: int,
         used_leading: Set[str],
     ) -> Optional[Dict[str, AffineExpr]]:
@@ -271,11 +274,18 @@ class PolyScheduler:
         Coefficients are restricted to ``[0, max_coefficient]`` (standard
         Pluto restriction); linear independence from previous rows is
         enforced by requiring a not-yet-leading dimension to carry weight.
+
+        The row is a stated lexicographic optimum, not whichever optimal
+        point the solver lands on: minimise the sum of the coefficients;
+        at that sum minimise the sum of ``|shift|``; then the lexicographic
+        minimum over the coefficients (statement by statement, dimension
+        by dimension) followed by the shifts (statement order).
         """
         faultinject.fire("sched.pluto_row")
         problem = IlpProblem()
         coeff_vars: Dict[Tuple[str, str], str] = {}
         const_vars: Dict[str, str] = {}
+        abs_shift = AffineExpr.constant(0)
         for stmt in cluster:
             const_vars[stmt.stmt_id] = f"d_{stmt.stmt_id}"
             for dim in stmt.iter_names:
@@ -287,10 +297,14 @@ class PolyScheduler:
                         AffineExpr.variable(name), self.options.max_coefficient
                     )
                 )
-            # Bound the shift so the ILP stays bounded.
+            # Bound the shift so the ILP stays bounded; a_S >= |d_S|.
             dvar = AffineExpr.variable(const_vars[stmt.stmt_id])
+            avar = AffineExpr.variable(f"a_{stmt.stmt_id}")
             problem.add_constraint(Constraint.ge(dvar, -16))
             problem.add_constraint(Constraint.le(dvar, 16))
+            problem.add_constraint(Constraint.ge(avar, dvar))
+            problem.add_constraint(Constraint.ge(avar, -dvar))
+            abs_shift = abs_shift + avar
 
         # Non-triviality and linear independence.
         for stmt in cluster:
@@ -305,26 +319,29 @@ class PolyScheduler:
             problem.add_constraint(Constraint.ge(fresh, 1))
 
         # Farkas legality per dependence: delta >= 0 over the relation.
-        for dep in deps:
+        for dep, _ in posed:
             self._add_farkas(problem, dep, coeff_vars, const_vars)
 
-        objective = AffineExpr.constant(0)
+        coeff_sum = AffineExpr.constant(0)
         for name in coeff_vars.values():
-            objective = objective + AffineExpr.variable(name)
-        result = problem.minimize(objective, integer=True)
-        if result.status is not IlpStatus.OPTIMAL:
-            return None
+            coeff_sum = coeff_sum + AffineExpr.variable(name)
+        for objective in (coeff_sum, abs_shift):
+            result = problem.minimize(objective, integer=True)
+            if result.status is not IlpStatus.OPTIMAL:
+                return None
+            problem.add_constraint(Constraint.eq(objective, result.value))
+        point = problem.lexmin([*coeff_vars.values(), *const_vars.values()])
 
         row: Dict[str, AffineExpr] = {}
         for stmt in cluster:
-            expr = AffineExpr.constant(result.assignment.get(const_vars[stmt.stmt_id], 0))
+            expr = AffineExpr.constant(point[const_vars[stmt.stmt_id]])
             for dim in stmt.iter_names:
-                c = result.assignment.get(coeff_vars[(stmt.stmt_id, dim)], 0)
+                c = point[coeff_vars[(stmt.stmt_id, dim)]]
                 if c:
                     expr = expr + AffineExpr.variable(dim) * c
             row[stmt.stmt_id] = expr
         # The ILP guarantees legality by construction, but verify exactly.
-        if not self._row_weakly_legal(row, deps):  # pragma: no cover - safety
+        if not self._row_weakly_legal(row, posed):  # pragma: no cover - safety
             return None
         return row
 

@@ -101,11 +101,14 @@ def format_report() -> str:
             f"{name:<24}{row['calls']:>8}{row['seconds']:>12.4f}{per_call:>10.2f}"
         )
     for cache_name, s in data["solver_cache"].items():
-        lines.append(
+        line = (
             f"solver cache [{cache_name}]: {s['hits']} hits / {s['misses']} "
             f"misses ({100.0 * s['hit_rate']:.1f}% hit rate, "
             f"{s['entries']} entries)"
         )
+        if "pivots" in s:  # the ilp table: what its misses cost the simplex
+            line += f", {s['pivots']} pivots over {s['rows']} tableau rows"
+        lines.append(line)
     d = data["disk_cache"]
     if d.get("enabled"):
         lines.append(

@@ -5,10 +5,13 @@ row-scaled tableau replaced it, moved here verbatim (dead no-ops and
 all) except that it converts the numbers it reads off its inputs to
 ``Fraction`` on entry -- expressions now store integral numbers as plain
 ``int`` -- so every cell of the tableau is a ``Fraction`` as it always
-was.  It is the oracle for ``test_simplex_equivalence``: the production
-solver must agree with it on status, value and full assignment, and take
-the same number of pivots -- the pivot sequence is the contract that
-keeps every schedule and emitted program byte-identical.
+was.  It lays out one row per constraint, bounds included, and one
+artificial per row: the layout production left behind when bounds became
+columns.  It is the oracle for ``test_simplex_equivalence``: the
+production solver must agree with it on status and optimal value; the
+*point* either returns is a certificate, and the two need not pick the
+same vertex (``test_vertex_independence`` compiles with this solver in
+production's place to show nothing downstream can tell).
 
 Not imported by anything under ``src/``.
 """
@@ -20,6 +23,23 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.poly.affine import AffineExpr, Constraint
 from repro.poly.ilp import IlpResult, IlpStatus
+
+
+def raw(expr: AffineExpr, is_equality: bool = False) -> Constraint:
+    """A constraint holding ``expr`` as given: ``Constraint`` would scale
+    it to coprime integers (and tighten an inequality's constant), and
+    neither solver may depend on that."""
+    c = Constraint(expr, is_equality)
+    c.expr = expr
+    return c
+
+
+def solve_folded(lo, hi, rows, objective: AffineExpr, names: Sequence[str]) -> IlpResult:
+    """:func:`_simplex_solve` behind the signature of production's: every
+    bound goes back to being a row."""
+    bounds = [raw(AffineExpr.variable(n) - b) for n, b in lo.items()]
+    bounds += [raw(b - AffineExpr.variable(n)) for n, b in hi.items()]
+    return _simplex_solve(bounds + list(rows), objective, names)
 
 
 def _simplex_solve(

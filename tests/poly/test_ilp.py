@@ -214,6 +214,102 @@ def test_lexmin_matches_brute_force(lo1, width1, lo2, width2):
         assert (point["x"], point["y"]) == feasible[0]
 
 
+SIDES = st.sampled_from(["both", "lo", "hi", "none"])
+
+
+def _diamond_problem(cx, cy, radius, bounds):
+    """``|x - cx| + |y - cy| <= radius`` as four coupling rows, so the region
+    is bounded whichever sides of ``bounds`` (name -> (sides, lo, hi)) are
+    kept: a one-sided variable is shifted to its bound, a free one split."""
+    x, y = var("x") - cx, var("y") - cy
+    p = IlpProblem(
+        [
+            Constraint.le(x + y, radius),
+            Constraint.le(x - y, radius),
+            Constraint.le(y - x, radius),
+            Constraint.le(-x - y, radius),
+        ]
+    )
+    for name, (sides, lo, hi) in bounds.items():
+        if sides in ("both", "lo"):
+            p.add_constraint(Constraint.ge(var(name), lo))
+        if sides in ("both", "hi"):
+            p.add_constraint(Constraint.le(var(name), hi))
+    return p
+
+
+def _diamond_points(cx, cy, radius, bounds):
+    def inside(name, v):
+        sides, lo, hi = bounds[name]
+        return (sides not in ("both", "lo") or v >= lo) and (
+            sides not in ("both", "hi") or v <= hi
+        )
+
+    return sorted(
+        (x, y)
+        for x in range(cx - radius, cx + radius + 1)
+        for y in range(cy - radius, cy + radius + 1)
+        if abs(x - cx) + abs(y - cy) <= radius and inside("x", x) and inside("y", y)
+    )
+
+
+DIAMOND = dict(
+    cx=st.integers(-6, 6),
+    cy=st.integers(-6, 6),
+    radius=st.integers(0, 5),
+    sides_x=SIDES,
+    sides_y=SIDES,
+    lo_x=st.integers(-8, 8),
+    width_x=st.integers(0, 6),
+    lo_y=st.integers(-8, 8),
+    width_y=st.integers(0, 6),
+)
+
+
+def _diamond_bounds(sides_x, sides_y, lo_x, width_x, lo_y, width_y):
+    return {"x": (sides_x, lo_x, lo_x + width_x), "y": (sides_y, lo_y, lo_y + width_y)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(c1=st.integers(-3, 3), c2=st.integers(-3, 3), **DIAMOND)
+def test_ilp_matches_brute_force_on_one_sided_and_free_variables(
+    cx, cy, radius, c1, c2, **sides
+):
+    """Variables bounded on both sides, one side or not at all take
+    different columns in the tableau; the integer optimum is the
+    enumerated one for each, and the point returned attains it."""
+    bounds = _diamond_bounds(**sides)
+    p = _diamond_problem(cx, cy, radius, bounds)
+    obj = var("x") * c1 + var("y") * c2
+    result = p.minimize(obj, integer=True)
+
+    feasible = _diamond_points(cx, cy, radius, bounds)
+    if not feasible:
+        assert result.status is IlpStatus.INFEASIBLE
+    else:
+        assert result.status is IlpStatus.OPTIMAL
+        assert result.value == min(c1 * x + c2 * y for x, y in feasible)
+        point = (result.assignment["x"], result.assignment["y"])
+        assert point in feasible and c1 * point[0] + c2 * point[1] == result.value
+
+
+@settings(max_examples=40, deadline=None)
+@given(**DIAMOND)
+def test_lexmin_matches_brute_force_on_one_sided_and_free_variables(
+    cx, cy, radius, **sides
+):
+    bounds = _diamond_bounds(**sides)
+    p = _diamond_problem(cx, cy, radius, bounds)
+    feasible = _diamond_points(cx, cy, radius, bounds)
+    point = p.lexmin(["x", "y"])
+    if not feasible:
+        assert point is None and p.lexmax(["x", "y"]) is None
+    else:
+        assert (point["x"], point["y"]) == feasible[0]
+        point = p.lexmax(["x", "y"])
+        assert (point["x"], point["y"]) == feasible[-1]
+
+
 class TestBatchMinimize:
     """batch_minimize must be indistinguishable from minimize in a loop."""
 
@@ -284,3 +380,41 @@ class TestBatchMinimize:
         batched = p.batch_minimize([var("x"), var("x") * -1], integer=False)
         assert batched[0].value == Fraction(1, 2)
         assert -batched[1].value == Fraction(1, 2)
+
+
+class TestPresolveOnce:
+    """A problem presolves its system once, whoever poses the objectives."""
+
+    def _counted(self, monkeypatch):
+        from repro.poly import ilp
+        from repro.poly.cache import clear_solver_caches
+
+        calls = []
+        real = ilp._presolve_system
+
+        def counting(constraints):
+            calls.append(len(constraints))
+            return real(constraints)
+
+        monkeypatch.setattr(ilp, "_presolve_system", counting)
+        clear_solver_caches()
+        return calls
+
+    def test_one_presolve_serves_every_objective(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        p = TestBatchMinimize()._diamond()
+        assert p.minimize(var("x")).value == -1
+        assert p.maximize(var("z")).value == 8
+        p.batch_minimize([var("y"), var("x") + var("y")])
+        assert p.is_feasible()
+        assert calls == [5]
+
+    def test_a_new_constraint_drops_it(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        p = TestBatchMinimize()._diamond()
+        assert p.minimize(var("z")).value == 1
+        p.add_constraint(Constraint.ge(var("x"), 2))
+        assert p.minimize(var("z")).value == 4
+        p.add_constraints([Constraint.eq(var("y"), var("x"))])
+        assert p.maximize(var("z")).value == 6
+        assert calls == [5, 6, 7]

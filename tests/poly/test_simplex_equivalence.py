@@ -1,15 +1,22 @@
-"""The integer-tableau simplex against the ``Fraction`` reference.
+"""The bounded integer-tableau simplex against the ``Fraction`` reference.
 
-``repro.poly.ilp`` promises more than equal optima: it takes the *same
-pivots* as the textbook ``Fraction`` tableau it replaced (same column
-layout, Bland entering rule, ratio-test tie-break, drive-out order), so
-that every LP lands on the same vertex and every schedule and emitted
-program stays byte-identical.  Three angles:
+``repro.poly.ilp`` keeps bounds out of its tableau (a bound shifts a
+column; only rows that couple variables are rows), so it does not walk
+the reference's vertices and need not stop on the same one.  What it
+promises instead, and what is held here:
 
-(i)   every simplex solve issued while compiling four real workloads
-      equals the reference on status, value and full assignment;
-(ii)  a seeded corpus of small LPs built to hit the awkward paths equals
-      the reference *and* replays its pivot sequence exactly;
+- **status and optimal value** of every solve equal the reference's;
+- the assignment is a **certificate**: a point that satisfies every
+  constraint and attains the value (integral for an integer solve), and a
+  pure function of the input;
+- the **work is bounded**: exact pivot and tableau-row counts per pinned
+  compile -- a regression guard that needs no clock.
+
+Three angles:
+
+(i)   every solve issued while compiling four real workloads;
+(ii)  a seeded corpus of small LPs built to hit the awkward paths, plus
+      branch and bound over the members it must terminate on;
 (iii) the solver-cache hit/miss counts of those four compiles are
       pinned: the compiler still asks the same questions, and the
       name-free memo keys (``repro.poly.cache``) still fold them into the
@@ -17,6 +24,7 @@ program stays byte-identical.  Three angles:
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,28 +38,31 @@ from repro.ir.tensor import placeholder
 from repro.poly import ilp
 from repro.poly.affine import AffineExpr, Constraint, var
 from repro.poly.cache import clear_solver_caches, solver_cache_stats
-from repro.poly.ilp import IlpStatus
+from repro.poly.ilp import IlpProblem, IlpStatus
 
 from tests.poly import _reference_simplex as reference
+from tests.poly._reference_simplex import raw as _raw
 
 
-def _same_result(got, want):
+def _same_optimum(got, want):
     assert got.status is want.status
     assert got.value == want.value
-    assert got.assignment == want.assignment
 
 
-def _record_pivots(monkeypatch, module):
-    """Log the (row, column) of every pivot ``module`` performs."""
-    log = []
-    real = module._pivot
+def _certified(result, constraints, objective, integer=False):
+    """``result.assignment`` proves ``result.value``: feasible, attains it."""
+    if result.status is not IlpStatus.OPTIMAL:
+        return
+    point = result.assignment
+    assert all(c.satisfied(point) for c in constraints), (constraints, point)
+    assert objective.evaluate(point) == result.value
+    if integer:
+        assert all(v.denominator == 1 for v in point.values()), point
 
-    def recording(tableau, basis, row, col):
-        log.append((row, col))
-        real(tableau, basis, row, col)
 
-    monkeypatch.setattr(module, "_pivot", recording)
-    return log
+def _ilp_work():
+    stats = solver_cache_stats()["ilp"]
+    return stats["pivots"], stats["rows"]
 
 
 # -- (i) + (iii): real compiles ------------------------------------------------
@@ -71,27 +82,33 @@ def _build(make):
     return lambda: build(make(), "equiv", options=AkgOptions(emit_trace=True))
 
 
-# name -> (compile, simplex solves, (hits, misses) of the ilp, fm, extent and
-# footprint tables).  The split into hits and misses is that of the
-# name-free keys (with name-carrying keys subgraph5 read ilp 373/164, fm
-# 223/244).  subgraph2's systems are all interval-shaped and never reach
-# the simplex.  Re-recorded when the footprint table went in front of
-# ``compose`` (every repeat of a footprint question used to reach fm and
-# extent as hits -- subgraph2 read fm 270/66, extent 1188/48 -- and band
-# row extents were posed three times per fusion: ilp hits 723 -> 627);
-# misses and simplex solves may only fall.  subgraph2 asks 288 footprint
-# questions, one distinct per probed size vector.
+# name -> (compile, simplex solves, (pivots, tableau rows) summed over them,
+# (hits, misses) of the ilp, fm, extent and footprint tables).  The split
+# into hits and misses is that of the name-free keys (with name-carrying
+# keys subgraph5 read ilp 373/164, fm 223/244).  subgraph2's systems have
+# no coupling row and never reach the simplex.  The hit/miss pins were
+# re-recorded when the footprint table went in front of ``compose`` (every
+# repeat of a footprint question used to reach fm and extent as hits --
+# subgraph2 read fm 270/66, extent 1188/48 -- and band row extents were
+# posed three times per fusion: ilp hits 723 -> 627); misses and simplex
+# solves may only fall.  subgraph2 asks 288 footprint questions, one
+# distinct per probed size vector.  Pivots and rows are exact and may only
+# fall too: with one row per bound and one artificial per row the same
+# solves took 891 / 726 / 0 / 2,151 pivots over 783 / 630 / 0 / 1,871 rows.
 COMPILES = {
-    "conv2d_16x32": (_build(_conv2d_16x32), 27, (71, 52), (0, 23), (11, 19), (1, 4)),
+    "conv2d_16x32": (
+        _build(_conv2d_16x32), 27, (27, 270), (71, 52), (0, 23), (11, 19), (1, 4)
+    ),
     "subgraph5": (
-        _build(lambda: _subgraph(5)), 27, (410, 79), (0, 27), (122, 21), (64, 5)
+        _build(lambda: _subgraph(5)), 27, (40, 243), (410, 79), (0, 27), (122, 21), (64, 5)
     ),
     "subgraph2": (
-        _build(lambda: _subgraph(2)), 0, (627, 30), (0, 30), (84, 24), (282, 6)
+        _build(lambda: _subgraph(2)), 0, (0, 0), (627, 30), (0, 30), (84, 24), (282, 6)
     ),
     "mobilenetv2_tiny": (
         lambda: compile_network(network("mobilenetv2_tiny")),
         67,
+        (67, 659),
         (546, 215),
         (0, 84),
         (89, 68),
@@ -102,24 +119,30 @@ COMPILES = {
 
 @pytest.mark.parametrize("name", sorted(COMPILES))
 def test_compile_time_solves_equal_the_reference(name, monkeypatch):
-    compile_it, n_solves, *pins = COMPILES[name]
+    compile_it, n_solves, work, *pins = COMPILES[name]
     diskcache.set_disk_cache_enabled(False)
-    new_pivots = _record_pivots(monkeypatch, ilp)
-    ref_pivots = _record_pivots(monkeypatch, reference)
-    production = ilp._simplex_solve
+    simplex, front_end = ilp._simplex_solve, ilp._solve_presolved
     solves = []
 
-    def cross_checked(constraints, objective, names):
-        got = production(constraints, objective, names)
-        _same_result(got, reference._simplex_solve(constraints, objective, names))
-        assert len(new_pivots) == len(ref_pivots)
+    def cross_checked(lo, hi, rows, objective, names):
+        got = simplex(lo, hi, rows, objective, names)
+        _same_optimum(got, reference.solve_folded(lo, hi, rows, objective, names))
         solves.append(got.status)
         return got
 
+    def certified(constraints, objective, back_subst, integer):
+        # Every uncached answer, read off a box or found by the simplex,
+        # rational or branched: the presolved system is what it answers.
+        got = front_end(constraints, objective, back_subst, integer)
+        _certified(got, constraints, objective, integer)
+        return got
+
     monkeypatch.setattr(ilp, "_simplex_solve", cross_checked)
+    monkeypatch.setattr(ilp, "_solve_presolved", certified)
     clear_solver_caches()
     compile_it()
     assert len(solves) == n_solves
+    assert _ilp_work() == work
     stats = solver_cache_stats()
     assert len(pins) == len(stats)
     for table, pin in zip(("ilp", "fm", "extent", "footprint"), pins):
@@ -130,14 +153,6 @@ def test_compile_time_solves_equal_the_reference(name, monkeypatch):
 
 
 # -- (ii): seeded corpus -------------------------------------------------------
-
-
-def _raw(expr, is_equality):
-    """A constraint holding ``expr`` as given: ``Constraint`` would scale
-    it to coprime integers, and the solver must not depend on that."""
-    c = Constraint(expr, is_equality)
-    c.expr = expr
-    return c
 
 
 def _expr(rng, names, span=3, const=6, denominators=(1,)):
@@ -205,6 +220,8 @@ def _redundant(rng, names):
 
 
 def _rational(rng, names):
+    # Fractional bounds and unnormalised rows: the shift must be
+    # substituted before denominators are cleared.
     cons = [
         _raw(_expr(rng, names, denominators=(1, 2, 3, 5)), rng.random() < 0.3)
         for _ in range(rng.randint(1, 4))
@@ -212,17 +229,38 @@ def _rational(rng, names):
     return cons + _box(rng, names)
 
 
-FAMILIES = (_boxed, _open, _degenerate, _redundant, _rational)
+def _traffic(rng, names):
+    # The shape the compiler poses: a box on nearly every variable -- some
+    # keep only one side, some neither -- and one or two rows that couple
+    # a few of them.
+    cons = []
+    for n in names:
+        sides = rng.choice(("both",) * 6 + ("lo", "hi", "none"))
+        if sides in ("both", "lo"):
+            cons.append(Constraint.ge(var(n), rng.randint(-4, 0)))
+        if sides in ("both", "hi"):
+            cons.append(Constraint.le(var(n), rng.randint(0, 15)))
+    for _ in range(rng.randint(1, 2)):
+        coupled = rng.sample(names, min(len(names), rng.randint(2, 4)))
+        cons.append(Constraint(_expr(rng, coupled, const=12), rng.random() < 0.2))
+    rng.shuffle(cons)
+    return cons
+
+
+# family -> the most variables it is posed over
+FAMILIES = {
+    _boxed: 4, _open: 4, _degenerate: 4, _redundant: 4, _rational: 4, _traffic: 8
+}
 PER_FAMILY = 80
 
 
-def test_seeded_corpus_replays_the_reference_pivot_sequence(monkeypatch):
-    new_pivots = _record_pivots(monkeypatch, ilp)
-    ref_pivots = _record_pivots(monkeypatch, reference)
-    seen = {"negative_pivot": 0, "artificial_left_basic": 0, "tie": 0}
+def _watch_paths(monkeypatch):
+    """Count the paths the corpus was built for as the solver takes them."""
+    seen = Counter()
     driving_out = []
-
-    real_pivot = ilp._pivot  # the recording wrapper
+    real_pivot = ilp._pivot
+    real_drive_out = ilp._drive_out_artificials
+    real_solve = ilp._simplex_solve
 
     def watch_pivot(tableau, basis, row, col):
         pivot, rhs = tableau[row][col], tableau[row][-1]
@@ -234,32 +272,141 @@ def test_seeded_corpus_replays_the_reference_pivot_sequence(monkeypatch):
             )
         real_pivot(tableau, basis, row, col)
 
-    real_drive_out = ilp._drive_out_artificials
-
     def watch_drive_out(tableau, basis, n_struct):
+        seen["phase_1"] += 1  # reached only past a feasible phase 1
         driving_out.append(True)
         real_drive_out(tableau, basis, n_struct)
         driving_out.pop()
         seen["artificial_left_basic"] += any(col >= n_struct for col in basis)
 
+    def watch_solve(lo, hi, rows, objective, names):
+        seen["simplex"] += 1
+        for n in names:
+            sides = (n in lo, n in hi)
+            seen[{(True, True): "boxed", (True, False): "lo_only",
+                  (False, True): "hi_only", (False, False): "free"}[sides]] += 1
+        seen["fractional_shift"] += any(
+            b.denominator != 1 for b in (*lo.values(), *hi.values())
+        )
+        return real_solve(lo, hi, rows, objective, names)
+
     monkeypatch.setattr(ilp, "_pivot", watch_pivot)
     monkeypatch.setattr(ilp, "_drive_out_artificials", watch_drive_out)
+    monkeypatch.setattr(ilp, "_simplex_solve", watch_solve)
+    return seen
 
-    rng = random.Random(20210621)
-    statuses = {status: 0 for status in IlpStatus}
-    for family in FAMILIES:
+
+def _check_corpus(seed, monkeypatch):
+    """Every member against the reference; returns the statuses seen."""
+    rng = random.Random(seed)
+    statuses = Counter()
+    production = ilp._simplex_solve
+    for family, most in FAMILIES.items():
         for _ in range(PER_FAMILY):
-            names = [f"x{i}" for i in range(rng.randint(1, 4))]
+            names = [f"x{i}" for i in range(rng.randint(1, most))]
             constraints = family(rng, names)
             denominators = (1, 2, 3, 7) if rng.random() < 0.3 else (1,)
             objective = _expr(rng, names, denominators=denominators)
-            del new_pivots[:], ref_pivots[:]
-            got = ilp._simplex_solve(constraints, objective, names)
+            where = (family.__name__, constraints, objective)
+
+            got = ilp._solve_presolved(constraints, objective, [], False)
             want = reference._simplex_solve(constraints, objective, names)
-            _same_result(got, want)
-            assert new_pivots == ref_pivots, (family.__name__, constraints, objective)
+            _same_optimum(got, want)
+            _certified(got, constraints, objective)
+            again = ilp._solve_presolved(constraints, objective, [], False)
+            assert again.assignment == got.assignment, where
             statuses[got.status] += 1
 
+            lo, hi, _ = ilp._fold_bounds(constraints, False) or ({}, {}, [])
+            if all(n in lo and n in hi for n in names):
+                # A box bounds the search: branch and bound must end, and
+                # end where it ends over the reference's relaxations.
+                got = ilp._solve_presolved(constraints, objective, [], True)
+                with monkeypatch.context() as patched:
+                    patched.setattr(ilp, "_simplex_solve", reference.solve_folded)
+                    want = ilp._solve_presolved(constraints, objective, [], True)
+                assert ilp._simplex_solve is production
+                _same_optimum(got, want)
+                _certified(got, constraints, objective, integer=True)
+                statuses["integer"] += 1
+    return statuses
+
+
+def test_seeded_corpus_equals_the_reference(monkeypatch):
+    seen = _watch_paths(monkeypatch)
+    before = _ilp_work()
+    statuses = _check_corpus(20210621, monkeypatch)
+    pivots, rows = (after - b for after, b in zip(_ilp_work(), before))
+
     # The corpus is only evidence if it reaches the paths it was built for.
-    assert all(count >= 20 for count in statuses.values()), statuses
-    assert all(count >= 10 for count in seen.values()), seen
+    assert all(statuses[status] >= 20 for status in IlpStatus), statuses
+    assert statuses["integer"] >= 100, statuses
+    for path in (
+        "tie", "negative_pivot", "artificial_left_basic",  # as the reference has
+        "phase_1", "boxed", "lo_only", "hi_only", "free", "fractional_shift",
+    ):
+        assert seen[path] >= 10, (path, seen)
+    # Most solves start feasible at the shifted origin and skip phase 1.
+    assert seen["phase_1"] < seen["simplex"]
+    assert pivots > 0 and rows > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(20))
+def test_seeded_corpus_sweep(seed, monkeypatch):
+    _check_corpus(seed, monkeypatch)
+
+
+# -- branch and bound tightens columns -------------------------------------------
+
+
+def _relaxation_sizes(monkeypatch):
+    """Tableau rows of every relaxation ``_branch_and_bound`` solves."""
+    sizes = []
+    production = ilp._simplex_solve
+
+    def sized(*args):
+        before = _ilp_work()[1]
+        got = production(*args)
+        sizes.append(_ilp_work()[1] - before)
+        return got
+
+    monkeypatch.setattr(ilp, "_simplex_solve", sized)
+    return sizes
+
+
+def test_branching_bounds_leave_the_row_count_unchanged(monkeypatch):
+    sizes = _relaxation_sizes(monkeypatch)
+    x, y = var("x"), var("y")
+    problem = IlpProblem(
+        [
+            Constraint.ge(x, 0), Constraint.le(x, 9),
+            Constraint.ge(y, 0), Constraint.le(y, 9),
+            Constraint.le(x * 2 + y * 3, 7),
+            Constraint.le(x * 4 - y * 2, 5),
+        ]
+    )
+    clear_solver_caches()
+    result = problem.maximize(x * 3 + y * 4, integer=True)
+    best = max(
+        3 * a + 4 * b
+        for a in range(10)
+        for b in range(10)
+        if 2 * a + 3 * b <= 7 and 4 * a - 2 * b <= 5
+    )
+    assert (result.status, result.value) == (IlpStatus.OPTIMAL, best)
+    # Two coupling rows and one ``p <= hi - lo`` row per variable, at the
+    # root and at every node under it.
+    assert len(sizes) > 2 and set(sizes) == {4}
+
+
+def test_branching_a_one_sided_variable_adds_at_most_its_own_row(monkeypatch):
+    sizes = _relaxation_sizes(monkeypatch)
+    x, y = var("x"), var("y")
+    problem = IlpProblem(
+        [Constraint.ge(x, 0), Constraint.ge(y, 0), Constraint.le(x * 2 + y * 3, 7)]
+    )
+    clear_solver_caches()
+    result = problem.maximize(x * 3 + y * 4, integer=True)
+    assert (result.status, result.value) == (IlpStatus.OPTIMAL, 10)
+    assert len(sizes) > 2 and sizes[0] == 1 and max(sizes) <= 3

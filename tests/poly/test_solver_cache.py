@@ -89,6 +89,21 @@ class TestIlpCache:
         for row in stats.values():
             assert {"hits", "misses", "entries", "hit_rate"} <= set(row)
 
+    def test_ilp_row_carries_the_simplex_work(self):
+        """Pivots and tableau rows ride on the ``ilp`` entry alone: summed
+        over solves, untouched by a hit, zeroed with the other counters."""
+        obj = var("i") * 2 - var("j")
+        _box_problem().minimize(obj)
+        stats = solver_cache_stats()
+        work = {k: stats["ilp"][k] for k in ("pivots", "rows")}
+        assert work == {"pivots": 1, "rows": 3}  # two boxes + one coupling row
+        assert all("pivots" not in stats[t] for t in ("fm", "extent", "footprint"))
+        _box_problem().minimize(obj)  # a hit does no work
+        assert solver_cache_stats()["ilp"]["rows"] == 3
+        reset_solver_cache_stats()
+        stats = solver_cache_stats()["ilp"]
+        assert (stats["pivots"], stats["rows"], stats["entries"]) == (0, 0, 1)
+
     def test_reset_stats_keeps_entries(self):
         """reset_solver_cache_stats zeroes counters without dropping the
         memo: subsequent identical solves still hit."""

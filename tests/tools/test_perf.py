@@ -25,6 +25,10 @@ class TestPerf:
         text = perf.format_report()
         assert "render_me" in text
         assert "solver cache [ilp]" in text
+        # The simplex's work rides on the ilp line, and only there.
+        (ilp_line,) = [l for l in text.splitlines() if "[ilp]" in l]
+        assert " pivots over " in ilp_line and " tableau rows" in ilp_line
+        assert text.count(" pivots over ") == 1
         perf.reset()
 
     def test_build_populates_stage_timings(self):
