@@ -86,6 +86,15 @@ set -e
     || { echo "FAIL: expected exit 3 (SolverBudgetError), got $code"; exit 1; }
 
 echo
+echo "== ladder rung gets a fresh allotment after a timed-out primary =="
+REPRO_FAULT_SPEC="ilp.solve:delay@frontend.schedule#limit=1" \
+    python -m repro.tools.akgc conv2d --shape 1,4,12,12 --no-disk-cache \
+    --stage-timeout 60 --resilience-stats \
+    | tee "$TMP/rung.txt"
+grep -q "fallback -> identity-only" "$TMP/rung.txt" \
+    || { echo "FAIL: timed-out primary did not reach the identity-only rung"; exit 1; }
+
+echo
 echo "== disk-cache round trip (cold akgc, then warm) =="
 python -m repro.tools.akgc relu --shape 64,128 \
     --cache-dir "$TMP/cache" --cache-stats

@@ -18,7 +18,13 @@ import numpy as np
 from repro.codegen.program import CodegenOptions, ProgramBuilder
 from repro.codegen.program_exec import execute_program
 from repro.core import resilience
-from repro.core.errors import ReproError, SchedulingError, TilingError
+from repro.core.context import stage
+from repro.core.errors import (
+    ReproError,
+    SchedulingError,
+    StageTimeoutError,
+    TilingError,
+)
 from repro.core.frontend import FrontEnd, run_frontend
 from repro.core.resilience import ResilienceReport, StageBudget
 from repro.conv.fractal import graft_fractal_subtrees
@@ -46,7 +52,6 @@ from repro.sched.tree import DomainNode
 from repro.storage.promote import StoragePlan, plan_storage
 from repro.tiling import policy
 from repro.tiling.spec import TilingPolicy, parse_tiling_policy
-from repro.tools import perf
 
 
 class AkgOptions:
@@ -211,7 +216,7 @@ def build(
             budget=options.budget,
         )
         key = _program_cache_key(frontend, options)
-        with perf.stage("backend.cache_probe"):
+        with stage("backend.cache_probe"):
             cached = diskcache.load(key)
         if key is not None and getattr(frontend.kernel, "sym_dims", None):
             diskcache.note_shapeclass_probe(isinstance(cached, CompileResult))
@@ -329,16 +334,12 @@ def backend_build(
                 kernel=kernel.name,
             )
 
-    with perf.stage("backend.tile_select"), resilience.stage_scope(
-        "backend.tile_select", budget
-    ):
+    with stage("backend.tile_select", budget):
         sizes = policy.select_start_sizes(frontend, options)
     for _ in range(options.tile_shrink):
         sizes = policy.halve_largest(sizes)
 
-    with perf.stage("backend.tile_fit"), resilience.stage_scope(
-        "backend.tile_fit", budget
-    ):
+    with stage("backend.tile_fit", budget):
         first = fit(frontend, options, VARIANTS[0], sizes)
         if first is None:  # pragma: no cover - converges at size 1
             raise TilingError(
@@ -365,9 +366,7 @@ def backend_build(
         best.fusion.tree, best.fusion.groups, merged_assignment, hw.cube_block
     )
 
-    with perf.stage("backend.codegen"), resilience.stage_scope(
-        "backend.codegen", budget
-    ):
+    with stage("backend.codegen", budget):
         program = _emit(kernel, best, hw, options, options.emit_trace)
     return CompileResult(
         program,
@@ -408,7 +407,7 @@ def fit(
                     tree, kernel, deps, frontend.clustering, sizes
                 )
             except ReproError as exc:
-                if isinstance(exc, resilience.StageTimeoutError):
+                if isinstance(exc, StageTimeoutError):
                     raise  # the whole stage is out of time
                 # Fusion rung of the ladder: tile the groups
                 # separately instead.  The tree may be partially

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core import resilience
+from repro.core.context import stage
 from repro.core.resilience import StageBudget
 from repro.hw.spec import HardwareSpec
 from repro.ir.lower import LoweredKernel, PolyStatement, lower
@@ -33,7 +34,6 @@ from repro.sched.clustering import Clustering, conservative_clustering
 from repro.sched.deps import Dependence, compute_dependences
 from repro.sched.scheduler import PolyScheduler, SchedulerOptions
 from repro.sched.tree import BandNode, DomainNode, FilterNode, clone_tree
-from repro.tools import perf
 
 __all__ = ["FrontEnd", "run_frontend"]
 
@@ -105,7 +105,7 @@ class FrontEnd:
             from repro.sched.clustering import merge_uniform_clusters
 
             split_clustering = merge_uniform_clusters(self.clustering)
-            with perf.stage("frontend.split_schedule"):
+            with stage("frontend.split_schedule"):
                 split_master = PolyScheduler(self.scheduler_options).schedule_kernel(
                     self.kernel, self.deps, split_clustering
                 )
@@ -156,7 +156,7 @@ def run_frontend(
     scheduler_options = scheduler_options or SchedulerOptions()
 
     key = _frontend_cache_key(outputs, name, hw, scheduler_options)
-    with perf.stage("frontend.cache_probe"):
+    with stage("frontend.cache_probe"):
         cached = diskcache.load(key)
     if key is not None and graph_has_symbolic(outputs):
         diskcache.note_shapeclass_probe(isinstance(cached, FrontEnd))
@@ -166,32 +166,19 @@ def run_frontend(
 
     with resilience.collect() as report:
         events_before = len(report.events)
-        with perf.stage("frontend.lower"), resilience.stage_scope(
-            "frontend.lower", budget
-        ):
+        with stage("frontend.lower", budget):
             kernel = lower(outputs, name)
-        with perf.stage("frontend.deps"), resilience.stage_scope(
-            "frontend.deps", budget
-        ):
+        with stage("frontend.deps", budget):
             deps = compute_dependences(kernel)
-        with perf.stage("frontend.shape_generic"), resilience.stage_scope(
-            "frontend.shape_generic", budget
-        ):
+        with stage("frontend.shape_generic", budget):
             _prove_shape_generic(kernel)
-        with perf.stage("frontend.cluster"), resilience.stage_scope(
-            "frontend.cluster", budget
-        ):
+        with stage("frontend.cluster", budget):
             clustering = conservative_clustering(kernel, deps)
-        with perf.stage("frontend.schedule"), resilience.stage_scope(
-            "frontend.schedule", budget
-        ):
+        with stage("frontend.schedule", budget):
             master_tree = _schedule_with_ladder(
                 kernel, deps, clustering, scheduler_options
             )
-        degraded = any(
-            e["kind"] in ("fallback", "gave_up")
-            for e in report.events[events_before:]
-        )
+        degraded = report.degraded_since(events_before)
 
     frontend = FrontEnd(
         name, hw, scheduler_options, kernel, deps, clustering, master_tree

@@ -1,61 +1,56 @@
-"""Budgets, deadlines and the graceful-degradation ladder.
+"""Stage budgets, degradation reports and the fallback ladder.
 
-Three mechanisms live here, glued to the taxonomy in
-:mod:`repro.core.errors`:
+The policy half of :mod:`repro.core.context` (which holds the per-thread
+frames these functions read, the deadline checks re-exported here, and
+the threading contract).
 
 **Stage budgets** (:class:`StageBudget`).  ``AkgOptions`` carries one;
-:func:`stage_scope` pushes a wall-clock deadline for the duration of a
-pipeline stage, and long-running loops (ILP branch-and-bound,
-Fourier–Motzkin elimination, the auto-tiling search) call
-:func:`check_deadline` cooperatively.  A pathological kernel therefore
-raises :class:`~repro.core.errors.StageTimeoutError` instead of hanging
-the process.  ``solver_nodes`` caps branch-and-bound nodes per solve and
-``fm_constraints`` caps the intermediate system size during projection.
+``stage(name, budget)`` arms its wall-clock deadline and long-running
+loops (ILP branch-and-bound, Fourier–Motzkin elimination, the
+auto-tiling search) call :func:`check_deadline` cooperatively, so a
+pathological kernel raises
+:class:`~repro.core.errors.StageTimeoutError` instead of hanging the
+process.  ``solver_nodes`` caps branch-and-bound nodes per solve and
+``fm_constraints`` the intermediate system size during projection.
 
 **Resilience reports** (:class:`ResilienceReport`).  Every degradation
-step taken anywhere in the pipeline is recorded as a plain-dict event on
-the innermost active report (pushed by :func:`collect`) and mirrored
-into process-global counters surfaced by ``perf.report()`` and
-``akgc --resilience-stats``.
+step is recorded as a plain-dict event on the thread's open report
+(:class:`collect`) and mirrored into process-wide counters surfaced by
+``perf.report()`` and ``akgc --resilience-stats``.
 
 **The ladder** (:func:`with_fallback`).  Runs a primary strategy and, on
 a *typed* error only, steps down through progressively simpler
 fallbacks, recording each step.  Genuine bugs propagate unchanged; if
 every rung fails, the last typed error is re-raised so the CLI can map
 it to its exit code.
-
-Concurrency: the deadline stack, the budget stack and the report stack
-are **thread-local** — the compile service runs one request per worker
-thread, and each request needs its own budget scope and its own report
-(request A's deadline must never fire inside request B's solver loop).
-The cross-compilation *totals* are process-global behind a lock, same
-contract as the perf counters.  Worker *processes* (the parallel tuner)
-each keep their own copies, as before.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.errors import ReproError, StageTimeoutError
+from repro.core.context import (
+    CTX,
+    LOCK,
+    active_stage,
+    backdate_deadline,
+    check_deadline,
+    rearm,
+    remaining_deadline,
+    stage,
+)
+from repro.core.errors import ReproError
 
 __all__ = [
     "StageBudget",
-    "stage_scope",
-    "deadline_scope",
     "remaining_deadline",
     "check_deadline",
     "active_stage",
-    "active_stage_names",
     "solver_node_budget",
     "fm_constraint_budget",
     "backdate_deadline",
     "ResilienceReport",
     "collect",
-    "active_report",
     "note_event",
     "with_fallback",
     "resilience_stats",
@@ -96,144 +91,10 @@ class StageBudget:
         return f"budget({self.stage_seconds},{self.solver_nodes},{self.fm_constraints})"
 
 
-# -- deadline stack ---------------------------------------------------------------
-#
-# Each entry is [stage_name, deadline_or_None, start_time].  A list (not a
-# tuple) so fault injection can backdate the deadline in place.  The
-# stacks live in thread-local storage: every service worker thread (and
-# the main thread) carries its own scopes and reports.
-
-_TLS = threading.local()
-
-
-def _stage_frames() -> List[List[Any]]:
-    frames = getattr(_TLS, "stages", None)
-    if frames is None:
-        frames = _TLS.stages = []
-    return frames
-
-
-def _budget_frames() -> List[StageBudget]:
-    frames = getattr(_TLS, "budgets", None)
-    if frames is None:
-        frames = _TLS.budgets = []
-    return frames
-
-
-def _report_frames() -> List["ResilienceReport"]:
-    frames = getattr(_TLS, "reports", None)
-    if frames is None:
-        frames = _TLS.reports = []
-    return frames
-
-
-def active_stage() -> Optional[str]:
-    """Name of the innermost active stage scope (None outside any stage)."""
-    frames = _stage_frames()
-    return frames[-1][0] if frames else None
-
-
-def active_stage_names() -> List[str]:
-    """Names of every stage scope active on *this* thread, outermost
-    first (the fault harness matches ``@stage`` filters against these)."""
-    return [frame[0] for frame in _stage_frames()]
-
-
-def active_budget() -> Optional[StageBudget]:
-    frames = _budget_frames()
-    return frames[-1] if frames else None
-
-
-@contextmanager
-def stage_scope(name: str, budget: Optional[StageBudget] = None):
-    """Run a pipeline stage under its wall-clock deadline.
-
-    ``budget=None`` inherits the innermost active budget, so deep layers
-    can open sub-scopes (a fresh deadline per ladder rung) without
-    re-threading options.
-    """
-    if budget is None:
-        budget = active_budget()
-    now = time.monotonic()
-    deadline = None
-    if budget is not None and budget.stage_seconds is not None:
-        deadline = now + budget.stage_seconds
-    stages = _stage_frames()
-    budgets = _budget_frames()
-    stages.append([name, deadline, now])
-    if budget is not None:
-        budgets.append(budget)
-    try:
-        yield
-    finally:
-        stages.pop()
-        if budget is not None:
-            budgets.pop()
-
-
-@contextmanager
-def deadline_scope(name: str, deadline: Optional[float]):
-    """Run a block under an *absolute* monotonic deadline.
-
-    The compile service pushes one of these around each request's whole
-    execution: every nested :func:`stage_scope` deadline then coexists
-    with the end-to-end request deadline on the same stack, and
-    :func:`check_deadline` (which walks every enclosing frame) enforces
-    whichever expires first.  ``deadline=None`` still pushes the frame so
-    ``active_stage_names`` sees the scope (fault-site ``@stage`` filters
-    can target it), it just never fires.
-    """
-    stages = _stage_frames()
-    stages.append([name, deadline, time.monotonic()])
-    try:
-        yield
-    finally:
-        stages.pop()
-
-
-def remaining_deadline() -> Optional[float]:
-    """Seconds until the tightest enclosing deadline (None = unbounded).
-
-    Can be negative when a deadline already expired and the cooperative
-    check has not run yet.
-    """
-    tightest: Optional[float] = None
-    for _name, deadline, _start in _stage_frames():
-        if deadline is None:
-            continue
-        if tightest is None or deadline < tightest:
-            tightest = deadline
-    if tightest is None:
-        return None
-    return tightest - time.monotonic()
-
-
-def check_deadline() -> None:
-    """Cooperative deadline check — call from long-running solver loops.
-
-    Near-free when no deadline is active.  Checks *every* enclosing
-    stage scope so a nested ladder rung cannot outlive its parent stage.
-    """
-    stages = _stage_frames()
-    if not stages:
-        return
-    now = None
-    for name, deadline, start in stages:
-        if deadline is None:
-            continue
-        if now is None:
-            now = time.monotonic()
-        if now > deadline:
-            raise StageTimeoutError(
-                "stage wall-clock deadline exceeded",
-                stage=name,
-                elapsed=now - start,
-            )
-
-
 def solver_node_budget(default: int) -> int:
     """Branch-and-bound node cap: the active budget's, else ``default``."""
-    budget = active_budget()
+    frames = CTX.frames
+    budget = frames[-1].budget if frames else None
     if budget is not None and budget.solver_nodes is not None:
         return budget.solver_nodes
     return default
@@ -241,33 +102,18 @@ def solver_node_budget(default: int) -> int:
 
 def fm_constraint_budget(default: int) -> int:
     """FM intermediate-system cap: the active budget's, else ``default``."""
-    budget = active_budget()
+    frames = CTX.frames
+    budget = frames[-1].budget if frames else None
     if budget is not None and budget.fm_constraints is not None:
         return budget.fm_constraints
     return default
 
 
-def backdate_deadline() -> bool:
-    """Force the innermost deadline into the past (fault injection only).
-
-    Models a stage overrunning its budget without actually sleeping: the
-    next :func:`check_deadline` raises, exercising the real timeout
-    path.  Returns False when no deadline is active to backdate.
-    """
-    for frame in reversed(_stage_frames()):
-        if frame[1] is not None:
-            frame[1] = time.monotonic() - 1.0
-            return True
-    return False
-
-
 # -- reports & counters -----------------------------------------------------------
 
-# Process-global totals across all compilations (mirrors perf counters).
-# Shared by every thread, hence the lock: a bare dict read-modify-write
-# from concurrent service workers would drop counts.
+# Process-wide degradation counters across all compilations; updated and
+# snapshotted under ``context.LOCK`` like the stage totals.
 _TOTALS: Dict[str, int] = {}
-_TOTALS_LOCK = threading.Lock()
 
 
 class ResilienceReport:
@@ -290,7 +136,10 @@ class ResilienceReport:
         fallback: Optional[str] = None,
         error: Optional[str] = None,
         detail: Optional[str] = None,
+        dedupe: bool = False,
     ) -> None:
+        """Append one event; ``dedupe=True`` skips it when an identical
+        event is already present."""
         event: Dict[str, Any] = {"stage": stage, "kind": kind}
         if fallback is not None:
             event["fallback"] = fallback
@@ -298,13 +147,16 @@ class ResilienceReport:
             event["error"] = error
         if detail is not None:
             event["detail"] = detail
-        self.events.append(event)
+        if not (dedupe and event in self.events):
+            self.events.append(event)
 
-    @property
-    def degraded(self) -> bool:
-        """True when any fallback was taken (the result is not the
-        first-choice compilation and must not be disk-cached)."""
-        return any(e["kind"] in ("fallback", "gave_up") for e in self.events)
+    def degraded_since(self, first: int = 0) -> bool:
+        """True when any fallback was taken at or after event ``first``
+        (the result is not the first-choice compilation and must not be
+        disk-cached).  ``degraded`` asks it of the whole report."""
+        return any(e["kind"] in ("fallback", "gave_up") for e in self.events[first:])
+
+    degraded = property(degraded_since)
 
     def summary(self) -> List[str]:
         lines = []
@@ -321,30 +173,26 @@ class ResilienceReport:
         return f"ResilienceReport({len(self.events)} events)"
 
 
-def active_report() -> Optional[ResilienceReport]:
-    frames = _report_frames()
-    return frames[-1] if frames else None
+class collect:
+    """``with collect() as report``: gather this thread's degradation
+    events into a fresh report.
 
-
-@contextmanager
-def collect():
-    """Collect degradation events into a fresh report (per thread).
-
-    Nested ``collect()`` scopes share the outermost report, so helper
-    entry points (``backend_build`` called from ``build``) do not shear
-    events into separate reports.  Reports are thread-local: concurrent
-    service requests each collect their own events.
+    A nested ``collect()`` shares the outermost report, so helper entry
+    points (``backend_build`` called from ``build``) do not shear events
+    into separate reports.
     """
-    frames = _report_frames()
-    if frames:
-        yield frames[-1]
-        return
-    report = ResilienceReport()
-    frames.append(report)
-    try:
-        yield report
-    finally:
-        frames.pop()
+
+    __slots__ = ("outermost",)
+
+    def __enter__(self) -> ResilienceReport:
+        self.outermost = CTX.report is None
+        if self.outermost:
+            CTX.report = ResilienceReport()
+        return CTX.report
+
+    def __exit__(self, *exc_info) -> None:
+        if self.outermost:
+            CTX.report = None
 
 
 def note_event(
@@ -355,39 +203,28 @@ def note_event(
     detail: Optional[str] = None,
     dedupe: bool = False,
 ) -> None:
-    """Record a degradation event on the active report + global counters.
+    """Record a degradation event on the open report + global counters.
 
     ``dedupe=True`` still bumps the global counter but appends to the
     report only if an identical event is not already present (for
     per-tile events that would otherwise flood the report).
     """
     key = f"{stage}.{kind}" if fallback is None else f"{stage}.{kind}:{fallback}"
-    with _TOTALS_LOCK:
+    with LOCK:
         _TOTALS[key] = _TOTALS.get(key, 0) + 1
-    report = active_report()
-    if report is None:
-        return
-    if dedupe:
-        probe = {"stage": stage, "kind": kind}
-        if fallback is not None:
-            probe["fallback"] = fallback
-        if error is not None:
-            probe["error"] = error
-        if detail is not None:
-            probe["detail"] = detail
-        if probe in report.events:
-            return
-    report.add(stage, kind, fallback=fallback, error=error, detail=detail)
+    report = CTX.report
+    if report is not None:
+        report.add(stage, kind, fallback, error, detail, dedupe)
 
 
 def resilience_stats() -> Dict[str, int]:
     """Process-global degradation counters (for ``perf.report()``)."""
-    with _TOTALS_LOCK:
+    with LOCK:
         return dict(_TOTALS)
 
 
 def reset_resilience_stats() -> None:
-    with _TOTALS_LOCK:
+    with LOCK:
         _TOTALS.clear()
 
 
@@ -395,7 +232,7 @@ def reset_resilience_stats() -> None:
 
 
 def with_fallback(
-    stage: str,
+    name: str,
     primary: Tuple[str, Callable[[], Any]],
     *fallbacks: Tuple[str, Callable[[], Any]],
 ) -> Any:
@@ -404,36 +241,37 @@ def with_fallback(
     Each strategy is a ``(label, thunk)`` pair.  Only
     :class:`~repro.core.errors.ReproError` triggers the next rung —
     genuine bugs (``IndexError`` and friends) propagate immediately.
-    Each rung below the primary runs under a *fresh* deadline scope (the
-    primary may have burnt the whole stage budget before failing; the
-    fallback still deserves its own allotment).  Every step taken is
-    recorded via :func:`note_event`; if all rungs fail, the last typed
-    error is re-raised.
+    Before each rung below the primary the budgeted stage the ladder
+    runs in is *re-armed* (:func:`~repro.core.context.rearm`: the
+    primary may have burnt the whole ``stage_seconds`` before failing;
+    the fallback still deserves its own allotment), and the rung runs as
+    the stage ``"name[label]"``.  Only the ladder re-arms, and never an
+    absolute deadline: a rung cannot outlive the request it serves.
+    Every step taken is recorded via :func:`note_event`; if all rungs
+    fail, the last typed error is re-raised.
     """
-    strategies = (primary,) + fallbacks
-    last_error: Optional[ReproError] = None
-    for index, (label, thunk) in enumerate(strategies):
+    try:
+        return primary[1]()
+    except ReproError as exc:
+        last_error = exc
+    for label, thunk in fallbacks:
+        rearm()
         try:
-            if index == 0:
-                return thunk()
-            # Fallback rung: fresh deadline, inherited budget.
-            with stage_scope(f"{stage}[{label}]"):
+            with stage(f"{name}[{label}]"):
+                check_deadline()  # the request's deadline still binds
                 result = thunk()
-            note_event(
-                stage,
-                "fallback",
-                fallback=label,
-                error=type(last_error).__name__ if last_error else None,
-                detail=str(last_error) if last_error else None,
-            )
-            return result
         except ReproError as exc:
             last_error = exc
+            continue
+        note_event(
+            name,
+            "fallback",
+            fallback=label,
+            error=type(last_error).__name__,
+            detail=str(last_error),
+        )
+        return result
     note_event(
-        stage,
-        "gave_up",
-        error=type(last_error).__name__ if last_error else None,
-        detail=str(last_error) if last_error else None,
+        name, "gave_up", error=type(last_error).__name__, detail=str(last_error)
     )
-    assert last_error is not None
     raise last_error

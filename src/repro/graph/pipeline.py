@@ -25,6 +25,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.autotune.tuner import DEFAULT_TUNE_PARAMS
+from repro.core.context import stage
 from repro.core.errors import NetworkPlanError
 from repro.core.resilience import ResilienceReport
 from repro.graph.fusion import SubgraphSpec, extract_subgraph, fuse_graph
@@ -89,7 +90,7 @@ def compile_network(
     from repro.core.compiler import AkgOptions, build
 
     t0 = time.perf_counter()
-    with perf.stage("graph.fuse"):
+    with stage("graph.fuse"):
         net_outputs = model.builder()
         groups = fuse_graph(net_outputs, max_group_ops)
         specs = [
@@ -116,7 +117,7 @@ def compile_network(
 
     tile_overrides: Dict[str, List[int]] = {}
     if tune:
-        with perf.stage("graph.tune"):
+        with stage("graph.tune"):
             tile_overrides = _tune_unique(
                 unique, order, hw, seed, tune_params or DEFAULT_TUNE_PARAMS, workers
             )
@@ -134,7 +135,7 @@ def compile_network(
             opts.tile_sizes = list(sizes)
         return opts
 
-    with perf.stage("graph.compile_subgraphs"):
+    with stage("graph.compile_subgraphs"):
         if service is not None:
             # Submit the whole unique set up front, then collect in
             # order — the service overlaps queue admission with builds

@@ -42,7 +42,6 @@ from repro.core.errors import (
 from repro.service import handlers
 from repro.service.policies import Admission, Breaker, Coalescer, Supervisor
 from repro.service.request import ServiceRequest, ServiceResult
-from repro.tools import perf
 
 __all__ = ["ServiceRequest", "ServiceResult", "Ticket", "CompileService"]
 
@@ -513,7 +512,6 @@ class CompileService:
             with self._lock:
                 self._supervisor.end(worker)
         result.run_seconds = time.perf_counter() - started
-        perf.add("service.request", result.run_seconds)
         self._fulfil(entry, result, epoch)
 
     def _fulfil(

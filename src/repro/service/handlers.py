@@ -22,18 +22,19 @@ def execute(
 ) -> Dict[str, Any]:
     """Run ``request``'s handler with ``remaining`` seconds to live (None =
     unbounded).  The service measures ``remaining`` on its own clock;
-    resilience deadlines are absolute ``time.monotonic()`` values, so
-    this is where the two meet.  The deadline scope spans the whole
+    stage deadlines are absolute ``time.monotonic()`` values, so this is
+    where the two meet.  The ``service.request`` stage spans the whole
     execution: the cooperative ``check_deadline`` machinery enforces the
-    *request's* deadline, not just each stage's.
+    *request's* deadline, not just each stage's, and ``perf.report()``
+    gets the request's run time.
     """
-    from repro.core import resilience
+    from repro.core.context import check_deadline, stage
     from repro.tools import faultinject
 
     deadline = None if remaining is None else time.monotonic() + remaining
-    with resilience.deadline_scope("service.request", deadline):
+    with stage("service.request", deadline=deadline):
         faultinject.fire("service.worker")
-        resilience.check_deadline()
+        check_deadline()
         options = effective_options(request, default_stage_seconds)
         return HANDLERS[request.kind](request, options)
 
@@ -46,9 +47,8 @@ def effective_options(
     Copies before mutating (callers may share one options object
     across requests); an explicit per-request ``stage_seconds``
     always wins over the service default, but the request's
-    *end-to-end* deadline (already on the resilience stack as a
-    :func:`~repro.core.resilience.deadline_scope`) clamps whatever
-    stage budget results — a stage can never be granted more time
+    *end-to-end* deadline (the open ``service.request`` stage's)
+    clamps whatever stage budget results — a stage can never be granted more time
     than the whole request has left.
     """
     from repro.core.compiler import AkgOptions

@@ -291,7 +291,7 @@ def request_from_json(payload: Dict[str, Any]) -> ServiceRequest:
         from repro.tools import faultinject
 
         try:
-            faultinject._parse(fault_spec)
+            faultinject.parse_spec(fault_spec)
         except ValueError as exc:
             raise ServiceError(f"bad fault_spec: {exc}")
     tune_payload = payload.get("tune") or {}

@@ -1,9 +1,9 @@
 """Deterministic fault injection for the compilation pipeline.
 
 Each failure-prone layer registers a *named site* and calls
-:func:`fire` (or :func:`directive` for sites that mangle data rather
-than raise).  With no spec active both are a couple of dict lookups —
-the harness costs nothing in production.
+:func:`fire` (spelled :func:`directive` at sites that mangle data rather
+than raise).  With no spec active a site costs one thread-local read and
+one ``os.environ.get`` — four Python-level calls, no lock, no parse.
 
 A spec is a comma-separated list of directives::
 
@@ -16,16 +16,16 @@ A spec is a comma-separated list of directives::
   ``service.dispatch``, ``service.worker``, ``service.wire``);
 - ``mode``   ``error`` (raise the site's typed error), ``delay``
   (backdate the innermost stage deadline so the next cooperative
-  :func:`~repro.core.resilience.check_deadline` raises
+  :func:`~repro.core.context.check_deadline` raises
   ``StageTimeoutError`` — models an overrun without sleeping),
-  ``corrupt`` / ``truncate`` (returned by :func:`directive` for the
-  cache layer to mangle entry bytes), ``crash`` (``os._exit(1)``, for
+  ``corrupt`` / ``truncate`` (returned to the site, for the cache
+  layer to mangle entry bytes), ``crash`` (``os._exit(1)``, for
   tuner worker-death tests — only honoured at ``autotune.worker``),
   ``hang`` (stall the thread for :data:`HANG_SECONDS` while ignoring
   cooperative deadlines — only honoured at ``service.worker``, for
   worker-supervision tests);
-- ``@stage`` only fire while the named resilience stage (or a scope
-  whose name starts with it) is active — e.g.
+- ``@stage`` only fire while the named stage (or one whose name
+  starts with it) is open on the calling thread — e.g.
   ``ilp.solve:error@frontend.schedule`` faults scheduling ILPs but
   leaves dependence-analysis ILPs alone;
 - ``#skip=N`` skip the first N matching hits; ``#limit=M`` fire at most
@@ -37,10 +37,11 @@ Activation: programmatically via :func:`inject` (a context manager) or
 (re-read whenever its raw value changes, so subprocesses inherit faults
 and tests can monkeypatch it).
 
-Programmatic specs are **thread-local**: a compile-service request that
-carries a ``fault_spec`` installs it only on the worker thread running
-that request, so concurrent requests on sibling threads are untouched.
-The environment spec stays process-global — it must be, both so the
+Programmatic specs live on the thread's compile context
+(:data:`repro.core.context.CTX`): a compile-service request that carries
+a ``fault_spec`` installs it only on the worker thread running that
+request, so concurrent requests on sibling threads are untouched.  The
+environment spec stays process-global — it must be, both so the
 parallel tuner's pool children inherit crash directives and so a daemon
 launched under ``REPRO_FAULT_SPEC`` faults uniformly.
 """
@@ -48,12 +49,17 @@ launched under ``REPRO_FAULT_SPEC`` faults uniformly.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Type
 
-from repro.core import resilience
+from repro.core.context import (
+    CTX,
+    LOCK,
+    active_stage,
+    backdate_deadline,
+    check_deadline,
+)
 from repro.core.errors import (
     CacheCorruptionError,
     CodegenError,
@@ -67,7 +73,15 @@ from repro.core.errors import (
     VerificationError,
 )
 
-__all__ = ["SITES", "fire", "directive", "inject", "set_spec", "current_spec"]
+__all__ = [
+    "SITES",
+    "parse_spec",
+    "fire",
+    "directive",
+    "inject",
+    "set_spec",
+    "current_spec",
+]
 
 #: Registered sites → the typed error an ``error`` directive raises there.
 SITES: Dict[str, Type[ReproError]] = {
@@ -109,7 +123,8 @@ class _Directive:
         self.fired = 0   # faults actually delivered
 
 
-def _parse(spec: str) -> Dict[str, List[_Directive]]:
+def parse_spec(spec: str) -> Dict[str, List[_Directive]]:
+    """Parse a spec into ``site -> directives``; ``ValueError`` if malformed."""
     table: Dict[str, List[_Directive]] = {}
     for raw in spec.split(","):
         raw = raw.strip()
@@ -142,15 +157,11 @@ def _parse(spec: str) -> Dict[str, List[_Directive]]:
     return table
 
 
-# Programmatic specs are per-thread (service requests must not leak
-# faults into sibling workers); the env-derived spec is process-global.
-_TLS = threading.local()
+# The env-derived spec is process-global (programmatic ones are on CTX).
+# Directive hit/fired counters are shared by every thread matching
+# against it, hence ``context.LOCK`` around them and around the re-parse.
 _ENV_ACTIVE: Optional[Dict[str, List[_Directive]]] = None
 _ENV_RAW: Optional[str] = None
-_ENV_LOCK = threading.Lock()
-# Guards directive hit/fired counters, which sibling threads may share
-# when matching against the env table.
-_COUNT_LOCK = threading.Lock()
 
 
 def set_spec(spec: Optional[str]) -> None:
@@ -159,57 +170,64 @@ def set_spec(spec: Optional[str]) -> None:
     Overrides ``REPRO_FAULT_SPEC`` for this thread until cleared with
     ``None`` (other threads keep following the environment).
     """
-    if spec:
-        _TLS.table = _parse(spec)
-        _TLS.raw = spec
-    else:
-        _TLS.table = None
-        _TLS.raw = None
+    CTX.faults = parse_spec(spec) if spec else None
+    CTX.fault_spec = spec or None
 
 
 def current_spec() -> Optional[str]:
-    raw = getattr(_TLS, "raw", None)
-    if raw is not None:
-        return raw
-    _env_table()
+    if CTX.fault_spec is not None:
+        return CTX.fault_spec
+    _sync_env(os.environ.get("REPRO_FAULT_SPEC") or None)
     return _ENV_RAW
 
 
 @contextmanager
 def inject(spec: str):
     """Activate a fault spec on this thread for a with-block."""
-    prev_raw = getattr(_TLS, "raw", None)
+    prev = CTX.fault_spec
     set_spec(spec)
     try:
         yield
     finally:
-        set_spec(prev_raw)
+        set_spec(prev)
 
 
-def _env_table() -> Optional[Dict[str, List[_Directive]]]:
-    """Sync with ``REPRO_FAULT_SPEC`` (re-parsed when the value changes)."""
+def _sync_env(raw: Optional[str]) -> Optional[Dict[str, List[_Directive]]]:
+    """Re-parse ``REPRO_FAULT_SPEC`` if its value changed since last seen."""
     global _ENV_ACTIVE, _ENV_RAW
-    raw = os.environ.get("REPRO_FAULT_SPEC") or None
-    with _ENV_LOCK:
+    with LOCK:
         if raw != _ENV_RAW:
-            _ENV_ACTIVE = _parse(raw) if raw else None
+            _ENV_ACTIVE = parse_spec(raw) if raw else None
             _ENV_RAW = raw
         return _ENV_ACTIVE
 
 
-def _match(site: str) -> Optional[_Directive]:
-    table = getattr(_TLS, "table", None)
+def fire(site: str, detail: str = "") -> Optional[str]:
+    """Deliver any active fault for ``site`` (no-op when none matches).
+
+    ``error`` raises the site's typed error class; ``delay`` backdates
+    the innermost active deadline and re-checks it; ``crash`` kills the
+    process (tuner worker-death tests).  The data-mangling modes
+    (``corrupt``/``truncate``) are returned for the site to act on:
+    ``diskcache.read`` mangles the entry bytes before deserialising,
+    exercising the real integrity check rather than a simulated one;
+    sites that do not mangle ignore the return value.
+    """
+    table = CTX.faults
     if table is None:
-        table = _env_table()
-    if table is None:
-        return None
+        raw = os.environ.get("REPRO_FAULT_SPEC") or None
+        table = _ENV_ACTIVE if raw == _ENV_RAW else _sync_env(raw)
+        if table is None:
+            return None
     directives = table.get(site)
     if not directives:
         return None
-    stages = resilience.active_stage_names()
-    with _COUNT_LOCK:
+    frames = CTX.frames
+    with LOCK:
         for d in directives:
-            if d.stage is not None and not any(s.startswith(d.stage) for s in stages):
+            if d.stage is not None and not any(
+                frame.name.startswith(d.stage) for frame in frames
+            ):
                 continue
             d.hits += 1
             if d.hits <= d.skip:
@@ -217,34 +235,20 @@ def _match(site: str) -> Optional[_Directive]:
             if d.limit is not None and d.fired >= d.limit:
                 continue
             d.fired += 1
-            return d
-    return None
-
-
-def fire(site: str, detail: str = "") -> None:
-    """Deliver any active fault for ``site`` (no-op when none matches).
-
-    ``error`` raises the site's typed error class; ``delay`` backdates
-    the innermost active deadline and re-checks it; ``crash`` kills the
-    process (tuner worker-death tests).  Data-mangling modes
-    (``corrupt``/``truncate``) are ignored here — sites that honour them
-    use :func:`directive` instead.
-    """
-    d = _match(site)
-    if d is None:
-        return
+            break
+        else:
+            return None
     if d.mode == "error":
-        klass = SITES[site]
         message = f"injected fault at {site}"
         if detail:
             message += f" ({detail})"
-        raise klass(message, stage=resilience.active_stage())
+        raise SITES[site](message, stage=active_stage())
     if d.mode == "delay":
-        if resilience.backdate_deadline():
-            resilience.check_deadline()
+        if backdate_deadline():
+            check_deadline()
         # No deadline active: an injected overrun has nothing to trip;
         # the scenario still proves the stage runs un-budgeted.
-        return
+        return None
     if d.mode == "crash" and site == "autotune.worker":
         os._exit(1)
     if d.mode == "hang" and site == "service.worker":
@@ -255,24 +259,8 @@ def fire(site: str, detail: str = "") -> None:
         end = time.monotonic() + HANG_SECONDS
         while time.monotonic() < end:
             time.sleep(0.05)
-
-
-def directive(site: str) -> Optional[str]:
-    """The active mode for a data-mangling site, or None.
-
-    ``diskcache.read`` calls this and, on ``corrupt``/``truncate``,
-    mangles the entry bytes before deserialising — exercising the real
-    integrity check rather than a simulated one.  Other modes are
-    delivered through :func:`fire` semantics for uniformity.
-    """
-    d = _match(site)
-    if d is None:
-        return None
-    if d.mode == "error":
-        klass = SITES[site]
-        raise klass(f"injected fault at {site}", stage=resilience.active_stage())
-    if d.mode == "delay":
-        if resilience.backdate_deadline():
-            resilience.check_deadline()
-        return None
     return d.mode
+
+
+#: :func:`fire`, as data-mangling sites spell it: they use the returned mode.
+directive = fire

@@ -1,16 +1,18 @@
-"""Lightweight pipeline instrumentation: per-stage wall-clock timing.
+"""Per-stage wall-clock totals: the view of ``repro.core.context.TOTALS``.
 
-The compiler driver wraps each Fig. 2 stage in :func:`stage`; the
-accumulated totals (plus the polyhedral solver-cache counters) answer the
-question every performance PR starts with — *where does compile time go?*
-— without a profiler run.  Overhead is two ``perf_counter`` calls and a
-dict update per stage entry, cheap enough to leave on permanently.
+Every pipeline stage runs under :class:`repro.core.context.stage`, which
+credits its wall time on exit; the accumulated totals (plus the
+polyhedral solver-cache counters) answer the question every performance
+PR starts with — *where does compile time go?* — without a profiler
+run.  Overhead is two clock reads and a dict update per stage entry,
+cheap enough to leave on permanently.
 
 Usage::
 
+    from repro.core.context import stage
     from repro.tools import perf
 
-    with perf.stage("schedule"):
+    with stage("schedule"):
         tree = scheduler.schedule_kernel(kernel, deps, clustering)
 
     print(perf.format_report())     # aligned per-stage table
@@ -20,50 +22,24 @@ Counters are process-global and cumulative; call :func:`reset` around the
 region of interest.  Nested stages each record their own wall time (inner
 stages are *not* subtracted from outer ones), so the table reads as "total
 time spent inside this stage", the way a sampling profiler's inclusive
-column does.
-
-Thread-safe: the compile service times stages from many worker threads
-at once, and an unlocked ``dict.get``/store pair drops increments under
-that interleaving.  One process-wide lock guards every counter update
-and snapshot; the cost is nanoseconds per stage entry.
+column does.  Thread-safety is the context module's: every update and
+snapshot holds its one lock.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Dict
 
-__all__ = ["stage", "add", "reset", "report", "format_report"]
+from repro.core.context import LOCK, TOTALS
+from repro.core.context import credit as add  # perf.add(name, seconds)
 
-_totals: Dict[str, float] = {}
-_counts: Dict[str, int] = {}
-_LOCK = threading.Lock()
-
-
-@contextmanager
-def stage(name: str) -> Iterator[None]:
-    """Time one entry into the named pipeline stage."""
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        add(name, time.perf_counter() - start)
-
-
-def add(name: str, seconds: float) -> None:
-    """Credit ``seconds`` of wall time to ``name`` directly."""
-    with _LOCK:
-        _totals[name] = _totals.get(name, 0.0) + seconds
-        _counts[name] = _counts.get(name, 0) + 1
+__all__ = ["add", "reset", "report", "format_report"]
 
 
 def reset() -> None:
     """Zero every stage counter (solver caches are managed separately)."""
-    with _LOCK:
-        _totals.clear()
-        _counts.clear()
+    with LOCK:
+        TOTALS.clear()
 
 
 def report() -> Dict[str, Dict[str, float]]:
@@ -73,10 +49,10 @@ def report() -> Dict[str, Dict[str, float]]:
     from repro.poly.cache import solver_cache_stats
     from repro.runtime.vectorized import exec_stats
 
-    with _LOCK:
+    with LOCK:
         stages = {
-            name: {"seconds": _totals[name], "calls": _counts[name]}
-            for name in sorted(_totals)
+            name: {"seconds": seconds, "calls": calls}
+            for name, (seconds, calls) in sorted(TOTALS.items())
         }
     return {
         "stages": stages,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List
 
-from repro.tools import perf
+from repro.core.context import stage
 from repro.verify.arena import check_arena, check_arena_assignment
 from repro.verify.bounds import check_bounds
 from repro.verify.schedule import check_dependences
@@ -59,17 +59,18 @@ def verify_result(result: "CompileResult") -> Dict[str, bool]:
 
     Raises :class:`~repro.core.errors.VerificationError` on the first
     violation; returns ``{checker_name: True}`` for the checks that ran.
-    Each checker is timed under a ``verify.*`` perf stage so
-    ``perf.report()`` answers "what does verification cost?".
+    Each checker runs as a ``verify.*`` stage, so ``perf.report()``
+    answers "what does verification cost?" and a rejection names its
+    stage.
     """
     ran: Dict[str, bool] = {}
-    with perf.stage("verify.schedule"):
+    with stage("verify.schedule"):
         check_dependences(result)
     ran["schedule"] = True
-    with perf.stage("verify.bounds"):
+    with stage("verify.bounds"):
         check_bounds(result)
     ran["bounds"] = True
-    with perf.stage("verify.sync"):
+    with stage("verify.sync"):
         check_sync(result)
     ran["sync"] = True
     return ran
@@ -82,7 +83,7 @@ def verify_network_plan(plan: "NetworkPlan") -> Dict[str, bool]:
     liveness, then runs :func:`verify_result` on every unique compiled
     subgraph of the plan.
     """
-    with perf.stage("verify.arena"):
+    with stage("verify.arena"):
         check_arena(plan)
     ran: Dict[str, bool] = {"arena": True}
     seen: List[str] = []

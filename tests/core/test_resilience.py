@@ -1,8 +1,11 @@
 """Budgets, deadlines, reports and the degradation ladder."""
 
+import time
+
 import pytest
 
 from repro.core import resilience
+from repro.core.context import stage
 from repro.core.errors import ReproError, StageTimeoutError, TilingError
 from repro.core.resilience import (
     ResilienceReport,
@@ -24,19 +27,19 @@ class TestStageScopes:
         resilience.check_deadline()  # no-op, must not raise
 
     def test_nesting_and_unwind(self):
-        with resilience.stage_scope("outer"):
+        with stage("outer"):
             assert resilience.active_stage() == "outer"
-            with resilience.stage_scope("inner"):
+            with stage("inner"):
                 assert resilience.active_stage() == "inner"
             assert resilience.active_stage() == "outer"
         assert resilience.active_stage() is None
 
     def test_unbudgeted_scope_never_times_out(self):
-        with resilience.stage_scope("free"):
+        with stage("free"):
             resilience.check_deadline()
 
     def test_expired_deadline_raises_typed(self):
-        with resilience.stage_scope("s", StageBudget(stage_seconds=30.0)):
+        with stage("s", StageBudget(stage_seconds=30.0)):
             assert resilience.backdate_deadline()
             with pytest.raises(StageTimeoutError) as info:
                 resilience.check_deadline()
@@ -46,24 +49,24 @@ class TestStageScopes:
     def test_inner_scope_cannot_outlive_outer_deadline(self):
         # check_deadline walks every enclosing frame: a fresh ladder-rung
         # scope does not shield code from the parent stage's deadline.
-        with resilience.stage_scope("outer", StageBudget(stage_seconds=30.0)):
+        with stage("outer", StageBudget(stage_seconds=30.0)):
             assert resilience.backdate_deadline()
-            with resilience.stage_scope("outer[fallback]"):
+            with stage("outer[fallback]"):
                 with pytest.raises(StageTimeoutError):
                     resilience.check_deadline()
 
     def test_budget_inheritance(self):
         budget = StageBudget(solver_nodes=123, fm_constraints=456)
         assert resilience.solver_node_budget(999) == 999
-        with resilience.stage_scope("outer", budget):
+        with stage("outer", budget):
             # budget=None inherits the innermost active budget
-            with resilience.stage_scope("inner"):
+            with stage("inner"):
                 assert resilience.solver_node_budget(999) == 123
                 assert resilience.fm_constraint_budget(999) == 456
         assert resilience.fm_constraint_budget(999) == 999
 
     def test_backdate_without_deadline_returns_false(self):
-        with resilience.stage_scope("free"):
+        with stage("free"):
             assert not resilience.backdate_deadline()
 
     def test_budget_fingerprint_is_stable(self):
@@ -165,14 +168,75 @@ class TestLadder:
             resilience.check_deadline()  # fresh deadline: must not raise
             return "ok"
 
-        with resilience.stage_scope("s", StageBudget(stage_seconds=30.0)):
+        with stage("s", StageBudget(stage_seconds=30.0)):
             resilience.backdate_deadline()  # primary "used up" the stage
-            # The outer deadline is expired, so the rung's own scope alone
-            # cannot save it -- with_fallback gives the rung a fresh scope
-            # but check_deadline still sees the parent.  Re-arm the parent
-            # to model the real pattern (the primary raised *before* the
-            # deadline passed).
-            resilience._stage_frames()[-1][1] = None
+            # The ladder re-arms the stage it runs in before the rung; a
+            # frame the rung merely nested could never bind (it expires
+            # after its parent) and would not shield it either.
             out = with_fallback("s", ("p", bad), ("q", probe))
+            assert 29.0 < resilience.remaining_deadline() <= 30.0
         assert out == "ok"
         assert seen == ["s[q]"]
+
+    def test_rung_cannot_outlive_an_absolute_deadline(self):
+        # The ladder re-arms budgeted stages only; the request's deadline
+        # is absolute and still stops every rung.
+        def bad():
+            raise ReproError("primary failed")
+
+        with resilience.collect() as report:
+            with stage("service.request", deadline=time.monotonic() - 1.0):
+                with stage("s", StageBudget(stage_seconds=30.0)):
+                    with pytest.raises(StageTimeoutError) as info:
+                        with_fallback("s", ("p", bad), ("q", lambda: "ok"))
+        assert info.value.stage == "service.request"
+        assert [e["kind"] for e in report.events] == ["gave_up"]
+
+
+class TestLadderInABuild:
+    """The scheduling ladder under a real compile (conv2d 1,4,12,12: its
+    identity-only rung reaches a cooperative deadline check)."""
+
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        from repro.poly.cache import clear_solver_caches
+        from repro.tools import faultinject
+
+        clear_solver_caches()  # a memoized solve never reaches the site
+        faultinject.set_spec("ilp.solve:delay@frontend.schedule#limit=1")
+        yield
+        faultinject.set_spec(None)
+
+    @staticmethod
+    def _build():
+        from repro.core.compiler import AkgOptions, build
+        from repro.service.wire import demo_kernel
+
+        options = AkgOptions(budget=StageBudget(stage_seconds=60.0))
+        return build(demo_kernel("conv2d", [1, 4, 12, 12]), "ladder", options=options)
+
+    def test_timed_out_primary_reaches_the_middle_rung(self):
+        assert self._build().resilience.summary() == [
+            "frontend.schedule: fallback -> identity-only (StageTimeoutError)"
+        ]
+
+    def test_no_rung_outlives_an_expired_request(self):
+        with resilience.collect() as report:
+            with stage("service.request", deadline=time.monotonic() - 1.0):
+                with pytest.raises(StageTimeoutError) as info:
+                    self._build()
+        assert info.value.stage == "service.request"
+        assert not any(e["kind"] == "fallback" for e in report.events)
+
+
+def test_fusion_fault_takes_the_fusionless_rung():
+    from repro.core.compiler import build
+    from repro.service.wire import demo_kernel
+    from repro.tools import faultinject
+
+    with faultinject.inject("fusion.posttile:error"):
+        result = build(demo_kernel("relu", [16, 24]), "fusionless")
+    assert (
+        "backend.fusion: fallback -> fusionless (FusionError)"
+        in result.resilience.summary()
+    )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import diskcache
-from repro.core.errors import NetworkPlanError
+from repro.core.errors import CodegenError, NetworkPlanError
 from repro.graph import compile_network, network, plan_arena
 from repro.runtime.reference import numpy_dtype
 from repro.runtime.vectorized import exec_stats, reset_exec_stats
@@ -249,6 +249,17 @@ def test_midnetwork_fault_marks_plan_degraded_and_skips_cache():
     ref = plan.oracle(feeds)
     for key in got[0]:
         assert np.array_equal(got[0][key], ref[0][key])
+
+
+def test_stage_filters_see_the_graph_stages():
+    # Serial compile (no service=): frames are per thread, so the
+    # subgraph builds run inside this thread's graph.compile_subgraphs.
+    with faultinject.inject("storage.promote:error@graph.compile_subgraphs"):
+        with pytest.raises(CodegenError) as info:
+            compile_network(network("alexnet_tiny"))
+    assert info.value.stage.startswith("backend.")
+    with faultinject.inject("storage.promote:error@graph.fuse"):
+        compile_network(network("alexnet_tiny"))  # fusing plans no storage
 
 
 def test_plan_total_cycles_weights_multiplicity():

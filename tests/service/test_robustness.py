@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.core import resilience
+from repro.core.context import stage
 from repro.core.errors import (
     QuarantinedError,
     ServiceError,
@@ -104,7 +104,7 @@ class TestDeadlines:
         """The end-to-end deadline bounds every stage's budget: a stage
         can never be granted more time than the whole request has left."""
         req = ServiceRequest("compile", _relu(), deadline_seconds=5.0)
-        with resilience.deadline_scope("service.request", time.monotonic() + 2.0):
+        with stage("service.request", deadline=time.monotonic() + 2.0):
             options = effective_options(req, 120.0)
         assert options.budget.stage_seconds <= 2.0
 

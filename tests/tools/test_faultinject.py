@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import resilience
+from repro.core.context import stage
 from repro.core.errors import (
     CacheCorruptionError,
     SchedulingError,
@@ -16,22 +17,22 @@ from repro.tools import faultinject
 class TestSpecParsing:
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError, match="unknown fault site"):
-            faultinject._parse("no.such.site:error")
+            faultinject.parse_spec("no.such.site:error")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown fault mode"):
-            faultinject._parse("ilp.solve:explode")
+            faultinject.parse_spec("ilp.solve:explode")
 
     def test_missing_mode_rejected(self):
         with pytest.raises(ValueError, match="needs site:mode"):
-            faultinject._parse("ilp.solve")
+            faultinject.parse_spec("ilp.solve")
 
     def test_bad_flag_rejected(self):
         with pytest.raises(ValueError, match="bad fault flag"):
-            faultinject._parse("ilp.solve:error#whenever")
+            faultinject.parse_spec("ilp.solve:error#whenever")
 
     def test_full_grammar_round_trip(self):
-        table = faultinject._parse(
+        table = faultinject.parse_spec(
             "ilp.solve:error@frontend.schedule#skip=2#limit=3, fm.eliminate:delay"
         )
         [d] = table["ilp.solve"]
@@ -41,7 +42,7 @@ class TestSpecParsing:
         assert table["fm.eliminate"][0].mode == "delay"
 
     def test_once_is_limit_one(self):
-        [d] = faultinject._parse("ilp.solve:error#once")["ilp.solve"]
+        [d] = faultinject.parse_spec("ilp.solve:error#once")["ilp.solve"]
         assert d.limit == 1
 
 
@@ -59,7 +60,7 @@ class TestDelivery:
 
     def test_error_carries_the_active_stage(self):
         with faultinject.inject("sched.pluto_row:error"):
-            with resilience.stage_scope("frontend.schedule"):
+            with stage("frontend.schedule"):
                 with pytest.raises(SchedulingError) as info:
                     faultinject.fire("sched.pluto_row")
         assert info.value.stage == "frontend.schedule"
@@ -80,21 +81,21 @@ class TestDelivery:
     def test_stage_scoping_is_a_prefix_match(self):
         with faultinject.inject("ilp.solve:error@frontend.schedule"):
             faultinject.fire("ilp.solve")  # no matching stage active
-            with resilience.stage_scope("frontend.deps"):
+            with stage("frontend.deps"):
                 faultinject.fire("ilp.solve")  # different stage
-            with resilience.stage_scope("frontend.schedule[identity-only]"):
+            with stage("frontend.schedule[identity-only]"):
                 with pytest.raises(SolverBudgetError):
                     faultinject.fire("ilp.solve")  # ladder rungs match too
 
     def test_delay_trips_the_active_deadline(self):
         with faultinject.inject("ilp.solve:delay"):
-            with resilience.stage_scope("s", StageBudget(stage_seconds=60.0)):
+            with stage("s", StageBudget(stage_seconds=60.0)):
                 with pytest.raises(StageTimeoutError):
                     faultinject.fire("ilp.solve")
 
     def test_delay_without_deadline_is_harmless(self):
         with faultinject.inject("ilp.solve:delay"):
-            with resilience.stage_scope("s"):  # unbudgeted
+            with stage("s"):  # unbudgeted
                 faultinject.fire("ilp.solve")
 
     def test_directive_returns_mangling_modes(self):

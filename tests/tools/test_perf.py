@@ -1,14 +1,15 @@
 """Tests for the perf instrumentation."""
 
+from repro.core.context import stage
 from repro.tools import perf
 
 
 class TestPerf:
     def test_stage_accumulates(self):
         perf.reset()
-        with perf.stage("unit_test_stage"):
+        with stage("unit_test_stage"):
             pass
-        with perf.stage("unit_test_stage"):
+        with stage("unit_test_stage"):
             pass
         data = perf.report()
         row = data["stages"]["unit_test_stage"]
@@ -20,7 +21,7 @@ class TestPerf:
 
     def test_format_report_renders(self):
         perf.reset()
-        with perf.stage("render_me"):
+        with stage("render_me"):
             pass
         text = perf.format_report()
         assert "render_me" in text

@@ -2,6 +2,7 @@
 
 import threading
 
+from repro.core.context import stage
 from repro.tools import perf
 
 THREADS = 8
@@ -46,7 +47,7 @@ class TestPerfThreadSafety:
 
         def work():
             for _ in range(100):
-                with perf.stage("ctx.stage"):
+                with stage("ctx.stage"):
                     pass
 
         threads = [threading.Thread(target=work) for _ in range(THREADS)]

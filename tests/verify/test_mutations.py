@@ -96,6 +96,7 @@ def test_verification_failure_exits_13(capsys):
     assert code == EXIT_CODES[VerificationError] == 13
     err = capsys.readouterr().err
     assert "VerificationError" in err
+    assert "stage=verify.schedule" in err
 
 
 def test_without_verify_flag_fault_site_never_fires(capsys):
@@ -105,3 +106,43 @@ def test_without_verify_flag_fault_site_never_fires(capsys):
     finally:
         faultinject.set_spec(None)
     assert code == 0
+
+
+@pytest.mark.parametrize("site", ["verify.schedule", "verify.sync"])
+def test_a_rejection_names_its_verifier_stage(site):
+    kernel = demo_kernel("matmul", [16, 16, 16])
+    with faultinject.inject(f"{site}:error"):
+        with pytest.raises(VerificationError) as info:
+            build(kernel, "staged", options=AkgOptions(verify=True))
+    assert info.value.stage == site
+
+
+def test_stage_filters_see_the_verifier_stages():
+    kernel = demo_kernel("matmul", [16, 16, 16])
+    with faultinject.inject("verify.schedule:error@verify.bounds"):
+        assert build(kernel, "other", options=AkgOptions(verify=True)).verified_clean
+    with faultinject.inject("verify.schedule:error@verify.schedule"):
+        with pytest.raises(VerificationError):
+            build(kernel, "own", options=AkgOptions(verify=True))
+
+
+def test_verifier_stages_run_unbudgeted(monkeypatch):
+    """A stage budget bounds the compile stages it is passed to; the
+    verifier opens its stages outside them and must not start timing out."""
+    from repro import verify
+    from repro.core import resilience
+    from repro.core.resilience import StageBudget
+
+    remaining = []
+    check = verify.check_bounds
+    monkeypatch.setattr(
+        verify,
+        "check_bounds",
+        lambda result: remaining.append(
+            (resilience.active_stage(), resilience.remaining_deadline())
+        )
+        or check(result),
+    )
+    options = AkgOptions(verify=True, budget=StageBudget(stage_seconds=60.0))
+    build(demo_kernel("relu", [8, 32]), "unbudgeted", options=options)
+    assert remaining == [("verify.bounds", None)]
