@@ -101,8 +101,17 @@ python -m repro.tools.akgc relu --shape 64,128 \
 python -m repro.tools.akgc relu --shape 64,128 \
     --cache-dir "$TMP/cache" --cache-stats \
     | tee "$TMP/warm.txt"
-grep -q "disk cache    : [1-9]" "$TMP/warm.txt" \
-    || { echo "FAIL: warm akgc run did not hit the disk cache"; exit 1; }
+# A warm build is one read: two hits is the double unpickle coming back,
+# a miss is a silent recompile.
+grep -q "disk cache    : 1 hits, 0 misses, 0 stores" "$TMP/warm.txt" \
+    || { echo "FAIL: warm akgc run was not exactly one disk-cache hit"; exit 1; }
+python -m repro.tools.akgc relu --shape 8,32 --batch-max 8 \
+    --cache-dir "$TMP/cache" --cache-stats
+python -m repro.tools.akgc relu --shape 8,32 --batch-max 8 \
+    --cache-dir "$TMP/cache" --cache-stats \
+    | tee "$TMP/warm_sym.txt"
+grep -q "shape class   : 1 hits, 0 misses" "$TMP/warm_sym.txt" \
+    || { echo "FAIL: warm symbolic akgc run was not one shape-class hit"; exit 1; }
 
 echo
 echo "all checks passed"

@@ -2,7 +2,8 @@
 
 ``build`` = the tile-size-invariant front-end
 (:func:`repro.core.frontend.run_frontend`) + ``backend_build``, memoized
-in the disk cache.  ``backend_build`` runs the paper's passes in order —
+in the disk cache under a key ``build`` derives, and probes, before
+either runs.  ``backend_build`` runs the paper's passes in order —
 tile-size selection, the exact-fit retile ladder (:data:`VARIANTS`, each
 row fitted by :func:`fit`, the faster measured candidate wins),
 intra-tile rewrites, code generation — and decides nothing itself:
@@ -25,7 +26,7 @@ from repro.core.errors import (
     StageTimeoutError,
     TilingError,
 )
-from repro.core.frontend import FrontEnd, run_frontend
+from repro.core.frontend import FrontEnd, _frontend_cache_key, run_frontend
 from repro.core.resilience import ResilienceReport, StageBudget
 from repro.conv.fractal import graft_fractal_subtrees
 from repro.fusion.intratile import (
@@ -200,25 +201,22 @@ def build(
     per candidate instead of calling ``build`` repeatedly.
 
     Finished programs are memoized in the persistent disk cache under the
-    front-end's content key extended with the build options, so a warm
-    process recompiling an identical kernel unpickles the whole
-    :class:`CompileResult` (byte-identical program dump to a cold build).
+    front-end's content key extended with the build options.  ``build``
+    computes that key itself and probes the program entry *first*: a warm
+    process recompiling an identical kernel reads and unpickles one entry,
+    the whole :class:`CompileResult` (byte-identical program dump to a
+    cold build); the front-end runs, key in hand, only on a program miss.
     """
     from repro.core import diskcache
 
     options = options or AkgOptions()
     with resilience.collect() as report:
-        frontend = run_frontend(
-            outputs,
-            name,
-            hw=hw,
-            scheduler_options=options.scheduler,
-            budget=options.budget,
-        )
-        key = _program_cache_key(frontend, options)
+        cache_key = _frontend_cache_key(outputs, name, hw, options.scheduler)
+        frontend_digest, symbolic = cache_key
+        key = _program_cache_key(frontend_digest, options)
         with stage("backend.cache_probe"):
             cached = diskcache.load(key)
-        if key is not None and getattr(frontend.kernel, "sym_dims", None):
+        if key is not None and symbolic:
             diskcache.note_shapeclass_probe(isinstance(cached, CompileResult))
         if isinstance(cached, CompileResult):
             cached.resilience = report
@@ -228,6 +226,14 @@ def build(
                 _verify_and_mark(cached)
                 diskcache.store(key, cached)
             return cached
+        frontend = run_frontend(
+            outputs,
+            name,
+            hw=hw,
+            scheduler_options=options.scheduler,
+            budget=options.budget,
+            cache_key=cache_key,
+        )
         result = backend_build(frontend, options)
         result.resilience = report
         if options.verify:
@@ -248,17 +254,16 @@ def _verify_and_mark(result: CompileResult) -> None:
     result.verified_clean = True
 
 
-def _program_cache_key(frontend: FrontEnd, options: AkgOptions) -> Optional[str]:
-    """Digest for one (kernel, options) compiled program; None → skip."""
+def _program_cache_key(frontend_key: Optional[str], options: AkgOptions) -> Optional[str]:
+    """Digest for one (kernel, options) compiled program; None → skip.
+    ``frontend_key`` is :func:`_frontend_cache_key`'s digest, just computed."""
     from repro.core import diskcache
 
-    if frontend.cache_key is None or not diskcache.enabled():
+    if frontend_key is None:
         return None
     try:
         return diskcache.digest(
-            "program",
-            frontend.cache_key,
-            diskcache.options_fingerprint(options),
+            "program", frontend_key, diskcache.options_fingerprint(options)
         )
     except diskcache.FingerprintError:
         return None

@@ -20,6 +20,9 @@ Design points:
   different ``id()`` values and auto-generated axis names) map to the
   same key, while any change to shapes, dtypes, ops, immediates or
   wiring changes the key.
+- **One read per warm build.**  ``build`` derives the front-end digest
+  and from it the program digest before anything is loaded, and probes the
+  program first; the ``FrontEnd`` entry serves program misses and the tuner.
 - **Atomic writes, checksummed reads.**  Entries are written to a temp
   file and ``os.replace``-d into place, so a concurrent reader never
   sees a half-written pickle.  Each entry carries a magic header and a
@@ -47,15 +50,18 @@ miss path would recompute, which the byte-identical-dump tests assert.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
+import sys
 import tempfile
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+import repro
 from repro.core import resilience
 from repro.core.errors import CacheCorruptionError
 
@@ -65,7 +71,9 @@ __all__ = [
     "FingerprintError",
     "digest",
     "ir_fingerprint",
+    "graph_fingerprint",
     "hw_fingerprint",
+    "default_hw_fingerprint",
     "options_fingerprint",
     "scheduler_fingerprint",
     "signature_fingerprint",
@@ -91,6 +99,9 @@ CACHE_FORMAT_VERSION = 3
 _MAGIC = b"RAKG\x02"
 _HEADER_LEN = len(_MAGIC) + hashlib.sha256().digest_size
 
+#: The per-cache event counters, in the order ``stats()`` reports them.
+_COUNTERS = ("hits", "misses", "stores", "evictions", "errors", "corruptions")
+
 
 class FingerprintError(ValueError):
     """The value cannot be stably fingerprinted (callers skip caching)."""
@@ -115,13 +126,8 @@ class DiskCache:
     def __init__(self, root: str, max_entries: int = 4096):
         self.root = os.path.abspath(root)
         self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.evictions = 0
-        self.errors = 0
-        self.corruptions = 0
         self._stats_lock = threading.Lock()
+        self.reset_stats()
 
     def _bump(self, counter: str, by: int = 1) -> None:
         with self._stats_lock:
@@ -274,26 +280,16 @@ class DiskCache:
     def stats(self) -> Dict[str, float]:
         entries = len(self._entries())
         with self._stats_lock:
-            total = self.hits + self.misses
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-                "evictions": self.evictions,
-                "errors": self.errors,
-                "corruptions": self.corruptions,
-                "entries": entries,
-                "hit_rate": (self.hits / total) if total else 0.0,
-            }
+            stats = {name: getattr(self, name) for name in _COUNTERS}
+        total = stats["hits"] + stats["misses"]
+        stats["entries"] = entries
+        stats["hit_rate"] = (stats["hits"] / total) if total else 0.0
+        return stats
 
     def reset_stats(self) -> None:
         with self._stats_lock:
-            self.hits = 0
-            self.misses = 0
-            self.stores = 0
-            self.evictions = 0
-            self.errors = 0
-            self.corruptions = 0
+            for name in _COUNTERS:
+                setattr(self, name, 0)
 
     def __repr__(self) -> str:
         s = self.stats()
@@ -397,11 +393,7 @@ def disabled() -> Iterator[None]:
 def disk_cache_stats() -> Dict[str, float]:
     """Counters of the active cache (all-zero when disabled)."""
     if not enabled():
-        return {
-            "hits": 0, "misses": 0, "stores": 0, "evictions": 0,
-            "errors": 0, "corruptions": 0, "entries": 0, "hit_rate": 0.0,
-            "enabled": False,
-        }
+        return dict(dict.fromkeys(_COUNTERS, 0), entries=0, hit_rate=0.0, enabled=False)
     stats = get_cache().stats()
     stats["enabled"] = True
     return stats
@@ -465,17 +457,18 @@ def store(key: Optional[str], value: Any) -> bool:
 # -- fingerprints --------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _salted(fmt: int):
+    """A sha256 primed with the version salt, rendered once per format."""
+    py = sys.version_info
+    return hashlib.sha256(
+        f"repro={repro.__version__};fmt={fmt};py={py.major}.{py.minor}".encode()
+    )
+
+
 def digest(*parts: str) -> str:
     """sha256 over the version salt plus the given fingerprint strings."""
-    import sys
-
-    import repro
-
-    h = hashlib.sha256()
-    h.update(
-        f"repro={repro.__version__};fmt={CACHE_FORMAT_VERSION};"
-        f"py={sys.version_info.major}.{sys.version_info.minor}".encode()
-    )
+    h = _salted(CACHE_FORMAT_VERSION).copy()
     for part in parts:
         h.update(b"\x00")
         h.update(part.encode())
@@ -483,7 +476,14 @@ def digest(*parts: str) -> str:
 
 
 def ir_fingerprint(outputs) -> str:
-    """A stable, printable fingerprint of a tensor-expression DAG.
+    """The fingerprint half of :func:`graph_fingerprint`."""
+    return graph_fingerprint(outputs)[0]
+
+
+def graph_fingerprint(outputs) -> Tuple[str, bool]:
+    """One walk of a tensor-expression DAG: its stable, printable
+    fingerprint and whether any reachable tensor has a symbolic dim (the
+    shape-class counters' one definition of "symbolic").
 
     Identity-independent: tensors are numbered by topological visit
     order and iter vars by first registration, so the auto-generated
@@ -510,6 +510,7 @@ def ir_fingerprint(outputs) -> str:
     tensor_ids: Dict[int, int] = {}
     var_ids: Dict[int, int] = {}
     chunks: List[str] = []
+    symbolic = False
 
     def var_id(v) -> int:
         key = id(v)
@@ -553,6 +554,7 @@ def ir_fingerprint(outputs) -> str:
         raise FingerprintError(f"unfingerprintable expr node {type(e).__name__}")
 
     def visit(t) -> None:
+        nonlocal symbolic
         if not isinstance(t, Tensor):
             raise FingerprintError(f"expected Tensor, got {type(t).__name__}")
         if id(t) in tensor_ids:
@@ -565,6 +567,7 @@ def ir_fingerprint(outputs) -> str:
         head = f"T{tid}:{t.name}:{t.shape}:{t.dtype}"
         sym_axes = getattr(t, "sym_axes", None)
         if sym_axes:
+            symbolic = True
             marks = ",".join(
                 f"{i}={d.name}<={d.max}" for i, d in sorted(sym_axes.items())
             )
@@ -578,7 +581,7 @@ def ir_fingerprint(outputs) -> str:
     for out in out_list:
         visit(out)
     roots = ",".join(str(tensor_ids[id(t)]) for t in out_list)
-    return ";".join(chunks) + f";roots={roots}"
+    return ";".join(chunks) + f";roots={roots}", symbolic
 
 
 def _stable_value(value) -> str:
@@ -603,6 +606,15 @@ def hw_fingerprint(hw) -> str:
         for name, value in sorted(vars(hw).items())
     )
     return f"{type(hw).__name__}({items})"
+
+
+@functools.lru_cache(maxsize=None)
+def default_hw_fingerprint() -> str:
+    """``hw_fingerprint(HardwareSpec())``, rendered once per process (a
+    caller's spec is mutable: never memoised, rendered for every key)."""
+    from repro.hw.spec import HardwareSpec
+
+    return hw_fingerprint(HardwareSpec())
 
 
 def scheduler_fingerprint(scheduler_options) -> str:

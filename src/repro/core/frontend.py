@@ -13,8 +13,8 @@ makes the same split between template instantiation and schedule search).
 :func:`run_frontend` produces a :class:`FrontEnd`;
 :func:`repro.core.compiler.backend_build` consumes one together with
 tile-size options and runs tiling → fusion → storage → codegen.  The
-classic :func:`repro.core.compiler.build` is now simply the composition
-of the two.
+classic :func:`repro.core.compiler.build` is the composition of the two
+behind one disk-cache probe for the finished program.
 
 A :class:`FrontEnd` is picklable by design: the parallel auto-tuner ships
 one copy to each worker process and each worker then compiles candidates
@@ -129,6 +129,7 @@ def run_frontend(
     hw: Optional[HardwareSpec] = None,
     scheduler_options: Optional[SchedulerOptions] = None,
     budget: Optional[StageBudget] = None,
+    cache_key: Optional[Tuple[Optional[str], bool]] = None,
 ) -> FrontEnd:
     """Run lowering → dependences → clustering → scheduling once.
 
@@ -149,21 +150,26 @@ def run_frontend(
     or whose schedule came from a fallback rung — compile normally and
     are simply not cached (a later healthy run must not inherit a
     degraded schedule).
+
+    ``cache_key`` is :func:`_frontend_cache_key` of these arguments, which
+    ``build`` — here only after its program probe missed — has already
+    computed and hands over; other callers leave it out.
     """
     from repro.core import diskcache
 
-    hw = hw or HardwareSpec()
     scheduler_options = scheduler_options or SchedulerOptions()
-
-    key = _frontend_cache_key(outputs, name, hw, scheduler_options)
+    key, symbolic = cache_key or _frontend_cache_key(
+        outputs, name, hw, scheduler_options
+    )
     with stage("frontend.cache_probe"):
         cached = diskcache.load(key)
-    if key is not None and graph_has_symbolic(outputs):
+    if key is not None and symbolic:
         diskcache.note_shapeclass_probe(isinstance(cached, FrontEnd))
     if isinstance(cached, FrontEnd):
         cached.cache_key = key
         return cached
 
+    hw = hw or HardwareSpec()
     with resilience.collect() as report:
         events_before = len(report.events)
         with stage("frontend.lower", budget):
@@ -187,20 +193,6 @@ def run_frontend(
     if not degraded:
         diskcache.store(key, frontend)
     return frontend
-
-
-def graph_has_symbolic(outputs) -> bool:
-    """True when any tensor reachable from ``outputs`` has a symbolic dim."""
-    from repro.ir.tensor import Tensor
-
-    out_list = list(outputs) if isinstance(outputs, (list, tuple)) else [outputs]
-    for out in out_list:
-        if not isinstance(out, Tensor):
-            return False
-        for t in out.ancestors():
-            if getattr(t, "sym_axes", None):
-                return True
-    return False
 
 
 def _prove_shape_generic(kernel: LoweredKernel) -> None:
@@ -271,23 +263,23 @@ def _schedule_with_ladder(
 
 
 def _frontend_cache_key(
-    outputs, name: str, hw: HardwareSpec, scheduler_options: SchedulerOptions
-) -> Optional[str]:
-    """Digest identifying a front-end run; ``None`` → uncacheable kernel."""
+    outputs, name: str, hw: Optional[HardwareSpec], scheduler_options: SchedulerOptions
+) -> Tuple[Optional[str], bool]:
+    """``(digest, symbolic)`` of a front-end run, from one graph walk:
+    the digest is ``None`` for an uncacheable kernel (or a disabled
+    cache), ``symbolic`` marks a shape class (counted per probe), and
+    ``hw=None`` is the default spec."""
     from repro.core import diskcache
 
     if not diskcache.enabled():
-        return None
+        return None, False
     try:
-        return diskcache.digest(
-            "frontend",
-            diskcache.ir_fingerprint(outputs),
-            name,
-            diskcache.hw_fingerprint(hw),
-            diskcache.scheduler_fingerprint(scheduler_options),
-        )
+        ir, symbolic = diskcache.graph_fingerprint(outputs)
+        hw_fp = diskcache.hw_fingerprint(hw) if hw else diskcache.default_hw_fingerprint()
+        sched_fp = diskcache.scheduler_fingerprint(scheduler_options)
     except diskcache.FingerprintError:
-        return None
+        return None, False
+    return diskcache.digest("frontend", ir, name, hw_fp, sched_fp), symbolic
 
 
 # -- live-out band geometry ------------------------------------------------------

@@ -6,7 +6,6 @@ breaker's key)."""
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
@@ -20,15 +19,6 @@ __all__ = ["ServiceRequest", "ServiceResult", "error_body"]
 
 #: Request kinds the service executes.
 KINDS = ("compile", "tune", "replay")
-
-
-@functools.lru_cache(maxsize=None)
-def _default_hw_fingerprint() -> str:
-    """``hw_fingerprint(HardwareSpec())``, rendered once per process."""
-    from repro.core import diskcache
-    from repro.hw.spec import HardwareSpec
-
-    return diskcache.hw_fingerprint(HardwareSpec())
 
 
 @dataclass(eq=False, repr=False, slots=True)
@@ -83,18 +73,19 @@ class ServiceRequest:
         """``(ir, hw)`` fingerprints, rendered once per request.
 
         ``None`` when either is unfingerprintable.  Only the default
-        hardware's fingerprint outlives the request: an explicit ``hw``
-        object is mutable, so it is rendered anew for every request.
+        hardware's fingerprint outlives the request (an explicit ``hw``
+        is mutable).  The walk is called directly, not through
+        ``ir_fingerprint``: a memo hit is ~340 Python calls, each gated.
         """
         if self._fingerprints is None:
             from repro.core import diskcache
 
             try:
                 self._fingerprints = (
-                    diskcache.ir_fingerprint(self.outputs),
+                    diskcache.graph_fingerprint(self.outputs)[0],
                     diskcache.hw_fingerprint(self.hw)
                     if self.hw is not None
-                    else _default_hw_fingerprint(),
+                    else diskcache.default_hw_fingerprint(),
                 )
             except diskcache.FingerprintError:
                 return None

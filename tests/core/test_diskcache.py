@@ -11,6 +11,7 @@ Covers the three layers separately:
   on the same best sizes).
 """
 
+import hashlib
 import os
 import pickle
 
@@ -20,8 +21,10 @@ import pytest
 from repro.core import diskcache
 from repro.core.compiler import AkgOptions, build
 from repro.core.frontend import FrontEnd, run_frontend
+from repro.hw.spec import HardwareSpec
 from repro.ir import ops
 from repro.ir.tensor import placeholder
+from repro.tools import faultinject, perf
 
 
 def _relu_kernel(shape=(16, 24)):
@@ -377,3 +380,198 @@ class TestMemosStayOutOfPickles:
         clone = pickle.loads(pickle.dumps(stmt))
         assert "_domain" not in clone.__dict__
         assert repr(clone.domain()) == repr(stmt.domain())
+
+
+def _dump_sha(result) -> str:
+    return hashlib.sha256(result.program.dump().encode()).hexdigest()
+
+
+def _counted(monkeypatch, owner, name):
+    """Wrap ``owner.name``; returns the list its calls are appended to."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def _parent_keys(outputs, name, hw, options):
+    """Both cache keys, by the formulas every earlier commit used."""
+    frontend_key = diskcache.digest(
+        "frontend",
+        diskcache.ir_fingerprint(outputs),
+        name,
+        diskcache.hw_fingerprint(hw),
+        diskcache.scheduler_fingerprint(options.scheduler),
+    )
+    program_key = diskcache.digest(
+        "program", frontend_key, diskcache.options_fingerprint(options)
+    )
+    return frontend_key, program_key
+
+
+def _probe_counters():
+    stats = diskcache.disk_cache_stats()
+    return {k: stats[k] for k in ("hits", "misses", "stores")}
+
+
+class TestWarmBuildIsOneRead:
+    """``build`` probes the program entry first, under a key it derives
+    from one walk of the graph; the front-end entry serves program misses
+    (and the tuner).  Counted, not timed."""
+
+    def _populate(self, name, options=None):
+        options = options or AkgOptions()
+        cold = build(_matmul_kernel(), name, options=options)
+        keys = _parent_keys(_matmul_kernel(), name, HardwareSpec(), options)
+        diskcache.reset_disk_cache_stats()
+        perf.reset()
+        return cold, keys
+
+    def test_all_hit_build_reads_and_unpickles_one_entry(self, monkeypatch):
+        cold, (frontend_key, _) = self._populate("one_read")
+        loads = _counted(monkeypatch, diskcache.pickle, "loads")
+        gets = _counted(monkeypatch, diskcache.DiskCache, "get")
+        warm = build(_matmul_kernel(), "one_read")
+        assert _probe_counters() == {"hits": 1, "misses": 0, "stores": 0}
+        assert len(loads) == 1 and len(gets) == 1
+        assert _dump_sha(warm) == _dump_sha(cold)
+        # The front-end entry is not needed for it.
+        os.remove(diskcache.get_cache()._path(frontend_key))
+        diskcache.reset_disk_cache_stats()
+        again = build(_matmul_kernel(), "one_read")
+        assert _probe_counters() == {"hits": 1, "misses": 0, "stores": 0}
+        assert _dump_sha(again) == _dump_sha(cold)
+
+    def test_program_miss_is_served_by_the_frontend_entry(self):
+        cold, (_, program_key) = self._populate("fe_serves")
+        os.remove(diskcache.get_cache()._path(program_key))
+        rebuilt = build(_matmul_kernel(), "fe_serves")
+        assert _probe_counters() == {"hits": 1, "misses": 1, "stores": 1}
+        stages = perf.report()["stages"]
+        assert "frontend.lower" not in stages
+        assert "backend.codegen" in stages
+        assert _dump_sha(rebuilt) == _dump_sha(cold)
+
+    def test_corrupt_program_entry_recovers_then_hits_cleanly(self):
+        cold, _ = self._populate("corrupt_probe")
+        with faultinject.inject("diskcache.read:corrupt@backend.cache_probe"):
+            recovered = build(_matmul_kernel(), "corrupt_probe")
+        stats = diskcache.disk_cache_stats()
+        assert stats["corruptions"] == 1 and stats["errors"] == 1
+        assert _probe_counters() == {"hits": 1, "misses": 1, "stores": 1}
+        kinds = [e["kind"] for e in recovered.resilience.events]
+        assert kinds == ["recovered"]
+        assert not recovered.resilience.degraded
+        assert _dump_sha(recovered) == _dump_sha(cold)
+        diskcache.reset_disk_cache_stats()
+        clean = build(_matmul_kernel(), "corrupt_probe")
+        stats = diskcache.disk_cache_stats()
+        assert _probe_counters() == {"hits": 1, "misses": 0, "stores": 0}
+        assert stats["corruptions"] == 0 and not clean.resilience.events
+        assert _dump_sha(clean) == _dump_sha(cold)
+
+    def test_cold_build_walks_the_graph_once(self, monkeypatch):
+        walks = _counted(monkeypatch, diskcache, "graph_fingerprint")
+        fresh = build(_matmul_kernel(), "one_walk")
+        assert walks == ["graph_fingerprint"]
+        assert _probe_counters() == {"hits": 0, "misses": 2, "stores": 2}
+        del walks[:]
+        with diskcache.disabled():
+            uncached = build(_matmul_kernel(), "one_walk")
+        assert walks == []
+        assert _dump_sha(uncached) == _dump_sha(fresh)
+
+    def test_unfingerprintable_kernel_compiles_without_a_probe(self, monkeypatch):
+        hw = HardwareSpec()
+        hw.exotic = object()  # nothing renders this stably
+        with pytest.raises(diskcache.FingerprintError):
+            diskcache.hw_fingerprint(hw)
+        gets = _counted(monkeypatch, diskcache.DiskCache, "get")
+        puts = _counted(monkeypatch, diskcache.DiskCache, "put")
+        result = build(_matmul_kernel(), "no_key", hw=hw)
+        assert gets == [] and puts == []
+        assert run_frontend(_matmul_kernel(), "no_key", hw=hw).cache_key is None
+        assert _dump_sha(result) == _dump_sha(build(_matmul_kernel(), "no_key"))
+
+    def test_keys_are_the_formulas_earlier_commits_wrote_entries_under(self):
+        """Both keys by the old composition, entries stored through it:
+        the build must find them (a cache directory populated before the
+        probe order changed keeps hitting)."""
+        import sys
+
+        import repro
+
+        salt = (
+            f"repro={repro.__version__};fmt={diskcache.CACHE_FORMAT_VERSION};"
+            f"py={sys.version_info.major}.{sys.version_info.minor}"
+        )
+        assert diskcache.digest("a", "bc") == hashlib.sha256(
+            salt.encode() + b"\x00a\x00bc"
+        ).hexdigest()
+
+        options = AkgOptions(tile_sizes=[4, 4])
+        with diskcache.disabled():
+            frontend = run_frontend(_matmul_kernel(), "compat")
+            result = build(_matmul_kernel(), "compat", options=options)
+        frontend_key, program_key = _parent_keys(
+            _matmul_kernel(), "compat", HardwareSpec(), options
+        )
+        assert diskcache.store(frontend_key, frontend)
+        assert diskcache.store(program_key, result)
+        diskcache.reset_disk_cache_stats()
+        hit = build(_matmul_kernel(), "compat", options=options)
+        assert _probe_counters() == {"hits": 1, "misses": 0, "stores": 0}
+        assert _dump_sha(hit) == _dump_sha(result)
+        loaded = run_frontend(_matmul_kernel(), "compat")
+        assert _probe_counters() == {"hits": 2, "misses": 0, "stores": 0}
+        assert loaded.cache_key == frontend_key
+
+
+class TestProcessConstantKeyParts:
+    def test_default_spec_is_rendered_once_per_process(self, monkeypatch):
+        diskcache.default_hw_fingerprint.cache_clear()
+        renders = _counted(monkeypatch, diskcache, "hw_fingerprint")
+        first = run_frontend(_relu_kernel(), "default_hw")
+        build(_relu_kernel(), "default_hw")
+        build(_matmul_kernel(), "default_hw")
+        assert renders == ["hw_fingerprint"]
+        # ... and it is the fingerprint of the spec a caller would pass.
+        explicit = run_frontend(_relu_kernel(), "default_hw", hw=HardwareSpec())
+        assert explicit.cache_key == first.cache_key
+
+    def test_a_callers_spec_is_rendered_every_time(self):
+        """A passed-in ``HardwareSpec`` is mutable: editing it between
+        two builds must change both keys, never replay a stale render."""
+        hw = HardwareSpec()
+        before = run_frontend(_relu_kernel(), "own_hw", hw=hw).cache_key
+        build(_relu_kernel(), "own_hw", hw=hw)
+        hw.buffer_capacity["UB"] //= 2
+        diskcache.reset_disk_cache_stats()
+        build(_relu_kernel(), "own_hw", hw=hw)
+        assert _probe_counters() == {"hits": 0, "misses": 2, "stores": 2}
+        assert run_frontend(_relu_kernel(), "own_hw", hw=hw).cache_key != before
+
+
+class TestSymbolicHasOneDefinition:
+    """The shape-class counters bucket on the fingerprint walk's flag;
+    it must agree with what lowering calls a symbolic kernel."""
+
+    @pytest.mark.parametrize(
+        "op,shape,bmax",
+        [("relu", [8, 32], 8), ("matmul", [16, 16, 16], 16), ("conv2d", [1, 4, 10, 10], 4)],
+    )
+    def test_walk_flag_equals_lowered_sym_dims(self, op, shape, bmax):
+        from repro.ir.lower import lower
+        from repro.service.wire import demo_kernel
+
+        for batch_max in (bmax, None):
+            graph = demo_kernel(op, shape, batch_max=batch_max)
+            text, symbolic = diskcache.graph_fingerprint(graph)
+            assert text == diskcache.ir_fingerprint(graph)
+            assert symbolic == bool(lower(graph, "k").sym_dims)
+            assert symbolic == (batch_max is not None)
