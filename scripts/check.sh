@@ -67,6 +67,13 @@ grep -q "verified      :" "$TMP/verify.txt" \
     || { echo "FAIL: akgc --verify did not report verification"; exit 1; }
 
 echo
+echo "== CCE dump of a cube kernel carries the schedule-tree AST =="
+python -m repro.tools.akgc matmul --shape 64,64,64 --no-disk-cache --dump-cce \
+    > "$TMP/cce.txt"
+grep -q "schedule-tree AST" "$TMP/cce.txt" \
+    || { echo "FAIL: akgc --dump-cce of a matmul has no schedule-tree AST"; exit 1; }
+
+echo
 echo "== network degradation roll-up (mid-network subgraph fault) =="
 REPRO_FAULT_SPEC="tiling.auto_search:error" REPRO_CACHE_DIR="$TMP/net-cache" \
     python -m repro.tools.akgc --network alexnet_tiny --resilience-stats \

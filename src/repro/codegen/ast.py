@@ -9,8 +9,9 @@ as Sec. 4.3 requires for post-tiling fusion).
 
 The generator supports the band shapes AKG emits (identity rows and tile
 bands).  General skewed rows would need schedule-space scanning with an
-inverse map; those bands render as annotated opaque loops instead of
-failing, keeping the printer total.
+inverse map; those rows, and rows over names outside the lead
+statement's domain (the fractal GEMM band of a cube kernel), render as
+annotated opaque loops instead of failing, keeping the printer total.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ class _AstGenerator:
     # -- bands ----------------------------------------------------------------------
 
     def _visit_band(self, band: BandNode, active: Set[str]) -> Optional[Stmt]:
-        relevant = [sid for sid in active if sid in band.schedules]
+        # Band order, not set order: the lead names the loops.
+        relevant = [sid for sid in band.schedules if sid in active]
         if not relevant:
             return self.visit(band.child, active)
         lead = self.stmt_by_id[relevant[0]]
@@ -101,10 +103,13 @@ class _AstGenerator:
         for r in range(band.n_rows - 1, -1, -1):
             expr = rows[r]
             dim = self._row_dim(expr)
-            if dim is None:
+            if dim is None or dim not in lead.iter_names:
+                # A skewed row, or one over names the lead's domain does
+                # not bound (the fractal GEMM's fm/fn/fk): no scanned bounds.
+                what = "skewed row" if dim is None else "row outside the domain"
                 body = For(
                     f"c{r}", 0, "?",
-                    Block([Evaluate(f"// skewed row: {expr!r}"), body]),
+                    Block([Evaluate(f"// {what}: {expr!r}"), body]),
                 )
                 continue
             lo, hi = self._dim_bounds(lead, dim)

@@ -19,9 +19,9 @@ and then inserts flags according to a policy:
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
-from repro.hw.isa import Barrier, Instr, Pipe, SetFlag, WaitFlag
+from repro.hw.isa import Barrier, Instr, Pipe, SetFlag, WaitFlag, walk
 
 
 class Stage:
@@ -133,6 +133,7 @@ def link_stages(
     return out
 
 
-def count_sync_instrs(instrs: Iterable[Instr]) -> int:
-    """Number of synchronisation instructions in a stream (loops excluded)."""
-    return sum(1 for i in instrs if isinstance(i, (SetFlag, WaitFlag, Barrier)))
+def count_sync_instrs(instrs: Sequence[Instr]) -> int:
+    """Number of synchronisation instructions in a stream (each loop body
+    counted once)."""
+    return sum(1 for _, _, instr, _, _ in walk(instrs) if instr.sync)

@@ -19,20 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.hw.isa import (
-    Barrier,
-    CubeInstr,
-    DmaInstr,
-    Img2ColInstr,
-    Instr,
-    Loop,
-    Pipe,
-    Program,
-    ScalarInstr,
-    SetFlag,
-    VectorInstr,
-    WaitFlag,
-)
+from repro.hw.isa import Instr, Loop, Pipe, Program, walk
 from repro.hw.spec import HardwareSpec
 
 
@@ -120,7 +107,6 @@ class Simulator:
             return
         # Warm up, then extrapolate the steady-state period.
         iters = min(self.WARMUP_ITERS, loop.count)
-        before = state.snapshot()
         per_iter_deltas: List[Dict[Pipe, float]] = []
         for _ in range(iters):
             snap = state.snapshot()
@@ -133,14 +119,31 @@ class Simulator:
         period = max(last.values())
         state.shift(period * remaining)
         # Account the skipped iterations' work in the aggregate counters.
-        self._account_block(loop.body, remaining, report)
+        spec = self.spec
+        for _, scale, instr, _, _ in walk(loop.body, scale=remaining):
+            name = type(instr).__name__
+            report.instr_counts[name] = report.instr_counts.get(name, 0) + scale
+            if instr.sync is not None:
+                report.sync_count += scale
+                continue
+            report.busy_cycles[instr.pipe] += instr.cycles(spec) * scale
+            if instr.dma:
+                report.dma_bytes += instr.nbytes * scale
 
     def _step(self, instr: Instr, state: _State, report: SimReport) -> None:
         spec = self.spec
         name = type(instr).__name__
         report.instr_counts[name] = report.instr_counts.get(name, 0) + 1
-
-        if isinstance(instr, WaitFlag):
+        sync = instr.sync
+        if sync is None:
+            cycles = instr.cycles(spec)
+            p = instr.pipe
+            state.pipe_time[p] += cycles
+            report.busy_cycles[p] += cycles
+            if instr.dma:
+                report.dma_bytes += instr.nbytes
+            return
+        if sync == "wait":
             key = (instr.src_pipe, instr.dst_pipe, instr.event)
             queue = state.flags.get(key)
             if not queue:
@@ -148,65 +151,17 @@ class Simulator:
                     f"wait_flag {instr.describe()} has no pending set_flag"
                 )
             set_time = queue.popleft()
-            p = instr.dst_pipe
+            p = instr.pipe
             state.pipe_time[p] = (
                 max(state.pipe_time[p], set_time) + spec.sync_cycles / 2
             )
-            report.sync_count += 1
-            return
-        if isinstance(instr, SetFlag):
-            p = instr.src_pipe
+        elif sync == "set":
+            p = instr.pipe
             state.pipe_time[p] += spec.sync_cycles / 2
             key = (instr.src_pipe, instr.dst_pipe, instr.event)
             state.flags.setdefault(key, deque()).append(state.pipe_time[p])
-            report.sync_count += 1
-            return
-        if isinstance(instr, Barrier):
+        else:  # a barrier: every pipe waits for the slowest
             t = max(state.pipe_time.values()) + spec.sync_cycles
             for p in state.pipe_time:
                 state.pipe_time[p] = t
-            report.sync_count += 1
-            return
-
-        cycles = self._instr_cycles(instr)
-        p = instr.pipe
-        state.pipe_time[p] += cycles
-        report.busy_cycles[p] += cycles
-        if isinstance(instr, DmaInstr):
-            report.dma_bytes += instr.nbytes
-
-    def _account_block(
-        self, instrs: Sequence[Instr], scale: int, report: SimReport
-    ) -> None:
-        """Add ``scale`` repetitions of a block to the aggregate counters
-        (used when steady-state extrapolation skips actual simulation)."""
-        for i in instrs:
-            if isinstance(i, Loop):
-                self._account_block(i.body, scale * i.count, report)
-                continue
-            name = type(i).__name__
-            report.instr_counts[name] = report.instr_counts.get(name, 0) + scale
-            if isinstance(i, (SetFlag, WaitFlag, Barrier)):
-                report.sync_count += scale
-                continue
-            report.busy_cycles[i.pipe] += self._instr_cycles(i) * scale
-            if isinstance(i, DmaInstr):
-                report.dma_bytes += i.nbytes * scale
-
-    def _instr_cycles(self, instr: Instr) -> float:
-        spec = self.spec
-        if isinstance(instr, DmaInstr):
-            return spec.transfer_cycles(
-                instr.src, instr.dst, instr.nbytes, instr.contiguous_runs
-            )
-        if isinstance(instr, VectorInstr):
-            return spec.vector_cycles(instr.elems, instr.dtype, instr.aligned)
-        if isinstance(instr, CubeInstr):
-            return spec.cube_cycles(instr.m, instr.k, instr.n, instr.dtype)
-        if isinstance(instr, ScalarInstr):
-            return spec.scalar_cycles(instr.count)
-        if isinstance(instr, Img2ColInstr):
-            return instr.nbytes / spec.img2col_bytes_per_cycle + 32
-        raise TypeError(f"cannot time {type(instr).__name__}")
-
-
+        report.sync_count += 1

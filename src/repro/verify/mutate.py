@@ -23,10 +23,10 @@ model relies on.
 from __future__ import annotations
 
 import copy
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.core.errors import VerificationError
-from repro.hw.isa import Barrier, Instr, Loop, SetFlag, WaitFlag
+from repro.hw.isa import walk
 from repro.poly.affine import AffineExpr, Constraint
 from repro.poly.maps import BasicMap
 from repro.verify.syncs import check_program_sync
@@ -46,28 +46,18 @@ __all__ = [
 ]
 
 
-def _sync_sites(instrs: Sequence[Instr]) -> List[Tuple[List[Instr], int]]:
-    """Every (owning list, index) holding a sync instruction, in order."""
-    sites: List[Tuple[List[Instr], int]] = []
-    for i, instr in enumerate(instrs):
-        if isinstance(instr, Loop):
-            sites.extend(_sync_sites(instr.body))
-        elif isinstance(instr, (WaitFlag, SetFlag, Barrier)):
-            sites.append((instrs, i))  # type: ignore[arg-type]
-    return sites
-
-
 def drop_sync(result: "CompileResult") -> Optional["CompileResult"]:
     """Remove the first load-bearing sync instruction from the stream.
 
     Returns ``None`` only when the program has no sync whose removal
     changes the happens-before relation (a sync-free program).
     """
-    total = len(_sync_sites(result.program.instructions))
-    for k in range(total):
-        mutant = copy.deepcopy(result)
-        owner, idx = _sync_sites(mutant.program.instructions)[k]
-        del owner[idx]
+    for _, _, instr, owner, index in walk(result.program.instructions):
+        if instr.sync is None:
+            continue
+        copies: dict = {}  # deepcopy's memo: id(original) -> its copy
+        mutant = copy.deepcopy(result, copies)
+        del copies[id(owner)][index]
         try:
             check_program_sync(mutant.program.instructions)
         except VerificationError:

@@ -34,19 +34,7 @@ from collections import deque
 
 from repro.core import resilience
 from repro.core.errors import VerificationError
-from repro.hw.isa import (
-    Barrier,
-    CubeInstr,
-    DmaInstr,
-    Img2ColInstr,
-    Instr,
-    Loop,
-    Pipe,
-    ScalarInstr,
-    SetFlag,
-    VectorInstr,
-    WaitFlag,
-)
+from repro.hw.isa import Instr, Pipe, walk
 from repro.tools import faultinject
 
 if TYPE_CHECKING:
@@ -59,29 +47,6 @@ def _fail(message: str) -> None:
     raise VerificationError(message, stage=resilience.active_stage())
 
 
-def _flatten(instrs: Sequence[Instr], out: List[Instr]) -> None:
-    """One static copy of the stream (each loop body taken once)."""
-    for instr in instrs:
-        if isinstance(instr, Loop):
-            if instr.count > 0:
-                _flatten(instr.body, out)
-        else:
-            out.append(instr)
-
-
-def _accesses(instr: Instr) -> List[Tuple[str, bool]]:
-    """Abstract ``(memory scope, is_write)`` pairs of one instruction."""
-    if isinstance(instr, DmaInstr):
-        return [(instr.src, False), (instr.dst, True)]
-    if isinstance(instr, Img2ColInstr):
-        return [("L1", False), ("L0A", True)]
-    if isinstance(instr, CubeInstr):
-        return [("L0A", False), ("L0B", False), ("L0C", True)]
-    if isinstance(instr, (VectorInstr, ScalarInstr)):
-        return [("UB", False), ("UB", True)]
-    return []
-
-
 def check_program_sync(instructions: Sequence[Instr]) -> None:
     """Happens-before race check over one instruction stream.
 
@@ -89,8 +54,8 @@ def check_program_sync(instructions: Sequence[Instr]) -> None:
     unmatched wait or for any conflicting cross-pipe access pair the
     emitted flags and barriers leave unordered.
     """
-    flat: List[Instr] = []
-    _flatten(instructions, flat)
+    # One static copy of the stream: each loop body once, unless it never runs.
+    flat = [instr for _, scale, instr, _, _ in walk(instructions) if scale]
     n = len(flat)
 
     last_of_pipe: Dict[Pipe, int] = {}
@@ -99,7 +64,8 @@ def check_program_sync(instructions: Sequence[Instr]) -> None:
 
     for i, instr in enumerate(flat):
         preds: List[int] = []
-        if isinstance(instr, Barrier):
+        sync = instr.sync
+        if sync == "barrier":
             preds.extend(last_of_pipe.values())
             for p in Pipe:
                 last_of_pipe[p] = i
@@ -108,10 +74,10 @@ def check_program_sync(instructions: Sequence[Instr]) -> None:
             if pipe in last_of_pipe:
                 preds.append(last_of_pipe[pipe])
             last_of_pipe[pipe] = i
-            if isinstance(instr, SetFlag):
+            if sync == "set":
                 key = (instr.src_pipe, instr.dst_pipe, instr.event)
                 pending.setdefault(key, deque()).append(i)
-            elif isinstance(instr, WaitFlag):
+            elif sync == "wait":
                 key = (instr.src_pipe, instr.dst_pipe, instr.event)
                 queue = pending.get(key)
                 if not queue:
@@ -129,7 +95,7 @@ def check_program_sync(instructions: Sequence[Instr]) -> None:
     # pipe must happen-after the earlier one.
     by_scope: Dict[str, List[Tuple[int, bool]]] = {}
     for i, instr in enumerate(flat):
-        for scope, is_write in _accesses(instr):
+        for scope, is_write in instr.accesses():
             by_scope.setdefault(scope, []).append((i, is_write))
     for scope, entries in by_scope.items():
         for a in range(len(entries)):

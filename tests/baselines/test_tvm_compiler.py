@@ -2,7 +2,7 @@
 
 
 from repro.core.compiler import build
-from repro.hw.isa import VectorInstr
+from repro.hw.isa import VectorInstr, walk
 from repro.ir import ops
 from repro.ir.tensor import compute, placeholder, reduce_axis, te_sum
 from repro.tvmbaseline.compiler import tvm_build
@@ -15,17 +15,8 @@ class TestTvmPadding:
         x = placeholder((7, 33), dtype="fp16", name="X")  # ragged spans
         r = ops.relu(x, name="R")
         result = tvm_build(r, "t")
-
-        def walk(instrs):
-            from repro.hw.isa import Loop
-
-            for i in instrs:
-                if isinstance(i, Loop):
-                    yield from walk(i.body)
-                else:
-                    yield i
-
-        vecs = [i for i in walk(result.program.instructions) if isinstance(i, VectorInstr)]
+        instrs = [row[2] for row in walk(result.program.instructions)]
+        vecs = [i for i in instrs if isinstance(i, VectorInstr)]
         assert vecs
         lanes = result.hw.vector_lanes("fp16")
         for v in vecs:

@@ -168,6 +168,22 @@ class TestCceEmission:
         assert "mad(" in code
         assert "__cbuf__" in code
         assert "set_flag" in code
+        # The fractal GEMM band's rows (fm/fn/fk) are no statement's
+        # iterators: the reference AST renders them as opaque loops
+        # instead of silently dropping the whole block.
+        assert "/* schedule-tree AST (reference)" in code
+        assert "// row outside the domain: fk" in code
+
+    @pytest.mark.parametrize("dtype, ctype", [("fp32", "float"), ("int32", "int32_t")])
+    def test_emit_cce_signature_follows_dtype(self, dtype, ctype):
+        from repro.core.compiler import build
+
+        x = placeholder((16, 32), dtype=dtype, name="X")
+        y = placeholder((16, 32), dtype=dtype, name="Y")
+        code = build(ops.add(x, y, name="S"), f"add_{dtype}").cce_code()
+        signature = code.splitlines()[1]
+        assert f"(__gm__ {ctype}* X, __gm__ {ctype}* Y, __gm__ {ctype}* S)" in signature
+        assert f"__ubuf__ {ctype} X_local[" in code
 
     def test_emit_cce_vector_kernel(self):
         from repro.core.compiler import build

@@ -10,6 +10,13 @@ rejects (the capacity-shrink and conv spatial-first variants run and are
 measured against each other); subgraph5 fuses a stencil producer (the
 split variant is measured too).
 
+``EMITTED`` pins what every reader of the instruction stream makes of
+the same programs -- the CCE text, both instruction counts, the whole
+``SimReport`` and the race checker's verdict -- and ``CALLS`` what the
+simulator, the dump and the CCE emitter cost in Python-level calls.
+``BASELINES`` pins the TVM, expert-CCE and naive-CCE programs (Fig. 9/12)
+built through the same instruction classes.
+
 A row that moves means emitted code changed: say so in the PR and
 re-pin, never edit a value to make a refactor pass.
 """
@@ -18,12 +25,17 @@ import hashlib
 
 import pytest
 
+import repro.codegen.cce  # noqa: F401 -- cce_code() imports it; not in CALLS
+from repro.cce import cce_expert_build, cce_naive_build
 from repro.core import diskcache
 from repro.core.compiler import build
 from repro.graph.subgraphs import paper_subgraphs
+from repro.hw.isa import Pipe
 from repro.ir import ops
 from repro.ir.tensor import placeholder
 from repro.poly.cache import clear_solver_caches
+from repro.tvmbaseline.compiler import tvm_build
+from repro.verify.syncs import check_program_sync
 
 
 def _conv2d_16x32():
@@ -66,13 +78,136 @@ GOLDEN = {
     "subgraph5": (_subgraph(5), "7c3f24c284141739", 7764, [1, 1, 16, 16]),
 }
 
+# name -> (cce_code() sha256[:16], static_count, flat_count, SimReport:
+# busy cycles of S, V, M, MTE1, MTE2, MTE3, sync_count, dma_bytes,
+# instr_counts).  The race checker passes every row.
+EMITTED = {
+    "add_relu_128x512": (
+        "7bb783e094df37ad", 17, 56, (0, 576, 0, 0, 2304, 1152), 36, 393216,
+        {"DmaInstr": 12, "SetFlag": 20, "VectorInstr": 8, "WaitFlag": 16},
+    ),
+    "conv2d_16x32": (
+        "ee1034fb01ef2efc", 15, 15, (0, 264, 592, 1210, 356, 288), 8, 140288,
+        {"CubeInstr": 1, "DmaInstr": 5, "Img2ColInstr": 1, "SetFlag": 4,
+         "WaitFlag": 4},
+    ),
+    "matmul_256": (
+        "a610f465b78afa85", 23, 80, (0, 1056, 4160, 2112, 6392, 2168), 52,
+        1441792, {"CubeInstr": 4, "DmaInstr": 24, "SetFlag": 28, "WaitFlag": 24},
+    ),
+    "softmax_32x64": (
+        "047053aea0ddc562", 46, 82, (0, 154, 0, 0, 632, 408), 51, 24896,
+        {"Barrier": 3, "DmaInstr": 19, "SetFlag": 26, "VectorInstr": 12,
+         "WaitFlag": 22},
+    ),
+    "subgraph1": (
+        "14aa5ffe6514b5b2", 33, 237572,
+        (0, 3014656, 655360, 2506752, 2744320, 1425408), 131076, 944898048,
+        {"CubeInstr": 8192, "DmaInstr": 49152, "Img2ColInstr": 8192,
+         "SetFlag": 65540, "VectorInstr": 40960, "WaitFlag": 65536},
+    ),
+    "subgraph2": (
+        "2e60d83bf67526eb", 36, 131076, (0, 3440640, 0, 0, 2342912, 1171456),
+        32772, 201326592,
+        {"DmaInstr": 12288, "SetFlag": 16388, "VectorInstr": 86016,
+         "WaitFlag": 16384},
+    ),
+    "subgraph3": (
+        "d97bf03279e6fed2", 30, 198410, (0, 4578600, 0, 0, 2441920, 1220960),
+        61052, 375078912,
+        {"DmaInstr": 22893, "SetFlag": 30528, "VectorInstr": 114465,
+         "WaitFlag": 30524},
+    ),
+    "subgraph4": (
+        "63cb08fe59c78559", 104, 5567, (0, 66784, 0, 0, 127424, 45440), 3116,
+        16846848,
+        {"Barrier": 8, "DmaInstr": 1293, "SetFlag": 1560, "VectorInstr": 1158,
+         "WaitFlag": 1548},
+    ),
+    "subgraph5": (
+        "bf87a97f6e51a0a9", 36, 2052, (0, 5376, 1088, 3456, 4352, 2304), 1028,
+        197760,
+        {"CubeInstr": 64, "DmaInstr": 384, "Img2ColInstr": 64, "SetFlag": 516,
+         "VectorInstr": 512, "WaitFlag": 512},
+    ),
+}
+
+# name -> Python-level calls of simulate(), program.dump() and cce_code(),
+# in that order, right after the cold build (cce_code() solves the
+# reference AST's loop bounds, so the solver caches' state counts).
+CALLS = {
+    "add_relu_128x512": (397, 74, 608),
+    "conv2d_16x32": (128, 59, 776),
+    "matmul_256": (525, 102, 432),
+    "softmax_32x64": (569, 165, 854),
+    "subgraph1": (1004, 128, 1287),
+    "subgraph2": (1345, 93, 1507),
+    "subgraph3": (1093, 87, 819),
+    "subgraph4": (1996, 391, 1420),
+    "subgraph5": (1130, 131, 1424),
+}
+
+# (baseline, golden row) -> (dump sha256[:16], cycles)
+BASELINES = {
+    ("cce_expert", "conv2d_16x32"): ("cd7ef7af1327ee77", 2698),
+    ("cce_expert", "matmul_256"): ("04c6086b7d89a209", 8978),
+    ("cce_naive", "conv2d_16x32"): ("7be9e545db9eef6d", 5345),
+    ("cce_naive", "matmul_256"): ("6e5b13a1f6f2349c", 31137),
+    ("tvm", "conv2d_16x32"): ("18719d6556ae0c6a", 2746),
+    ("tvm", "matmul_256"): ("58ed78c7dbe75547", 8336),
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _cold_build(name):
+    diskcache.set_disk_cache_enabled(False)
+    clear_solver_caches()
+    return build(GOLDEN[name][0](), name)
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cold_build_emits_the_pinned_program(name):
-    builder, sha, cycles, tile_sizes = GOLDEN[name]
-    diskcache.set_disk_cache_enabled(False)
-    clear_solver_caches()
-    result = build(builder(), name)
-    digest = hashlib.sha256(result.program.dump().encode()).hexdigest()[:16]
+    _builder, sha, cycles, tile_sizes = GOLDEN[name]
+    result = _cold_build(name)
+    digest = _sha(result.program.dump())
     assert (digest, result.cycles(), result.tile_sizes) == (sha, cycles, tile_sizes)
     assert not result.resilience.degraded
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_reader_of_the_program_is_pinned(name, python_calls):
+    result = _cold_build(name)
+    program = result.program
+    calls = tuple(
+        python_calls(fn) for fn in (result.simulate, program.dump, result.cce_code)
+    )
+    report = result.simulate()
+    emitted = (
+        _sha(result.cce_code()),
+        program.static_count(),
+        program.flat_count(),
+        tuple(report.busy_cycles[p] for p in Pipe),
+        report.sync_count,
+        report.dma_bytes,
+        report.instr_counts,
+    )
+    assert emitted == EMITTED[name]
+    assert report.total_cycles == GOLDEN[name][2]
+    check_program_sync(program.instructions)
+    assert all(c <= pin for c, pin in zip(calls, CALLS[name])), calls
+
+
+@pytest.mark.parametrize("baseline, name", sorted(BASELINES))
+def test_baseline_programs_are_pinned(baseline, name):
+    compile_fn = {
+        "cce_expert": cce_expert_build,
+        "cce_naive": cce_naive_build,
+        "tvm": tvm_build,
+    }[baseline]
+    diskcache.set_disk_cache_enabled(False)
+    clear_solver_caches()
+    result = compile_fn(GOLDEN[name][0](), name)
+    assert (_sha(result.program.dump()), result.cycles()) == BASELINES[(baseline, name)]
