@@ -21,12 +21,13 @@ Replay runs on two engines with bit-identical results:
   ``wrapped.contains`` -- the oracle semantics, kept verbatim;
 - ``engine="vectorized"`` (and ``"auto"``, the default): per tile, the
   statement's instance box is evaluated as whole numpy arrays
-  (:mod:`repro.runtime.vectorized`); membership filtering becomes a
-  vectorized integer test of the wrapped relation's constraints over the
-  box grid, and the fused-producer dedup sets become per-producer boolean
-  "executed" masks -- same no-redundant-recompute semantics, array-rate
-  speed.  Statements the vectorizer cannot classify (and tiles whose
-  guarded reads escape their ``Select``) fall back to the scalar path.
+  (:mod:`repro.runtime.vectorized`); membership filtering decides each
+  of the wrapped relation's constraints from the tile's box and tests
+  only the undecided ones over the box grid, and the fused-producer dedup
+  sets become per-producer boolean "executed" masks -- same
+  no-redundant-recompute semantics, array-rate speed.  Statements the
+  vectorizer cannot classify (and tiles whose guarded reads escape their
+  ``Select``) fall back to the scalar path.
 
 For both engines the per-statement instance box is *parametric*: affine
 bounds in the tile coordinates are derived once per statement
@@ -144,20 +145,53 @@ class _Membership:
                 (int(c.expr.const), tile_coeffs, iter_terms, c.is_equality)
             )
 
-    def mask(self, tile: Sequence[int], igrids) -> "Optional[np.ndarray] | bool":
-        """Boolean mask over the box grids (None = all in), False = none."""
-        acc = None
+    def mask(
+        self, tile: Sequence[int], box: Sequence[Tuple[int, int]]
+    ) -> "Optional[np.ndarray] | bool":
+        """Membership of the tile's integer ``box``: None = all in,
+        False = none, else a boolean array broadcastable to the box.
+
+        Each row is decided from the box first: its min and max over the
+        box take every ``iter_k`` at ``lo`` or ``hi`` by the sign of
+        ``c_k``.  A row the box implies is skipped, a row no box point
+        satisfies returns False, and only the undecided rows are
+        evaluated -- each over the grids of the axes it mentions.  An
+        undecided row fails at some box corner, so an array is never all
+        True.
+        """
+        undecided = []
         for const, tile_coeffs, iter_terms, is_eq in self.rows:
             base = const
             for tc, tv in zip(tile_coeffs, tile):
                 base += tc * tv
-            if not iter_terms:
-                if (base != 0) if is_eq else (base < 0):
-                    return False
+            low = high = base
+            for k, c in iter_terms:
+                lo, hi = box[k]
+                if c > 0:
+                    low += c * lo
+                    high += c * hi
+                else:
+                    low += c * hi
+                    high += c * lo
+            if high < 0 or (is_eq and low > 0):
+                return False
+            if (low == high) if is_eq else (low >= 0):
                 continue
+            undecided.append((base, iter_terms, is_eq))
+        acc = None
+        grids: Dict[int, np.ndarray] = {}
+        for base, iter_terms, is_eq in undecided:
             val = np.int64(base)
             for k, c in iter_terms:
-                val = val + c * igrids[k]
+                grid = grids.get(k)
+                if grid is None:
+                    lo, hi = box[k]
+                    shape = [1] * len(box)
+                    shape[k] = hi - lo + 1
+                    grid = grids[k] = np.arange(
+                        lo, hi + 1, dtype=np.int64
+                    ).reshape(shape)
+                val = val + c * grid
             cond = (val == 0) if is_eq else (val >= 0)
             acc = cond if acc is None else (acc & cond)
         return acc
@@ -282,7 +316,7 @@ class ProgramReplay:
                         continue
                     mask = None
                     if rep.plan is not None:
-                        mask = _membership_mask(rep.membership, tile, box)
+                        mask = rep.membership.mask(tile, box)
                         if mask is False:
                             continue  # statically empty in this tile
                     steps.append(_TileStep(rep, tile, tile_env, box, mask))
@@ -350,7 +384,7 @@ class ProgramReplay:
                     continue
                 mask = None
                 if rep.plan is not None:
-                    mask = _membership_mask(rep.membership, step.tile, box)
+                    mask = rep.membership.mask(step.tile, box)
                     if mask is False:
                         continue
                 clamped.append(
@@ -478,23 +512,6 @@ class ProgramReplay:
 
             perf.add("exec.vectorized", vec_seconds)
         return {t.name: buffers[t.name] for t in self.kernel.outputs}
-
-
-def _membership_mask(membership, tile, box):
-    """Evaluate one statement's membership rows over a tile's box grid."""
-    n = len(box)
-    igrids = []
-    for k, (lo, hi) in enumerate(box):
-        shape = [1] * n
-        shape[k] = hi - lo + 1
-        igrids.append(np.arange(lo, hi + 1, dtype=np.int64).reshape(shape))
-    mask = membership.mask(tile, igrids)
-    # A schedule step keeps its mask for the replayer's lifetime: an
-    # all-in tile must not hold a box-sized array of True (16 MB over
-    # the 8 tiles of a 256^3 matmul) for what None already says.
-    if isinstance(mask, np.ndarray) and mask.all():
-        return None
-    return mask
 
 
 def _run_tile_vectorized(rep, step: _TileStep, buffers) -> None:

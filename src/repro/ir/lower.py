@@ -223,10 +223,6 @@ class PolyStatement:
             for const, terms in plan
         )
 
-    def write_map(self) -> BasicMap:
-        """Write access relation."""
-        return self.write.as_map(self.space)
-
     def read_maps(self) -> List[BasicMap]:
         """Read access relations, one per read."""
         return [r.as_map(self.space) for r in self.reads]

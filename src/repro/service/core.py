@@ -145,13 +145,15 @@ _ADMITTING = ("new", "accepting")
 
 #: Real seconds between two supervisor scans (whatever the clock says).
 SUPERVISE_INTERVAL = 0.05
+#: Completed results the service memoises (least recently used out).
+MEMO_SIZE = 128
 
 
 class CompileService:
     """Bounded-queue, coalescing, multi-worker compile service.
 
     ``workers`` threads drain a queue of at most ``queue_size`` pending
-    builds; ``memo_size`` bounds the completed-result LRU; requests
+    builds; the completed-result LRU holds ``MEMO_SIZE`` results; requests
     without a stage deadline of their own inherit
     ``default_stage_seconds``, so one pathological kernel times out typed
     instead of wedging a worker.  Constructed started;
@@ -176,7 +178,6 @@ class CompileService:
         self,
         workers: Optional[int] = None,
         queue_size: int = 256,
-        memo_size: int = 128,
         default_stage_seconds: Optional[float] = 120.0,
         autostart: bool = True,
         max_per_client: Optional[int] = None,
@@ -191,7 +192,7 @@ class CompileService:
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_size)
         self._lock = threading.Lock()
         self._admission = Admission(self.workers, max_per_client)
-        self._coalescer = Coalescer(memo_size)
+        self._coalescer = Coalescer(MEMO_SIZE)
         self._breaker = Breaker(quarantine_threshold, quarantine_cooldown)
         self._supervisor = Supervisor(watchdog_seconds)
         self._ids = itertools.count(1)

@@ -225,29 +225,9 @@ class TestParametricBox:
                 box = pbox.at(tile_env)
                 if box is None:
                     continue
-                n = len(box)
-                igrids = []
-                for axis, (lo, hi) in enumerate(box):
-                    shape = [1] * n
-                    shape[axis] = hi - lo + 1
-                    igrids.append(
-                        np.arange(lo, hi + 1, dtype=np.int64).reshape(shape)
-                    )
-                mask = membership.mask((tile,), igrids)
-                shape = tuple(hi - lo + 1 for lo, hi in box)
-                full = (
-                    np.ones(shape, bool)
-                    if mask is None
-                    else np.broadcast_to(
-                        np.zeros(shape, bool) if mask is False else mask, shape
-                    )
+                _assert_mask_exact(
+                    membership, wrapped, tile_env, stmt.iter_names, (tile,), box
                 )
-                for offsets in np.ndindex(shape):
-                    pt = tuple(lo + o for (lo, _), o in zip(box, offsets))
-                    expected = wrapped.contains(
-                        {**tile_env, **dict(zip(stmt.iter_names, pt))}
-                    )
-                    assert bool(full[offsets]) == expected, (tile, pt)
 
     def test_schedule_keeps_no_all_true_mask(self):
         """A step's mask lives as long as the replayer: an all-in tile
@@ -301,3 +281,204 @@ def _points(box):
     import itertools
 
     return itertools.product(*[range(lo, hi + 1) for lo, hi in box])
+
+
+def _full_grid_mask(membership, tile, box):
+    """Every membership row evaluated over the whole box grid."""
+    grids = np.meshgrid(
+        *[np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in box], indexing="ij"
+    )
+    full = np.ones(tuple(hi - lo + 1 for lo, hi in box), dtype=bool)
+    for const, tile_coeffs, iter_terms, is_eq in membership.rows:
+        val = const + sum(tc * tv for tc, tv in zip(tile_coeffs, tile))
+        for k, c in iter_terms:
+            val = val + c * grids[k]
+        full &= (val == 0) if is_eq else (val >= 0)
+    return full
+
+
+def _assert_mask_exact(membership, wrapped, tile_env, iter_names, tile, box):
+    """The box-decided mask says what the full grid and ``contains`` say:
+    None = every point a member, False = none, an array = exactly the
+    members (and then never all of them)."""
+    mask = membership.mask(tile, box)
+    full = _full_grid_mask(membership, tile, box)
+    if mask is None:
+        assert full.all(), (tile, box)
+    elif mask is False:
+        assert not full.any(), (tile, box)
+    else:
+        assert not mask.all(), (tile, box)
+        assert np.array_equal(np.broadcast_to(mask, full.shape), full), (tile, box)
+    for offsets in np.ndindex(full.shape):
+        pt = tuple(lo + o for (lo, _), o in zip(box, offsets))
+        expected = wrapped.contains({**tile_env, **dict(zip(iter_names, pt))})
+        assert bool(full[offsets]) == expected, (tile, pt)
+    return mask
+
+
+def _stencil():
+    a = placeholder((12,), name="A")
+    pre = ops.scalar_add(a, 1.0, name="PRE")
+    k = reduce_axis((0, 3), "k")
+    return compute((10,), lambda i: te_sum(pre[i + k], axis=k), name="C"), [4]
+
+
+def _partial_matmul():
+    a = placeholder((13, 11), name="A")
+    b = placeholder((11, 9), name="B")
+    return ops.matmul(a, b, name="C"), [5, 4, 3]
+
+
+def _overlapped_producer():
+    a = placeholder((12, 12), dtype="fp16", name="A")
+    a1 = ops.scalar_add(a, 1.0, name="A1")
+    w = placeholder((3, 3), dtype="fp16", name="W")
+    kh = reduce_axis((0, 3), "kh")
+    kw = reduce_axis((0, 3), "kw")
+    c = compute(
+        (10, 10),
+        lambda h, x: te_sum(a1[h + kh, x + kw] * w[kh, kw], axis=(kh, kw)),
+        name="C",
+    )
+    return ops.relu(c, name="OUT"), [4, 4]
+
+
+def _symbolic_matmul():
+    from repro.ir.tensor import SymDim
+
+    a = placeholder((SymDim("M", 16), 12), "fp16", name="A")
+    b = placeholder((12, 10), "fp16", name="B")
+    return ops.matmul(a, b, name="C"), None
+
+
+class TestBoxDecidedMembership:
+    """``_Membership.mask`` decides each row from the tile's box and
+    evaluates only the undecided rows; the result must equal evaluating
+    every row over the whole grid, and ``wrapped.contains`` per point."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [_stencil, _partial_matmul, _overlapped_producer, _symbolic_matmul],
+        ids=["stencil", "partial_matmul", "overlapped_producer", "symbolic"],
+    )
+    def test_every_step_matches_full_grid(self, source):
+        from repro.codegen.program_exec import ProgramReplay
+
+        out, tile_sizes = source()
+        result = build(
+            out, "k", options=AkgOptions(emit_trace=True, tile_sizes=tile_sizes)
+        )
+        replayer = ProgramReplay(result.program, "vectorized")
+        checked = 0
+        for group, replays in replayer._group_replays:
+            for tile in np.ndindex(*group.tile_counts):
+                tile_env = dict(zip(group.tile_dims, tile))
+                for rep in replays:
+                    box = rep.pbox.at(tile_env)
+                    if box is None:
+                        continue
+                    _assert_mask_exact(
+                        rep.membership, rep.wrapped, tile_env,
+                        rep.stmt.iter_names, tile, box,
+                    )
+                    checked += 1
+        assert checked
+        inputs = {
+            t.name: rand(t.shape, np.float32) for t in result.kernel.inputs
+        }
+        bindings = [{}]
+        if result.kernel.sym_dims:
+            assert result.kernel.shape_generic
+            bindings.append({"M": 5})
+            small = dict(inputs, A=inputs["A"][:5])
+            assert np.array_equal(
+                replayer.run(small)["C"],
+                result.execute(small, engine="scalar")["C"],
+            )
+        # The base schedule and a clamped one (shape-generic replay at a
+        # smaller batch) hold exactly the masks the full grid gives.
+        for effective in bindings:
+            for steps in replayer._schedule_for(effective):
+                for step in steps:
+                    full = _full_grid_mask(step.rep.membership, step.tile, step.box)
+                    assert full.any()
+                    if step.mask is None:
+                        assert full.all()
+                    else:
+                        assert np.array_equal(
+                            np.broadcast_to(step.mask, full.shape), full
+                        )
+        assert_replay_engines_equal(result, inputs)
+
+    def test_undecided_two_iterator_row(self):
+        """``i + k <= 5`` over a 4x4 box is neither implied nor empty: it
+        alone becomes an array, and only ``i >= 4t`` decides tile 1."""
+        from repro.poly.affine import Constraint, var
+        from repro.poly.sets import BasicSet, Space
+
+        t, i, k = var("t"), var("i"), var("k")
+        wrapped = BasicSet(
+            Space("S", ["t", "i", "k"]),
+            [
+                Constraint.ge(i, t * 4),
+                Constraint.le(i, 3),
+                Constraint.ge(k, 0),
+                Constraint.le(k, 3),
+                Constraint.le(i + k, 5),
+            ],
+        )
+        membership = _Membership(wrapped, ["t"], ["i", "k"])
+        assert membership.exact
+        box = [(0, 3), (0, 3)]
+        mask = _assert_mask_exact(
+            membership, wrapped, {"t": 0}, ["i", "k"], (0,), box
+        )
+        assert isinstance(mask, np.ndarray)
+        assert mask.sum() == 15  # only (3, 3) is out
+        # Tile 1: i >= 4 has no point in the box.
+        assert (
+            _assert_mask_exact(membership, wrapped, {"t": 1}, ["i", "k"], (1,), box)
+            is False
+        )
+        # A box the row already implies builds no array at all.
+        assert (
+            _assert_mask_exact(
+                membership, wrapped, {"t": 0}, ["i", "k"], (0,), [(0, 2), (0, 3)]
+            )
+            is None
+        )
+
+    def test_schedule_of_large_matmul_allocates_no_box_arrays(self):
+        """Building the 256^3 matmul schedule allocates nothing box-sized
+        (it peaked at 8 MB while every row was evaluated over each tile's
+        whole grid); the same replay stays bit-exact at a small shape."""
+        import tracemalloc
+
+        from repro.codegen.program_exec import ProgramReplay
+
+        n = 256
+        a = placeholder((n, n), "fp16", name="A")
+        b = placeholder((n, n), "fp16", name="B")
+        result = build(
+            ops.matmul(a, b, name="C"), "k", options=AkgOptions(emit_trace=True)
+        )
+        replayer = ProgramReplay(result.program, "vectorized")
+        tracemalloc.start()
+        try:
+            steps = replayer._schedule_for({})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(s) for s in steps)
+        assert peak < 0.5 * 2**20, peak
+        a = placeholder((24, 20), "fp16", name="A")
+        b = placeholder((20, 12), "fp16", name="B")
+        small = build(
+            ops.matmul(a, b, name="C"), "k", options=AkgOptions(emit_trace=True)
+        )
+        inputs = {"A": rand((24, 20)), "B": rand((20, 12))}
+        assert np.array_equal(
+            ProgramReplay(small.program, "vectorized").run(inputs)["C"],
+            small.execute(inputs, engine="scalar")["C"],
+        )

@@ -10,6 +10,7 @@ Every test gets its own ``REPRO_CACHE_DIR`` under pytest's tmpdir, so
 """
 
 import cProfile
+import gc
 import os
 
 import pytest
@@ -53,15 +54,24 @@ def _fault_spec_does_not_outlive_the_session():
 @pytest.fixture()
 def python_calls():
     """``python_calls(fn)``: the Python-level calls ``fn`` makes -- what
-    the benchmark's ``kcalls`` counts: exact, and blind to C builtins."""
+    the benchmark's ``kcalls`` counts: exact, and blind to C builtins.
+
+    Automatic garbage collection is paused while ``fn`` runs: a collection
+    calls every ``gc.callbacks`` hook (hypothesis registers a Python one),
+    so whether earlier tests' garbage tipped a collection into ``fn``
+    would otherwise change the count."""
 
     def count(fn):
         profiler = cProfile.Profile(builtins=False, subcalls=False)
+        enabled = gc.isenabled()
+        gc.disable()
         profiler.enable()
         try:
             fn()
         finally:
             profiler.disable()
+            if enabled:
+                gc.enable()
         profiler.create_stats()
         return sum(entry[1] for entry in profiler.stats.values())
 

@@ -135,10 +135,7 @@ class TestReverseStrategy:
         rel = producer_tile_relation(producer, consumer_rel, deps, tile_dims)
         assert rel is not None
         # Tile (0, 0): h in [0, T+KH-2] = [0, 5].
-        box = footprint_box(
-            rel.compose(producer.write_map()) if False else rel,
-            {"o0": 0, "o1": 0},
-        )
+        box = footprint_box(rel, {"o0": 0, "o1": 0})
         h_dim, w_dim = producer.iter_names
         assert box[h_dim] == (0, T + 3 - 2)
         assert box[w_dim] == (0, T + 3 - 2)
