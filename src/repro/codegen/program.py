@@ -21,7 +21,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.codegen.sync import Stage, event_ids, link_stages
 from repro.codegen.vectorize import (
     arithmetic_op_count,
-    full_tile_fraction,
     is_access_aligned,
     vector_op_kinds,
 )

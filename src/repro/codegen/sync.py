@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, List, Optional, Sequence
 
-from repro.hw.isa import Barrier, Instr, Pipe, SetFlag, WaitFlag, walk
+from repro.hw.isa import Barrier, Instr, Pipe, SetFlag, WaitFlag
 
 
 class Stage:
@@ -131,9 +131,3 @@ def link_stages(
             out.append(Barrier())
         out.extend(stage.instrs)
     return out
-
-
-def count_sync_instrs(instrs: Sequence[Instr]) -> int:
-    """Number of synchronisation instructions in a stream (each loop body
-    counted once)."""
-    return sum(1 for _, _, instr, _, _ in walk(instrs) if instr.sync)

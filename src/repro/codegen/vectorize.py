@@ -8,8 +8,7 @@ loop; this module decides how each statement maps onto SIMD intrinsics:
 - :func:`is_access_aligned`    -- whether the innermost run satisfies the
   32-byte UB block alignment (unaligned loads pay a penalty);
 - :func:`full_tile_fraction`   -- the share of full tiles when isolating
-  full from partial tiles, which the code generator uses to keep partial
-  tiles from dragging every tile to the unaligned path.
+  full from partial tiles.
 """
 
 from __future__ import annotations

@@ -45,10 +45,6 @@ class UnitAssignment:
         """Compute unit executing the statement."""
         return self.units[stmt_id]
 
-    def buffer_of(self, stmt_id: str) -> str:
-        """Second-level buffer holding the statement's operands."""
-        return self.buffers[stmt_id]
-
     def __repr__(self) -> str:
         return f"UnitAssignment({self.units})"
 

@@ -223,10 +223,6 @@ class PolyStatement:
             for const, terms in plan
         )
 
-    def read_maps(self) -> List[BasicMap]:
-        """Read access relations, one per read."""
-        return [r.as_map(self.space) for r in self.reads]
-
     def __repr__(self) -> str:
         iters = ", ".join(
             f"{n}<{e}" for n, e in zip(self.iter_names, self.iter_extents)

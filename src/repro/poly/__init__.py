@@ -5,8 +5,8 @@ This package is a from-scratch, pure-Python replacement for the parts of
 
 - :mod:`repro.poly.affine`    -- affine expressions over named dimensions.
 - :mod:`repro.poly.ilp`       -- rational simplex + branch-and-bound ILP.
-- :mod:`repro.poly.sets`      -- basic sets / unions of basic sets.
-- :mod:`repro.poly.maps`      -- basic maps (relations) / unions.
+- :mod:`repro.poly.sets`      -- basic sets (conjunctions of constraints).
+- :mod:`repro.poly.maps`      -- basic maps (relations).
 - :mod:`repro.poly.fm`        -- Fourier-Motzkin projection.
 
 Design notes
@@ -22,8 +22,8 @@ every user in this code base either needs only an over-approximation
 """
 
 from repro.poly.affine import AffineExpr, aff, var
-from repro.poly.sets import BasicSet, Set, Space
-from repro.poly.maps import BasicMap, Map
+from repro.poly.sets import BasicSet, Space
+from repro.poly.maps import BasicMap
 from repro.poly.ilp import IlpProblem, IlpStatus
 from repro.poly.cache import (
     clear_solver_caches,
@@ -36,10 +36,8 @@ __all__ = [
     "aff",
     "var",
     "BasicSet",
-    "Set",
     "Space",
     "BasicMap",
-    "Map",
     "IlpProblem",
     "IlpStatus",
     "solver_cache_stats",

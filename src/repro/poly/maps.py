@@ -2,8 +2,7 @@
 
 A :class:`BasicMap` relates points of an input space to points of an output
 space through a conjunction of affine constraints over both dimension lists
-(dimension names must be disjoint between input and output).  A
-:class:`Map` is a finite union of basic maps.
+(dimension names must be disjoint between input and output).
 
 These model access relations (``S[h,w] -> A[h+kh, w+kw]``), schedules and
 the tile-to-producer relations of AKG's reverse tiling strategy.
@@ -11,11 +10,11 @@ the tile-to-producer relations of AKG's reverse tiling strategy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Sequence
 
 from repro.poly.affine import AffineExpr, Constraint
 from repro.poly.fm import project_onto, remove_redundant
-from repro.poly.sets import BasicSet, Set, Space, fresh_name
+from repro.poly.sets import BasicSet, Space, fresh_name
 
 
 class BasicMap:
@@ -59,46 +58,6 @@ class BasicMap:
         """Swap input and output."""
         return BasicMap(self.out_space, self.in_space, list(self.constraints))
 
-    def intersect_domain(self, dom: BasicSet | Set) -> "BasicMap":
-        """Restrict the input side to ``dom``."""
-        extra: List[Constraint] = []
-        parts = dom.parts if isinstance(dom, Set) else [dom]
-        if len(parts) != 1:
-            raise ValueError("intersect_domain on BasicMap needs a basic set")
-        bset = parts[0]
-        rename = dict(zip(bset.space.dims, self.in_space.dims))
-        extra = [c.rename(rename) for c in bset.constraints]
-        return BasicMap(self.in_space, self.out_space, self.constraints + extra)
-
-    def intersect_range(self, rng: BasicSet | Set) -> "BasicMap":
-        """Restrict the output side to ``rng``."""
-        parts = rng.parts if isinstance(rng, Set) else [rng]
-        if len(parts) != 1:
-            raise ValueError("intersect_range on BasicMap needs a basic set")
-        bset = parts[0]
-        rename = dict(zip(bset.space.dims, self.out_space.dims))
-        extra = [c.rename(rename) for c in bset.constraints]
-        return BasicMap(self.in_space, self.out_space, self.constraints + extra)
-
-    def apply(self, source: BasicSet | Set) -> Set:
-        """Image of ``source`` under the map."""
-        sets = source.parts if isinstance(source, Set) else [source]
-        parts: List[BasicSet] = []
-        for bset in sets:
-            rename = dict(zip(bset.space.dims, self.in_space.dims))
-            cons = [c.rename(rename) for c in bset.constraints] + list(
-                self.constraints
-            )
-            projected = project_onto(cons, list(self.out_space.dims))
-            part = BasicSet(self.out_space, remove_redundant(projected))
-            if not part.is_empty():
-                parts.append(part)
-        return Set(self.out_space, parts)
-
-    def preimage(self, target: BasicSet | Set) -> Set:
-        """Preimage of ``target`` under the map."""
-        return self.reverse().apply(target)
-
     def domain(self) -> BasicSet:
         """Projection of the relation onto the input dims."""
         cons = project_onto(self.constraints, list(self.in_space.dims))
@@ -137,69 +96,6 @@ class BasicMap:
         """Exact integer emptiness of the relation."""
         return self.wrap().is_empty()
 
-    def to_map(self) -> "Map":
-        """Wrap into a union with one disjunct."""
-        return Map(self.in_space, self.out_space, [self])
-
-    def eval_point(self, point: Mapping[str, int]) -> Optional[Dict[str, int]]:
-        """For functional maps: image of one concrete input point."""
-        cons = [
-            Constraint.eq(AffineExpr.variable(d), point[d]) for d in self.in_space.dims
-        ]
-        restricted = BasicSet(
-            Space("t", tuple(self.in_space.dims) + tuple(self.out_space.dims)),
-            list(self.constraints) + cons,
-        )
-        sol = restricted.lexmin()
-        if sol is None:
-            return None
-        return {d: sol[d] for d in self.out_space.dims}
-
     def __repr__(self) -> str:
         cons = " and ".join(repr(c) for c in self.constraints) or "true"
         return f"{{ {self.in_space!r} -> {self.out_space!r} : {cons} }}"
-
-
-class Map:
-    """Finite union of :class:`BasicMap` sharing spaces."""
-
-    __slots__ = ("in_space", "out_space", "parts")
-
-    def __init__(
-        self, in_space: Space, out_space: Space, parts: Sequence[BasicMap] = ()
-    ):
-        self.in_space = in_space
-        self.out_space = out_space
-        self.parts: List[BasicMap] = list(parts)
-
-    @staticmethod
-    def empty(in_space: Space, out_space: Space) -> "Map":
-        """Union with no disjuncts."""
-        return Map(in_space, out_space, [])
-
-    def union(self, other: "Map | BasicMap") -> "Map":
-        """Union of relations."""
-        parts = other.parts if isinstance(other, Map) else [other]
-        return Map(self.in_space, self.out_space, self.parts + list(parts))
-
-    def apply(self, source: BasicSet | Set) -> Set:
-        """Image of ``source`` under the union of relations."""
-        out = Set.empty(self.out_space)
-        for part in self.parts:
-            out = out.union(part.apply(source))
-        return out
-
-    def reverse(self) -> "Map":
-        """Swap input and output on every disjunct."""
-        return Map(self.out_space, self.in_space, [p.reverse() for p in self.parts])
-
-    def domain(self) -> Set:
-        """Union of disjunct domains."""
-        return Set(self.in_space, [p.domain() for p in self.parts])
-
-    def is_empty(self) -> bool:
-        """True when every disjunct is empty."""
-        return all(p.is_empty() for p in self.parts)
-
-    def __repr__(self) -> str:
-        return " u ".join(repr(p) for p in self.parts) or "{ empty map }"

@@ -1,10 +1,11 @@
-"""Integer sets: conjunctions of affine constraints and unions thereof.
+"""Integer sets: conjunctions of affine constraints.
 
 A :class:`BasicSet` is the set of integer points of a :class:`Space` that
 satisfy a conjunction of affine constraints (a polyhedron intersected with
-the integer lattice).  A :class:`Set` is a finite union of basic sets over
-the same space.  The vocabulary follows isl: ``intersect``, ``union``,
-``subtract``, ``project_out``, ``lexmin``, ``dim_min``/``dim_max`` ...
+the integer lattice).  The vocabulary follows isl: ``intersect``,
+``project_out``, ``lexmin``, ``dim_min``/``dim_max`` ...  No compiler pass
+needs a union of basic sets: the reverse tiling strategy over-approximates
+its one union by a single basic map (:mod:`repro.tiling.reverse`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,15 @@ _fresh_counter = itertools.count()
 def fresh_name(base: str) -> str:
     """Produce a globally unique dimension name derived from ``base``."""
     return f"{base}__{next(_fresh_counter)}"
+
+
+def implies(constraints: List[Constraint], candidate: Constraint) -> bool:
+    """True when ``constraints`` entail ``candidate`` (exact ILP check)."""
+    if candidate.is_equality:
+        probe_up = IlpProblem(constraints + [Constraint.ge(candidate.expr, 1)])
+        probe_dn = IlpProblem(constraints + [Constraint.le(candidate.expr, -1)])
+        return not probe_up.is_feasible() and not probe_dn.is_feasible()
+    return not IlpProblem(constraints + [candidate.negate()]).is_feasible()
 
 
 class Space:
@@ -138,6 +148,10 @@ class BasicSet:
         env = {d: point.get(d, 0) for d in self.space.dims}
         return all(c.satisfied(env) for c in self.constraints)
 
+    def is_subset(self, other: "BasicSet") -> bool:
+        """Exact subset test: ``self`` entails every constraint of ``other``."""
+        return all(implies(self.constraints, c) for c in other.constraints)
+
     def lexmin(self) -> Optional[Dict[str, int]]:
         """Lexicographically smallest point."""
         return self._problem().lexmin(list(self.space.dims))
@@ -221,136 +235,6 @@ class BasicSet:
             if self.contains(combo):
                 yield combo
 
-    # -- comparisons -----------------------------------------------------------
-
-    def is_subset(self, other: "Set | BasicSet") -> bool:
-        """Exact subset test (via emptiness of ``self - other``)."""
-        return self.to_set().subtract(_as_set(other)).is_empty()
-
-    def to_set(self) -> "Set":
-        """Wrap into a union with a single disjunct."""
-        return Set(self.space, [self])
-
     def __repr__(self) -> str:
         cons = " and ".join(repr(c) for c in self.constraints) or "true"
         return f"{{ {self.space!r} : {cons} }}"
-
-
-class Set:
-    """Finite union of :class:`BasicSet` over one space."""
-
-    __slots__ = ("space", "parts")
-
-    def __init__(self, space: Space, parts: Sequence[BasicSet] = ()):
-        self.space = space
-        self.parts: List[BasicSet] = [p for p in parts if p.constraints is not None]
-
-    @staticmethod
-    def empty(space: Space) -> "Set":
-        """A union with no disjuncts."""
-        return Set(space, [])
-
-    def union(self, other: "Set | BasicSet") -> "Set":
-        """Set union (disjuncts concatenated; no coalescing)."""
-        other = _as_set(other)
-        return Set(self.space, self.parts + other.parts)
-
-    def intersect(self, other: "Set | BasicSet") -> "Set":
-        """Pairwise intersection of disjuncts."""
-        other = _as_set(other)
-        parts = [
-            a.intersect(b)
-            for a in self.parts
-            for b in other.parts
-        ]
-        return Set(self.space, [p for p in parts if not p.is_empty()])
-
-    def subtract(self, other: "Set | BasicSet") -> "Set":
-        """Set difference; result is again a union of basic sets."""
-        other = _as_set(other)
-        result = self.parts
-        for b in other.parts:
-            next_parts: List[BasicSet] = []
-            for a in result:
-                next_parts.extend(_subtract_basic(a, b))
-            result = next_parts
-        return Set(self.space, result)
-
-    def is_empty(self) -> bool:
-        """True when every disjunct is (integer-)empty."""
-        return all(p.is_empty() for p in self.parts)
-
-    def contains(self, point: Mapping[str, int] | Sequence[int]) -> bool:
-        """Membership in any disjunct."""
-        return any(p.contains(point) for p in self.parts)
-
-    def is_subset(self, other: "Set | BasicSet") -> bool:
-        """Exact subset test."""
-        return self.subtract(_as_set(other)).is_empty()
-
-    def is_equal(self, other: "Set | BasicSet") -> bool:
-        """Exact equality test."""
-        other = _as_set(other)
-        return self.is_subset(other) and other.is_subset(self)
-
-    def coalesce(self) -> "Set":
-        """Drop empty and pairwise-subsumed disjuncts (lightweight)."""
-        parts = [p for p in self.parts if not p.is_empty()]
-        kept: List[BasicSet] = []
-        for i, p in enumerate(parts):
-            others = parts[:i] + parts[i + 1 :]
-            if any(p.to_set().is_subset(q) for q in kept):
-                continue
-            kept.append(p)
-        return Set(self.space, kept)
-
-    def bounding_box(self) -> Optional[Dict[str, Tuple[int, int]]]:
-        """Box hull over all disjuncts; ``None`` when empty."""
-        boxes = [p.bounding_box() for p in self.parts]
-        boxes = [b for b in boxes if b is not None]
-        if not boxes:
-            return None
-        out: Dict[str, Tuple[int, int]] = {}
-        for dim in self.space.dims:
-            out[dim] = (
-                min(b[dim][0] for b in boxes),
-                max(b[dim][1] for b in boxes),
-            )
-        return out
-
-    def count_points(self, limit: int = 1_000_000) -> int:
-        """Exact count over the union (deduplicated; tests only)."""
-        seen = set()
-        for p in self.parts:
-            for point in p.points(limit=limit):
-                seen.add(point)
-        return len(seen)
-
-    def __repr__(self) -> str:
-        return " u ".join(repr(p) for p in self.parts) or f"{{ {self.space!r} : false }}"
-
-
-def _as_set(value: "Set | BasicSet") -> Set:
-    return value.to_set() if isinstance(value, BasicSet) else value
-
-
-def _subtract_basic(a: BasicSet, b: BasicSet) -> List[BasicSet]:
-    """``a - b`` as a union: negate one constraint of ``b`` at a time."""
-    pieces: List[BasicSet] = []
-    prefix: List[Constraint] = []
-    for c in b.constraints:
-        if c.is_equality:
-            # e == 0 splits into (e >= 1) | (e <= -1).
-            lo = Constraint.ge(c.expr, 1)
-            hi = Constraint.le(c.expr, -1)
-            for neg in (lo, hi):
-                piece = a.add_constraints(prefix + [neg])
-                if not piece.is_empty():
-                    pieces.append(piece)
-            prefix.append(c)
-        else:
-            piece = a.add_constraints(prefix + [c.negate()])
-            if not piece.is_empty():
-                pieces.append(piece)
-            prefix.append(c)
-    return pieces

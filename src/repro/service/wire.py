@@ -123,77 +123,54 @@ def demo_kernel(
     raise ValueError(f"unknown op {op!r} (known: {DEMO_OPS})")
 
 
+#: The typed fields of a request and of its ``options``: key -> (JSON
+#: type, default).  ``float`` is a positive number (returned as a float);
+#: a bool is never a number; a field whose default is None may be absent.
+REQUEST_FIELDS = {
+    "batch_max": (int, None),
+    "kernel": (int, 3),
+    "stride": (int, 1),
+    "seed": (int, 0),
+    "deadline": (float, None),
+    "name": (str, None),
+    "fault_spec": (str, None),
+    "client_id": (str, None),
+    "engine": (str, "auto"),
+}
+OPTION_FIELDS = {"stage_timeout": (float, None), "solver_budget": (int, None)}
+
 #: Every key a request object may carry; anything else is a typed error.
 REQUEST_KEYS = frozenset(
-    (
-        "kind",
-        "op",
-        "shape",
-        "dtype",
-        "name",
-        "kernel",
-        "stride",
-        "out_channels",
-        "batch_max",
-        "options",
-        "fault_spec",
-        "tune",
-        "seed",
-        "engine",
-        "deadline",
-        "client_id",
-    )
+    ("kind", "op", "shape", "dtype", "out_channels", "options", "tune")
+    + tuple(REQUEST_FIELDS)
 )
-
 #: Every key an ``options`` object may carry.
 OPTION_KEYS = frozenset(
-    (
-        "tile_policy",
-        "tile_sizes",
-        "sync_policy",
-        "no_fusion",
-        "emit_trace",
-        "verify",
-        "stage_timeout",
-        "solver_budget",
-    )
+    ("tile_policy", "tile_sizes", "sync_policy", "no_fusion", "emit_trace", "verify")
+    + tuple(OPTION_FIELDS)
 )
 
-
-def _require_number(
-    payload: Dict[str, Any], key: str, *, positive: bool = False
-) -> Optional[float]:
-    """A float field that must be a real JSON number (bool is not one)."""
-    value = payload.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ServiceError(
-            f"{key!r} must be a number, got {type(value).__name__}"
-        )
-    if positive and value <= 0:
-        raise ServiceError(f"{key!r} must be positive, got {value!r}")
-    return float(value)
+_TYPE_NAMES = {int: "an integer", float: "a positive number", str: "a string"}
 
 
-def _require_int(payload: Dict[str, Any], key: str, default: int = 0) -> int:
-    value = payload.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ServiceError(
-            f"{key!r} must be an integer, got {type(value).__name__}"
-        )
-    return value
-
-
-def _require_str(payload: Dict[str, Any], key: str) -> Optional[str]:
-    value = payload.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise ServiceError(
-            f"{key!r} must be a string, got {type(value).__name__}"
-        )
-    return value
+def _typed(payload: Dict[str, Any], fields: Dict[str, tuple]) -> Dict[str, Any]:
+    """``fields`` of ``payload``, each checked against its JSON type."""
+    out = {}
+    for key, (kind, default) in fields.items():
+        value = payload.get(key, default)
+        if value is not None or default is not None:
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float) if kind is float else kind)
+                or (kind is float and value <= 0)
+            ):
+                raise ServiceError(
+                    f"{key!r} must be {_TYPE_NAMES[kind]}, got {value!r}"
+                )
+            if kind is float:
+                value = float(value)
+        out[key] = value
+    return out
 
 
 def _options_from_json(payload: Optional[Dict[str, Any]]):
@@ -210,16 +187,11 @@ def _options_from_json(payload: Optional[Dict[str, Any]]):
             f"(known: {sorted(OPTION_KEYS)})"
         )
     budget = None
-    stage_timeout = _require_number(payload, "stage_timeout", positive=True)
-    solver_budget = payload.get("solver_budget")
-    if solver_budget is not None and (
-        isinstance(solver_budget, bool) or not isinstance(solver_budget, int)
-    ):
-        raise ServiceError("'solver_budget' must be an integer")
-    if stage_timeout is not None or solver_budget:
+    typed = _typed(payload, OPTION_FIELDS)
+    if typed["stage_timeout"] is not None or typed["solver_budget"]:
         budget = StageBudget(
-            stage_seconds=stage_timeout,
-            solver_nodes=solver_budget,
+            stage_seconds=typed["stage_timeout"],
+            solver_nodes=typed["solver_budget"],
         )
     try:
         return AkgOptions(
@@ -267,26 +239,21 @@ def request_from_json(payload: Dict[str, Any]) -> ServiceRequest:
         raise ServiceError(
             "request needs a string 'op' and a non-empty integer 'shape' list"
         )
-    batch_max = payload.get("batch_max")
-    if batch_max is not None and (
-        isinstance(batch_max, bool) or not isinstance(batch_max, int)
-    ):
-        raise ServiceError(
-            f"'batch_max' must be an integer, got {type(batch_max).__name__}"
-        )
+    fields = _typed(payload, REQUEST_FIELDS)
+    batch_max = fields["batch_max"]
     try:
         outputs = demo_kernel(
             op,
             shape,
             dtype=payload.get("dtype", "fp16"),
-            kernel=_require_int(payload, "kernel", 3),
-            stride=_require_int(payload, "stride", 1),
+            kernel=fields["kernel"],
+            stride=fields["stride"],
             out_channels=payload.get("out_channels"),
             batch_max=batch_max,
         )
     except (ValueError, TypeError) as exc:
         raise ServiceError(f"bad kernel spec: {exc}")
-    fault_spec = _require_str(payload, "fault_spec")
+    fault_spec = fields["fault_spec"]
     if fault_spec:
         from repro.tools import faultinject
 
@@ -297,11 +264,6 @@ def request_from_json(payload: Dict[str, Any]) -> ServiceRequest:
     tune_payload = payload.get("tune") or {}
     if not isinstance(tune_payload, dict):
         raise ServiceError("'tune' must be a JSON object")
-    deadline = _require_number(payload, "deadline", positive=True)
-    client_id = _require_str(payload, "client_id")
-    engine = payload.get("engine", "auto")
-    if not isinstance(engine, str):
-        raise ServiceError("'engine' must be a string")
     # Symbolic requests get a shape-*class* tag (the requested batch must
     # not leak into the kernel name: the name is part of the compile
     # fingerprint, and batch sizes of one class must share it).
@@ -313,15 +275,15 @@ def request_from_json(payload: Dict[str, Any]) -> ServiceRequest:
     return ServiceRequest(
         kind,
         outputs,
-        name=_require_str(payload, "name") or f"akgd_{op}_{'x'.join(tags)}",
+        name=fields["name"] or f"akgd_{op}_{'x'.join(tags)}",
         options=_options_from_json(payload.get("options")),
         fault_spec=fault_spec,
         tune_params=tune_payload or None,
-        seed=_require_int(payload, "seed"),
-        engine=engine,
+        seed=fields["seed"],
+        engine=fields["engine"],
         bindings=bindings,
-        deadline_seconds=deadline,
-        client_id=client_id,
+        deadline_seconds=fields["deadline"],
+        client_id=fields["client_id"],
     )
 
 

@@ -24,7 +24,7 @@ from repro.poly.affine import AffineExpr, Constraint, ratio
 from repro.poly.cache import EXTENT_CACHE, MISS, RankSpace
 from repro.poly.fm import project_onto, remove_redundant
 from repro.poly.maps import BasicMap
-from repro.poly.sets import Space
+from repro.poly.sets import Space, implies
 from repro.sched.deps import Dependence
 
 
@@ -105,29 +105,14 @@ def producer_tile_relation(
     if len(parts) == 1:
         cons = parts[0]
     else:
-        cons = _approximate_union(parts, list(tile_dims) + list(producer.iter_names))
+        cons = _approximate_union(parts)
     relation = BasicMap(tile_space, producer.space, cons)
     return relation
 
 
-def _approximate_union(
-    parts: List[List[Constraint]], dims: List[str]
-) -> List[Constraint]:
+def _approximate_union(parts: List[List[Constraint]]) -> List[Constraint]:
     """Keep only constraints implied by *every* part (a convex superset)."""
-    common = [c for c in parts[0] if all(_implies(p, c) for p in parts[1:])]
-    return common
-
-
-def _implies(constraints: List[Constraint], candidate: Constraint) -> bool:
-    """True when ``constraints`` entail ``candidate`` (exact ILP check)."""
-    from repro.poly.ilp import IlpProblem
-
-    if candidate.is_equality:
-        probe_up = IlpProblem(constraints + [Constraint.ge(candidate.expr, 1)])
-        probe_dn = IlpProblem(constraints + [Constraint.le(candidate.expr, -1)])
-        return not probe_up.is_feasible() and not probe_dn.is_feasible()
-    probe = IlpProblem(constraints + [candidate.negate()])
-    return not probe.is_feasible()
+    return [c for c in parts[0] if all(implies(p, c) for p in parts[1:])]
 
 
 def tile_footprint(
@@ -266,22 +251,3 @@ def _extent_bound_uncached(
             if best is None or ext < best:
                 best = ext
     return best
-
-
-def footprint_box(
-    footprint: BasicMap, tile_point: Dict[str, int]
-) -> Optional[Dict[str, Tuple[int, int]]]:
-    """Concrete rectangular footprint of one tile (min/max per tensor dim).
-
-    ``tile_point`` fixes the tile indices; the result is the rectangular
-    over-approximation ("box hull") of the accessed elements, the strided
-    block the storage manager promotes (Sec. 4.4).
-    """
-    cons = [
-        Constraint.eq(AffineExpr.variable(d), v) for d, v in tile_point.items()
-    ]
-    restricted = footprint.add_constraints(cons)
-    image = restricted.range()
-    if image.is_empty():
-        return None
-    return image.bounding_box()

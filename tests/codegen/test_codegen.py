@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.codegen.sync import Stage, link_stages, merge_adjacent_stages, count_sync_instrs
+from repro.codegen.sync import Stage, link_stages, merge_adjacent_stages
 from repro.codegen.vectorize import (
     arithmetic_op_count,
     full_tile_fraction,
@@ -10,9 +10,14 @@ from repro.codegen.vectorize import (
     is_access_aligned,
     vector_op_kinds,
 )
-from repro.hw.isa import Barrier, Pipe, ScalarInstr, SetFlag, VectorInstr, WaitFlag
+from repro.hw.isa import Barrier, Pipe, ScalarInstr, SetFlag, VectorInstr, WaitFlag, walk
 from repro.ir import lower, ops
 from repro.ir.tensor import placeholder
+
+
+def count_sync_instrs(instrs):
+    """Synchronisation instructions in a stream (loop bodies counted once)."""
+    return sum(1 for _, _, instr, _, _ in walk(instrs) if instr.sync)
 
 
 class TestVectorize:

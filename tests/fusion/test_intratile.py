@@ -61,8 +61,8 @@ class TestUnitAssignment:
         assert units.unit_of(update.stmt_id) == "cube"
         assert units.unit_of(init.stmt_id) == "cube"  # L0C accumulator init
         assert units.unit_of(relu_stmt.stmt_id) == "vector"
-        assert units.buffer_of(update.stmt_id) == "L1"
-        assert units.buffer_of(relu_stmt.stmt_id) == "UB"
+        assert units.buffers[update.stmt_id] == "L1"
+        assert units.buffers[relu_stmt.stmt_id] == "UB"
 
     def test_gather_goes_to_scalar(self):
         idx = placeholder((4,), dtype="int32", name="I")

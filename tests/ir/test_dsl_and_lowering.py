@@ -116,8 +116,8 @@ class TestLowering:
         b = compute((6, 6), lambda i, j: a[i + 2, j] * 2, name="B")
         kernel = lower(b)
         stmt = kernel.statements[0]
-        read_map = stmt.read_maps()[0]
-        image = read_map.apply(stmt.domain())
+        read_map = stmt.reads[0].as_map(stmt.space)
+        image = read_map.add_constraints(stmt.domain().constraints).range()
         box = image.bounding_box()
         assert box["A_d0"] == (2, 7)
         assert box["A_d1"] == (0, 5)
@@ -131,7 +131,11 @@ class TestLowering:
         stmt = kernel.statements[0]
         gather_read = [r for r in stmt.reads if r.tensor is a][0]
         assert not gather_read.is_affine
-        footprint = gather_read.as_map(stmt.space).apply(stmt.domain())
+        footprint = (
+            gather_read.as_map(stmt.space)
+            .add_constraints(stmt.domain().constraints)
+            .range()
+        )
         assert footprint.bounding_box() == {"A_d0": (0, 9)}
 
 

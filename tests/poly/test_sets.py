@@ -123,77 +123,6 @@ class TestBasicSet:
         assert not big.is_subset(small)
 
 
-class TestSetUnion:
-    def test_union_and_contains(self):
-        u = box("S", i=(0, 2)).to_set().union(box("S", i=(10, 12)))
-        assert u.contains({"i": 1})
-        assert u.contains({"i": 11})
-        assert not u.contains({"i": 5})
-
-    def test_union_count(self):
-        u = box("S", i=(0, 2)).to_set().union(box("S", i=(1, 4)))
-        assert u.count_points() == 5  # overlap deduplicated
-
-    def test_subtract_middle(self):
-        whole = box("S", i=(0, 10)).to_set()
-        middle = box("S", i=(3, 6)).to_set()
-        diff = whole.subtract(middle)
-        assert diff.count_points() == 7
-        assert diff.contains({"i": 2})
-        assert diff.contains({"i": 7})
-        assert not diff.contains({"i": 4})
-
-    def test_subtract_everything(self):
-        whole = box("S", i=(0, 5)).to_set()
-        assert whole.subtract(box("S", i=(-1, 6)).to_set()).is_empty()
-
-    def test_equality(self):
-        a = box("S", i=(0, 5)).to_set()
-        b = box("S", i=(0, 2)).to_set().union(box("S", i=(3, 5)))
-        assert a.is_equal(b)
-
-    def test_coalesce_drops_subsumed(self):
-        u = box("S", i=(0, 10)).to_set().union(box("S", i=(2, 3)))
-        c = u.coalesce()
-        assert len(c.parts) == 1
-        assert c.is_equal(u)
-
-    def test_bounding_box_union(self):
-        u = box("S", i=(0, 2)).to_set().union(box("S", i=(8, 9)))
-        assert u.bounding_box() == {"i": (0, 9)}
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    lo_a=st.integers(-6, 6),
-    w_a=st.integers(0, 5),
-    lo_b=st.integers(-6, 6),
-    w_b=st.integers(0, 5),
-)
-def test_union_superset_property(lo_a, w_a, lo_b, w_b):
-    """S is always a subset of S union T."""
-    s = box("S", i=(lo_a, lo_a + w_a))
-    t = box("S", i=(lo_b, lo_b + w_b))
-    u = s.to_set().union(t)
-    assert s.is_subset(u)
-    assert t.is_subset(u)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    lo_a=st.integers(-6, 6),
-    w_a=st.integers(0, 5),
-    lo_b=st.integers(-6, 6),
-    w_b=st.integers(0, 5),
-)
-def test_subtract_then_union_recovers(lo_a, w_a, lo_b, w_b):
-    """(S - T) union (S intersect T) == S, exactly."""
-    s = box("S", i=(lo_a, lo_a + w_a)).to_set()
-    t = box("S", i=(lo_b, lo_b + w_b)).to_set()
-    rebuilt = s.subtract(t).union(s.intersect(t))
-    assert rebuilt.is_equal(s)
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     lo_i=st.integers(-4, 4),

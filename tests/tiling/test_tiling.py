@@ -1,17 +1,19 @@
 """Tests for band tiling, the reverse strategy and post-tiling fusion."""
 
+import numpy as np
 import pytest
 
+from repro.core.compiler import AkgOptions, build
 from repro.ir import lower, ops
 from repro.ir.tensor import compute, placeholder, reduce_axis, te_sum
 from repro.poly.affine import AffineExpr, Constraint, var
+from repro.runtime.reference import evaluate_tensors
 from repro.sched.clustering import conservative_clustering
 from repro.sched.deps import compute_dependences
 from repro.sched.scheduler import PolyScheduler, check_legality
 from repro.sched.tree import BandNode, ExtensionNode
 from repro.fusion.posttile import apply_post_tiling_fusion
 from repro.tiling.reverse import (
-    footprint_box,
     liveout_instance_relation,
     producer_tile_relation,
     tile_footprint,
@@ -22,6 +24,14 @@ from repro.tiling.tile import tile_band
 def _gather(idx, i):
     """Index expression reading through an index tensor (non-affine)."""
     return idx[i]
+
+
+def tile_box(relation, tile_point):
+    """Box hull of what ``relation`` maps the tile ``tile_point`` to, or
+    ``None`` when that tile maps to nothing."""
+    fixed = [Constraint.eq(var(d), v) for d, v in tile_point.items()]
+    image = relation.add_constraints(fixed).range()
+    return None if image.is_empty() else image.bounding_box()
 
 
 def running_example(H=12, W=12, KH=3, KW=3):
@@ -39,6 +49,16 @@ def running_example(H=12, W=12, KH=3, KW=3):
     c1 = ops.abs_op(c, name="C1")
     c2 = ops.relu(c1, name="C2")
     return c2
+
+
+def two_offset_consumers():
+    """One producer read by two consumers, one row down and one column
+    right: the reverse strategy must union two preimages."""
+    a = placeholder((12, 12), name="A")
+    p = ops.scalar_add(a, 1.0, name="P")
+    down = compute((11, 12), lambda h, w: p[h + 1, w] * 2.0, name="DOWN")
+    right = compute((12, 11), lambda h, w: p[h, w + 1] * 3.0, name="RIGHT")
+    return [down, right]
 
 
 def scheduled(out):
@@ -103,11 +123,8 @@ class TestReverseStrategy:
         rows = [AffineExpr.variable(stmt.iter_names[0])]
         rel = liveout_instance_relation(stmt, rows, [4], ["o0"])
         # Tile 0 covers instances 0..3.
-        img = rel.add_constraints([Constraint.eq(var("o0"), 0)]).range()
-        box = img.bounding_box()
-        assert box == {stmt.iter_names[0]: (0, 3)}
-        img3 = rel.add_constraints([Constraint.eq(var("o0"), 3)]).range()
-        assert img3.bounding_box() == {stmt.iter_names[0]: (12, 15)}
+        assert tile_box(rel, {"o0": 0}) == {stmt.iter_names[0]: (0, 3)}
+        assert tile_box(rel, {"o0": 3}) == {stmt.iter_names[0]: (12, 15)}
 
     def test_overlapped_producer_tiles_match_paper_formula(self):
         """Producer tile extent must be T + KH - 1 (the paper's overlap)."""
@@ -135,13 +152,52 @@ class TestReverseStrategy:
         rel = producer_tile_relation(producer, consumer_rel, deps, tile_dims)
         assert rel is not None
         # Tile (0, 0): h in [0, T+KH-2] = [0, 5].
-        box = footprint_box(rel, {"o0": 0, "o1": 0})
+        box = tile_box(rel, {"o0": 0, "o1": 0})
         h_dim, w_dim = producer.iter_names
         assert box[h_dim] == (0, T + 3 - 2)
         assert box[w_dim] == (0, T + 3 - 2)
         # Interior tile (1, 1) starts at T*1 and overlaps the next KH-1 rows.
-        box = footprint_box(rel, {"o0": 1, "o1": 1})
+        box = tile_box(rel, {"o0": 1, "o1": 1})
         assert box[h_dim] == (T, 2 * T + 3 - 2)
+
+    def test_two_consumers_get_one_covering_relation(self):
+        """A producer read by two fused consumers at different offsets: the
+        per-consumer preimages are unioned into one convex relation that
+        covers every producer instance either consumer reads in a tile."""
+        kernel = lower(two_offset_consumers())
+        deps = compute_dependences(kernel)
+        producer, *consumers = kernel.statements
+        T, tile_dims = 4, ["o0", "o1"]
+        consumer_rel = {
+            s.stmt_id: (
+                s,
+                liveout_instance_relation(
+                    s, [var(d) for d in s.iter_names], [T, T], tile_dims
+                ),
+            )
+            for s in consumers
+        }
+        rel = producer_tile_relation(producer, consumer_rel, deps, tile_dims)
+        down = consumers[0].stmt_id
+        only_down = producer_tile_relation(
+            producer, {down: consumer_rel[down]}, deps, tile_dims
+        )
+        assert rel.constraints != only_down.constraints
+        h, w = producer.iter_names
+        members = rel.wrap()
+        for o0 in range(3):
+            for o1 in range(3):
+                needed = {
+                    (i + 1, j)
+                    for i in range(T * o0, min(T * o0 + T, 11))
+                    for j in range(T * o1, T * o1 + T)
+                } | {
+                    (i, j + 1)
+                    for i in range(T * o0, T * o0 + T)
+                    for j in range(T * o1, min(T * o1 + T, 11))
+                }
+                for i, j in needed:
+                    assert members.contains({"o0": o0, "o1": o1, h: i, w: j})
 
     def test_tile_footprint_composition(self):
         """tile -> instances -> tensor elements composition."""
@@ -151,9 +207,9 @@ class TestReverseStrategy:
         stmt = kernel.statements[0]
         rows = [AffineExpr.variable(d) for d in stmt.iter_names]
         inst = liveout_instance_relation(stmt, rows, [4, 8], ["o0", "o1"])
-        read_map = stmt.read_maps()[0]
+        read_map = stmt.reads[0].as_map(stmt.space)
         fp = tile_footprint(read_map, inst)
-        box = footprint_box(fp, {"o0": 1, "o1": 0})
+        box = tile_box(fp, {"o0": 1, "o1": 0})
         assert box == {"A_d0": (4, 7), "A_d1": (0, 7)}
 
 
@@ -191,7 +247,7 @@ class TestPostTilingFusion:
         covered = set()
         for o0 in range(group.tile_counts[0]):
             for o1 in range(group.tile_counts[1]):
-                box = footprint_box(rel, {"o0": o0, "o1": o1})
+                box = tile_box(rel, {"o0": o0, "o1": o1})
                 if box is None:
                     continue
                 h_dim, w_dim = producer.iter_names
@@ -203,6 +259,18 @@ class TestPostTilingFusion:
             (h, w) for h in range(10) for w in range(10)
         }  # conv consumes the full 10x10 bias-added map (8x8 out + 3x3 k)
         assert needed <= covered
+
+    def test_producer_shared_by_two_consumers_replays_exactly(self):
+        outputs = two_offset_consumers()
+        result = build(outputs, "k", options=AkgOptions(emit_trace=True))
+        [group] = result.groups
+        assert group.fused_producer_ids == ["S0"]
+        assert set(group.liveout_ids) == {"S1", "S2"}
+        x = np.random.default_rng(0).standard_normal((12, 12)).astype(np.float32)
+        ref = evaluate_tensors(outputs, {"A": x})
+        got = result.execute({"A": x})
+        for name in ("DOWN", "RIGHT"):
+            np.testing.assert_allclose(got[name], ref[name], rtol=1e-6)
 
     def test_pointwise_chain_no_extension(self):
         a = placeholder((16, 16), name="A")
