@@ -87,7 +87,7 @@ class TiledGroup:
         dims -- the constant-size iteration box the code generator uses for
         intrinsic repeat counts.
         """
-        from repro.tiling.reverse import affine_extent_bound
+        from repro.tiling.reverse import affine_extent_bounds
 
         stmt = next(s for s in self.statements if s.stmt_id == stmt_id)
         rel = self.instance_relations[stmt_id]
@@ -95,9 +95,9 @@ class TiledGroup:
             d: (0, count - 1)
             for d, count in zip(self.tile_dims, self.tile_counts)
         }
+        bounds = affine_extent_bounds(rel.constraints, stmt.iter_names, box_ranges)
         extents: List[int] = []
-        for k, dim in enumerate(stmt.iter_names):
-            bound = affine_extent_bound(rel.constraints, dim, box_ranges)
+        for k, bound in enumerate(bounds):
             if bound is None:
                 extents.append(stmt.iter_extents[k])
             else:
@@ -325,12 +325,12 @@ def _recompute_acceptable(
 
     if is_padding_statement(stmt):
         return True
-    from repro.tiling.reverse import affine_extent_bound
+    from repro.tiling.reverse import affine_extent_bounds
 
     box = {d: (0, c - 1) for d, c in zip(tile_dims, tile_counts)}
+    bounds = affine_extent_bounds(rel.constraints, stmt.iter_names, box)
     per_tile = 1
-    for k, dim in enumerate(stmt.iter_names):
-        bound = affine_extent_bound(rel.constraints, dim, box)
+    for k, bound in enumerate(bounds):
         per_tile *= max(
             bound if bound is not None else stmt.iter_extents[k], 1
         )

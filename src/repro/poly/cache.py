@@ -31,6 +31,15 @@ one, and :meth:`repro.poly.maps.BasicMap.compose`, whose middle
 dimensions come from a global fresh-name counter, hits on its second
 call.
 
+**A miss works in the same space.**  A key's rows are integer
+coefficient rows -- what a constraint is in isl -- so
+:func:`repro.poly.fm.project_onto` eliminates on them directly and
+decodes its result once: a miss decodes the very rows a hit decodes.  And
+a system is ranked once however many questions it is asked: an
+:class:`~repro.poly.ilp.IlpProblem` keeps its space beside its presolve,
+and the extent callers hand one space to every dimension they bound,
+which a miss hands on to the projection.
+
 **Why not full alpha-renaming** (number the variables by first
 occurrence, as a lambda-term hash would)?  It identifies more systems --
 any injective renaming, not just the monotone ones -- but a renaming that
@@ -46,7 +55,7 @@ Three tables use the form: :data:`ILP_CACHE`
 entry per system x objective whichever of the two posed it),
 :data:`FM_CACHE` (:func:`repro.poly.fm.project_onto`, key = rows +
 keep-mask) and :data:`EXTENT_CACHE`
-(:func:`repro.tiling.reverse.affine_extent_bound`, an integer per system x
+(:func:`repro.tiling.reverse.affine_extent_bounds`, an integer per system x
 dimension x box, counted apart so the ``fm`` counters keep meaning
 "projections").
 
@@ -138,14 +147,22 @@ class RankSpace:
             space = RankSpace(self.constraints, names)
         return space, (space.rows, tuple(map(space.rank.__getitem__, names)), numbers)
 
-    def encode(self, constraints: Sequence[Constraint]) -> Tuple:
-        """``constraints`` (over this space's variables) in rank space."""
-        rank = self.rank.__getitem__
-        shapes = map(Constraint.shape, constraints)
-        return tuple([(tuple(map(rank, names)), numbers) for names, numbers in shapes])
+    def split_rows(self) -> List[Tuple[Tuple[int, ...], Tuple]]:
+        """``rows`` one constraint at a time: its ranks (coefficient-dict
+        order) and its numbers (as in :meth:`Constraint.shape`)."""
+        flat, shapes = self.rows
+        out = []
+        start = 0
+        for numbers in shapes:
+            end = start + len(numbers) - 2
+            out.append((flat[start:end], numbers))
+            start = end
+        return out
 
     def decode(self, rows: Tuple) -> List[Constraint]:
-        """Rebuild :meth:`encode` output under this space's names."""
+        """Rebuild constraints stored in rank space, one ``(ranks,
+        numbers)`` pair each as :meth:`split_rows` gives them, under this
+        space's names."""
         name = self.names.__getitem__
         out = []
         for ranks, numbers in rows:
@@ -253,7 +270,7 @@ ILP_CACHE = SolveCache("ilp", work=("pivots", "rows"))
 #: Memo table for :func:`repro.poly.fm.project_onto`.
 FM_CACHE = SolveCache("fm")
 
-#: Memo table for :func:`repro.tiling.reverse.affine_extent_bound`.
+#: Memo table for :func:`repro.tiling.reverse.affine_extent_bounds`.
 EXTENT_CACHE = SolveCache("extent")
 
 #: Memo table for :func:`repro.storage.promote.footprint_extents`.

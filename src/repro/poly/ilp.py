@@ -85,10 +85,15 @@ class IlpResult:
         return f"IlpResult({self.status.value}, {self.value}, {self.assignment})"
 
 
+#: Eliminated variables and their replacements, in elimination order.
+BackSubst = List[Tuple[str, AffineExpr]]
 #: A reduced system and the substitutions that lead back from it.
-Presolved = Tuple[List[Constraint], List[Tuple[str, AffineExpr]]]
+Presolved = Tuple[List[Constraint], BackSubst]
 #: Variable -> finite bound; a variable without one on that side is absent.
 Bounds = Dict[str, Number]
+#: A presolved system split by :func:`_fold_bounds`: ``(lo, hi, rows)``, or
+#: ``None`` when the split already proves it infeasible.
+Folded = Optional[Tuple[Bounds, Bounds, List[Constraint]]]
 
 
 class IlpProblem:
@@ -106,17 +111,20 @@ class IlpProblem:
 
     def __init__(self, constraints: Optional[Sequence[Constraint]] = None):
         self.constraints: List[Constraint] = list(constraints or [])
-        self._presolved: Optional[Presolved] = None
+        # Derived from the constraints, once: the memo key's rank space, and
+        # the presolve with the bounds folded out of it per integrality.
+        self._space: Optional[RankSpace] = None
+        self._presolved: Optional[Tuple[List[Constraint], BackSubst, Dict]] = None
 
     def add_constraint(self, constraint: Constraint) -> None:
         """Append one constraint."""
         self.constraints.append(constraint)
-        self._presolved = None
+        self._space = self._presolved = None
 
     def add_constraints(self, constraints: Sequence[Constraint]) -> None:
         """Append several constraints."""
         self.constraints.extend(constraints)
-        self._presolved = None
+        self._space = self._presolved = None
 
     def variables(self) -> List[str]:
         """All variable names referenced by the constraints, sorted."""
@@ -140,22 +148,34 @@ class IlpProblem:
         caller's names and is what a fresh solve would return (see
         :mod:`repro.poly.cache`).
         """
-        system = _rank_space(self.constraints)
-        return _memoized(system, objective, integer, self._minimize_uncached)
+        return _memoized(self._system(), objective, integer, self._minimize_uncached)
 
     def _minimize_uncached(self, objective: AffineExpr, integer: bool) -> IlpResult:
         faultinject.fire("ilp.solve")
         return self._solve(objective, integer)
 
+    def _system(self) -> Optional[RankSpace]:
+        """The memo key's rank space, ranked once per problem (``None``
+        while the cache is off)."""
+        if not ILP_CACHE.enabled:
+            return None
+        if self._space is None:
+            self._space = RankSpace(self.constraints)
+        return self._space
+
     def _solve(self, objective: AffineExpr, integer: bool) -> IlpResult:
-        """One uncached solve.  The equality-elimination presolve depends
-        only on the constraints, so the problem computes it once and every
-        objective posed to it shares it (``add_constraint`` drops it)."""
+        """One uncached solve.  The equality-elimination presolve and the
+        bounds folded out of it depend only on the constraints, so the
+        problem computes them once (the fold once per integrality) and
+        every objective posed to it shares them (``add_constraint`` drops
+        them)."""
         if self._presolved is None:
-            self._presolved = _presolve_system(self.constraints)
-        constraints, back_subst = self._presolved
+            self._presolved = (*_presolve_system(self.constraints), {})
+        constraints, back_subst, folded = self._presolved
+        if integer not in folded:
+            folded[integer] = _fold_bounds(constraints, integer)
         objective = _apply_back_substitutions(objective, back_subst)
-        return _solve_presolved(constraints, objective, back_subst, integer)
+        return _solve_folded(folded[integer], objective, back_subst, integer)
 
     def batch_minimize(
         self, objectives: Sequence[AffineExpr], integer: bool = True
@@ -169,7 +189,7 @@ class IlpProblem:
         and one-at-a-time solves are interchangeable (bit-identical
         results, shared cache lines).
         """
-        system = _rank_space(self.constraints)
+        system = self._system()
         return [_memoized(system, o, integer, self._solve) for o in objectives]
 
     def maximize(self, objective: AffineExpr, integer: bool = True) -> IlpResult:
@@ -218,10 +238,6 @@ class IlpProblem:
 
 
 # -- memo entries ---------------------------------------------------------------
-
-
-def _rank_space(constraints: Sequence[Constraint]) -> Optional[RankSpace]:
-    return RankSpace(constraints) if ILP_CACHE.enabled else None
 
 
 def _memoized(
@@ -302,7 +318,7 @@ def _presolve_system(constraints: Sequence[Constraint]) -> Presolved:
 
 
 def _apply_back_substitutions(
-    objective: AffineExpr, back: List[Tuple[str, AffineExpr]]
+    objective: AffineExpr, back: BackSubst
 ) -> AffineExpr:
     """Rewrite an objective through the eliminations, in elimination order.
 
@@ -317,25 +333,27 @@ def _apply_back_substitutions(
     return objective
 
 
-def _solve_presolved(
-    constraints: Sequence[Constraint],
+def _solve_folded(
+    folded: Folded,
     objective: AffineExpr,
-    back_subst: List[Tuple[str, AffineExpr]],
+    back_subst: BackSubst,
     integer: bool,
 ) -> IlpResult:
-    """Solve a presolved system and back-substitute the assignment."""
-    names = sorted(
-        {v for c in constraints for v in c.expr.coeffs} | set(objective.coeffs)
-    )
-    box = _fold_bounds(constraints, integer)
-    if box is None:
+    """Solve a presolved system, split by :func:`_fold_bounds` for this
+    integrality, and back-substitute the assignment."""
+    if folded is None:
         result = IlpResult(IlpStatus.INFEASIBLE)
-    elif not box[2]:
-        result = _box_optimum(box[0], box[1], objective, names)
-    elif integer:
-        result = _branch_and_bound(*box, objective, names)
     else:
-        result = _simplex_solve(*box, objective, names)
+        lo, hi, rows = folded
+        names = sorted(
+            {v for c in rows for v in c.expr.coeffs}.union(lo, hi, objective.coeffs)
+        )
+        if not rows:
+            result = _box_optimum(lo, hi, objective, names)
+        elif integer:
+            result = _branch_and_bound(lo, hi, rows, objective, names)
+        else:
+            result = _simplex_solve(lo, hi, rows, objective, names)
     if result.status is IlpStatus.OPTIMAL and back_subst:
         assignment = dict(result.assignment)
         for name, expr in reversed(back_subst):
@@ -344,9 +362,7 @@ def _solve_presolved(
     return result
 
 
-def _fold_bounds(
-    constraints: Sequence[Constraint], integer: bool
-) -> Optional[Tuple[Bounds, Bounds, List[Constraint]]]:
+def _fold_bounds(constraints: Sequence[Constraint], integer: bool) -> Folded:
     """Split a system into ``(lo, hi, rows)``: every single-variable
     constraint tightens a bound of its variable (rounded inwards for an
     integer solve) and is gone; only ``rows``, which couple variables, ever

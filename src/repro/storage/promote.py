@@ -30,7 +30,7 @@ from repro.ir.lower import LoweredKernel, PolyStatement, TensorAccess
 from repro.poly.cache import FOOTPRINT_CACHE, MISS
 from repro.poly.maps import BasicMap
 from repro.tiling.reverse import (
-    affine_extent_bound,
+    affine_extent_bounds,
     footprint_key,
     positional_footprint,
     relation_key,
@@ -227,9 +227,9 @@ def _footprint_uncached(
     shape = access.tensor.shape
     fp = positional_footprint(inst_rel, access)
     box_ranges = {d: (0, n - 1) for d, n in zip(fp.in_space.dims, tile_counts)}
+    bounds = affine_extent_bounds(fp.constraints, fp.out_space.dims, box_ranges)
     extents: List[int] = []
-    for k, dim in enumerate(fp.out_space.dims):
-        bound = affine_extent_bound(fp.constraints, dim, box_ranges)
+    for k, bound in enumerate(bounds):
         if bound is None:
             extents.append(shape[k])
         else:

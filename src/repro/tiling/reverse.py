@@ -176,48 +176,49 @@ def positional_footprint(relation: BasicMap, access: TensorAccess) -> BasicMap:
     return tile_footprint(access_map, instances)
 
 
-def affine_extent_bound(
+def affine_extent_bounds(
     constraints: Sequence[Constraint],
-    dim: str,
+    dims: Sequence[str],
     box_ranges: Dict[str, Tuple[int, int]],
-) -> Optional[int]:
-    """Tight upper bound on the extent of ``dim`` over any point of a box.
+) -> List[Optional[int]]:
+    """Tight upper bound on the extent of each of ``dims`` over any point
+    of a box.
 
-    The constraints relate ``dim`` to box variables (tile indices) whose
+    The constraints relate each dim to box variables (tile indices) whose
     ranges are given.  For every (upper, lower) affine-bound pair the true
     per-point extent satisfies ``extent <= u(p) - l(p) + 1``; maximising
     the affine difference over the box is closed-form (pick each variable's
     end by coefficient sign), and the minimum over pairs is a sound, and in
-    the common single-pair case exact, extent bound.  Returns ``None``
-    when ``dim`` has no finite bound pair.
+    the common single-pair case exact, extent bound.  A dim without a
+    finite bound pair gets ``None``.
 
-    A pure function of the constraints, ``dim`` and the box, posed once
-    per tensor dimension for every tile candidate: the bound is memoized
+    A pure function of the constraints, the dim and the box, posed once
+    per tensor dimension for every tile candidate: each bound is memoized
     in :data:`repro.poly.cache.EXTENT_CACHE` under the name-free rows of
-    the system, the rank of ``dim`` and the box range of each variable.
+    the system, the rank of the dim and the box range of each variable.
+    The system is ranked once for all of ``dims``, and a miss hands that
+    ranking on to the projection.
     """
-    if not EXTENT_CACHE.enabled:
-        return _extent_bound_uncached(constraints, dim, box_ranges)
     space = RankSpace(constraints)
-    key = (
-        space.rows,
-        space.rank.get(dim),
-        tuple([box_ranges.get(name) for name in space.names]),
-    )
-    bound = EXTENT_CACHE.lookup(key)
-    if bound is MISS:
-        bound = _extent_bound_uncached(constraints, dim, box_ranges)
-        EXTENT_CACHE.store(key, bound)
-    return bound
+    box = tuple([box_ranges.get(name) for name in space.names])
+    bounds: List[Optional[int]] = []
+    for dim in dims:
+        key = (space.rows, space.rank.get(dim), box)
+        bound = EXTENT_CACHE.lookup(key)
+        if bound is MISS:
+            bound = _extent_bound_uncached(space, dim, box_ranges)
+            EXTENT_CACHE.store(key, bound)
+        bounds.append(bound)
+    return bounds
 
 
 def _extent_bound_uncached(
-    constraints: Sequence[Constraint],
+    space: RankSpace,
     dim: str,
     box_ranges: Dict[str, Tuple[int, int]],
 ) -> Optional[int]:
     keep = list(box_ranges) + [dim]
-    projected = project_onto(constraints, keep)
+    projected = project_onto(space.constraints, keep, space)
     lowers: List[AffineExpr] = []
     uppers: List[AffineExpr] = []
     for c in projected:

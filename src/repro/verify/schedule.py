@@ -17,8 +17,8 @@ dependence, that the order above runs the source before the sink:
 
 - **cross-group**: the source's group must come first (barriers order
   the rest);
-- **live-out -> live-out** (partitioned instance relations): a
-  Fourier-Motzkin/ILP emptiness proof that no dependence pair has the
+- **live-out -> live-out** (partitioned instance relations): an ILP
+  emptiness proof that no dependence pair has the
   sink's tile lexicographically before the source's tile, nor equal
   tiles with the sink statement positioned first;
 - **fused producer -> anything**: the reverse-strategy containment
@@ -58,24 +58,9 @@ def _fail(message: str) -> None:
 
 
 def _feasible(cons: Sequence[Constraint]) -> bool:
-    """Exact integer feasibility, with a rational FM pre-filter.
-
-    The FM projection is a superset of the integer points, so a
-    rationally-empty system needs no ILP call; a rationally-feasible one
-    is decided exactly by branch-and-bound (rational feasibility alone
-    would report violations no integer point realises).
-    """
-    names = set()
-    for c in cons:
-        if c.is_trivially_false():
-            return False
-        names.update(c.variables())
-    if not names:
-        return True
-    probe = sorted(names)[0]
-    if interval_of(cons, probe) is None:
-        return False
-    return IlpProblem(list(cons)).is_feasible(integer=True)
+    """Exact integer feasibility: rational feasibility alone would report
+    violations no integer point realises."""
+    return IlpProblem(cons).is_feasible(integer=True)
 
 
 def _grid_constraints(

@@ -147,6 +147,12 @@ CALLS = {
     "subgraph5": (1130, 131, 1424),
 }
 
+# name -> Python-level calls of a cold build(), the second of that kernel
+# in the process: the first also fills process-wide tables no solver-cache
+# reset empties (interned names, per-kernel lowering state), and its count
+# depends on what ran before it.
+BUILD_CALLS = {"conv2d_16x32": 35424, "subgraph5": 75614}
+
 # (baseline, golden row) -> (dump sha256[:16], cycles)
 BASELINES = {
     ("cce_expert", "conv2d_16x32"): ("cd7ef7af1327ee77", 2698),
@@ -198,6 +204,15 @@ def test_every_reader_of_the_program_is_pinned(name, python_calls):
     assert report.total_cycles == GOLDEN[name][2]
     check_program_sync(program.instructions)
     assert all(c <= pin for c, pin in zip(calls, CALLS[name])), calls
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_CALLS))
+def test_cold_build_calls_are_pinned(name, python_calls):
+    _cold_build(name)
+    clear_solver_caches()
+    graph = GOLDEN[name][0]()
+    calls = python_calls(lambda: build(graph, name))
+    assert calls <= BUILD_CALLS[name], calls
 
 
 @pytest.mark.parametrize("baseline, name", sorted(BASELINES))

@@ -30,7 +30,7 @@ from repro.poly.ilp import IlpProblem, IlpStatus
 from repro.poly.maps import BasicMap
 from repro.poly.sets import Space
 from repro.storage.promote import footprint_extents
-from repro.tiling.reverse import affine_extent_bound
+from repro.tiling.reverse import affine_extent_bounds
 
 from tests.storage.test_promote import _named_footprint, _uncached, fused_group
 
@@ -137,8 +137,8 @@ def _queries(rng, cons, mapping):
             ),
             (
                 EXTENT_CACHE,
-                lambda: affine_extent_bound(
-                    renamed, m[dim], {m[n]: r for n, r in box.items()}
+                lambda: affine_extent_bounds(
+                    renamed, [m[dim]], {m[n]: r for n, r in box.items()}
                 ),
             ),
         ]
@@ -276,7 +276,7 @@ def test_cached_none_infeasible_and_unbounded_are_hits():
     # No finite extent: ``x`` has a lower bound only.
     open_ended = [Constraint.ge(var("x") - var("t") * 4, 0)]
     for _ in range(2):
-        assert affine_extent_bound(open_ended, "x", {"t": (0, 3)}) is None
+        assert affine_extent_bounds(open_ended, ["x"], {"t": (0, 3)}) == [None]
     assert (EXTENT_CACHE.hits, EXTENT_CACHE.misses) == (1, 1)
 
     infeasible = [Constraint.ge(var("x"), 3), Constraint.le(var("x"), 1)]

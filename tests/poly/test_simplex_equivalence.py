@@ -23,6 +23,7 @@ Three angles:
       same distinct problems.
 """
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -58,6 +59,29 @@ def _certified(result, constraints, objective, integer=False):
     assert objective.evaluate(point) == result.value
     if integer:
         assert all(v.denominator == 1 for v in point.values()), point
+
+
+def _infeasible(constraints, integer):
+    """``constraints`` have no point (no integral one for ``integer``): the
+    reference finds no rational point, or one variable's own constraints
+    leave no integer between its reference minimum and maximum."""
+    names = sorted({n for c in constraints for n in c.expr.coeffs})
+    zero = AffineExpr({}, 0)
+    if reference._simplex_solve(constraints, zero, names).status is IlpStatus.INFEASIBLE:
+        return True
+    for name in names if integer else []:
+        own = [c for c in constraints if list(c.expr.coeffs) == [name]]
+        low = reference._simplex_solve(own, var(name), [name])
+        high = reference._simplex_solve(own, -var(name), [name])
+        if IlpStatus.OPTIMAL is low.status is high.status:
+            if math.ceil(low.value) > math.floor(-high.value):
+                return True
+    return False
+
+
+def _solve_presolved(constraints, objective, integer):
+    """What a problem whose presolve left ``constraints`` answers."""
+    return ilp._solve_folded(ilp._fold_bounds(constraints, integer), objective, [], integer)
 
 
 def _ilp_work():
@@ -121,8 +145,9 @@ COMPILES = {
 def test_compile_time_solves_equal_the_reference(name, monkeypatch):
     compile_it, n_solves, work, *pins = COMPILES[name]
     diskcache.set_disk_cache_enabled(False)
-    simplex, front_end = ilp._simplex_solve, ilp._solve_presolved
+    simplex, fold, front_end = ilp._simplex_solve, ilp._fold_bounds, ilp._solve_folded
     solves = []
+    sources = {}
 
     def cross_checked(lo, hi, rows, objective, names):
         got = simplex(lo, hi, rows, objective, names)
@@ -130,15 +155,33 @@ def test_compile_time_solves_equal_the_reference(name, monkeypatch):
         solves.append(got.status)
         return got
 
-    def certified(constraints, objective, back_subst, integer):
+    def remembered(constraints, integer):
+        # Every fold is kept beside the presolved system it came from (and
+        # alive, so no id is reused); a fold to ``None`` must be right that
+        # the system is infeasible.
+        folded = fold(constraints, integer)
+        if folded is None:
+            assert _infeasible(constraints, integer), constraints
+        else:
+            sources[id(folded)] = (folded, constraints)
+        return folded
+
+    def certified(folded, objective, back_subst, integer):
         # Every uncached answer, read off a box or found by the simplex,
-        # rational or branched: the presolved system is what it answers.
-        got = front_end(constraints, objective, back_subst, integer)
-        _certified(got, constraints, objective, integer)
+        # rational or branched: the presolved system, single-variable rows
+        # and all, is what it answers.
+        got = front_end(folded, objective, back_subst, integer)
+        if folded is None:
+            assert got.status is IlpStatus.INFEASIBLE
+        else:
+            source, constraints = sources[id(folded)]
+            assert source is folded
+            _certified(got, constraints, objective, integer)
         return got
 
     monkeypatch.setattr(ilp, "_simplex_solve", cross_checked)
-    monkeypatch.setattr(ilp, "_solve_presolved", certified)
+    monkeypatch.setattr(ilp, "_fold_bounds", remembered)
+    monkeypatch.setattr(ilp, "_solve_folded", certified)
     clear_solver_caches()
     compile_it()
     assert len(solves) == n_solves
@@ -309,11 +352,11 @@ def _check_corpus(seed, monkeypatch):
             objective = _expr(rng, names, denominators=denominators)
             where = (family.__name__, constraints, objective)
 
-            got = ilp._solve_presolved(constraints, objective, [], False)
+            got = _solve_presolved(constraints, objective, False)
             want = reference._simplex_solve(constraints, objective, names)
             _same_optimum(got, want)
             _certified(got, constraints, objective)
-            again = ilp._solve_presolved(constraints, objective, [], False)
+            again = _solve_presolved(constraints, objective, False)
             assert again.assignment == got.assignment, where
             statuses[got.status] += 1
 
@@ -321,10 +364,10 @@ def _check_corpus(seed, monkeypatch):
             if all(n in lo and n in hi for n in names):
                 # A box bounds the search: branch and bound must end, and
                 # end where it ends over the reference's relaxations.
-                got = ilp._solve_presolved(constraints, objective, [], True)
+                got = _solve_presolved(constraints, objective, True)
                 with monkeypatch.context() as patched:
                     patched.setattr(ilp, "_simplex_solve", reference.solve_folded)
-                    want = ilp._solve_presolved(constraints, objective, [], True)
+                    want = _solve_presolved(constraints, objective, True)
                 assert ilp._simplex_solve is production
                 _same_optimum(got, want)
                 _certified(got, constraints, objective, integer=True)

@@ -20,7 +20,7 @@ from repro.poly.cache import (
 )
 from repro.storage.promote import contiguous_runs, footprint_extents, plan_storage
 from repro.tiling.reverse import (
-    affine_extent_bound,
+    affine_extent_bounds,
     footprint_key,
     relation_key,
     tile_footprint,
@@ -204,9 +204,11 @@ def _named_footprint(group, stmt, access):
     )
     box = {d: (0, c - 1) for d, c in zip(group.tile_dims, group.tile_counts)}
     shape = access.tensor.shape
+    bounds = _uncached(
+        lambda: affine_extent_bounds(fp.constraints, fp.out_space.dims, box)
+    )
     out = []
-    for k, dim in enumerate(fp.out_space.dims):
-        bound = _uncached(lambda: affine_extent_bound(fp.constraints, dim, box))
+    for k, bound in enumerate(bounds):
         out.append(shape[k] if bound is None else max(min(bound, shape[k]), 1))
     return out
 
