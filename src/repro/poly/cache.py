@@ -37,8 +37,8 @@ coefficient rows -- what a constraint is in isl -- so
 decodes its result once: a miss decodes the very rows a hit decodes.  And
 a system is ranked once however many questions it is asked: an
 :class:`~repro.poly.ilp.IlpProblem` keeps its space beside its presolve,
-and the extent callers hand one space to every dimension they bound,
-which a miss hands on to the projection.
+and :func:`~repro.tiling.reverse.affine_extent_bounds` ranks a system
+once for every dimension it bounds and solves a miss on those rows.
 
 **Why not full alpha-renaming** (number the variables by first
 occurrence, as a lambda-term hash would)?  It identifies more systems --
@@ -56,24 +56,25 @@ entry per system x objective whichever of the two posed it),
 :data:`FM_CACHE` (:func:`repro.poly.fm.project_onto`, key = rows +
 keep-mask) and :data:`EXTENT_CACHE`
 (:func:`repro.tiling.reverse.affine_extent_bounds`, an integer per system x
-dimension x box, counted apart so the ``fm`` counters keep meaning
-"projections").
+dimension x box).  An extent miss projects its own rows without asking
+``FM_CACHE``, so that table serves the named projections only -- the
+reverse strategy's producer relations, ``compose``, dependence distances,
+the verifier's intervals and AST loop bounds -- and no bench compile hits
+it.
 
-**The footprint table** (:data:`FOOTPRINT_CACHE`) sits in front of those
-three.  The storage planner asks which box an access touches per tile
-(:func:`repro.storage.promote.footprint_extents`) once per statement x
-access x probed size vector -- 288 times for ``subgraph2``, 6 of them
-distinct -- and the rank-space tables answer a repeat only after the
-question is *built*: an access map, a ``compose`` and one
-:class:`RankSpace` per tensor dimension.  Its key is made before any map
-is (:func:`repro.tiling.reverse.footprint_key`): the instance relation
-with every variable replaced by its *position* among ``tile dims +
-iteration dims``, the index expressions over iteration-dim positions,
-the tensor's shape (the clip) and the tile counts (the box).  No sort
-order needs recording because none exists: a footprint is solved under
-positional names (``o00``, ``s00``, ``x00``), so the solve is a function
-of the key alone and a hit is the fresh solve.  Entries are tuples;
-every answer is handed out as a new list.
+**The footprint table** (:data:`FOOTPRINT_CACHE`) is keyed before any
+map is built.  The storage planner asks which box an access touches per
+tile (:func:`repro.storage.promote.footprint_extents`) once per statement
+x access x probed size vector -- 288 times for ``subgraph2``, 6 of them
+distinct.  Its key (:func:`repro.tiling.reverse.footprint_key`) is the
+instance relation with every variable replaced by its *position* among
+``tile dims + iteration dims``, the index expressions over iteration-dim
+positions, the tensor's shape (the clip) and the tile counts (the box).
+No sort order needs recording because none exists: a miss is solved on
+the key's own integer rows (:func:`repro.tiling.reverse.footprint_bounds`,
+no map, no ``compose``, none of the tables above), so the solve is a
+function of the key alone and a hit is the fresh solve.  Entries are
+tuples; every answer is handed out as a new list.
 
 Caches are process-global.  Worker processes of the parallel auto-tuner
 each grow their own copy (the cache is warm within a worker, cold across
@@ -94,6 +95,7 @@ from repro.poly.affine import AffineExpr, Constraint
 __all__ = [
     "SolveCache",
     "RankSpace",
+    "split_rows",
     "MISS",
     "ILP_CACHE",
     "FM_CACHE",
@@ -147,21 +149,9 @@ class RankSpace:
             space = RankSpace(self.constraints, names)
         return space, (space.rows, tuple(map(space.rank.__getitem__, names)), numbers)
 
-    def split_rows(self) -> List[Tuple[Tuple[int, ...], Tuple]]:
-        """``rows`` one constraint at a time: its ranks (coefficient-dict
-        order) and its numbers (as in :meth:`Constraint.shape`)."""
-        flat, shapes = self.rows
-        out = []
-        start = 0
-        for numbers in shapes:
-            end = start + len(numbers) - 2
-            out.append((flat[start:end], numbers))
-            start = end
-        return out
-
     def decode(self, rows: Tuple) -> List[Constraint]:
         """Rebuild constraints stored in rank space, one ``(ranks,
-        numbers)`` pair each as :meth:`split_rows` gives them, under this
+        numbers)`` pair each as :func:`split_rows` gives them, under this
         space's names."""
         name = self.names.__getitem__
         out = []
@@ -171,6 +161,20 @@ class RankSpace:
             expr = AffineExpr._of(dict(zip(names, coeffs)), const)
             out.append(Constraint._of(expr, is_equality, (names, numbers)))
         return out
+
+
+def split_rows(rows: Hashable) -> List[Tuple[Tuple[int, ...], Tuple]]:
+    """:attr:`RankSpace.rows` one constraint at a time: its ranks
+    (coefficient-dict order) and its numbers (as in
+    :meth:`Constraint.shape`)."""
+    flat, shapes = rows
+    out = []
+    start = 0
+    for numbers in shapes:
+        end = start + len(numbers) - 2
+        out.append((flat[start:end], numbers))
+        start = end
+    return out
 
 
 class SolveCache:

@@ -17,18 +17,21 @@ floored -- exactly as :class:`~repro.poly.affine.Constraint` normalises
 them, and builds each dict in the order ``AffineExpr`` arithmetic would,
 so a miss decodes, once, the very rows a :data:`~repro.poly.cache.FM_CACHE`
 hit decodes.  A row no step touched comes back as the caller's own
-constraint object.
+constraint object.  :func:`project_rows` is that elimination alone: the
+tile probes of :mod:`repro.tiling.reverse` run it on their own rows,
+without the memo table.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import gcd
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core import resilience
 from repro.core.errors import SolverBudgetError
 from repro.poly.affine import AffineExpr, Constraint, ratio
-from repro.poly.cache import FM_CACHE, MISS, RankSpace
+from repro.poly.cache import FM_CACHE, MISS, RankSpace, split_rows
 from repro.tools import faultinject
 
 # Intermediate-system size above which projection is declared runaway
@@ -45,28 +48,28 @@ Row = Tuple[Dict[int, int], int, bool, Optional[Constraint], Hashable]
 
 
 def project_onto(
-    constraints: Sequence[Constraint],
-    keep: Sequence[str],
-    space: Optional[RankSpace] = None,
+    constraints: Sequence[Constraint], keep: Sequence[str]
 ) -> List[Constraint]:
     """Eliminate every variable not in ``keep``.
 
-    ``space`` is ``RankSpace(constraints)`` when the caller already has
-    it.  Projections are memoized in :data:`repro.poly.cache.FM_CACHE`
-    under the name-free rows of the system plus which of its variables
-    are kept; hit or miss, the answer is those rows decoded under the
-    caller's names (see :mod:`repro.poly.cache`).
+    Projections are memoized in :data:`repro.poly.cache.FM_CACHE` under
+    the name-free rows of the system plus which of its variables are kept;
+    hit or miss, the answer is those rows decoded under the caller's names
+    (see :mod:`repro.poly.cache`).
     """
-    if space is None:
-        space = RankSpace(constraints)
+    space = RankSpace(constraints)
     keep_set = set(keep)
     mask = tuple([name in keep_set for name in space.names])
     key = (space.rows, mask)
     entry = FM_CACHE.lookup(key)
     if entry is not MISS:
         return space.decode(entry)
-    rows = _project_rows(space, mask)
-    # Stored as :meth:`RankSpace.split_rows` gives a system.
+    rows = project_rows(
+        rows_of(space.rows, constraints),
+        [r for r, kept in enumerate(mask) if not kept],
+        space.names.__getitem__,
+    )
+    # Stored as :func:`repro.poly.cache.split_rows` gives a system.
     FM_CACHE.store(
         key,
         tuple([(tuple(row[0]), (*row[0].values(), *row[1:3])) for row in rows]),
@@ -81,21 +84,33 @@ def project_onto(
     return out
 
 
-def _project_rows(space: RankSpace, keep: Sequence[bool]) -> List[Row]:
-    """The system's rows with every rank not in ``keep`` eliminated."""
+def rows_of(rows: Hashable, constraints: Sequence[Constraint] = ()) -> List[Row]:
+    """A system's rows from its rank-space image (laid out as
+    :attr:`RankSpace.rows`), each carrying its constraint when
+    ``constraints`` are given."""
+    return [
+        make_row(dict(zip(ranks, numbers)), numbers[-2], numbers[-1], c)
+        for (ranks, numbers), c in zip_longest(split_rows(rows), constraints)
+    ]
+
+
+def project_rows(
+    rows: List[Row], ranks: Sequence[int], name: Callable[[int], str]
+) -> List[Row]:
+    """``rows`` with every one of ``ranks`` (ascending) eliminated.
+
+    Every call passes the ``fm.eliminate`` fault site, each eliminated
+    variable the stage deadline, and each step's rows the stage's
+    ``fm_constraints`` budget; ``name`` renders a rank for that message.
+    """
     faultinject.fire("fm.eliminate")
-    rows: List[Row] = []
-    for c, (ranks, numbers) in zip(space.constraints, space.split_rows()):
-        rows.append(_row(dict(zip(ranks, numbers)), *numbers[-2:], c))
-    if all(keep):
+    if not ranks:
         return rows
     # Every step drops the trivially true rows, which are never a pivot or
     # a bound: dropping them before the first one changes nothing.
     rows = [row for row in rows if row[0] or (row[1] != 0 if row[2] else row[1] < 0)]
     max_constraints = resilience.fm_constraint_budget(MAX_FM_CONSTRAINTS)
-    for r, kept in enumerate(keep):
-        if kept:
-            continue
+    for r in ranks:
         resilience.check_deadline()
         pivot = None
         lowers: List[Row] = []
@@ -120,13 +135,20 @@ def _project_rows(space: RankSpace, keep: Sequence[bool]) -> List[Row]:
         if len(rows) > max_constraints:
             raise SolverBudgetError(
                 f"Fourier-Motzkin system exploded past {max_constraints} "
-                f"constraints while eliminating {space.names[r]!r}",
+                f"constraints while eliminating {name(r)!r}",
                 stage=resilience.active_stage(),
             )
     return rows
 
 
-def _row(
+def remove_redundant_rows(rows: Sequence[Row]) -> List[Row]:
+    """:func:`remove_redundant` on rows."""
+    return _unique(
+        [row for row in rows if row[0] or (row[1] != 0 if row[2] else row[1] < 0)]
+    )
+
+
+def make_row(
     coeffs: Dict[int, int], const: int, eq: bool, c: Optional[Constraint] = None
 ) -> Row:
     """A row and its key: an equality's is its whole content, an
@@ -177,7 +199,7 @@ def _substitute(rows: Sequence[Row], r: int, pivot: Row) -> List[Row]:
             coeffs = dict(zip(coeffs, map(k.__rfloordiv__, coeffs.values())))
             const //= k
         if coeffs or (const != 0 if eq else const < 0):
-            out.append(_row(coeffs, const, eq))
+            out.append(make_row(coeffs, const, eq))
     return out
 
 
@@ -207,7 +229,7 @@ def _combine(lowers: Sequence[Row], uppers: Sequence[Row], r: int) -> List[Row]:
                 coeffs = dict(zip(coeffs, map(g.__rfloordiv__, coeffs.values())))
                 const //= g
             if coeffs or const < 0:
-                out.append(_row(coeffs, const, False))
+                out.append(make_row(coeffs, const, False))
     return out
 
 

@@ -28,13 +28,7 @@ from repro.fusion.posttile import TiledGroup
 from repro.hw.spec import HardwareSpec
 from repro.ir.lower import LoweredKernel, PolyStatement, TensorAccess
 from repro.poly.cache import FOOTPRINT_CACHE, MISS
-from repro.poly.maps import BasicMap
-from repro.tiling.reverse import (
-    affine_extent_bounds,
-    footprint_key,
-    positional_footprint,
-    relation_key,
-)
+from repro.tiling.reverse import footprint_bounds, footprint_key, relation_key
 
 
 class BufferAllocation:
@@ -210,31 +204,20 @@ def footprint_extents(
                 box.append(tensor.shape[k])
         return box
     inst_rel = group.instance_relations[stmt.stmt_id]
-    if not FOOTPRINT_CACHE.enabled:
-        return _footprint_uncached(inst_rel, access, group.tile_counts)
-    rel_key = rel_key or relation_key(inst_rel)
-    key = footprint_key(rel_key, inst_rel, access, group.tile_counts)
+    key = footprint_key(
+        rel_key or relation_key(inst_rel), inst_rel, access, group.tile_counts
+    )
     box = FOOTPRINT_CACHE.lookup(key)
     if box is MISS:
-        box = tuple(_footprint_uncached(inst_rel, access, group.tile_counts))
+        shape = tensor.shape
+        box = tuple(
+            [
+                shape[k] if bound is None else max(min(bound, shape[k]), 1)
+                for k, bound in enumerate(footprint_bounds(key))
+            ]
+        )
         FOOTPRINT_CACHE.store(key, box)
     return list(box)  # a fresh list: the planner shrinks boxes in place
-
-
-def _footprint_uncached(
-    inst_rel: BasicMap, access: TensorAccess, tile_counts: Sequence[int]
-) -> List[int]:
-    shape = access.tensor.shape
-    fp = positional_footprint(inst_rel, access)
-    box_ranges = {d: (0, n - 1) for d, n in zip(fp.in_space.dims, tile_counts)}
-    bounds = affine_extent_bounds(fp.constraints, fp.out_space.dims, box_ranges)
-    extents: List[int] = []
-    for k, bound in enumerate(bounds):
-        if bound is None:
-            extents.append(shape[k])
-        else:
-            extents.append(max(min(bound, shape[k]), 1))
-    return extents
 
 
 def contiguous_runs(box: Sequence[int], tensor_shape: Sequence[int]) -> int:

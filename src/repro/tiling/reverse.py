@@ -11,18 +11,34 @@ yields exactly the overlapped tiles of the paper::
 
 The relation feeds an extension node (post-tiling fusion, Sec. 4.3) and
 the storage manager (footprints, Sec. 4.4).
+
+**A tile probe solves integer rows.**  Auto Tiling prices every probed
+size by the footprint box of every access, so the three questions a probe
+asks are answered on the rows Fourier-Motzkin works on
+(:data:`repro.poly.fm.Row`), never through ``AffineExpr`` arithmetic:
+:func:`tile_membership_constraints` builds its two rows per band row
+directly; :func:`footprint_bounds` solves a footprint from its
+:func:`footprint_key`, with no map built; and :func:`affine_extent_bounds`
+projects only the bounded dim's component and bounds it in integers.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import floor
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.ir.lower import PolyStatement, TensorAccess
-from repro.poly.affine import AffineExpr, Constraint, ratio
+from repro.poly.affine import AffineExpr, Constraint, _add_into
 from repro.poly.cache import EXTENT_CACHE, MISS, RankSpace
-from repro.poly.fm import project_onto, remove_redundant
+from repro.poly.fm import (
+    Row,
+    make_row,
+    project_onto,
+    project_rows,
+    remove_redundant,
+    remove_redundant_rows,
+    rows_of,
+)
 from repro.poly.maps import BasicMap
 from repro.poly.sets import Space, implies
 from repro.sched.deps import Dependence
@@ -35,13 +51,22 @@ def tile_membership_constraints(
 ) -> List[Constraint]:
     """Constraints tying a statement instance to its tile indices.
 
-    For each tiled row: ``size * o <= row_expr <= size * o + size - 1``.
+    For each tiled row: ``size * o <= row_expr <= size * o + size - 1``,
+    built as the two rows ``row - size*o >= 0`` and ``size - 1 - row +
+    size*o >= 0`` in the coefficient order ``AffineExpr`` arithmetic gives
+    them, each normalised once.  The tile dim's key is the very string
+    object :meth:`AffineExpr.variable` holds for it, as that arithmetic
+    would put there: pickles share strings by identity, so an equal but
+    fresh string would change the bytes of every pickled relation.
     """
     cons: List[Constraint] = []
     for expr, size, o in zip(rows, sizes, tile_dims):
-        offset = expr - AffineExpr.variable(o) * size
-        cons.append(Constraint.ge(offset, 0))
-        cons.append(Constraint.le(offset, size - 1))
+        (o,) = AffineExpr.variable(o).coeffs
+        coeffs = dict(expr.coeffs)
+        _add_into(coeffs, ((o, -size),))
+        cons.append(Constraint(AffineExpr._of(coeffs, expr.const), False))
+        negated = {n: -c for n, c in coeffs.items()}
+        cons.append(Constraint(AffineExpr._of(negated, size - 1 - expr.const), False))
     return cons
 
 
@@ -149,8 +174,9 @@ def footprint_key(
     tile_counts: Sequence[int],
 ) -> Hashable:
     """Key of "which box does ``access`` touch per tile", made before any
-    map is: all of its :func:`positional_footprint`, the tensor's shape
-    (the clip) and the tile counts (the box ranges)."""
+    map is: the relation's :func:`relation_key`, each index expression over
+    iteration-dim positions, the tensor's shape (the clip) and the tile
+    counts (the box ranges).  :func:`footprint_bounds` solves it."""
     position = {d: i for i, d in enumerate(relation.out_space.dims)}.__getitem__
     index = [
         (tuple(map(position, names)), numbers)
@@ -159,21 +185,40 @@ def footprint_key(
     return (rel_key, tuple(index), tuple(access.tensor.shape), tuple(tile_counts))
 
 
-def positional_footprint(relation: BasicMap, access: TensorAccess) -> BasicMap:
-    """:func:`tile_footprint` of one affine access with every dim named by
-    its position: tiles ``o00..``, instances ``s00..``, elements ``x00..``.
-    No caller-chosen name is left for a solver to rank, so the result is a
-    function of :func:`footprint_key` alone (see :mod:`repro.poly.cache`).
+#: How a footprint's solver errors name a rank.
+_position = "position {}".format
+
+
+def footprint_bounds(key: Hashable) -> List[Optional[int]]:
+    """The extent bound of every tensor dim of a :func:`footprint_key`, solved
+    on the key's own rows: a pure function of the key, so a table hit is
+    the fresh solve.
+
+    Positions are tiles ``0..T-1``, instances ``T..T+S-1`` and elements
+    ``T+S..``.  The relation's rows plus one row ``x_k - e_k = 0`` per
+    index (in the coefficient order ``Constraint.eq(x_k, e_k)`` gives)
+    become the ``tile -> elements`` composition once the instance
+    positions that occur are eliminated, in ascending order, as a
+    ``compose`` under names sorting tiles < instances < elements would
+    eliminate them.  Each element position is then bounded over the box
+    ``0 <= o < count`` as :func:`affine_extent_bounds` bounds a dim.  Index
+    expressions are integral, as lowering makes them.
     """
-    tiles = [f"o{i:02d}" for i in range(len(relation.in_space.dims))]
-    iters = [f"s{i:02d}" for i in range(len(relation.out_space.dims))]
-    elems = [f"x{i:02d}" for i in range(len(access.indices))]
-    rename = dict(zip(relation.in_space.dims + relation.out_space.dims, tiles + iters))
-    cons = [c.rename(rename) for c in relation.constraints]
-    instances = BasicMap(Space("T", tiles), Space("S", iters), cons)
-    indices = [e.rename(rename) for e in access.indices]
-    access_map = BasicMap.from_exprs(instances.out_space, Space("X", elems), indices)
-    return tile_footprint(access_map, instances)
+    (n_tiles, n_iters, flat, numbers), index, _shape, counts = key
+    rows = rows_of((flat, numbers))
+    base = n_tiles + n_iters
+    used = set(flat)
+    for k, (iters, expr) in enumerate(index):
+        positions = [n_tiles + i for i in iters]
+        used.update(positions)
+        coeffs = {base + k: 1}
+        coeffs.update(zip(positions, [-c for c in expr]))
+        rows.append(make_row(coeffs, -expr[-1], True))
+    rows = remove_redundant_rows(
+        project_rows(rows, sorted(used.difference(range(n_tiles))), _position)
+    )
+    box = tuple([(0, n - 1) for n in counts]) + (None,) * (n_iters + len(index))
+    return [_extent_of_rows(rows, base + k, box, _position) for k in range(len(index))]
 
 
 def affine_extent_bounds(
@@ -185,70 +230,98 @@ def affine_extent_bounds(
     of a box.
 
     The constraints relate each dim to box variables (tile indices) whose
-    ranges are given.  For every (upper, lower) affine-bound pair the true
-    per-point extent satisfies ``extent <= u(p) - l(p) + 1``; maximising
-    the affine difference over the box is closed-form (pick each variable's
-    end by coefficient sign), and the minimum over pairs is a sound, and in
-    the common single-pair case exact, extent bound.  A dim without a
-    finite bound pair gets ``None``.
+    ranges are given.
+
+    **Only the dim's component is projected.**  The variables off the box
+    that share a row with the dim, transitively, are eliminated from the
+    rows that mention them; the rest of the system is left alone.  A full
+    projection gives the same bound: eliminating a variable of another
+    component only combines rows that mention neither the dim nor any
+    variable of its component, so it never creates, changes or reorders
+    (relative to each other) the rows that do, and what the deduplication
+    of each step keeps of those is decided among them alone.
+
+    **The bound is integer.**  For every upper bound ``a_u*dim + R_u >= 0``
+    (``a_u < 0``, or an equality) and lower bound ``a_l*dim + R_l >= 0``
+    (``a_l > 0``, or an equality) left, the per-point extent is at most
+    ``u - l + 1 = N / d + 1`` with ``N = a_u*R_l - a_l*R_u`` and ``d =
+    a_u*a_l``, both negated when ``d < 0``.  ``N`` is affine over the box,
+    so its maximum picks each variable's end by coefficient sign, and
+    ``max N // d + 1`` is that bound exactly, with no ``Fraction`` made.
+    The minimum over pairs is a sound, and in the common single-pair case
+    exact, extent bound; a dim without a finite bound pair gets ``None``.
 
     A pure function of the constraints, the dim and the box, posed once
     per tensor dimension for every tile candidate: each bound is memoized
     in :data:`repro.poly.cache.EXTENT_CACHE` under the name-free rows of
     the system, the rank of the dim and the box range of each variable.
-    The system is ranked once for all of ``dims``, and a miss hands that
-    ranking on to the projection.
+    The system is ranked once for all of ``dims``, and a miss is solved on
+    those rows.
     """
     space = RankSpace(constraints)
     box = tuple([box_ranges.get(name) for name in space.names])
+    rows: Optional[List[Row]] = None
     bounds: List[Optional[int]] = []
     for dim in dims:
-        key = (space.rows, space.rank.get(dim), box)
+        rank = space.rank.get(dim)
+        key = (space.rows, rank, box)
         bound = EXTENT_CACHE.lookup(key)
         if bound is MISS:
-            bound = _extent_bound_uncached(space, dim, box_ranges)
+            if rows is None:
+                rows = rows_of(space.rows, constraints)
+            bound = _extent_of_rows(rows, rank, box, space.names.__getitem__)
             EXTENT_CACHE.store(key, bound)
         bounds.append(bound)
     return bounds
 
 
-def _extent_bound_uncached(
-    space: RankSpace,
-    dim: str,
-    box_ranges: Dict[str, Tuple[int, int]],
+def _extent_of_rows(
+    rows: List[Row],
+    dim: Optional[int],
+    box: Sequence[Optional[Tuple[int, int]]],
+    name: Callable[[int], str],
 ) -> Optional[int]:
-    keep = list(box_ranges) + [dim]
-    projected = project_onto(space.constraints, keep, space)
-    lowers: List[AffineExpr] = []
-    uppers: List[AffineExpr] = []
-    for c in projected:
-        a = c.expr.coeff(dim)
-        if a == 0:
-            continue
-        rest = c.expr - AffineExpr({dim: a})
-        bound = rest * ratio(-1, a)  # dim (>=, <=, ==) -rest/a
-        if c.is_equality or a > 0:
-            lowers.append(bound)
-        if c.is_equality or a < 0:
-            uppers.append(bound)
-    if not lowers or not uppers:
-        return None
-    best: Optional[int] = None
-    for u in uppers:
-        for lo in lowers:
-            diff = u - lo
-            # Maximise the affine difference over the box.
-            value = diff.const
-            ok = True
-            for v, coeff in diff.coeffs.items():
-                if v not in box_ranges:
-                    ok = False
-                    break
-                lo_v, hi_v = box_ranges[v]
-                value += coeff * (hi_v if coeff > 0 else lo_v)
-            if not ok:
+    """:func:`affine_extent_bounds`' bound of rank ``dim`` of ``rows``;
+    ``box[r]`` is rank ``r``'s range, ``None`` off the box."""
+    coupled = {dim}
+    taken = [False] * len(rows)
+    grown = True
+    while grown:
+        grown = False
+        for i, row in enumerate(rows):
+            if taken[i] or coupled.isdisjoint(row[0]):
                 continue
-            ext = floor(value) + 1
+            taken[i] = True
+            for r in row[0]:
+                if box[r] is None and r not in coupled:
+                    coupled.add(r)
+                    grown = True
+    coupled.discard(dim)
+    block = [row for row, t in zip(rows, taken) if t]
+    projected = project_rows(block, sorted(coupled), name)
+    lowers = []
+    uppers = []
+    for coeffs, const, eq, _, _ in projected:
+        a = coeffs.get(dim)
+        if a is None:
+            continue
+        if eq or a > 0:
+            lowers.append((a, coeffs, const))
+        if eq or a < 0:
+            uppers.append((a, coeffs, const))
+    best: Optional[int] = None
+    for a_u, u, k_u in uppers:
+        for a_l, lo, k_l in lowers:
+            d = a_u * a_l
+            f_u, f_l = (-a_l, a_u) if d > 0 else (a_l, -a_u)
+            value = f_u * k_u + f_l * k_l
+            for v in {**u, **lo}:
+                if v == dim:
+                    continue
+                n = f_u * u.get(v, 0) + f_l * lo.get(v, 0)
+                lo_v, hi_v = box[v]
+                value += n * (hi_v if n > 0 else lo_v)
+            ext = value // abs(d) + 1
             if best is None or ext < best:
                 best = ext
     return best

@@ -233,7 +233,10 @@ def test_identical_warm_builds_add_no_entries():
     with diskcache.disabled():
         build(softmax(), "softmax", options=AkgOptions(emit_trace=True))
         after_first = entries()
-        assert all(after_first.values())
+        # Every projection of this kernel is an extent or footprint miss,
+        # which solves its rows without ``FM_CACHE``.
+        assert after_first["fm"] == 0
+        assert all(after_first[table] for table in ("ilp", "extent", "footprint"))
         for _ in range(3):
             build(softmax(), "softmax", options=AkgOptions(emit_trace=True))
             assert entries() == after_first
@@ -290,10 +293,10 @@ def test_cached_none_infeasible_and_unbounded_are_hits():
     assert (ILP_CACHE.hits, ILP_CACHE.misses) == (2, 2)
 
     # A projection onto nothing of a feasible system is the empty list.
-    hits, misses = FM_CACHE.hits, FM_CACHE.misses  # the extent miss projected
+    # (The extent miss above projected its own rows, not through fm.)
     for _ in range(2):
         assert project_onto([Constraint.ge(var("x"), 0)], []) == []
-    assert (FM_CACHE.hits, FM_CACHE.misses) == (hits + 1, misses + 1)
+    assert (FM_CACHE.hits, FM_CACHE.misses) == (1, 1)
 
 
 def test_mutating_a_result_never_reaches_the_table():
@@ -329,9 +332,9 @@ def test_footprints_of_order_permuted_twins_share_one_entry():
     """The twin of ``test_order_permuting_renaming_is_a_different_key`` for
     the footprint table.  ``X_d0 < o0 < r0_ax0__n`` in one kernel and
     ``a0_ax0__n < o0 < zz_d0`` in the other: the rank-space tables would
-    keep them apart, but a footprint is solved under positional names
-    (``o00``, ``s00``, ``x00``), so no such order reaches a solver, one
-    entry serves both -- and equals each twin's solve under its own names."""
+    keep them apart, but a footprint is solved on its key's positional
+    rows, so no such order reaches a solver, one entry serves both -- and
+    equals each twin's solve under its own names."""
     for x_name, op_name in (("X", "r"), ("zz", "a")):
         kernel, group = fused_group(_relu_chain(x_name, op_name), [8, 16])
         stmt = group.statements[0]

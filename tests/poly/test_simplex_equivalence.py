@@ -114,28 +114,30 @@ def _build(make):
 # re-recorded when the footprint table went in front of ``compose`` (every
 # repeat of a footprint question used to reach fm and extent as hits --
 # subgraph2 read fm 270/66, extent 1188/48 -- and band row extents were
-# posed three times per fusion: ilp hits 723 -> 627); misses and simplex
-# solves may only fall.  subgraph2 asks 288 footprint questions, one
+# posed three times per fusion: ilp hits 723 -> 627), and again when
+# extent and footprint misses began to solve their own integer rows (fm
+# misses 23 / 27 / 30 / 84 -> 0 / 1 / 0 / 0, extent 11/19, 122/21, 84/24,
+# 89/68 -> the pins); misses and simplex solves may only fall.  subgraph2 asks 288 footprint questions, one
 # distinct per probed size vector.  Pivots and rows are exact and may only
 # fall too: with one row per bound and one artificial per row the same
 # solves took 891 / 726 / 0 / 2,151 pivots over 783 / 630 / 0 / 1,871 rows.
 COMPILES = {
     "conv2d_16x32": (
-        _build(_conv2d_16x32), 27, (27, 270), (71, 52), (0, 23), (11, 19), (1, 4)
+        _build(_conv2d_16x32), 27, (27, 270), (71, 52), (0, 0), (7, 7), (1, 4)
     ),
     "subgraph5": (
-        _build(lambda: _subgraph(5)), 27, (40, 243), (410, 79), (0, 27), (122, 21), (64, 5)
+        _build(lambda: _subgraph(5)), 27, (40, 243), (410, 79), (0, 1), (110, 14), (64, 5)
     ),
     "subgraph2": (
-        _build(lambda: _subgraph(2)), 0, (0, 0), (627, 30), (0, 30), (84, 24), (282, 6)
+        _build(lambda: _subgraph(2)), 0, (0, 0), (627, 30), (0, 0), (80, 4), (282, 6)
     ),
     "mobilenetv2_tiny": (
         lambda: compile_network(network("mobilenetv2_tiny")),
         67,
         (67, 659),
         (546, 215),
-        (0, 84),
-        (89, 68),
+        (0, 0),
+        (65, 35),
         (34, 16),
     ),
 }
@@ -190,9 +192,12 @@ def test_compile_time_solves_equal_the_reference(name, monkeypatch):
     assert len(pins) == len(stats)
     for table, pin in zip(("ilp", "fm", "extent", "footprint"), pins):
         assert (stats[table]["hits"], stats[table]["misses"]) == pin, table
-        # The tables were cold, so every kernel must have real solves left
-        # to compare -- a memo that absorbed them all would pass vacuously.
-        assert stats[table]["misses"] > 0
+    # The tables were cold, so every kernel must have real solves left to
+    # compare -- a memo that absorbed them all would pass vacuously.  Only
+    # ``fm`` may be unreached: extent and footprint misses solve their own
+    # rows, and subgraph5's fused stencil producer is its one projection.
+    for table in ("ilp", "extent", "footprint"):
+        assert stats[table]["misses"] > 0, table
 
 
 # -- (ii): seeded corpus -------------------------------------------------------

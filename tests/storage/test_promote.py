@@ -301,7 +301,7 @@ class TestFootprintTable:
         ],
     )
     def test_positional_answers_equal_the_named_solve(self, make, sizes):
-        """Solving under ``o00``/``s00``/``x00`` must not change an answer
+        """Solving on the key's positional rows must not change an answer
         the statement's own names would have given -- miss, hit or off."""
         kernel, group = fused_group(make(), sizes)
         for stmt, access in _affine_accesses(group):
