@@ -12,6 +12,7 @@ where sizes start and how they shrink is :mod:`repro.tiling.policy`.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,12 +21,7 @@ from repro.codegen.program import CodegenOptions, ProgramBuilder
 from repro.codegen.program_exec import execute_program
 from repro.core import resilience
 from repro.core.context import stage
-from repro.core.errors import (
-    ReproError,
-    SchedulingError,
-    StageTimeoutError,
-    TilingError,
-)
+from repro.core.errors import ReproError, StageTimeoutError, TilingError
 from repro.core.frontend import FrontEnd, _frontend_cache_key, run_frontend
 from repro.core.resilience import ResilienceReport, StageBudget
 from repro.conv.fractal import graft_fractal_subtrees
@@ -47,8 +43,8 @@ from repro.hw.spec import HardwareSpec
 from repro.ir.lower import LoweredKernel
 from repro.ir.tensor import Tensor
 from repro.sched.clustering import Clustering
-from repro.sched.deps import Dependence
-from repro.sched.scheduler import SchedulerOptions, check_legality
+from repro.sched.deps import Dependence, compute_dependences
+from repro.sched.scheduler import SchedulerOptions
 from repro.sched.tree import DomainNode
 from repro.storage.promote import StoragePlan, plan_storage
 from repro.tiling import policy
@@ -68,7 +64,6 @@ class AkgOptions:
         vectorize: bool = True,
         post_tiling_fusion: bool = True,
         emit_trace: bool = False,
-        verify_schedule: bool = False,
         verify: bool = False,
         scheduler: Optional[SchedulerOptions] = None,
         tile_shrink: int = 0,
@@ -84,7 +79,6 @@ class AkgOptions:
         self.vectorize = vectorize
         self.post_tiling_fusion = post_tiling_fusion
         self.emit_trace = emit_trace
-        self.verify_schedule = verify_schedule
         # Run the independent static verifier (:mod:`repro.verify`) over
         # the finished result; a rejection raises VerificationError and
         # the result is never cached.  Excluded from cache fingerprints:
@@ -119,6 +113,7 @@ class CompileResult:
         self.program = program
         self.kernel = kernel
         self.tree = tree
+        # The front-end's own list: a cold build computes nothing twice.
         self.deps = deps
         self.clustering = clustering
         self.groups = groups
@@ -129,6 +124,20 @@ class CompileResult:
         # Degradation events recorded while compiling this result; an
         # empty report means every stage took its first-choice path.
         self.resilience: ResilienceReport = ResilienceReport()
+
+    @cached_property
+    def deps(self) -> List[Dependence]:
+        """The kernel's dependences, recomputed on first access after a
+        disk-cache hit.
+
+        Entries do not store them (``__getstate__`` drops them): after
+        ``build`` nothing in the compiler reads them -- the verifier
+        recomputes its own on purpose -- and they were over half of every
+        pickled result.  A cold build's result holds the front-end's list
+        instead.  Two threads reading an unset value on one shared result
+        may both compute it; the lists are equal, so that race is harmless.
+        """
+        return compute_dependences(self.kernel)
 
     def simulate(self) -> SimReport:
         """Run the cycle simulator on the compiled program."""
@@ -167,9 +176,11 @@ class CompileResult:
 
     def __getstate__(self):
         # Replayers hold derived runtime state (and per-invocation dedup
-        # masks); the disk cache must store only the compile artefacts.
+        # masks), and ``deps`` is recomputed on demand: the disk cache
+        # stores only the compile artefacts its readers use.
         state = dict(self.__dict__)
         state.pop("_replayers", None)
+        state.pop("deps", None)
         return state
 
     def cce_code(self) -> str:
@@ -329,15 +340,6 @@ def backend_build(
     hw = frontend.hw
     kernel = frontend.kernel
     budget = getattr(options, "budget", None)
-
-    if options.verify_schedule:
-        violations = check_legality(frontend.fresh_tree(), frontend.deps)
-        if violations:
-            raise SchedulingError(
-                f"illegal schedule: {violations}",
-                stage="backend.verify",
-                kernel=kernel.name,
-            )
 
     with stage("backend.tile_select", budget):
         sizes = policy.select_start_sizes(frontend, options)

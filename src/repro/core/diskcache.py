@@ -23,6 +23,15 @@ Design points:
 - **One read per warm build.**  ``build`` derives the front-end digest
   and from it the program digest before anything is loaded, and probes the
   program first; the ``FrontEnd`` entry serves program misses and the tuner.
+- **What an entry holds (format 4).**  A ``FrontEnd`` entry holds the
+  lowered kernel, its dependences, the clustering and the master schedule
+  tree.  A ``CompileResult`` entry holds the program, kernel, tiled tree,
+  clustering, groups, storage plans, unit assignments, tile sizes and
+  hardware spec, but *not* the dependences (``CompileResult.deps``
+  recomputes them on first access), replayers or anything a solver
+  memoised.  Entries are pure: the bytes are a function of the key alone,
+  whatever the hash seed or whatever the process compiled before (no
+  ``set`` fields, dimension names interned where they are minted).
 - **Atomic writes, checksummed reads.**  Entries are written to a temp
   file and ``os.replace``-d into place, so a concurrent reader never
   sees a half-written pickle.  Each entry carries a magic header and a
@@ -93,7 +102,9 @@ __all__ = [
 #: changes; old entries then miss instead of unpickling stale shapes.
 #: v2: entries gained the magic + sha256 integrity header.
 #: v3: pickled polyhedral numbers are ints (``Fraction`` only when fractional).
-CACHE_FORMAT_VERSION = 3
+#: v4: ``CompileResult`` entries hold no dependences, entries are pure
+#: (bytes a function of the key), ``AkgOptions.verify_schedule`` is gone.
+CACHE_FORMAT_VERSION = 4
 
 #: Entry header: magic, then the sha256 of the pickled payload.
 _MAGIC = b"RAKG\x02"

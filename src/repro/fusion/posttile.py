@@ -24,6 +24,7 @@ that the storage manager and the code generator consume directly.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core import resilience
@@ -200,7 +201,7 @@ def apply_post_tiling_fusion(
     sizes = sizes[: band.n_rows]
 
     stmt_by_id = {s.stmt_id: s for s in kernel.statements}
-    tile_dims = [f"o{i}" for i in range(band.n_rows)]
+    tile_dims = [sys.intern(f"o{i}") for i in range(band.n_rows)]
 
     # Instance relations for live-out statements.
     instance_relations: Dict[str, BasicMap] = {}
@@ -390,7 +391,7 @@ def tile_single_group(
     sizes = list(sizes)[: band.n_rows]
     sizes += [1 << 30] * (band.n_rows - len(sizes))
     clamped, counts = _clamp_and_count(band, stmt_by_id, sizes)
-    tile_dims = [f"p{i}" for i in range(band.n_rows)]
+    tile_dims = [sys.intern(f"p{i}") for i in range(band.n_rows)]
     relations: Dict[str, BasicMap] = {}
     for stmt in stmts:
         rows = band.schedules[stmt.stmt_id]

@@ -11,6 +11,7 @@ naturally: ``A[h, w] * B[kh, kw] + bias``.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
@@ -124,7 +125,9 @@ class IterVar(Expr):
     ):
         if kind not in ("data", "reduce"):
             raise ValueError(f"bad IterVar kind {kind!r}")
-        self.name = name
+        # Interned: every compile of one graph then shares one string per
+        # name, so pickled entries do not depend on what ran before.
+        self.name = sys.intern(name)
         self.lower = lower
         self.extent = int(extent)
         self.kind = kind
@@ -280,5 +283,17 @@ def walk(expr: Expr) -> Iterable[Expr]:
 
 
 def collect_reads(expr: Expr) -> List[TensorRef]:
-    """All tensor reads in the tree, in traversal order."""
-    return [node for node in walk(expr) if isinstance(node, TensorRef)]
+    """All tensor reads in the tree, in :func:`walk`'s pre-order.
+
+    One explicit-stack loop (children pushed reversed), not a generator
+    per node: the disk-cache key walks every compute body through
+    ``ComputeOp.input_tensors``, so this runs on every warm hit.
+    """
+    reads: List[TensorRef] = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, TensorRef):
+            reads.append(node)
+        stack.extend(reversed(node.children()))
+    return reads

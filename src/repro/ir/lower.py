@@ -16,6 +16,7 @@ performs function inlining of single-use elementwise producers.
 from __future__ import annotations
 
 import itertools
+import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.expr import (
@@ -369,7 +370,7 @@ def lower(
             k = 0
             while candidate in used_names:
                 k += 1
-                candidate = f"{name}_{k}"
+                candidate = sys.intern(f"{name}_{k}")
             used_names.add(candidate)
             return candidate
 

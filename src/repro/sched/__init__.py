@@ -5,7 +5,7 @@
   extended with the AKG-specific semantics of Sec. 4.
 - :mod:`repro.sched.deps`       -- dependence analysis over access maps.
 - :mod:`repro.sched.scheduler`  -- Pluto-style ILP scheduler with a
-  Feautrier-style fallback, plus legality checking.
+  Feautrier-style fallback.
 - :mod:`repro.sched.clustering` -- affine clustering (fusion heuristics).
 """
 
@@ -21,7 +21,7 @@ from repro.sched.tree import (
     SetNode,
 )
 from repro.sched.deps import Dependence, compute_dependences
-from repro.sched.scheduler import PolyScheduler, check_legality
+from repro.sched.scheduler import PolyScheduler
 
 __all__ = [
     "ScheduleNode",
@@ -36,5 +36,4 @@ __all__ = [
     "Dependence",
     "compute_dependences",
     "PolyScheduler",
-    "check_legality",
 ]

@@ -16,6 +16,7 @@ legality checking, fusion clustering and the reverse tiling strategy.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.lower import LoweredKernel, PolyStatement, TensorAccess
@@ -229,8 +230,12 @@ def _dependence_relations(
     ``prune=False`` forces the exact path (used by the equivalence
     regression tests and available for debugging).
     """
-    rename = {d: f"{d}__dst" for d in dst.iter_names}
-    dst_space = Space(dst.stmt_id + "'", [rename[d] for d in dst.iter_names])
+    # Interned, as every dimension name is where it is minted (see
+    # ``IterVar``): equal names must be one object for pickles to be pure.
+    rename = {d: sys.intern(f"{d}__dst") for d in dst.iter_names}
+    dst_space = Space(
+        sys.intern(dst.stmt_id + "'"), [rename[d] for d in dst.iter_names]
+    )
 
     if prune:
         _PRUNE_STATS["pairs_checked"] += 1

@@ -117,13 +117,16 @@ class StoragePlan:
         self,
         allocations: Dict[str, BufferAllocation],
         moves: List[DataMove],
-        local_tensors: Set[str],
+        local_tensors: Tuple[str, ...],
         reduce_chunks: int = 1,
         peak_local_bytes: int = 0,
     ):
         self.allocations = allocations
         self.moves = moves
-        self.local_tensors = local_tensors  # never touch GM
+        # Sorted names of the tensors that never touch GM (a tuple, not a
+        # set: a set pickles in hash order, and entries must not depend
+        # on the hash seed).
+        self.local_tensors = local_tensors
         self.reduce_chunks = reduce_chunks
         self.peak_local_bytes = peak_local_bytes
 
@@ -160,7 +163,7 @@ class StoragePlan:
     def __repr__(self) -> str:
         return (
             f"StoragePlan({len(self.allocations)} allocs, "
-            f"{len(self.moves)} moves, local={sorted(self.local_tensors)})"
+            f"{len(self.moves)} moves, local={list(self.local_tensors)})"
         )
 
 
@@ -428,7 +431,9 @@ def plan_storage(
                     move.chunked = True
 
     peak_local = _peak_live_local_bytes(group, allocations, local)
-    return StoragePlan(allocations, moves, local, reduce_chunks, peak_local)
+    return StoragePlan(
+        allocations, moves, tuple(sorted(local)), reduce_chunks, peak_local
+    )
 
 
 def _peak_live_local_bytes(

@@ -38,6 +38,30 @@ def _matmul_kernel(m=12, k=10, n=8):
     return ops.matmul(a, b, name="out")
 
 
+#: A shape per op of the ``akgc``/``akgd`` demo-kernel catalog.
+CATALOG_SHAPES = {
+    "relu": [8, 32],
+    "add": [8, 32],
+    "softmax": [8, 32],
+    "matmul": [16, 16, 16],
+    "conv2d": [1, 4, 10, 10],
+}
+
+
+def catalog_graphs():
+    """``(label, outputs)`` of every demo-kernel catalog op, concrete and
+    symbolic-batch, then of every golden row (the Table 1 subgraphs too)."""
+    from repro.service.wire import DEMO_OPS, demo_kernel
+    from tests.core.test_golden_programs import GOLDEN
+
+    for op in DEMO_OPS:
+        shape = CATALOG_SHAPES[op]
+        for batch_max in (None, shape[0]):
+            yield f"{op}:{batch_max}", demo_kernel(op, shape, batch_max=batch_max)
+    for name in sorted(GOLDEN):
+        yield name, GOLDEN[name][0]()
+
+
 class TestDiskCacheStore:
     def test_round_trip(self, tmp_path):
         cache = diskcache.DiskCache(str(tmp_path / "c"))
@@ -233,6 +257,17 @@ class TestFingerprints:
         with pytest.raises(diskcache.FingerprintError):
             diskcache._stable_value(object())
 
+    def test_fingerprint_strings_are_pinned(self):
+        """The key walk's text, byte for byte, over the catalog: a change
+        to how the walk orders or renders a graph moves every key."""
+        h = hashlib.sha256()
+        for label, graph in catalog_graphs():
+            text, symbolic = diskcache.graph_fingerprint(graph)
+            h.update(f"{label}={text}:{symbolic}\n".encode())
+        assert h.hexdigest() == (
+            "5ac7cd4cd64171aa300c70f75dc84ff8e20d8c30af48675a08e4c62931051860"
+        )
+
     def test_options_fingerprint_distinguishes_tile_sizes(self):
         a = diskcache.options_fingerprint(AkgOptions(tile_sizes=[8, 8]))
         b = diskcache.options_fingerprint(AkgOptions(tile_sizes=[8, 16]))
@@ -278,11 +313,11 @@ class TestCompilationReuse:
         np.testing.assert_allclose(got_warm, a @ b, rtol=1e-2, atol=1e-2)
 
     def test_older_format_entries_are_never_probed(self, monkeypatch):
-        """An entry written under format 2's digest is not reinterpreted
-        by format 3 code: the version salts the key, so it simply misses."""
-        assert diskcache.CACHE_FORMAT_VERSION == 3
+        """An entry written under format 3's digest is not reinterpreted
+        by format 4 code: the version salts the key, so it simply misses."""
+        assert diskcache.CACHE_FORMAT_VERSION == 4
         with monkeypatch.context() as patch:
-            patch.setattr(diskcache, "CACHE_FORMAT_VERSION", 2)
+            patch.setattr(diskcache, "CACHE_FORMAT_VERSION", 3)
             old = run_frontend(_matmul_kernel(), "fmt")
         diskcache.reset_disk_cache_stats()
         new = run_frontend(_matmul_kernel(), "fmt")
@@ -291,6 +326,40 @@ class TestCompilationReuse:
         assert stats["hits"] == 0 and stats["misses"] >= 1 and stats["stores"] >= 1
         # The old entry is still there, under a key nothing asks for.
         assert isinstance(diskcache.load(old.cache_key), FrontEnd)
+
+    def test_older_format_results_are_never_probed(self, monkeypatch):
+        """A format 3 ``CompileResult`` entry (it pickled ``deps``) sits
+        under a key format 4 never derives: the build is a clean miss --
+        no error, no recovery event -- and the old entry stays unread."""
+        from repro.core.compiler import CompileResult
+
+        def v3_state(result):
+            state = dict(result.__dict__)
+            state.pop("_replayers", None)
+            return state
+
+        with monkeypatch.context() as patch:
+            patch.setattr(diskcache, "CACHE_FORMAT_VERSION", 3)
+            patch.setattr(CompileResult, "__getstate__", v3_state)
+            old = build(_matmul_kernel(), "fmt_result")
+            old_keys = _parent_keys(
+                _matmul_kernel(), "fmt_result", HardwareSpec(), AkgOptions()
+            )
+        old_entry = diskcache.get_cache()._path(old_keys[1])
+        with open(old_entry, "rb") as fh:
+            old_bytes = fh.read()
+        diskcache.reset_disk_cache_stats()
+        new = build(_matmul_kernel(), "fmt_result")
+        stats = diskcache.disk_cache_stats()
+        assert (stats["hits"], stats["misses"], stats["stores"]) == (0, 2, 2)
+        assert stats["errors"] == 0 and stats["corruptions"] == 0
+        assert not new.resilience.events
+        assert _dump_sha(new) == _dump_sha(old)
+        assert _parent_keys(
+            _matmul_kernel(), "fmt_result", HardwareSpec(), AkgOptions()
+        )[1] != old_keys[1]
+        with open(old_entry, "rb") as fh:
+            assert fh.read() == old_bytes
 
     def test_frontend_pickle_round_trip_directly(self):
         fe = run_frontend(_matmul_kernel(), "pickle")
@@ -358,10 +427,6 @@ class TestMemosStayOutOfPickles:
             return pickle.dumps(frontend), pickle.dumps(result)
 
         with diskcache.disabled():
-            # The first compile of a graph in a process shares a few name
-            # strings the later ones do not (not the tables' doing: it is
-            # so with them cleared); compare from the second on.
-            blobs()
             clear_solver_caches()
             cold = blobs()
             warm = blobs()

@@ -13,7 +13,8 @@ split variant is measured too).
 ``EMITTED`` pins what every reader of the instruction stream makes of
 the same programs -- the CCE text, both instruction counts, the whole
 ``SimReport`` and the race checker's verdict -- and ``CALLS`` what the
-simulator, the dump and the CCE emitter cost in Python-level calls.
+simulator, the dump and the CCE emitter cost in Python-level calls
+(``BUILD_CALLS`` and ``WARM_CALLS``: a cold and a disk-hit ``build()``).
 ``BASELINES`` pins the TVM, expert-CCE and naive-CCE programs (Fig. 9/12)
 built through the same instruction classes.
 
@@ -154,10 +155,21 @@ CALLS = {
 # the benchmark's compile_sched workload, softmax_32x64 and subgraph2 of
 # its compile_tile workload.
 BUILD_CALLS = {
-    "conv2d_16x32": 28637,
-    "softmax_32x64": 15911,
-    "subgraph2": 87601,
-    "subgraph5": 63659,
+    "conv2d_16x32": 27677,
+    "softmax_32x64": 15765,
+    "subgraph2": 86395,
+    "subgraph5": 62264,
+}
+
+# name -> Python-level calls of a warm build(), one disk-cache hit: the
+# graph walk behind the key, one read and one unpickle (the rows of the
+# benchmark's cache_warm workload).
+WARM_CALLS = {
+    "conv2d_16x32": 389,
+    "matmul_256": 197,
+    "softmax_32x64": 310,
+    "subgraph2": 1816,
+    "subgraph5": 1031,
 }
 
 # (baseline, golden row) -> (dump sha256[:16], cycles)
@@ -220,6 +232,17 @@ def test_cold_build_calls_are_pinned(name, python_calls):
     graph = GOLDEN[name][0]()
     calls = python_calls(lambda: build(graph, name))
     assert calls <= BUILD_CALLS[name], calls
+
+
+@pytest.mark.parametrize("name", sorted(WARM_CALLS))
+def test_warm_build_calls_are_pinned(name, python_calls):
+    clear_solver_caches()
+    build(GOLDEN[name][0](), name)
+    graph = GOLDEN[name][0]()
+    diskcache.reset_disk_cache_stats()
+    calls = python_calls(lambda: build(graph, name))
+    assert diskcache.disk_cache_stats()["hits"] == 1
+    assert calls <= WARM_CALLS[name], calls
 
 
 @pytest.mark.parametrize("baseline, name", sorted(BASELINES))

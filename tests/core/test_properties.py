@@ -2,8 +2,8 @@
 
 Hypothesis builds random element-wise DAGs (with optional stencil and
 reduction nodes); for every sample the full AKG pipeline must (a) produce
-a schedule the independent legality checker accepts and (b) compute the
-same function as the reference executor.
+a result the verifier's independent dependence check accepts and (b)
+compute the same function as the reference executor.
 """
 
 import numpy as np
@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compiler import AkgOptions, build
-from repro.ir import lower, ops
+from repro.ir import ops
 from repro.ir.tensor import compute, placeholder, reduce_axis, te_sum
 from repro.runtime.reference import evaluate_tensors
-from repro.sched.deps import compute_dependences
-from repro.sched.scheduler import PolyScheduler, check_legality
+from repro.verify import check_dependences
 
 UNARY = ["relu", "abs", "sigmoid", "tanh"]
 BINARY = ["add", "mul", "sub", "max"]
@@ -68,10 +67,7 @@ def test_random_elementwise_dag_matches_reference(sample):
 @given(sample=random_dag())
 def test_random_dag_schedules_are_legal(sample):
     out, _, _ = sample
-    kernel = lower(out)
-    deps = compute_dependences(kernel)
-    tree = PolyScheduler().schedule_kernel(kernel, deps)
-    assert not check_legality(tree, deps)
+    check_dependences(build(out, "prop"))
 
 
 @settings(max_examples=8, deadline=None)

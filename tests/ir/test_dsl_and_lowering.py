@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.ir import lower
-from repro.ir.expr import IterVar
+from repro.ir import lower, ops
+from repro.ir.expr import IterVar, TensorRef, collect_reads, walk
 from repro.ir.tensor import compute, placeholder, reduce_axis, te_sum
 from repro.runtime.reference import evaluate_kernel, evaluate_tensors
+from tests.core.test_diskcache import catalog_graphs
 
 
 def rand(shape, seed=0, dtype=np.float32):
@@ -53,6 +54,28 @@ class TestDsl:
         c = compute((4,), lambda i: b[i] * 2, name="C")
         names = [t.name for t in c.ancestors()]
         assert names == ["A", "B", "C"]
+
+    def test_collect_reads_is_the_walk_preorder(self):
+        """The explicit-stack loop reads in :func:`walk`'s order on every
+        compute body of the catalog, plus a cast and a gather (a read
+        nested in another read's indices)."""
+        x = placeholder((4, 6), "fp16", name="X")
+        table = placeholder((10, 6), name="T")
+        idx = placeholder((4,), "int32", name="I")
+        graphs = [out for _label, out in catalog_graphs()] + [
+            ops.cast(x, "fp32"),
+            ops.embedding_lookup(table, idx),
+            ops.gelu(x),
+        ]
+        bodies = 0
+        for out in graphs:
+            outs = out if isinstance(out, list) else [out]
+            for t in [a for o in outs for a in o.ancestors() if a.op is not None]:
+                expected = [n for n in walk(t.op.body) if isinstance(n, TensorRef)]
+                got = collect_reads(t.op.body)
+                assert [id(r) for r in got] == [id(r) for r in expected], t.name
+                bodies += 1
+        assert bodies > 40
 
     def test_diamond_dag_ancestors_unique(self):
         a = placeholder((4,), name="A")

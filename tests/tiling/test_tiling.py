@@ -1,5 +1,7 @@
 """Tests for band tiling, the reverse strategy and post-tiling fusion."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.poly.affine import AffineExpr, Constraint, var
 from repro.runtime.reference import evaluate_tensors
 from repro.sched.clustering import conservative_clustering
 from repro.sched.deps import compute_dependences
-from repro.sched.scheduler import PolyScheduler, check_legality
+from repro.sched.scheduler import PolyScheduler
 from repro.sched.tree import BandNode, ExtensionNode
 from repro.fusion.posttile import apply_post_tiling_fusion
 from repro.tiling.reverse import (
@@ -19,6 +21,7 @@ from repro.tiling.reverse import (
     tile_footprint,
 )
 from repro.tiling.tile import tile_band
+from repro.verify import check_dependences
 
 
 def _gather(idx, i):
@@ -93,15 +96,10 @@ class TestTileBand:
         a = placeholder((32, 32), name="A")
         b = ops.scalar_add(a, 1.0, name="B")
         c = ops.relu(b, name="C")
-        kernel, deps, clustering, tree = scheduled(c)
-        # Tile the single fused band in place.
-        filters = tree.child.children if tree.child.children else [tree.child]
-        band = tree.find_all(BandNode)[0]
-        from repro.sched.tree import find_parent, replace_child
-
-        parent = find_parent(tree, band)
-        replace_child(parent, band, tile_band(band, [8, 8]))
-        assert not check_legality(tree, deps)
+        result = build(c, "tiled", options=AkgOptions(tile_sizes=[8, 8]))
+        assert result.tile_sizes == [8, 8]
+        assert result.groups[0].tile_counts == [4, 4]
+        check_dependences(result)
 
     def test_non_permutable_band_rejected(self):
         band = BandNode(
@@ -232,8 +230,11 @@ class TestPostTilingFusion:
         out = running_example(H=12, W=12)
         kernel, deps, clustering, tree = scheduled(out)
         result = apply_post_tiling_fusion(tree, kernel, deps, clustering, [4, 4])
-        violations = check_legality(result.tree, deps)
-        assert not violations
+        assert result.groups[0].fused_producer_ids == ["S0"]
+        # The verifier reads a result's kernel and tiled groups only; at
+        # these sizes build() measures the split variant faster and keeps
+        # that, so the fused groups are handed over directly.
+        check_dependences(SimpleNamespace(kernel=kernel, groups=result.groups))
 
     def test_producer_instances_cover_consumer_needs(self):
         """Union over tiles of extended producer instances covers the
