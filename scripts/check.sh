@@ -76,10 +76,21 @@ grep -q "schedule-tree AST" "$TMP/cce.txt" \
 echo
 echo "== network degradation roll-up (mid-network subgraph fault) =="
 REPRO_FAULT_SPEC="tiling.auto_search:error" REPRO_CACHE_DIR="$TMP/net-cache" \
-    python -m repro.tools.akgc --network alexnet_tiny --resilience-stats \
+    python -m repro.tools.akgc --network alexnet_tiny --resilience-stats --perf \
     | tee "$TMP/network_fault.txt"
 grep -q "degraded      : yes" "$TMP/network_fault.txt" \
     || { echo "FAIL: mid-network fault did not mark the plan degraded"; exit 1; }
+# t_c3 / t_c4 share a signature: one compile-level reuse, counted.
+grep -q "^graph.dedup_reuse: 1$" "$TMP/network_fault.txt" \
+    || { echo "FAIL: akgc --perf did not report the graph.dedup_reuse counter"; exit 1; }
+
+echo
+echo "== solver counters of a cold conv2d (akgc --perf --cache-stats) =="
+python -m repro.tools.akgc conv2d --shape 1,16,32,32 --perf --cache-stats \
+    --cache-dir "$TMP/conv-cache" | tee "$TMP/conv_perf.txt"
+grep -q "solver cache \[ilp\]: 71 hits / 52 misses (57.7% hit rate, 52 entries), 27 pivots over 270 tableau rows" \
+    "$TMP/conv_perf.txt" \
+    || { echo "FAIL: the ilp solver-cache line of a cold conv2d moved"; exit 1; }
 
 echo
 echo "== typed CLI exit codes under injection =="

@@ -48,6 +48,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.context import COUNTERS, LOCK, credit
 from repro.core.errors import ExecutionFallbackError
 from repro.fusion.posttile import TiledGroup
 from repro.hw.isa import Program
@@ -231,17 +232,15 @@ def _prepare_replays(group: TiledGroup, engine: str) -> List[_StmtReplay]:
         if engine != "scalar":
             membership = _Membership(wrapped, group.tile_dims, stmt.iter_names)
             if membership.exact:
-                start = time.perf_counter()
                 try:
                     plan = vectorized.plan_for(stmt)
                 except ExecutionFallbackError as exc:
                     vectorized.note_scalar_fallback(
-                        getattr(exc, "reason", None) or str(exc),
-                        time.perf_counter() - start,
+                        getattr(exc, "reason", None) or str(exc)
                     )
             else:
                 vectorized.note_scalar_fallback(
-                    "non-integral membership constraints", 0.0
+                    "non-integral membership constraints"
                 )
         else:
             membership = None
@@ -480,8 +479,9 @@ class ProgramReplay:
                     rep.executed.fill(False)
 
         schedule = self._schedule_for(effective)
-        vectorized.note_replay()
-        vec_seconds = 0.0
+        with LOCK:
+            COUNTERS["exec.program_replays"] += 1
+        vec_seconds = fb_seconds = 0.0
         vec_stmts = set()
         for steps in schedule:
             for step in steps:
@@ -499,18 +499,17 @@ class ProgramReplay:
                         # nothing was written or recorded as executed yet.
                         fb_start = time.perf_counter()
                         _run_tile_scalar(rep, step.tile_env, step.box, buffers)
+                        fb_seconds += time.perf_counter() - fb_start
                         vectorized.note_scalar_fallback(
-                            getattr(exc, "reason", None) or str(exc),
-                            time.perf_counter() - fb_start,
+                            getattr(exc, "reason", None) or str(exc)
                         )
                         continue
                 _run_tile_scalar(rep, step.tile_env, step.box, buffers)
-        for _ in vec_stmts:
-            vectorized.note_vectorized(0.0)
-        if vec_seconds:
-            from repro.tools import perf
-
-            perf.add("exec.vectorized", vec_seconds)
+        # One stage entry each per replay; the counters count statements.
+        if vec_stmts:
+            vectorized.note_vectorized(vec_seconds, len(vec_stmts))
+        if fb_seconds:
+            credit("exec.scalar_fallback", fb_seconds)
         return {t.name: buffers[t.name] for t in self.kernel.outputs}
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from repro.codegen.program import CodegenOptions, ProgramBuilder
 from repro.codegen.program_exec import execute_program
 from repro.core import resilience
-from repro.core.context import stage
+from repro.core.context import COUNTERS, LOCK, stage
 from repro.core.errors import ReproError, StageTimeoutError, TilingError
 from repro.core.frontend import FrontEnd, _frontend_cache_key, run_frontend
 from repro.core.resilience import ResilienceReport, StageBudget
@@ -228,7 +228,9 @@ def build(
         with stage("backend.cache_probe"):
             cached = diskcache.load(key)
         if key is not None and symbolic:
-            diskcache.note_shapeclass_probe(isinstance(cached, CompileResult))
+            hit = isinstance(cached, CompileResult)
+            with LOCK:
+                COUNTERS["shapeclass.hits" if hit else "shapeclass.misses"] += 1
         if isinstance(cached, CompileResult):
             cached.resilience = report
             if options.verify and not getattr(cached, "verified_clean", False):

@@ -9,20 +9,30 @@ credits the stage's wall time to the process-wide totals that
 lives in :mod:`repro.core.resilience`, the fault-spec grammar in
 :mod:`repro.tools.faultinject`; both are readers of this module.
 
+Beside the seconds table sits the one table of event counts,
+:data:`COUNTERS`: every process-wide counter of the compiler is a label
+in it (``solver.ilp.hits``, ``diskcache.stores``, ``deps.pairs_pruned``,
+``exec.fallback.<reason>``, ``resilience.<event>``,
+``graph.dedup_reuse``).  A hot path bumps a label inline,
+``with LOCK: COUNTERS[label] += 1`` (no Python-level call);
+:func:`counters` snapshots and :func:`reset_counters` drops the labels
+under one prefix.  The ``*_stats()`` views are short readers of it.
+
 Threading contract, stated once: :data:`CTX` is thread-local — the
 compile service runs one request per worker thread, and request A's
 deadline, degradation report or fault spec must never be seen inside
 request B's solver loop.  A thread's first access finds no frames, no
 report and no faults, whatever its parent had open; nothing outlives
-the thread.  The *totals* (:data:`TOTALS` here, the degradation
-counters, the fault-directive hit counters) are process-wide and every
-update or snapshot of them holds the one :data:`LOCK`.  Worker
+the thread.  The *totals* (:data:`TOTALS` and :data:`COUNTERS` here,
+the fault-directive hit counters) are process-wide and every update or
+snapshot of them holds the one :data:`LOCK`.  Worker
 *processes* (the parallel tuner) each keep their own copies.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from time import monotonic
 from typing import Any, Dict, List, Optional
 
@@ -32,6 +42,9 @@ __all__ = [
     "CTX",
     "LOCK",
     "TOTALS",
+    "COUNTERS",
+    "counters",
+    "reset_counters",
     "stage",
     "credit",
     "active_stage",
@@ -62,6 +75,29 @@ LOCK = threading.Lock()
 
 #: Stage name -> ``[wall seconds, entries]``, cumulative.
 TOTALS: Dict[str, List[float]] = {}
+
+#: Counter label -> count, cumulative (a missing label reads 0).
+COUNTERS: Dict[str, int] = defaultdict(int)
+
+
+def counters(prefix: str = "") -> Dict[str, int]:
+    """Snapshot of the counters labelled ``prefix...``, keyed by the rest
+    of the label (``counters("deps.")["pairs_pruned"]``)."""
+    cut = len(prefix)
+    with LOCK:
+        return {
+            label[cut:]: count
+            for label, count in COUNTERS.items()
+            if label.startswith(prefix)
+        }
+
+
+def reset_counters(prefix: str = "") -> None:
+    """Drop every counter labelled ``prefix...`` (all of them by default)."""
+    with LOCK:
+        for label in list(COUNTERS):
+            if label.startswith(prefix):
+                del COUNTERS[label]
 
 
 def credit(name: str, seconds: float) -> None:

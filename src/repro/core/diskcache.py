@@ -49,8 +49,19 @@ Design points:
   isolate cache state per-test.  The default root is
   ``~/.cache/repro-akg``.
 - **Bounded size.**  ``put`` evicts oldest-mtime entries beyond
-  ``max_entries`` (default 4096); counters for hits/misses/stores/evicts
-  are surfaced through :func:`repro.tools.perf.report`.
+  ``max_entries`` (default 4096).
+- **Counters.**  Hits, misses, stores, evictions, errors and
+  corruptions are the ``diskcache.*`` labels of the process-wide counter
+  table (:mod:`repro.core.context`), read through
+  :func:`disk_cache_stats`.  Every ``DiskCache`` of the process counts
+  there; a rebind of the process's cache to another directory starts
+  them from zero.  A private cache that only stores (the benchmark's
+  write samples) adds stores, never hits or misses.
+- **Shape classes.**  Probes for *symbolic* kernels land in one bucket
+  per shape class (the fingerprint keys on the symbolic signature, not
+  the requested batch size); ``build`` and ``run_frontend`` count them as
+  ``shapeclass.hits`` / ``shapeclass.misses``, which ``akgc
+  --cache-stats`` and the ``akgd`` ``stats`` verb show.
 
 Correctness rests on the pipeline being a deterministic pure function of
 (IR, options, hw, version): a hit returns a pickle of exactly what the
@@ -72,6 +83,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import repro
 from repro.core import resilience
+from repro.core.context import COUNTERS, LOCK, counters, reset_counters
 from repro.core.errors import CacheCorruptionError
 
 __all__ = [
@@ -93,9 +105,6 @@ __all__ = [
     "disabled",
     "disk_cache_stats",
     "reset_disk_cache_stats",
-    "note_shapeclass_probe",
-    "shapeclass_stats",
-    "reset_shapeclass_stats",
 ]
 
 #: Bump whenever the pickled payload layout or the fingerprint scheme
@@ -110,7 +119,8 @@ CACHE_FORMAT_VERSION = 4
 _MAGIC = b"RAKG\x02"
 _HEADER_LEN = len(_MAGIC) + hashlib.sha256().digest_size
 
-#: The per-cache event counters, in the order ``stats()`` reports them.
+#: The ``diskcache.*`` counters, in the order :func:`disk_cache_stats`
+#: reports them.
 _COUNTERS = ("hits", "misses", "stores", "evictions", "errors", "corruptions")
 
 
@@ -129,20 +139,14 @@ class DiskCache:
     concurrent readers/writers in other processes *and* threads: writes
     land in a unique temp file and ``os.replace`` into place (two racing
     writers of the same key cannot interleave bytes — one whole entry
-    wins the rename), reads treat any error as a miss, and the counters
-    are guarded by a lock so concurrent service workers never drop
+    wins the rename), reads treat any error as a miss, and every counter
+    bump holds ``context.LOCK``, so concurrent service workers never drop
     increments.
     """
 
     def __init__(self, root: str, max_entries: int = 4096):
         self.root = os.path.abspath(root)
         self.max_entries = max_entries
-        self._stats_lock = threading.Lock()
-        self.reset_stats()
-
-    def _bump(self, counter: str, by: int = 1) -> None:
-        with self._stats_lock:
-            setattr(self, counter, getattr(self, counter) + by)
 
     # -- paths ---------------------------------------------------------------
 
@@ -190,25 +194,28 @@ class DiskCache:
                 blob = fh.read()
             value = self._decode(blob)
         except FileNotFoundError:
-            self._bump("misses")
+            with LOCK:
+                COUNTERS["diskcache.misses"] += 1
             return None
         except Exception as exc:
-            self._bump("errors")
-            if isinstance(exc, CacheCorruptionError):
-                self._bump("corruptions")
+            with LOCK:
+                COUNTERS["diskcache.errors"] += 1
+                if isinstance(exc, CacheCorruptionError):
+                    COUNTERS["diskcache.corruptions"] += 1
+                COUNTERS["diskcache.misses"] += 1
             resilience.note_event(
                 "diskcache",
                 "recovered",
                 error=type(exc).__name__,
                 detail=f"entry {key[:12]} dropped: {exc}",
             )
-            self._bump("misses")
             try:
                 os.remove(path)
             except OSError:
                 pass
             return None
-        self._bump("hits")
+        with LOCK:
+            COUNTERS["diskcache.hits"] += 1
         return value
 
     @staticmethod
@@ -233,7 +240,8 @@ class DiskCache:
             pickled = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
             payload = _MAGIC + hashlib.sha256(pickled).digest() + pickled
         except Exception:
-            self._bump("errors")
+            with LOCK:
+                COUNTERS["diskcache.errors"] += 1
             return False
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -251,9 +259,11 @@ class DiskCache:
                     pass
                 raise
         except Exception:
-            self._bump("errors")
+            with LOCK:
+                COUNTERS["diskcache.errors"] += 1
             return False
-        self._bump("stores")
+        with LOCK:
+            COUNTERS["diskcache.stores"] += 1
         self._evict()
         return True
 
@@ -273,7 +283,8 @@ class DiskCache:
         for _, path in dated[:excess]:
             try:
                 os.remove(path)
-                self._bump("evictions")
+                with LOCK:
+                    COUNTERS["diskcache.evictions"] += 1
             except OSError:
                 pass
 
@@ -288,26 +299,8 @@ class DiskCache:
     def __len__(self) -> int:
         return len(self._entries())
 
-    def stats(self) -> Dict[str, float]:
-        entries = len(self._entries())
-        with self._stats_lock:
-            stats = {name: getattr(self, name) for name in _COUNTERS}
-        total = stats["hits"] + stats["misses"]
-        stats["entries"] = entries
-        stats["hit_rate"] = (stats["hits"] / total) if total else 0.0
-        return stats
-
-    def reset_stats(self) -> None:
-        with self._stats_lock:
-            for name in _COUNTERS:
-                setattr(self, name, 0)
-
     def __repr__(self) -> str:
-        s = self.stats()
-        return (
-            f"DiskCache({self.root!r}, hits={s['hits']}, "
-            f"misses={s['misses']}, entries={s['entries']})"
-        )
+        return f"DiskCache({self.root!r})"
 
 
 def _mangle_entry(path: str, mode: str) -> None:
@@ -362,11 +355,12 @@ _cache_lock = threading.Lock()
 def get_cache() -> DiskCache:
     """The process-wide cache bound to the configured directory.
 
-    Re-binds (keeping zeroed counters) when ``REPRO_CACHE_DIR`` changed
-    since the last call, so per-test tmpdir isolation works without any
-    explicit reset hook.  The rebind check runs under a lock so service
-    worker threads racing through a directory change all see one cache
-    object rather than each constructing their own.
+    Re-binds (zeroing the ``diskcache.*`` counters) when
+    ``REPRO_CACHE_DIR`` changed since the last call, so per-test tmpdir
+    isolation works without any explicit reset hook.  The rebind check
+    runs under a lock so service worker threads racing through a
+    directory change all see one cache object rather than each
+    constructing their own.
     """
     global _cache, _cache_root
     root = _configured_root()
@@ -374,6 +368,7 @@ def get_cache() -> DiskCache:
         if _cache is None or _cache_root != root:
             _cache = DiskCache(root)
             _cache_root = root
+            reset_counters("diskcache.")
         return _cache
 
 
@@ -405,47 +400,19 @@ def disk_cache_stats() -> Dict[str, float]:
     """Counters of the active cache (all-zero when disabled)."""
     if not enabled():
         return dict(dict.fromkeys(_COUNTERS, 0), entries=0, hit_rate=0.0, enabled=False)
-    stats = get_cache().stats()
+    entries = len(get_cache())  # first: a rebind zeroes the counters
+    snap = counters("diskcache.")
+    stats: Dict[str, float] = {name: snap.get(name, 0) for name in _COUNTERS}
+    total = stats["hits"] + stats["misses"]
+    stats["entries"] = entries
+    stats["hit_rate"] = (stats["hits"] / total) if total else 0.0
     stats["enabled"] = True
     return stats
 
 
 def reset_disk_cache_stats() -> None:
-    """Zero the counters of the active cache (entries stay)."""
-    if _cache is not None:
-        _cache.reset_stats()
-
-
-# -- shape-class counters ------------------------------------------------------
-#
-# Probes of the frontend/program caches for *symbolic* kernels land in
-# exactly one disk-cache bucket per shape class (the fingerprint keys on
-# the symbolic signature, not the requested batch size).  These counters
-# make the bucketing observable in production — surfaced by
-# ``akgc --cache-stats`` and the ``akgd`` ``stats`` verb — independent of
-# the plain hit/miss counters that also count concrete kernels.
-
-_shapeclass_lock = threading.Lock()
-_shapeclass_stats = {"hits": 0, "misses": 0}
-
-
-def note_shapeclass_probe(hit: bool) -> None:
-    """Record one cache probe for a shape-generic (symbolic) kernel."""
-    with _shapeclass_lock:
-        _shapeclass_stats["hits" if hit else "misses"] += 1
-
-
-def shapeclass_stats() -> Dict[str, int]:
-    """Hit/miss counters of shape-class cache probes (process-global)."""
-    with _shapeclass_lock:
-        return dict(_shapeclass_stats)
-
-
-def reset_shapeclass_stats() -> None:
-    """Zero the shape-class probe counters."""
-    with _shapeclass_lock:
-        _shapeclass_stats["hits"] = 0
-        _shapeclass_stats["misses"] = 0
+    """Zero the disk-cache counters (entries stay)."""
+    reset_counters("diskcache.")
 
 
 # -- cached load/store helpers -------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core import resilience
-from repro.core.context import stage
+from repro.core.context import COUNTERS, LOCK, stage
 from repro.core.resilience import StageBudget
 from repro.hw.spec import HardwareSpec
 from repro.ir.lower import LoweredKernel, PolyStatement, lower
@@ -164,7 +164,9 @@ def run_frontend(
     with stage("frontend.cache_probe"):
         cached = diskcache.load(key)
     if key is not None and symbolic:
-        diskcache.note_shapeclass_probe(isinstance(cached, FrontEnd))
+        hit = isinstance(cached, FrontEnd)
+        with LOCK:
+            COUNTERS["shapeclass.hits" if hit else "shapeclass.misses"] += 1
     if isinstance(cached, FrontEnd):
         cached.cache_key = key
         return cached

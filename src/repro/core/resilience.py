@@ -15,8 +15,9 @@ process.  ``solver_nodes`` caps branch-and-bound nodes per solve and
 
 **Resilience reports** (:class:`ResilienceReport`).  Every degradation
 step is recorded as a plain-dict event on the thread's open report
-(:class:`collect`) and mirrored into process-wide counters surfaced by
-``perf.report()`` and ``akgc --resilience-stats``.
+(:class:`collect`) and counted in the process-wide table as
+``resilience.<stage>.<kind>[:<fallback>]``
+(``context.counters("resilience.")``, ``perf.report()["resilience"]``).
 
 **The ladder** (:func:`with_fallback`).  Runs a primary strategy and, on
 a *typed* error only, steps down through progressively simpler
@@ -30,6 +31,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.context import (
+    COUNTERS,
     CTX,
     LOCK,
     active_stage,
@@ -53,8 +55,6 @@ __all__ = [
     "collect",
     "note_event",
     "with_fallback",
-    "resilience_stats",
-    "reset_resilience_stats",
 ]
 
 
@@ -109,11 +109,7 @@ def fm_constraint_budget(default: int) -> int:
     return default
 
 
-# -- reports & counters -----------------------------------------------------------
-
-# Process-wide degradation counters across all compilations; updated and
-# snapshotted under ``context.LOCK`` like the stage totals.
-_TOTALS: Dict[str, int] = {}
+# -- reports -----------------------------------------------------------------------
 
 
 class ResilienceReport:
@@ -209,23 +205,14 @@ def note_event(
     report only if an identical event is not already present (for
     per-tile events that would otherwise flood the report).
     """
-    key = f"{stage}.{kind}" if fallback is None else f"{stage}.{kind}:{fallback}"
+    label = f"resilience.{stage}.{kind}"
+    if fallback is not None:
+        label += ":" + fallback
     with LOCK:
-        _TOTALS[key] = _TOTALS.get(key, 0) + 1
+        COUNTERS[label] += 1
     report = CTX.report
     if report is not None:
         report.add(stage, kind, fallback, error, detail, dedupe)
-
-
-def resilience_stats() -> Dict[str, int]:
-    """Process-global degradation counters (for ``perf.report()``)."""
-    with LOCK:
-        return dict(_TOTALS)
-
-
-def reset_resilience_stats() -> None:
-    with LOCK:
-        _TOTALS.clear()
 
 
 # -- the ladder -------------------------------------------------------------------

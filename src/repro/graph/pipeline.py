@@ -25,14 +25,13 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.autotune.tuner import DEFAULT_TUNE_PARAMS
-from repro.core.context import stage
+from repro.core.context import COUNTERS, LOCK, stage
 from repro.core.errors import NetworkPlanError
 from repro.core.resilience import ResilienceReport
 from repro.graph.fusion import SubgraphSpec, extract_subgraph, fuse_graph
 from repro.graph.networks import NetworkModel
 from repro.graph.plan import NetworkPlan, PlanStep, TensorInfo
 from repro.ir.tensor import Tensor
-from repro.tools import perf
 
 __all__ = ["compile_network", "CompiledNetwork"]
 
@@ -108,9 +107,8 @@ def compile_network(
         digests.append(digest)
         if digest in unique:
             dedup_reuses += 1
-            # Zero-duration perf marker: the calls counter in
-            # perf.report() counts compile-level signature reuses.
-            perf.add("graph.dedup_reuse", 0.0)
+            with LOCK:
+                COUNTERS["graph.dedup_reuse"] += 1
         else:
             unique[digest] = spec
             order.append(digest)

@@ -25,11 +25,7 @@ from repro.poly.affine import AffineExpr, aff, var
 from repro.poly.sets import BasicSet, Space
 from repro.poly.maps import BasicMap
 from repro.poly.ilp import IlpProblem, IlpStatus
-from repro.poly.cache import (
-    clear_solver_caches,
-    reset_solver_cache_stats,
-    solver_cache_stats,
-)
+from repro.poly.cache import clear_solver_caches, solver_cache_stats
 
 __all__ = [
     "AffineExpr",
@@ -42,5 +38,4 @@ __all__ = [
     "IlpStatus",
     "solver_cache_stats",
     "clear_solver_caches",
-    "reset_solver_cache_stats",
 ]

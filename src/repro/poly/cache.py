@@ -79,17 +79,19 @@ tuples; every answer is handed out as a new list.
 Caches are process-global.  Worker processes of the parallel auto-tuner
 each grow their own copy (the cache is warm within a worker, cold across
 them) -- no cross-process synchronisation is needed or attempted.  Worker
-*threads* of the compile service share one copy, so each cache guards
-its table and counters with a lock; the stored tuples are immutable,
-which makes sharing the values themselves safe.
+*threads* of the compile service share one copy, so every table and its
+counters -- ``solver.<table>.hits`` / ``.misses`` and the ilp table's
+``solver.ilp.pivots`` / ``.rows`` in the process-wide counter table of
+:mod:`repro.core.context` -- are guarded by ``context.LOCK``; the stored
+tuples are immutable, which makes sharing the values themselves safe.
 """
 
 from __future__ import annotations
 
-import threading
 from itertools import chain
 from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
 
+from repro.core.context import COUNTERS, LOCK, reset_counters
 from repro.poly.affine import AffineExpr, Constraint
 
 __all__ = [
@@ -103,7 +105,6 @@ __all__ = [
     "FOOTPRINT_CACHE",
     "solver_cache_stats",
     "clear_solver_caches",
-    "reset_solver_cache_stats",
     "set_solver_cache_enabled",
 ]
 
@@ -178,93 +179,55 @@ def split_rows(rows: Hashable) -> List[Tuple[Tuple[int, ...], Tuple]]:
 
 
 class SolveCache:
-    """A bounded FIFO memo table with hit/miss counters.
+    """A bounded FIFO memo table, counted as ``solver.<name>.hits`` /
+    ``solver.<name>.misses``.
 
     Polyhedral problems in this code base are small but numerous; the
     bound exists only to keep pathological workloads from growing the
     table without limit (eviction is oldest-first, which is close enough
     to LRU for the highly repetitive solve streams seen here).
 
-    ``work`` names further counters the solver behind the table keeps
-    (:meth:`count`): what its misses cost, reported and reset with them.
+    ``work`` names further counters the solver behind the table bumps
+    (``solver.<name>.<work>``): what its misses cost, reported and reset
+    with them.
     """
 
     __slots__ = (
-        "name", "maxsize", "enabled", "hits", "misses", "work", "_data", "_lock"
+        "name", "maxsize", "enabled", "work", "hit_label", "miss_label", "_data"
     )
 
     def __init__(self, name: str, maxsize: int = 200_000, work: Sequence[str] = ()):
         self.name = name
         self.maxsize = maxsize
         self.enabled = True
-        self.hits = 0
-        self.misses = 0
-        self.work: Dict[str, int] = dict.fromkeys(work, 0)
+        self.work = tuple(work)
+        self.hit_label = f"solver.{name}.hits"  # built once, not per lookup
+        self.miss_label = f"solver.{name}.misses"
         self._data: Dict[Hashable, Any] = {}
-        self._lock = threading.Lock()
 
     def lookup(self, key: Hashable) -> Any:
         """Return the cached value or :data:`MISS` (and count the outcome)."""
         if not self.enabled:
             return MISS
-        with self._lock:
+        with LOCK:
             value = self._data.get(key, MISS)
             if value is MISS:
-                self.misses += 1
+                COUNTERS[self.miss_label] += 1
             else:
-                self.hits += 1
+                COUNTERS[self.hit_label] += 1
             return value
 
     def store(self, key: Hashable, value: Any) -> None:
         """Insert one entry, evicting the oldest when full."""
         if not self.enabled:
             return
-        with self._lock:
+        with LOCK:
             if len(self._data) >= self.maxsize:
                 self._data.pop(next(iter(self._data)))
             self._data[key] = value
 
-    def count(self, counter: str, amount: int = 1) -> None:
-        """Add ``amount`` to one of the ``work`` counters."""
-        with self._lock:
-            self.work[counter] += amount
-
-    def clear(self) -> None:
-        """Drop all entries and reset the counters."""
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
-            self.work = dict.fromkeys(self.work, 0)
-
-    def reset_stats(self) -> None:
-        """Zero the counters while keeping the memoized entries."""
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-            self.work = dict.fromkeys(self.work, 0)
-
-    def stats(self) -> Dict[str, float]:
-        """Counters plus derived hit rate (0.0 when never queried)."""
-        with self._lock:
-            total = self.hits + self.misses
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "entries": len(self._data),
-                "hit_rate": (self.hits / total) if total else 0.0,
-                **self.work,
-            }
-
     def __len__(self) -> int:
         return len(self._data)
-
-    def __repr__(self) -> str:
-        s = self.stats()
-        return (
-            f"SolveCache({self.name}, hits={s['hits']}, misses={s['misses']}, "
-            f"entries={s['entries']})"
-        )
 
 
 #: Memo table for :meth:`repro.poly.ilp.IlpProblem.minimize`; beside it, the
@@ -284,27 +247,33 @@ _ALL = (ILP_CACHE, FM_CACHE, EXTENT_CACHE, FOOTPRINT_CACHE)
 
 
 def solver_cache_stats() -> Dict[str, Dict[str, float]]:
-    """Hit/miss/entry counts for every solver cache, keyed by name."""
-    return {c.name: c.stats() for c in _ALL}
+    """Hit/miss/entry counts (plus hit rate and ``work``) for every solver
+    cache, keyed by name.  ``reset_counters("solver.")`` zeroes the counts
+    and keeps the memoized entries."""
+    out: Dict[str, Dict[str, float]] = {}
+    with LOCK:
+        for c in _ALL:
+            hits = COUNTERS.get(c.hit_label, 0)
+            misses = COUNTERS.get(c.miss_label, 0)
+            total = hits + misses
+            row: Dict[str, float] = {
+                "hits": hits,
+                "misses": misses,
+                "entries": len(c._data),
+                "hit_rate": (hits / total) if total else 0.0,
+            }
+            for work in c.work:
+                row[work] = COUNTERS.get(f"solver.{c.name}.{work}", 0)
+            out[c.name] = row
+    return out
 
 
 def clear_solver_caches() -> None:
     """Empty every solver cache and reset its counters."""
-    for c in _ALL:
-        c.clear()
-
-
-def reset_solver_cache_stats() -> None:
-    """Zero hit/miss counters without dropping the memoized entries.
-
-    ``solver_cache_stats`` otherwise accumulates across builds, so any
-    per-build hit rate (``akgc --perf``) would blend the
-    current kernel's behaviour with everything compiled before it.  Call
-    this at the start of the region of interest; the warm entries stay,
-    which is the realistic steady-state being measured.
-    """
-    for c in _ALL:
-        c.reset_stats()
+    with LOCK:
+        for c in _ALL:
+            c._data.clear()
+    reset_counters("solver.")
 
 
 def set_solver_cache_enabled(enabled: bool) -> None:

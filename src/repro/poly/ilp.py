@@ -52,6 +52,7 @@ from math import gcd, lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import resilience
+from repro.core.context import COUNTERS, LOCK
 from repro.core.errors import SolverBudgetError
 from repro.poly.affine import AffineExpr, Constraint, Number, canonical, ratio
 from repro.poly.cache import ILP_CACHE, MISS, RankSpace
@@ -494,7 +495,8 @@ def _simplex_solve(
             artificial += 1
         tableau.append(row)
         basis.append(basic)
-    ILP_CACHE.count("rows", len(tableau))
+    with LOCK:
+        COUNTERS["solver.ilp.rows"] += len(tableau)
 
     if n_art:  # Phase 1: minimise the sum of artificial variables.
         cost1 = [0] * n_struct + [1] * n_art
@@ -605,7 +607,8 @@ def _simplex_iterate(
 
 def _pivot(tableau: List[List[int]], basis: List[int], row: int, col: int) -> None:
     """Make ``col`` basic in ``row``."""
-    ILP_CACHE.count("pivots")
+    with LOCK:
+        COUNTERS["solver.ilp.pivots"] += 1
     pivot_row = tableau[row]
     pivot = pivot_row[col]
     if pivot < 0:  # only when driving out an artificial that sits at zero

@@ -38,8 +38,9 @@ Classification, per statement (cached on the statement object):
 
 Anything unclassifiable -- data-dependent indexing, non-identity writes,
 foreign iterators, unknown ops -- falls back to the scalar interpreter,
-so correctness never regresses.  Fallbacks are counted
-(:func:`exec_stats`) and timed (``exec.*`` perf stages).
+so correctness never regresses.  Statements are counted per engine in
+the ``exec.*`` counters (:func:`exec_stats`) and their time is credited
+to the ``exec.*`` perf stages.
 
 The fallback trigger is *typed*: only
 :class:`~repro.core.errors.ExecutionFallbackError` (whose concrete shape
@@ -60,6 +61,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from repro.core.context import COUNTERS, LOCK, counters, credit, reset_counters
 from repro.core.errors import ExecutionFallbackError
 from repro.ir.expr import (
     BinaryOp,
@@ -77,7 +79,7 @@ from repro.ir.lower import PolyStatement, expr_to_affine
 from repro.poly.affine import AffineExpr
 from repro.runtime import reference
 from repro.runtime.reference import AUTO_VECTORIZE_MIN_INSTANCES, numpy_dtype
-from repro.tools import faultinject, perf
+from repro.tools import faultinject
 
 __all__ = [
     "Unvectorizable",
@@ -87,7 +89,6 @@ __all__ = [
     "run_statement_box",
     "exec_stats",
     "reset_exec_stats",
-    "note_replay",
 ]
 
 
@@ -105,63 +106,49 @@ class Unvectorizable(ExecutionFallbackError):
 
 
 # -- statistics ----------------------------------------------------------------
+#
+# Statement executions are counted once each, in ``exec.vectorized``,
+# ``exec.scalar_fallback`` (plus ``exec.fallback.<reason>``) and
+# ``exec.scalar_small``; compiled-program replays in
+# ``exec.program_replays``.  The ``exec.*`` perf stages hold their time.
 
-_STATS = {
-    "vectorized": 0,
-    "scalar_fallback": 0,
-    "scalar_small": 0,
-    "program_replays": 0,
-}
-_FALLBACK_REASONS: Dict[str, int] = {}
-_STATS_LOCK = threading.Lock()
+_ENGINES = ("vectorized", "scalar_fallback", "scalar_small", "program_replays")
 
 
 def reset_exec_stats() -> None:
     """Zero the engine counters (tests and benchmarks)."""
-    with _STATS_LOCK:
-        for key in _STATS:
-            _STATS[key] = 0
-        _FALLBACK_REASONS.clear()
+    reset_counters("exec.")
 
 
 def exec_stats() -> Dict[str, object]:
     """Snapshot of per-engine statement counts and fallback reasons."""
-    with _STATS_LOCK:
-        snap: Dict[str, object] = dict(_STATS)
-        snap["fallback_reasons"] = dict(_FALLBACK_REASONS)
-    return snap
+    snap = counters("exec.")
+    stats: Dict[str, object] = {key: snap.get(key, 0) for key in _ENGINES}
+    stats["fallback_reasons"] = counters("exec.fallback.")
+    return stats
 
 
-def _note_fallback(reason: str) -> None:
-    with _STATS_LOCK:
-        _STATS["scalar_fallback"] += 1
-        _FALLBACK_REASONS[reason] = _FALLBACK_REASONS.get(reason, 0) + 1
+def note_vectorized(seconds: float, statements: int = 1) -> None:
+    """Count ``statements`` vectorized statement executions and credit
+    their ``seconds`` to the ``exec.vectorized`` stage as one entry."""
+    with LOCK:
+        COUNTERS["exec.vectorized"] += statements
+    credit("exec.vectorized", seconds)
 
 
-def note_replay() -> None:
-    """Credit one compiled-program replay invocation (ProgramReplay.run)."""
-    with _STATS_LOCK:
-        _STATS["program_replays"] += 1
-
-
-def note_vectorized(seconds: float) -> None:
-    """Credit one vectorized statement execution (used by replay too)."""
-    with _STATS_LOCK:
-        _STATS["vectorized"] += 1
-    perf.add("exec.vectorized", seconds)
-
-
-def note_scalar_fallback(reason: str, seconds: float) -> None:
-    """Credit one scalar-fallback statement execution."""
+def note_scalar_fallback(reason: str) -> None:
+    """Count one statement execution that fell back to the scalar engine
+    (the caller credits the time it took to ``exec.scalar_fallback``)."""
     from repro.core import resilience
 
-    _note_fallback(reason)
+    with LOCK:
+        COUNTERS["exec.scalar_fallback"] += 1
+        COUNTERS["exec.fallback." + reason] += 1
     # One report event per distinct reason (fallbacks recur per tile;
     # the per-reason counters above carry the multiplicity).
     resilience.note_event(
         "exec", "fallback", fallback="scalar", detail=reason, dedupe=True
     )
-    perf.add("exec.scalar_fallback", seconds)
 
 
 # -- vector op tables ----------------------------------------------------------
@@ -711,9 +698,9 @@ def run_statement(
     if engine == "auto" and stmt.instance_count() < AUTO_VECTORIZE_MIN_INSTANCES:
         start = time.perf_counter()
         reference.run_statement(stmt, buffers)
-        with _STATS_LOCK:
-            _STATS["scalar_small"] += 1
-        perf.add("exec.scalar_small", time.perf_counter() - start)
+        with LOCK:
+            COUNTERS["exec.scalar_small"] += 1
+        credit("exec.scalar_small", time.perf_counter() - start)
         return
     start = time.perf_counter()
     try:
@@ -727,7 +714,7 @@ def run_statement(
     except ExecutionFallbackError as exc:
         fb_start = time.perf_counter()
         reference.run_statement(stmt, buffers)
-        reason = getattr(exc, "reason", None) or str(exc)
-        note_scalar_fallback(reason, time.perf_counter() - fb_start)
+        note_scalar_fallback(getattr(exc, "reason", None) or str(exc))
+        credit("exec.scalar_fallback", time.perf_counter() - fb_start)
         return
     note_vectorized(time.perf_counter() - start)

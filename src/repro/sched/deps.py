@@ -19,6 +19,7 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.context import COUNTERS, LOCK
 from repro.ir.lower import LoweredKernel, PolyStatement, TensorAccess
 from repro.poly.affine import AffineExpr, Constraint
 from repro.poly.maps import BasicMap
@@ -144,18 +145,7 @@ def _expr_bounds(
 # the exact test, so pruning never changes the computed dependence set
 # (the regression tests assert pruned == unpruned on every example kernel).
 
-_PRUNE_STATS = {"pairs_checked": 0, "pairs_pruned": 0}
-
-
-def dependence_prune_stats() -> Dict[str, int]:
-    """Counters of the bounding-box pre-check (process-global)."""
-    return dict(_PRUNE_STATS)
-
-
-def reset_dependence_prune_stats() -> None:
-    """Zero the pruning counters."""
-    _PRUNE_STATS["pairs_checked"] = 0
-    _PRUNE_STATS["pairs_pruned"] = 0
+# The pre-check counts ``deps.pairs_checked`` and ``deps.pairs_pruned``.
 
 
 def _access_box(
@@ -238,9 +228,11 @@ def _dependence_relations(
     )
 
     if prune:
-        _PRUNE_STATS["pairs_checked"] += 1
+        with LOCK:
+            COUNTERS["deps.pairs_checked"] += 1
         if _boxes_disjoint(_access_box(src, src_acc), _access_box(dst, dst_acc)):
-            _PRUNE_STATS["pairs_pruned"] += 1
+            with LOCK:
+                COUNTERS["deps.pairs_pruned"] += 1
             return [], rename
 
     base_cons: List[Constraint] = []

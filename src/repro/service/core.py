@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
+from repro.core.context import counters
 from repro.core.errors import (
     QuarantinedError,
     ReproError,
@@ -419,8 +420,6 @@ class CompileService:
 
     def stats(self) -> Dict[str, Any]:
         """Counters plus live queue/memo/in-flight depths and health."""
-        from repro.core import diskcache
-
         with self._lock:
             snap: Dict[str, Any] = dict(self._stats)
             snap["inflight"] = len(self._coalescer.inflight)
@@ -436,7 +435,7 @@ class CompileService:
             snap["clients_tracked"] = len(self._admission.load)
         snap["queue_depth"] = self._queue.qsize()
         snap["workers"] = self.workers
-        snap["shapeclass"] = diskcache.shapeclass_stats()
+        snap["shapeclass"] = {"hits": 0, "misses": 0, **counters("shapeclass.")}
         return snap
 
     # -- execution ----------------------------------------------------------

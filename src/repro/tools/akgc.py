@@ -55,8 +55,9 @@ def _build_kernel(args):
         raise SystemExit(str(exc))
 
 
-def _print_cache_stats() -> None:
+def _print_cache_counters() -> None:
     from repro.core import diskcache
+    from repro.core.context import counters
     from repro.poly.cache import solver_cache_stats
 
     print("\n=== cache counters ===")
@@ -74,9 +75,10 @@ def _print_cache_stats() -> None:
             f"solver [{cname:<6}]: {s['hits']} hits, {s['misses']} misses "
             f"({100.0 * s['hit_rate']:.1f}%)"
         )
-    sc = diskcache.shapeclass_stats()
-    if sc["hits"] or sc["misses"]:
-        print(f"shape class   : {sc['hits']} hits, {sc['misses']} misses")
+    sc = counters("shapeclass.")
+    if sc:
+        print(f"shape class   : {sc.get('hits', 0)} hits, "
+              f"{sc.get('misses', 0)} misses")
 
 
 def _run_network(args) -> int:
@@ -144,7 +146,7 @@ def _run_network(args) -> int:
         print("\n=== compile-time breakdown ===")
         print(perf.format_report())
     if args.cache_stats:
-        _print_cache_stats()
+        _print_cache_counters()
     return 0
 
 
@@ -213,7 +215,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.core.compiler import AkgOptions, build
     from repro.core.errors import ReproError, exit_code_for
     from repro.core.resilience import StageBudget
-    from repro.poly.cache import reset_solver_cache_stats
     from repro.tools import perf
 
     if args.cache_dir:
@@ -222,8 +223,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         diskcache.set_disk_cache_enabled(False)
 
     perf.reset()
-    reset_solver_cache_stats()
-    diskcache.reset_disk_cache_stats()
 
     if args.network is not None:
         return _run_network(args)
@@ -273,7 +272,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("\n=== compile-time breakdown ===")
         print(perf.format_report())
     if args.cache_stats:
-        _print_cache_stats()
+        _print_cache_counters()
     if args.dump_tree:
         print("\n=== schedule tree ===")
         print(result.tree.render())

@@ -1,11 +1,13 @@
-"""Per-stage wall-clock totals: the view of ``repro.core.context.TOTALS``.
+"""Per-stage wall-clock totals and event counters: the view of
+``repro.core.context.TOTALS`` and ``repro.core.context.COUNTERS``.
 
 Every pipeline stage runs under :class:`repro.core.context.stage`, which
 credits its wall time on exit; the accumulated totals (plus the
-polyhedral solver-cache counters) answer the question every performance
-PR starts with — *where does compile time go?* — without a profiler
-run.  Overhead is two clock reads and a dict update per stage entry,
-cheap enough to leave on permanently.
+counters: solver and disk caches, engines, degradation events, network
+dedup) answer the question every performance PR starts with — *where
+does compile time go?* — without a profiler run.  Overhead is two clock
+reads and a dict update per stage entry, cheap enough to leave on
+permanently.
 
 Usage::
 
@@ -18,7 +20,8 @@ Usage::
     print(perf.format_report())     # aligned per-stage table
     data = perf.report()            # machine-readable snapshot
 
-Counters are process-global and cumulative; call :func:`reset` around the
+Both tables are process-global and cumulative; :func:`reset` zeroes
+them together (solver-cache entries stay memoized), so call it around the
 region of interest.  Nested stages each record their own wall time (inner
 stages are *not* subtracted from outer ones), so the table reads as "total
 time spent inside this stage", the way a sampling profiler's inclusive
@@ -30,22 +33,22 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.context import LOCK, TOTALS
+from repro.core.context import LOCK, TOTALS, counters, reset_counters
 from repro.core.context import credit as add  # perf.add(name, seconds)
 
 __all__ = ["add", "reset", "report", "format_report"]
 
 
 def reset() -> None:
-    """Zero every stage counter (solver caches are managed separately)."""
+    """Zero every stage total and every counter."""
     with LOCK:
         TOTALS.clear()
+    reset_counters()
 
 
 def report() -> Dict[str, Dict[str, float]]:
-    """Snapshot: stage timings plus solver/disk-cache and engine counters."""
+    """Snapshot: stage timings, the whole counter table and its views."""
     from repro.core.diskcache import disk_cache_stats
-    from repro.core.resilience import resilience_stats
     from repro.poly.cache import solver_cache_stats
     from repro.runtime.vectorized import exec_stats
 
@@ -59,7 +62,8 @@ def report() -> Dict[str, Dict[str, float]]:
         "solver_cache": solver_cache_stats(),
         "disk_cache": disk_cache_stats(),
         "exec": exec_stats(),
-        "resilience": resilience_stats(),
+        "resilience": counters("resilience."),
+        "counters": counters(),
     }
 
 
@@ -76,6 +80,9 @@ def format_report() -> str:
         lines.append(
             f"{name:<24}{row['calls']:>8}{row['seconds']:>12.4f}{per_call:>10.2f}"
         )
+    for label, count in sorted(data["counters"].items()):
+        if label.startswith("graph."):  # the network pipeline's counts
+            lines.append(f"{label}: {count}")
     for cache_name, s in data["solver_cache"].items():
         line = (
             f"solver cache [{cache_name}]: {s['hits']} hits / {s['misses']} "

@@ -12,7 +12,7 @@ child produces in production.
 import pytest
 
 from repro.autotune.parallel import Measurer, measure_candidate
-from repro.core import resilience
+from repro.core.context import counters, reset_counters
 from repro.core.frontend import run_frontend
 from repro.ir import ops
 from repro.ir.tensor import placeholder
@@ -38,14 +38,14 @@ class TestWorkerDeath:
         assert any(c is not None for c in expected)
 
         monkeypatch.setenv("REPRO_FAULT_SPEC", "autotune.worker:crash")
-        resilience.reset_resilience_stats()
+        reset_counters("resilience.")
         with Measurer({"k": frontend}, workers=2) as measurer:
             measurer.RETRY_BACKOFF_SECONDS = 0.01
             got = measurer.measure("k", BATCH)
             assert measurer._serial_fallback  # pool attempts exhausted
         assert got == expected  # bit-identical to the serial tuner
 
-        stats = resilience.resilience_stats()
+        stats = counters("resilience.")
         assert stats.get("autotune.pool.retry", 0) >= 1
         assert stats.get("autotune.pool.fallback:serial", 0) >= 1
 
@@ -128,7 +128,7 @@ class TestSharedPool:
         frontends = {"mm": _frontend(), "ew": _second_frontend()}
         expected = self._oracle(frontends)
         monkeypatch.setenv("REPRO_FAULT_SPEC", "autotune.worker:crash")
-        resilience.reset_resilience_stats()
+        reset_counters("resilience.")
         with Measurer(frontends, workers=2) as measurer:
             measurer.RETRY_BACKOFF_SECONDS = 0.01
             got_mm = measurer.measure("mm", BATCH)
@@ -138,6 +138,6 @@ class TestSharedPool:
             got_ew = measurer.measure("ew", BATCH)
             assert measurer._pool is None
         assert {"mm": got_mm, "ew": got_ew} == expected
-        stats = resilience.resilience_stats()
+        stats = counters("resilience.")
         assert stats.get("autotune.pool.retry", 0) == 1
         assert stats.get("autotune.pool.fallback:serial", 0) == 1

@@ -146,6 +146,66 @@ class TestReplayEquivalence:
         assert vectorized.exec_stats()["fallback_reasons"]["forced for test"] > 0
 
 
+class TestEachReplayEventCountedOnce:
+    """The ``exec.*`` counters count statements, the ``exec.*`` stage rows
+    count time entries: a replay of N vectorized statements adds N to the
+    counter and at most one entry to the stage row, however many tiles
+    ran or fell back."""
+
+    REPLAYS = 3
+
+    def test_vectorized_statements(self):
+        from repro.codegen.program_exec import ProgramReplay
+        from repro.tools import perf
+
+        from tests.core.test_golden_programs import GOLDEN
+
+        result = build(
+            GOLDEN["conv2d_16x32"][0](), "conv2d_16x32",
+            options=AkgOptions(emit_trace=True),
+        )
+        inputs = {"D": rand((1, 16, 32, 32)), "W": rand((16, 16, 3, 3))}
+        replayer = ProgramReplay(result.program, "vectorized")
+        perf.reset()
+        replayer.run(inputs)
+        per_replay = vectorized.exec_stats()["vectorized"]
+        assert per_replay > 0
+        for _ in range(self.REPLAYS - 1):
+            replayer.run(inputs)
+        stats = vectorized.exec_stats()
+        assert stats["vectorized"] == self.REPLAYS * per_replay
+        assert stats["program_replays"] == self.REPLAYS
+        stages = perf.report()["stages"]
+        assert stages["exec.vectorized"]["calls"] <= self.REPLAYS
+
+    def test_scalar_fallbacks(self, monkeypatch):
+        from repro.tools import perf
+
+        x = placeholder((9, 9), name="X")
+        result = build(
+            ops.relu(x, name="OUT"), "k",
+            options=AkgOptions(emit_trace=True, tile_sizes=[4, 4]),
+        )
+
+        def boom(*args, **kwargs):
+            raise vectorized.Unvectorizable("forced for test")
+
+        monkeypatch.setattr(vectorized, "run_statement_box", boom)
+        perf.reset()
+        xv = rand((9, 9), np.float32)
+        execute_program(result.program, {"X": xv}, engine="vectorized")
+        per_replay = vectorized.exec_stats()["scalar_fallback"]
+        assert per_replay > 1  # one per tile
+        for _ in range(self.REPLAYS - 1):
+            execute_program(result.program, {"X": xv}, engine="vectorized")
+        stats = vectorized.exec_stats()
+        assert stats["scalar_fallback"] == self.REPLAYS * per_replay
+        assert stats["fallback_reasons"] == {"forced for test": self.REPLAYS * per_replay}
+        stages = perf.report()["stages"]
+        assert stages["exec.scalar_fallback"]["calls"] <= self.REPLAYS
+        assert "exec.vectorized" not in stages
+
+
 class TestParametricBox:
     def test_box_covers_and_filters_like_ilp(self):
         """The parametric box may be looser than the per-tile ILP box but

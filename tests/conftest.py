@@ -1,6 +1,8 @@
-"""Shared fixtures: isolate the persistent disk cache per test.
+"""Shared fixtures: isolate the persistent disk cache and the counter
+table per test.
 
-Every test gets its own ``REPRO_CACHE_DIR`` under pytest's tmpdir, so
+Every test starts from an empty ``repro.core.context.COUNTERS`` table and
+gets its own ``REPRO_CACHE_DIR`` under pytest's tmpdir, so
 
 - tests never read (or pollute) the developer's ``~/.cache/repro-akg``;
 - cache-hit assertions start from a genuinely cold cache;
@@ -16,6 +18,7 @@ import os
 import pytest
 
 from repro.core import diskcache
+from repro.core.context import reset_counters
 from repro.tools import faultinject
 
 
@@ -25,7 +28,7 @@ def _isolated_disk_cache(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
     diskcache.set_cache_dir(None)
     diskcache.set_disk_cache_enabled(True)
-    diskcache.reset_disk_cache_stats()
+    reset_counters()
     yield
     diskcache.set_cache_dir(None)
     diskcache.set_disk_cache_enabled(True)

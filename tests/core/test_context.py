@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core import resilience
+from repro.core import diskcache, resilience
 from repro.core.context import CTX, stage
 from repro.core.resilience import StageBudget
+from repro.poly.cache import ILP_CACHE, clear_solver_caches
+from repro.runtime import vectorized
 from repro.tools import faultinject
 
 SRC = Path(repro.__file__).parent
@@ -71,6 +73,30 @@ class TestIdleCost:
                 pass
 
         assert calls(collecting) <= 7
+
+    # The counter table's hot sites, pinned at the counts the seven silos
+    # had (11, 1, 5 and 2 calls); the table bumps inline, so each is at or
+    # under its silo's count.
+
+    def test_disk_cache_hit(self, calls, tmp_path):
+        cache = diskcache.DiskCache(str(tmp_path / "c"))
+        key = diskcache.digest("pin", "hit")
+        cache.put(key, {"x": 1})
+        assert cache.get(key) == {"x": 1}
+        assert calls(lambda: cache.get(key)) <= 11
+
+    def test_solver_lookup(self, calls):
+        key = ("pin", "lookup")
+        assert calls(lambda: ILP_CACHE.lookup(key)) == 1  # a miss
+        ILP_CACHE.store(key, 1)
+        assert calls(lambda: ILP_CACHE.lookup(key)) == 1  # a hit
+        clear_solver_caches()
+
+    def test_clear_solver_caches(self, calls):
+        assert calls(lambda: clear_solver_caches()) <= 5
+
+    def test_statement_credit(self, calls):
+        assert calls(lambda: vectorized.note_vectorized(0.0)) <= 2
 
 
 class TestThreadIsolation:
@@ -198,3 +224,140 @@ class TestRegistryAndSourcesAgree:
         ]
         assert local == ["context.py"]
 
+
+
+def _is_lock(call):
+    """``threading.Lock()`` / ``Lock()`` (and the ``RLock`` spellings)."""
+    func = call.func
+    spelled = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return spelled in ("Lock", "RLock")
+
+
+def _counts_from_zero(value):
+    """A dict that starts as integer counts: ``defaultdict(int)``,
+    ``Counter()``, ``dict.fromkeys(keys, 0)`` or a display of zeros."""
+    if isinstance(value, ast.Dict):
+        return bool(value.values) and all(
+            isinstance(v, ast.Constant) and v.value == 0 for v in value.values
+        )
+    if not isinstance(value, ast.Call):
+        return False
+    func = value.func
+    spelled = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if spelled == "defaultdict":
+        return bool(value.args) and getattr(value.args[0], "id", None) == "int"
+    if spelled == "fromkeys":
+        return len(value.args) == 2 and getattr(value.args[1], "value", None) == 0
+    return spelled == "Counter"
+
+
+def _bumped(tree, name):
+    """Whether the module adds to ``name[...]`` (``+=``, or
+    ``name[k] = name.get(k, 0) + n``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AugAssign):
+            targets, value = [node.target], None
+        elif isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        else:
+            continue
+        for target in targets:
+            if not (
+                isinstance(target, ast.Subscript)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == name
+            ):
+                continue
+            if value is None or (
+                isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add)
+            ):
+                return True
+    return False
+
+
+class TestOneCounterTable:
+    """Every process-wide counter is a label of ``context.COUNTERS``: a new
+    silo (its own dict, its own lock, its own reset) fails here."""
+
+    #: Locks that guard something other than counts.
+    OTHER_LOCKS = {
+        ("core/diskcache.py", "_cache_lock"),  # the rebind of the cache handle
+        ("service/core.py", "_lock"),  # queue, memo and per-service counters
+        ("service/server.py", "_connections_lock"),  # live connections
+        ("service/client.py", "_idle_lock"),  # the keep-alive pool
+        ("autotune/parallel.py", "_lock"),  # the worker pool
+    }
+    #: The table's own reset, and the views the benchmark reads.
+    VIEWS = {
+        ("core/context.py", "reset_counters"),
+        ("tools/perf.py", "reset"),
+        ("core/diskcache.py", "disk_cache_stats"),
+        ("core/diskcache.py", "reset_disk_cache_stats"),
+        ("runtime/vectorized.py", "exec_stats"),
+        ("runtime/vectorized.py", "reset_exec_stats"),
+        ("poly/cache.py", "solver_cache_stats"),
+    }
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        return {
+            path.relative_to(SRC).as_posix(): ast.parse(path.read_text())
+            for path in sorted(SRC.rglob("*.py"))
+        }
+
+    def test_one_counter_dict(self, trees):
+        tables = []
+        for where, tree in trees.items():
+            for node in tree.body:
+                if isinstance(node, ast.Assign):
+                    targets, value = node.targets, node.value
+                elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                    targets, value = [node.target], node.value
+                else:
+                    continue
+                for target in targets:
+                    name = getattr(target, "id", None)
+                    if name is None:
+                        continue
+                    empty = isinstance(value, ast.Dict) and not value.keys
+                    if _counts_from_zero(value) or (empty and _bumped(tree, name)):
+                        tables.append((where, name))
+        assert tables == [("core/context.py", "COUNTERS")]
+
+    def test_one_counter_lock(self, trees):
+        locks = set()
+        for where, tree in trees.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                    if _is_lock(node.value):
+                        target = node.targets[0]
+                        name = getattr(target, "id", None) or target.attr
+                        locks.add((where, name))
+        assert locks == self.OTHER_LOCKS | {("core/context.py", "LOCK")}
+
+    def test_no_library_module_imports_perf(self, trees):
+        importers = []
+        for where, tree in trees.items():
+            if where.startswith("tools/"):
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    names = {f"{node.module}.{alias.name}" for alias in node.names}
+                    names.add(node.module)
+                elif isinstance(node, ast.Import):
+                    names = {alias.name for alias in node.names}
+                else:
+                    continue
+                if "repro.tools.perf" in names:
+                    importers.append(f"{where}:{node.lineno}")
+        assert importers == []
+
+    def test_resets_and_stats_are_the_table_and_its_views(self, trees):
+        found = {
+            (where, node.name)
+            for where, tree in trees.items()
+            for node in tree.body  # module level: process-wide, not per-object
+            if isinstance(node, ast.FunctionDef)
+            and (node.name.startswith("reset") or node.name.endswith("_stats"))
+        }
+        assert found == self.VIEWS

@@ -5,20 +5,13 @@ import time
 import pytest
 
 from repro.core import resilience
-from repro.core.context import stage
+from repro.core.context import counters, stage
 from repro.core.errors import ReproError, StageTimeoutError, TilingError
 from repro.core.resilience import (
     ResilienceReport,
     StageBudget,
     with_fallback,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_counters():
-    resilience.reset_resilience_stats()
-    yield
-    resilience.reset_resilience_stats()
 
 
 class TestStageScopes:
@@ -101,11 +94,11 @@ class TestReports:
                     "exec", "fallback", fallback="scalar", dedupe=True
                 )
         assert len(report.events) == 1
-        assert resilience.resilience_stats()["exec.fallback:scalar"] == 5
+        assert counters("resilience.")["exec.fallback:scalar"] == 5
 
     def test_events_without_active_report_still_count(self):
         resilience.note_event("z", "fallback", fallback="f")
-        assert resilience.resilience_stats()["z.fallback:f"] == 1
+        assert counters("resilience.")["z.fallback:f"] == 1
 
     def test_report_is_picklable(self):
         import pickle

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import diskcache
 from repro.core.compiler import AkgOptions, build
+from repro.core.context import counters
 from repro.hw.spec import HardwareSpec
 from repro.ir import ops
 from repro.ir.lower import lower
@@ -21,6 +22,11 @@ from repro.runtime.reference import evaluate_kernel, infer_bindings
 from repro.service import CompileService, ServiceRequest
 from repro.service.wire import demo_kernel
 from repro.tiling.auto import AutoTiler
+
+
+def _shapeclass():
+    """The shape-class probe counters, both keys present."""
+    return {"hits": 0, "misses": 0, **counters("shapeclass.")}
 
 
 def _sym_relu(batch_max=8, cols=24):
@@ -99,14 +105,13 @@ class TestFingerprintBucketing:
         assert sym != conc
 
     def test_second_batch_size_is_a_shapeclass_hit(self):
-        diskcache.reset_shapeclass_stats()
         opts = AkgOptions()
         build(demo_kernel("relu", [8, 32], batch_max=8), "sg_hit", options=opts)
         # Cold: the program probe misses, then the front-end probe.
-        assert diskcache.shapeclass_stats() == {"hits": 0, "misses": 2}
+        assert _shapeclass() == {"hits": 0, "misses": 2}
         build(demo_kernel("relu", [3, 32], batch_max=8), "sg_hit", options=opts)
         # Another batch size of the class: one read, the program entry.
-        assert diskcache.shapeclass_stats() == {"hits": 1, "misses": 2}
+        assert _shapeclass() == {"hits": 1, "misses": 2}
 
 
 class TestReplayBinding:
@@ -235,7 +240,6 @@ class TestServiceCoalescing:
         assert served.value["outputs"]["out"].shape == (3, 32)
 
     def test_stats_expose_shapeclass_counters(self):
-        diskcache.reset_shapeclass_stats()
         with CompileService(workers=1) as svc:
             svc.run(
                 ServiceRequest(

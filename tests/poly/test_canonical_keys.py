@@ -20,7 +20,6 @@ from repro.poly.affine import AffineExpr, Constraint, var
 from repro.poly.cache import (
     EXTENT_CACHE,
     FM_CACHE,
-    FOOTPRINT_CACHE,
     ILP_CACHE,
     clear_solver_caches,
     solver_cache_stats,
@@ -32,6 +31,7 @@ from repro.poly.sets import Space
 from repro.storage.promote import footprint_extents
 from repro.tiling.reverse import affine_extent_bounds
 
+from tests.poly._counts import hits_misses
 from tests.storage.test_promote import _named_footprint, _uncached, fused_group
 
 
@@ -155,11 +155,11 @@ def test_warm_results_equal_uncached_under_renaming(order_preserving):
         original, renamed = _queries(rng, cons, mapping)
         for (table, warm_up), (_, solve) in zip(original, renamed):
             warm_up()  # fills the tables under the original names
-            misses = table.misses
+            misses = hits_misses(table.name)[1]
             got = solve()
             assert got == _uncached(solve)
             if order_preserving:
-                assert table.misses == misses, "an order-preserving twin must hit"
+                assert hits_misses(table.name)[1] == misses, "an order-preserving twin must hit"
         clear_solver_caches()
 
 
@@ -176,7 +176,7 @@ def test_order_permuting_renaming_is_a_different_key():
     IlpProblem(cons).minimize(AffineExpr.constant(0))
     swapped = [c.rename({"a": "y", "b": "x"}) for c in cons]
     IlpProblem(swapped).minimize(AffineExpr.constant(0))
-    assert (ILP_CACHE.hits, ILP_CACHE.misses) == (0, 2)
+    assert hits_misses("ilp") == (0, 2)
 
 
 # -- (b) compose ------------------------------------------------------------------
@@ -204,9 +204,9 @@ def test_second_compose_of_equal_maps_hits():
     """``compose`` renames its middle dims through a global counter; the
     projection it poses is the same problem every time."""
     first = BasicMap.compose(*_tile_to_instances())
-    entries, hits = len(FM_CACHE), FM_CACHE.hits
+    entries, hits = len(FM_CACHE), hits_misses("fm")[0]
     second = BasicMap.compose(*_tile_to_instances())
-    assert (len(FM_CACHE), FM_CACHE.hits) == (entries, hits + 1)
+    assert (len(FM_CACHE), hits_misses("fm")[0]) == (entries, hits + 1)
     assert _exact_constraints(second.constraints) == _exact_constraints(
         first.constraints
     )
@@ -259,16 +259,16 @@ def test_minimize_and_batch_minimize_share_entries():
     # makes the problem unbounded, the same way on both paths.
     objectives = [var("i") * -1, var("i") * -2 - var("j"), var("j") - var("k")]
     batch = IlpProblem(_triangle()).batch_minimize(objectives)
-    assert (ILP_CACHE.hits, ILP_CACHE.misses) == (0, 3)
+    assert hits_misses("ilp") == (0, 3)
     singles = [IlpProblem(_triangle()).minimize(o) for o in objectives]
-    assert (ILP_CACHE.hits, ILP_CACHE.misses) == (3, 3)
+    assert hits_misses("ilp") == (3, 3)
     assert [_exact_result(r) for r in singles] == [_exact_result(r) for r in batch]
     assert singles[2].status is IlpStatus.UNBOUNDED
 
     clear_solver_caches()
     singles = [IlpProblem(_triangle()).minimize(o) for o in objectives]
     batch = IlpProblem(_triangle()).batch_minimize(objectives)
-    assert (ILP_CACHE.hits, ILP_CACHE.misses) == (3, 3)
+    assert hits_misses("ilp") == (3, 3)
     assert [_exact_result(r) for r in singles] == [_exact_result(r) for r in batch]
 
 
@@ -280,7 +280,7 @@ def test_cached_none_infeasible_and_unbounded_are_hits():
     open_ended = [Constraint.ge(var("x") - var("t") * 4, 0)]
     for _ in range(2):
         assert affine_extent_bounds(open_ended, ["x"], {"t": (0, 3)}) == [None]
-    assert (EXTENT_CACHE.hits, EXTENT_CACHE.misses) == (1, 1)
+    assert hits_misses("extent") == (1, 1)
 
     infeasible = [Constraint.ge(var("x"), 3), Constraint.le(var("x"), 1)]
     unbounded = [Constraint.le(var("x"), 1)]
@@ -290,13 +290,13 @@ def test_cached_none_infeasible_and_unbounded_are_hits():
             (unbounded, IlpStatus.UNBOUNDED),
         ):
             assert IlpProblem(cons).minimize(var("x")).status is status
-    assert (ILP_CACHE.hits, ILP_CACHE.misses) == (2, 2)
+    assert hits_misses("ilp") == (2, 2)
 
     # A projection onto nothing of a feasible system is the empty list.
     # (The extent miss above projected its own rows, not through fm.)
     for _ in range(2):
         assert project_onto([Constraint.ge(var("x"), 0)], []) == []
-    assert (FM_CACHE.hits, FM_CACHE.misses) == (1, 1)
+    assert hits_misses("fm") == (1, 1)
 
 
 def test_mutating_a_result_never_reaches_the_table():
@@ -317,7 +317,7 @@ def test_mutating_a_result_never_reaches_the_table():
         assert list(solved.assignment.items()) == [("i", 0), ("j", 1)]
         solved.assignment["i"] = Fraction(999)
         solved.assignment["extra"] = Fraction(1)
-    assert FM_CACHE.hits == 2 and ILP_CACHE.hits == 2
+    assert hits_misses("fm")[0] == 2 and hits_misses("ilp")[0] == 2
 
 
 # -- (f) the footprint table: positional, so no name order is left to record -------------
@@ -344,7 +344,7 @@ def test_footprints_of_order_permuted_twins_share_one_entry():
         assert footprint_extents(group, stmt, read) == _named_footprint(
             group, stmt, read
         )
-    assert (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses) == (1, 1)
+    assert hits_misses("footprint") == (1, 1)
 
 
 def test_mutating_a_footprint_box_never_reaches_the_table():
@@ -355,4 +355,4 @@ def test_mutating_a_footprint_box_never_reaches_the_table():
         assert box == [8, 16]
         box[0] = 99  # what ``_clip_box_to_capacity`` does to a plan's box
         box.append(1)
-    assert (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses) == (2, 1)
+    assert hits_misses("footprint") == (2, 1)

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.poly.affine import AffineExpr, Constraint, var
-from repro.poly.cache import FM_CACHE, clear_solver_caches
+from repro.poly.cache import clear_solver_caches
 from repro.poly.fm import project_onto, remove_redundant
 from repro.poly.ilp import IlpProblem
 
 from tests.poly import _reference_fm as reference
+from tests.poly._counts import hits_misses
 from tests.poly._reference_fm import eliminate_variable
 
 
@@ -122,7 +123,7 @@ def _same_projection(constraints, keep):
     for _ in range(2):  # the miss, then the hit
         got = project_onto(constraints, keep)
         assert _exact(got) == _exact(want), (constraints, keep)
-    assert (FM_CACHE.hits, FM_CACHE.misses) == (1, 1)
+    assert hits_misses("fm") == (1, 1)
     clear_solver_caches()
     got = project_onto(constraints, keep)
     mine = [any(c is o for o in constraints) for c in got]

@@ -338,16 +338,18 @@ class TestBatchMinimize:
             assert got.assignment == want.assignment
 
     def test_shares_cache_lines_with_minimize(self):
-        from repro.poly.cache import ILP_CACHE, clear_solver_caches
+        from repro.poly.cache import clear_solver_caches, solver_cache_stats
+
+        from tests.poly._counts import hits_misses
 
         clear_solver_caches()
         self._diamond().minimize(var("x"))
-        assert ILP_CACHE.misses == 1 and ILP_CACHE.hits == 0
+        assert hits_misses("ilp") == (0, 1)
         self._diamond().batch_minimize([var("x"), var("y")])
         # x hits the entry minimize stored; only y misses.
-        assert ILP_CACHE.hits == 1 and ILP_CACHE.misses == 2
+        assert hits_misses("ilp") == (1, 2)
         self._diamond().minimize(var("y"))
-        assert ILP_CACHE.hits == 2
+        assert solver_cache_stats()["ilp"]["hits"] == 2
         clear_solver_caches()
 
     def test_infeasible_and_unbounded_members(self):

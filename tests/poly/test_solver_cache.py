@@ -9,22 +9,21 @@ from repro.autotune.tuner import tune_tile_sizes
 from repro.core import diskcache
 from repro.core.compiler import AkgOptions, build
 from repro.ir import ops
+from repro.core.context import counters, reset_counters
 from repro.ir.tensor import placeholder
 from repro.poly.affine import Constraint, var
 from repro.poly.cache import (
-    FM_CACHE,
-    FOOTPRINT_CACHE,
     ILP_CACHE,
     MISS,
     SolveCache,
     clear_solver_caches,
-    reset_solver_cache_stats,
     set_solver_cache_enabled,
     solver_cache_stats,
 )
 from repro.poly.fm import project_onto
 from repro.poly.ilp import IlpProblem, IlpStatus
 
+from tests.poly._counts import hits_misses
 from tests.poly.test_simplex_equivalence import _conv2d_16x32, _subgraph
 
 
@@ -51,9 +50,9 @@ class TestIlpCache:
     def test_repeat_solve_hits_cache(self):
         obj = var("i") + var("j")
         first = _box_problem().minimize(obj)
-        assert ILP_CACHE.misses == 1 and ILP_CACHE.hits == 0
+        assert hits_misses("ilp") == (0, 1)
         second = _box_problem().minimize(obj)
-        assert ILP_CACHE.hits == 1
+        assert solver_cache_stats()["ilp"]["hits"] == 1
         assert second.status is first.status
         assert second.value == first.value
         assert second.assignment == first.assignment
@@ -80,7 +79,7 @@ class TestIlpCache:
             [Constraint.ge(var("x"), 3), Constraint.le(var("x"), 1)]
         )
         assert bad2.minimize(var("x")).status is IlpStatus.INFEASIBLE
-        assert ILP_CACHE.hits == 1
+        assert solver_cache_stats()["ilp"]["hits"] == 1
 
     def test_stats_shape(self):
         _box_problem().minimize(var("i"))
@@ -100,23 +99,23 @@ class TestIlpCache:
         assert all("pivots" not in stats[t] for t in ("fm", "extent", "footprint"))
         _box_problem().minimize(obj)  # a hit does no work
         assert solver_cache_stats()["ilp"]["rows"] == 3
-        reset_solver_cache_stats()
+        reset_counters("solver.")
         stats = solver_cache_stats()["ilp"]
         assert (stats["pivots"], stats["rows"], stats["entries"]) == (0, 0, 1)
 
     def test_reset_stats_keeps_entries(self):
-        """reset_solver_cache_stats zeroes counters without dropping the
-        memo: subsequent identical solves still hit."""
+        """``reset_counters("solver.")`` zeroes the counters without
+        dropping the memo: subsequent identical solves still hit."""
         obj = var("i") + var("j")
         _box_problem().minimize(obj)
         _box_problem().minimize(obj)
-        assert ILP_CACHE.hits == 1 and ILP_CACHE.misses == 1
+        assert hits_misses("ilp") == (1, 1)
         entries = len(ILP_CACHE)
-        reset_solver_cache_stats()
-        assert ILP_CACHE.hits == 0 and ILP_CACHE.misses == 0
+        reset_counters("solver.")
+        assert hits_misses("ilp") == (0, 0)
         assert len(ILP_CACHE) == entries
         _box_problem().minimize(obj)
-        assert ILP_CACHE.hits == 1 and ILP_CACHE.misses == 0
+        assert hits_misses("ilp") == (1, 0)
         stats = solver_cache_stats()
         assert stats["ilp"]["hits"] == 1
 
@@ -129,10 +128,10 @@ class TestFmCache:
             Constraint.eq(var("j") - var("i"), 1),
         ]
         first = project_onto(cons, ["j"])
-        assert FM_CACHE.misses >= 1
-        hits_before = FM_CACHE.hits
+        assert solver_cache_stats()["fm"]["misses"] >= 1
+        hits_before = solver_cache_stats()["fm"]["hits"]
         second = project_onto(list(cons), ["j"])
-        assert FM_CACHE.hits == hits_before + 1
+        assert solver_cache_stats()["fm"]["hits"] == hits_before + 1
         assert second == first
 
     def test_cached_list_is_a_copy(self):
@@ -182,7 +181,7 @@ class TestCacheBehaviour:
         try:
             _box_problem().minimize(var("i"))
             _box_problem().minimize(var("i"))
-            assert ILP_CACHE.hits == 0 and ILP_CACHE.misses == 0
+            assert hits_misses("ilp") == (0, 0)
             assert len(ILP_CACHE) == 0
         finally:
             set_solver_cache_enabled(True)
@@ -200,7 +199,7 @@ class TestCacheBehaviour:
         assert cache.lookup("k") is MISS
         cache.store("k", None)
         assert cache.lookup("k") is None
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert counters("solver.t.") == {"hits": 1, "misses": 1}
 
     def test_cache_equivalence_on_pipeline(self):
         """Cached and uncached compilation produce byte-identical programs,
@@ -227,7 +226,7 @@ class TestCacheBehaviour:
                 assert all(stats[table]["misses"] for table in reached), name
                 assert all(stats[table]["entries"] for table in reached), name
                 assert (stats["fm"]["hits"], stats["fm"]["misses"]) == (0, 0), name
-                reset_solver_cache_stats()
+                reset_counters("solver.")
                 warm = run(make)
             # A warm re-run solves nothing anew, and every table its path
             # reaches answers it.
@@ -259,8 +258,9 @@ def test_threads_compiling_renamed_twins_share_entries():
         for make in twins:
             clear_solver_caches()
             serial.append(_compiled(make))
-        misses_of_one = ILP_CACHE.misses + FM_CACHE.misses
-        footprints_of_one = FOOTPRINT_CACHE.misses
+        stats = solver_cache_stats()
+        misses_of_one = stats["ilp"]["misses"] + stats["fm"]["misses"]
+        footprints_of_one = stats["footprint"]["misses"]
         assert len({dump for dump, _ in serial}) == len(twins)  # names differ
 
         clear_solver_caches()
@@ -269,9 +269,10 @@ def test_threads_compiling_renamed_twins_share_entries():
     assert threaded == serial
     # Four name-carrying problem sets would be four times one compile's
     # misses; racing threads may each miss a line once before it is stored.
-    assert ILP_CACHE.misses + FM_CACHE.misses < 4 * misses_of_one
-    assert ILP_CACHE.hits + FM_CACHE.hits > 0
+    stats = solver_cache_stats()
+    assert stats["ilp"]["misses"] + stats["fm"]["misses"] < 4 * misses_of_one
+    assert stats["ilp"]["hits"] + stats["fm"]["hits"] > 0
     # However the threads raced, the four twins left one compile's worth of
     # footprint entries behind.
-    assert len(FOOTPRINT_CACHE) == footprints_of_one > 0
-    assert FOOTPRINT_CACHE.hits > 0
+    assert stats["footprint"]["entries"] == footprints_of_one > 0
+    assert stats["footprint"]["hits"] > 0

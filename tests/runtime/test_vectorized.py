@@ -168,7 +168,6 @@ class TestExampleKernels:
         same results, counted."""
         table = placeholder((10, 4), "fp32", "T")
         idx = placeholder((6,), "int32", "I")
-        reset_exec_stats()
         assert_engines_equal(
             ops.embedding_lookup(table, idx),
             {"T": rand((10, 4)), "I": RNG.integers(0, 10, 6).astype(np.int32)},
@@ -267,7 +266,6 @@ class TestEdgeCases:
         assert shape[0] * shape[1] < AUTO_VECTORIZE_MIN_INSTANCES
         x = placeholder(shape, "fp32", "X")
         kernel = lower(ops.relu(x))
-        reset_exec_stats()
         evaluate_kernel(kernel, {"X": rand(shape)}, engine="auto")
         stats = exec_stats()
         assert stats["scalar_small"] == 1
@@ -278,7 +276,6 @@ class TestEdgeCases:
 
         x = placeholder((16, 16), "fp32", "X")
         kernel = lower(ops.relu(x))
-        reset_exec_stats()
         evaluate_kernel(kernel, {"X": rand((16, 16))}, engine="vectorized")
         report = perf.report()
         assert report["exec"]["vectorized"] >= 1

@@ -2,15 +2,14 @@
 
 import pytest
 
+from repro.core.context import counters
 from repro.ir import lower, ops
 from repro.ir.tensor import compute, placeholder, reduce_axis, te_sum
 from repro.poly.affine import AffineExpr
 from repro.sched.deps import (
     _dependence_relations,
     compute_dependences,
-    dependence_prune_stats,
     producer_consumer_pairs,
-    reset_dependence_prune_stats,
 )
 
 
@@ -255,11 +254,10 @@ class TestBoundingBoxPruning:
             src.tensor,
             [AffineExpr.variable(dst.iter_names[0]) + 100],
         )
-        reset_dependence_prune_stats()
         pruned_rels, _ = _dependence_relations(
             src, dst, src.write, shifted, prune=True
         )
-        stats = dependence_prune_stats()
+        stats = counters("deps.")
         assert pruned_rels == []
         assert stats["pairs_checked"] == 1
         assert stats["pairs_pruned"] == 1
@@ -272,20 +270,18 @@ class TestBoundingBoxPruning:
         kernel = self._chain()
         src, dst = kernel.statements
         read = dst.reads[0]
-        reset_dependence_prune_stats()
         rels, _ = _dependence_relations(src, dst, src.write, read, prune=True)
-        stats = dependence_prune_stats()
+        stats = counters("deps.")
         assert len(rels) == 1
         assert stats["pairs_checked"] == 1
-        assert stats["pairs_pruned"] == 0
+        assert stats.get("pairs_pruned", 0) == 0
 
     def test_prune_counters_only_tick_when_enabled(self):
         kernel = self._chain()
-        reset_dependence_prune_stats()
         compute_dependences(kernel, prune=False)
-        assert dependence_prune_stats()["pairs_checked"] == 0
+        assert counters("deps.").get("pairs_checked", 0) == 0
         compute_dependences(kernel, prune=True)
-        assert dependence_prune_stats()["pairs_checked"] > 0
+        assert counters("deps.")["pairs_checked"] > 0
 
     @staticmethod
     def _example_kernels():

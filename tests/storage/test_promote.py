@@ -13,11 +13,7 @@ from repro.ir.tensor import compute, placeholder, reduce_axis, te_sum
 from repro.sched.clustering import conservative_clustering
 from repro.sched.deps import compute_dependences
 from repro.sched.scheduler import PolyScheduler
-from repro.poly.cache import (
-    FOOTPRINT_CACHE,
-    clear_solver_caches,
-    set_solver_cache_enabled,
-)
+from repro.poly.cache import clear_solver_caches, set_solver_cache_enabled
 from repro.storage.promote import contiguous_runs, footprint_extents, plan_storage
 from repro.tiling.reverse import (
     affine_extent_bounds,
@@ -28,6 +24,7 @@ from repro.tiling.reverse import (
 
 from tests.core.test_golden_programs import GOLDEN
 from tests.core.test_staged_equivalence import KERNELS as STAGED
+from tests.poly._counts import hits_misses
 
 
 def fused_group(out, sizes):
@@ -266,10 +263,10 @@ class TestFootprintTable:
         builder = GOLDEN[name][0]
         with diskcache.disabled():
             cold = _plan_view(build(builder(), name))
-            assert FOOTPRINT_CACHE.misses
-            misses = FOOTPRINT_CACHE.misses
+            misses = hits_misses("footprint")[1]
+            assert misses
             warm = _plan_view(build(builder(), name))
-            assert FOOTPRINT_CACHE.misses == misses
+            assert hits_misses("footprint")[1] == misses
             uncached = _uncached(lambda: _plan_view(build(builder(), name)))
         assert cold == warm == uncached
 
@@ -331,7 +328,7 @@ class TestFootprintTable:
         )
         assert footprint_extents(group, producer, producer.write) == halo
         assert footprint_extents(group, consumer, consumer.write) == sizes
-        assert (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses) == (0, 2)
+        assert hits_misses("footprint") == (0, 2)
 
     def test_same_index_function_into_another_shape_is_another_entry(self):
         """The clip is part of the answer: ``[i, j]`` into an 8x16 tensor
@@ -350,7 +347,7 @@ class TestFootprintTable:
             assert footprint_extents(group, stmt, read) == _named_footprint(
                 group, stmt, read
             )
-        assert (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses) == (0, 2)
+        assert hits_misses("footprint") == (0, 2)
 
     def test_equal_relations_under_other_tile_counts_are_another_entry(self):
         """The tile counts are the box the extent is maximised over."""
@@ -364,7 +361,7 @@ class TestFootprintTable:
         assert footprint_extents(group, stmt, stmt.write) == _named_footprint(
             group, stmt, stmt.write
         )
-        assert (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses) == (0, 2)
+        assert hits_misses("footprint") == (0, 2)
 
     def test_cold_means_cold_and_the_verifier_stays_independent(self):
         """No footprint state outlives ``clear_solver_caches()`` (the
@@ -375,17 +372,18 @@ class TestFootprintTable:
         make = GOLDEN["subgraph2"][0]
         with diskcache.disabled():
             build(make(), "subgraph2")
-            first = (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses)
+            first = hits_misses("footprint")
             clear_solver_caches()
             result = build(make(), "subgraph2")
-            assert (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses) == first == (282, 6)
+            assert hits_misses("footprint") == first == (282, 6)
             verify_result(result)
-        assert (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses) == first
+        assert hits_misses("footprint") == first
 
     def test_twenty_one_statements_pose_one_question_per_size(self):
         kernel, group = fused_group(GOLDEN["subgraph2"][0](), [4, 4, 8, 4])
         plan_storage(group, assign_compute_units(group.statements), kernel, HardwareSpec())
-        assert FOOTPRINT_CACHE.misses == 1 and FOOTPRINT_CACHE.hits > 40
+        hits, misses = hits_misses("footprint")
+        assert misses == 1 and hits > 40
 
     def test_gather_is_sized_by_the_consumer_tile_and_never_keyed(self):
         table = placeholder((64, 32), name="TAB")
@@ -395,5 +393,5 @@ class TestFootprintTable:
         gather = next(r for r in stmt.reads if not r.is_affine)
         assert gather.tensor.name == "TAB"
         assert footprint_extents(group, stmt, gather) == [4, 32]
-        assert (FOOTPRINT_CACHE.hits, FOOTPRINT_CACHE.misses) == (0, 0)
+        assert hits_misses("footprint") == (0, 0)
         assert _uncached(lambda: footprint_extents(group, stmt, gather)) == [4, 32]

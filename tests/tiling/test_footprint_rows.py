@@ -28,10 +28,10 @@ from repro.ir.tensor import placeholder
 from repro.poly import fm
 from repro.poly.affine import AffineExpr, Constraint, var
 from repro.poly.cache import (
-    EXTENT_CACHE,
     RankSpace,
     clear_solver_caches,
     set_solver_cache_enabled,
+    solver_cache_stats,
 )
 from repro.poly.maps import BasicMap
 from repro.poly.sets import Space
@@ -333,7 +333,7 @@ def test_injected_fault_reaches_cold_footprint_and_extent_misses():
         with pytest.raises(SolverBudgetError):
             _extents(single, "x")
     assert _extents(single, "x") == [4]
-    assert EXTENT_CACHE.misses == 2
+    assert solver_cache_stats()["extent"]["misses"] == 2
 
 
 def test_deadline_is_checked_once_per_eliminated_variable(monkeypatch):

@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 from repro.core.compiler import AkgOptions, build
+from repro.core.context import counters
 from repro.core.errors import ReproError
-from repro.core.resilience import StageBudget, resilience_stats
+from repro.core.resilience import StageBudget
 from repro.graph import compile_network, network
 from repro.ir import ops
 from repro.ir.lower import lower
@@ -194,7 +195,7 @@ def test_service_survives_tuner_worker_crash(monkeypatch):
     threads finish untouched and the queue keeps serving.  Every wait is
     bounded: a wedged queue raises out of ``result(timeout=)``.
     """
-    serial_before = resilience_stats().get("autotune.pool.fallback:serial", 0)
+    serial_before = counters("resilience.").get("autotune.pool.fallback:serial", 0)
     monkeypatch.setenv("REPRO_FAULT_SPEC", "autotune.worker:crash")
     with CompileService(workers=2) as service:
         tune = service.submit(
@@ -228,7 +229,7 @@ def test_service_survives_tuner_worker_crash(monkeypatch):
         )
         assert service.run(post, timeout=300).ok, "queue dead after the crash"
     assert (
-        resilience_stats().get("autotune.pool.fallback:serial", 0) > serial_before
+        counters("resilience.").get("autotune.pool.fallback:serial", 0) > serial_before
     )
 
 

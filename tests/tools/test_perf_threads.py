@@ -1,9 +1,14 @@
 """perf counters under thread contention (the compile-service regime)."""
 
+import sys
 import threading
 
-from repro.core.context import stage
+from repro.core.context import counters, reset_counters, stage
+from repro.ir.lower import lower
+from repro.sched.deps import compute_dependences
 from repro.tools import perf
+
+from tests.core.test_golden_programs import GOLDEN
 
 THREADS = 8
 ITERS = 500
@@ -82,3 +87,37 @@ class TestPerfThreadSafety:
         if row is not None:  # whatever survived the last reset is coherent
             assert row["calls"] >= 1
             assert row["seconds"] > 0.0
+
+    def test_dependence_pruning_counters_lose_nothing(self):
+        """``CompileService`` workers run dependence analysis at once: 8
+        threads x 5 analyses, switching threads every microsecond, count
+        exactly 8x what one thread's 5 count.  (CPython's GIL happened to
+        keep the unlocked bumps whole too; this pins the locking contract.)"""
+        kernel = lower(GOLDEN["softmax_32x64"][0]())
+        rounds = 5
+
+        def analyse():
+            for _ in range(rounds):
+                compute_dependences(kernel)
+
+        analyse()
+        one = counters("deps.")
+        assert one["pairs_checked"] > 0
+        reset_counters("deps.")
+        barrier = threading.Barrier(THREADS)
+
+        def racer():
+            barrier.wait()
+            analyse()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=racer) for _ in range(THREADS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert counters("deps.") == {label: THREADS * n for label, n in one.items()}
