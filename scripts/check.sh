@@ -74,6 +74,15 @@ grep -q "schedule-tree AST" "$TMP/cce.txt" \
     || { echo "FAIL: akgc --dump-cce of a matmul has no schedule-tree AST"; exit 1; }
 
 echo
+echo "== Fig. 4 / Fig. 8 manual specs (examples/manual_specs.py) =="
+REPRO_CACHE_DIR="$TMP/manual-cache" python examples/manual_specs.py \
+    | tee "$TMP/manual_specs.txt"
+grep -qF -- "-> tiles [32, 256], 1583 cycles" "$TMP/manual_specs.txt" \
+    || { echo "FAIL: the Fig. 4 tiling-policy build of manual_specs.py moved"; exit 1; }
+grep -qF "on the small NPU: tiles [16, 256], 2847 cycles" "$TMP/manual_specs.txt" \
+    || { echo "FAIL: the Fig. 8 overlay build of manual_specs.py moved"; exit 1; }
+
+echo
 echo "== network degradation roll-up (mid-network subgraph fault) =="
 REPRO_FAULT_SPEC="tiling.auto_search:error" REPRO_CACHE_DIR="$TMP/net-cache" \
     python -m repro.tools.akgc --network alexnet_tiny --resilience-stats --perf \

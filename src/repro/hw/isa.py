@@ -58,6 +58,8 @@ class Pipe(Enum):
 
 
 #: Every dataflow edge of Fig. 1: the pipe that serves it, its intrinsic.
+#: Fig. 8 text may name only these edges (``spec_lang`` rejects others),
+#: so ``spec.ASCEND_910``'s dataflow lines are checked against this table.
 EDGES = {
     ("GM", "L1"): (Pipe.MTE2, "copy_gm_to_cbuf"),
     ("GM", "UB"): (Pipe.MTE2, "copy_gm_to_ubuf"),

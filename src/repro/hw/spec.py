@@ -1,89 +1,67 @@
 """Architectural model of the DaVinci core (Ascend 910, Fig. 1).
 
-All constants are per-core and expressed in bytes and cycles.  Buffer
-capacities match the published DaVinci numbers (Liao et al., Hot Chips
-2019); throughputs and latencies are calibrated so that the *relative*
-behaviour of compiled kernels (tiling quality, fusion benefit, pipeline
-overlap, sync overhead) mirrors the paper's measurements -- see
-DESIGN.md "Substitutions".
+The core is written once, as Fig. 8 text (:data:`ASCEND_910`, in the
+language of :mod:`repro.hw.spec_lang`), and ``HardwareSpec()`` is a fresh
+copy of its parse, taken once at import.  All values are per-core bytes
+and cycles.  Buffer capacities match the published DaVinci numbers (Liao
+et al., Hot Chips 2019); throughputs and latencies are calibrated so that
+the *relative* behaviour of compiled kernels (tiling quality, fusion
+benefit, pipeline overlap, sync overhead) mirrors the paper's
+measurements -- see DESIGN.md "Substitutions".
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-KiB = 1024
-MiB = 1024 * KiB
+from repro.hw.spec_lang import parse_npu_spec
 
 DTYPE_BYTES = {"fp16": 2, "fp32": 4, "int32": 4}
 
+#: The Ascend 910 AI core.  Line order is attribute order, which every
+#: pickled ``HardwareSpec`` (each cache entry holds one) depends on.
+ASCEND_910 = """
+buf GM (1152921504606846976)  # 2**60: off-chip, effectively unbounded
+buf L1 (1048576)
+buf UB (262144)
+buf L0A (65536)
+buf L0B (65536)
+buf L0C (262144)
+# Bytes per cycle along each dataflow edge of Fig. 1, and the fixed
+# start-up cycles per transfer: the MTE queues descriptors, so the
+# overhead is tens of cycles, not a full memory round trip.
+dataflow (GM -> L1, 128, 32) latency 32
+dataflow (GM -> UB, 128, 32) latency 32
+dataflow (L1 -> UB, 256, 32) latency 8
+dataflow (L1 -> L0A, 256, 32) latency 8
+dataflow (L1 -> L0B, 256, 32) latency 8
+dataflow (UB -> L0C, 256, 32) latency 8
+dataflow (L0C -> UB, 256, 32) latency 8
+dataflow (UB -> GM, 128, 32) latency 32
+dataflow (UB -> L1, 256, 32) latency 8
+vector (UB -> UB, 512, 32) latency 8
+const vector_unaligned_penalty (2.0)
+cube (L0A L0B -> L0C, 4096, 16) latency 16
+const scalar_cycles_per_op (2)
+const sync_cycles (6)
+# Per-burst descriptor overhead of the 2-D strided DMA engine.
+const noncontiguous_run_overhead (2)
+const img2col_bytes_per_cycle (256)
+const double_buffer_fraction (0.5)
+"""
+
 
 class HardwareSpec:
-    """Parameters of one DaVinci AI core."""
+    """Parameters of one DaVinci AI core, initially :data:`ASCEND_910`.
 
-    def __init__(
-        self,
-        buffer_capacity: Dict[str, int] | None = None,
-        bandwidth: Dict[Tuple[str, str], float] | None = None,
-        dma_latency: Dict[Tuple[str, str], int] | None = None,
-        vector_bytes_per_cycle: int = 512,
-        vector_issue_latency: int = 8,
-        vector_unaligned_penalty: float = 2.0,
-        cube_block: Tuple[int, int, int] = (16, 16, 16),
-        cube_cycles_per_block: int = 1,
-        cube_issue_latency: int = 16,
-        scalar_cycles_per_op: int = 2,
-        sync_cycles: int = 6,
-        # Per-burst descriptor overhead of the 2-D strided DMA engine.
-        noncontiguous_run_overhead: int = 2,
-        img2col_bytes_per_cycle: int = 256,
-        double_buffer_fraction: float = 0.5,
-    ):
-        self.buffer_capacity = buffer_capacity or {
-            "GM": 1 << 60,  # off-chip: effectively unbounded
-            "L1": 1 * MiB,
-            "UB": 256 * KiB,
-            "L0A": 64 * KiB,
-            "L0B": 64 * KiB,
-            "L0C": 256 * KiB,
-        }
-        # Bytes per cycle along each dataflow edge of Fig. 1.
-        self.bandwidth = bandwidth or {
-            ("GM", "L1"): 128.0,
-            ("GM", "UB"): 128.0,
-            ("L1", "UB"): 256.0,
-            ("L1", "L0A"): 256.0,
-            ("L1", "L0B"): 256.0,
-            ("UB", "L0C"): 256.0,
-            ("L0C", "UB"): 256.0,
-            ("UB", "GM"): 128.0,
-            ("UB", "L1"): 256.0,
-        }
-        # Fixed start-up overhead (cycles) per transfer along each edge.
-        # The MTE queues descriptors, so per-transfer overhead is tens of
-        # cycles, not a full memory round trip.
-        self.dma_latency = dma_latency or {
-            ("GM", "L1"): 32,
-            ("GM", "UB"): 32,
-            ("L1", "UB"): 8,
-            ("L1", "L0A"): 8,
-            ("L1", "L0B"): 8,
-            ("UB", "L0C"): 8,
-            ("L0C", "UB"): 8,
-            ("UB", "GM"): 32,
-            ("UB", "L1"): 8,
-        }
-        self.vector_bytes_per_cycle = vector_bytes_per_cycle
-        self.vector_issue_latency = vector_issue_latency
-        self.vector_unaligned_penalty = vector_unaligned_penalty
-        self.cube_block = cube_block
-        self.cube_cycles_per_block = cube_cycles_per_block
-        self.cube_issue_latency = cube_issue_latency
-        self.scalar_cycles_per_op = scalar_cycles_per_op
-        self.sync_cycles = sync_cycles
-        self.noncontiguous_run_overhead = noncontiguous_run_overhead
-        self.img2col_bytes_per_cycle = img2col_bytes_per_cycle
-        self.double_buffer_fraction = double_buffer_fraction
+    A variant is a copy with fields set, or Fig. 8 text overlaid onto one:
+    ``parse_npu_spec(text).to_hardware_spec(base)``.
+    """
+
+    def __init__(self) -> None:
+        # One Python-level call: the dicts are copied by ``dict``.
+        self.__dict__.update(_ASCEND_910_FIELDS)
+        self.buffer_capacity = dict(self.buffer_capacity)
+        self.bandwidth = dict(self.bandwidth)
+        self.dma_latency = dict(self.dma_latency)
 
     # -- derived helpers --------------------------------------------------------
 
@@ -144,3 +122,12 @@ class HardwareSpec:
     def scalar_cycles(self, count: int) -> int:
         """Cycles for ``count`` scalar operations."""
         return count * self.scalar_cycles_per_op
+
+
+def _parse_ascend_910() -> dict:
+    hw = object.__new__(HardwareSpec)
+    hw.buffer_capacity, hw.bandwidth, hw.dma_latency = {}, {}, {}
+    return vars(parse_npu_spec(ASCEND_910).apply(hw))
+
+
+_ASCEND_910_FIELDS = _parse_ascend_910()

@@ -12,6 +12,7 @@ import repro
 from repro.core import diskcache, resilience
 from repro.core.context import CTX, stage
 from repro.core.resilience import StageBudget
+from repro.hw.spec import HardwareSpec
 from repro.poly.cache import ILP_CACHE, clear_solver_caches
 from repro.runtime import vectorized
 from repro.tools import faultinject
@@ -97,6 +98,10 @@ class TestIdleCost:
 
     def test_statement_credit(self, calls):
         assert calls(lambda: vectorized.note_vectorized(0.0)) <= 2
+
+    def test_default_machine(self, calls):
+        # A copy of the parsed ASCEND_910, taken without a helper call.
+        assert calls(lambda: HardwareSpec()) == 1
 
 
 class TestThreadIsolation:
