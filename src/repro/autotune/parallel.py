@@ -23,6 +23,8 @@ import threading
 import time
 from typing import List, Optional, Sequence
 
+from repro.core import faults
+
 __all__ = ["Measurer", "measure_candidate"]
 
 # Worker-process state, populated once by the pool initializer.
@@ -46,13 +48,11 @@ def _init_worker(frontends) -> None:
 
 
 def _measure_in_worker(task) -> Optional[float]:
-    from repro.tools import faultinject
-
     kid, sizes = task
     # Outside measure_candidate's try: an injected worker fault must look
     # like a *dead or misbehaving worker* to the parent (task exception /
     # hard exit), not like an ordinary infeasible candidate.
-    faultinject.fire("autotune.worker")
+    faults.fire("autotune.worker")
     return measure_candidate(_WORKER_FRONTENDS[kid], sizes)
 
 

@@ -48,6 +48,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import faults
 from repro.core.context import COUNTERS, LOCK, credit
 from repro.core.errors import ExecutionFallbackError
 from repro.fusion.posttile import TiledGroup
@@ -514,9 +515,7 @@ class ProgramReplay:
 
 
 def _run_tile_vectorized(rep, step: _TileStep, buffers) -> None:
-    from repro.tools import faultinject
-
-    faultinject.fire("exec.vectorized")
+    faults.fire("exec.vectorized")
     vectorized.run_statement_box(
         rep.plan, buffers, step.box, step.mask, rep.executed
     )

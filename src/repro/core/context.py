@@ -7,7 +7,7 @@ stage, carries the budget, arms the wall-clock deadline and, on exit,
 credits the stage's wall time to the process-wide totals that
 ``repro.tools.perf`` renders.  The budget/ladder *policy* built on top
 lives in :mod:`repro.core.resilience`, the fault-spec grammar in
-:mod:`repro.tools.faultinject`; both are readers of this module.
+:mod:`repro.core.faults`; both are readers of this module.
 
 Beside the seconds table sits the one table of event counts,
 :data:`COUNTERS`: every process-wide counter of the compiler is a label

@@ -82,7 +82,7 @@ from fractions import Fraction
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import repro
-from repro.core import resilience
+from repro.core import faults, resilience
 from repro.core.context import COUNTERS, LOCK, counters, reset_counters
 from repro.core.errors import CacheCorruptionError
 
@@ -181,13 +181,11 @@ class DiskCache:
         incompatible code version) is deleted, reported as a miss, and
         recorded as a recovery event on the active resilience report.
         """
-        from repro.tools import faultinject
-
         path = self._path(key)
         try:
             # Inside the try: an error-mode injection at this site must
             # exercise the same absorb-as-miss path real corruption takes.
-            mode = faultinject.directive("diskcache.read")
+            mode = faults.directive("diskcache.read")
             if mode in ("corrupt", "truncate"):
                 _mangle_entry(path, mode)
             with open(path, "rb") as fh:

@@ -12,7 +12,7 @@ exists for three consumers:
 - the **CLI** (``akgc``) maps each class to a distinct, documented exit
   code with a one-line actionable message, so scripted callers can react
   without parsing tracebacks;
-- the **fault-injection harness** (:mod:`repro.tools.faultinject`) raises
+- the **fault-injection harness** (:mod:`repro.core.faults`) raises
   exactly these classes at registered sites, so chaos runs exercise the
   same handling paths real failures take.
 

@@ -27,12 +27,11 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core import resilience
+from repro.core import faults, resilience
 from repro.core.errors import FusionError
 from repro.ir.lower import LoweredKernel, PolyStatement
 from repro.poly.affine import AffineExpr
 from repro.poly.maps import BasicMap
-from repro.tools import faultinject
 from repro.sched.clustering import Clustering
 from repro.sched.deps import Dependence
 from repro.sched.tree import (
@@ -182,7 +181,7 @@ def apply_post_tiling_fusion(
     tree has the Fig. 3(e) shape; the returned groups list the resulting
     tile nests in execution order (unfused producers first).
     """
-    faultinject.fire("fusion.posttile")
+    faults.fire("fusion.posttile")
     filters = group_filters(tree)
     liveout_ids = [
         s.stmt_id for ci in sorted(clustering.live_out) for s in clustering.clusters[ci]

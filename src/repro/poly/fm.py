@@ -28,11 +28,10 @@ from itertools import zip_longest
 from math import gcd
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core import resilience
+from repro.core import faults, resilience
 from repro.core.errors import SolverBudgetError
 from repro.poly.affine import AffineExpr, Constraint, ratio
 from repro.poly.cache import FM_CACHE, MISS, RankSpace, split_rows
-from repro.tools import faultinject
 
 # Intermediate-system size above which projection is declared runaway
 # (each FM step can square the inequality count; systems here stay tiny,
@@ -103,7 +102,7 @@ def project_rows(
     variable the stage deadline, and each step's rows the stage's
     ``fm_constraints`` budget; ``name`` renders a rank for that message.
     """
-    faultinject.fire("fm.eliminate")
+    faults.fire("fm.eliminate")
     if not ranks:
         return rows
     # Every step drops the trivially true rows, which are never a pivot or

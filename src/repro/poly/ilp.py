@@ -5,12 +5,21 @@ The polyhedral layer needs four decision procedures:
 - rational feasibility / optimisation  (Pluto-style scheduling LPs),
 - integer feasibility                  (emptiness of integer sets),
 - integer optimisation                 (per-dimension bounds, footprints),
-- lexicographic minima                 (AST generation, sampling).
+- lexicographic minima                 (AST generation).
 
 All are provided here by a dense two-phase simplex (Bland's rule, hence
 guaranteed termination) with branch-and-bound layered on top for
 integrality.  Problem sizes in this code base are tiny (tens of
 variables), so a textbook algorithm is both adequate and auditable.
+
+**A miss works on rank rows**, the integer rows of its memo key
+(:class:`repro.poly.cache.RankSpace`; a row is :mod:`repro.poly.fm`'s
+``{rank: coefficient}`` dict, constant and ``is_equality``), as a
+constraint is an integer row in isl.  The presolve is FM's row
+substitution, :func:`repro.poly.fm._substitute`, of the first equality
+row with a +-1 coefficient at its first such rank (exact over the
+integers); the objective goes through the same eliminations, and the
+assignment stays keyed by rank until the one decode a hit shares.
 
 **The tableau is integer and row-scaled**, as in isl's ``isl_tab``: a row
 is a list of Python ``int`` numerators whose common denominator is the
@@ -38,9 +47,9 @@ per doubly-bounded variable), and a system with none is read off its box.
   vertex: a caller that needs one particular optimum must state it
   (``PolyScheduler._pluto_row`` does; all others read status and value);
 - a solve is a pure function of its input: exact arithmetic, fixed rules
-  (columns in ``names`` order; the first column with a negative reduced
-  cost enters; minimum ratio leaves, ties to the lowest basis index;
-  basic artificials are driven out in row order);
+  (columns in rank order, which is sorted-name order; the first column
+  with a negative reduced cost enters; minimum ratio leaves, ties to the
+  lowest basis index; basic artificials are driven out in row order);
 - the work is pinned: pivots and tableau rows are counted beside the
   memo's hits (``solver_cache_stats()["ilp"]``), exactly, per compile.
 """
@@ -49,14 +58,14 @@ from __future__ import annotations
 
 from enum import Enum
 from math import gcd, lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core import resilience
+from repro.core import faults, resilience
 from repro.core.context import COUNTERS, LOCK
 from repro.core.errors import SolverBudgetError
 from repro.poly.affine import AffineExpr, Constraint, Number, canonical, ratio
-from repro.poly.cache import ILP_CACHE, MISS, RankSpace
-from repro.tools import faultinject
+from repro.poly.cache import ILP_CACHE, MISS, RankSpace, split_rows
+from repro.poly.fm import Row, _substitute, _summed
 
 
 class IlpStatus(Enum):
@@ -68,7 +77,8 @@ class IlpStatus(Enum):
 
 
 class IlpResult:
-    """Solution record: status, objective value and variable assignment."""
+    """Solution record: status, objective value and variable assignment
+    (keyed by name; by rank inside the solver, until the decode)."""
 
     __slots__ = ("status", "value", "assignment")
 
@@ -76,7 +86,7 @@ class IlpResult:
         self,
         status: IlpStatus,
         value: Optional[Number] = None,
-        assignment: Optional[Dict[str, Number]] = None,
+        assignment: Optional[Dict] = None,
     ):
         self.status = status
         self.value = value
@@ -86,15 +96,15 @@ class IlpResult:
         return f"IlpResult({self.status.value}, {self.value}, {self.assignment})"
 
 
-#: Eliminated variables and their replacements, in elimination order.
-BackSubst = List[Tuple[str, AffineExpr]]
-#: A reduced system and the substitutions that lead back from it.
-Presolved = Tuple[List[Constraint], BackSubst]
-#: Variable -> finite bound; a variable without one on that side is absent.
-Bounds = Dict[str, Number]
-#: A presolved system split by :func:`_fold_bounds`: ``(lo, hi, rows)``, or
-#: ``None`` when the split already proves it infeasible.
-Folded = Optional[Tuple[Bounds, Bounds, List[Constraint]]]
+#: An objective over ranks, ``({rank: coefficient}, constant)``.
+Objective = Tuple[Dict[int, Number], Number]
+#: A presolve step: the rank eliminated and its replacement (as above).
+Elimination = Tuple[int, Dict[int, int], int]
+#: Rank -> finite bound; a rank without one on that side is absent.
+Bounds = Dict[int, Number]
+#: Presolved rows split by :func:`_fold_bounds`: ``(lo, hi, rows)``, or
+#: ``None`` when the split already proves them infeasible.
+Folded = Optional[Tuple[Bounds, Bounds, List[Row]]]
 
 
 class IlpProblem:
@@ -113,9 +123,9 @@ class IlpProblem:
     def __init__(self, constraints: Optional[Sequence[Constraint]] = None):
         self.constraints: List[Constraint] = list(constraints or [])
         # Derived from the constraints, once: the memo key's rank space, and
-        # the presolve with the bounds folded out of it per integrality.
+        # its rows presolved, with the bounds folded out per integrality.
         self._space: Optional[RankSpace] = None
-        self._presolved: Optional[Tuple[List[Constraint], BackSubst, Dict]] = None
+        self._presolved: Optional[Tuple[List[Row], List[Elimination], Dict]] = None
 
     def add_constraint(self, constraint: Constraint) -> None:
         """Append one constraint."""
@@ -126,13 +136,6 @@ class IlpProblem:
         """Append several constraints."""
         self.constraints.extend(constraints)
         self._space = self._presolved = None
-
-    def variables(self) -> List[str]:
-        """All variable names referenced by the constraints, sorted."""
-        names = set()
-        for c in self.constraints:
-            names.update(c.variables())
-        return sorted(names)
 
     # -- public solving interface -------------------------------------------
 
@@ -149,34 +152,7 @@ class IlpProblem:
         caller's names and is what a fresh solve would return (see
         :mod:`repro.poly.cache`).
         """
-        return _memoized(self._system(), objective, integer, self._minimize_uncached)
-
-    def _minimize_uncached(self, objective: AffineExpr, integer: bool) -> IlpResult:
-        faultinject.fire("ilp.solve")
-        return self._solve(objective, integer)
-
-    def _system(self) -> Optional[RankSpace]:
-        """The memo key's rank space, ranked once per problem (``None``
-        while the cache is off)."""
-        if not ILP_CACHE.enabled:
-            return None
-        if self._space is None:
-            self._space = RankSpace(self.constraints)
-        return self._space
-
-    def _solve(self, objective: AffineExpr, integer: bool) -> IlpResult:
-        """One uncached solve.  The equality-elimination presolve and the
-        bounds folded out of it depend only on the constraints, so the
-        problem computes them once (the fold once per integrality) and
-        every objective posed to it shares them (``add_constraint`` drops
-        them)."""
-        if self._presolved is None:
-            self._presolved = (*_presolve_system(self.constraints), {})
-        constraints, back_subst, folded = self._presolved
-        if integer not in folded:
-            folded[integer] = _fold_bounds(constraints, integer)
-        objective = _apply_back_substitutions(objective, back_subst)
-        return _solve_folded(folded[integer], objective, back_subst, integer)
+        return self._memoized(self._system(), objective, integer, True)
 
     def batch_minimize(
         self, objectives: Sequence[AffineExpr], integer: bool = True
@@ -190,8 +166,8 @@ class IlpProblem:
         and one-at-a-time solves are interchangeable (bit-identical
         results, shared cache lines).
         """
-        system = self._system()
-        return [_memoized(system, o, integer, self._solve) for o in objectives]
+        space = self._system()
+        return [self._memoized(space, o, integer, False) for o in objectives]
 
     def maximize(self, objective: AffineExpr, integer: bool = True) -> IlpResult:
         """Maximise ``objective`` subject to the constraints."""
@@ -205,206 +181,218 @@ class IlpProblem:
         result = self.minimize(AffineExpr.constant(0), integer=integer)
         return result.status is IlpStatus.OPTIMAL
 
-    def sample(self) -> Optional[Dict[str, int]]:
-        """Return one integer point, or ``None`` when infeasible."""
-        return self.lexmin(self.variables())
-
     def lexmin(self, order: Sequence[str]) -> Optional[Dict[str, int]]:
         """Lexicographic integer minimum along ``order``.
 
         Dimensions unbounded below make the lexmin undefined; this raises
         ``ValueError`` in that case (polyhedral domains here are bounded).
         """
-        return self._lex(order, 1, "lexmin", "below")
-
-    def lexmax(self, order: Sequence[str]) -> Optional[Dict[str, int]]:
-        """Lexicographic integer maximum along ``order``."""
-        return self._lex(order, -1, "lexmax", "above")
-
-    def _lex(
-        self, order: Sequence[str], sign: int, what: str, side: str
-    ) -> Optional[Dict[str, int]]:
         extra: List[Constraint] = []
         point: Dict[str, int] = {}
         for name in order:
             problem = IlpProblem(self.constraints + extra)
-            result = problem.minimize(AffineExpr.variable(name) * sign, integer=True)
+            result = problem.minimize(AffineExpr.variable(name), integer=True)
             if result.status is IlpStatus.INFEASIBLE:
                 return None
             if result.status is IlpStatus.UNBOUNDED:
-                raise ValueError(f"{what}: dimension {name!r} unbounded {side}")
-            point[name] = value = sign * int(result.value)
+                raise ValueError(f"lexmin: dimension {name!r} unbounded below")
+            point[name] = value = int(result.value)
             extra.append(Constraint.eq(AffineExpr.variable(name), value))
         return point
 
+    # -- memo entries and misses ----------------------------------------------
 
-# -- memo entries ---------------------------------------------------------------
+    def _system(self) -> RankSpace:
+        """The memo key's rank space, ranked once per problem."""
+        if self._space is None:
+            self._space = RankSpace(self.constraints)
+        return self._space
 
+    def _memoized(
+        self, space: RankSpace, objective: AffineExpr, integer: bool, fire: bool
+    ) -> IlpResult:
+        """One solve through :data:`ILP_CACHE`: one entry per system x
+        objective, whichever of ``minimize`` (``fire``: its misses pass the
+        ``ilp.solve`` fault site) or ``batch_minimize`` poses it.
 
-def _memoized(
-    system: Optional[RankSpace],
-    objective: AffineExpr,
-    integer: bool,
-    solve: Callable[[AffineExpr, bool], "IlpResult"],
-) -> "IlpResult":
-    """``solve(objective, integer)`` through :data:`ILP_CACHE`: one entry per system x
-    objective, whichever of ``minimize``/``batch_minimize`` poses it.
+        An entry is the result with its assignment keyed by rank (the
+        values are immutable and shared); a miss stores what it solved and
+        decodes it exactly as a hit does.
+        """
+        space, key = space.with_expr(objective)
+        key = (key, integer)
+        entry = ILP_CACHE.lookup(key)
+        if entry is MISS:
+            if fire:
+                faults.fire("ilp.solve")
+            result = self._solve(space, key[0], integer)
+            point = result.assignment
+            entry = (result.status, result.value, tuple(point), tuple(point.values()))
+            ILP_CACHE.store(key, entry)
+        status, value, ranks, values = entry
+        names = map(space.names.__getitem__, ranks)
+        return IlpResult(status, value, dict(zip(names, values)))
 
-    An entry is the result with its assignment keys as ranks (the values
-    are immutable and shared).
-    """
-    if system is None:
-        return solve(objective, integer)
-    space, key = system.with_expr(objective)
-    key = (key, integer)
-    entry = ILP_CACHE.lookup(key)
-    if entry is MISS:
-        result = solve(objective, integer)
-        ranks = tuple(map(space.rank.__getitem__, result.assignment))
-        values = tuple(result.assignment.values())
-        ILP_CACHE.store(key, (result.status, result.value, ranks, values))
-        return result
-    status, value, ranks, values = entry
-    names = map(space.names.__getitem__, ranks)
-    return IlpResult(status, value, dict(zip(names, values)))
+    def _solve(self, space: RankSpace, key: Hashable, integer: bool) -> IlpResult:
+        """One uncached solve on the key's rows.  Presolve and fold (one
+        per integrality) are the problem's, shared by every objective in
+        its space (``add_constraint`` drops them); an objective that widens
+        the space (:meth:`RankSpace.with_expr`) presolves its own rows."""
+        system, ranks, numbers = key
+        presolved = self._presolved if space is self._space else None
+        if presolved is None:
+            presolved = (*_presolve(system), {})
+            if space is self._space:
+                self._presolved = presolved
+        rows, back, folded = presolved
+        if integer not in folded:
+            folded[integer] = _fold_bounds(rows, integer)
+        objective = (dict(zip(ranks, numbers)), numbers[-1])
+        if back:
+            objective = _substituted(*objective, back)
+        return _solve_folded(folded[integer], objective, back, integer)
 
 
 # -- presolve -----------------------------------------------------------------
 
 
-def _presolve_system(constraints: Sequence[Constraint]) -> Presolved:
-    """Substitute away equalities with a +-1 coefficient variable.
+def _presolve(system: Hashable) -> Tuple[List[Row], List[Elimination]]:
+    """The rows of ``system`` (laid out as :attr:`RankSpace.rows`) and
+    the eliminations, in order, that removed its unit-coefficient equalities.
 
-    Unit-coefficient substitution is exact over the integers, so the
-    reduced problem has the same optimum.  Returns the reduced system and
-    the back-substitution list.  The elimination order depends only on
-    the constraints, never on any objective: an :class:`IlpProblem` runs
-    this once for every objective it is posed.
+    Each of at most 256 steps takes the first equality row with a +-1
+    coefficient and eliminates its first such rank with
+    :func:`repro.poly.fm._substitute`: exact over the integers, and a
+    function of the constraints alone, never of an objective.
     """
-    current = list(constraints)
-    back: List[Tuple[str, AffineExpr]] = []
-    changed = True
-    guard = 0
-    while changed and guard < 256:
-        guard += 1
-        changed = False
-        for i, c in enumerate(current):
-            if not c.is_equality:
-                continue
-            target = None
-            for name in c.expr.coeffs:
-                if abs(c.expr.coeffs[name]) == 1:
-                    target = name
-                    break
-            if target is None:
-                continue
-            a = c.expr.coeff(target)
-            rest = c.expr - AffineExpr({target: a})
-            replacement = rest * ratio(-1, a)
-            back.append((target, replacement))
-            env = {target: replacement}
-            next_cons = []
-            for j, other in enumerate(current):
-                if j == i:
-                    continue
-                if other.expr.coeff(target) != 0:
-                    other = other.substitute(env)
-                if other.is_trivially_true():
-                    continue
-                next_cons.append(other)
-            current = next_cons
-            changed = True
+    rows: List[Row] = []
+    for ranks, numbers in split_rows(system):
+        # The presolve never deduplicates, so its rows need no key.
+        rows.append((dict(zip(ranks, numbers)), numbers[-2], numbers[-1], None, None))
+    back: List[Elimination] = []
+    for _ in range(256):
+        step = _unit_pivot(rows)
+        if step is None:
             break
-    return current, back
+        pivot, r = step
+        coeffs = pivot[0]
+        a = coeffs[r]  # +-1: r = -a * (the rest of the row)
+        rest = {n: -a * x for n, x in coeffs.items() if n != r}
+        back.append((r, rest, -a * pivot[1]))
+        rows = _substitute(rows, r, pivot)
+    if back:
+        # No step makes a trivially true row; those the system came with
+        # go once it has changed.
+        rows = [row for row in rows if row[0] or (row[1] != 0 if row[2] else row[1] < 0)]
+    return rows, back
 
 
-def _apply_back_substitutions(
-    objective: AffineExpr, back: BackSubst
-) -> AffineExpr:
-    """Rewrite an objective through the eliminations, in elimination order.
+def _unit_pivot(rows: Sequence[Row]) -> Optional[Tuple[Row, int]]:
+    """The first equality row with a +-1 coefficient and its first such
+    rank, or ``None``."""
+    for row in rows:
+        if row[2]:
+            for r, a in row[0].items():
+                if a == 1 or a == -1:
+                    return row, r
+    return None
 
-    A replacement recorded at step *k* may mention variables eliminated at
-    steps > *k* (they were still live when it was derived), so forward
-    application reproduces exactly the incremental substitution the
-    presolve loop used to perform inline.
-    """
-    for name, replacement in back:
-        if objective.coeff(name) != 0:
-            objective = objective.substitute({name: replacement})
-    return objective
+
+def _substituted(
+    coeffs: Dict[int, Number], const: Number, back: Sequence[Elimination]
+) -> Objective:
+    """An objective through the eliminations in order (a replacement may
+    mention ranks eliminated after it), each replacement's terms entering
+    at its rank's position."""
+    for r, rest, rest_const in back:
+        b = coeffs.get(r)
+        if b is None:
+            continue
+        terms = []
+        for n, x in coeffs.items():
+            if n == r:
+                for m, y in rest.items():
+                    terms.append((m, y * b))
+            else:
+                terms.append((n, x))
+        coeffs = _summed(terms)
+        const += rest_const * b
+    return coeffs, const
 
 
 def _solve_folded(
-    folded: Folded,
-    objective: AffineExpr,
-    back_subst: BackSubst,
-    integer: bool,
+    folded: Folded, objective: Objective, back: Sequence[Elimination], integer: bool
 ) -> IlpResult:
-    """Solve a presolved system, split by :func:`_fold_bounds` for this
+    """Solve presolved rows, split by :func:`_fold_bounds` for this
     integrality, and back-substitute the assignment."""
     if folded is None:
-        result = IlpResult(IlpStatus.INFEASIBLE)
+        return IlpResult(IlpStatus.INFEASIBLE)
+    lo, hi, rows = folded
+    columns = sorted({r for row in rows for r in row[0]}.union(lo, hi, objective[0]))
+    if not rows:
+        result = _box_optimum(lo, hi, objective, columns)
+    elif integer:
+        result = _branch_and_bound(lo, hi, rows, objective, columns)
     else:
-        lo, hi, rows = folded
-        names = sorted(
-            {v for c in rows for v in c.expr.coeffs}.union(lo, hi, objective.coeffs)
-        )
-        if not rows:
-            result = _box_optimum(lo, hi, objective, names)
-        elif integer:
-            result = _branch_and_bound(lo, hi, rows, objective, names)
-        else:
-            result = _simplex_solve(lo, hi, rows, objective, names)
-    if result.status is IlpStatus.OPTIMAL and back_subst:
+        result = _simplex_solve(lo, hi, rows, objective, columns)
+    if result.status is IlpStatus.OPTIMAL and back:
         assignment = dict(result.assignment)
-        for name, expr in reversed(back_subst):
-            assignment[name] = expr.evaluate(assignment)
+        for r, rest, value in reversed(back):
+            for n, x in rest.items():
+                v = assignment.get(n)
+                if v is None:
+                    # Live, yet in no row, bound or objective: free, and
+                    # given 0 as the box gives a free column.
+                    v = assignment[n] = 0
+                value += x * v
+            assignment[r] = canonical(value)
         result = IlpResult(result.status, result.value, assignment)
     return result
 
 
-def _fold_bounds(constraints: Sequence[Constraint], integer: bool) -> Folded:
-    """Split a system into ``(lo, hi, rows)``: every single-variable
-    constraint tightens a bound of its variable (rounded inwards for an
-    integer solve) and is gone; only ``rows``, which couple variables, ever
-    reach a tableau.  ``None`` when a constant row or an empty interval
-    already makes the system infeasible.
+def _fold_bounds(rows: Sequence[Row], integer: bool) -> Folded:
+    """Split rows into ``(lo, hi, rows)``: every single-variable row
+    tightens a bound of its rank (rounded inwards for an integer solve) and
+    is gone; only ``rows``, which couple variables, ever reach a tableau.
+    ``None`` when a constant row or an empty interval already makes the
+    system infeasible.
     """
     lo: Bounds = {}
     hi: Bounds = {}
-    rows: List[Constraint] = []
-    for c in constraints:
-        coeffs = c.expr.coeffs
+    coupling: List[Row] = []
+    for row in rows:
+        coeffs, const, eq = row[0], row[1], row[2]
         if len(coeffs) > 1:
-            rows.append(c)
+            coupling.append(row)
             continue
         if not coeffs:
-            if c.is_trivially_false():
+            if const != 0 if eq else const < 0:
                 return None
             continue
-        ((name, a),) = coeffs.items()
-        low = high = ratio(-c.expr.const, a)
+        ((r, a),) = coeffs.items()
+        low = high = ratio(-const, a)
         if integer:
             high = low.numerator // low.denominator
             low = -(-low.numerator // low.denominator)
-        if c.is_equality or a > 0:  # name >= low
-            lo[name] = max(lo.get(name, low), low)
-        if c.is_equality or a < 0:  # name <= high
-            hi[name] = min(hi.get(name, high), high)
-    if any(lo[name] > hi[name] for name in lo.keys() & hi.keys()):
+        if eq or a > 0:  # r >= low
+            lo[r] = max(lo.get(r, low), low)
+        if eq or a < 0:  # r <= high
+            hi[r] = min(hi.get(r, high), high)
+    if any(lo[r] > hi[r] for r in lo.keys() & hi.keys()):
         return None
-    return lo, hi, rows
+    return lo, hi, coupling
 
 
 def _box_optimum(
-    lo: Bounds, hi: Bounds, objective: AffineExpr, names: Sequence[str]
+    lo: Bounds, hi: Bounds, objective: Objective, columns: Sequence[int]
 ) -> IlpResult:
     """The optimum over a box: nothing couples the variables, so each sits
     at the bound its objective coefficient points to."""
-    assignment: Dict[str, Number] = {}
-    for name in names:
-        low, high = lo.get(name), hi.get(name)
-        coeff = objective.coeff(name)
+    coeffs = objective[0]
+    assignment: Dict[int, Number] = {}
+    for r in columns:
+        low, high = lo.get(r), hi.get(r)
+        coeff = coeffs.get(r, 0)
         if coeff > 0:
             pick = low
         elif coeff < 0:
@@ -413,23 +401,31 @@ def _box_optimum(
             pick = low if low is not None else (high if high is not None else 0)
         if pick is None:
             return IlpResult(IlpStatus.UNBOUNDED)
-        assignment[name] = pick
-    return IlpResult(IlpStatus.OPTIMAL, objective.evaluate(assignment), assignment)
+        assignment[r] = pick
+    return IlpResult(IlpStatus.OPTIMAL, _value(objective, assignment), assignment)
+
+
+def _value(objective: Objective, point: Dict[int, Number]) -> Number:
+    """``objective`` at ``point``."""
+    coeffs, total = objective
+    for r, c in coeffs.items():
+        total += c * point[r]
+    return canonical(total)
 
 
 # -- simplex core ------------------------------------------------------------
 
-#: name -> (column, sign, shift, free): ``x = shift + sign * p`` with ``p``
+#: rank -> (column, sign, shift, free): ``x = shift + sign * p`` with ``p``
 #: in ``column``, or ``x = p+ - p-`` in ``column``, ``column + 1`` when free.
-Layout = Dict[str, Tuple[int, int, Number, bool]]
+Layout = Dict[int, Tuple[int, int, Number, bool]]
 
 
 def _simplex_solve(
     lo: Bounds,
     hi: Bounds,
-    rows: Sequence[Constraint],
-    objective: AffineExpr,
-    names: Sequence[str],
+    rows: Sequence[Row],
+    objective: Objective,
+    columns: Sequence[int],
 ) -> IlpResult:
     """Solve the rational LP ``min objective s.t. rows, lo <= x <= hi``.
 
@@ -444,23 +440,23 @@ def _simplex_solve(
     layout: Layout = {}
     boxed: List[Tuple[int, Number]] = []
     n = 0
-    for name in names:
-        low, high = lo.get(name), hi.get(name)
+    for r in columns:
+        low, high = lo.get(r), hi.get(r)
         if low is not None:
-            layout[name] = (n, 1, low, False)
+            layout[r] = (n, 1, low, False)
             if high is not None:
                 boxed.append((n, high - low))
         elif high is not None:
-            layout[name] = (n, -1, high, False)
+            layout[r] = (n, -1, high, False)
         else:
-            layout[name] = (n, 1, 0, True)
+            layout[r] = (n, 1, 0, True)
             n += 1
         n += 1
 
     # Columns: [p..., slacks..., artificials..., rhs].  Rows are first laid
     # out over the structural ones as (row, rhs >= 0, basic column or None):
     # how many need an artificial is known only once all are.
-    n_struct = n + len(boxed) + sum(1 for c in rows if not c.is_equality)
+    n_struct = n + len(boxed) + sum(1 for row in rows if not row[2])
     pending: List[Tuple[List[int], int, Optional[int]]] = []
     slack = n
     for j, width in boxed:
@@ -468,10 +464,10 @@ def _simplex_solve(
         row[j] = row[slack] = width.denominator
         pending.append((row, width.numerator, slack))
         slack += 1
-    for c in rows:
-        row, const, scale = _shifted_row(c.expr, layout, n_struct)
+    for coeffs, const, eq, _, _ in rows:
+        row, const, scale = _shifted_row(coeffs, const, layout, n_struct)
         basic = None
-        if not c.is_equality:
+        if not eq:
             # expr >= 0  <=>  a.p - s = -const, s >= 0: once the row is
             # negated the slack is basic at const, if that is >= 0.
             row[slack] = -scale
@@ -508,7 +504,7 @@ def _simplex_solve(
         _drive_out_artificials(tableau, basis, n_struct)
 
     # Phase 2: original objective over structural columns only.
-    cost2, _, _ = _shifted_row(objective, layout, n_cols)
+    cost2, _, _ = _shifted_row(*objective, layout, n_cols)
     status = _simplex_iterate(tableau, basis, cost2, n_struct)
     if status is IlpStatus.UNBOUNDED:
         return IlpResult(IlpStatus.UNBOUNDED)
@@ -517,18 +513,18 @@ def _simplex_solve(
     for row, col in zip(tableau, basis):
         if col < n:
             point[col] = ratio(row[-1], row[col])
-    assignment: Dict[str, Number] = {}
-    for name, (j, sign, shift, free) in layout.items():
+    assignment: Dict[int, Number] = {}
+    for r, (j, sign, shift, free) in layout.items():
         p = point[j] - point[j + 1] if free else point[j]
-        assignment[name] = canonical(shift + sign * p)
-    value = objective.evaluate(assignment)
-    return IlpResult(IlpStatus.OPTIMAL, value, assignment)
+        assignment[r] = canonical(shift + sign * p)
+    return IlpResult(IlpStatus.OPTIMAL, _value(objective, assignment), assignment)
 
 
 def _shifted_row(
-    expr: AffineExpr, layout: Layout, width: int
+    coeffs: Dict[int, Number], const: Number, layout: Layout, width: int
 ) -> Tuple[List[int], int, int]:
-    """``scale * expr`` laid out over the shifted columns, in integers.
+    """``scale * (coeffs . x + const)`` laid out over the shifted columns,
+    in integers.
 
     Every variable is replaced by its ``shift + sign * p`` first and the
     denominators are cleared after, so a fractional bound stays exact.
@@ -536,10 +532,9 @@ def _shifted_row(
     that clears every denominator, ``row`` has ``width`` entries (zero
     beyond the variable columns) and ``const`` is the scaled constant.
     """
-    const = expr.const
     terms = []
-    for name, a in expr.coeffs.items():
-        j, sign, shift, free = layout[name]
+    for r, a in coeffs.items():
+        j, sign, shift, free = layout[r]
         const += a * shift
         terms.append((j, sign * a, free))
     scale = lcm(const.denominator, *[a.denominator for _, a, _ in terms])
@@ -640,9 +635,9 @@ def _drive_out_artificials(
 def _branch_and_bound(
     lo: Bounds,
     hi: Bounds,
-    rows: Sequence[Constraint],
-    objective: AffineExpr,
-    names: Sequence[str],
+    rows: Sequence[Row],
+    objective: Objective,
+    columns: Sequence[int],
 ) -> IlpResult:
     """Integer minimisation by LP-relaxation branch and bound.
 
@@ -663,7 +658,7 @@ def _branch_and_bound(
         if nodes % 64 == 0:
             resilience.check_deadline()
         lo, hi = stack.pop()
-        relax = _simplex_solve(lo, hi, rows, objective, names)
+        relax = _simplex_solve(lo, hi, rows, objective, columns)
         if relax.status is IlpStatus.INFEASIBLE:
             continue
         if relax.status is IlpStatus.UNBOUNDED:
@@ -673,12 +668,12 @@ def _branch_and_bound(
         if best is not None and relax.value >= best.value:
             continue  # Bound: cannot improve.
         point = relax.assignment
-        frac_name = next((n for n in names if point[n].denominator != 1), None)
-        if frac_name is None:
+        frac = next((r for r in columns if point[r].denominator != 1), None)
+        if frac is None:
             best = relax  # integral, and better than the incumbent
             continue
-        value = point[frac_name]
+        value = point[frac]
         floor_v = value.numerator // value.denominator
-        stack.append((lo, {**hi, frac_name: floor_v}))
-        stack.append(({**lo, frac_name: floor_v + 1}, hi))
+        stack.append((lo, {**hi, frac: floor_v}))
+        stack.append(({**lo, frac: floor_v + 1}, hi))
     return best or IlpResult(IlpStatus.INFEASIBLE)

@@ -156,10 +156,6 @@ class BasicSet:
         """Lexicographically smallest point."""
         return self._problem().lexmin(list(self.space.dims))
 
-    def lexmax(self) -> Optional[Dict[str, int]]:
-        """Lexicographically largest point."""
-        return self._problem().lexmax(list(self.space.dims))
-
     def dim_min(self, dim: str) -> Optional[int]:
         """Exact integer minimum of ``dim`` over the set (None if empty)."""
         result = self._problem().minimize(AffineExpr.variable(dim), integer=True)

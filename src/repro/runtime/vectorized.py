@@ -61,6 +61,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from repro.core import faults
 from repro.core.context import COUNTERS, LOCK, counters, credit, reset_counters
 from repro.core.errors import ExecutionFallbackError
 from repro.ir.expr import (
@@ -79,7 +80,6 @@ from repro.ir.lower import PolyStatement, expr_to_affine
 from repro.poly.affine import AffineExpr
 from repro.runtime import reference
 from repro.runtime.reference import AUTO_VECTORIZE_MIN_INSTANCES, numpy_dtype
-from repro.tools import faultinject
 
 __all__ = [
     "Unvectorizable",
@@ -707,7 +707,7 @@ def run_statement(
         # Typed trigger only: ExecutionFallbackError covers Unvectorizable
         # and injected exec.vectorized faults; anything else is a bug and
         # propagates.
-        faultinject.fire("exec.vectorized")
+        faults.fire("exec.vectorized")
         plan = plan_for(stmt)
         full = [(0, extent - 1) for extent in stmt.iter_extents]
         run_statement_box(plan, buffers, full, None, None)

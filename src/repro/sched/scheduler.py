@@ -25,11 +25,10 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core import resilience
+from repro.core import faults, resilience
 from repro.ir.lower import LoweredKernel, PolyStatement
 from repro.poly.affine import AffineExpr, Constraint
 from repro.poly.ilp import IlpProblem, IlpStatus
-from repro.tools import faultinject
 from repro.sched.clustering import Clustering, conservative_clustering
 from repro.sched.deps import Dependence, compute_dependences
 from repro.sched.tree import (
@@ -279,7 +278,7 @@ class PolyScheduler:
         minimum over the coefficients (statement by statement, dimension
         by dimension) followed by the shifts (statement order).
         """
-        faultinject.fire("sched.pluto_row")
+        faults.fire("sched.pluto_row")
         problem = IlpProblem()
         coeff_vars: Dict[Tuple[str, str], str] = {}
         const_vars: Dict[str, str] = {}

@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
+from repro.core import faults
 from repro.core.context import counters
 from repro.core.errors import (
     QuarantinedError,
@@ -456,8 +457,6 @@ class CompileService:
                     return
 
     def _execute(self, entry: _InFlight, worker: str) -> None:
-        from repro.tools import faultinject
-
         request = entry.request
         with self._lock:
             epoch = entry.epoch
@@ -477,8 +476,8 @@ class CompileService:
         result.queue_seconds = started - entry.enqueued_at
         try:
             if request.fault_spec:
-                faultinject.set_spec(request.fault_spec)
-            faultinject.fire("service.dispatch")
+                faults.set_spec(request.fault_spec)
+            faults.fire("service.dispatch")
             remaining = None
             if entry.deadline is not None:
                 remaining = entry.deadline - self._clock()
@@ -508,7 +507,7 @@ class CompileService:
             result.fail(exc)
         finally:
             if request.fault_spec:
-                faultinject.set_spec(None)
+                faults.set_spec(None)
             with self._lock:
                 self._supervisor.end(worker)
         result.run_seconds = time.perf_counter() - started

@@ -10,6 +10,7 @@ import time
 from typing import Any, Callable, Dict, Optional
 
 from repro.autotune.tuner import DEFAULT_TUNE_PARAMS
+from repro.core import faults
 from repro.service.request import ServiceRequest
 
 __all__ = ["HANDLERS", "execute", "effective_options"]
@@ -29,11 +30,10 @@ def execute(
     gets the request's run time.
     """
     from repro.core.context import check_deadline, stage
-    from repro.tools import faultinject
 
     deadline = None if remaining is None else time.monotonic() + remaining
     with stage("service.request", deadline=deadline):
-        faultinject.fire("service.worker")
+        faults.fire("service.worker")
         check_deadline()
         options = effective_options(request, default_stage_seconds)
         return HANDLERS[request.kind](request, options)

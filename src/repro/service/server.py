@@ -38,6 +38,7 @@ import socketserver
 import threading
 from typing import Dict, Optional, Set, Tuple
 
+from repro.core import faults
 from repro.core.errors import ServiceError
 from repro.service import wire
 from repro.service.core import CompileService
@@ -178,9 +179,7 @@ class AkgdServer(socketserver.ThreadingTCPServer):
     def handle_line(self, line: bytes) -> dict:
         """One wire request → one response dict (never raises)."""
         try:
-            from repro.tools import faultinject
-
-            faultinject.fire("service.wire")
+            faults.fire("service.wire")
             payload = json.loads(line.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             return wire.error_to_json(ServiceError(f"bad JSON: {exc}"))

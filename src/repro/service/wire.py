@@ -51,6 +51,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, List, Optional
 
+from repro.core import faults
 from repro.core.errors import ServiceError
 from repro.service.request import ServiceRequest, ServiceResult, error_body
 
@@ -255,10 +256,8 @@ def request_from_json(payload: Dict[str, Any]) -> ServiceRequest:
         raise ServiceError(f"bad kernel spec: {exc}")
     fault_spec = fields["fault_spec"]
     if fault_spec:
-        from repro.tools import faultinject
-
         try:
-            faultinject.parse_spec(fault_spec)
+            faults.parse_spec(fault_spec)
         except ValueError as exc:
             raise ServiceError(f"bad fault_spec: {exc}")
     tune_payload = payload.get("tune") or {}

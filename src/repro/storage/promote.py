@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.core import resilience
+from repro.core import faults, resilience
 from repro.core.errors import CodegenError
 from repro.fusion.intratile import UnitAssignment
 from repro.fusion.posttile import TiledGroup
@@ -275,9 +275,7 @@ def plan_storage(
     double_buffered: bool = True,
 ) -> StoragePlan:
     """Compute the storage plan of one tiled group."""
-    from repro.tools import faultinject
-
-    faultinject.fire("storage.promote")
+    faults.fire("storage.promote")
     output_names = {t.name for t in kernel.outputs}
     input_names = {t.name for t in kernel.inputs}
     group_ids = {s.stmt_id for s in group.statements}

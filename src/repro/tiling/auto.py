@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core import resilience
+from repro.core import faults, resilience
 from repro.core.errors import TilingError
 from repro.hw.spec import HardwareSpec
 from repro.tiling.spec import StatementSpec, TileSpec, TilingPolicy
-from repro.tools import faultinject
 
 
 class LinearFootprintEvaluator:
@@ -154,7 +153,7 @@ class AutoTiler:
 
     def search(self) -> List[int]:
         """Return the selected tile sizes (one per band dimension)."""
-        faultinject.fire("tiling.auto_search")
+        faults.fire("tiling.auto_search")
         sizes = list(self.extents)
         ladders = [self._ladder(e) for e in self.extents]
         for d, v in self.fixed_sizes.items():

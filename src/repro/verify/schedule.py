@@ -38,13 +38,12 @@ from __future__ import annotations
 from math import ceil, floor
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.core import resilience
+from repro.core import faults, resilience
 from repro.core.errors import VerificationError
 from repro.poly.affine import AffineExpr, Constraint
 from repro.poly.fm import interval_of
 from repro.poly.ilp import IlpProblem
 from repro.sched.deps import Dependence, compute_dependences
-from repro.tools import faultinject
 
 if TYPE_CHECKING:
     from repro.core.compiler import CompileResult
@@ -238,7 +237,7 @@ def check_dependences(result: "CompileResult") -> None:
     :class:`~repro.core.errors.VerificationError` on the first
     violation.
     """
-    faultinject.fire("verify.schedule")
+    faults.fire("verify.schedule")
     deps = compute_dependences(result.kernel)
     group_of: Dict[str, Tuple[int, "TiledGroup"]] = {}
     pos_of: Dict[str, int] = {}

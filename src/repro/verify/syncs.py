@@ -32,10 +32,9 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Sequence, Tuple
 
 from collections import deque
 
-from repro.core import resilience
+from repro.core import faults, resilience
 from repro.core.errors import VerificationError
 from repro.hw.isa import Instr, Pipe, walk
-from repro.tools import faultinject
 
 if TYPE_CHECKING:
     from repro.core.compiler import CompileResult
@@ -117,5 +116,5 @@ def check_program_sync(instructions: Sequence[Instr]) -> None:
 
 def check_sync(result: "CompileResult") -> None:
     """Race-check a compiled result's program."""
-    faultinject.fire("verify.sync")
+    faults.fire("verify.sync")
     check_program_sync(result.program.instructions)

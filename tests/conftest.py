@@ -17,9 +17,8 @@ import os
 
 import pytest
 
-from repro.core import diskcache
+from repro.core import diskcache, faults
 from repro.core.context import reset_counters
-from repro.tools import faultinject
 
 
 @pytest.fixture(autouse=True)
@@ -39,9 +38,9 @@ def _no_leaked_fault_spec(monkeypatch):
     """No test inherits fault injection from the environment or a
     neighbour that forgot to clear a programmatic spec."""
     monkeypatch.delenv("REPRO_FAULT_SPEC", raising=False)
-    faultinject.set_spec(None)
+    faults.set_spec(None)
     yield
-    faultinject.set_spec(None)
+    faults.set_spec(None)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -51,7 +50,7 @@ def _fault_spec_does_not_outlive_the_session():
     at_start = os.environ.get("REPRO_FAULT_SPEC")
     yield
     assert os.environ.get("REPRO_FAULT_SPEC") == at_start
-    assert faultinject.current_spec() == at_start
+    assert faults.current_spec() == at_start
 
 
 @pytest.fixture()

@@ -19,14 +19,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core import diskcache
+from repro.core import diskcache, faults
 from repro.core.compiler import AkgOptions, build
 from repro.core.context import counters
 from repro.core.frontend import FrontEnd, run_frontend
 from repro.hw.spec import HardwareSpec
 from repro.ir import ops
 from repro.ir.tensor import placeholder
-from repro.tools import faultinject, perf
+from repro.tools import perf
 
 
 def _disk_counts():
@@ -529,7 +529,7 @@ class TestWarmBuildIsOneRead:
 
     def test_corrupt_program_entry_recovers_then_hits_cleanly(self):
         cold, _ = self._populate("corrupt_probe")
-        with faultinject.inject("diskcache.read:corrupt@backend.cache_probe"):
+        with faults.inject("diskcache.read:corrupt@backend.cache_probe"):
             recovered = build(_matmul_kernel(), "corrupt_probe")
         stats = diskcache.disk_cache_stats()
         assert stats["corruptions"] == 1 and stats["errors"] == 1

@@ -11,13 +11,12 @@ from collections import Counter
 
 import numpy as np
 
-from repro.core import diskcache
+from repro.core import diskcache, faults
 from repro.core.compiler import AkgOptions, build
 from repro.core.context import counters
 from repro.core.frontend import run_frontend
 from repro.ir import ops
 from repro.ir.tensor import placeholder
-from repro.tools import faultinject
 
 
 def _disk_counts():
@@ -38,7 +37,7 @@ class TestEntryMangling:
         cache.put(key, {"schedule": list(range(64))})
         path = cache._path(key)
 
-        with faultinject.inject("diskcache.read:corrupt"):
+        with faults.inject("diskcache.read:corrupt"):
             assert cache.get(key) is None  # a miss, not a crash
         assert not os.path.exists(path)  # poisoned entry removed
         stats = _disk_counts()
@@ -56,7 +55,7 @@ class TestEntryMangling:
         path = cache._path(key)
         healthy_size = os.path.getsize(path)
 
-        with faultinject.inject("diskcache.read:truncate"):
+        with faults.inject("diskcache.read:truncate"):
             assert cache.get(key) is None
         assert not os.path.exists(path)
         assert _disk_counts()["corruptions"] == 1
@@ -91,7 +90,7 @@ class TestPipelineRecovery:
         assert fe_cold.cache_key is not None
         diskcache.reset_disk_cache_stats()
 
-        with faultinject.inject("diskcache.read:corrupt#once"):
+        with faults.inject("diskcache.read:corrupt#once"):
             fe_warm = run_frontend(_matmul(), "faulted")
 
         # Recompiled from scratch (the mangled entry could not be a hit)
@@ -110,7 +109,7 @@ class TestPipelineRecovery:
     def test_corrupted_warm_build_matches_cold_program_exactly(self):
         opts = AkgOptions(emit_trace=True)
         cold = build(_matmul(), "faulted_build", options=opts)
-        with faultinject.inject("diskcache.read:corrupt"):
+        with faults.inject("diskcache.read:corrupt"):
             warm = build(_matmul(), "faulted_build", options=opts)
         assert warm.program.dump() == cold.program.dump()
         assert warm.tile_sizes == cold.tile_sizes
@@ -128,7 +127,7 @@ class TestPipelineRecovery:
         run_frontend(_matmul(), "faulted_report")
         from repro.core import resilience
 
-        with faultinject.inject("diskcache.read:corrupt#once"):
+        with faults.inject("diskcache.read:corrupt#once"):
             with resilience.collect() as report:
                 run_frontend(_matmul(), "faulted_report")
         kinds = [e["kind"] for e in report.events]
@@ -139,6 +138,6 @@ class TestPipelineRecovery:
         # ``diskcache.read:error`` raises CacheCorruptionError out of the
         # directive call itself; the cache layer must absorb it as a miss.
         run_frontend(_matmul(), "faulted_error_mode")
-        with faultinject.inject("diskcache.read:error#once"):
+        with faults.inject("diskcache.read:error#once"):
             fe = run_frontend(_matmul(), "faulted_error_mode")
         assert fe.extents

@@ -155,10 +155,10 @@ CALLS = {
 # the benchmark's compile_sched workload, softmax_32x64 and subgraph2 of
 # its compile_tile workload.
 BUILD_CALLS = {
-    "conv2d_16x32": 27677,
-    "softmax_32x64": 15765,
-    "subgraph2": 86395,
-    "subgraph5": 62264,
+    "conv2d_16x32": 17969,
+    "softmax_32x64": 14462,
+    "subgraph2": 83019,
+    "subgraph5": 51242,
 }
 
 # name -> Python-level calls of a warm build(), one disk-cache hit: the

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.core import resilience
+from repro.core import faults, resilience
 from repro.core.context import counters, stage
 from repro.core.errors import ReproError, StageTimeoutError, TilingError
 from repro.core.resilience import (
@@ -193,12 +193,10 @@ class TestLadderInABuild:
     @pytest.fixture(autouse=True)
     def _cold(self):
         from repro.poly.cache import clear_solver_caches
-        from repro.tools import faultinject
-
         clear_solver_caches()  # a memoized solve never reaches the site
-        faultinject.set_spec("ilp.solve:delay@frontend.schedule#limit=1")
+        faults.set_spec("ilp.solve:delay@frontend.schedule#limit=1")
         yield
-        faultinject.set_spec(None)
+        faults.set_spec(None)
 
     @staticmethod
     def _build():
@@ -225,9 +223,7 @@ class TestLadderInABuild:
 def test_fusion_fault_takes_the_fusionless_rung():
     from repro.core.compiler import build
     from repro.service.wire import demo_kernel
-    from repro.tools import faultinject
-
-    with faultinject.inject("fusion.posttile:error"):
+    with faults.inject("fusion.posttile:error"):
         result = build(demo_kernel("relu", [16, 24]), "fusionless")
     assert (
         "backend.fusion: fallback -> fusionless (FusionError)"

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import diskcache
+from repro.core import diskcache, faults
 from repro.core.errors import CodegenError, NetworkPlanError
 from repro.graph import compile_network, network, plan_arena
 from repro.runtime.reference import numpy_dtype
 from repro.runtime.vectorized import exec_stats, reset_exec_stats
-from repro.tools import faultinject, perf
+from repro.tools import perf
 
 
 # -- the arena planner (pure liveness, no compilation) ------------------------
@@ -227,7 +227,7 @@ def test_midnetwork_fault_marks_plan_degraded_and_skips_cache():
     # tiling.auto_search only fires for the pool subgraph — a
     # mid-network compile; the ladder degrades it and the plan-level
     # roll-up must reflect that.
-    with faultinject.inject("tiling.auto_search:error"):
+    with faults.inject("tiling.auto_search:error"):
         compiled = compile_network(network("alexnet_tiny"))
     plan = compiled.plan
     assert plan.degraded
@@ -251,11 +251,11 @@ def test_midnetwork_fault_marks_plan_degraded_and_skips_cache():
 def test_stage_filters_see_the_graph_stages():
     # Serial compile (no service=): frames are per thread, so the
     # subgraph builds run inside this thread's graph.compile_subgraphs.
-    with faultinject.inject("storage.promote:error@graph.compile_subgraphs"):
+    with faults.inject("storage.promote:error@graph.compile_subgraphs"):
         with pytest.raises(CodegenError) as info:
             compile_network(network("alexnet_tiny"))
     assert info.value.stage.startswith("backend.")
-    with faultinject.inject("storage.promote:error@graph.fuse"):
+    with faults.inject("storage.promote:error@graph.fuse"):
         compile_network(network("alexnet_tiny"))  # fusing plans no storage
 
 

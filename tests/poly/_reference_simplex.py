@@ -34,12 +34,20 @@ def raw(expr: AffineExpr, is_equality: bool = False) -> Constraint:
     return c
 
 
-def solve_folded(lo, hi, rows, objective: AffineExpr, names: Sequence[str]) -> IlpResult:
-    """:func:`_simplex_solve` behind the signature of production's: every
-    bound goes back to being a row."""
-    bounds = [raw(AffineExpr.variable(n) - b) for n, b in lo.items()]
-    bounds += [raw(b - AffineExpr.variable(n)) for n, b in hi.items()]
-    return _simplex_solve(bounds + list(rows), objective, names)
+def named(rows) -> List[Constraint]:
+    """Production's rank rows as constraints whose variable names are the
+    ranks themselves, numbers as given."""
+    return [raw(AffineExpr(row[0], row[1]), row[2]) for row in rows]
+
+
+def solve_folded(lo, hi, rows, objective, columns: Sequence[int]) -> IlpResult:
+    """:func:`_simplex_solve` behind the signature of production's, over
+    its rank rows, objective and columns (a rank is the variable's name
+    here, so the assignment comes back keyed by rank): every bound goes
+    back to being a row."""
+    bounds = [raw(AffineExpr({n: 1}, -b)) for n, b in lo.items()]
+    bounds += [raw(AffineExpr({n: -1}, b)) for n, b in hi.items()]
+    return _simplex_solve(bounds + named(rows), AffineExpr(*objective), columns)
 
 
 def _simplex_solve(

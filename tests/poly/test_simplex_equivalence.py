@@ -38,8 +38,9 @@ from repro.ir import ops
 from repro.ir.tensor import placeholder
 from repro.poly import ilp
 from repro.poly.affine import AffineExpr, Constraint, var
-from repro.poly.cache import clear_solver_caches, solver_cache_stats
-from repro.poly.ilp import IlpProblem, IlpStatus
+from repro.poly.cache import RankSpace, clear_solver_caches, solver_cache_stats
+from repro.poly.fm import rows_of
+from repro.poly.ilp import IlpProblem, IlpResult, IlpStatus
 
 from tests.poly import _reference_simplex as reference
 from tests.poly._reference_simplex import raw as _raw
@@ -80,8 +81,20 @@ def _infeasible(constraints, integer):
 
 
 def _solve_presolved(constraints, objective, integer):
-    """What a problem whose presolve left ``constraints`` answers."""
-    return ilp._solve_folded(ilp._fold_bounds(constraints, integer), objective, [], integer)
+    """What a problem whose presolve left ``constraints`` answers, under
+    their names: the row fold and solve on their rank rows, decoded."""
+    space, (rows, ranks, numbers) = RankSpace(constraints).with_expr(objective)
+    folded = ilp._fold_bounds(rows_of(rows), integer)
+    got = ilp._solve_folded(folded, (dict(zip(ranks, numbers)), numbers[-1]), [], integer)
+    assignment = {space.names[r]: v for r, v in got.assignment.items()}
+    return IlpResult(got.status, got.value, assignment)
+
+
+def _boxed_names(constraints):
+    """The variables the row fold bounds on both sides."""
+    space = RankSpace(constraints)
+    lo, hi, _ = ilp._fold_bounds(rows_of(space.rows), False) or ({}, {}, [])
+    return {space.names[r] for r in lo.keys() & hi.keys()}
 
 
 def _ilp_work():
@@ -157,28 +170,30 @@ def test_compile_time_solves_equal_the_reference(name, monkeypatch):
         solves.append(got.status)
         return got
 
-    def remembered(constraints, integer):
-        # Every fold is kept beside the presolved system it came from (and
+    def remembered(rows, integer):
+        # Every fold is kept beside the presolved rows it came from (and
         # alive, so no id is reused); a fold to ``None`` must be right that
-        # the system is infeasible.
-        folded = fold(constraints, integer)
+        # the system is infeasible.  Rows are read as constraints over
+        # their ranks.
+        folded = fold(rows, integer)
+        constraints = reference.named(rows)
         if folded is None:
             assert _infeasible(constraints, integer), constraints
         else:
             sources[id(folded)] = (folded, constraints)
         return folded
 
-    def certified(folded, objective, back_subst, integer):
+    def certified(folded, objective, back, integer):
         # Every uncached answer, read off a box or found by the simplex,
         # rational or branched: the presolved system, single-variable rows
         # and all, is what it answers.
-        got = front_end(folded, objective, back_subst, integer)
+        got = front_end(folded, objective, back, integer)
         if folded is None:
             assert got.status is IlpStatus.INFEASIBLE
         else:
             source, constraints = sources[id(folded)]
             assert source is folded
-            _certified(got, constraints, objective, integer)
+            _certified(got, constraints, AffineExpr(*objective), integer)
         return got
 
     monkeypatch.setattr(ilp, "_simplex_solve", cross_checked)
@@ -365,8 +380,7 @@ def _check_corpus(seed, monkeypatch):
             assert again.assignment == got.assignment, where
             statuses[got.status] += 1
 
-            lo, hi, _ = ilp._fold_bounds(constraints, False) or ({}, {}, [])
-            if all(n in lo and n in hi for n in names):
+            if _boxed_names(constraints).issuperset(names):
                 # A box bounds the search: branch and bound must end, and
                 # end where it ends over the reference's relaxations.
                 got = _solve_presolved(constraints, objective, True)

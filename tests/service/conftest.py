@@ -7,10 +7,10 @@ import threading
 
 import pytest
 
+from repro.core import faults
 from repro.service.client import ServiceClient
 from repro.service.core import CompileService
 from repro.service.server import AkgdServer
-from repro.tools import faultinject
 
 
 class Daemon:
@@ -82,12 +82,12 @@ def worker_arrivals(monkeypatch):
     so a test that read an item may advance the clock past the watchdog
     and know which execution it is declaring stuck."""
     arrivals = queue.Queue()
-    real_fire = faultinject.fire
+    real_fire = faults.fire
 
     def fire(site, detail=""):
         if site == "service.worker":
             arrivals.put(site)
         return real_fire(site, detail)
 
-    monkeypatch.setattr(faultinject, "fire", fire)
+    monkeypatch.setattr(faults, "fire", fire)
     return arrivals

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.core import faults
 from repro.core.context import stage
 from repro.core.errors import (
     QuarantinedError,
@@ -17,7 +18,6 @@ from repro.ir import ops
 from repro.ir.tensor import placeholder
 from repro.service import CompileService, ServiceRequest
 from repro.service.handlers import effective_options
-from repro.tools import faultinject
 
 
 def _matmul(m=24):
@@ -180,7 +180,7 @@ class TestQuarantine:
         queue: the next submission after the cool-down is the probe (it
         used to be blocked for good, ``probing`` never cleared)."""
         release = threading.Event()
-        fire = faultinject.fire  # worker_arrivals' reporting wrapper
+        fire = faults.fire  # worker_arrivals' reporting wrapper
 
         def fire_and_hold(site, detail=""):
             fire(site, detail)
@@ -215,7 +215,7 @@ class TestQuarantine:
             fake_clock.advance(30.5)
 
             # Client "a" occupies the only worker and its whole fair share.
-            monkeypatch.setattr(faultinject, "fire", fire_and_hold)
+            monkeypatch.setattr(faults, "fire", fire_and_hold)
             held = svc.submit(
                 ServiceRequest("compile", _relu(), name="held", client_id="a")
             )

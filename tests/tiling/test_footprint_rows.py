@@ -18,7 +18,7 @@ from collections import Counter
 import pytest
 
 from repro.autotune.tuner import tune_tile_sizes
-from repro.core import diskcache, resilience
+from repro.core import diskcache, faults, resilience
 from repro.core.compiler import build
 from repro.core.context import stage
 from repro.core.errors import SolverBudgetError
@@ -37,7 +37,6 @@ from repro.poly.maps import BasicMap
 from repro.poly.sets import Space
 from repro.storage import promote
 from repro.tiling import reverse
-from repro.tools import faultinject
 
 from tests.core.test_golden_programs import GOLDEN
 from tests.poly.test_canonical_keys import _relu_chain
@@ -327,7 +326,7 @@ def test_injected_fault_reaches_cold_footprint_and_extent_misses():
         Constraint.ge(var("x"), var("t") * 4),
         Constraint.le(var("x"), var("t") * 4 + 3),
     ]
-    with faultinject.inject("fm.eliminate:error"):
+    with faults.inject("fm.eliminate:error"):
         with pytest.raises(SolverBudgetError):
             promote.footprint_extents(group, stmt, stmt.reads[0])
         with pytest.raises(SolverBudgetError):

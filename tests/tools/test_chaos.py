@@ -18,6 +18,7 @@ whole matrix; the larger kernels and the whole-network cells are also
 import numpy as np
 import pytest
 
+from repro.core import faults
 from repro.core.compiler import AkgOptions, build
 from repro.core.context import counters
 from repro.core.errors import ReproError
@@ -30,7 +31,6 @@ from repro.poly.cache import clear_solver_caches
 from repro.service.core import CompileService, ServiceRequest
 from repro.service.handlers import _seeded_inputs
 from repro.service.wire import demo_kernel
-from repro.tools import faultinject
 from tests.graph.test_network_plan import _feeds
 from tests.service.test_chaos_serve import SERVICE_FAULTS
 
@@ -124,7 +124,7 @@ def chaos_cell(kernel, spec):
         build(builder(), name, options=options)
         clear_solver_caches()
     try:
-        with faultinject.inject(spec):
+        with faults.inject(spec):
             result = build(builder(), name, options=options)
             got = result.execute(inputs, engine="auto")
             ref = result.execute(inputs, engine="scalar")
@@ -150,10 +150,10 @@ def test_ladder_actually_fires_somewhere():
 def test_sweep_covers_every_registered_fault_site():
     swept = {spec.split(":")[0] for spec in CHAOS_SCENARIOS}
     served = {spec.split(":")[0] for spec in SERVICE_FAULTS}
-    service_sites = {s for s in faultinject.SITES if s.startswith("service.")}
+    service_sites = {s for s in faults.SITES if s.startswith("service.")}
     assert served == service_sites
     # autotune.worker is the tune-through-the-service cell below.
-    assert swept == set(faultinject.SITES) - {"autotune.worker"} - service_sites
+    assert swept == set(faults.SITES) - {"autotune.worker"} - service_sites
 
 
 # -- negative controls: the cell check must bite ------------------------------
@@ -163,7 +163,7 @@ def test_untyped_exception_from_build_fails_the_cell(monkeypatch):
     def untyped(message, stage=None):
         return KeyError(message)
 
-    monkeypatch.setitem(faultinject.SITES, "storage.promote", untyped)
+    monkeypatch.setitem(faults.SITES, "storage.promote", untyped)
     with pytest.raises(KeyError):
         chaos_cell("relu", "storage.promote:error")
 
@@ -243,7 +243,7 @@ def test_network_cell_is_identical_or_typed(spec):
         compile_network(network("alexnet_tiny"))
         clear_solver_caches()
     try:
-        with faultinject.inject(spec):
+        with faults.inject(spec):
             plan = compile_network(network("alexnet_tiny")).plan
             feeds = _feeds(plan, seed=0, batch=1)
             got = plan.replay(feeds)

@@ -11,12 +11,12 @@ into exit code 13.
 
 import pytest
 
+from repro.core import faults
 from repro.core.compiler import AkgOptions, build
 from repro.core.errors import EXIT_CODES, VerificationError
 from repro.graph import compile_network, network
 from repro.graph.subgraphs import paper_subgraphs
 from repro.service.wire import demo_kernel
-from repro.tools import faultinject
 from repro.tools.akgc import main as akgc_main
 from repro.verify import verify_network_plan, verify_result
 from repro.verify.mutate import alias_arena, seeded_mutations, shift_fused_producer
@@ -86,13 +86,13 @@ def test_aliased_arena_slot_is_rejected():
 
 
 def test_verification_failure_exits_13(capsys):
-    faultinject.set_spec("verify.schedule:error")
+    faults.set_spec("verify.schedule:error")
     try:
         code = akgc_main(
             ["matmul", "--shape", "16,16,16", "--no-disk-cache", "--verify"]
         )
     finally:
-        faultinject.set_spec(None)
+        faults.set_spec(None)
     assert code == EXIT_CODES[VerificationError] == 13
     err = capsys.readouterr().err
     assert "VerificationError" in err
@@ -100,18 +100,18 @@ def test_verification_failure_exits_13(capsys):
 
 
 def test_without_verify_flag_fault_site_never_fires(capsys):
-    faultinject.set_spec("verify.schedule:error")
+    faults.set_spec("verify.schedule:error")
     try:
         code = akgc_main(["matmul", "--shape", "16,16,16", "--no-disk-cache"])
     finally:
-        faultinject.set_spec(None)
+        faults.set_spec(None)
     assert code == 0
 
 
 @pytest.mark.parametrize("site", ["verify.schedule", "verify.sync"])
 def test_a_rejection_names_its_verifier_stage(site):
     kernel = demo_kernel("matmul", [16, 16, 16])
-    with faultinject.inject(f"{site}:error"):
+    with faults.inject(f"{site}:error"):
         with pytest.raises(VerificationError) as info:
             build(kernel, "staged", options=AkgOptions(verify=True))
     assert info.value.stage == site
@@ -119,9 +119,9 @@ def test_a_rejection_names_its_verifier_stage(site):
 
 def test_stage_filters_see_the_verifier_stages():
     kernel = demo_kernel("matmul", [16, 16, 16])
-    with faultinject.inject("verify.schedule:error@verify.bounds"):
+    with faults.inject("verify.schedule:error@verify.bounds"):
         assert build(kernel, "other", options=AkgOptions(verify=True)).verified_clean
-    with faultinject.inject("verify.schedule:error@verify.schedule"):
+    with faults.inject("verify.schedule:error@verify.schedule"):
         with pytest.raises(VerificationError):
             build(kernel, "own", options=AkgOptions(verify=True))
 
