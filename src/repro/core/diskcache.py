@@ -606,11 +606,10 @@ def signature_fingerprint(signature) -> str:
     """Stable rendering of a subgraph structural signature.
 
     :meth:`repro.graph.fusion.SubgraphSpec.digest` hashes this to get the
-    network pipeline's compile-level dedup key: the signature already
-    alpha-renames tensors and iterators, so two fused groups that the
-    cycle-counting dedup of :mod:`repro.graph.networks` treats as one
-    kernel map to one digest (and, via the canonical re-rooting, to one
-    disk-cache entry).
+    network partition's one dedup key: the signature already alpha-renames
+    tensors and iterators, so two fused groups that compute one kernel map
+    to one digest (and, via the canonical re-rooting, to one disk-cache
+    entry).
     """
     return "sig(" + _stable_value(signature) + ")"
 

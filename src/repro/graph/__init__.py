@@ -9,10 +9,13 @@ onto placeholder inputs to form an independent kernel.
 - :mod:`repro.graph.fusion`    -- the graph-level fusion pass.
 - :mod:`repro.graph.subgraphs` -- the five fused subgraphs of Table 1.
 - :mod:`repro.graph.networks`  -- ResNet-50, MobileNet-v2, AlexNet,
-  BERT (two vocabularies) and SSD as layer tables, plus toy-scale
-  replayable variants.
-- :mod:`repro.graph.pipeline`  -- graph-level compile driver
-  (network -> :class:`~repro.graph.plan.NetworkPlan`).
+  BERT (two vocabularies, all 24 layers built; no multiplicity scaling)
+  and SSD as layer tables, plus toy-scale replayable variants.
+- :mod:`repro.graph.pipeline`  -- the one partition per network
+  (:func:`~repro.graph.pipeline.partition`: fuse, re-root each group
+  once, dedup by digest), read by Fig. 13, ``akgc --network`` and the
+  graph-level compile driver (network ->
+  :class:`~repro.graph.plan.NetworkPlan`).
 - :mod:`repro.graph.plan`      -- executable plans: schedule, static
   buffer-reuse arena, batched replay.
 """
@@ -30,7 +33,7 @@ from repro.graph.networks import (
     resnet50,
     ssd300,
 )
-from repro.graph.pipeline import CompiledNetwork, compile_network
+from repro.graph.pipeline import CompiledNetwork, Partition, compile_network, partition
 from repro.graph.plan import ArenaPlan, NetworkPlan, PlanStep, plan_arena
 from repro.graph.subgraphs import paper_subgraphs
 
@@ -49,6 +52,8 @@ __all__ = [
     "mobilenet_v2_tiny",
     "NETWORKS",
     "network",
+    "partition",
+    "Partition",
     "compile_network",
     "CompiledNetwork",
     "NetworkPlan",

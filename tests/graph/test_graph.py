@@ -10,6 +10,7 @@ from repro.graph import (
     fuse_graph,
     mobilenet_v2,
     paper_subgraphs,
+    partition,
     resnet50,
     ssd300,
 )
@@ -64,18 +65,14 @@ class TestFuseGraph:
         groups = fuse_graph(t)
         spec = extract_subgraph(groups[0], "g0")
         x = np.random.default_rng(0).standard_normal((6, 6)).astype(np.float32)
-        rerooted = spec.outputs[0]
-        inputs = {
-            p.name: x
-            for g in groups[0]
-            for p in []
-        }
+        rerooted = spec.canonical_outputs[0]
+        assert [t.name for t in spec.source_outputs] == ["C"]
         # The extracted subgraph has exactly one placeholder input.
         placeholders = [
             t2 for t2 in rerooted.ancestors() if t2.is_placeholder
         ]
-        assert len(placeholders) == 1
-        got = evaluate_tensors(rerooted, {placeholders[0].name: x})["C"]
+        assert [p.name for p in placeholders] == spec.canonical_inputs == ["p0"]
+        got = evaluate_tensors(rerooted, {"p0": x})[rerooted.name]
         np.testing.assert_allclose(got, np.maximum(x * 2, 0), rtol=1e-6)
 
     def test_signature_dedupes_identical_layers(self):
@@ -124,6 +121,8 @@ class TestPaperSubgraphs:
 
 
 class TestNetworks:
+    """The one partition (``repro.graph.partition``) of each network."""
+
     @pytest.mark.parametrize(
         "factory,min_unique",
         [
@@ -134,45 +133,54 @@ class TestNetworks:
         ],
     )
     def test_network_enumeration(self, factory, min_unique):
-        net = factory()
-        specs = net.subgraph_specs()
-        assert len(specs) >= min_unique
-        assert all(count >= 1 for _, count in specs)
+        part = partition(factory())
+        counts = part.multiplicities()
+        assert len(part.unique) >= min_unique
+        assert all(count >= 1 for count in counts.values())
+        assert sum(counts.values()) == len(part.specs)
         # Every subgraph has at most one contraction.
         from repro.graph.fusion import _is_heavy
 
-        for spec, _ in specs:
+        for spec in part.unique.values():
             heavy = [
                 t
-                for o in spec.outputs
+                for o in spec.canonical_outputs
                 for t in o.ancestors()
                 if _is_heavy(t)
             ]
             assert len(set(id(t) for t in heavy)) <= 1
 
     def test_bert_layer_scaling(self):
-        net = bert(21128)
-        specs = net.subgraph_specs()
-        total = sum(c for _, c in specs)
-        # 24 layers' worth of kernels dominate the count.
-        assert total > 100
+        """BERT is built as its 24 layers: the counts come from the
+        partition, not from scaling two built layers."""
+        part = partition(bert(21128))
+        assert len(part.specs) == 243
+        assert len(part.unique) == 12
+        # 24 ln1 + 23 ln2 instances of the layer-norm kernel (the last
+        # ln2 fuses into vocab_proj).
+        layer_norms = [
+            digest
+            for spec, digest in zip(part.specs, part.digests)
+            if spec.source_outputs[-1].name.endswith(("_ln1", "_ln2"))
+        ]
+        assert len(layer_norms) == 47
+        assert len(set(layer_norms)) == 1
 
     def test_bert_vocab_variants_differ(self):
-        small = bert(21128).subgraph_specs()
-        large = bert(30522).subgraph_specs()
-        shapes_small = {s.signature for s, _ in small}
-        shapes_large = {s.signature for s, _ in large}
+        small = partition(bert(21128)).unique.values()
+        large = partition(bert(30522)).unique.values()
+        shapes_small = {s.signature for s in small}
+        shapes_large = {s.signature for s in large}
         assert shapes_small != shapes_large
 
     def test_total_cycles_uses_backend(self):
-        net = alexnet()
+        part = partition(alexnet())
         calls = []
 
         def backend(spec):
             calls.append(spec.name)
             return 100
 
-        total = net.total_cycles(backend)
-        n_kernels = sum(c for _, c in net.subgraph_specs())
-        assert total == 100 * n_kernels
-        assert len(calls) == len(net.subgraph_specs())
+        total = part.total_cycles(backend)
+        assert total == 100 * len(part.specs)
+        assert len(calls) == len(part.unique)
