@@ -67,6 +67,16 @@ grep -q "verified      :" "$TMP/verify.txt" \
     || { echo "FAIL: akgc --verify did not report verification"; exit 1; }
 
 echo
+echo "== a full-size network plans and verifies (akgc --network bert21128 --verify) =="
+REPRO_CACHE_DIR="$TMP/bert-cache" \
+    python -m repro.tools.akgc --network bert21128 --verify | tee "$TMP/bert.txt"
+grep -q "^verified      : arena + 12 subgraphs" "$TMP/bert.txt" \
+    || { echo "FAIL: akgc --network bert21128 --verify did not verify the plan"; exit 1; }
+# The BERT (21,128) AKG total of EXPERIMENTS.md's Fig. 13 table.
+grep -qE "^network total +304765517$" "$TMP/bert.txt" \
+    || { echo "FAIL: the bert21128 network total moved from EXPERIMENTS.md's Fig. 13"; exit 1; }
+
+echo
 echo "== CCE dump of a cube kernel carries the schedule-tree AST =="
 python -m repro.tools.akgc matmul --shape 64,64,64 --no-disk-cache --dump-cce \
     > "$TMP/cce.txt"
