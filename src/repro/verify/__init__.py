@@ -25,8 +25,9 @@ A failed check raises :class:`~repro.core.errors.VerificationError`
 (CLI exit code 13); the rejected result is never disk-cached, served by
 ``akgd``, or stitched into a network plan.  The mutation harness in
 :mod:`repro.verify.mutate` proves the checkers have teeth: seeded
-mutations (dropped sync, swapped statement order, off-by-one tile box,
-shifted fused-producer tile, aliased arena slot) must all be rejected.
+mutations (dropped sync, a K-chunk loop without its exit sync, swapped
+statement order, off-by-one tile box, shifted fused-producer tile,
+aliased arena slot) must all be rejected.
 """
 
 from __future__ import annotations
