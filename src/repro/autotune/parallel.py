@@ -33,11 +33,15 @@ _WORKER_FRONTENDS: dict = {}
 
 def measure_candidate(frontend, sizes: Sequence[int]) -> Optional[float]:
     """Simulated cycles of ``frontend`` compiled at ``sizes``; ``None``
-    for an infeasible candidate."""
+    for an infeasible candidate.  A program the race check rejects is a
+    compiler defect, not an infeasible candidate: its error propagates."""
     from repro.core.compiler import AkgOptions, backend_build
+    from repro.core.errors import VerificationError
 
     try:
         result = backend_build(frontend, AkgOptions(tile_sizes=list(sizes)))
+    except VerificationError:
+        raise
     except RuntimeError:
         return None
     return float(result.cycles())

@@ -6,8 +6,10 @@ in the disk cache under a key ``build`` derives, and probes, before
 either runs.  ``backend_build`` runs the paper's passes in order —
 tile-size selection, the exact-fit retile ladder (:data:`VARIANTS`, each
 row fitted by :func:`fit`, the faster measured candidate wins),
-intra-tile rewrites, code generation — and decides nothing itself:
-where sizes start and how they shrink is :mod:`repro.tiling.policy`.
+intra-tile rewrites, code generation, the always-on race check of the
+emitted program — and decides nothing itself: where sizes start and how
+they shrink is :mod:`repro.tiling.policy`, and what no size changes is
+computed once per front-end (:meth:`FrontEnd.invariants`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from repro.core.resilience import ResilienceReport, StageBudget
 from repro.conv.fractal import graft_fractal_subtrees
 from repro.fusion.intratile import (
     UnitAssignment,
-    assign_compute_units,
     mark_local_buffers,
     sink_vector_dims,
 )
@@ -46,9 +47,10 @@ from repro.sched.clustering import Clustering
 from repro.sched.deps import Dependence, compute_dependences
 from repro.sched.scheduler import SchedulerOptions
 from repro.sched.tree import DomainNode
-from repro.storage.promote import StoragePlan, plan_storage
+from repro.storage.promote import StoragePlan
 from repro.tiling import policy
 from repro.tiling.spec import TilingPolicy, parse_tiling_policy
+from repro.verify.syncs import check_program_sync
 
 
 class AkgOptions:
@@ -336,7 +338,9 @@ def backend_build(
     Reuses every tile-size-independent artefact from ``frontend`` (the
     schedule tree is cloned per attempt, so the front-end stays pristine
     and can serve any number of backend builds).  ``options.scheduler`` is
-    ignored here — the schedule was fixed when the front-end ran.
+    ignored here — the schedule was fixed when the front-end ran.  The
+    emitted program passes the sync check or raises
+    :class:`~repro.core.errors.VerificationError` at stage ``verify.sync``.
     """
     options = options or AkgOptions()
     hw = frontend.hw
@@ -377,6 +381,11 @@ def backend_build(
 
     with stage("backend.codegen", budget):
         program = _emit(kernel, best, hw, options, options.emit_trace)
+    # The race check of Sec. 3.8 is always on: a program whose flags and
+    # barriers leave a cross-pipe access pair unordered is never returned,
+    # so never cached, memoized or served.
+    with stage("verify.sync"):
+        check_program_sync(program.instructions)
     return CompileResult(
         program,
         kernel,
@@ -401,6 +410,7 @@ def fit(
     the exact plan is the law.  ``None`` when 64 shrinks do not get there.
     """
     kernel, hw, deps = frontend.kernel, frontend.hw, frontend.deps
+    invariants = frontend.invariants()
     # The split clustering and its schedule are tile-size-independent, so
     # the front-end caches them across backend builds.
     tree_fn = frontend.split_tree if variant.split else frontend.fresh_tree
@@ -413,7 +423,7 @@ def fit(
         if fuse:
             try:
                 fusion = apply_post_tiling_fusion(
-                    tree, kernel, deps, frontend.clustering, sizes
+                    tree, kernel, deps, frontend.clustering, sizes, invariants
                 )
             except ReproError as exc:
                 if isinstance(exc, StageTimeoutError):
@@ -429,17 +439,15 @@ def fit(
                     detail=str(exc),
                     dedupe=True,
                 )
-                fusion = tile_groups_separately(tree_fn(), kernel, sizes)
+                fusion = tile_groups_separately(tree_fn(), invariants, sizes)
         else:
-            fusion = tile_groups_separately(tree, kernel, sizes)
+            fusion = tile_groups_separately(tree, invariants, sizes)
 
-        policy.refit_own_groups(fusion.groups, kernel, hw, options.double_buffer)
-        assignments = [assign_compute_units(g.statements) for g in fusion.groups]
-        plans = [
-            plan_storage(g, a, kernel, hw, options.double_buffer)
-            for g, a in zip(fusion.groups, assignments)
-        ]
+        planned = policy.plan_groups(fusion.groups, invariants, options.double_buffer)
+        fusion.groups = [p.group for p in planned]
+        plans = [p.plan for p in planned]
         if all(p.fits(hw, options.double_buffer) for p in plans):
+            assignments = [p.assignment for p in planned]
             return Fit(fusion, assignments, plans, sizes, shrunk)
         shrunk = True
         main_idx = next(

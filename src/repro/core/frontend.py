@@ -34,6 +34,7 @@ from repro.sched.clustering import Clustering, conservative_clustering
 from repro.sched.deps import Dependence, compute_dependences
 from repro.sched.scheduler import PolyScheduler, SchedulerOptions
 from repro.sched.tree import BandNode, DomainNode, FilterNode, clone_tree
+from repro.tiling.invariants import SizeInvariants
 
 __all__ = ["FrontEnd", "run_frontend"]
 
@@ -51,7 +52,9 @@ class FrontEnd:
     fusion absorbs a stencil producer and the driver wants to measure the
     unfused variant too — is also tile-size-independent; it is computed
     lazily on first use and cached, so the second scheduler run happens
-    at most once per kernel rather than once per candidate.
+    at most once per kernel rather than once per candidate.  So is the
+    tile search's table of what no tile size changes (:meth:`invariants`).
+    Neither is pickled: a front-end's bytes are what ``run_frontend`` made.
     """
 
     def __init__(
@@ -115,6 +118,23 @@ class FrontEnd:
     def split_tree(self) -> DomainNode:
         """A private clone of the split-variant master tree."""
         return clone_tree(self.split_variant()[1])
+
+    def invariants(self) -> SizeInvariants:
+        """The tile search's size-free answers for this kernel (lazy, one
+        per front-end, safe under concurrent first use)."""
+        found = self.__dict__.get("_invariants")
+        if found is None:
+            with LOCK:
+                found = self.__dict__.get("_invariants")
+                if found is None:
+                    found = self._invariants = SizeInvariants(self.kernel, self.hw)
+        return found
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_invariants", None)
+        state["_split"] = None
+        return state
 
     def __repr__(self) -> str:
         return (

@@ -25,7 +25,8 @@ that the storage manager and the code generator consume directly.
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core import faults, resilience
 from repro.core.errors import FusionError
@@ -44,12 +45,40 @@ from repro.sched.tree import (
     ScheduleNode,
     SequenceNode,
 )
-from repro.tiling.reverse import liveout_instance_relation, producer_tile_relation
+from repro.tiling.invariants import SizeInvariants
+from repro.tiling.reverse import (
+    liveout_instance_relation,
+    positional,
+    producer_tile_relation,
+    relation_key,
+)
 from repro.tiling.tile import tile_band
 
 
 class TiledGroup:
-    """Everything downstream passes need to know about one fused tile nest."""
+    """Everything downstream passes need to know about one fused tile nest.
+
+    ``relation_keys`` holds each statement's positional
+    :func:`~repro.tiling.reverse.relation_key`, all the storage planner's
+    footprint keys need.  The relations themselves are built only where
+    they are read (fused-producer projection, shrink rules, code
+    generation, replay, the verifier): a statement tiled by its band rows
+    gets its ``tile -> instances`` relation from ``band_rows`` on first
+    read of ``instance_relations``.
+    """
+
+    #: What a pickle or deep copy of a group holds, in this order: the
+    #: relations, never the keys and rows they are rebuilt from.
+    _STATE = (
+        "tile_dims",
+        "tile_sizes",
+        "tile_counts",
+        "statements",
+        "instance_relations",
+        "fused_producer_ids",
+        "liveout_ids",
+        "source_filter",
+    )
 
     def __init__(
         self,
@@ -57,20 +86,49 @@ class TiledGroup:
         tile_sizes: List[int],
         tile_counts: List[int],
         statements: List[PolyStatement],
-        instance_relations: Dict[str, BasicMap],
+        relation_keys: Dict[str, Hashable],
         fused_producer_ids: List[str],
         liveout_ids: List[str],
+        band_rows: Dict[str, Sequence[AffineExpr]],
+        instance_relations: Optional[Dict[str, BasicMap]] = None,
     ):
         self.tile_dims = tile_dims
         self.tile_sizes = tile_sizes
         self.tile_counts = tile_counts  # number of tiles per tile dim
         self.statements = statements  # execution order inside a tile
-        self.instance_relations = instance_relations
+        if instance_relations is not None:
+            self.instance_relations = instance_relations
         self.fused_producer_ids = fused_producer_ids
         self.liveout_ids = liveout_ids
         # Set by tile_single_group: the group's originating filter node,
-        # so the driver can re-tile an unfused group with smaller sizes.
+        # so the driver can re-tile an unfused group with smaller sizes,
+        # and the filter's tile-size-free identity.
         self.source_filter = None
+        self.filter_key: Optional[Hashable] = None
+        self.relation_keys = relation_keys
+        self.band_rows = band_rows
+
+    @cached_property
+    def instance_relations(self) -> Dict[str, BasicMap]:
+        """``tile -> instances`` of every statement, from its band rows."""
+        by_id = {s.stmt_id: s for s in self.statements}
+        return {
+            sid: liveout_instance_relation(
+                by_id[sid], rows, self.tile_sizes, self.tile_dims
+            )
+            for sid, rows in self.band_rows.items()
+        }
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self._STATE}
+
+    def refiltered(self, f: FilterNode) -> "TiledGroup":
+        """This group as tiled from ``f``, an equal filter of another clone
+        of the schedule tree: everything else is shared."""
+        group = object.__new__(TiledGroup)
+        group.__dict__.update(self.__dict__)
+        group.source_filter = f
+        return group
 
     @property
     def total_tiles(self) -> int:
@@ -174,14 +232,19 @@ def apply_post_tiling_fusion(
     deps: Sequence[Dependence],
     clustering: Clustering,
     tile_sizes: Sequence[int],
+    invariants: Optional[SizeInvariants] = None,
 ) -> FusionResult:
     """Tile the live-out band and fuse eligible producers into the tiles.
 
     ``tile_sizes`` has one entry per live-out outer-band row.  The returned
     tree has the Fig. 3(e) shape; the returned groups list the resulting
     tile nests in execution order (unfused producers first).
+    ``invariants`` answers what the sizes do not change (a front-end's
+    :meth:`~repro.core.frontend.FrontEnd.invariants`; a private table
+    when omitted).
     """
     faults.fire("fusion.posttile")
+    invariants = invariants or SizeInvariants(kernel)
     filters = group_filters(tree)
     liveout_ids = [
         s.stmt_id for ci in sorted(clustering.live_out) for s in clustering.clusters[ci]
@@ -199,51 +262,55 @@ def apply_post_tiling_fusion(
         sizes = sizes + [1 << 30] * (band.n_rows - len(sizes))
     sizes = sizes[: band.n_rows]
 
-    stmt_by_id = {s.stmt_id: s for s in kernel.statements}
+    stmt_by_id = invariants.stmt_by_id
     tile_dims = [sys.intern(f"o{i}") for i in range(band.n_rows)]
 
-    # Instance relations for live-out statements.
-    instance_relations: Dict[str, BasicMap] = {}
-    clamped_sizes, tile_counts = _clamp_and_count(band, stmt_by_id, sizes)
-    for sid in liveout_filter.stmt_ids:
-        stmt = stmt_by_id[sid]
-        rows = band.schedules[sid]
-        instance_relations[sid] = liveout_instance_relation(
-            stmt, rows, clamped_sizes, tile_dims
-        )
-
-    # Fuse eligible intermediate clusters, nearest producers first
-    # (reverse cluster order is reverse-topological for our construction).
+    # Live-out statements are tiled by their band rows; their relations
+    # are built here only when a producer's projection reads them.
+    clamped_sizes, tile_counts = _clamp_and_count(band, invariants, sizes)
+    band_rows = {sid: band.schedules[sid] for sid in liveout_filter.stmt_ids}
+    relation_keys = _membership_keys(invariants, band_rows, clamped_sizes, tile_dims)
     eligible = _eligible_producers(clustering)
+    instance_relations: Optional[Dict[str, BasicMap]] = None
     fused_producer_ids: List[str] = []
-    consumer_rel: Dict[str, Tuple[PolyStatement, BasicMap]] = {
-        sid: (stmt_by_id[sid], rel) for sid, rel in instance_relations.items()
-    }
-    n_tiles = 1
-    for c in tile_counts:
-        n_tiles *= c
-    for ci in sorted(eligible, reverse=True):
-        cluster_rels: Dict[str, BasicMap] = {}
-        fusable = True
-        for stmt in reversed(clustering.clusters[ci]):
-            rel = producer_tile_relation(stmt, consumer_rel, deps, tile_dims)
-            if rel is None:
-                fusable = False
-                break
-            if not _recompute_acceptable(
-                stmt, rel, tile_dims, tile_counts, n_tiles
-            ):
-                fusable = False
-                break
-            cluster_rels[stmt.stmt_id] = rel
-        if not fusable:
-            continue
-        for stmt in reversed(clustering.clusters[ci]):
-            rel = cluster_rels[stmt.stmt_id]
-            instance_relations[stmt.stmt_id] = rel
-            consumer_rel[stmt.stmt_id] = (stmt, rel)
-            fused_producer_ids.append(stmt.stmt_id)
-    fused_producer_ids.reverse()  # execution order: earliest producer first
+    if eligible:
+        instance_relations = {
+            sid: liveout_instance_relation(
+                stmt_by_id[sid], rows, clamped_sizes, tile_dims
+            )
+            for sid, rows in band_rows.items()
+        }
+        # Fuse eligible intermediate clusters, nearest producers first
+        # (reverse cluster order is reverse-topological for our construction).
+        consumer_rel: Dict[str, Tuple[PolyStatement, BasicMap]] = {
+            sid: (stmt_by_id[sid], rel) for sid, rel in instance_relations.items()
+        }
+        n_tiles = 1
+        for c in tile_counts:
+            n_tiles *= c
+        for ci in sorted(eligible, reverse=True):
+            cluster_rels: Dict[str, BasicMap] = {}
+            fusable = True
+            for stmt in reversed(clustering.clusters[ci]):
+                rel = producer_tile_relation(stmt, consumer_rel, deps, tile_dims)
+                if rel is None:
+                    fusable = False
+                    break
+                if not _recompute_acceptable(
+                    stmt, rel, tile_dims, tile_counts, n_tiles
+                ):
+                    fusable = False
+                    break
+                cluster_rels[stmt.stmt_id] = rel
+            if not fusable:
+                continue
+            for stmt in reversed(clustering.clusters[ci]):
+                rel = cluster_rels[stmt.stmt_id]
+                instance_relations[stmt.stmt_id] = rel
+                relation_keys[stmt.stmt_id] = relation_key(rel)
+                consumer_rel[stmt.stmt_id] = (stmt, rel)
+                fused_producer_ids.append(stmt.stmt_id)
+        fused_producer_ids.reverse()  # execution order: earliest producer first
 
     # -- rewrite the tree ------------------------------------------------------
     tiled = tile_band(band, clamped_sizes, require_permutable=False)
@@ -281,9 +348,11 @@ def apply_post_tiling_fusion(
         tile_sizes=clamped_sizes,
         tile_counts=tile_counts,
         statements=order,
-        instance_relations=instance_relations,
+        relation_keys=relation_keys,
         fused_producer_ids=fused_producer_ids,
         liveout_ids=list(liveout_filter.stmt_ids),
+        band_rows=band_rows,
+        instance_relations=instance_relations,
     )
 
     groups: List[TiledGroup] = []
@@ -293,8 +362,42 @@ def apply_post_tiling_fusion(
             continue
         if all(sid in fused_producer_ids for sid in f.stmt_ids):
             continue  # now lives inside the main group
-        groups.append(_untiled_group(f, stmt_by_id))
+        groups.append(tile_single_group(f, invariants))  # one whole-space tile
     return FusionResult(tree, groups)
+
+
+def _membership_keys(
+    invariants: SizeInvariants,
+    band_rows: Dict[str, Sequence[AffineExpr]],
+    sizes: List[int],
+    tile_dims: List[str],
+) -> Dict[str, Hashable]:
+    """The :func:`~repro.tiling.reverse.relation_key` of each statement's
+    tile-membership relation, made from numbers.
+
+    That relation is the statement's box domain plus two rows per band
+    row, so its positional key is a function of the iteration extents,
+    the band rows over iteration-dim positions, the clamped sizes and the
+    number of tile dims: statements agreeing on those share one key, made
+    once by building one such relation.
+    """
+    keys: Dict[str, Hashable] = {}
+    size_key = (tuple(sizes), len(tile_dims))
+    for sid, rows in band_rows.items():
+        stmt = invariants.stmt_by_id[sid]
+        shape = invariants.lookup(
+            "band_rows",
+            (sid, tuple(rows)),
+            lambda: (tuple(stmt.iter_extents), positional(rows, stmt.iter_names)),
+        )
+        keys[sid] = invariants.lookup(
+            "relation_key",
+            (shape, size_key),
+            lambda: relation_key(
+                liveout_instance_relation(stmt, rows, sizes, tile_dims)
+            ),
+        )
+    return keys
 
 
 # Producers whose fused recomputation exceeds this factor stay separate.
@@ -339,13 +442,19 @@ def _recompute_acceptable(
 
 
 def _clamp_and_count(
-    band: BandNode, stmt_by_id: Dict[str, PolyStatement], sizes: Sequence[int]
+    band: BandNode, invariants: SizeInvariants, sizes: Sequence[int]
 ) -> Tuple[List[int], List[int]]:
     """Tile sizes clamped to the band extents (identity rows assumed) and
-    the tile count per dim they give; each row's extent is posed once."""
+    the tile count per dim they give; each row's extent is posed once per
+    front-end."""
     any_sid = next(iter(band.schedules))
-    stmt = stmt_by_id[any_sid]
-    extents = [_row_extent(row, stmt) for row in band.schedules[any_sid]]
+    rows = band.schedules[any_sid]
+    stmt = invariants.stmt_by_id[any_sid]
+    extents = invariants.lookup(
+        "row_extents",
+        (any_sid, tuple(rows)),
+        lambda: tuple([_row_extent(row, stmt) for row in rows]),
+    )
     clamped = [min(size, extent) for size, extent in zip(sizes, extents)]
     counts = [-(-extent // size) for size, extent in zip(clamped, extents)]
     return clamped, counts
@@ -366,17 +475,7 @@ def _row_extent(row: AffineExpr, stmt: PolyStatement) -> int:
     return int(hi.value - lo.value) + 1
 
 
-def tile_single_group(
-    f: FilterNode,
-    stmt_by_id: Dict[str, PolyStatement],
-    sizes: Optional[Sequence[int]] = None,
-) -> TiledGroup:
-    """Tile one unfused group's own band (no producer extension).
-
-    Used for groups that cannot join the live-out tile nest (barrier edges:
-    transposes, gathers, rank changes).  When ``sizes`` is ``None``, a
-    single whole-space tile is produced.
-    """
+def _band_of(f: FilterNode) -> BandNode:
     band = f.child
     while band is not None and not isinstance(band, BandNode):
         band = band.child
@@ -384,49 +483,68 @@ def tile_single_group(
         raise FusionError(
             "group filter has no band to tile", stage=resilience.active_stage()
         )
-    stmts = [stmt_by_id[sid] for sid in f.stmt_ids]
+    return band
+
+
+def filter_key(f: FilterNode) -> Hashable:
+    """What tiling a group filter reads of it: its statements and their
+    band rows (equal on every clone of one schedule tree)."""
+    band = _band_of(f)
+    return (
+        tuple(f.stmt_ids),
+        tuple([tuple(band.schedules[sid]) for sid in f.stmt_ids]),
+    )
+
+
+def tile_single_group(
+    f: FilterNode,
+    invariants: SizeInvariants,
+    sizes: Optional[Sequence[int]] = None,
+) -> TiledGroup:
+    """Tile one unfused group's own band (no producer extension).
+
+    Used for groups that cannot join the live-out tile nest (barrier edges:
+    transposes, gathers, rank changes).  When ``sizes`` is ``None``, a
+    single whole-space tile is produced.  A group is tiled once per filter
+    and clamped sizes; ``f`` gets a copy.
+    """
+    band = _band_of(f)
     if sizes is None:
         sizes = [1 << 30] * band.n_rows
     sizes = list(sizes)[: band.n_rows]
     sizes += [1 << 30] * (band.n_rows - len(sizes))
-    clamped, counts = _clamp_and_count(band, stmt_by_id, sizes)
-    tile_dims = [sys.intern(f"p{i}") for i in range(band.n_rows)]
-    relations: Dict[str, BasicMap] = {}
-    for stmt in stmts:
-        rows = band.schedules[stmt.stmt_id]
-        relations[stmt.stmt_id] = liveout_instance_relation(
-            stmt, rows, clamped, tile_dims
+    clamped, counts = _clamp_and_count(band, invariants, sizes)
+    key = filter_key(f)
+
+    def tile() -> TiledGroup:
+        tile_dims = [sys.intern(f"p{i}") for i in range(band.n_rows)]
+        band_rows = {sid: band.schedules[sid] for sid in f.stmt_ids}
+        group = TiledGroup(
+            tile_dims=tile_dims,
+            tile_sizes=clamped,
+            tile_counts=counts,
+            statements=[invariants.stmt_by_id[sid] for sid in f.stmt_ids],
+            relation_keys=_membership_keys(invariants, band_rows, clamped, tile_dims),
+            fused_producer_ids=[],
+            liveout_ids=list(f.stmt_ids),
+            band_rows=band_rows,
         )
-    group = TiledGroup(
-        tile_dims=tile_dims,
-        tile_sizes=clamped,
-        tile_counts=counts,
-        statements=stmts,
-        instance_relations=relations,
-        fused_producer_ids=[],
-        liveout_ids=[s.stmt_id for s in stmts],
-    )
-    group.source_filter = f  # enables independent refitting by the driver
-    return group
+        group.filter_key = key
+        return group
 
-
-def _untiled_group(
-    f: FilterNode, stmt_by_id: Dict[str, PolyStatement]
-) -> TiledGroup:
-    """A degenerate group: one tile covering the whole iteration space."""
-    return tile_single_group(f, stmt_by_id, sizes=None)
+    template = invariants.lookup("single_group", (key, tuple(clamped)), tile)
+    return template.refiltered(f)  # enables independent refitting by the driver
 
 
 def tile_groups_separately(
-    tree: DomainNode, kernel: LoweredKernel, sizes: Sequence[int]
+    tree: DomainNode, invariants: SizeInvariants, sizes: Sequence[int]
 ) -> FusionResult:
     """The fusionless path: every group tiled on its own band (the
     ``post_tiling_fusion=False`` ablation, the fusion-failure fallback
     and the stencil-split variant)."""
-    stmt_by_id = {s.stmt_id: s for s in kernel.statements}
     groups = []
     for f in group_filters(tree):
         band = f.child
         n = band.n_rows if isinstance(band, BandNode) else 1
-        groups.append(tile_single_group(f, stmt_by_id, list(sizes)[:n] or None))
+        groups.append(tile_single_group(f, invariants, list(sizes)[:n] or None))
     return FusionResult(tree, groups)

@@ -69,13 +69,18 @@ Table 1's subgraph 1 hits it 55 times in 86 queries and subgraph 4 36 in
 
 **The footprint table** (:data:`FOOTPRINT_CACHE`) is keyed before any
 map is built.  The storage planner asks which box an access touches per
-tile (:func:`repro.storage.promote.footprint_extents`) once per statement
-x access x probed size vector -- 288 times for ``subgraph2``, 6 of them
-distinct.  Its key (:func:`repro.tiling.reverse.footprint_key`) is the
+tile (:func:`repro.storage.promote.footprint_extents`) once per distinct
+key of a plan -- 6 times in a cold ``subgraph2`` build, one per planned
+size vector, where it used to ask once per statement x access x probed
+size vector (288 times).  Its key (:func:`repro.tiling.reverse.footprint_key`) is the
 instance relation with every variable replaced by its *position* among
 ``tile dims + iteration dims``, the index expressions over iteration-dim
 positions, the tensor's shape (the clip) and the tile counts (the box).
-No sort order needs recording because none exists: a miss is solved on
+A statement tiled by its band rows gets its relation half from numbers
+(its iteration extents, the rows over positions, the clamped sizes; one
+relation built per distinct triple and front-end,
+:class:`repro.tiling.invariants.SizeInvariants`), so a probe whose
+footprints all hit builds no map at all.  No sort order needs recording because none exists: a miss is solved on
 the key's own integer rows (:func:`repro.tiling.reverse.footprint_bounds`,
 no map, no ``compose``, none of the tables above), so the solve is a
 function of the key alone and a hit is the fresh solve.  Entries are

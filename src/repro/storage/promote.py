@@ -28,7 +28,8 @@ from repro.fusion.posttile import TiledGroup
 from repro.hw.spec import HardwareSpec
 from repro.ir.lower import LoweredKernel, PolyStatement, TensorAccess
 from repro.poly.cache import FOOTPRINT_CACHE, MISS
-from repro.tiling.reverse import footprint_bounds, footprint_key, relation_key
+from repro.tiling.invariants import SizeInvariants
+from repro.tiling.reverse import footprint_bounds, footprint_key, positional
 
 
 class BufferAllocation:
@@ -171,10 +172,7 @@ class StoragePlan:
 
 
 def footprint_extents(
-    group: TiledGroup,
-    stmt: PolyStatement,
-    access: TensorAccess,
-    rel_key: Optional[Hashable] = None,
+    group: TiledGroup, stmt: PolyStatement, access: TensorAccess
 ) -> List[int]:
     """Max per-dimension extent of ``access`` over any tile of the group.
 
@@ -187,8 +185,7 @@ def footprint_extents(
     Non-affine accesses conservatively return the whole tensor shape.
 
     Memoized in :data:`repro.poly.cache.FOOTPRINT_CACHE` and looked up
-    before any map is built; ``rel_key`` is the relation's
-    :func:`~repro.tiling.reverse.relation_key` when the caller has it.
+    before any map is built, under the group's relation key of ``stmt``.
     """
     tensor = access.tensor
     if not access.is_affine:
@@ -206,13 +203,21 @@ def footprint_extents(
             else:
                 box.append(tensor.shape[k])
         return box
-    inst_rel = group.instance_relations[stmt.stmt_id]
     key = footprint_key(
-        rel_key or relation_key(inst_rel), inst_rel, access, group.tile_counts
+        group.relation_keys[stmt.stmt_id],
+        positional(access.indices, stmt.iter_names),
+        tensor.shape,
+        group.tile_counts,
     )
+    return list(_footprint_box(key))  # a fresh list: callers shrink boxes in place
+
+
+def _footprint_box(key: Hashable) -> Tuple[int, ...]:
+    """The footprint box of a :func:`~repro.tiling.reverse.footprint_key`,
+    clipped to the tensor shape the key carries."""
     box = FOOTPRINT_CACHE.lookup(key)
     if box is MISS:
-        shape = tensor.shape
+        _rel_key, _index, shape, _counts = key
         box = tuple(
             [
                 shape[k] if bound is None else max(min(bound, shape[k]), 1)
@@ -220,7 +225,7 @@ def footprint_extents(
             ]
         )
         FOOTPRINT_CACHE.store(key, box)
-    return list(box)  # a fresh list: the planner shrinks boxes in place
+    return box
 
 
 def contiguous_runs(box: Sequence[int], tensor_shape: Sequence[int]) -> int:
@@ -267,120 +272,207 @@ def _clip_box_to_capacity(
 # -- the planner ------------------------------------------------------------------
 
 
+class _Roles:
+    """What :func:`plan_storage` decides without looking at a footprint,
+    for one group's statements under one unit assignment: which accesses
+    are planned, and per tensor its dtype, shape, home scope and role,
+    its L0 scope when the Cube Unit touches it, what streams in reduction
+    chunks, and the live range of each tile-local intermediate."""
+
+    def __init__(
+        self,
+        statements: Sequence[PolyStatement],
+        assignment: UnitAssignment,
+        kernel: LoweredKernel,
+    ):
+        output_names = {t.name for t in kernel.outputs}
+        input_names = {t.name for t in kernel.inputs}
+        group_ids = {s.stmt_id for s in statements}
+        written_in_group = {s.tensor.name for s in statements}
+        # Tensors crossing the group boundary behave like kernel I/O for
+        # this group: produced here but consumed by a later tile nest ->
+        # spilled to GM; produced by an earlier nest -> loaded from GM.
+        consumed_elsewhere = {
+            r.tensor.name
+            for s in kernel.statements
+            if s.stmt_id not in group_ids
+            for r in s.reads
+            if r.tensor.name in written_in_group
+        }
+        produced_elsewhere = {
+            s.tensor.name
+            for s in kernel.statements
+            if s.stmt_id not in group_ids and s.tensor.name not in written_in_group
+        }
+        mte_written = {
+            s.tensor.name for s in statements if assignment.unit_of(s.stmt_id) == "mte"
+        }
+
+        # (stmt, [(access, tensor name, positional index)]) in plan order.
+        self.accesses: List[Tuple[PolyStatement, List[tuple]]] = []
+        tensors: Dict[str, TensorAccess] = {}
+        consumer_scopes: Dict[str, Set[str]] = {}
+        cube_roles: Dict[str, Set[str]] = {}
+        for stmt in statements:
+            unit = assignment.unit_of(stmt.stmt_id)
+            planned = []
+            for access, is_write in [(stmt.write, True)] + [(r, False) for r in stmt.reads]:
+                name = access.tensor.name
+                if name in mte_written:
+                    # Absorbed padding: the tensor never materialises --
+                    # the MTE's img2col reads the raw input and pads in
+                    # flight.
+                    continue
+                index = (
+                    positional(access.indices, stmt.iter_names)
+                    if access.is_affine
+                    else None
+                )
+                planned.append((access, name, index))
+                tensors[name] = access
+                scope = "L1" if unit in ("cube", "mte") else "UB"
+                consumer_scopes.setdefault(name, set()).add(scope)
+                if unit == "cube":
+                    cube_roles.setdefault(name, set()).add("out" if is_write else "in")
+            self.accesses.append((stmt, planned))
+
+        # (name, dtype, shape, home scope, is_input, is_output, bounce).
+        self.tensors: List[tuple] = []
+        local: Set[str] = set()
+        for name, access in tensors.items():
+            scopes = consumer_scopes[name]
+            is_input = name in input_names or name in produced_elsewhere
+            is_output = name in output_names or name in consumed_elsewhere
+            if name in written_in_group and not is_output and not is_input:
+                local.add(name)
+            # Data produced by the Vector/Scalar units (living in UB) but
+            # consumed by the Cube Unit must bounce UB -> L1 (Sec. 4.3
+            # "fusion when forking data").  Cube-produced data consumed by
+            # vector ops is already covered by the L0C -> UB drain of the
+            # cube stage.
+            bounce = "L1" in scopes and any(
+                s.tensor.name == name
+                and assignment.unit_of(s.stmt_id) in ("vector", "scalar")
+                for s in statements
+            )
+            self.tensors.append((
+                name,
+                access.tensor.dtype,
+                access.tensor.shape,
+                "L1" if scopes == {"L1"} else "UB",  # primary on-chip home
+                is_input,
+                is_output,
+                bounce,
+            ))
+        self.local_tensors = tuple(sorted(local))
+
+        # Cube operands additionally occupy the L0 buffers (fractal GEMM,
+        # Sec. 4.4): X -> L0A, Y -> L0B, Z -> L0C.
+        self.l0_scopes: List[Tuple[str, str]] = []
+        for name, roles in cube_roles.items():
+            taken = any(scope == "L0A" for _, scope in self.l0_scopes)
+            scope = "L0C" if "out" in roles else ("L0B" if taken else "L0A")
+            self.l0_scopes.append((name, scope))
+
+        self.total_reduce = 0  # no cube statement: no reduction chunking
+        cube_stmts = [s for s in statements if assignment.unit_of(s.stmt_id) == "cube"]
+        if cube_stmts:
+            self.total_reduce = 1
+            for s in cube_stmts:
+                for d, e in zip(s.iter_names, s.iter_extents):
+                    if d in s.reduce_iters:
+                        self.total_reduce = max(self.total_reduce, e)
+        self.chunkable = {
+            name
+            for name, roles in cube_roles.items()
+            if roles == {"in"} and name not in written_in_group
+        }
+
+        # A local tensor is live from its defining statement to its last
+        # reader; (name, first, last) of each, and the program points.
+        first_def: Dict[str, int] = {}
+        last_use: Dict[str, int] = {}
+        for i, stmt in enumerate(statements):
+            name = stmt.tensor.name
+            if name in local:
+                first_def.setdefault(name, i)
+                last_use[name] = max(last_use.get(name, i), i)
+            for read in stmt.reads:
+                if read.tensor.name in local:
+                    last_use[read.tensor.name] = i
+        self.live_ranges = [
+            (name, first_def.get(name, 0), last_use.get(name, -1))
+            for name in self.local_tensors
+        ]
+        self.n_points = len(statements)
+
+
 def plan_storage(
     group: TiledGroup,
     assignment: UnitAssignment,
     kernel: LoweredKernel,
     hw: HardwareSpec,
     double_buffered: bool = True,
+    invariants: Optional[SizeInvariants] = None,
 ) -> StoragePlan:
-    """Compute the storage plan of one tiled group."""
+    """Compute the storage plan of one tiled group.
+
+    The roles are decided once per statement tuple and assignment in
+    ``invariants`` (a front-end's :meth:`~repro.core.frontend.FrontEnd.invariants`;
+    a private table when omitted); the footprints are this group's.
+    """
     faults.fire("storage.promote")
-    output_names = {t.name for t in kernel.outputs}
-    input_names = {t.name for t in kernel.inputs}
-    group_ids = {s.stmt_id for s in group.statements}
-    written_in_group = {s.tensor.name for s in group.statements}
-    # Tensors crossing the group boundary behave like kernel I/O for this
-    # group: produced here but consumed by a later tile nest -> spilled to
-    # GM; produced by an earlier nest -> loaded from GM.
-    consumed_elsewhere = {
-        r.tensor.name
-        for s in kernel.statements
-        if s.stmt_id not in group_ids
-        for r in s.reads
-        if r.tensor.name in written_in_group
-    }
-    produced_elsewhere = {
-        s.tensor.name
-        for s in kernel.statements
-        if s.stmt_id not in group_ids and s.tensor.name not in written_in_group
-    }
+    invariants = invariants or SizeInvariants(kernel)
+    ids = tuple([s.stmt_id for s in group.statements])
+    roles: _Roles = invariants.lookup(
+        "roles",
+        (ids, tuple(map(assignment.units.__getitem__, ids))),
+        lambda: _Roles(group.statements, assignment, kernel),
+    )
 
-    # Collect, per tensor, the maximal footprint box and its consumers.
+    # Collect, per tensor, the maximal footprint box; equal keys (the
+    # statements of an elementwise chain) are looked up once.
     boxes: Dict[str, List[int]] = {}
-    tensor_dtype: Dict[str, str] = {}
-    tensor_shape: Dict[str, Tuple[int, ...]] = {}
-    consumer_scopes: Dict[str, Set[str]] = {}
-    cube_roles: Dict[str, Set[str]] = {}
-
-    mte_written = {
-        s.tensor.name
-        for s in group.statements
-        if assignment.unit_of(s.stmt_id) == "mte"
-    }
-    for stmt in group.statements:
-        unit = assignment.unit_of(stmt.stmt_id)
-        rel_key = relation_key(group.instance_relations[stmt.stmt_id])
-        accesses = [(stmt.write, True)] + [(r, False) for r in stmt.reads]
-        for access, is_write in accesses:
-            name = access.tensor.name
-            if name in mte_written:
-                # Absorbed padding: the tensor never materialises -- the
-                # MTE's img2col reads the raw input and pads in flight.
-                continue
-            ext = footprint_extents(group, stmt, access, rel_key)
+    solved: Dict[Hashable, Tuple[int, ...]] = {}
+    for stmt, planned in roles.accesses:
+        rel_key = group.relation_keys[stmt.stmt_id]
+        for access, name, index in planned:
+            if index is None:
+                ext = footprint_extents(group, stmt, access)
+            else:
+                key = footprint_key(rel_key, index, access.tensor.shape, group.tile_counts)
+                box = solved.get(key)
+                if box is None:
+                    box = solved[key] = _footprint_box(key)
+                ext = list(box)
             prev = boxes.get(name)
             boxes[name] = (
                 [max(a, b) for a, b in zip(prev, ext)] if prev else ext
             )
-            tensor_dtype[name] = access.tensor.dtype
-            tensor_shape[name] = access.tensor.shape
-            scope = "L1" if unit in ("cube", "mte") else "UB"
-            consumer_scopes.setdefault(name, set()).add(scope)
-            if unit == "cube":
-                role = "out" if is_write else "in"
-                cube_roles.setdefault(name, set()).add(role)
 
     allocations: Dict[str, BufferAllocation] = {}
     moves: List[DataMove] = []
-    local: Set[str] = set()
-
-    for name, box in boxes.items():
-        dtype = tensor_dtype[name]
+    for name, dtype, shape, scope, is_input, is_output, bounce in roles.tensors:
+        box = boxes[name]
         dbytes = hw.dtype_bytes(dtype)
-        scopes = consumer_scopes[name]
-        is_input = name in input_names or name in produced_elsewhere
-        is_output = name in output_names or name in consumed_elsewhere
-        is_local = (
-            name in written_in_group and not is_output and not is_input
-        )
-        # Primary on-chip home of the data tile.
-        scope = "L1" if scopes == {"L1"} else "UB"
         allocations[name] = BufferAllocation(
             name, scope, box, dtype, dbytes, double_buffered
         )
         nbytes = allocations[name].nbytes
-        runs = contiguous_runs(box, tensor_shape[name])
+        runs = contiguous_runs(box, shape)
         if is_input:
             moves.append(DataMove(name, "GM", scope, nbytes, runs, "in"))
         if is_output:
             moves.append(DataMove(name, scope if scope == "UB" else "UB", "GM", nbytes, runs, "out"))
-        if is_local:
-            local.add(name)
-        # Data produced by the Vector/Scalar units (living in UB) but
-        # consumed by the Cube Unit must bounce UB -> L1 (Sec. 4.3 "fusion
-        # when forking data").  Cube-produced data consumed by vector ops
-        # is already covered by the L0C -> UB drain of the cube stage.
-        written_by_vector = any(
-            s.tensor.name == name
-            and assignment.unit_of(s.stmt_id) in ("vector", "scalar")
-            for s in group.statements
-        )
-        if "L1" in scopes and written_by_vector:
+        if bounce:
             moves.append(DataMove(name, "UB", "L1", nbytes, 1, "bounce"))
 
-    # Cube operands additionally occupy the L0 buffers (fractal GEMM,
-    # Sec. 4.4: X -> L0A, Y -> L0B, Z -> L0C).  L0 working sets are
-    # *hierarchically tiled* from the L1 tile (the second-level tiling the
-    # paper notes the Cube Unit may require), so their allocation is capped
-    # at the L0 capacity rather than constraining the L1 tile size.
-    for name, roles in cube_roles.items():
+    # L0 working sets are *hierarchically tiled* from the L1 tile (the
+    # second-level tiling the paper notes the Cube Unit may require), so
+    # their allocation is capped at the L0 capacity rather than
+    # constraining the L1 tile size.
+    for name, scope in roles.l0_scopes:
         base = allocations[name]
-        scope = "L0C" if "out" in roles else (
-            "L0A"
-            if not any(a.scope == "L0A" for a in allocations.values())
-            else "L0B"
-        )
         dbytes = hw.dtype_bytes(base.dtype)
         box = _clip_box_to_capacity(
             list(base.box), dbytes, hw.usable_capacity(scope, double_buffered)
@@ -393,20 +485,8 @@ def plan_storage(
     # the full-reduction operand tiles overflow L1, stream the contraction
     # in chunks, shrinking the chunked operands' L1 residency.
     reduce_chunks = 1
-    cube_stmts = [
-        s for s in group.statements if assignment.unit_of(s.stmt_id) == "cube"
-    ]
-    if cube_stmts:
-        total_reduce = 1
-        for s in cube_stmts:
-            for d, e in zip(s.iter_names, s.iter_extents):
-                if d in s.reduce_iters:
-                    total_reduce = max(total_reduce, e)
-        chunkable = {
-            name
-            for name, roles in cube_roles.items()
-            if roles == {"in"} and name not in written_in_group
-        }
+    if roles.total_reduce:
+        chunkable = roles.chunkable
 
         def l1_usage() -> int:
             total = 0
@@ -418,7 +498,7 @@ def plan_storage(
             return total
 
         cap = hw.usable_capacity("L1", double_buffered)
-        while l1_usage() > cap and reduce_chunks < total_reduce:
+        while l1_usage() > cap and reduce_chunks < roles.total_reduce:
             reduce_chunks *= 2
         if reduce_chunks > 1:
             for alloc in allocations.values():
@@ -428,42 +508,29 @@ def plan_storage(
                 if move.direction == "in" and move.tensor_name in chunkable:
                     move.chunked = True
 
-    peak_local = _peak_live_local_bytes(group, allocations, local)
+    peak_local = _peak_live_local_bytes(roles, allocations)
     return StoragePlan(
-        allocations, moves, tuple(sorted(local)), reduce_chunks, peak_local
+        allocations, moves, roles.local_tensors, reduce_chunks, peak_local
     )
 
 
 def _peak_live_local_bytes(
-    group: TiledGroup,
-    allocations: Dict[str, BufferAllocation],
-    local: Set[str],
+    roles: _Roles, allocations: Dict[str, BufferAllocation]
 ) -> int:
-    """Peak concurrent UB bytes of tile-local intermediates.
-
-    A local tensor is live from its defining statement to its last reader;
-    the maximum over program points bounds the reused-slot allocation.
-    """
-    if not local:
+    """Peak concurrent UB bytes of tile-local intermediates: the maximum
+    over program points bounds the reused-slot allocation."""
+    if not roles.live_ranges:
         return 0
-    first_def: Dict[str, int] = {}
-    last_use: Dict[str, int] = {}
-    for i, stmt in enumerate(group.statements):
-        name = stmt.tensor.name
-        if name in local:
-            first_def.setdefault(name, i)
-            last_use[name] = max(last_use.get(name, i), i)
-        for read in stmt.reads:
-            if read.tensor.name in local:
-                last_use[read.tensor.name] = i
+    ranges = [
+        (allocations[name].nbytes, first, last)
+        for name, first, last in roles.live_ranges
+        if allocations[name].scope == "UB"
+    ]
     peak = 0
-    for i in range(len(group.statements)):
+    for i in range(roles.n_points):
         live = 0
-        for name in local:
-            alloc = allocations.get(name)
-            if alloc is None or alloc.scope != "UB":
-                continue
-            if first_def.get(name, 0) <= i <= last_use.get(name, -1):
-                live += alloc.nbytes
+        for nbytes, first, last in ranges:
+            if first <= i <= last:
+                live += nbytes
         peak = max(peak, live)
     return peak

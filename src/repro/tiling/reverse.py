@@ -27,7 +27,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.ir.lower import PolyStatement, TensorAccess
+from repro.ir.lower import PolyStatement
 from repro.poly.affine import AffineExpr, Constraint, _add_into
 from repro.poly.cache import EXTENT_CACHE, MISS, RankSpace
 from repro.poly.fm import (
@@ -152,10 +152,22 @@ def tile_footprint(
     return instance_relation.compose(access_map)
 
 
+def positional(exprs: Sequence[AffineExpr], dims: Sequence[str]) -> Hashable:
+    """``exprs`` name-free: each as its variables' positions in ``dims``
+    (in coefficient-dict order) and its numbers."""
+    position = {d: i for i, d in enumerate(dims)}.__getitem__
+    return tuple(
+        [
+            (tuple(map(position, names)), numbers)
+            for names, numbers in map(AffineExpr.shape, exprs)
+        ]
+    )
+
+
 def relation_key(relation: BasicMap) -> Hashable:
-    """The relation's half of :func:`footprint_key`, made once per
-    relation: its constraints with each variable replaced by its position
-    in ``tile dims + instance dims``."""
+    """The relation's half of :func:`footprint_key`: its constraints with
+    each variable replaced by its position in ``tile dims + instance
+    dims``."""
     dims = relation.in_space.dims + relation.out_space.dims
     position = {d: i for i, d in enumerate(dims)}.__getitem__
     shapes = [c.shape() for c in relation.constraints]
@@ -169,20 +181,16 @@ def relation_key(relation: BasicMap) -> Hashable:
 
 def footprint_key(
     rel_key: Hashable,
-    relation: BasicMap,
-    access: TensorAccess,
+    index: Hashable,
+    shape: Sequence[int],
     tile_counts: Sequence[int],
 ) -> Hashable:
-    """Key of "which box does ``access`` touch per tile", made before any
-    map is: the relation's :func:`relation_key`, each index expression over
-    iteration-dim positions, the tensor's shape (the clip) and the tile
-    counts (the box ranges).  :func:`footprint_bounds` solves it."""
-    position = {d: i for i, d in enumerate(relation.out_space.dims)}.__getitem__
-    index = [
-        (tuple(map(position, names)), numbers)
-        for names, numbers in map(AffineExpr.shape, access.indices)
-    ]
-    return (rel_key, tuple(index), tuple(access.tensor.shape), tuple(tile_counts))
+    """Key of "which box does an access touch per tile", made before any
+    map is: the instance relation's :func:`relation_key`, the access's
+    index expressions over iteration-dim positions (:func:`positional`),
+    the tensor's shape (the clip) and the tile counts (the box ranges).
+    :func:`footprint_bounds` solves it."""
+    return (rel_key, index, tuple(shape), tuple(tile_counts))
 
 
 #: How a footprint's solver errors name a rank.

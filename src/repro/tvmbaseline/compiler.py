@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.codegen.program import CodegenOptions, ProgramBuilder
-from repro.fusion.intratile import assign_compute_units, is_cube_statement
+from repro.fusion.intratile import is_cube_statement
 from repro.fusion.posttile import TiledGroup, group_filters
 from repro.hw.isa import Program, VectorInstr
 from repro.hw.simulator import SimReport, Simulator
@@ -33,8 +33,9 @@ from repro.ir.tensor import Tensor
 from repro.sched.clustering import Clustering, conservative_clustering
 from repro.sched.deps import compute_dependences
 from repro.sched.scheduler import PolyScheduler
-from repro.storage.promote import StoragePlan, plan_storage
+from repro.storage.promote import StoragePlan
 from repro.tiling import policy
+from repro.tiling.invariants import SizeInvariants
 from repro.tvmbaseline.schedule import Schedule
 from repro.tvmbaseline.templates import expert_tile_sizes, template_for
 
@@ -130,10 +131,11 @@ def tvm_build(
     clustering = _pointwise_clustering(kernel, deps)
     tree = PolyScheduler().schedule_kernel(kernel, deps, clustering)
 
-    stmt_by_id = {s.stmt_id: s for s in kernel.statements}
+    invariants = SizeInvariants(kernel, hw)
+    stmt_by_id = invariants.stmt_by_id
 
     def build_groups(shrink_fn):
-        groups: List[TiledGroup] = []
+        planned: List[policy.Planned] = []
         shrunk = False
         for f in group_filters(tree):
             # Templates key off the group's anchor: the contraction when
@@ -148,18 +150,16 @@ def tvm_build(
             )
             # Refit: shrink until the exact storage plan fits (the tuner's
             # feedback loop the vendor team ran).
-            group, group_shrunk = policy.fit_group(
-                f, stmt_by_id, kernel, hw, expert_tile_sizes(lead, hw), shrink_fn
+            fitted, group_shrunk = policy.fit_group(
+                f, invariants, expert_tile_sizes(lead, hw), shrink_fn
             )
-            groups.append(group)
+            planned.append(fitted)
             shrunk = shrunk or group_shrunk
-        return groups, shrunk
+        return planned, shrunk
 
-    def compile_groups(groups):
-        assignments = [assign_compute_units(g.statements) for g in groups]
-        plans = [
-            plan_storage(g, a, kernel, hw) for g, a in zip(groups, assignments)
-        ]
+    def compile_groups(planned):
+        groups = [p.group for p in planned]
+        plans = [p.plan for p in planned]
         builder = _TvmProgramBuilder(
             hw,
             CodegenOptions(
@@ -169,16 +169,18 @@ def tvm_build(
                 emit_trace=emit_trace,
             ),
         )
-        program = builder.build(kernel, groups, plans, assignments)
-        return program, plans
+        program = builder.build(
+            kernel, groups, plans, [p.assignment for p in planned]
+        )
+        return groups, program, plans
 
-    groups, shrunk = build_groups(policy.capacity_shrink)
-    program, plans = compile_groups(groups)
+    planned, shrunk = build_groups(policy.capacity_shrink)
+    groups, program, plans = compile_groups(planned)
     if shrunk and any(len(g.tile_sizes) == 4 for g in groups):
         # The vendor auto-tuner measures: also try the spatial-first
         # shrink order and keep the faster candidate.
-        alt_groups, _ = build_groups(policy.halve_conv_spatial)
-        alt_program, alt_plans = compile_groups(alt_groups)
+        alt_planned, _ = build_groups(policy.halve_conv_spatial)
+        alt_groups, alt_program, alt_plans = compile_groups(alt_planned)
         if (
             Simulator(hw).run(alt_program).total_cycles
             < Simulator(hw).run(program).total_cycles

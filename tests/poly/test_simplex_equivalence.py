@@ -130,28 +130,33 @@ def _build(make):
 # posed three times per fusion: ilp hits 723 -> 627), and again when
 # extent and footprint misses began to solve their own integer rows (fm
 # misses 23 / 27 / 30 / 84 -> 0 / 1 / 0 / 0, extent 11/19, 122/21, 84/24,
-# 89/68 -> the pins); misses and simplex solves may only fall.  subgraph2 asks 288 footprint questions, one
-# distinct per probed size vector.  Pivots and rows are exact and may only
+# 89/68 -> the pins); misses and simplex solves may only fall.  They fell
+# again when band row extents were posed once per front-end (ilp hits
+# subgraph2 627 -> 587, subgraph5 410 -> 386), a self pair of one
+# injective access stopped posing its emptiness tests (ilp 71/52,
+# 546/215, 587/30, 386/79 -> the pins) and a plan began to look each
+# distinct footprint up once (footprint hits 1, 34, 282, 64 -> the pins):
+# subgraph2 asks 6 footprint questions, one per planned size vector.  Pivots and rows are exact and may only
 # fall too: with one row per bound and one artificial per row the same
 # solves took 891 / 726 / 0 / 2,151 pivots over 783 / 630 / 0 / 1,871 rows.
 COMPILES = {
     "conv2d_16x32": (
-        _build(_conv2d_16x32), 27, (27, 270), (71, 52), (0, 0), (7, 7), (1, 4)
+        _build(_conv2d_16x32), 27, (27, 270), (71, 48), (0, 0), (7, 7), (0, 4)
     ),
     "subgraph5": (
-        _build(lambda: _subgraph(5)), 27, (40, 243), (410, 79), (0, 1), (110, 14), (64, 5)
+        _build(lambda: _subgraph(5)), 27, (40, 243), (354, 75), (0, 1), (110, 14), (5, 5)
     ),
     "subgraph2": (
-        _build(lambda: _subgraph(2)), 0, (0, 0), (627, 30), (0, 0), (80, 4), (282, 6)
+        _build(lambda: _subgraph(2)), 0, (0, 0), (507, 26), (0, 0), (80, 4), (0, 6)
     ),
     "mobilenetv2_tiny": (
         lambda: compile_network(network("mobilenetv2_tiny")),
         67,
         (67, 659),
-        (546, 215),
+        (502, 207),
         (0, 0),
         (65, 35),
-        (34, 16),
+        (8, 16),
     ),
 }
 

@@ -12,6 +12,8 @@ from repro.sched.deps import (
     producer_consumer_pairs,
 )
 
+from tests.core.test_golden_programs import GOLDEN
+
 
 def dep_index(deps):
     return {(d.src.stmt_id, d.dst.stmt_id, d.kind) for d in deps}
@@ -352,3 +354,95 @@ class TestBoundingBoxPruning:
             ]
 
         assert canon(pruned) == canon(exact)
+
+
+def _canon(deps):
+    """Everything a dependence list says, constraint order included."""
+    return [
+        (d.kind, d.src.stmt_id, d.dst.stmt_id, d.tensor_name,
+         [(c.is_equality, list(c.expr.coeffs.items()), c.expr.const)
+          for c in d.relation.constraints])
+        for d in deps
+    ]
+
+
+class TestInjectiveSelfPairs:
+    """A self pair of one injective access is skipped without an ILP, and
+    the skip never changes what ``prune=False`` computes."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_pruned_equals_unpruned_on_golden_kernels(self, name):
+        kernel = lower(GOLDEN[name][0](), name)
+        assert _canon(compute_dependences(kernel, prune=True)) == _canon(
+            compute_dependences(kernel, prune=False)
+        )
+
+    @staticmethod
+    def _statement(rng, seen):
+        """One statement over ``X``: a write and up to two reads of the
+        kinds the skip must get right."""
+        from repro.ir.expr import FloatImm
+        from repro.ir.lower import LoweredKernel, PolyStatement, TensorAccess
+        from repro.ir.tensor import Tensor
+        from repro.poly.affine import var
+
+        dims = ["i", "j", "k"][: rng.randint(1, 3)]
+        i, j = rng.choice(dims), rng.choice(dims)
+        n = 6
+        kinds = {
+            "plain": lambda: [var(d) for d in dims],
+            "double": lambda: [var(d) + var(d) for d in dims],  # X[i + i]
+            "strided": lambda: [var(d) * 2 + rng.randint(0, 3) for d in dims],
+            "skewed": lambda: [var(i) + var(j)] + [var(d) for d in dims[1:]],
+            "reversed": lambda: [AffineExpr.constant(n - 1) - var(d) for d in dims],
+            "constant": lambda: [AffineExpr.constant(rng.randint(0, 2))],
+            "reduction": lambda: [var(d) for d in dims[:-1]] or [AffineExpr.constant(0)],
+        }
+        kind = rng.choice(sorted(kinds))
+        seen[kind] += 1
+        write = kinds[kind]()
+        x = Tensor("X", (4 * n,) * len(write), "fp32")
+        reads = []
+        if rng.random() < 0.5:  # in-place stencil: X[i] = f(X[i - 1])
+            seen["stencil"] += 1
+            reads.append(TensorAccess(x, [e - 1 for e in write]))
+        if rng.random() < 0.3:  # the written element read back
+            reads.append(TensorAccess(x, list(write)))
+        stmt = PolyStatement(
+            stmt_id="S0",
+            tensor=x,
+            iter_names=dims,
+            iter_extents=[n] * len(dims),
+            data_rank=len(dims),
+            write=TensorAccess(x, write),
+            reads=reads,
+            expr=FloatImm(0.0),
+            kind="compute",
+        )
+        return LoweredKernel("self_pairs", [], [x], [stmt])
+
+    def test_pruned_equals_unpruned_on_a_seeded_corpus(self):
+        import random
+        from collections import Counter
+
+        from repro.sched import deps as deps_module
+
+        rng = random.Random(20261017)
+        seen = Counter()
+        for _ in range(200):
+            kernel = self._statement(rng, seen)
+            stmt = kernel.statements[0]
+            seen["skipped"] += deps_module._injective_self_pair(
+                stmt, stmt.write, stmt.write
+            )
+            seen["posed"] += not deps_module._injective_self_pair(
+                stmt, stmt.write, stmt.write
+            )
+            assert _canon(compute_dependences(kernel, prune=True)) == _canon(
+                compute_dependences(kernel, prune=False)
+            )
+        for path in (
+            "plain", "double", "strided", "skewed", "reversed", "constant",
+            "reduction", "stencil", "skipped", "posed",
+        ):
+            assert seen[path] >= 10, (path, seen)

@@ -18,6 +18,7 @@ from repro.storage.promote import contiguous_runs, footprint_extents, plan_stora
 from repro.tiling.reverse import (
     affine_extent_bounds,
     footprint_key,
+    positional,
     relation_key,
     tile_footprint,
 )
@@ -212,7 +213,8 @@ def _named_footprint(group, stmt, access):
 
 def _key(group, stmt, access):
     rel = group.instance_relations[stmt.stmt_id]
-    return footprint_key(relation_key(rel), rel, access, group.tile_counts)
+    index = positional(access.indices, stmt.iter_names)
+    return footprint_key(relation_key(rel), index, access.tensor.shape, group.tile_counts)
 
 
 def _plan_view(result):
@@ -375,15 +377,15 @@ class TestFootprintTable:
             first = hits_misses("footprint")
             clear_solver_caches()
             result = build(make(), "subgraph2")
-            assert hits_misses("footprint") == first == (282, 6)
+            assert hits_misses("footprint") == first == (0, 6)
             verify_result(result)
         assert hits_misses("footprint") == first
 
     def test_twenty_one_statements_pose_one_question_per_size(self):
         kernel, group = fused_group(GOLDEN["subgraph2"][0](), [4, 4, 8, 4])
         plan_storage(group, assign_compute_units(group.statements), kernel, HardwareSpec())
-        hits, misses = hits_misses("footprint")
-        assert misses == 1 and hits > 40
+        # One key for all 21 statements' accesses, asked once per plan.
+        assert hits_misses("footprint") == (0, 1)
 
     def test_gather_is_sized_by_the_consumer_tile_and_never_keyed(self):
         table = placeholder((64, 32), name="TAB")

@@ -43,8 +43,10 @@ from tests.poly.test_canonical_keys import _relu_chain
 from tests.storage.test_promote import fused_group
 from tests.tiling import _reference_footprint as reference
 
-#: The tuner rows of the repo benchmark (one front-end, ~11 backend builds).
-TUNED = ("add_relu_128x512", "matmul_256", "softmax_32x64")
+#: The tuner rows of the repo benchmark (one front-end, ~11 backend builds),
+#: and two paper subgraphs: a probe whose footprints all hit builds no
+#: membership rows, so these pose the fused and stencil memberships.
+TUNED = ("add_relu_128x512", "matmul_256", "softmax_32x64", "subgraph4", "subgraph5")
 TUNE_PARAMS = dict(seed=0, first_round=8, round_size=4, max_rounds=2, parallel=False)
 
 
@@ -72,7 +74,7 @@ def _exact(constraints):
 
 @pytest.fixture(scope="module")
 def compiled():
-    """Compile the nine golden rows and the three tuner rows cold, keeping
+    """Compile the nine golden rows and tune five of them cold, keeping
     every footprint key, extent system and membership call they pose."""
     seen = {"footprint": [], "extent": [], "membership": []}
     bounds, extents, membership = (
@@ -232,7 +234,10 @@ def test_footprints_equal_the_reference_on_a_seeded_corpus(monkeypatch):
         access = TensorAccess(placeholder(shape, name="A"), indices)
         counts = [rng.randint(1, 5) for _ in relation.in_space.dims]
         key = reverse.footprint_key(
-            reverse.relation_key(relation), relation, access, counts
+            reverse.relation_key(relation),
+            reverse.positional(indices, relation.out_space.dims),
+            access.tensor.shape,
+            counts,
         )
         got = reverse.footprint_bounds(key)
         assert got == reference.footprint_bounds(relation, indices, counts), key
