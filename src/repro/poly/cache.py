@@ -1,13 +1,15 @@
 """Memoization for the exact polyhedral solvers.
 
 The compilation pipeline re-solves *identical* (I)LPs and projections many
-times: dependence analysis poses the same emptiness checks for symmetric
-access pairs, footprint probing re-derives the same per-dimension bounds
-for every tile-size candidate and every statement of an elementwise
-chain, and the auto-tuner's backend re-runs the storage planner dozens of
-times per kernel.  Every solve is a pure function of its constraint
-system, so a memo table is sound -- provided "identical" is judged by
-what the solvers can see.
+times: statements of an elementwise chain pose the same bounds under
+other names, the scheduler poses the master schedule's band rows again
+for the split variant's, the tuner compiles dozens of candidates per
+kernel, and a warm process compiles kernels it compiled before.  Every
+solve is a pure function of its constraint system, so a memo table is
+sound -- provided "identical" is judged by what the solvers can see.
+(What one compile can avoid asking twice it does not ask: a dependence
+keeps the problem its emptiness was decided on, and its distance bounds,
+for every later question -- see :mod:`repro.sched.deps`.)
 
 **The canonical form.**  The solvers never look *at* a variable name, only
 at how names compare: Fourier-Motzkin eliminates ``sorted(...)`` names,

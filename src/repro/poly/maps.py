@@ -92,10 +92,6 @@ class BasicMap:
             self.in_space, self.out_space, list(self.constraints) + list(constraints)
         )
 
-    def is_empty(self) -> bool:
-        """Exact integer emptiness of the relation."""
-        return self.wrap().is_empty()
-
     def __repr__(self) -> str:
         cons = " and ".join(repr(c) for c in self.constraints) or "true"
         return f"{{ {self.in_space!r} -> {self.out_space!r} : {cons} }}"

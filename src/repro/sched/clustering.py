@@ -90,25 +90,23 @@ def classify_dependence(dep: Dependence) -> Tuple[str, Optional[list]]:
     if not dep.relation.constraints:
         return "barrier", None
 
-    from repro.poly.affine import AffineExpr
-    from repro.sched.deps import _expr_bounds
+    # Equal ranks: the data dims lead both statements, so their bounds are
+    # the leading entries of the distance bounds, which the dependence
+    # poses once (``is_uniform`` and ``distance_vector`` read the same
+    # ones).  Otherwise they are posed here, to the dependence's problem.
+    if len(dep.src.iter_names) == len(dep.dst.iter_names):
+        if dep.is_uniform:
+            return "uniform", dep.distance_vector()[: len(src_data)]
+        bounds = dep.distance_bounds()[: len(src_data)]
+    else:
+        from repro.poly.affine import AffineExpr
+        from repro.sched.deps import _expr_bounds
 
-    # Fast path: when the statements have equal total rank and the
-    # dependence is uniform on *every* dimension, the data-dim distances
-    # are exactly the leading entries of the distance vector — no
-    # per-dim stencil analysis needed.  ``is_uniform`` (not a truthiness
-    # check on the vector: None entries keep a list truthy) is the
-    # explicit gate; a miss falls through to the general classification,
-    # whose data-dim bounds then hit the solver cache.
-    if len(dep.src.iter_names) == len(dep.dst.iter_names) and dep.is_uniform:
-        vec = dep.distance_vector()  # bounds all cache-hit after is_uniform
-        return "uniform", list(vec[: len(src_data)])
-
-    deltas = [
-        AffineExpr.variable(dep.rename[d_dim]) - AffineExpr.variable(s_dim)
-        for s_dim, d_dim in zip(src_data, dst_data)
-    ]
-    bounds = _expr_bounds(dep.relation, deltas)
+        deltas = [
+            AffineExpr.variable(dep.rename[d_dim]) - AffineExpr.variable(s_dim)
+            for s_dim, d_dim in zip(src_data, dst_data)
+        ]
+        bounds = _expr_bounds(dep.problem, deltas)
 
     distances = []
     kind = "uniform"

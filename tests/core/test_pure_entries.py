@@ -125,3 +125,22 @@ def test_a_hit_recomputes_what_the_entry_leaves_out(name):
     assert [_dep_record(d) for d in warm.deps] == [_dep_record(d) for d in cold.deps]
     assert warm.deps is warm.deps  # computed once, then kept
     assert verify_result(warm) == {"schedule": True, "bounds": True, "sync": True}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_what_runs_on_a_front_end_leaves_its_bytes(name):
+    """A dependence's posed problem and distance bounds are a memo: the
+    front-end pickles alike before and after its distances are asked, its
+    split variant is scheduled and a backend build runs on it."""
+    from repro.core.compiler import backend_build
+    from repro.core.frontend import run_frontend
+
+    with diskcache.disabled():
+        frontend = run_frontend(GOLDEN[name][0](), name)
+        before = pickle.dumps(frontend)
+        for dep in frontend.deps:
+            dep.distance_vector()
+            assert dep.is_uniform in (True, False)
+        frontend.split_variant()
+        backend_build(frontend, AkgOptions())
+        assert pickle.dumps(frontend) == before

@@ -95,10 +95,4 @@ class TestBasicMap:
         assert w.contains({"i": 2, "a": 3})
         assert not w.contains({"i": 2, "a": 6})
 
-    def test_is_empty(self):
-        m = stencil_map().add_constraints(
-            [Constraint.ge(var("a"), var("i") + 5)]
-        )
-        assert m.is_empty()
-        assert not stencil_map().is_empty()
 
