@@ -107,7 +107,7 @@ echo
 echo "== solver counters of a cold conv2d (akgc --perf --cache-stats) =="
 python -m repro.tools.akgc conv2d --shape 1,16,32,32 --perf --cache-stats \
     --cache-dir "$TMP/conv-cache" | tee "$TMP/conv_perf.txt"
-grep -q "solver cache \[ilp\]: 56 hits / 48 misses (53.8% hit rate, 48 entries), 27 pivots over 270 tableau rows" \
+grep -q "solver cache \[ilp\]: 0 hits / 40 misses (0.0% hit rate, 40 entries), 3 pivots over 30 tableau rows" \
     "$TMP/conv_perf.txt" \
     || { echo "FAIL: the ilp solver-cache line of a cold conv2d moved"; exit 1; }
 

@@ -112,7 +112,7 @@ class _AstGenerator:
                     Block([Evaluate(f"// {what}: {expr!r}"), body]),
                 )
                 continue
-            lo, hi = self._dim_bounds(lead, dim)
+            lo, hi = self._dim_bounds(lead, expr)
             extent = hi - lo + 1
             if band.tile_sizes:
                 size = min(band.tile_sizes[r], extent)
@@ -132,13 +132,14 @@ class _AstGenerator:
             return names[0]
         return None
 
-    def _dim_bounds(self, stmt: PolyStatement, dim: str) -> Tuple[int, int]:
-        dom = stmt.domain()
-        lo = dom.dim_min(dim)
-        hi = dom.dim_max(dim)
-        if lo is None or hi is None:
-            return 0, 0
-        return lo, hi
+    @staticmethod
+    def _dim_bounds(stmt: PolyStatement, row: AffineExpr) -> Tuple[int, int]:
+        """``(min, max)`` of an identity row over ``stmt``'s iteration box,
+        in closed form (:meth:`~repro.ir.lower.PolyStatement.box_bounds`,
+        as ``posttile._row_extent`` reads it: neither poses an ILP);
+        ``(0, 0)`` for an empty box."""
+        bounds = stmt.box_bounds(row)
+        return (0, 0) if bounds is None else bounds
 
     # -- leaves --------------------------------------------------------------------
 

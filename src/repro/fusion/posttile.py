@@ -461,18 +461,18 @@ def _clamp_and_count(
 
 
 def _row_extent(row: AffineExpr, stmt: PolyStatement) -> int:
-    """Extent of a band row over the statement domain (exact ILP)."""
-    from repro.poly.ilp import IlpProblem, IlpStatus
-
-    problem = IlpProblem(stmt.domain().constraints)
-    hi = problem.maximize(row, integer=True)
-    lo = problem.minimize(row, integer=True)
-    if hi.status is not IlpStatus.OPTIMAL or lo.status is not IlpStatus.OPTIMAL:
+    """Extent of a band row over the statement's iteration box, in closed
+    form (:meth:`~repro.ir.lower.PolyStatement.box_bounds`: no ILP).  A row
+    over a dim outside the box is unbounded, and so is a row over an empty
+    box as far as tiling is concerned: both raise :class:`FusionError`."""
+    bounds = stmt.box_bounds(row)
+    if bounds is None:
         raise FusionError(
             "band row unbounded over the statement domain",
             stage=resilience.active_stage(),
         )
-    return int(hi.value - lo.value) + 1
+    lo, hi = bounds
+    return int(hi - lo) + 1
 
 
 def _band_of(f: FilterNode) -> BandNode:

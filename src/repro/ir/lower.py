@@ -29,7 +29,7 @@ from repro.ir.expr import (
     collect_reads,
 )
 from repro.ir.tensor import Tensor
-from repro.poly.affine import AffineExpr, Constraint
+from repro.poly.affine import AffineExpr, Constraint, Number
 from repro.poly.maps import BasicMap
 from repro.poly.sets import BasicSet, Space
 
@@ -179,6 +179,27 @@ class PolyStatement:
             }
             cached = self._domain = BasicSet.from_bounds(self.space, bounds)
         return cached
+
+    def box_bounds(self, expr: AffineExpr) -> Optional[Tuple[Number, Number]]:
+        """``(min, max)`` of ``expr`` over the iteration box, in closed
+        form: each dim sits at the end of ``[0, extent - 1]`` its
+        coefficient's sign points to -- what an integer ILP over
+        :meth:`domain` answers, without posing one.  ``None`` when ``expr``
+        names a dim outside the box, or the box is empty."""
+        if self.iter_extents and min(self.iter_extents) < 1:
+            return None
+        extents = dict(zip(self.iter_names, self.iter_extents))
+        lo = hi = expr.const
+        for name, coeff in expr.coeffs.items():
+            extent = extents.get(name)
+            if extent is None:
+                return None
+            top = coeff * (extent - 1)
+            if coeff > 0:
+                hi += top
+            else:
+                lo += top
+        return lo, hi
 
     def instance_count(self) -> int:
         """Number of dynamic instances of this statement."""

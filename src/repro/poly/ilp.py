@@ -36,6 +36,14 @@ there only for a coordinate that is fractional: numbers throughout
 tightens its variable's ``lo``/``hi`` and shifts its column; the tableau
 holds only the rows that couple variables (plus one ``p <= hi - lo`` row
 per doubly-bounded variable), and a system with none is read off its box.
+**A constant objective is read off the problem's feasibility witness.**
+An objective the presolve leaves without ranks -- ``is_feasible``'s zero,
+or a distance the problem's equalities fix -- solves as the zero
+objective does over the same fold: same columns, path, point and status,
+with the constant as its value.  The zero objective is solved once per
+problem and integrality, beside the fold, and every constant objective
+is answered from that solve (:func:`_constant`).  Each keeps its own memo
+entry, and its miss still passes the ``ilp.solve`` fault site.
 
 **The contract** is what callers read, not how the simplex walks:
 
@@ -51,7 +59,9 @@ per doubly-bounded variable), and a system with none is read off its box.
   with a negative reduced cost enters; minimum ratio leaves, ties to the
   lowest basis index; basic artificials are driven out in row order);
 - the work is pinned: pivots and tableau rows are counted beside the
-  memo's hits (``solver_cache_stats()["ilp"]``), exactly, per compile.
+  memo's hits (``solver_cache_stats()["ilp"]``), exactly, per compile
+  (``COMPILES`` in ``tests/poly/test_simplex_equivalence.py``: a cold
+  ``conv2d_16x32`` build makes 3 simplex solves, 3 pivots over 30 rows).
 """
 
 from __future__ import annotations
@@ -105,6 +115,11 @@ Bounds = Dict[int, Number]
 #: Presolved rows split by :func:`_fold_bounds`: ``(lo, hi, rows)``, or
 #: ``None`` when the split already proves them infeasible.
 Folded = Optional[Tuple[Bounds, Bounds, List[Row]]]
+#: A problem's presolved state: its rows and eliminations, and per
+#: integrality the fold of those rows and the zero objective's solve on it.
+Presolved = Tuple[
+    List[Row], List[Elimination], Dict[bool, Folded], Dict[bool, "IlpResult"]
+]
 
 
 class IlpProblem:
@@ -123,9 +138,10 @@ class IlpProblem:
     def __init__(self, constraints: Optional[Sequence[Constraint]] = None):
         self.constraints: List[Constraint] = list(constraints or [])
         # Derived from the constraints, once: the memo key's rank space, and
-        # its rows presolved, with the bounds folded out per integrality.
+        # its rows presolved, with the bounds folded out and the feasibility
+        # witness solved per integrality.
         self._space: Optional[RankSpace] = None
-        self._presolved: Optional[Tuple[List[Row], List[Elimination], Dict]] = None
+        self._presolved: Optional[Presolved] = None
 
     def add_constraint(self, constraint: Constraint) -> None:
         """Append one constraint."""
@@ -234,23 +250,37 @@ class IlpProblem:
         return IlpResult(status, value, dict(zip(names, values)))
 
     def _solve(self, space: RankSpace, key: Hashable, integer: bool) -> IlpResult:
-        """One uncached solve on the key's rows.  Presolve and fold (one
-        per integrality) are the problem's, shared by every objective in
-        its space (``add_constraint`` drops them); an objective that widens
-        the space (:meth:`RankSpace.with_expr`) presolves its own rows."""
+        """One uncached solve on the key's rows.  Presolve, fold and
+        witness (one of each per integrality) are the problem's, shared by
+        every objective in its space (``add_constraint`` drops them); an
+        objective that widens the space (:meth:`RankSpace.with_expr`)
+        presolves its own rows.
+
+        An objective the presolve leaves without ranks is a constant: its
+        solve would be the zero objective's over the same fold -- same
+        path, point and status -- so it is answered off the witness, the
+        zero objective solved once per integrality.
+        """
         system, ranks, numbers = key
         presolved = self._presolved if space is self._space else None
         if presolved is None:
-            presolved = (*_presolve(system), {})
+            presolved = (*_presolve(system), {}, {})
             if space is self._space:
                 self._presolved = presolved
-        rows, back, folded = presolved
-        if integer not in folded:
-            folded[integer] = _fold_bounds(rows, integer)
+        rows, back, folds, witnesses = presolved
+        if integer not in folds:
+            folds[integer] = _fold_bounds(rows, integer)
+        folded = folds[integer]
         objective = (dict(zip(ranks, numbers)), numbers[-1])
         if back:
             objective = _substituted(*objective, back)
-        return _solve_folded(folded[integer], objective, back, integer)
+        if objective[0]:
+            return _solve_folded(folded, objective, back, integer)
+        witness = witnesses.get(integer)
+        if witness is None:
+            # One store of the final value: a reader never sees half a solve.
+            witness = witnesses[integer] = _solve_folded(folded, ({}, 0), back, integer)
+        return _constant(witness, objective[1])
 
 
 # -- presolve -----------------------------------------------------------------
@@ -348,6 +378,15 @@ def _solve_folded(
             assignment[r] = canonical(value)
         result = IlpResult(result.status, result.value, assignment)
     return result
+
+
+def _constant(witness: IlpResult, value: Number) -> IlpResult:
+    """The solve of a constant objective ``value``, read off ``witness``,
+    the zero objective's solve over the same fold: its status and point,
+    and ``value`` wherever there is an optimum."""
+    if witness.status is not IlpStatus.OPTIMAL:
+        return witness
+    return IlpResult(IlpStatus.OPTIMAL, canonical(value), witness.assignment)
 
 
 def _fold_bounds(rows: Sequence[Row], integer: bool) -> Folded:

@@ -20,11 +20,16 @@ and the :class:`Dependence` it creates owns that problem
 goes to it: the distance bounds (asked once each, and read by
 ``distance_vector``, ``is_uniform``, clustering and the scheduler's
 identity rows), the data-dim bounds of statements of unequal rank and the
-scheduler's Pluto rows.  The problem's rank space, presolve and folds are
-therefore computed once for all of them.  Access pairs of
-the same two statements with equal index lists share their answers and
-problems.  The verifier (:mod:`repro.verify.schedule`) computes its own
-dependences and poses its own systems.
+scheduler's Pluto rows.  The problem's rank space, presolve, folds and
+feasibility witness are therefore computed once for all of them.  Access
+pairs of the same two statements with equal index lists share their
+problems, and with each problem the dict of distance bounds asked of it:
+those dependences have the same statements and ``rename``, hence the same
+deltas, so whichever asks first answers for all.  The dict is handed out
+beside the problem, not kept on it (an ``IlpProblem`` knows nothing of
+dependences), and no pickle holds it.  The verifier
+(:mod:`repro.verify.schedule`) computes its own dependences and poses its
+own systems.
 """
 
 from __future__ import annotations
@@ -48,10 +53,11 @@ class Dependence:
     :class:`~repro.poly.ilp.IlpProblem` its relation's emptiness was
     decided on, which every later question about the relation is posed to
     (distances, clustering's data-dim bounds, the scheduler's band rows),
-    and the distance bounds it was asked.  An unpickled dependence poses a
-    problem of its own on first use.  Two threads first asking one
-    dependence may each pose a problem or a bound; the answers are equal,
-    and either is kept.
+    and the distance bounds asked of that problem, shared with every
+    dependence that shares it.  An unpickled dependence poses a problem
+    and keeps bounds of its own on first use.  Two threads first asking
+    may each pose a problem or a bound; the answers are equal, each store
+    is one assignment of a final value, and either is kept.
     """
 
     __slots__ = ("src", "dst", "relation", "kind", "tensor_name", "rename",
@@ -66,6 +72,7 @@ class Dependence:
         tensor_name: str,
         rename: Dict[str, str],
         problem: IlpProblem,
+        asked: Dict[Tuple[int, bool], Optional[int]],
     ):
         if kind not in ("flow", "anti", "output"):
             raise ValueError(f"bad dependence kind {kind!r}")
@@ -78,6 +85,7 @@ class Dependence:
         # names used on the relation's output side.
         self.rename = rename
         self._problem = problem
+        self._asked = asked
 
     def __getstate__(self):
         # The six fields, as the default state of a slotted object lists
@@ -146,7 +154,8 @@ class Dependence:
         return tuple([(asked[p, False], asked[p, True]) for p in range(n)])
 
     def _answers(self) -> Dict[Tuple[int, bool], Optional[int]]:
-        """The distance bounds asked so far, by ``(position, upper)``."""
+        """The distance bounds asked of :attr:`problem` so far, by
+        ``(position, upper)``."""
         try:
             return self._asked
         except AttributeError:
@@ -247,25 +256,19 @@ def _access_box(
 ) -> Optional[List[Tuple[int, int]]]:
     """Interval hull of the access image over the statement's domain.
 
-    One (lo, hi) pair per tensor dimension; ``None`` for non-affine
-    accesses (which conservatively cover the whole tensor).
+    One (lo, hi) pair per tensor dimension, each
+    :meth:`~repro.ir.lower.PolyStatement.box_bounds`; ``None`` for
+    non-affine accesses (which conservatively cover the whole tensor) and
+    for an index with no closed-form hull.
     """
     if acc.indices is None:
         return None
-    extents = dict(zip(stmt.iter_names, stmt.iter_extents))
     box: List[Tuple[int, int]] = []
     for idx in acc.indices:
-        lo = hi = idx.const
-        for name, coeff in idx.coeffs.items():
-            extent = extents.get(name)
-            if extent is None:
-                return None  # free symbol: no closed-form hull
-            top = coeff * (extent - 1)
-            if coeff > 0:
-                hi += top
-            else:
-                lo += top
-        box.append((lo, hi))
+        bounds = stmt.box_bounds(idx)
+        if bounds is None:
+            return None
+        box.append(bounds)
     return box
 
 
@@ -335,9 +338,10 @@ def _access_equal_constraints(
 
 
 #: The dependence relations of one access pair, each beside the problem
-#: its emptiness was decided on and its level: ``None`` for a pair of two
-#: statements, the lexicographic level of a self pair.
-Answers = List[Tuple[BasicMap, IlpProblem, Optional[int]]]
+#: its emptiness was decided on, the distance bounds asked of it and its
+#: level: ``None`` for a pair of two statements, the lexicographic level
+#: of a self pair.
+Answers = List[Tuple[BasicMap, IlpProblem, Dict, Optional[int]]]
 
 
 def _dependence_relations(
@@ -388,7 +392,7 @@ def _dependence_relations(
         base_cons.extend(eq)
 
     if answers is not None:
-        levels = [level for _, _, level in answers]
+        levels = [level for _, _, _, level in answers]
     elif src is dst:
         # Self-dependence: src lexicographically before dst, per level.
         levels = range(len(src.iter_names))
@@ -414,9 +418,10 @@ def _dependence_relations(
             problem = IlpProblem(relation.constraints)
             if not problem.is_feasible():
                 continue
+            asked: Dict = {}
         else:
-            problem = answers[k][1]
-        posed.append((relation, problem, level))
+            _, problem, asked, _ = answers[k]
+        posed.append((relation, problem, asked, level))
     return posed, rename
 
 
@@ -481,9 +486,11 @@ def compute_dependences(
                     kind = "flow"
                 else:
                     kind = "anti"
-                for rel, problem, _ in posed:
+                for rel, problem, asked, _ in posed:
                     deps.append(
-                        Dependence(s_a, s_b, rel, kind, tensor_name, rename, problem)
+                        Dependence(
+                            s_a, s_b, rel, kind, tensor_name, rename, problem, asked
+                        )
                     )
     return deps
 

@@ -36,9 +36,13 @@ def _isolated_disk_cache(tmp_path, monkeypatch):
 @pytest.fixture(autouse=True)
 def _no_leaked_fault_spec(monkeypatch):
     """No test inherits fault injection from the environment or a
-    neighbour that forgot to clear a programmatic spec."""
+    neighbour that forgot to clear a programmatic spec.  The module keeps
+    the last environment spec it parsed; reading the spec re-syncs it, so
+    a spec a neighbour set through the environment costs no test's first
+    idle ``fire`` a re-parse."""
     monkeypatch.delenv("REPRO_FAULT_SPEC", raising=False)
     faults.set_spec(None)
+    faults.current_spec()
     yield
     faults.set_spec(None)
 

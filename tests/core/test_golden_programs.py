@@ -134,18 +134,20 @@ EMITTED = {
 }
 
 # name -> Python-level calls of simulate(), program.dump() and cce_code(),
-# in that order, right after the cold build (cce_code() solves the
-# reference AST's loop bounds, so the solver caches' state counts).
+# in that order, right after the cold build.  cce_code() reads the
+# reference AST's loop bounds off each statement's iteration box (608, 776,
+# 432, 854, 1287, 1507, 819, 1420, 1424 while it solved them as ILPs and
+# counted on the solver caches' state).
 CALLS = {
-    "add_relu_128x512": (397, 74, 608),
-    "conv2d_16x32": (128, 59, 776),
-    "matmul_256": (525, 102, 432),
-    "softmax_32x64": (569, 165, 854),
-    "subgraph1": (1004, 128, 1287),
-    "subgraph2": (1345, 93, 1507),
-    "subgraph3": (1093, 87, 819),
-    "subgraph4": (1996, 391, 1420),
-    "subgraph5": (1130, 131, 1424),
+    "add_relu_128x512": (397, 74, 154),
+    "conv2d_16x32": (128, 59, 328),
+    "matmul_256": (525, 102, 240),
+    "softmax_32x64": (569, 165, 382),
+    "subgraph1": (1004, 128, 615),
+    "subgraph2": (1345, 93, 1059),
+    "subgraph3": (1093, 87, 627),
+    "subgraph4": (1996, 391, 732),
+    "subgraph5": (1130, 131, 752),
 }
 
 # name -> Python-level calls of a cold build(), the second of that kernel
@@ -153,12 +155,14 @@ CALLS = {
 # reset empties (interned names, per-kernel lowering state), and its count
 # depends on what ran before it.  conv2d_16x32 and subgraph5 are rows of
 # the benchmark's compile_sched workload, softmax_32x64 and subgraph2 of
-# its compile_tile workload.
+# its compile_tile workload.  12455 / 9741 / 28854 / 29354 while constant
+# objectives re-solved their fold's feasibility, dependences sharing a
+# problem each asked its distance bounds, and band row extents were ILPs.
 BUILD_CALLS = {
-    "conv2d_16x32": 12455,
-    "softmax_32x64": 9741,
-    "subgraph2": 28854,
-    "subgraph5": 29354,
+    "conv2d_16x32": 9535,
+    "softmax_32x64": 9112,
+    "subgraph2": 28466,
+    "subgraph5": 26729,
 }
 
 # name -> Python-level calls of a warm build(), one disk-cache hit: the

@@ -208,3 +208,96 @@ class TestReferenceExecutor:
         kernel = lower(b)
         with pytest.raises(ValueError):
             evaluate_kernel(kernel, {"A": np.zeros((5,), dtype=np.float32)})
+
+
+class TestBoxBounds:
+    """``PolyStatement.box_bounds`` is what two integer ILPs over the
+    statement's domain answer, and every reader of it -- band row extents,
+    AST loop bounds, access hulls -- agrees with those ILPs."""
+
+    @staticmethod
+    def _kernels():
+        from repro.service.wire import demo_kernel
+
+        from tests.core.test_golden_programs import GOLDEN
+
+        kernels = [lower(GOLDEN[name][0](), name) for name in sorted(GOLDEN)]
+        for op, shape in (("relu", [4, 24]), ("matmul", [8, 16, 12]),
+                          ("conv2d", [2, 4, 8, 8])):
+            kernel = lower(demo_kernel(op, shape, batch_max=8), f"sym_{op}")
+            assert kernel.sym_dims  # shape-generic: a symbolic leading dim
+            kernels.append(kernel)
+        return kernels
+
+    @staticmethod
+    def _ilp_bounds(stmt, row):
+        from repro.poly.ilp import IlpProblem, IlpStatus
+
+        problem = IlpProblem(stmt.domain().constraints)
+        lo, hi = problem.minimize(row), problem.maximize(row)
+        if IlpStatus.OPTIMAL is lo.status is hi.status:
+            return lo.value, hi.value
+        return lo.status, hi.status
+
+    def test_closed_form_equals_two_ilps(self):
+        import random
+        from collections import Counter
+
+        from repro.codegen.ast import _AstGenerator
+        from repro.fusion.posttile import _row_extent
+        from repro.poly.affine import AffineExpr, var
+        from repro.sched.deps import _access_box
+
+        rng = random.Random(39)
+        seen = Counter()
+        for kernel in self._kernels():
+            for stmt in kernel.statements:
+                dims = stmt.iter_names
+                for d in dims:
+                    want = self._ilp_bounds(stmt, var(d))
+                    assert _AstGenerator._dim_bounds(stmt, var(d)) == want
+                rows = []
+                for _ in range(6):
+                    picked = rng.sample(dims, rng.randint(1, min(3, len(dims))))
+                    coeffs = {d: rng.choice((-3, -2, -1, 1, 2, 3)) for d in picked}
+                    rows.append(AffineExpr(coeffs, rng.randint(-5, 5)))
+                for acc in [stmt.write, *stmt.reads]:
+                    if acc.indices is not None:
+                        assert _access_box(stmt, acc) == [
+                            self._ilp_bounds(stmt, idx) for idx in acc.indices
+                        ]
+                        rows.extend(acc.indices)
+                for row in rows:
+                    lo, hi = want = self._ilp_bounds(stmt, row)
+                    assert stmt.box_bounds(row) == want, (stmt, row)
+                    assert _row_extent(row, stmt) == hi - lo + 1
+                    seen["skewed"] += len(row.coeffs) > 1
+                    seen["negative"] += any(c < 0 for c in row.coeffs.values())
+                    seen["scaled"] += any(abs(c) > 1 for c in row.coeffs.values())
+        assert min(seen.values()) >= 100, seen
+
+    def test_outside_dims_and_empty_boxes(self):
+        import copy
+
+        from repro.codegen.ast import _AstGenerator
+        from repro.core.errors import FusionError
+        from repro.fusion.posttile import _row_extent
+        from repro.poly.affine import var
+        from repro.poly.ilp import IlpStatus
+
+        kernel = lower(ops.relu(placeholder((4, 6), "fp16", name="X"), name="out"))
+        stmt = kernel.statements[0]
+        inside = stmt.iter_names[0]
+        row = var(inside) * 2 + var("fm")  # a dim the box does not bound
+        assert stmt.box_bounds(row) is None
+        assert self._ilp_bounds(stmt, row) == (IlpStatus.UNBOUNDED,) * 2
+        with pytest.raises(FusionError):
+            _row_extent(row, stmt)
+        empty = copy.copy(stmt)
+        empty.__dict__.pop("_domain", None)
+        empty.iter_extents = [0] + stmt.iter_extents[1:]
+        assert empty.box_bounds(var(inside)) is None
+        assert self._ilp_bounds(empty, var(inside)) == (IlpStatus.INFEASIBLE,) * 2
+        assert _AstGenerator._dim_bounds(empty, var(inside)) == (0, 0)
+        with pytest.raises(FusionError):
+            _row_extent(var(inside), empty)

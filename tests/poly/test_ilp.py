@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.poly.affine import Constraint, var
+from repro.poly.affine import AffineExpr, Constraint, var
 from repro.poly.ilp import IlpProblem, IlpStatus
 
 
@@ -410,3 +410,190 @@ class TestPresolveOnce:
         p.add_constraints([Constraint.eq(var("y"), var("x"))])
         assert p.maximize(var("z")).value == 6
         assert calls == [5, 6, 7]
+
+
+# -- constant objectives --------------------------------------------------------
+
+
+def _watch_constants(monkeypatch):
+    """Hold every constant-objective answer against a fresh, uncached
+    ``_solve_folded`` of its fold; returns the answers checked, counted by
+    ``(integer, status)``."""
+    from collections import Counter
+
+    from repro.poly import ilp
+
+    solve, constant = ilp._solve_folded, ilp._constant
+    inputs = {}
+    checked = Counter()
+
+    def remembered(folded, objective, back, integer):
+        got = solve(folded, objective, back, integer)
+        inputs[id(got)] = (got, folded, back, integer)  # alive: no id reuse
+        return got
+
+    def compared(witness, value):
+        got = constant(witness, value)
+        source, folded, back, integer = inputs[id(witness)]
+        assert source is witness
+        fresh = solve(folded, ({}, value), back, integer)
+        assert (got.status, got.value, got.assignment) == (
+            fresh.status, fresh.value, fresh.assignment
+        )
+        checked[integer, got.status] += 1
+        return got
+
+    monkeypatch.setattr(ilp, "_solve_folded", remembered)
+    monkeypatch.setattr(ilp, "_constant", compared)
+    return checked
+
+
+def _fixing_member(rng):
+    """A system over ``x*`` (boxed, so branch and bound ends) with ``y*``
+    fixed by unit equalities, and an objective the presolve turns into a
+    constant: a combination of the fixing rows, plus a constant.  Returns
+    the box, the ``y*`` replacements, the constraints and the objective."""
+    box = {
+        f"x{i}": (rng.randint(-2, 0), rng.randint(0, 3))
+        for i in range(rng.randint(1, 3))
+    }
+    cons = []
+    for x, (lo, hi) in box.items():
+        cons += [Constraint.ge(var(x), lo), Constraint.le(var(x), hi)]
+    fixed = {}
+    objective = AffineExpr.constant(rng.randint(-5, 5))
+    for j in range(rng.randint(1, 2)):
+        rest = AffineExpr(
+            {x: rng.randint(-2, 2) for x in box if rng.random() < 0.7},
+            rng.randint(-3, 3),
+        )
+        fixed[f"y{j}"] = rest
+        cons.append(Constraint.eq(var(f"y{j}"), rest))
+        objective = objective + (var(f"y{j}") - rest) * rng.randint(-2, 2)
+    for _ in range(rng.randint(0, 2)):
+        # Coupling rows: some systems lose every (integer) point.
+        coeffs = {n: rng.randint(-3, 3) for n in [*box, *fixed]}
+        row = AffineExpr(coeffs, rng.randint(-4, 4))
+        cons.append(Constraint(row, rng.random() < 0.3))
+    return box, fixed, cons, objective
+
+
+def _has_integer_point(box, fixed, cons):
+    """Some integer point of the box, ``y*`` as fixed, satisfies ``cons``."""
+    import itertools
+
+    for values in itertools.product(*[range(lo, hi + 1) for lo, hi in box.values()]):
+        point = dict(zip(box, values))
+        point.update({y: rest.evaluate(point) for y, rest in fixed.items()})
+        if all(c.satisfied(point) for c in cons):
+            return True
+    return False
+
+
+class TestFeasibilityWitness:
+    """An objective the presolve leaves without ranks is answered off the
+    problem's one feasibility witness -- exactly what solving it would
+    answer."""
+
+    def test_compiles_answer_constants_as_a_fresh_solve(self, monkeypatch):
+        from repro.core import diskcache
+        from repro.core.compiler import build
+        from repro.graph import compile_network, network
+        from repro.poly.cache import clear_solver_caches
+
+        from tests.core.test_golden_programs import GOLDEN
+
+        checked = _watch_constants(monkeypatch)
+        diskcache.set_disk_cache_enabled(False)
+        for name in sorted(GOLDEN):
+            clear_solver_caches()
+            build(GOLDEN[name][0](), name)
+        clear_solver_caches()
+        compile_network(network("mobilenetv2_tiny"))
+        clear_solver_caches()
+        assert checked[True, IlpStatus.OPTIMAL] >= 100, checked
+
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_seeded_corpus_answers_constants_as_a_fresh_solve(
+        self, integer, monkeypatch
+    ):
+        import random
+
+        from repro.poly.cache import set_solver_cache_enabled
+
+        checked = _watch_constants(monkeypatch)
+        rng = random.Random(39)
+        set_solver_cache_enabled(False)
+        try:
+            for _ in range(300):
+                box, fixed, cons, objective = _fixing_member(rng)
+                got = IlpProblem(cons).minimize(objective, integer=integer)
+                if integer:
+                    assert (got.status is IlpStatus.OPTIMAL) is _has_integer_point(
+                        box, fixed, cons
+                    ), cons
+                if got.status is IlpStatus.OPTIMAL:
+                    assert got.value == objective.evaluate(got.assignment)
+                    assert all(c.satisfied(got.assignment) for c in cons)
+        finally:
+            set_solver_cache_enabled(True)
+        for status in (IlpStatus.OPTIMAL, IlpStatus.INFEASIBLE):
+            assert checked[integer, status] >= 30, checked
+
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_infeasible_systems_answer_infeasible(self, integer, monkeypatch):
+        from repro.poly.cache import clear_solver_caches
+
+        checked = _watch_constants(monkeypatch)
+        clear_solver_caches()
+        empty = [  # folded away: x in [3, 1]
+            Constraint.ge(var("x"), 3), Constraint.le(var("x"), 1),
+        ]
+        coupled = [  # no point at all: x + y >= 5 in the unit box
+            Constraint.ge(var("x") + var("y"), 5),
+            Constraint.ge(var("x"), 0), Constraint.le(var("x"), 1),
+            Constraint.ge(var("y"), 0), Constraint.le(var("y"), 1),
+        ]
+        for cons in (empty, coupled):
+            p = IlpProblem(cons)
+            constant = p.minimize(AffineExpr.constant(7), integer)
+            assert constant.status is IlpStatus.INFEASIBLE
+            assert not p.is_feasible(integer)
+        # A rational point but no integral one: 2x = 2y + 1.
+        p = IlpProblem([Constraint.eq(var("x") * 2, var("y") * 2 + 1),
+                        Constraint.ge(var("y"), 0), Constraint.le(var("y"), 3)])
+        assert p.is_feasible(integer) is (not integer)
+        assert p.is_feasible(not integer) is integer  # a witness per integrality
+        assert checked[integer, IlpStatus.INFEASIBLE] == 4 + integer
+        clear_solver_caches()
+
+    def test_a_bound_before_the_emptiness_test_answers_as_after(self):
+        from repro.ir import lower
+        from repro.poly.cache import set_solver_cache_enabled
+        from repro.sched.deps import compute_dependences
+
+        from tests.core.test_golden_programs import GOLDEN
+
+        compared = 0
+        set_solver_cache_enabled(False)
+        try:
+            for name in sorted(GOLDEN):
+                for d in compute_dependences(lower(GOLDEN[name][0](), name)):
+                    n = min(len(d.src.iter_names), len(d.dst.iter_names))
+                    deltas = [d._delta(pos) for pos in range(n)]
+                    answers = []
+                    for bound_first in (True, False):
+                        p = IlpProblem(d.relation.constraints)
+                        if bound_first:
+                            bounds = [p.minimize(e) for e in deltas]
+                        empty = p.minimize(AffineExpr.constant(0))
+                        if not bound_first:
+                            bounds = [p.minimize(e) for e in deltas]
+                        answers.append([
+                            (r.status, r.value, r.assignment) for r in [empty, *bounds]
+                        ])
+                    assert answers[0] == answers[1], d
+                    compared += 1
+        finally:
+            set_solver_cache_enabled(True)
+        assert compared >= 50

@@ -140,25 +140,32 @@ def _build(make):
 # hits fell once more when each dependence system was posed once (one
 # problem per dependence, equal access pairs answered once, distance
 # bounds asked once and read by the scheduler's identity rows: 71, 354,
-# 507, 502 -> the pins; misses, solves, pivots and rows unchanged).
-# Pivots and rows are exact and may only
-# fall too: with one row per bound and one artificial per row the same
-# solves took 891 / 726 / 0 / 2,151 pivots over 783 / 630 / 0 / 1,871 rows.
+# 507, 502 -> 56, 101, 170, 301; misses, solves, pivots and rows
+# unchanged).  Then each question went where it is already answered: a
+# constant objective (a distance the presolve fixes) reads its fold's one
+# feasibility witness, dependences sharing a problem share its distance
+# answers, and band row extents and AST loop bounds are the iteration
+# box's closed form: simplex solves 27 / 27 / 0 / 67 -> 3 / 7 / 0 / 11,
+# work (27, 270), (40, 243), (67, 659) -> the pins, ilp (56, 48),
+# (101, 75), (170, 26), (301, 207) -> the pins.  Pivots and rows are exact
+# and may only fall too: with one row per bound and one artificial per row
+# the same solves took 891 / 726 / 0 / 2,151 pivots over 783 / 630 / 0 /
+# 1,871 rows.
 COMPILES = {
     "conv2d_16x32": (
-        _build(_conv2d_16x32), 27, (27, 270), (56, 48), (0, 0), (7, 7), (0, 4)
+        _build(_conv2d_16x32), 3, (3, 30), (0, 40), (0, 0), (7, 7), (0, 4)
     ),
     "subgraph5": (
-        _build(lambda: _subgraph(5)), 27, (40, 243), (101, 75), (0, 1), (110, 14), (5, 5)
+        _build(lambda: _subgraph(5)), 7, (16, 67), (53, 67), (0, 1), (110, 14), (5, 5)
     ),
     "subgraph2": (
-        _build(lambda: _subgraph(2)), 0, (0, 0), (170, 26), (0, 0), (80, 4), (0, 6)
+        _build(lambda: _subgraph(2)), 0, (0, 0), (162, 18), (0, 0), (80, 4), (0, 6)
     ),
     "mobilenetv2_tiny": (
         lambda: compile_network(network("mobilenetv2_tiny")),
-        67,
-        (67, 659),
-        (301, 207),
+        11,
+        (11, 107),
+        (109, 191),
         (0, 0),
         (65, 35),
         (8, 16),
@@ -171,8 +178,11 @@ def test_compile_time_solves_equal_the_reference(name, monkeypatch):
     compile_it, n_solves, work, *pins = COMPILES[name]
     diskcache.set_disk_cache_enabled(False)
     simplex, fold, front_end = ilp._simplex_solve, ilp._fold_bounds, ilp._solve_folded
+    constant = ilp._constant
     solves = []
     sources = {}
+    answered = {}
+    read_off = []
 
     def cross_checked(lo, hi, rows, objective, names):
         got = simplex(lo, hi, rows, objective, names)
@@ -198,19 +208,36 @@ def test_compile_time_solves_equal_the_reference(name, monkeypatch):
         # rational or branched: the presolved system, single-variable rows
         # and all, is what it answers.
         got = front_end(folded, objective, back, integer)
+        constraints = None
         if folded is None:
             assert got.status is IlpStatus.INFEASIBLE
         else:
             source, constraints = sources[id(folded)]
             assert source is folded
             _certified(got, constraints, AffineExpr(*objective), integer)
+        answered[id(got)] = (got, constraints, integer)  # alive: no id reuse
+        return got
+
+    def certified_constant(witness, value):
+        # A constant objective's answer is read off the zero objective's
+        # solve of its fold, certified above: it keeps that status and
+        # point, which is feasible and attains any constant.
+        got = constant(witness, value)
+        source, constraints, integer = answered[id(witness)]
+        assert source is witness
+        assert (got.status, got.assignment) == (witness.status, witness.assignment)
+        if constraints is not None:
+            _certified(got, constraints, AffineExpr({}, value), integer)
+        read_off.append(got.status)
         return got
 
     monkeypatch.setattr(ilp, "_simplex_solve", cross_checked)
     monkeypatch.setattr(ilp, "_fold_bounds", remembered)
     monkeypatch.setattr(ilp, "_solve_folded", certified)
+    monkeypatch.setattr(ilp, "_constant", certified_constant)
     clear_solver_caches()
     compile_it()
+    assert read_off  # every compile asks constant objectives
     assert len(solves) == n_solves
     assert _ilp_work() == work
     stats = solver_cache_stats()

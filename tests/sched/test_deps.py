@@ -549,6 +549,92 @@ class TestPosedOnce:
                 checked += 1
         assert checked >= 300
 
+    def test_dependences_sharing_a_problem_share_its_answers(self):
+        from repro.poly.cache import solver_cache_stats
+
+        def asked():
+            ilp = solver_cache_stats()["ilp"]
+            return ilp["hits"] + ilp["misses"]
+
+        kernels, _ = _corpus()
+        followers = 0
+        for kernel in kernels:
+            deps = compute_dependences(kernel, prune=True)
+            first = {}
+            for d in deps:
+                lead = first.setdefault(id(d.problem), d)
+                if lead is d:
+                    lead.distance_bounds()
+                    continue
+                before = asked()
+                assert d.distance_bounds() == lead.distance_bounds()
+                assert asked() == before  # answered when the first asked
+                followers += 1
+            exact = compute_dependences(kernel, prune=False)
+            assert [d.distance_bounds() for d in exact] == [
+                d.distance_bounds() for d in deps
+            ]
+        assert followers >= 50
+
+    def test_threads_sharing_problems_and_answers_agree(self):
+        import random
+        import sys
+        import threading
+
+        from repro.poly.cache import clear_solver_caches
+        from repro.poly.ilp import IlpProblem
+        from repro.sched.deps import _expr_bounds
+
+        kernel = lower(GOLDEN["subgraph5"][0](), "subgraph5")
+        serial = [d.distance_bounds() for d in compute_dependences(kernel)]
+        aligned = [i for i, bounds in enumerate(serial) if bounds is not None]
+        n_threads = 4  # more threads than the cores tier-1 runs on
+
+        def race(ask, n):
+            # Every thread asks all n questions, each in its own order.
+            results = [None] * n_threads
+            barrier = threading.Barrier(n_threads)
+
+            def run(k):
+                order = random.Random(k).sample(range(n), n)
+                barrier.wait()
+                got = {i: ask(i) for i in order}
+                results[k] = [got[i] for i in range(n)]
+
+            threads = [
+                threading.Thread(target=run, args=(k,)) for k in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            return results
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                # Fresh dependences: equal pairs share a problem and its
+                # answers, and no thread has asked a distance yet.
+                deps = compute_dependences(kernel)
+                clear_solver_caches()
+                assert race(lambda i: deps[i].distance_bounds(), len(deps)) == [
+                    serial
+                ] * n_threads
+                # Fresh problems: no witness is solved before the race.
+                problems = [IlpProblem(deps[i].relation.constraints) for i in aligned]
+                deltas = [
+                    [deps[i]._delta(p) for p in range(len(deps[i].src.iter_names))]
+                    for i in aligned
+                ]
+                clear_solver_caches()
+                assert race(
+                    lambda j: _expr_bounds(problems[j], deltas[j]), len(aligned)
+                ) == [[list(serial[i]) for i in aligned]] * n_threads
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_a_second_ask_poses_nothing(self):
         from repro.poly.cache import solver_cache_stats
 
