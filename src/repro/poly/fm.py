@@ -156,10 +156,18 @@ def make_row(
     return (coeffs, const, eq, c, (key, const) if eq else key)
 
 
-def _substitute(rows: Sequence[Row], r: int, pivot: Row) -> List[Row]:
+def _substitute(
+    rows: Sequence[Row], r: int, pivot: Row, integer: bool = True
+) -> List[Row]:
     """Eliminate rank ``r`` through the equality ``pivot``: every other row
     ``c`` with ``b = c[r]`` becomes ``|a|*c - b*sgn(a)*pivot`` (``a =
-    pivot[r]``), the integer image of substituting ``r = -rest/a``."""
+    pivot[r]``), the integer image of substituting ``r = -rest/a``.
+
+    A row is then normalised as :class:`~repro.poly.affine.Constraint`
+    normalises one, which floors an inequality's constant over the gcd of
+    its coefficients: exact over the integers only.  With ``integer=False``
+    a row is only divided by what divides it exactly, constant included,
+    so a rational solve of the rows keeps every rational point."""
     p_coeffs, p_const, _, p_self, _ = pivot
     a = p_coeffs[r]
     m = abs(a)
@@ -191,7 +199,7 @@ def _substitute(rows: Sequence[Row], r: int, pivot: Row) -> List[Row]:
         # scaled to integers by the least factor -- where Constraint's
         # normalisation starts; then its gcd step.
         k = gcd(m, const, *coeffs.values())
-        g = gcd(*coeffs.values()) // k
+        g = gcd(*coeffs.values()) // k if integer else 1
         if g > 1 and not (eq and const // k % g):
             k *= g  # (an equality with no integer point stays as it is)
         if k > 1:

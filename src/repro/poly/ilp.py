@@ -115,11 +115,10 @@ Bounds = Dict[int, Number]
 #: Presolved rows split by :func:`_fold_bounds`: ``(lo, hi, rows)``, or
 #: ``None`` when the split already proves them infeasible.
 Folded = Optional[Tuple[Bounds, Bounds, List[Row]]]
-#: A problem's presolved state: its rows and eliminations, and per
-#: integrality the fold of those rows and the zero objective's solve on it.
-Presolved = Tuple[
-    List[Row], List[Elimination], Dict[bool, Folded], Dict[bool, "IlpResult"]
-]
+#: A problem's presolved state for one integrality: the eliminations, the
+#: fold of the rows they leave, and the zero objective's solve on that fold
+#: once asked (a list that gets at most that one entry).
+Presolved = Tuple[List[Elimination], Folded, List["IlpResult"]]
 
 
 class IlpProblem:
@@ -138,20 +137,22 @@ class IlpProblem:
     def __init__(self, constraints: Optional[Sequence[Constraint]] = None):
         self.constraints: List[Constraint] = list(constraints or [])
         # Derived from the constraints, once: the memo key's rank space, and
-        # its rows presolved, with the bounds folded out and the feasibility
-        # witness solved per integrality.
+        # per integrality its rows presolved, with the bounds folded out and
+        # the feasibility witness solved.
         self._space: Optional[RankSpace] = None
-        self._presolved: Optional[Presolved] = None
+        self._presolved: Dict[bool, Presolved] = {}
 
     def add_constraint(self, constraint: Constraint) -> None:
         """Append one constraint."""
         self.constraints.append(constraint)
-        self._space = self._presolved = None
+        self._space = None
+        self._presolved = {}
 
     def add_constraints(self, constraints: Sequence[Constraint]) -> None:
         """Append several constraints."""
         self.constraints.extend(constraints)
-        self._space = self._presolved = None
+        self._space = None
+        self._presolved = {}
 
     # -- public solving interface -------------------------------------------
 
@@ -262,38 +263,41 @@ class IlpProblem:
         zero objective solved once per integrality.
         """
         system, ranks, numbers = key
-        presolved = self._presolved if space is self._space else None
+        own = space is self._space
+        presolved = self._presolved.get(integer) if own else None
         if presolved is None:
-            presolved = (*_presolve(system), {}, {})
-            if space is self._space:
-                self._presolved = presolved
-        rows, back, folds, witnesses = presolved
-        if integer not in folds:
-            folds[integer] = _fold_bounds(rows, integer)
-        folded = folds[integer]
+            rows, back = _presolve(system, integer)
+            presolved = (back, _fold_bounds(rows, integer), [])
+            if own:
+                self._presolved[integer] = presolved
+        back, folded, witness = presolved
         objective = (dict(zip(ranks, numbers)), numbers[-1])
         if back:
             objective = _substituted(*objective, back)
         if objective[0]:
             return _solve_folded(folded, objective, back, integer)
-        witness = witnesses.get(integer)
-        if witness is None:
-            # One store of the final value: a reader never sees half a solve.
-            witness = witnesses[integer] = _solve_folded(folded, ({}, 0), back, integer)
-        return _constant(witness, objective[1])
+        if not witness:
+            # One append of the final value: a reader never sees half a
+            # solve, and of two racing appends both are equal.
+            witness.append(_solve_folded(folded, ({}, 0), back, integer))
+        return _constant(witness[0], objective[1])
 
 
 # -- presolve -----------------------------------------------------------------
 
 
-def _presolve(system: Hashable) -> Tuple[List[Row], List[Elimination]]:
+def _presolve(
+    system: Hashable, integer: bool = True
+) -> Tuple[List[Row], List[Elimination]]:
     """The rows of ``system`` (laid out as :attr:`RankSpace.rows`) and
     the eliminations, in order, that removed its unit-coefficient equalities.
 
     Each of at most 256 steps takes the first equality row with a +-1
     coefficient and eliminates its first such rank with
-    :func:`repro.poly.fm._substitute`: exact over the integers, and a
-    function of the constraints alone, never of an objective.
+    :func:`repro.poly.fm._substitute`: exact over the integers (which
+    floors an inequality's constant over its coefficients' gcd) and, for a
+    rational solve (``integer=False``), exact over the rationals (which
+    keeps it).  A function of the constraints alone, never of an objective.
     """
     rows: List[Row] = []
     for ranks, numbers in split_rows(system):
@@ -309,7 +313,7 @@ def _presolve(system: Hashable) -> Tuple[List[Row], List[Elimination]]:
         a = coeffs[r]  # +-1: r = -a * (the rest of the row)
         rest = {n: -a * x for n, x in coeffs.items() if n != r}
         back.append((r, rest, -a * pivot[1]))
-        rows = _substitute(rows, r, pivot)
+        rows = _substitute(rows, r, pivot, integer)
     if back:
         # No step makes a trivially true row; those the system came with
         # go once it has changed.

@@ -87,26 +87,21 @@ def classify_dependence(dep: Dependence) -> Tuple[str, Optional[list]]:
     dst_data = dep.dst.data_iters
     if len(src_data) != len(dst_data):
         return "barrier", None
-    if not dep.relation.constraints:
+    # An unconstrained relation (a non-affine access between statements
+    # without dims): only such a pair can have one, so only it is built.
+    if not (dep.src.iter_names or dep.dst.iter_names) and not dep.relation.constraints:
         return "barrier", None
 
     # Equal ranks: the data dims lead both statements, so their bounds are
     # the leading entries of the distance bounds, which the dependence
-    # poses once (``is_uniform`` and ``distance_vector`` read the same
-    # ones).  Otherwise they are posed here, to the dependence's problem.
+    # answers once (``is_uniform`` and ``distance_vector`` read the same
+    # ones).  Otherwise the dependence answers them here.
     if len(dep.src.iter_names) == len(dep.dst.iter_names):
         if dep.is_uniform:
             return "uniform", dep.distance_vector()[: len(src_data)]
         bounds = dep.distance_bounds()[: len(src_data)]
     else:
-        from repro.poly.affine import AffineExpr
-        from repro.sched.deps import _expr_bounds
-
-        deltas = [
-            AffineExpr.variable(dep.rename[d_dim]) - AffineExpr.variable(s_dim)
-            for s_dim, d_dim in zip(src_data, dst_data)
-        ]
-        bounds = _expr_bounds(dep.problem, deltas)
+        bounds = dep.bounds_between(src_data, dst_data)
 
     distances = []
     kind = "uniform"
@@ -130,7 +125,7 @@ def classify_dependence(dep: Dependence) -> Tuple[str, Optional[list]]:
             dep.src.iter_extents[pos] + dep.dst.iter_extents[pos] - 2
         )
         if unconstrained > 0 and (hi_v - lo_v) >= unconstrained:
-            if _src_dim_determined(dep, s_dim):
+            if dep.src_dim_determined(s_dim):
                 distances.append((lo_v, hi_v))
                 kind = "stencil"
                 continue
@@ -138,24 +133,6 @@ def classify_dependence(dep: Dependence) -> Tuple[str, Optional[list]]:
         distances.append((lo_v, hi_v))
         kind = "stencil"
     return kind, distances
-
-
-def _src_dim_determined(dep: Dependence, s_dim: str) -> bool:
-    """Is the source dim a function of the destination instance?
-
-    Checked exactly: with every (renamed) destination dim fixed, the
-    source dim must have extent one over the relation.  Uses two copies of
-    the relation sharing the destination dims.
-    """
-    from repro.poly.affine import AffineExpr
-    from repro.poly.ilp import IlpProblem, IlpStatus
-
-    src_rename = {d: f"{d}__c" for d in dep.src.iter_names}
-    copy = [c.rename(src_rename) for c in dep.relation.constraints]
-    problem = IlpProblem(list(dep.relation.constraints) + copy)
-    delta = AffineExpr.variable(s_dim) - AffineExpr.variable(src_rename[s_dim])
-    result = problem.maximize(delta, integer=True)
-    return result.status is IlpStatus.OPTIMAL and result.value == 0
 
 
 def conservative_clustering(

@@ -1,8 +1,8 @@
 """Dependence analysis over polyhedral statements.
 
 For every pair of accesses to the same tensor (at least one being a write)
-we build the dependence relation as a :class:`~repro.poly.maps.BasicMap`
-from source instances to destination instances:
+the dependence relation is a :class:`~repro.poly.maps.BasicMap` from
+source instances to destination instances:
 
     { S_src(i) -> S_dst(i') :  Acc_src(i) = Acc_dst(i')
                                and both in their domains
@@ -13,21 +13,36 @@ self-dependences (reduction updates) the lexicographic order is encoded as
 a union of per-level relations.  Dependences drive the Pluto scheduler,
 legality checking, fusion clustering and the reverse tiling strategy.
 
-Each system is posed once per compile.  :func:`compute_dependences`
-decides a relation's emptiness on an :class:`~repro.poly.ilp.IlpProblem`,
-and the :class:`Dependence` it creates owns that problem
-(:attr:`Dependence.problem`).  Every later question about the relation
-goes to it: the distance bounds (asked once each, and read by
-``distance_vector``, ``is_uniform``, clustering and the scheduler's
-identity rows), the data-dim bounds of statements of unequal rank and the
-scheduler's Pluto rows.  The problem's rank space, presolve, folds and
-feasibility witness are therefore computed once for all of them.  Access
-pairs of the same two statements with equal index lists share their
-problems, and with each problem the dict of distance bounds asked of it:
-those dependences have the same statements and ``rename``, hence the same
-deltas, so whichever asks first answers for all.  The dict is handed out
-beside the problem, not kept on it (an ``IlpProblem`` knows nothing of
-dependences), and no pickle holds it.  The verifier
+**Separable access pairs are answered in closed form.**  A pair is
+separable when every subscript of both accesses is a constant or
+``dim + const``: the ZIV and strong-SIV subscripts of Goff, Kennedy and
+Tseng, *Practical Dependence Testing* (PLDI 1991).  Its system is the box
+of each domain, equalities ``y = x + c`` or ``x = c`` from the subscripts,
+a self pair's lexicographic equalities ``y_d = x_d`` and at most one strict
+``y_L >= x_L + 1``.  The equalities split the variables into classes, each
+a root plus per-member offsets whose root ranges over one integer interval
+(:class:`_ClosedForm`); only the strict inequality couples two classes.
+Emptiness at every level, the bounds of any ``dst_dim - src_dim`` and
+whether a source dim is a function of the destination instance are read
+off those intervals, exactly over the integers, without a solver.  A
+*coupled* pair -- a subscript over two dims or with a coefficient other
+than 1, or a non-affine access -- is decided by the ILP, after the
+bounding-box pre-check.
+
+**Relations and problems are built when asked.**  A dependence builds its
+relation on first use of :attr:`Dependence.relation`, and the
+:class:`~repro.poly.ilp.IlpProblem` every solver question about it goes to
+on first use of :attr:`Dependence.problem`.  On the default compile path
+the Pluto rows of a band row the identity fails, the reverse tiling
+strategy and the verifier ask; distances, clustering and identity rows do
+not.  Access pairs of the same two statements with equal index lists share
+one system per level (:class:`_System`): its closed form, its problem and
+the distance bounds asked of it.  Those dependences have the same
+statements and ``rename``, hence the same deltas, so whichever asks first
+answers for all.  The system is handed out beside the dependences, not
+kept on the problem (an ``IlpProblem`` knows nothing of dependences), and
+no pickle holds it.  ``compute_dependences(prune=False)`` is the
+exhaustive ILP oracle the closed form is held to.  The verifier
 (:mod:`repro.verify.schedule`) computes its own dependences and poses its
 own systems.
 """
@@ -44,52 +59,248 @@ from repro.poly.ilp import IlpProblem, IlpStatus
 from repro.poly.maps import BasicMap
 from repro.poly.sets import Space
 
+#: ``(min, max)`` of an expression; ``None`` for an unbounded side.
+Bound = Tuple[Optional[int], Optional[int]]
+
+#: The node a constant subscript is tied to: its value is 0.
+_ZERO = ""
+
+
+class _ClosedForm:
+    """A separable system, solved: every node (a source dim, a renamed
+    destination dim, :data:`_ZERO`) is its class's root plus an offset,
+    ``where[node] = (root, offset)``; ``members`` lists each root's class
+    and ``box[root]`` the integer interval the root ranges over, the
+    members' boxes shifted onto it and intersected.  ``lead`` is a self
+    pair's ``(x_L, y_L)``, the one inequality ``y_L >= x_L + 1`` coupling
+    two classes, or ``None``."""
+
+    __slots__ = ("where", "members", "box", "lead")
+
+    def __init__(self, where, members, box, lead=None):
+        self.where = where
+        self.members = members
+        self.box = box
+        self.lead = lead
+
+    def copy(self) -> "_ClosedForm":
+        """A copy without the lead, whose joins leave this form as it is."""
+        return _ClosedForm(dict(self.where), dict(self.members), dict(self.box))
+
+    def join(self, a: str, b: str, offset: int) -> bool:
+        """Add ``a = b + offset``; ``False`` when that empties the system."""
+        ra, oa = self.where[a]
+        rb, ob = self.where[b]
+        shift = ob + offset - oa  # root a = root b + shift
+        if ra == rb:
+            return shift == 0
+        where = self.where
+        for m in self.members[ra]:
+            where[m] = (rb, where[m][1] + shift)
+        self.members[rb] = self.members[rb] + self.members.pop(ra)
+        lo_a, hi_a = self.box.pop(ra)
+        lo_b, hi_b = self.box[rb]
+        lo, hi = max(lo_b, lo_a - shift), min(hi_b, hi_a - shift)
+        self.box[rb] = (lo, hi)
+        return lo <= hi
+
+    def _coupling(self) -> Optional[Tuple[str, str, int]]:
+        """``(root x, root y, k)`` with ``root y - root x >= k`` when the
+        lead couples two classes, else ``None``."""
+        if self.lead is None:
+            return None
+        rx, ox = self.where[self.lead[0]]
+        ry, oy = self.where[self.lead[1]]
+        if rx == ry:
+            return None
+        return rx, ry, 1 + ox - oy
+
+    def is_empty(self) -> bool:
+        """Whether the lead's strict inequality has no point (the joins
+        already kept every interval non-empty)."""
+        if self.lead is None:
+            return False
+        rx, ox = self.where[self.lead[0]]
+        ry, oy = self.where[self.lead[1]]
+        if rx == ry:
+            return oy - ox < 1
+        return self.box[ry][1] + oy - self.box[rx][0] - ox < 1
+
+    def _interval(self, root: str, coupling) -> Tuple[int, int]:
+        """The values ``root`` takes over the system: its box, cut by the
+        lead where it couples ``root``'s class."""
+        lo, hi = self.box[root]
+        if coupling is not None:
+            rx, ry, k = coupling
+            if root == rx:
+                hi = min(hi, self.box[ry][1] - k)
+            elif root == ry:
+                lo = max(lo, self.box[rx][0] + k)
+        return lo, hi
+
+    def distance(self, u: str, v: str) -> Tuple[int, int]:
+        """``(min, max)`` of ``u - v`` over the (non-empty) system."""
+        ru, ou = self.where[u]
+        rv, ov = self.where[v]
+        c = ou - ov
+        if ru == rv:
+            return c, c
+        coupling = self._coupling()
+        if coupling is not None and {ru, rv} == {coupling[0], coupling[1]}:
+            rx, ry, k = coupling
+            # root y - root x over the two boxes and the lead.
+            lo = max(k, self.box[ry][0] - self.box[rx][1])
+            hi = self.box[ry][1] - self.box[rx][0]
+            return (lo + c, hi + c) if ru == ry else (c - hi, c - lo)
+        lo_u, hi_u = self._interval(ru, coupling)
+        lo_v, hi_v = self._interval(rv, coupling)
+        return lo_u - hi_v + c, hi_u - lo_v + c
+
+    def determined(self, v: str, dst_nodes) -> bool:
+        """Whether ``v`` takes one value once every node of ``dst_nodes``
+        is fixed: its class holds one of them, or its interval one value."""
+        root = self.where[v][0]
+        if not dst_nodes.isdisjoint(self.members[root]):
+            return True
+        lo, hi = self._interval(root, self._coupling())
+        return lo == hi
+
+
+def _unit_term(expr: AffineExpr, dims, rename=None) -> Optional[Tuple[str, int]]:
+    """``(node, const)`` of a subscript ``dim + const`` (``node`` the dim,
+    renamed by ``rename``) or of a constant (``node`` :data:`_ZERO`);
+    ``None`` for any other subscript."""
+    const = expr.const
+    if type(const) is not int:
+        return None
+    coeffs = expr.coeffs
+    if not coeffs:
+        return _ZERO, const
+    if len(coeffs) == 1:
+        ((name, c),) = coeffs.items()
+        if c == 1 and name in dims:
+            return (rename[name] if rename else name), const
+    return None
+
+
+def _separable(
+    src: PolyStatement,
+    dst: PolyStatement,
+    src_acc: TensorAccess,
+    dst_acc: TensorAccess,
+    levels: Sequence[Optional[int]],
+    rename: Dict[str, str],
+) -> Optional[List[Tuple[Optional[int], _ClosedForm]]]:
+    """The closed form of a separable pair at each of ``levels`` where its
+    system is non-empty; ``None`` for a coupled pair.  At a self pair's
+    level ``L`` the form has ``y_d = x_d`` joined below ``L`` and
+    ``y_L >= x_L + 1`` as its lead."""
+    if src_acc.indices is None or dst_acc.indices is None:
+        return None
+    terms = []
+    src_dims, dst_dims = set(src.iter_names), set(dst.iter_names)
+    for s_idx, d_idx in zip(src_acc.indices, dst_acc.indices):
+        s = _unit_term(s_idx, src_dims)
+        d = _unit_term(d_idx, dst_dims, rename)
+        if s is None or d is None:
+            return None
+        terms.append((s, d))
+    where = {_ZERO: (_ZERO, 0)}
+    members = {_ZERO: (_ZERO,)}
+    box = {_ZERO: (0, 0)}
+    for names, extents in (
+        (src.iter_names, src.iter_extents),
+        ([rename[d] for d in dst.iter_names], dst.iter_extents),
+    ):
+        for name, extent in zip(names, extents):
+            where[name] = (name, 0)
+            members[name] = (name,)
+            box[name] = (0, extent - 1)
+            if extent < 1:
+                return []
+    form = _ClosedForm(where, members, box)
+    for (s, s_const), (d, d_const) in terms:
+        if not form.join(d, s, s_const - d_const):
+            return []
+    if levels == [None]:
+        return [(None, form)]
+    found = []
+    for level in levels:
+        x = src.iter_names[level]
+        at = form.copy()
+        at.lead = (x, rename[x])
+        if not at.is_empty():
+            found.append((level, at))
+        if not form.join(rename[x], x, 0):
+            break  # an equal prefix is empty here, so at every deeper level
+    return found
+
+
+class _System:
+    """One access pair's system at one level, shared by the dependences of
+    every equal access pair: its closed form (``None`` for a coupled pair,
+    and on the oracle path), the problem its solver questions go to, built
+    when first asked, and the distance bounds asked of either, by
+    ``(position, upper)``."""
+
+    __slots__ = ("form", "problem", "asked")
+
+    def __init__(
+        self, form: Optional[_ClosedForm], problem: Optional[IlpProblem] = None
+    ):
+        self.form = form
+        self.problem = problem
+        self.asked: Dict[Tuple[int, bool], Optional[int]] = {}
+
 
 class Dependence:
     """One dependence edge between two statements.
 
-    Six fields are its state, and a pickle holds exactly those.  Beside
-    them it keeps a memo that is never pickled: the
-    :class:`~repro.poly.ilp.IlpProblem` its relation's emptiness was
-    decided on, which every later question about the relation is posed to
-    (distances, clustering's data-dim bounds, the scheduler's band rows),
-    and the distance bounds asked of that problem, shared with every
-    dependence that shares it.  An unpickled dependence poses a problem
-    and keeps bounds of its own on first use.  Two threads first asking
-    may each pose a problem or a bound; the answers are equal, each store
-    is one assignment of a final value, and either is kept.
+    Six fields are its state, and a pickle holds exactly those: ``src``,
+    ``dst``, ``relation``, ``kind``, ``tensor_name`` and ``rename``.  The
+    relation is built on first use (a pickle builds it), from the access
+    pair and level the dependence keeps beside its fields.  Also beside
+    them, never pickled, is its :class:`_System`: the closed form that
+    answers distances and clustering's questions of a separable pair, and
+    the :class:`~repro.poly.ilp.IlpProblem` every solver question goes to
+    (a coupled pair's distances, the scheduler's Pluto rows), posed on
+    first use and shared, with the distance bounds asked, by every
+    dependence of an equal access pair.  An unpickled dependence poses a
+    problem and keeps bounds of its own on first use.  Two threads first
+    asking may each build a relation, a problem or a bound; the answers
+    are equal, each store is one assignment of a final value, and either
+    is kept.
     """
 
-    __slots__ = ("src", "dst", "relation", "kind", "tensor_name", "rename",
-                 "_problem", "_asked")
+    __slots__ = ("src", "dst", "kind", "tensor_name", "rename",
+                 "_relation", "_pair", "_system")
 
     def __init__(
         self,
         src: PolyStatement,
         dst: PolyStatement,
-        relation: BasicMap,
         kind: str,
         tensor_name: str,
         rename: Dict[str, str],
-        problem: IlpProblem,
-        asked: Dict[Tuple[int, bool], Optional[int]],
+        system: _System,
+        pair: Tuple[TensorAccess, TensorAccess, Optional[int]],
     ):
         if kind not in ("flow", "anti", "output"):
             raise ValueError(f"bad dependence kind {kind!r}")
         self.src = src
         self.dst = dst
-        self.relation = relation  # src dims -> renamed dst dims
         self.kind = kind
         self.tensor_name = tensor_name
         # Mapping from dst statement dim names to the renamed (primed)
         # names used on the relation's output side.
         self.rename = rename
-        self._problem = problem
-        self._asked = asked
+        self._system = system
+        # The access pair and self-pair level the relation is built from.
+        self._pair = pair
 
     def __getstate__(self):
         # The six fields, as the default state of a slotted object lists
-        # them: the memo never reaches a pickle.
+        # them: the memo never reaches a pickle, the relation always does.
         state = {
             "src": self.src,
             "dst": self.dst,
@@ -100,17 +311,39 @@ class Dependence:
         }
         return None, state
 
+    def __setstate__(self, state):
+        fields = dict(state[1])
+        self._relation = fields.pop("relation")
+        for name, value in fields.items():
+            setattr(self, name, value)
+        # Without its access pair there is no closed form: every question
+        # goes to a problem of its own.
+        self._system = _System(None)
+
+    @property
+    def relation(self) -> BasicMap:
+        """The relation from source instances to renamed destination
+        instances, built on first use."""
+        try:
+            return self._relation
+        except AttributeError:
+            src_acc, dst_acc, level = self._pair
+            relation = self._relation = _relations(
+                self.src, self.dst, src_acc, dst_acc, [level], self.rename
+            )[0]
+            return relation
+
     @property
     def problem(self) -> IlpProblem:
-        """The problem every question about :attr:`relation` is posed to:
-        ranked, presolved and folded once for all of them.  The
-        dependences of equal access pairs share one (see
-        :func:`compute_dependences`)."""
-        try:
-            return self._problem
-        except AttributeError:
-            self._problem = problem = IlpProblem(self.relation.constraints)
-            return problem
+        """The problem every solver question about :attr:`relation` is
+        posed to: ranked, presolved and folded once for all of them, and
+        built on first use.  The dependences of equal access pairs share
+        one (see :func:`compute_dependences`)."""
+        system = self._system
+        problem = system.problem
+        if problem is None:
+            system.problem = problem = IlpProblem(self.relation.constraints)
+        return problem
 
     @property
     def is_self(self) -> bool:
@@ -120,19 +353,25 @@ class Dependence:
     def distance_bound(self, pos: int, upper: bool = False) -> Optional[int]:
         """The minimum (``upper``: maximum) of ``dst_dim - src_dim`` at
         aligned position ``pos`` over the relation, ``None`` when unbounded,
-        posed once.  The scheduler's identity band rows ask these: an
+        asked once.  The scheduler's identity band rows ask these: an
         identity row's delta is the distance at its position."""
-        asked = self._answers()
+        system = self._system
+        asked = system.asked
         key = (pos, upper)
         if key in asked:
             return asked[key]
-        delta = self._delta(pos)
-        # ``minimize``, as the scheduler always posed these: its misses
-        # pass the ``ilp.solve`` fault site.
-        result = self.problem.minimize(delta * -1 if upper else delta, integer=True)
-        bound = None
-        if result.status is IlpStatus.OPTIMAL:
-            bound = int(-result.value if upper else result.value)
+        if system.form is not None:
+            bound = system.form.distance(
+                self.rename[self.dst.iter_names[pos]], self.src.iter_names[pos]
+            )[upper]
+        else:
+            delta = self._delta(pos)
+            # ``minimize``, as the scheduler always posed these: its misses
+            # pass the ``ilp.solve`` fault site.
+            result = self.problem.minimize(delta * -1 if upper else delta, integer=True)
+            bound = None
+            if result.status is IlpStatus.OPTIMAL:
+                bound = int(-result.value if upper else result.value)
         asked[key] = bound  # one store: a reader never sees a half answer
         return bound
 
@@ -140,27 +379,52 @@ class Dependence:
         """``(min, max)`` of ``dst_dim - src_dim`` per aligned dimension
         (``None`` for an unbounded side); ``None`` when the statements
         have different dimensionality.  The first call that finds a bound
-        not yet asked poses all of them in one batch, and later calls pose
-        nothing."""
+        not yet asked asks all of them, and later calls ask nothing."""
         n = len(self.src.iter_names)
         if n != len(self.dst.iter_names):
             return None
-        asked = self._answers()
+        asked = self._system.asked
         if len(asked) < 2 * n:
-            bounds = _expr_bounds(self.problem, [self._delta(p) for p in range(n)])
+            bounds = self.bounds_between(self.src.iter_names, self.dst.iter_names)
             for p, (lo, hi) in enumerate(bounds):
                 asked[p, False] = lo
                 asked[p, True] = hi
         return tuple([(asked[p, False], asked[p, True]) for p in range(n)])
 
-    def _answers(self) -> Dict[Tuple[int, bool], Optional[int]]:
-        """The distance bounds asked of :attr:`problem` so far, by
-        ``(position, upper)``."""
-        try:
-            return self._asked
-        except AttributeError:
-            self._asked = asked = {}
-            return asked
+    def bounds_between(
+        self, src_dims: Sequence[str], dst_dims: Sequence[str]
+    ) -> List[Bound]:
+        """``(min, max)`` of ``dst_dim - src_dim`` for each pair of the two
+        lists, of any ranks (clustering asks the data dims): read off the
+        closed form, or posed as one batch to :attr:`problem`."""
+        form = self._system.form
+        if form is not None:
+            rename = self.rename
+            return [form.distance(rename[d], s) for s, d in zip(src_dims, dst_dims)]
+        deltas = [
+            AffineExpr.variable(self.rename[d]) - AffineExpr.variable(s)
+            for s, d in zip(src_dims, dst_dims)
+        ]
+        return _expr_bounds(self.problem, deltas)
+
+    def src_dim_determined(self, s_dim: str) -> bool:
+        """Is the source dim a function of the destination instance?
+
+        Exact: with every (renamed) destination dim fixed, the source dim
+        must have extent one over the relation.  Read off the closed form,
+        or posed on two copies of the relation sharing the destination
+        dims.
+        """
+        form = self._system.form
+        if form is not None:
+            return form.determined(s_dim, set(self.rename.values()))
+        src_rename = {d: f"{d}__c" for d in self.src.iter_names}
+        constraints = self.relation.constraints
+        copy = [c.rename(src_rename) for c in constraints]
+        problem = IlpProblem(list(constraints) + copy)
+        delta = AffineExpr.variable(s_dim) - AffineExpr.variable(src_rename[s_dim])
+        result = problem.maximize(delta, integer=True)
+        return result.status is IlpStatus.OPTIMAL and result.value == 0
 
     def _delta(self, pos: int) -> AffineExpr:
         """``dst_dim - src_dim`` at aligned position ``pos``."""
@@ -205,10 +469,6 @@ class Dependence:
         )
 
 
-#: ``(min, max)`` of an expression; ``None`` for an unbounded side.
-Bound = Tuple[Optional[int], Optional[int]]
-
-
 def _expr_bounds(problem: IlpProblem, exprs: Sequence[AffineExpr]) -> List[Bound]:
     """(min, max) of each expression over ``problem``'s system, batched.
 
@@ -237,18 +497,21 @@ def _expr_bounds(problem: IlpProblem, exprs: Sequence[AffineExpr]) -> List[Bound
 
 # -- bounding-box pruning ------------------------------------------------------
 #
-# Before posing an exact ILP emptiness test for an access pair, compare the
-# per-dimension interval footprints of the two accesses.  Statement domains
-# here are rectangular (every iterator ranges over [0, extent-1]), so the
-# min/max of an affine index expression over the domain is closed-form from
-# the coefficient signs — no solver involved.  The interval hull is a
-# superset of each access's true image; disjoint hulls on any tensor
-# dimension therefore *prove* the access-equality system empty, and the
-# pair can be skipped.  Overlapping hulls prove nothing and fall through to
-# the exact test, so pruning never changes the computed dependence set
-# (the regression tests assert pruned == unpruned on every example kernel).
+# Before posing an exact ILP emptiness test for a coupled access pair,
+# compare the per-dimension interval footprints of the two accesses.
+# Statement domains here are rectangular (every iterator ranges over
+# [0, extent-1]), so the min/max of an affine index expression over the
+# domain is closed-form from the coefficient signs — no solver involved.
+# The interval hull is a superset of each access's true image; disjoint
+# hulls on any tensor dimension therefore *prove* the access-equality
+# system empty, and the pair can be skipped.  Overlapping hulls prove
+# nothing and fall through to the exact test, so pruning never changes the
+# computed dependence set (the regression tests assert pruned == unpruned
+# on every example kernel).
 
-# The pre-check counts ``deps.pairs_checked`` and ``deps.pairs_pruned``.
+# Every pair ``prune`` decides counts ``deps.pairs_checked``, and each one
+# found empty without an ILP (closed form or disjoint hulls)
+# ``deps.pairs_pruned``.
 
 
 def _access_box(
@@ -285,40 +548,6 @@ def _boxes_disjoint(
     return False
 
 
-def _injective_self_pair(
-    stmt: PolyStatement, src_acc: TensorAccess, dst_acc: TensorAccess
-) -> bool:
-    """True when an access pair of one statement can only meet on one
-    instance: the two index lists are equal and their linear part has a
-    trivial kernel over the iteration dims (exact rational rank = number of
-    dims).  ``f(x) = f(x')`` then forces ``x' = x``, so no level of the
-    lexicographic order relates two instances and the per-level emptiness
-    tests are all empty."""
-    if src_acc.indices is None or src_acc.indices != dst_acc.indices:
-        return False
-    dims = stmt.iter_names
-    rows = []
-    for index in src_acc.indices:
-        coeffs = index.coeffs
-        rows.append([coeffs.get(d, 0) for d in dims])
-    rank = 0
-    for col in range(len(dims)):
-        for pivot in range(rank, len(rows)):
-            if rows[pivot][col]:
-                break
-        else:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank]
-        # Fraction-free elimination: cross-multiplying keeps the rank exact.
-        for r in range(rank + 1, len(rows)):
-            a = rows[r][col]
-            if a:
-                rows[r] = [x * lead[col] - a * y for x, y in zip(rows[r], lead)]
-        rank += 1
-    return rank == len(dims)
-
-
 def _access_equal_constraints(
     src_acc: TensorAccess,
     dst_acc: TensorAccess,
@@ -337,71 +566,30 @@ def _access_equal_constraints(
     return cons
 
 
-#: The dependence relations of one access pair, each beside the problem
-#: its emptiness was decided on, the distance bounds asked of it and its
-#: level: ``None`` for a pair of two statements, the lexicographic level
-#: of a self pair.
-Answers = List[Tuple[BasicMap, IlpProblem, Dict, Optional[int]]]
-
-
-def _dependence_relations(
+def _relations(
     src: PolyStatement,
     dst: PolyStatement,
     src_acc: TensorAccess,
     dst_acc: TensorAccess,
-    prune: bool = True,
-    answers: Optional[Answers] = None,
-) -> Tuple[Answers, Dict[str, str]]:
-    """All dependence relations from ``src_acc`` to ``dst_acc`` instances.
-
-    With ``prune=True`` (the default) access pairs whose interval hulls
-    are provably disjoint, and self pairs of one injective access
-    (:func:`_injective_self_pair`), are rejected before any ILP emptiness
-    test; ``prune=False`` forces the exact path (used by the equivalence
-    regression tests and available for debugging).
-
-    ``answers`` is what this function returned for an access pair of the
-    same statements with equal index lists: the relations are built as
-    always, at the levels it found, beside its problems, and no emptiness
-    test is posed.
-    """
-    # Interned, as every dimension name is where it is minted (see
-    # ``IterVar``): equal names must be one object for pickles to be pure.
-    rename = {d: sys.intern(f"{d}__dst") for d in dst.iter_names}
+    levels: Sequence[Optional[int]],
+    rename: Dict[str, str],
+) -> List[BasicMap]:
+    """The pair's relation at each of ``levels``: ``None`` for a pair of
+    two statements, a self pair's lexicographic level otherwise."""
     dst_space = Space(
         sys.intern(dst.stmt_id + "'"), [rename[d] for d in dst.iter_names]
     )
-
-    if prune and answers is None:
-        with LOCK:
-            COUNTERS["deps.pairs_checked"] += 1
-        if (src is dst and _injective_self_pair(src, src_acc, dst_acc)) or (
-            _boxes_disjoint(_access_box(src, src_acc), _access_box(dst, dst_acc))
-        ):
-            with LOCK:
-                COUNTERS["deps.pairs_pruned"] += 1
-            return [], rename
-    if answers is not None and not answers:
-        return [], rename  # an equal pair holds no dependence
-
     base_cons: List[Constraint] = []
     base_cons.extend(src.domain().constraints)
     base_cons.extend(c.rename(rename) for c in dst.domain().constraints)
     eq = _access_equal_constraints(src_acc, dst_acc, rename)
     if eq is not None:
         base_cons.extend(eq)
-
-    if answers is not None:
-        levels = [level for _, _, _, level in answers]
-    elif src is dst:
-        # Self-dependence: src lexicographically before dst, per level.
-        levels = range(len(src.iter_names))
-    else:
-        levels = [None]
-    posed: Answers = []
-    for k, level in enumerate(levels):
+    relations = []
+    for level in levels:
         cons = base_cons
         if level is not None:
+            # Self-dependence: src lexicographically before dst at ``level``.
             cons = list(base_cons)
             for d in src.iter_names[:level]:
                 cons.append(
@@ -413,15 +601,59 @@ def _dependence_relations(
                     AffineExpr.variable(rename[lead]) - AffineExpr.variable(lead), 1
                 )
             )
-        relation = BasicMap(src.space, dst_space, cons)
-        if answers is None:
-            problem = IlpProblem(relation.constraints)
-            if not problem.is_feasible():
-                continue
-            asked: Dict = {}
-        else:
-            _, problem, asked, _ = answers[k]
-        posed.append((relation, problem, asked, level))
+        relations.append(BasicMap(src.space, dst_space, cons))
+    return relations
+
+
+#: The dependences of one access pair: per non-empty level (``None`` for a
+#: pair of two statements, the lexicographic level of a self pair) its
+#: system.
+Posed = List[Tuple[Optional[int], _System]]
+
+
+def _dependence_relations(
+    src: PolyStatement,
+    dst: PolyStatement,
+    src_acc: TensorAccess,
+    dst_acc: TensorAccess,
+    prune: bool = True,
+) -> Tuple[Posed, Dict[str, str]]:
+    """The levels at which ``src_acc`` instances meet ``dst_acc``
+    instances, each beside its system, and the dst dims' ``rename``.
+
+    With ``prune=True`` (the default) a separable pair is answered by its
+    closed form, and a coupled pair whose interval hulls are provably
+    disjoint is rejected before any ILP emptiness test.  ``prune=False``
+    forces the exact path (used by the equivalence regression tests and
+    available for debugging): an ILP emptiness test per level, each on a
+    fresh problem.
+    """
+    # Interned, as every dimension name is where it is minted (see
+    # ``IterVar``): equal names must be one object for pickles to be pure.
+    rename = {d: sys.intern(f"{d}__dst") for d in dst.iter_names}
+    levels = list(range(len(src.iter_names))) if src is dst else [None]
+
+    if prune:
+        with LOCK:
+            COUNTERS["deps.pairs_checked"] += 1
+        forms = _separable(src, dst, src_acc, dst_acc, levels, rename)
+        posed: Optional[Posed] = None
+        if forms is not None:
+            posed = [(level, _System(form)) for level, form in forms]
+        elif _boxes_disjoint(_access_box(src, src_acc), _access_box(dst, dst_acc)):
+            posed = []
+        if posed is not None:
+            if not posed:
+                with LOCK:
+                    COUNTERS["deps.pairs_pruned"] += 1
+            return posed, rename
+
+    posed = []
+    relations = _relations(src, dst, src_acc, dst_acc, levels, rename)
+    for level, relation in zip(levels, relations):
+        problem = IlpProblem(relation.constraints)
+        if problem.is_feasible():
+            posed.append((level, _System(None, problem)))
     return posed, rename
 
 
@@ -430,17 +662,16 @@ def compute_dependences(
 ) -> List[Dependence]:
     """All flow, anti and output dependences of a lowered kernel.
 
-    Each dependence owns the problem its emptiness was decided on, and
-    every later question about its relation goes to that problem.
-
-    ``prune`` (the default) runs the bounding-box and injective-self-pair
-    pre-checks.  It also lets an access pair take the answers and share the
-    problems of an earlier pair with the same two statements and equal
-    index lists.  A reduction's write/write, write/read and read/write
-    pairs on its output are such a set, as is one tensor read twice alike.
-    ``prune=False`` is the exhaustive oracle.  It poses an emptiness test
-    for every pair, and for every level of a self pair, each on a fresh
-    problem.  The result is identical either way: the regression tests
+    ``prune`` (the default) answers each separable access pair in closed
+    form and runs the bounding-box pre-check on the coupled ones.  It also
+    lets an access pair take the levels and share the systems of an
+    earlier pair with the same two statements and equal index lists.  A
+    reduction's write/write, write/read and read/write pairs on its output
+    are such a set, as is one tensor read twice alike.  ``prune=False`` is
+    the exhaustive ILP oracle.  It poses an emptiness test for every pair,
+    and for every level of a self pair, each on a fresh problem, and asks
+    every later question of that problem.  The result is identical either
+    way, relations and distance bounds included: the regression tests
     assert it.
     """
     deps: List[Dependence] = []
@@ -468,28 +699,28 @@ def compute_dependences(
                 # (the lex-order constraint in the relation orients them),
                 # but the diagonal (i == j) need only be visited once --
                 # the loop naturally hits it exactly once.
-                answers = None
+                posed = None
                 if prune:
                     seen = answered.setdefault((s_a.stmt_id, s_b.stmt_id), [])
-                    for indices_a, indices_b, found in seen:
+                    for indices_a, indices_b, found, renamed in seen:
                         if indices_a == acc_a.indices and indices_b == acc_b.indices:
-                            answers = found
+                            posed, rename = found, renamed  # an equal pair
                             break
-                posed, rename = _dependence_relations(
-                    s_a, s_b, acc_a, acc_b, prune, answers
-                )
-                if prune and answers is None:
-                    seen.append((acc_a.indices, acc_b.indices, posed))
+                if posed is None:
+                    posed, rename = _dependence_relations(s_a, s_b, acc_a, acc_b, prune)
+                    if prune:
+                        seen.append((acc_a.indices, acc_b.indices, posed, rename))
                 if w_a and w_b:
                     kind = "output"
                 elif w_a:
                     kind = "flow"
                 else:
                     kind = "anti"
-                for rel, problem, asked, _ in posed:
+                for level, system in posed:
                     deps.append(
                         Dependence(
-                            s_a, s_b, rel, kind, tensor_name, rename, problem, asked
+                            s_a, s_b, kind, tensor_name, rename, system,
+                            (acc_a, acc_b, level),
                         )
                     )
     return deps

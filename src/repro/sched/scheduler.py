@@ -7,13 +7,16 @@ tiling.  The search runs row by row:
 
 1. *identity fast path* -- try the canonical per-dimension rows first
    (DL operators almost always admit them); each candidate is verified
-   against every dependence with exact ILP checks.  An identity row's
-   delta is the dependence's distance at its position, so the check reads
-   the bounds the dependence poses once (``Dependence.distance_bound``).
+   exactly against every dependence.  An identity row's delta is the
+   dependence's distance at its position, so the check reads the bounds
+   the dependence answers once (``Dependence.distance_bound``): in closed
+   form for a separable access pair, posed to the ILP for a coupled one.
 2. *Pluto ILP* -- when a candidate row is illegal (skewed dependences),
    solve for coefficients via the affine form of the Farkas lemma, exactly
    as in Bondhugula et al. [9], using the exact rational ILP of
-   :mod:`repro.poly.ilp`.
+   :mod:`repro.poly.ilp`.  Only this step reads a dependence's relation
+   and poses its problem (``Dependence.problem``), so a band whose rows
+   are all identities builds neither.
 3. *fallback* -- when no further aligned row exists, remaining order is
    delegated to the sequence structure of the tree (Feautrier-style
    statement separation), which is always legal for the textual order.
@@ -24,7 +27,6 @@ The independent legality check of a compiled result is the verifier's
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core import faults, resilience
@@ -41,11 +43,6 @@ from repro.sched.tree import (
     ScheduleNode,
     SequenceNode,
 )
-
-_farkas_counter = itertools.count()
-
-#: A dependence beside the problem its relation's questions are posed to.
-Posed = Tuple[Dependence, IlpProblem]
 
 
 class SchedulerOptions:
@@ -190,9 +187,6 @@ class PolyScheduler:
         coincident: List[bool] = []
         used_leading: Set[str] = set()
         permutable = True
-        # A Pluto row poses its delta to the dependence's own problem, ranked
-        # and presolved once for every band of every schedule.
-        posed = [(dep, dep.problem) for dep in deps]
 
         for pos in range(depth):
             resilience.check_deadline()
@@ -206,7 +200,7 @@ class PolyScheduler:
             if identity:
                 row = candidate
             elif self.options.enable_skewing:
-                row = self._pluto_row(cluster, posed, pos, used_leading)
+                row = self._pluto_row(cluster, deps, pos, used_leading)
             if row is None:
                 # Could not extend the band: stop here (callers fall back to
                 # the sequence order for whatever dimensions remain).
@@ -218,7 +212,7 @@ class PolyScheduler:
             if identity:
                 coincident.append(self._identity_holds(deps, pos, True))
             else:
-                coincident.append(self._row_coincident(row, posed))
+                coincident.append(self._row_coincident(row, deps))
 
         return ClusterSchedule(rows, coincident, permutable)
 
@@ -238,7 +232,7 @@ class PolyScheduler:
         """Whether the identity row at ``pos`` is weakly legal (``delta >=
         0``) or, when ``coincident``, parallel (``delta == 0``) under every
         dependence.  Its delta is the dependence's distance at ``pos``,
-        whose bounds a dependence poses once for every band of every
+        whose bounds a dependence answers once for every band of every
         schedule (the relation is non-empty, so no bound is infeasible)."""
         for dep in deps:
             bound = dep.distance_bound(pos, upper=coincident)
@@ -247,11 +241,13 @@ class PolyScheduler:
         return True
 
     def _row_weakly_legal(
-        self, row: Dict[str, AffineExpr], posed: Sequence[Posed]
+        self, row: Dict[str, AffineExpr], deps: Sequence[Dependence]
     ) -> bool:
-        """True when delta >= 0 over every dependence relation."""
-        for dep, problem in posed:
-            result = problem.minimize(self._row_delta(row, dep), integer=True)
+        """True when delta >= 0 over every dependence relation (each posed
+        to the dependence's own problem, ranked and presolved once for
+        every band of every schedule)."""
+        for dep in deps:
+            result = dep.problem.minimize(self._row_delta(row, dep), integer=True)
             if result.status is IlpStatus.OPTIMAL and result.value < 0:
                 return False
             if result.status is IlpStatus.UNBOUNDED:
@@ -259,12 +255,12 @@ class PolyScheduler:
         return True
 
     def _row_coincident(
-        self, row: Dict[str, AffineExpr], posed: Sequence[Posed]
+        self, row: Dict[str, AffineExpr], deps: Sequence[Dependence]
     ) -> bool:
         """True when delta == 0 over every dependence (parallel row).  The
         row is weakly legal (delta >= 0), so its maximum decides."""
-        for dep, problem in posed:
-            hi = problem.maximize(self._row_delta(row, dep), integer=True)
+        for dep in deps:
+            hi = dep.problem.maximize(self._row_delta(row, dep), integer=True)
             if hi.status is not IlpStatus.OPTIMAL or hi.value != 0:
                 return False
         return True
@@ -274,7 +270,7 @@ class PolyScheduler:
     def _pluto_row(
         self,
         cluster: List[PolyStatement],
-        posed: Sequence[Posed],
+        deps: Sequence[Dependence],
         pos: int,
         used_leading: Set[str],
     ) -> Optional[Dict[str, AffineExpr]]:
@@ -328,8 +324,8 @@ class PolyScheduler:
             problem.add_constraint(Constraint.ge(fresh, 1))
 
         # Farkas legality per dependence: delta >= 0 over the relation.
-        for dep, _ in posed:
-            self._add_farkas(problem, dep, coeff_vars, const_vars)
+        for tag, dep in enumerate(deps):
+            self._add_farkas(problem, dep, coeff_vars, const_vars, tag)
 
         coeff_sum = AffineExpr.constant(0)
         for name in coeff_vars.values():
@@ -350,7 +346,7 @@ class PolyScheduler:
                     expr = expr + AffineExpr.variable(dim) * c
             row[stmt.stmt_id] = expr
         # The ILP guarantees legality by construction, but verify exactly.
-        if not self._row_weakly_legal(row, posed):  # pragma: no cover - safety
+        if not self._row_weakly_legal(row, deps):  # pragma: no cover - safety
             return None
         return row
 
@@ -360,9 +356,11 @@ class PolyScheduler:
         dep: Dependence,
         coeff_vars: Dict[Tuple[str, str], str],
         const_vars: Dict[str, str],
+        tag: int,
     ) -> None:
-        """Encode ``delta_dep >= 0 over relation`` with Farkas multipliers."""
-        tag = next(_farkas_counter)
+        """Encode ``delta_dep >= 0 over relation`` with Farkas multipliers,
+        named ``lam{tag}_*``: the row's problem, and so the solver's walk
+        over it, is a function of the cluster and its dependences alone."""
         relation = dep.relation
         # Symbolic coefficient of delta on each relation variable.
         inv_rename = {v: k for k, v in dep.rename.items()}

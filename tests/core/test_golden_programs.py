@@ -155,14 +155,16 @@ CALLS = {
 # reset empties (interned names, per-kernel lowering state), and its count
 # depends on what ran before it.  conv2d_16x32 and subgraph5 are rows of
 # the benchmark's compile_sched workload, softmax_32x64 and subgraph2 of
-# its compile_tile workload.  12455 / 9741 / 28854 / 29354 while constant
-# objectives re-solved their fold's feasibility, dependences sharing a
-# problem each asked its distance bounds, and band row extents were ILPs.
+# its compile_tile workload.  9535 / 9112 / 28466 / 26729 while separable
+# dependence pairs were posed to the ILP and every dependence built its
+# relation; 12455 / 9741 / 28854 / 29354 while constant objectives
+# re-solved their fold's feasibility, dependences sharing a problem each
+# asked its distance bounds, and band row extents were ILPs.
 BUILD_CALLS = {
-    "conv2d_16x32": 9535,
-    "softmax_32x64": 9112,
-    "subgraph2": 28466,
-    "subgraph5": 26729,
+    "conv2d_16x32": 3275,
+    "softmax_32x64": 6107,
+    "subgraph2": 20464,
+    "subgraph5": 18510,
 }
 
 # name -> Python-level calls of a warm build(), one disk-cache hit: the

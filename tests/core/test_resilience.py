@@ -187,8 +187,9 @@ class TestLadder:
 
 
 class TestLadderInABuild:
-    """The scheduling ladder under a real compile (conv2d 1,4,12,12: its
-    identity-only rung reaches a cooperative deadline check)."""
+    """The scheduling ladder under a real compile (a relu beside its
+    mirrored copy: the Pluto rung poses the ILP, and the identity-only
+    rung reaches a cooperative deadline check)."""
 
     @pytest.fixture(autouse=True)
     def _cold(self):
@@ -203,8 +204,11 @@ class TestLadderInABuild:
         from repro.core.compiler import AkgOptions, build
         from repro.service.wire import demo_kernel
 
+        from tests.sched.test_scheduler import mirrored
+
         options = AkgOptions(budget=StageBudget(stage_seconds=60.0))
-        return build(demo_kernel("conv2d", [1, 4, 12, 12]), "ladder", options=options)
+        outputs = mirrored(demo_kernel("relu", [16, 12]))
+        return build(outputs, "ladder", options=options)
 
     def test_timed_out_primary_reaches_the_middle_rung(self):
         assert self._build().resilience.summary() == [

@@ -22,20 +22,27 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.poly.affine import AffineExpr, Constraint, Number, ratio
 
+from tests.poly._reference_simplex import raw
+
 #: Eliminated variables and their replacements, in elimination order.
 BackSubst = List[Tuple[str, AffineExpr]]
 #: A reduced system and the substitutions that lead back from it.
 Presolved = Tuple[List[Constraint], BackSubst]
 
 
-def _presolve_system(constraints: Sequence[Constraint]) -> Presolved:
+def _presolve_system(
+    constraints: Sequence[Constraint], integer: bool = True
+) -> Presolved:
     """Substitute away equalities with a +-1 coefficient variable.
 
     Unit-coefficient substitution is exact over the integers, so the
     reduced problem has the same optimum.  Returns the reduced system and
     the back-substitution list.  The elimination order depends only on
     the constraints, never on any objective: an :class:`IlpProblem` runs
-    this once for every objective it is posed.
+    this once for every objective it is posed.  For a rational solve
+    (``integer=False``) a substituted constraint keeps its expression as
+    substitution leaves it: ``Constraint`` would floor an inequality's
+    constant, which is exact for integer points only.
     """
     current = list(constraints)
     back: List[Tuple[str, AffineExpr]] = []
@@ -64,7 +71,10 @@ def _presolve_system(constraints: Sequence[Constraint]) -> Presolved:
                 if j == i:
                     continue
                 if other.expr.coeff(target) != 0:
-                    other = other.substitute(env)
+                    if integer:
+                        other = other.substitute(env)
+                    else:
+                        other = raw(other.expr.substitute(env), other.is_equality)
                 if other.is_trivially_true():
                     continue
                 next_cons.append(other)

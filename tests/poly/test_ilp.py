@@ -384,9 +384,9 @@ class TestPresolveOnce:
         calls = []
         real = ilp._presolve
 
-        def counting(system):
+        def counting(system, integer=True):
             calls.append(len(system[1]))  # one number tuple per constraint
-            return real(system)
+            return real(system, integer)
 
         monkeypatch.setattr(ilp, "_presolve", counting)
         clear_solver_caches()
@@ -499,7 +499,9 @@ class TestFeasibilityWitness:
         from repro.core import diskcache
         from repro.core.compiler import build
         from repro.graph import compile_network, network
+        from repro.ir import lower
         from repro.poly.cache import clear_solver_caches
+        from repro.sched.deps import compute_dependences
 
         from tests.core.test_golden_programs import GOLDEN
 
@@ -508,6 +510,10 @@ class TestFeasibilityWitness:
         for name in sorted(GOLDEN):
             clear_solver_caches()
             build(GOLDEN[name][0](), name)
+            # The dependence questions as the ILP oracle poses them: a
+            # build answers its separable pairs' in closed form.
+            for dep in compute_dependences(lower(GOLDEN[name][0](), name), prune=False):
+                dep.distance_bounds()
         clear_solver_caches()
         compile_network(network("mobilenetv2_tiny"))
         clear_solver_caches()

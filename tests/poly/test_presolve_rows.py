@@ -31,6 +31,7 @@ from repro.poly.affine import AffineExpr, Constraint, var
 from repro.poly.cache import RankSpace, clear_solver_caches
 from repro.poly.fm import rows_of
 from repro.poly.ilp import IlpProblem, IlpResult, IlpStatus
+from repro.sched.deps import compute_dependences
 from repro.verify import verify_result
 
 from tests.core.test_golden_programs import GOLDEN
@@ -56,11 +57,11 @@ def _named(constraints, back):
     return reduced, subs
 
 
-def _same_presolve(constraints):
+def _same_presolve(constraints, integer=True):
     """Returns how many eliminations the system took."""
     space = RankSpace(constraints)
-    rows, back = ilp._presolve(space.rows)
-    want = _named(*reference._presolve_system(constraints))
+    rows, back = ilp._presolve(space.rows, integer)
+    want = _named(*reference._presolve_system(constraints, integer))
     assert _decoded(space, rows, back) == want, constraints
     return len(back)
 
@@ -70,7 +71,7 @@ def _reference_answer(constraints, objective, integer):
     presolve, the objective through its eliminations, production's fold
     and solve on the reduced system's rank rows, and the assignment
     extended through the eliminations by name."""
-    reduced, back = reference._presolve_system(constraints)
+    reduced, back = reference._presolve_system(constraints, integer)
     objective = reference._apply_back_substitutions(objective, back)
     space, (rows, ranks, numbers) = RankSpace(reduced).with_expr(objective)
     folded = ilp._fold_bounds(rows_of(rows), integer)
@@ -88,10 +89,9 @@ def _items(result):
 def _fraction_reference(constraints, objective, integer, monkeypatch):
     """Status and value of the reference path with the ``Fraction``
     tableau in production's simplex's place (the relaxations of branch and
-    bound for an integer solve).  The presolve tightens an inequality's
-    constant as ``Constraint`` does, which is exact for integer points
-    only, so a rational solve is compared on the presolved system, as
-    ``test_simplex_equivalence`` compares it."""
+    bound for an integer solve).  The presolve of an integer solve
+    tightens an inequality's constant as ``Constraint`` does, and that of
+    a rational solve keeps it, so either is exact for its solve."""
     with monkeypatch.context() as patched:
         patched.setattr(ilp, "_simplex_solve", _reference_simplex.solve_folded)
         got = _reference_answer(constraints, objective, integer)
@@ -114,7 +114,10 @@ def golden_queries():
     """Every ``(constraints, objective, integer)`` the cold builds of the
     golden rows (``"build"``) and their verification (``"verify"``) pose,
     with the answer they got and the phase that first posed it (each
-    distinct query once; a repeat must have got the same answer)."""
+    distinct query once; a repeat must have got the same answer).  A
+    build's dependence questions count as it poses them with the ILP
+    oracle (``prune=False``): the build answers separable pairs' in
+    closed form."""
     posed = {}
     phase = []
     real = IlpProblem._memoized
@@ -136,6 +139,8 @@ def golden_queries():
                 clear_solver_caches()
                 phase.append("build")
                 result = build(builder(), "presolve")
+                for dep in compute_dependences(result.kernel, prune=False):
+                    dep.distance_bounds()
                 phase.append("verify")
                 verify_result(result)
         finally:
@@ -232,7 +237,7 @@ def test_seeded_corpus_equals_the_reference(monkeypatch):
         # Branch and bound must end: an integer solve gets a box.
         integer = rng.random() < 0.5
         constraints = _system(rng, names, integer, seen)
-        steps = _same_presolve(constraints)
+        steps = _same_presolve(constraints, integer)
         seen["eliminated"] += steps > 0
         seen["negative_unit"] += any(
             c.is_equality and -1 in c.expr.coeffs.values() for c in constraints

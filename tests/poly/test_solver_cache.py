@@ -24,7 +24,7 @@ from repro.poly.fm import project_onto
 from repro.poly.ilp import IlpProblem, IlpStatus
 
 from tests.poly._counts import hits_misses
-from tests.poly.test_simplex_equivalence import _conv2d_16x32, _subgraph
+from tests.poly.test_simplex_equivalence import _mirrored, _subgraph
 
 
 @pytest.fixture(autouse=True)
@@ -149,10 +149,13 @@ def _softmax_32x64():
     return ops.softmax_last_axis(placeholder((32, 64), "fp16", name="X"), name="out")
 
 
-def _matmul_256():
-    a = placeholder((256, 256), "fp16", name="A")
-    b = placeholder((256, 256), "fp16", name="B")
-    return ops.matmul(a, b, name="out")
+def _matmul(n):
+    def make():
+        a = placeholder((n, n), "fp16", name="A")
+        b = placeholder((n, n), "fp16", name="B")
+        return ops.matmul(a, b, name="out")
+
+    return make
 
 
 def _compiled(make):
@@ -167,11 +170,13 @@ def _tuned(make):
     return best, [(r.sizes, r.cycles) for r in history]
 
 
+# Each kernel beside a mirrored copy of its output: its own dependences
+# are answered in closed form, the copy's pose the ILP.
 PIPELINES = {
-    "subgraph2": (_compiled, lambda: _subgraph(2)),
-    "softmax_32x64": (_compiled, _softmax_32x64),
-    "conv2d_16x32": (_compiled, _conv2d_16x32),
-    "tune_matmul_256": (_tuned, _matmul_256),
+    "subgraph3": (_compiled, _mirrored(lambda: _subgraph(3))),
+    "softmax_32x64": (_compiled, _mirrored(_softmax_32x64)),
+    "matmul_256": (_compiled, _mirrored(_matmul(256))),
+    "tune_matmul_64": (_tuned, _mirrored(_matmul(64))),
 }
 
 
@@ -240,7 +245,8 @@ class TestCacheBehaviour:
 def test_threads_compiling_renamed_twins_share_entries():
     """Four threads compile differently-named twins of one kernel at once.
     Entries are shared across names, so the threads read and fill the
-    same lines; every dump must equal that twin's own serial compile."""
+    same lines; every dump must equal that twin's own serial compile.  Each
+    twin's output is mirrored, so its dependences pose the ILP."""
     def twin(prefix):
         def make():
             x = placeholder((64, 128), "fp16", name=prefix + "X")
@@ -250,7 +256,7 @@ def test_threads_compiling_renamed_twins_share_entries():
                 name=prefix + "out",
             )
 
-        return make
+        return _mirrored(make)
 
     twins = [twin(prefix) for prefix in ("a_", "kk_", "m3_", "zz_")]
     with diskcache.disabled():

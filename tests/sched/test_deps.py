@@ -356,8 +356,9 @@ def _canon(deps):
 
 
 class TestInjectiveSelfPairs:
-    """A self pair of one injective access is skipped without an ILP, and
-    the skip never changes what ``prune=False`` computes."""
+    """A self pair of one injective access -- separable, or coupled -- is
+    answered as ``prune=False`` answers it: in closed form when its
+    subscripts are separable, by the ILP otherwise."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_pruned_equals_unpruned_on_golden_kernels(self, name):
@@ -369,7 +370,7 @@ class TestInjectiveSelfPairs:
     @staticmethod
     def _statement(rng, seen):
         """One statement over ``X``: a write and up to two reads of the
-        kinds the skip must get right."""
+        kinds the closed form and the ILP must both get right."""
         from repro.ir.expr import FloatImm
         from repro.ir.lower import LoweredKernel, PolyStatement, TensorAccess
         from repro.ir.tensor import Tensor
@@ -421,18 +422,19 @@ class TestInjectiveSelfPairs:
         for _ in range(200):
             kernel = self._statement(rng, seen)
             stmt = kernel.statements[0]
-            seen["skipped"] += deps_module._injective_self_pair(
-                stmt, stmt.write, stmt.write
+            rename = {d: f"{d}__dst" for d in stmt.iter_names}
+            separable = deps_module._separable(
+                stmt, stmt, stmt.write, stmt.write,
+                list(range(len(stmt.iter_names))), rename,
             )
-            seen["posed"] += not deps_module._injective_self_pair(
-                stmt, stmt.write, stmt.write
-            )
+            seen["closed"] += separable is not None
+            seen["posed"] += separable is None
             assert _canon(compute_dependences(kernel, prune=True)) == _canon(
                 compute_dependences(kernel, prune=False)
             )
         for path in (
             "plain", "double", "strided", "skewed", "reversed", "constant",
-            "reduction", "stencil", "skipped", "posed",
+            "reduction", "stencil", "closed", "posed",
         ):
             assert seen[path] >= 10, (path, seen)
 
@@ -642,8 +644,14 @@ class TestPosedOnce:
             ilp = solver_cache_stats()["ilp"]
             return ilp["hits"] + ilp["misses"]
 
-        for name in ("conv2d_16x32", "subgraph5", "softmax_32x64"):
-            deps = compute_dependences(lower(GOLDEN[name][0](), name))
+        # Kernels with a coupled access pair of equal ranks, whose
+        # distances the ILP answers: a skewed read and a reversed one.
+        a = placeholder((14, 7), name="A")
+        b = compute((14, 7), lambda i, j: a[i, j] + 1, name="B")
+        skewed = compute((7, 7), lambda i, j: b[i + j, j] * 2, name="C")
+        reversed_ = compute((14, 7), lambda i, j: b[13 - i, j] * 2, name="C")
+        for kernel in (lower(skewed), lower(reversed_)):
+            deps = compute_dependences(kernel)
             before = asked()
             vectors = [d.distance_vector() for d in deps]
             assert asked() > before

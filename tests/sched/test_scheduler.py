@@ -96,6 +96,21 @@ class TestClustering:
         assert clustering.cluster_of(kernel.statements[-1].stmt_id) in clustering.live_out
 
 
+def mirrored(outputs):
+    """``outputs`` and one more output: a copy of the last of them,
+    reversed along its last axis.  Both are live-out, so the reversed read
+    (subscript ``n - 1 - j``, not separable) is a dependence inside one
+    band, and its emptiness test, identity rows and Pluto rows are posed
+    to the ILP -- which no dependence of a separable kernel reaches."""
+    outputs = list(outputs) if isinstance(outputs, (list, tuple)) else [outputs]
+    last = outputs[-1]
+    n = last.shape[-1]
+    rev = compute(
+        tuple(last.shape), lambda *ix: last[ix[:-1] + (n - 1 - ix[-1],)], name="rev"
+    )
+    return outputs + [rev]
+
+
 def jacobi_kernel(reads=((-1, 1), (-1, -1))):
     """``X[t, i] = f(X[t + dt, i + di] for (dt, di) in reads)``: a stencil
     in time whose identity row ``i`` is illegal."""

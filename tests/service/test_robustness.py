@@ -26,6 +26,14 @@ def _matmul(m=24):
     return ops.matmul(a, b, name="out")
 
 
+def _mirrored_matmul(m=24):
+    """A matmul beside its mirrored copy: dependence analysis poses the
+    ILP (``tests.sched.test_scheduler.mirrored``)."""
+    from tests.sched.test_scheduler import mirrored
+
+    return mirrored(_matmul(m))
+
+
 def _relu(shape=(16, 24)):
     x = placeholder(shape, "fp16", name="X")
     return ops.relu(x, name="out")
@@ -135,7 +143,7 @@ class TestQuarantine:
             def poison():
                 return ServiceRequest(
                     "compile",
-                    _matmul(),
+                    _mirrored_matmul(),
                     name="poison",
                     fault_spec="ilp.solve:delay",
                 )
@@ -149,7 +157,7 @@ class TestQuarantine:
             # The clean request is blocked too — the breaker keys the
             # *kernel*, not the fault spec.
             with pytest.raises(QuarantinedError) as ei:
-                svc.submit(ServiceRequest("compile", _matmul(), name="poison"))
+                svc.submit(ServiceRequest("compile", _mirrored_matmul(), name="poison"))
             assert ei.value.retry_after > 0
             assert exit_code_for(ei.value) == 15
             stats = svc.stats()
@@ -165,7 +173,8 @@ class TestQuarantine:
             # through; its success closes the breaker.
             fake_clock.advance(30.5)
             probe = svc.run(
-                ServiceRequest("compile", _matmul(), name="poison"), timeout=300
+                ServiceRequest("compile", _mirrored_matmul(), name="poison"),
+                timeout=300,
             )
             assert probe.ok
             stats = svc.stats()
