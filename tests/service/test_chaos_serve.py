@@ -190,8 +190,12 @@ def test_worker_hang_is_requeued(monkeypatch):
 
 
 def test_poison_kernel_is_quarantined():
+    from tests.sched.test_scheduler import mirrored
+
     threshold, attempts = 2, 6
-    poison_outputs = demo_kernel("matmul", SHAPES["matmul"])
+    # Beside its mirrored copy, whose dependence analysis poses the ILP
+    # the fault sits on: a matmul's own dependences never reach it.
+    poison_outputs = mirrored(demo_kernel("matmul", SHAPES["matmul"]))
     with CompileService(
         workers=2,
         quarantine_threshold=threshold,
