@@ -102,7 +102,7 @@ class _AstGenerator:
 
         for r in range(band.n_rows - 1, -1, -1):
             expr = rows[r]
-            dim = self._row_dim(expr)
+            dim = expr.as_variable()
             if dim is None or dim not in lead.iter_names:
                 # A skewed row, or one over names the lead's domain does
                 # not bound (the fractal GEMM's fm/fn/fk): no scanned bounds.
@@ -124,13 +124,6 @@ class _AstGenerator:
             else:
                 body = For(dim, lo, extent, body)
         return body
-
-    @staticmethod
-    def _row_dim(expr: AffineExpr) -> Optional[str]:
-        names = expr.variables()
-        if len(names) == 1 and expr.coeff(names[0]) == 1 and expr.const == 0:
-            return names[0]
-        return None
 
     @staticmethod
     def _dim_bounds(stmt: PolyStatement, row: AffineExpr) -> Tuple[int, int]:

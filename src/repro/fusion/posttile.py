@@ -48,7 +48,6 @@ from repro.sched.tree import (
 from repro.tiling.invariants import SizeInvariants
 from repro.tiling.reverse import (
     liveout_instance_relation,
-    positional,
     producer_tile_relation,
     relation_key,
 )
@@ -58,17 +57,18 @@ from repro.tiling.tile import tile_band
 class TiledGroup:
     """Everything downstream passes need to know about one fused tile nest.
 
-    ``relation_keys`` holds each statement's positional
-    :func:`~repro.tiling.reverse.relation_key`, all the storage planner's
-    footprint keys need.  The relations themselves are built only where
-    they are read (fused-producer projection, shrink rules, code
-    generation, replay, the verifier): a statement tiled by its band rows
-    gets its ``tile -> instances`` relation from ``band_rows`` on first
-    read of ``instance_relations``.
+    A live-out statement tiled by identity band rows on distinct dims has
+    a *tile window* (:attr:`windows`): its per-tile instance extents, and
+    the box its footprints are read off in closed form.  The
+    ``tile -> instances`` relations are built only where they are read
+    (fused-producer projection, shrink rules, code generation, replay, the
+    verifier, and the footprints of a statement without a window): a
+    statement tiled by its band rows gets its relation from ``band_rows``
+    on first read of ``instance_relations``.
     """
 
     #: What a pickle or deep copy of a group holds, in this order: the
-    #: relations, never the keys and rows they are rebuilt from.
+    #: relations, never the rows and windows they are rebuilt from.
     _STATE = (
         "tile_dims",
         "tile_sizes",
@@ -80,13 +80,15 @@ class TiledGroup:
         "source_filter",
     )
 
+    #: A group restored from a pickle has no rows, hence no windows.
+    band_rows: Dict[str, Sequence[AffineExpr]] = {}
+
     def __init__(
         self,
         tile_dims: List[str],
         tile_sizes: List[int],
         tile_counts: List[int],
         statements: List[PolyStatement],
-        relation_keys: Dict[str, Hashable],
         fused_producer_ids: List[str],
         liveout_ids: List[str],
         band_rows: Dict[str, Sequence[AffineExpr]],
@@ -105,7 +107,6 @@ class TiledGroup:
         # and the filter's tile-size-free identity.
         self.source_filter = None
         self.filter_key: Optional[Hashable] = None
-        self.relation_keys = relation_keys
         self.band_rows = band_rows
 
     @cached_property
@@ -117,6 +118,51 @@ class TiledGroup:
                 by_id[sid], rows, self.tile_sizes, self.tile_dims
             )
             for sid, rows in self.band_rows.items()
+        }
+
+    @cached_property
+    def windows(self) -> Dict[str, List[int]]:
+        """The tile window of every statement that has one: per iteration
+        dim, the tile size of the identity band row over it (at most the
+        dim's extent), or the dim's extent when no row tiles it.
+
+        Inside one tile every dim ranges independently over an interval
+        at most that long, and the first tile reaches each length (sizes
+        are clamped), so a linear expression's spread over the window is
+        its exact per-tile range.  A statement with a non-identity row,
+        two rows over one dim, or an empty box has no window; nor has a
+        fused producer (no band rows of its own) or any statement of a
+        group restored from a pickle (rows stay out of pickles).
+        """
+        by_id = {s.stmt_id: s for s in self.statements}
+        windows: Dict[str, List[int]] = {}
+        for sid, rows in self.band_rows.items():
+            stmt = by_id[sid]
+            window = list(stmt.iter_extents)
+            tiled = [False] * len(window)
+            for row, size in zip(rows, self.tile_sizes):
+                dim = row.as_variable()
+                if dim not in stmt.iter_names:
+                    break
+                k = stmt.iter_names.index(dim)
+                if tiled[k]:
+                    break
+                tiled[k] = True
+                window[k] = min(size, window[k])
+            else:
+                if min(window, default=1) >= 1:
+                    windows[sid] = window
+        return windows
+
+    @cached_property
+    def relation_keys(self) -> Dict[str, Hashable]:
+        """:func:`~repro.tiling.reverse.relation_key` of every statement
+        without a window, the relation half of its footprint keys; made
+        from the relations on first read."""
+        return {
+            sid: relation_key(rel)
+            for sid, rel in self.instance_relations.items()
+            if sid not in self.windows
         }
 
     def __getstate__(self):
@@ -139,12 +185,17 @@ class TiledGroup:
         return total
 
     def instance_extents(self, stmt_id: str) -> List[int]:
-        """Max per-dimension extent of one statement's instances per tile.
-
-        Exact ILP over two copies of the instance relation sharing the tile
-        dims -- the constant-size iteration box the code generator uses for
+        """Max per-dimension extent of one statement's instances per tile
+        -- the constant-size iteration box the code generator uses for
         intrinsic repeat counts.
+
+        A statement's tile window when it has one; otherwise bounded by
+        Fourier-Motzkin on its instance relation over the tile grid
+        (:func:`~repro.tiling.reverse.affine_extent_bounds`).
         """
+        window = self.windows.get(stmt_id)
+        if window is not None:
+            return list(window)
         from repro.tiling.reverse import affine_extent_bounds
 
         stmt = next(s for s in self.statements if s.stmt_id == stmt_id)
@@ -269,7 +320,6 @@ def apply_post_tiling_fusion(
     # are built here only when a producer's projection reads them.
     clamped_sizes, tile_counts = _clamp_and_count(band, invariants, sizes)
     band_rows = {sid: band.schedules[sid] for sid in liveout_filter.stmt_ids}
-    relation_keys = _membership_keys(invariants, band_rows, clamped_sizes, tile_dims)
     eligible = _eligible_producers(clustering)
     instance_relations: Optional[Dict[str, BasicMap]] = None
     fused_producer_ids: List[str] = []
@@ -307,7 +357,6 @@ def apply_post_tiling_fusion(
             for stmt in reversed(clustering.clusters[ci]):
                 rel = cluster_rels[stmt.stmt_id]
                 instance_relations[stmt.stmt_id] = rel
-                relation_keys[stmt.stmt_id] = relation_key(rel)
                 consumer_rel[stmt.stmt_id] = (stmt, rel)
                 fused_producer_ids.append(stmt.stmt_id)
         fused_producer_ids.reverse()  # execution order: earliest producer first
@@ -348,7 +397,6 @@ def apply_post_tiling_fusion(
         tile_sizes=clamped_sizes,
         tile_counts=tile_counts,
         statements=order,
-        relation_keys=relation_keys,
         fused_producer_ids=fused_producer_ids,
         liveout_ids=list(liveout_filter.stmt_ids),
         band_rows=band_rows,
@@ -364,40 +412,6 @@ def apply_post_tiling_fusion(
             continue  # now lives inside the main group
         groups.append(tile_single_group(f, invariants))  # one whole-space tile
     return FusionResult(tree, groups)
-
-
-def _membership_keys(
-    invariants: SizeInvariants,
-    band_rows: Dict[str, Sequence[AffineExpr]],
-    sizes: List[int],
-    tile_dims: List[str],
-) -> Dict[str, Hashable]:
-    """The :func:`~repro.tiling.reverse.relation_key` of each statement's
-    tile-membership relation, made from numbers.
-
-    That relation is the statement's box domain plus two rows per band
-    row, so its positional key is a function of the iteration extents,
-    the band rows over iteration-dim positions, the clamped sizes and the
-    number of tile dims: statements agreeing on those share one key, made
-    once by building one such relation.
-    """
-    keys: Dict[str, Hashable] = {}
-    size_key = (tuple(sizes), len(tile_dims))
-    for sid, rows in band_rows.items():
-        stmt = invariants.stmt_by_id[sid]
-        shape = invariants.lookup(
-            "band_rows",
-            (sid, tuple(rows)),
-            lambda: (tuple(stmt.iter_extents), positional(rows, stmt.iter_names)),
-        )
-        keys[sid] = invariants.lookup(
-            "relation_key",
-            (shape, size_key),
-            lambda: relation_key(
-                liveout_instance_relation(stmt, rows, sizes, tile_dims)
-            ),
-        )
-    return keys
 
 
 # Producers whose fused recomputation exceeds this factor stay separate.
@@ -524,7 +538,6 @@ def tile_single_group(
             tile_sizes=clamped,
             tile_counts=counts,
             statements=[invariants.stmt_by_id[sid] for sid in f.stmt_ids],
-            relation_keys=_membership_keys(invariants, band_rows, clamped, tile_dims),
             fused_producer_ids=[],
             liveout_ids=list(f.stmt_ids),
             band_rows=band_rows,

@@ -180,15 +180,21 @@ class PolyStatement:
             cached = self._domain = BasicSet.from_bounds(self.space, bounds)
         return cached
 
-    def box_bounds(self, expr: AffineExpr) -> Optional[Tuple[Number, Number]]:
+    def box_bounds(
+        self, expr: AffineExpr, lengths: Optional[Sequence[int]] = None
+    ) -> Optional[Tuple[Number, Number]]:
         """``(min, max)`` of ``expr`` over the iteration box, in closed
         form: each dim sits at the end of ``[0, extent - 1]`` its
         coefficient's sign points to -- what an integer ILP over
-        :meth:`domain` answers, without posing one.  ``None`` when ``expr``
-        names a dim outside the box, or the box is empty."""
-        if self.iter_extents and min(self.iter_extents) < 1:
+        :meth:`domain` answers, without posing one.  ``lengths`` (one per
+        iteration dim) replaces the extents by a smaller box: a tile
+        window, whose ``(min, max)`` spread is the range of ``expr`` over
+        any one tile.  ``None`` when ``expr`` names a dim outside the box,
+        or the box is empty."""
+        lengths = self.iter_extents if lengths is None else lengths
+        if lengths and min(lengths) < 1:
             return None
-        extents = dict(zip(self.iter_names, self.iter_extents))
+        extents = dict(zip(self.iter_names, lengths))
         lo = hi = expr.const
         for name, coeff in expr.coeffs.items():
             extent = extents.get(name)

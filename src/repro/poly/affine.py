@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 #: An exact number; stored ones are canonical (see :func:`canonical`).
 Number = Union[int, Fraction]
@@ -132,6 +132,15 @@ class AffineExpr:
     def is_constant(self) -> bool:
         """True when no variable has a nonzero coefficient."""
         return not self.coeffs
+
+    def as_variable(self) -> Optional[str]:
+        """The variable this expression is (``x``: coefficient 1, constant
+        0), or ``None``."""
+        if self.const == 0 and len(self.coeffs) == 1:
+            ((name, coeff),) = self.coeffs.items()
+            if coeff == 1:
+                return name
+        return None
 
     def is_integral(self) -> bool:
         """True when all coefficients and the constant are integers."""

@@ -790,14 +790,7 @@ def _structural_batch_violation(kernel: LoweredKernel) -> Optional[str]:
             for p, idx in enumerate(acc.indices):
                 dim = sym_axes.get(p)
                 if dim is not None:
-                    vars_ = idx.variables()
-                    ok = (
-                        len(vars_) == 1
-                        and idx.const == 0
-                        and idx.coeff(vars_[0]) == 1
-                        and stmt_syms.get(vars_[0]) == dim.name
-                    )
-                    if not ok:
+                    if stmt_syms.get(idx.as_variable()) != dim.name:
                         return (
                             f"{stmt.stmt_id}: {acc.tensor.name} axis {p} "
                             f"(symbolic {dim.name!r}) indexed by {idx!r}, "

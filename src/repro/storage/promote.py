@@ -4,9 +4,10 @@ For one :class:`~repro.fusion.posttile.TiledGroup` the planner computes,
 per tensor:
 
 - the **footprint box** of one tile -- the maximum per-dimension extent of
-  the elements accessed by any tile, computed exactly with ILP over the
-  composed ``tile -> instances -> elements`` relation (the "constant-size
-  strided block" / rectangular over-approximation of the paper);
+  the elements accessed by any tile (the "constant-size strided block" /
+  rectangular over-approximation of the paper): interval arithmetic over
+  a live-out statement's tile window, Fourier-Motzkin over the composed
+  ``tile -> instances -> elements`` relation of a fused producer;
 - the **role** of the tensor inside the group: external input (inbound
   DMA), kernel output (outbound DMA), or tile-local intermediate (on-chip
   only -- the fusion payoff);
@@ -19,7 +20,7 @@ instructions) and the Auto-Tiler's utilisation polynomial.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core import faults, resilience
 from repro.core.errors import CodegenError
@@ -174,18 +175,17 @@ class StoragePlan:
 def footprint_extents(
     group: TiledGroup, stmt: PolyStatement, access: TensorAccess
 ) -> List[int]:
-    """Max per-dimension extent of ``access`` over any tile of the group.
+    """Max per-dimension extent of ``access`` over any tile of the group,
+    clipped to the tensor shape: the tightest constant box covering every
+    tile's accesses.
 
-    Solves, for each tensor dimension ``k``::
-
-        max  e_k - e'_k
-        s.t. (o, e) and (o, e') both in the tile footprint relation
-
-    which is the tightest constant box covering every tile's accesses.
-    Non-affine accesses conservatively return the whole tensor shape.
-
-    Memoized in :data:`repro.poly.cache.FOOTPRINT_CACHE` and looked up
-    before any map is built, under the group's relation key of ``stmt``.
+    A statement with a tile window (:attr:`TiledGroup.windows`) reads
+    each subscript's spread over the window, ``1 + sum |a_j| * (L_j - 1)``
+    (:meth:`~repro.ir.lower.PolyStatement.box_bounds`).  Any other
+    statement -- a fused producer on its projected relation -- is solved
+    by Fourier-Motzkin on its :func:`~repro.tiling.reverse.footprint_key`,
+    memoized in :data:`repro.poly.cache.FOOTPRINT_CACHE`.  Non-affine
+    accesses are sized by the consumer's tile.
     """
     tensor = access.tensor
     if not access.is_affine:
@@ -203,29 +203,26 @@ def footprint_extents(
             else:
                 box.append(tensor.shape[k])
         return box
-    key = footprint_key(
-        group.relation_keys[stmt.stmt_id],
-        positional(access.indices, stmt.iter_names),
-        tensor.shape,
-        group.tile_counts,
-    )
-    return list(_footprint_box(key))  # a fresh list: callers shrink boxes in place
-
-
-def _footprint_box(key: Hashable) -> Tuple[int, ...]:
-    """The footprint box of a :func:`~repro.tiling.reverse.footprint_key`,
-    clipped to the tensor shape the key carries."""
-    box = FOOTPRINT_CACHE.lookup(key)
-    if box is MISS:
-        _rel_key, _index, shape, _counts = key
-        box = tuple(
-            [
-                shape[k] if bound is None else max(min(bound, shape[k]), 1)
-                for k, bound in enumerate(footprint_bounds(key))
-            ]
+    window = group.windows.get(stmt.stmt_id)
+    if window is not None:
+        bounds = [stmt.box_bounds(index, window) for index in access.indices]
+        extents = [None if b is None else b[1] - b[0] + 1 for b in bounds]
+    else:
+        key = footprint_key(
+            group.relation_keys[stmt.stmt_id],
+            positional(access.indices, stmt.iter_names),
+            tensor.shape,
+            group.tile_counts,
         )
-        FOOTPRINT_CACHE.store(key, box)
-    return box
+        extents = FOOTPRINT_CACHE.lookup(key)
+        if extents is MISS:
+            extents = tuple(footprint_bounds(key))
+            FOOTPRINT_CACHE.store(key, extents)
+    # A fresh list: callers shrink boxes in place.
+    return [
+        n if bound is None else max(min(bound, n), 1)
+        for bound, n in zip(extents, tensor.shape)
+    ]
 
 
 def contiguous_runs(box: Sequence[int], tensor_shape: Sequence[int]) -> int:
@@ -308,7 +305,7 @@ class _Roles:
             s.tensor.name for s in statements if assignment.unit_of(s.stmt_id) == "mte"
         }
 
-        # (stmt, [(access, tensor name, positional index)]) in plan order.
+        # (stmt, [(access, tensor name)]) in plan order.
         self.accesses: List[Tuple[PolyStatement, List[tuple]]] = []
         tensors: Dict[str, TensorAccess] = {}
         consumer_scopes: Dict[str, Set[str]] = {}
@@ -323,12 +320,7 @@ class _Roles:
                     # the MTE's img2col reads the raw input and pads in
                     # flight.
                     continue
-                index = (
-                    positional(access.indices, stmt.iter_names)
-                    if access.is_affine
-                    else None
-                )
-                planned.append((access, name, index))
+                planned.append((access, name))
                 tensors[name] = access
                 scope = "L1" if unit in ("cube", "mte") else "UB"
                 consumer_scopes.setdefault(name, set()).add(scope)
@@ -430,21 +422,11 @@ def plan_storage(
         lambda: _Roles(group.statements, assignment, kernel),
     )
 
-    # Collect, per tensor, the maximal footprint box; equal keys (the
-    # statements of an elementwise chain) are looked up once.
+    # Collect, per tensor, the maximal footprint box.
     boxes: Dict[str, List[int]] = {}
-    solved: Dict[Hashable, Tuple[int, ...]] = {}
     for stmt, planned in roles.accesses:
-        rel_key = group.relation_keys[stmt.stmt_id]
-        for access, name, index in planned:
-            if index is None:
-                ext = footprint_extents(group, stmt, access)
-            else:
-                key = footprint_key(rel_key, index, access.tensor.shape, group.tile_counts)
-                box = solved.get(key)
-                if box is None:
-                    box = solved[key] = _footprint_box(key)
-                ext = list(box)
+        for access, name in planned:
+            ext = footprint_extents(group, stmt, access)
             prev = boxes.get(name)
             boxes[name] = (
                 [max(a, b) for a, b in zip(prev, ext)] if prev else ext

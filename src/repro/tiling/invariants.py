@@ -5,9 +5,8 @@ exact-fit loop re-tiles until the storage plan fits, and the tuner
 (Sec. 5.3) repeats both per candidate.  Much of each round is the same
 answer again: the extent of every band row, the whole-space tile nests of
 unfused producers and their storage plans, which unit runs each statement
-of a group and what role each tensor plays in it, the own-band groups
-refitted from sizes the candidate does not set, and the positional key of
-every live-out statement's instance relation.  A :class:`SizeInvariants`
+of a group and what role each tensor plays in it, and the own-band groups
+refitted from sizes the candidate does not set.  A :class:`SizeInvariants`
 computes each of them once per kernel and machine:
 :meth:`repro.core.frontend.FrontEnd.invariants` makes one lazily, and the
 passes of :mod:`repro.fusion.posttile`, :mod:`repro.storage.promote` and

@@ -12,9 +12,13 @@ yields exactly the overlapped tiles of the paper::
 The relation feeds an extension node (post-tiling fusion, Sec. 4.3) and
 the storage manager (footprints, Sec. 4.4).
 
-**A tile probe solves integer rows.**  Auto Tiling prices every probed
-size by the footprint box of every access, so the three questions a probe
-asks are answered on the rows Fourier-Motzkin works on
+**A live-out tile is a box; a producer tile is a projection.**  A
+live-out statement tiled by identity band rows has a tile window
+(:attr:`repro.fusion.posttile.TiledGroup.windows`), and its per-tile
+extents and footprints are interval arithmetic over that window, with no
+relation asked.  What reaches this module is the rest: the fused
+producers' projected relations and any statement without a window.
+Those questions are answered on the rows Fourier-Motzkin works on
 (:data:`repro.poly.fm.Row`), never through ``AffineExpr`` arithmetic:
 :func:`tile_membership_constraints` builds its two rows per band row
 directly; :func:`footprint_bounds` solves a footprint from its

@@ -155,16 +155,19 @@ CALLS = {
 # reset empties (interned names, per-kernel lowering state), and its count
 # depends on what ran before it.  conv2d_16x32 and subgraph5 are rows of
 # the benchmark's compile_sched workload, softmax_32x64 and subgraph2 of
-# its compile_tile workload.  9535 / 9112 / 28466 / 26729 while separable
+# its compile_tile workload.  3275 / 6107 / 20464 / 18510 while every
+# live-out statement's per-tile extents and footprints were solved by
+# Fourier-Motzkin rather than read off its tile window; 9535 / 9112 /
+# 28466 / 26729 while separable
 # dependence pairs were posed to the ILP and every dependence built its
 # relation; 12455 / 9741 / 28854 / 29354 while constant objectives
 # re-solved their fold's feasibility, dependences sharing a problem each
 # asked its distance bounds, and band row extents were ILPs.
 BUILD_CALLS = {
-    "conv2d_16x32": 3275,
-    "softmax_32x64": 6107,
-    "subgraph2": 20464,
-    "subgraph5": 18510,
+    "conv2d_16x32": 1936,
+    "softmax_32x64": 4511,
+    "subgraph2": 17007,
+    "subgraph5": 16364,
 }
 
 # name -> Python-level calls of a warm build(), one disk-cache hit: the

@@ -5,7 +5,8 @@ size changes once per front-end.  Held here:
 
 (a) every tuner candidate built from the shared, warm front-end is the
     program a fresh cold ``build`` emits at the same sizes, and every
-    live-out statement's numeric relation key is the key of its relation;
+    statement's tile window is what Fourier-Motzkin bounds on its
+    relation;
 (b) a front-end pickles to the same bytes before and after backend builds
     ran on it (disk-cache entries and the parallel tuner's payload);
 (c) two cold builds of one kernel in one process share no tile-search
@@ -22,7 +23,7 @@ from repro.core import diskcache
 from repro.core.compiler import AkgOptions, backend_build, build
 from repro.core.frontend import run_frontend
 from repro.poly.cache import clear_solver_caches
-from repro.tiling.reverse import relation_key
+from repro.tiling.reverse import affine_extent_bounds
 
 from tests.core.test_golden_programs import GOLDEN
 
@@ -49,8 +50,15 @@ def test_every_candidate_from_the_shared_front_end_equals_a_cold_build(name):
             assert pickle.dumps(shared.groups) == pickle.dumps(cold.groups)
             assert pickle.dumps(shared.plans) == pickle.dumps(cold.plans)
             for group in shared.groups:
-                for sid, rel in group.instance_relations.items():
-                    assert group.relation_keys[sid] == relation_key(rel), sid
+                box = {
+                    d: (0, c - 1) for d, c in zip(group.tile_dims, group.tile_counts)
+                }
+                for stmt in group.statements:
+                    rel = group.instance_relations[stmt.stmt_id]
+                    bounds = affine_extent_bounds(rel.constraints, stmt.iter_names, box)
+                    assert group.windows[stmt.stmt_id] == [
+                        max(min(b, n), 1) for b, n in zip(bounds, stmt.iter_extents)
+                    ], stmt.stmt_id
 
 
 @pytest.mark.parametrize("name", TUNED + ("subgraph5",))
@@ -135,6 +143,7 @@ def test_a_probe_whose_footprints_hit_builds_no_map(name, monkeypatch):
         monkeypatch.setattr(cls, "__init__", counted)
     assert probe_plan(frontend, AkgOptions(), sizes) == first
     assert built == []
-    # New sizes are a new relation key: one relation is built for it.
+    # New sizes are new tile windows: every statement has one, so no map
+    # is built for them either.
     probe_plan(frontend, AkgOptions(), [min(8, e) for e in frontend.extents])
-    assert "BasicMap" in built
+    assert built == []

@@ -221,14 +221,15 @@ def test_second_compose_of_equal_maps_hits():
 
 def test_identical_warm_builds_add_no_entries():
     """With name-carrying keys every rebuild of softmax_32x64 left 67 dead
-    FM entries behind (fresh middle names never match again).  Built
-    beside its mirrored copy, whose dependence poses the ILP: softmax's
-    own dependences are answered in closed form."""
+    FM entries behind (fresh middle names never match again).  A 4-D
+    output built beside its mirrored copy: that dependence poses the ILP,
+    and the scheduler shifts the original's last band row, so it has no
+    tile window and asks the extent and footprint tables."""
     from tests.sched.test_scheduler import mirrored
 
     def softmax():
-        x = placeholder((32, 64), "fp16", name="X")
-        return mirrored(ops.softmax_last_axis(x, name="out"))
+        x = placeholder((8, 16, 4, 4), "fp16", name="X")
+        return mirrored(ops.relu(x, name="out"))
 
     def entries():
         return {name: row["entries"] for name, row in solver_cache_stats().items()}
@@ -327,8 +328,10 @@ def test_mutating_a_result_never_reaches_the_table():
 
 
 def _relu_chain(x_name, op_name):
+    """A relu fused under a transpose: the producer has no tile window, so
+    its footprints are keyed."""
     x = placeholder((32, 48), "fp16", name=x_name)
-    return ops.relu(ops.relu(x, name=op_name + "0"), name=op_name + "1")
+    return ops.transpose(ops.relu(x, name=op_name + "0"), (1, 0), name=op_name + "1")
 
 
 def test_footprints_of_order_permuted_twins_share_one_entry():
@@ -351,7 +354,7 @@ def test_footprints_of_order_permuted_twins_share_one_entry():
 
 
 def test_mutating_a_footprint_box_never_reaches_the_table():
-    kernel, group = fused_group(_relu_chain("X", "r"), [8, 16])
+    kernel, group = fused_group(_relu_chain("X", "r"), [16, 8])
     stmt = group.statements[0]
     for attempt in range(3):  # the miss, then two hits
         box = footprint_extents(group, stmt, stmt.write)

@@ -24,7 +24,7 @@ from repro.poly.fm import project_onto
 from repro.poly.ilp import IlpProblem, IlpStatus
 
 from tests.poly._counts import hits_misses
-from tests.poly.test_simplex_equivalence import _mirrored, _subgraph
+from tests.poly.test_simplex_equivalence import _mirrored
 
 
 @pytest.fixture(autouse=True)
@@ -145,19 +145,6 @@ class TestFmCache:
 # -- cached == uncached on whole compiles -----------------------------------------
 
 
-def _softmax_32x64():
-    return ops.softmax_last_axis(placeholder((32, 64), "fp16", name="X"), name="out")
-
-
-def _matmul(n):
-    def make():
-        a = placeholder((n, n), "fp16", name="A")
-        b = placeholder((n, n), "fp16", name="B")
-        return ops.matmul(a, b, name="out")
-
-    return make
-
-
 def _compiled(make):
     result = build(make(), "k", options=AkgOptions(emit_trace=True))
     return result.program.dump(), result.cycles()
@@ -170,13 +157,31 @@ def _tuned(make):
     return best, [(r.sizes, r.cycles) for r in history]
 
 
+def _elementwise_4d(op, shape):
+    def make():
+        x = placeholder(shape, "fp16", name="X")
+        y = placeholder(shape, "fp16", name="Y")
+        b = placeholder(shape[1:2], "fp16", name="B")
+        return {
+            "relu": lambda: ops.relu(x, name="out"),
+            "add": lambda: ops.add(ops.relu(x, name="r"), y, name="out"),
+            "bias_add": lambda: ops.broadcast_add_channel(x, b, name="out"),
+        }[op]()
+
+    return make
+
+
 # Each kernel beside a mirrored copy of its output: its own dependences
-# are answered in closed form, the copy's pose the ILP.
+# are answered in closed form, the copy's pose the ILP.  The scheduler
+# shifts the original's last band row, so it has no tile window: its
+# footprints and extents are solved, not read off a window.
 PIPELINES = {
-    "subgraph3": (_compiled, _mirrored(lambda: _subgraph(3))),
-    "softmax_32x64": (_compiled, _mirrored(_softmax_32x64)),
-    "matmul_256": (_compiled, _mirrored(_matmul(256))),
-    "tune_matmul_64": (_tuned, _mirrored(_matmul(64))),
+    "relu_8x16x4x4": (_compiled, _mirrored(_elementwise_4d("relu", (8, 16, 4, 4)))),
+    "add_4x8x8x8": (_compiled, _mirrored(_elementwise_4d("add", (4, 8, 8, 8)))),
+    "bias_add_8x16x4x4": (
+        _compiled, _mirrored(_elementwise_4d("bias_add", (8, 16, 4, 4)))
+    ),
+    "tune_relu_4x8x8x8": (_tuned, _mirrored(_elementwise_4d("relu", (4, 8, 8, 8)))),
 }
 
 
@@ -246,11 +251,12 @@ def test_threads_compiling_renamed_twins_share_entries():
     """Four threads compile differently-named twins of one kernel at once.
     Entries are shared across names, so the threads read and fill the
     same lines; every dump must equal that twin's own serial compile.  Each
-    twin's output is mirrored, so its dependences pose the ILP."""
+    twin's 4-D output is mirrored, so its dependences pose the ILP and a
+    shifted band row leaves a statement without a tile window."""
     def twin(prefix):
         def make():
-            x = placeholder((64, 128), "fp16", name=prefix + "X")
-            y = placeholder((64, 128), "fp16", name=prefix + "Y")
+            x = placeholder((8, 16, 4, 4), "fp16", name=prefix + "X")
+            y = placeholder((8, 16, 4, 4), "fp16", name=prefix + "Y")
             return ops.relu(
                 ops.add(ops.relu(x, name=prefix + "r"), y, name=prefix + "s"),
                 name=prefix + "out",

@@ -15,7 +15,6 @@ on the pair's relation is the oracle, asked afresh here:
 """
 
 import random
-import time
 from collections import Counter
 
 import pytest
@@ -25,6 +24,7 @@ from repro.ir.expr import FloatImm
 from repro.ir.lower import PolyStatement, TensorAccess
 from repro.ir.tensor import Tensor
 from repro.poly.affine import AffineExpr, var
+from repro.poly.cache import solver_cache_stats
 from repro.poly.ilp import IlpProblem, IlpStatus
 from repro.sched import deps as deps_module
 from repro.sched.deps import compute_dependences
@@ -96,7 +96,6 @@ def _ilp_determined(relation, src_dims, s_dim):
 def test_the_closed_form_equals_the_ilp_on_random_separable_pairs():
     rng = random.Random(20261017)
     seen = Counter()
-    start = time.process_time()
     for _ in range(1200):
         src, dst, src_acc, dst_acc = _pair(rng, seen)
         rename = {d: f"{d}__dst" for d in dst.iter_names}
@@ -120,7 +119,6 @@ def test_the_closed_form_equals_the_ilp_on_random_separable_pairs():
                 determined = form.determined(s_dim, set(rename.values()))
                 assert determined == _ilp_determined(relation, src.iter_names, s_dim)
                 seen["determined", determined] += 1
-    elapsed = time.process_time() - start
     # The corpus is only evidence if it reaches what it was built for.
     for path in (
         "constant", "offset", "broadcast", "unit_extent", "unequal_rank", "self", "pair",
@@ -131,7 +129,10 @@ def test_the_closed_form_equals_the_ilp_on_random_separable_pairs():
             assert seen["level", self_pair, feasible] >= 30, seen
     assert seen["determined", True] >= 30 and seen["determined", False] >= 30, seen
     assert seen["bounds"] >= 2000, seen
-    assert elapsed < 2.0, elapsed
+    # Its cost is a count, not a host-speed time-box: the systems the ILP
+    # oracle was asked (7,222 on this corpus; a table hit is still asked).
+    ilp = solver_cache_stats()["ilp"]
+    assert ilp["hits"] + ilp["misses"] <= 7500, ilp
 
 
 def _bench_kernels():

@@ -247,6 +247,16 @@ def _conv_after_bias():
     return ops.relu(conv, name="OUT")
 
 
+def _stencil_after(producer):
+    """``C[h, w] = sum(P[h + kh, w] for kh < 3)``: fuses ``producer`` under
+    a stencil, so each of its tiles is a halo the relation projects."""
+    kh = reduce_axis((0, 3), "kh")
+    rows, cols = producer.shape
+    return compute(
+        (rows - 2, cols), lambda h, w: te_sum(producer[h + kh, w], axis=(kh,)), name="C"
+    )
+
+
 def _affine_accesses(group):
     return [
         (stmt, access)
@@ -261,12 +271,14 @@ class TestFootprintTable:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_plans_equal_cold_warm_and_uncached(self, name):
         """The golden programs are also the kernels of the eight
-        non-network bench rows."""
+        non-network bench rows.  Only a fused producer reaches the table:
+        every other statement reads its footprints off its tile window."""
         builder = GOLDEN[name][0]
         with diskcache.disabled():
-            cold = _plan_view(build(builder(), name))
+            result = build(builder(), name)
+            cold = _plan_view(result)
             misses = hits_misses("footprint")[1]
-            assert misses
+            assert bool(misses) == any(g.fused_producer_ids for g in result.groups)
             warm = _plan_view(build(builder(), name))
             assert hits_misses("footprint")[1] == misses
             uncached = _uncached(lambda: _plan_view(build(builder(), name)))
@@ -330,16 +342,20 @@ class TestFootprintTable:
         )
         assert footprint_extents(group, producer, producer.write) == halo
         assert footprint_extents(group, consumer, consumer.write) == sizes
-        assert hits_misses("footprint") == (0, 2)
+        # The consumer reads its tile window: only the producer is keyed.
+        assert consumer.stmt_id in group.windows
+        assert hits_misses("footprint") == (0, 1)
 
     def test_same_index_function_into_another_shape_is_another_entry(self):
         """The clip is part of the answer: ``[i, j]`` into an 8x16 tensor
-        and into a 32x64 one are two questions."""
+        and into a 32x64 one are two questions (asked by a producer fused
+        under a transpose, which has no tile window)."""
         small = placeholder((8, 16), name="SMALL")
         big = placeholder((32, 64), name="BIG")
         out = compute((8, 16), lambda i, j: small[i, j] + big[i, j], name="O")
-        kernel, group = fused_group(out, [8, 16])
+        kernel, group = fused_group(ops.transpose(out, (1, 0), name="T"), [16, 8])
         stmt = group.statements[0]
+        assert stmt.stmt_id in group.fused_producer_ids
         reads = {r.tensor.name: r for r in stmt.reads}
         assert [repr(e) for e in reads["SMALL"].indices] == [
             repr(e) for e in reads["BIG"].indices
@@ -352,10 +368,13 @@ class TestFootprintTable:
         assert hits_misses("footprint") == (0, 2)
 
     def test_equal_relations_under_other_tile_counts_are_another_entry(self):
-        """The tile counts are the box the extent is maximised over."""
+        """The tile counts are the box the extent is maximised over (of a
+        producer fused under a transpose, which has no tile window)."""
         x = placeholder((32, 48), name="X")
-        kernel, group = fused_group(ops.relu(x, name="R"), [8, 16])
+        r = ops.relu(x, name="R")
+        kernel, group = fused_group(ops.transpose(r, (1, 0), name="T"), [16, 8])
         stmt = group.statements[0]
+        assert stmt.stmt_id in group.fused_producer_ids
         before = _key(group, stmt, stmt.write)
         assert footprint_extents(group, stmt, stmt.write) == [8, 16]
         group.tile_counts = [2, 3]  # the same relation, a smaller tile grid
@@ -371,21 +390,30 @@ class TestFootprintTable:
         consults the table of the code it checks."""
         from repro.verify import verify_result
 
-        make = GOLDEN["subgraph2"][0]
+        make = GOLDEN["subgraph5"][0]
         with diskcache.disabled():
-            build(make(), "subgraph2")
+            build(make(), "subgraph5")
             first = hits_misses("footprint")
             clear_solver_caches()
-            result = build(make(), "subgraph2")
-            assert hits_misses("footprint") == first == (0, 6)
+            result = build(make(), "subgraph5")
+            assert hits_misses("footprint") == first == (1, 1)
             verify_result(result)
         assert hits_misses("footprint") == first
 
     def test_twenty_one_statements_pose_one_question_per_size(self):
+        # Subgraph 2's 21 statements read their tile windows: no question.
         kernel, group = fused_group(GOLDEN["subgraph2"][0](), [4, 4, 8, 4])
         plan_storage(group, assign_compute_units(group.statements), kernel, HardwareSpec())
-        # One key for all 21 statements' accesses, asked once per plan.
-        assert hits_misses("footprint") == (0, 1)
+        assert hits_misses("footprint") == (0, 0)
+        # A chain of 19 producers fused under a stencil (21 statements):
+        # one key for all 38 producer accesses, solved once per plan.
+        x = placeholder((34, 48), name="X")
+        for i in range(19):
+            x = ops.scalar_add(x, 0.5, name=f"c{i}")
+        kernel, group = fused_group(_stencil_after(x), [8, 16])
+        assert len(group.statements) == 21 and len(group.fused_producer_ids) == 19
+        plan_storage(group, assign_compute_units(group.statements), kernel, HardwareSpec())
+        assert hits_misses("footprint") == (37, 1)
 
     def test_gather_is_sized_by_the_consumer_tile_and_never_keyed(self):
         table = placeholder((64, 32), name="TAB")

@@ -23,6 +23,7 @@ from repro.core.compiler import build
 from repro.core.context import stage
 from repro.core.errors import SolverBudgetError
 from repro.core.resilience import StageBudget
+from repro.ir import ops
 from repro.ir.lower import TensorAccess
 from repro.ir.tensor import placeholder
 from repro.poly import fm
@@ -40,13 +41,44 @@ from repro.tiling import reverse
 
 from tests.core.test_golden_programs import GOLDEN
 from tests.poly.test_canonical_keys import _relu_chain
+from tests.sched.test_scheduler import mirrored
 from tests.storage.test_promote import fused_group
 from tests.tiling import _reference_footprint as reference
 
 #: The tuner rows of the repo benchmark (one front-end, ~11 backend builds),
-#: and two paper subgraphs: a probe whose footprints all hit builds no
-#: membership rows, so these pose the fused and stencil memberships.
-TUNED = ("add_relu_128x512", "matmul_256", "softmax_32x64", "subgraph4", "subgraph5")
+#: and three paper subgraphs: a statement with a tile window poses no
+#: footprint or extent, so the fused producers of subgraphs 1 and 5 pose
+#: them, and subgraph 4 the stencil memberships.
+TUNED = (
+    "add_relu_128x512", "matmul_256", "softmax_32x64", "subgraph1", "subgraph4",
+    "subgraph5",
+)
+
+
+def _windowless(op, shape):
+    """A 4-D ``op`` output beside its mirrored copy: the scheduler shifts
+    the original's last band row, so that statement has no tile window."""
+
+    def make():
+        x = placeholder(shape, "fp16", name="X")
+        y = placeholder(shape, "fp16", name="Y")
+        b = placeholder(shape[1:2], "fp16", name="B")
+        return mirrored({
+            "relu": lambda: ops.relu(x, name="out"),
+            "add": lambda: ops.add(x, y, name="out"),
+            "bias_add": lambda: ops.broadcast_add_channel(x, b, name="out"),
+        }[op]())
+
+    return make
+
+
+#: Tuned too: kernels whose footprints and extents FM answers without a
+#: fused producer.
+WINDOWLESS = {
+    f"{op}_{'x'.join(map(str, shape))}_mirrored": _windowless(op, shape)
+    for op in ("relu", "add", "bias_add")
+    for shape in ((8, 16, 4, 4), (4, 8, 8, 8))
+}
 TUNE_PARAMS = dict(seed=0, first_round=8, round_size=4, max_rounds=2, parallel=False)
 
 
@@ -107,6 +139,9 @@ def compiled():
         for name in TUNED:
             clear_solver_caches()
             tune_tile_sizes(GOLDEN[name][0](), name, **TUNE_PARAMS)
+        for name, make in WINDOWLESS.items():
+            clear_solver_caches()
+            tune_tile_sizes(make(), name, **TUNE_PARAMS)
     clear_solver_caches()
     return seen
 

@@ -79,14 +79,15 @@ class TestPerf:
 
     def test_footprint_table_shows_in_akgc_perf(self, capsys):
         """The fourth solver table needs no flag of its own: it reaches
-        ``akgc --perf`` and ``perf.report()`` through ``solver_cache_stats``."""
+        ``akgc --perf`` and ``perf.report()`` through ``solver_cache_stats``.
+        A network plan, because only a fused producer asks the table."""
         import re
 
         from repro.poly.cache import clear_solver_caches
         from repro.tools.akgc import main
 
         clear_solver_caches()
-        code = main(["softmax", "--shape", "32,64", "--perf", "--no-disk-cache"])
+        code = main(["--network", "alexnet_tiny", "--perf", "--no-disk-cache"])
         assert code == 0
         line = re.search(
             r"solver cache \[footprint\]: (\d+) hits / (\d+) misses",
