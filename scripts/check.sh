@@ -165,4 +165,17 @@ grep -q "shape class   : 1 hits, 0 misses" "$TMP/warm_sym.txt" \
     || { echo "FAIL: warm symbolic akgc run was not one shape-class hit"; exit 1; }
 
 echo
+echo "== a warm cache verifies (akgc --network alexnet_tiny, then --verify on its entries) =="
+# Entries keep band rows, access pairs and statement dims, not the
+# relations derived from them: the verifier must rebuild and check every
+# relation of a restored result, and a hit must not recompile.
+python -m repro.tools.akgc --network alexnet_tiny --cache-dir "$TMP/warm" > /dev/null
+python -m repro.tools.akgc --network alexnet_tiny --cache-dir "$TMP/warm" \
+    --verify --cache-stats | tee "$TMP/warm_verify.txt"
+grep -q "5 hits, 0 misses" "$TMP/warm_verify.txt" \
+    || { echo "FAIL: the warm alexnet_tiny plan was not five disk-cache hits"; exit 1; }
+grep -q "^verified      : arena + 5 subgraphs" "$TMP/warm_verify.txt" \
+    || { echo "FAIL: the warm alexnet_tiny plan did not verify"; exit 1; }
+
+echo
 echo "all checks passed"

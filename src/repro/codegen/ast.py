@@ -40,7 +40,7 @@ def generate_ast(
     """Generate the loop-nest AST of a scheduled (possibly tiled) tree."""
     stmt_by_id = {s.stmt_id: s for s in statements}
     gen = _AstGenerator(tree, stmt_by_id)
-    body = gen.visit(tree.child, set(tree.domains.keys()))
+    body = gen.visit(tree.child, set(tree.dims))
     return body if body is not None else Block([])
 
 
@@ -129,7 +129,7 @@ class _AstGenerator:
     def _dim_bounds(stmt: PolyStatement, row: AffineExpr) -> Tuple[int, int]:
         """``(min, max)`` of an identity row over ``stmt``'s iteration box,
         in closed form (:meth:`~repro.ir.lower.PolyStatement.box_bounds`,
-        as ``posttile._row_extent`` reads it: neither poses an ILP);
+        as ``posttile.band_row_spans`` reads it: neither poses an ILP);
         ``(0, 0)`` for an empty box."""
         bounds = stmt.box_bounds(row)
         return (0, 0) if bounds is None else bounds

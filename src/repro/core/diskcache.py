@@ -23,13 +23,18 @@ Design points:
 - **One read per warm build.**  ``build`` derives the front-end digest
   and from it the program digest before anything is loaded, and probes the
   program first; the ``FrontEnd`` entry serves program misses and the tuner.
-- **What an entry holds (format 4).**  A ``FrontEnd`` entry holds the
+- **What an entry holds (format 5).**  A ``FrontEnd`` entry holds the
   lowered kernel, its dependences, the clustering and the master schedule
   tree.  A ``CompileResult`` entry holds the program, kernel, tiled tree,
   clustering, groups, storage plans, unit assignments, tile sizes and
   hardware spec, but *not* the dependences (``CompileResult.deps``
   recomputes them on first access), replayers or anything a solver
-  memoised.  Entries are pure: the bytes are a function of the key alone,
+  memoised.  An entry keeps what a cold build keeps and nothing derived
+  from it: a tiled group its live-out band rows, not their ``tile ->
+  instances`` relations; a dependence its access pair and level, not its
+  relation; the tree's root each statement's dims, not its domain set.
+  A restored object rebuilds those on first read through the path a cold
+  build takes, so it answers in closed form as a cold one does.  Entries are pure: the bytes are a function of the key alone,
   whatever the hash seed or whatever the process compiled before (no
   ``set`` fields, dimension names interned where they are minted).
 - **Atomic writes, checksummed reads.**  Entries are written to a temp
@@ -50,9 +55,9 @@ Design points:
   ``~/.cache/repro-akg``.
 - **Bounded size.**  ``put`` evicts oldest-mtime entries beyond
   ``max_entries`` (default 4096).
-- **Counters.**  Hits, misses, stores, evictions, errors and
-  corruptions are the ``diskcache.*`` labels of the process-wide counter
-  table (:mod:`repro.core.context`), read through
+- **Counters.**  Hits, misses, stores, evictions, errors,
+  corruptions and the bytes of the entries read and written are the
+  ``diskcache.*`` labels of the process-wide counter table (:mod:`repro.core.context`), read through
   :func:`disk_cache_stats`.  Every ``DiskCache`` of the process counts
   there; a rebind of the process's cache to another directory starts
   them from zero.  A private cache that only stores (the benchmark's
@@ -113,15 +118,23 @@ __all__ = [
 #: v3: pickled polyhedral numbers are ints (``Fraction`` only when fractional).
 #: v4: ``CompileResult`` entries hold no dependences, entries are pure
 #: (bytes a function of the key), ``AkgOptions.verify_schedule`` is gone.
-CACHE_FORMAT_VERSION = 4
+#: v5: entries hold what a cold build keeps, never a relation derived from
+#: it: tiled groups their live-out band rows (the fused producers'
+#: relations stay), dependences their access pair and level, the schedule
+#: tree's root each statement's dims.
+CACHE_FORMAT_VERSION = 5
 
 #: Entry header: magic, then the sha256 of the pickled payload.
 _MAGIC = b"RAKG\x02"
 _HEADER_LEN = len(_MAGIC) + hashlib.sha256().digest_size
 
 #: The ``diskcache.*`` counters, in the order :func:`disk_cache_stats`
-#: reports them.
-_COUNTERS = ("hits", "misses", "stores", "evictions", "errors", "corruptions")
+#: reports them; ``bytes_read`` / ``bytes_written`` sum the entry sizes of
+#: the hits and stores.
+_COUNTERS = (
+    "hits", "misses", "stores", "evictions", "errors", "corruptions",
+    "bytes_read", "bytes_written",
+)
 
 
 class FingerprintError(ValueError):
@@ -214,6 +227,7 @@ class DiskCache:
             return None
         with LOCK:
             COUNTERS["diskcache.hits"] += 1
+            COUNTERS["diskcache.bytes_read"] += len(blob)
         return value
 
     @staticmethod
@@ -262,6 +276,7 @@ class DiskCache:
             return False
         with LOCK:
             COUNTERS["diskcache.stores"] += 1
+            COUNTERS["diskcache.bytes_written"] += len(payload)
         self._evict()
         return True
 

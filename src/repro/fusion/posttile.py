@@ -63,25 +63,22 @@ class TiledGroup:
     ``tile -> instances`` relations are built only where they are read
     (fused-producer projection, shrink rules, code generation, replay, the
     verifier, and the footprints of a statement without a window): a
-    statement tiled by its band rows gets its relation from ``band_rows``
-    on first read of ``instance_relations``.
+    live-out statement gets its relation from ``band_rows`` on first read
+    of ``instance_relations``, in a cold group and a restored one alike.
     """
 
-    #: What a pickle or deep copy of a group holds, in this order: the
-    #: relations, never the rows and windows they are rebuilt from.
+    #: What a pickle or deep copy holds, in this order, then the fused
+    #: producers' relations: never a relation, origin or window of a row.
     _STATE = (
         "tile_dims",
         "tile_sizes",
         "tile_counts",
         "statements",
-        "instance_relations",
+        "band_rows",
         "fused_producer_ids",
         "liveout_ids",
         "source_filter",
     )
-
-    #: A group restored from a pickle has no rows, hence no windows.
-    band_rows: Dict[str, Sequence[AffineExpr]] = {}
 
     def __init__(
         self,
@@ -93,11 +90,15 @@ class TiledGroup:
         liveout_ids: List[str],
         band_rows: Dict[str, Sequence[AffineExpr]],
         instance_relations: Optional[Dict[str, BasicMap]] = None,
+        origins: Optional[List[int]] = None,
     ):
         self.tile_dims = tile_dims
         self.tile_sizes = tile_sizes
         self.tile_counts = tile_counts  # number of tiles per tile dim
         self.statements = statements  # execution order inside a tile
+        self.band_rows = {sid: tuple(rows) for sid, rows in band_rows.items()}
+        if origins is not None:
+            self.origins = origins
         if instance_relations is not None:
             self.instance_relations = instance_relations
         self.fused_producer_ids = fused_producer_ids
@@ -107,18 +108,27 @@ class TiledGroup:
         # and the filter's tile-size-free identity.
         self.source_filter = None
         self.filter_key: Optional[Hashable] = None
-        self.band_rows = band_rows
+
+    @cached_property
+    def origins(self) -> List[int]:
+        """Per band row, the least value it takes over the live-out
+        statements' boxes: where tile 0 starts (:func:`band_row_spans`)."""
+        by_id = {s.stmt_id: s for s in self.statements}
+        return [lo for lo, _hi in band_row_spans(self.band_rows, by_id)]
 
     @cached_property
     def instance_relations(self) -> Dict[str, BasicMap]:
-        """``tile -> instances`` of every statement, from its band rows."""
+        """``tile -> instances`` of every statement: the live-out ones from
+        their band rows, then the fused producers' (kept by a pickle)."""
         by_id = {s.stmt_id: s for s in self.statements}
-        return {
+        relations = {
             sid: liveout_instance_relation(
-                by_id[sid], rows, self.tile_sizes, self.tile_dims
+                by_id[sid], rows, self.tile_sizes, self.tile_dims, self.origins
             )
             for sid, rows in self.band_rows.items()
         }
+        relations.update(self.__dict__.get("producer_relations", {}))
+        return relations
 
     @cached_property
     def windows(self) -> Dict[str, List[int]]:
@@ -130,9 +140,9 @@ class TiledGroup:
         at most that long, and the first tile reaches each length (sizes
         are clamped), so a linear expression's spread over the window is
         its exact per-tile range.  A statement with a non-identity row,
-        two rows over one dim, or an empty box has no window; nor has a
-        fused producer (no band rows of its own) or any statement of a
-        group restored from a pickle (rows stay out of pickles).
+        two rows over one dim, a row whose tiles start below 0 (another
+        statement of the band has it shifted), or an empty box has no
+        window; nor has a fused producer (no band rows of its own).
         """
         by_id = {s.stmt_id: s for s in self.statements}
         windows: Dict[str, List[int]] = {}
@@ -150,7 +160,7 @@ class TiledGroup:
                 tiled[k] = True
                 window[k] = min(size, window[k])
             else:
-                if min(window, default=1) >= 1:
+                if min(window, default=1) >= 1 and not any(self.origins):
                     windows[sid] = window
         return windows
 
@@ -166,7 +176,11 @@ class TiledGroup:
         }
 
     def __getstate__(self):
-        return {name: getattr(self, name) for name in self._STATE}
+        state = {name: getattr(self, name) for name in self._STATE}
+        state["producer_relations"] = {  # no producer: no relation built
+            sid: self.instance_relations[sid] for sid in self.fused_producer_ids
+        }
+        return state
 
     def refiltered(self, f: FilterNode) -> "TiledGroup":
         """This group as tiled from ``f``, an equal filter of another clone
@@ -318,7 +332,7 @@ def apply_post_tiling_fusion(
 
     # Live-out statements are tiled by their band rows; their relations
     # are built here only when a producer's projection reads them.
-    clamped_sizes, tile_counts = _clamp_and_count(band, invariants, sizes)
+    clamped_sizes, tile_counts, origins = _clamp_and_count(band, invariants, sizes)
     band_rows = {sid: band.schedules[sid] for sid in liveout_filter.stmt_ids}
     eligible = _eligible_producers(clustering)
     instance_relations: Optional[Dict[str, BasicMap]] = None
@@ -326,7 +340,7 @@ def apply_post_tiling_fusion(
     if eligible:
         instance_relations = {
             sid: liveout_instance_relation(
-                stmt_by_id[sid], rows, clamped_sizes, tile_dims
+                stmt_by_id[sid], rows, clamped_sizes, tile_dims, origins
             )
             for sid, rows in band_rows.items()
         }
@@ -401,6 +415,7 @@ def apply_post_tiling_fusion(
         liveout_ids=list(liveout_filter.stmt_ids),
         band_rows=band_rows,
         instance_relations=instance_relations,
+        origins=origins,
     )
 
     groups: List[TiledGroup] = []
@@ -455,38 +470,66 @@ def _recompute_acceptable(
     return per_tile * n_tiles <= RECOMPUTE_THRESHOLD * total
 
 
+def band_row_spans(
+    band_rows: Dict[str, Sequence[AffineExpr]],
+    stmt_by_id: Dict[str, PolyStatement],
+) -> List[Tuple[int, int]]:
+    """``(min, max)`` of each band row over the union of its statements'
+    iteration boxes, in closed form
+    (:meth:`~repro.ir.lower.PolyStatement.box_bounds`: no ILP).  A band's
+    rows are aligned across its statements (the scheduler's per-statement
+    shifts order them against each other), so one grid, counted from each
+    row's common minimum, tiles every statement of the band.  A statement
+    with an empty box has no instance to place; a row over a dim outside
+    a box is unbounded, and so is a band whose boxes are all empty, as far
+    as tiling is concerned: both raise :class:`FusionError`."""
+    spans: List[Tuple[int, int]] = []
+    for sid, rows in band_rows.items():
+        stmt = stmt_by_id[sid]
+        if min(stmt.iter_extents, default=1) < 1:
+            continue  # no instance to place
+        for k, row in enumerate(rows):
+            bounds = stmt.box_bounds(row)
+            if bounds is None:
+                raise _unbounded_row()
+            if k == len(spans):
+                spans.append(bounds)
+            else:
+                spans[k] = (min(spans[k][0], bounds[0]), max(spans[k][1], bounds[1]))
+    if not spans and any(band_rows.values()):
+        raise _unbounded_row()
+    return spans
+
+
+def _unbounded_row() -> FusionError:
+    return FusionError(
+        "band row unbounded over the statement domain",
+        stage=resilience.active_stage(),
+    )
+
+
 def _clamp_and_count(
     band: BandNode, invariants: SizeInvariants, sizes: Sequence[int]
-) -> Tuple[List[int], List[int]]:
-    """Tile sizes clamped to the band extents (identity rows assumed) and
-    the tile count per dim they give; each row's extent is posed once per
-    front-end."""
+) -> Tuple[List[int], List[int], List[int]]:
+    """Tile sizes clamped to the band extents (identity rows assumed), the
+    tile count per dim they give, and each row's origin: the extents and
+    origins of :func:`band_row_spans`, solved once per front-end (a band's
+    rows are one function of its statements in every tree of one)."""
     any_sid = next(iter(band.schedules))
-    rows = band.schedules[any_sid]
-    stmt = invariants.stmt_by_id[any_sid]
-    extents = invariants.lookup(
-        "row_extents",
-        (any_sid, tuple(rows)),
-        lambda: tuple([_row_extent(row, stmt) for row in rows]),
+    spans = invariants.lookup(
+        "row_spans",
+        (tuple(band.schedules), tuple(band.schedules[any_sid])),
+        lambda: band_row_spans(band.schedules, invariants.stmt_by_id),
     )
-    clamped = [min(size, extent) for size, extent in zip(sizes, extents)]
-    counts = [-(-extent // size) for size, extent in zip(clamped, extents)]
-    return clamped, counts
-
-
-def _row_extent(row: AffineExpr, stmt: PolyStatement) -> int:
-    """Extent of a band row over the statement's iteration box, in closed
-    form (:meth:`~repro.ir.lower.PolyStatement.box_bounds`: no ILP).  A row
-    over a dim outside the box is unbounded, and so is a row over an empty
-    box as far as tiling is concerned: both raise :class:`FusionError`."""
-    bounds = stmt.box_bounds(row)
-    if bounds is None:
-        raise FusionError(
-            "band row unbounded over the statement domain",
-            stage=resilience.active_stage(),
-        )
-    lo, hi = bounds
-    return int(hi - lo) + 1
+    clamped: List[int] = []
+    counts: List[int] = []
+    origins: List[int] = []
+    for size, (lo, hi) in zip(sizes, spans):
+        extent = int(hi - lo) + 1
+        clamped.append(min(size, extent))
+        counts.append(-(-extent // clamped[-1]))
+        origins.append(lo)
+    return clamped, counts, origins
 
 
 def _band_of(f: FilterNode) -> BandNode:
@@ -527,7 +570,7 @@ def tile_single_group(
         sizes = [1 << 30] * band.n_rows
     sizes = list(sizes)[: band.n_rows]
     sizes += [1 << 30] * (band.n_rows - len(sizes))
-    clamped, counts = _clamp_and_count(band, invariants, sizes)
+    clamped, counts, origins = _clamp_and_count(band, invariants, sizes)
     key = filter_key(f)
 
     def tile() -> TiledGroup:
@@ -541,6 +584,7 @@ def tile_single_group(
             fused_producer_ids=[],
             liveout_ids=list(f.stmt_ids),
             band_rows=band_rows,
+            origins=origins,
         )
         group.filter_key = key
         return group

@@ -257,19 +257,19 @@ class Dependence:
     """One dependence edge between two statements.
 
     Six fields are its state, and a pickle holds exactly those: ``src``,
-    ``dst``, ``relation``, ``kind``, ``tensor_name`` and ``rename``.  The
-    relation is built on first use (a pickle builds it), from the access
-    pair and level the dependence keeps beside its fields.  Also beside
-    them, never pickled, is its :class:`_System`: the closed form that
-    answers distances and clustering's questions of a separable pair, and
-    the :class:`~repro.poly.ilp.IlpProblem` every solver question goes to
-    (a coupled pair's distances, the scheduler's Pluto rows), posed on
-    first use and shared, with the distance bounds asked, by every
-    dependence of an equal access pair.  An unpickled dependence poses a
-    problem and keeps bounds of its own on first use.  Two threads first
-    asking may each build a relation, a problem or a bound; the answers
-    are equal, each store is one assignment of a final value, and either
-    is kept.
+    ``dst``, ``kind``, ``tensor_name``, ``rename`` and the access pair and
+    self-pair level the relation is built from, on first use, in a cold
+    dependence and a restored one alike: the relation never reaches a
+    pickle.  Beside the fields, never pickled, is its :class:`_System`:
+    the closed form that answers distances and clustering's questions of
+    a separable pair, and the :class:`~repro.poly.ilp.IlpProblem` every
+    solver question goes to (a coupled pair's distances, the scheduler's
+    Pluto rows), posed on first use and shared, with the distance bounds
+    asked, by every dependence of an equal access pair.  A restored
+    dependence solves its closed form again on its first question, and
+    keeps bounds of its own.  Two threads first asking may each build a
+    relation, a system, a problem or a bound; the answers are equal, each
+    store is one assignment of a final value, and either is kept.
     """
 
     __slots__ = ("src", "dst", "kind", "tensor_name", "rename",
@@ -299,26 +299,24 @@ class Dependence:
         self._pair = pair
 
     def __getstate__(self):
-        # The six fields, as the default state of a slotted object lists
-        # them: the memo never reaches a pickle, the relation always does.
-        state = {
-            "src": self.src,
-            "dst": self.dst,
-            "relation": self.relation,
-            "kind": self.kind,
-            "tensor_name": self.tensor_name,
-            "rename": self.rename,
-        }
-        return None, state
+        names = ("src", "dst", "kind", "tensor_name", "rename", "_pair")
+        return None, {name: getattr(self, name) for name in names}
 
     def __setstate__(self, state):
-        fields = dict(state[1])
-        self._relation = fields.pop("relation")
-        for name, value in fields.items():
+        for name, value in state[1].items():
             setattr(self, name, value)
-        # Without its access pair there is no closed form: every question
-        # goes to a problem of its own.
-        self._system = _System(None)
+
+    def __getattr__(self, name):
+        # Only an unset slot gets here.  A restored dependence's system:
+        # the closed form over levels 0..level, as compute_dependences
+        # solved it (the pair is non-empty above its level); none if coupled.
+        if name != "_system":
+            raise AttributeError(name)
+        src_acc, dst_acc, level = self._pair
+        levels = [None] if level is None else list(range(level + 1))
+        forms = _separable(self.src, self.dst, src_acc, dst_acc, levels, self.rename)
+        self._system = _System(forms[-1][1] if forms else None)
+        return self._system
 
     @property
     def relation(self) -> BasicMap:

@@ -115,8 +115,7 @@ class PolyScheduler:
             body = filters[0]
         else:
             body = SequenceNode(filters)
-        domains = {s.stmt_id: s.domain() for s in kernel.statements}
-        return DomainNode(domains, body)
+        return DomainNode({s.stmt_id: s.iter_names for s in kernel.statements}, body)
 
     def initial_tree(self, kernel: LoweredKernel) -> DomainNode:
         """The textual-order tree of Fig. 3(b): one filter per statement."""
@@ -125,9 +124,8 @@ class PolyScheduler:
             rows = [AffineExpr.variable(d) for d in stmt.iter_names]
             band = BandNode({stmt.stmt_id: rows}, LeafNode())
             filters.append(FilterNode([stmt.stmt_id], band))
-        domains = {s.stmt_id: s.domain() for s in kernel.statements}
         body = filters[0] if len(filters) == 1 else SequenceNode(filters)
-        return DomainNode(domains, body)
+        return DomainNode({s.stmt_id: s.iter_names for s in kernel.statements}, body)
 
     # -- cluster scheduling ---------------------------------------------------------
 

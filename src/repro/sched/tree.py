@@ -3,7 +3,7 @@
 The node vocabulary follows isl schedule trees [Grosser et al. 2015] with
 the extensions the paper relies on (Sec. 4):
 
-- ``DomainNode``    -- the iteration domain of the whole tree (root).
+- ``DomainNode``    -- the statements and their iteration dims (root).
 - ``BandNode``      -- a multi-dimensional piece of schedule: one list of
   affine functions per statement, aligned across statements.  A band
   carries ``permutable`` / ``coincident`` flags computed by the scheduler
@@ -27,7 +27,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.poly.affine import AffineExpr
 from repro.poly.maps import BasicMap
-from repro.poly.sets import BasicSet
 
 
 class ScheduleNode:
@@ -72,7 +71,7 @@ class ScheduleNode:
             if isinstance(n, FilterNode):
                 ids = n.stmt_ids
             elif isinstance(n, DomainNode):
-                ids = n.domains.keys()
+                ids = n.dims.keys()
             elif isinstance(n, BandNode):
                 ids = n.schedules.keys()
             for sid in ids:
@@ -98,17 +97,18 @@ class ScheduleNode:
 
 
 class DomainNode(ScheduleNode):
-    """Root node holding the iteration domain of every statement."""
+    """Root node naming every statement's iteration dims; the domain sets
+    are built only where a relation needs one, never held here."""
 
     def __init__(
-        self, domains: Dict[str, BasicSet], child: Optional[ScheduleNode] = None
+        self, dims: Dict[str, Sequence[str]], child: Optional[ScheduleNode] = None
     ):
         super().__init__([child] if child else [])
-        self.domains = domains
+        self.dims = dims
 
     def _label(self) -> str:
         parts = "; ".join(
-            f"{sid}[{', '.join(dom.space.dims)}]" for sid, dom in self.domains.items()
+            f"{sid}[{', '.join(names)}]" for sid, names in self.dims.items()
         )
         return f"Domain{{{parts}}}"
 
@@ -281,7 +281,7 @@ def clone_tree(node: ScheduleNode) -> ScheduleNode:
     """
     children = [clone_tree(c) for c in node.children]
     if isinstance(node, DomainNode):
-        out: ScheduleNode = DomainNode(dict(node.domains))
+        out: ScheduleNode = DomainNode(dict(node.dims))
     elif isinstance(node, BandNode):
         out = BandNode(
             {sid: list(rows) for sid, rows in node.schedules.items()},

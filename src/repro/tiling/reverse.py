@@ -79,16 +79,24 @@ def liveout_instance_relation(
     rows: Sequence[AffineExpr],
     sizes: Sequence[int],
     tile_dims: Sequence[str],
+    origins: Optional[Sequence[int]] = None,
 ) -> BasicMap:
     """Relation ``(tile indices) -> live-out instances`` of one statement.
 
     An instance belongs to tile ``(o0, ..)`` when every tiled band row of
-    the statement falls inside the tile's half-open interval.
+    the statement falls inside the tile's half-open interval, counted
+    from the row's ``origin`` (0 when ``origins`` is omitted): ``size * o
+    <= row - origin <= size * o + size - 1``.  A band's rows are aligned
+    across its statements, so every statement of a band is counted from
+    one origin per row, the row's least value over all of their boxes
+    (:func:`~repro.fusion.posttile.band_row_spans`); a row whose origin is
+    0 is passed on as it is.
     """
-    tile_space = Space("T", list(tile_dims))
+    if origins is not None:
+        rows = [row - lo if lo else row for row, lo in zip(rows, origins)]
     cons = list(stmt.domain().constraints)
     cons.extend(tile_membership_constraints(rows, sizes, tile_dims))
-    return BasicMap(tile_space, stmt.space, cons)
+    return BasicMap(Space("T", list(tile_dims)), stmt.space, cons)
 
 
 def producer_tile_relation(

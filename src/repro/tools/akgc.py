@@ -68,6 +68,10 @@ def _print_cache_counters() -> None:
             f"misses, {stats['stores']} stores, {stats['entries']} "
             f"entries ({diskcache.get_cache().root})"
         )
+        print(
+            f"disk bytes    : {stats['bytes_read']} read, "
+            f"{stats['bytes_written']} written"
+        )
     else:
         print("disk cache    : disabled")
     for cname, s in solver_cache_stats().items():

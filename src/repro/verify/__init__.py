@@ -11,9 +11,11 @@ Fourier-Motzkin / ILP machinery the paper's legality proofs rest on:
   lowered kernel and proves the post-tiling/post-fusion execution order
   (groups -> tiles -> statements -> instances) preserves every one of
   them, including the symbolic-batch clamping proof of DESIGN §3.7;
-- :mod:`repro.verify.bounds` proves every array access of every tile lies
-  inside the declared tensor extents (FM projection over tile boxes),
-  parametrically over clamped symbolic-dim replays;
+- :mod:`repro.verify.bounds` proves every live-out instance lies in a
+  tile of its band's one grid (closed form over the band rows) and every
+  array access of every tile inside the declared tensor extents (FM
+  projection over tile boxes), parametrically over clamped symbolic-dim
+  replays;
 - :mod:`repro.verify.syncs` rebuilds the happens-before relation of the
   emitted instruction stream (in-order pipes, FIFO set/wait flags,
   barriers) and flags conflicting cross-pipe access pairs it leaves
@@ -26,8 +28,9 @@ A failed check raises :class:`~repro.core.errors.VerificationError`
 ``akgd``, or stitched into a network plan.  The mutation harness in
 :mod:`repro.verify.mutate` proves the checkers have teeth: seeded
 mutations (dropped sync, a K-chunk loop without its exit sync, swapped
-statement order, off-by-one tile box, shifted fused-producer tile,
-aliased arena slot) must all be rejected.
+statement order, off-by-one tile box, a grid one tile short, a
+statement tiled from another origin than its band, shifted
+fused-producer tile, aliased arena slot) must all be rejected.
 """
 
 from __future__ import annotations

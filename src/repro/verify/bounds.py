@@ -1,4 +1,11 @@
-"""Static bounds checker: every access of every tile stays in extents.
+"""Static bounds checker: every instance lies in a tile, and every access
+of every tile stays in extents.
+
+Each live-out band row's range over its statement's box must lie inside
+the tile grid the instance relation partitions it into, one grid per band
+row across the band's statements (closed form, no solver): an instance
+outside the grid is never executed, and one in another statement's tile
+runs out of the order the schedule proved.
 
 For each statement of each tiled group the instance relation (tile
 indices -> statement instances) is intersected with the statement's
@@ -28,7 +35,7 @@ the free bound parameter itself, for every value in ``[1, max]``.
 from __future__ import annotations
 
 from math import ceil, floor
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core import resilience
 from repro.core.errors import VerificationError
@@ -38,7 +45,9 @@ from repro.poly.fm import interval_of
 
 if TYPE_CHECKING:
     from repro.core.compiler import CompileResult
+    from repro.fusion.posttile import TiledGroup
     from repro.ir.lower import PolyStatement
+    from repro.poly.maps import BasicMap
 
 __all__ = ["check_bounds"]
 
@@ -134,15 +143,91 @@ def _guards_by_read(stmt: "PolyStatement") -> List[List[Constraint]]:
     return out
 
 
+def _membership_offsets(
+    relation: "BasicMap", row: AffineExpr, size: int, tile_dim: str
+) -> Optional[Tuple[int, int]]:
+    """``(lo, hi)`` of the relation's tile membership of ``row``: the
+    rows ``row - size*o - lo >= 0`` and ``size*o + hi - row >= 0`` that
+    put the row's values ``size*o + lo .. size*o + hi`` into tile ``o``
+    (the tightest of each when several match); ``None`` when either is
+    missing -- also when normalisation divided them by a factor the row
+    and size share, which the scheduler's coprime rows never have."""
+    lower = dict(row.coeffs)
+    lower[tile_dim] = -size
+    upper = {name: -coeff for name, coeff in lower.items()}
+    lo = hi = None
+    for c in relation.constraints:
+        if c.is_equality:
+            continue
+        if c.expr.coeffs == lower:
+            cut = row.const - c.expr.const
+            lo = cut if lo is None else max(lo, cut)
+        elif c.expr.coeffs == upper:
+            cut = c.expr.const + row.const
+            hi = cut if hi is None else min(hi, cut)
+    return None if lo is None or hi is None else (lo, hi)
+
+
+def _check_grid_coverage(gi: int, group: "TiledGroup") -> None:
+    """Every live-out instance lies in a tile of the grid, and tile ``o``
+    holds the same values of a band row in every statement of the band.
+
+    Tile ``o`` of a band row holds the row's values ``size*o + lo ..
+    size*o + hi`` (read off each instance relation), so tiles ``0 ..
+    count-1`` cover ``[lo, size*(count-1) + hi]`` -- ``[lo, lo +
+    count*size - 1]`` as the tiler counts them -- when ``hi - lo >= size
+    - 1``.  A band's rows are aligned across its statements, so ``(lo,
+    hi)`` must be one pair per row: a statement counted from another
+    origin runs its instances in other tiles than the schedule orders.
+    The row's range over the statement's box is closed form
+    (:meth:`~repro.ir.lower.PolyStatement.box_bounds`); an instance
+    outside the grid is never executed, which no access bound shows.
+    """
+    by_id = {s.stmt_id: s for s in group.statements}
+    grid: Dict[int, Tuple[str, Tuple[int, int]]] = {}
+    for sid, rows in group.band_rows.items():
+        stmt = by_id[sid]
+        if stmt.instance_count() == 0:
+            continue
+        relation = group.instance_relations[sid]
+        for k, (row, size, o, count) in enumerate(
+            zip(rows, group.tile_sizes, group.tile_dims, group.tile_counts)
+        ):
+            span = stmt.box_bounds(row)
+            offsets = _membership_offsets(relation, row, size, o)
+            if span is None or offsets is None or offsets[1] - offsets[0] < size - 1:
+                _fail(
+                    f"group {gi}, {sid}: tile dim {o!r} does not partition "
+                    f"band row {row!r} into tiles of {size}"
+                )
+            first, want = grid.setdefault(k, (sid, offsets))
+            if offsets != want:
+                _fail(
+                    f"group {gi}: tile dim {o!r} holds band row values "
+                    f"{offsets} + {size}*{o} in {sid} but {want} + {size}*{o} "
+                    f"in {first}: the grid is not aligned across the band"
+                )
+            lo, top = offsets[0], size * (count - 1) + offsets[1]
+            if span[0] < lo or span[1] > top:
+                _fail(
+                    f"group {gi}, {sid}: band row {row!r} ranges over "
+                    f"[{span[0]}, {span[1]}], outside the tile grid "
+                    f"[{lo}, {top}]: instances no tile executes"
+                )
+
+
 def check_bounds(result: "CompileResult") -> None:
-    """Prove every array access lies within its tensor's extents.
+    """Prove every live-out instance lies in a tile of its group's grid
+    and every array access lies within its tensor's extents.
 
     Raises :class:`~repro.core.errors.VerificationError` on the first
-    access that can leave its tensor (or that the relation fails to
-    bound at all — an unbounded projection is equally a rejection).
+    instance no tile executes, or access that can leave its tensor (or
+    that the relation fails to bound at all — an unbounded projection is
+    equally a rejection).
     """
     sym_dims = getattr(result.kernel, "sym_dims", {})
     for gi, group in enumerate(result.groups):
+        _check_grid_coverage(gi, group)
         grid: List[Constraint] = []
         for d, count in zip(group.tile_dims, group.tile_counts):
             v = AffineExpr.variable(d)

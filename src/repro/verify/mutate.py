@@ -3,9 +3,10 @@
 A checker that accepts everything is worse than no checker.  This module
 seeds the canonical miscompilations — a dropped sync, a chunked group's
 K-chunk loop left without its exit sync, a swapped statement/band order,
-an off-by-one tile box, a fused producer recomputed for the wrong tile,
-an aliased arena slot — into an otherwise-correct
-:class:`~repro.core.compiler.CompileResult` (or
+an off-by-one tile box, a tile grid one tile short, a statement tiled
+from another origin than its band, a fused producer
+recomputed for the wrong tile, an aliased arena slot — into an
+otherwise-correct :class:`~repro.core.compiler.CompileResult` (or
 :class:`~repro.graph.plan.NetworkPlan`) and hands the mutants back
 so tests and the repo benchmark can demand a 100% kill rate from
 :func:`repro.verify.verify_result`.
@@ -31,6 +32,7 @@ from repro.core.errors import VerificationError
 from repro.hw.isa import walk
 from repro.poly.affine import AffineExpr, Constraint
 from repro.poly.maps import BasicMap
+from repro.tiling.reverse import liveout_instance_relation
 from repro.verify.syncs import check_program_sync
 
 if TYPE_CHECKING:
@@ -43,6 +45,8 @@ __all__ = [
     "drop_chunk_exit_sync",
     "swap_stmts",
     "tile_off_by_one",
+    "drop_last_tile",
+    "misalign_grid",
     "shift_fused_producer",
     "alias_arena",
     "seeded_mutations",
@@ -146,6 +150,47 @@ def tile_off_by_one(result: "CompileResult") -> Optional["CompileResult"]:
     return None
 
 
+def drop_last_tile(result: "CompileResult") -> Optional["CompileResult"]:
+    """Count one tile fewer along a tile dim of at least two tiles.
+
+    The last tile's instances are then never executed, while every
+    access of the tiles left stays in bounds -- what a tile count taken
+    from the wrong extent (or a grid counted from the wrong origin) would
+    emit.  ``None`` when no group has a tile dim of two tiles or more.
+    """
+    mutant = copy.deepcopy(result)
+    for group in mutant.groups:
+        for k, count in enumerate(group.tile_counts):
+            if count >= 2:
+                group.tile_counts[k] -= 1
+                return mutant
+    return None
+
+
+def misalign_grid(result: "CompileResult") -> Optional["CompileResult"]:
+    """Count one live-out statement's tiles along the first tile dim from
+    one past its band's origin.
+
+    That statement then runs each band row value in another tile than
+    the band's other statements do -- what a tiler counting every
+    statement from its own minimum would emit when their minima differ.
+    ``None`` when no group tiles two live-out statements.
+    """
+    mutant = copy.deepcopy(result)
+    for group in mutant.groups:
+        if len(group.band_rows) < 2 or not group.tile_dims:
+            continue
+        sid, rows = list(group.band_rows.items())[-1]
+        stmt = next(s for s in group.statements if s.stmt_id == sid)
+        origins = list(group.origins)
+        origins[0] += 1
+        group.instance_relations[sid] = liveout_instance_relation(
+            stmt, rows, group.tile_sizes, group.tile_dims, origins
+        )
+        return mutant
+    return None
+
+
 def shift_fused_producer(result: "CompileResult") -> Optional["CompileResult"]:
     """Shift a fused producer's instance relation by one tile.
 
@@ -198,6 +243,8 @@ KERNEL_MUTATIONS: List[
     ("drop_chunk_exit_sync", drop_chunk_exit_sync),
     ("swap_stmts", swap_stmts),
     ("tile_off_by_one", tile_off_by_one),
+    ("drop_last_tile", drop_last_tile),
+    ("misalign_grid", misalign_grid),
     ("shift_fused_producer", shift_fused_producer),
 ]
 

@@ -155,7 +155,12 @@ CALLS = {
 # reset empties (interned names, per-kernel lowering state), and its count
 # depends on what ran before it.  conv2d_16x32 and subgraph5 are rows of
 # the benchmark's compile_sched workload, softmax_32x64 and subgraph2 of
-# its compile_tile workload.  3275 / 6107 / 20464 / 18510 while every
+# its compile_tile workload.  1936 / 4511 / 17007 / 16364 while the
+# scheduler built every statement's domain set for the tree's root (a
+# build without a fused producer now builds none) and counted tiles over
+# one statement's rows; subgraph5 rises by the range of every live-out
+# statement's band rows, read once per band: a band is tiled from one
+# origin per row, its least value over all of the band's statements.  3275 / 6107 / 20464 / 18510 while every
 # live-out statement's per-tile extents and footprints were solved by
 # Fourier-Motzkin rather than read off its tile window; 9535 / 9112 /
 # 28466 / 26729 while separable
@@ -164,21 +169,23 @@ CALLS = {
 # re-solved their fold's feasibility, dependences sharing a problem each
 # asked its distance bounds, and band row extents were ILPs.
 BUILD_CALLS = {
-    "conv2d_16x32": 1936,
-    "softmax_32x64": 4511,
-    "subgraph2": 17007,
-    "subgraph5": 16364,
+    "conv2d_16x32": 1448,
+    "softmax_32x64": 4383,
+    "subgraph2": 13318,
+    "subgraph5": 16379,
 }
 
 # name -> Python-level calls of a warm build(), one disk-cache hit: the
 # graph walk behind the key, one read and one unpickle (the rows of the
-# benchmark's cache_warm workload).
+# benchmark's cache_warm workload).  389 / 197 / 310 / 1816 / 1031 while
+# entries pickled the live-out relations and the tree root's domain sets
+# (each constraint unpickled is a ``Constraint.__setstate__`` call).
 WARM_CALLS = {
-    "conv2d_16x32": 389,
-    "matmul_256": 197,
-    "softmax_32x64": 310,
-    "subgraph2": 1816,
-    "subgraph5": 1031,
+    "conv2d_16x32": 311,
+    "matmul_256": 159,
+    "softmax_32x64": 236,
+    "subgraph2": 1142,
+    "subgraph5": 733,
 }
 
 # (baseline, golden row) -> (dump sha256[:16], cycles)

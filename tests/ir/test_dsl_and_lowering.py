@@ -244,7 +244,7 @@ class TestBoxBounds:
         from collections import Counter
 
         from repro.codegen.ast import _AstGenerator
-        from repro.fusion.posttile import _row_extent
+        from repro.fusion.posttile import band_row_spans
         from repro.poly.affine import AffineExpr, var
         from repro.sched.deps import _access_box
 
@@ -270,7 +270,7 @@ class TestBoxBounds:
                 for row in rows:
                     lo, hi = want = self._ilp_bounds(stmt, row)
                     assert stmt.box_bounds(row) == want, (stmt, row)
-                    assert _row_extent(row, stmt) == hi - lo + 1
+                    assert band_row_spans({stmt.stmt_id: [row]}, {stmt.stmt_id: stmt}) == [want]
                     seen["skewed"] += len(row.coeffs) > 1
                     seen["negative"] += any(c < 0 for c in row.coeffs.values())
                     seen["scaled"] += any(abs(c) > 1 for c in row.coeffs.values())
@@ -281,7 +281,7 @@ class TestBoxBounds:
 
         from repro.codegen.ast import _AstGenerator
         from repro.core.errors import FusionError
-        from repro.fusion.posttile import _row_extent
+        from repro.fusion.posttile import band_row_spans
         from repro.poly.affine import var
         from repro.poly.ilp import IlpStatus
 
@@ -292,7 +292,7 @@ class TestBoxBounds:
         assert stmt.box_bounds(row) is None
         assert self._ilp_bounds(stmt, row) == (IlpStatus.UNBOUNDED,) * 2
         with pytest.raises(FusionError):
-            _row_extent(row, stmt)
+            band_row_spans({stmt.stmt_id: [row]}, {stmt.stmt_id: stmt})
         empty = copy.copy(stmt)
         empty.__dict__.pop("_domain", None)
         empty.iter_extents = [0] + stmt.iter_extents[1:]
@@ -300,4 +300,4 @@ class TestBoxBounds:
         assert self._ilp_bounds(empty, var(inside)) == (IlpStatus.INFEASIBLE,) * 2
         assert _AstGenerator._dim_bounds(empty, var(inside)) == (0, 0)
         with pytest.raises(FusionError):
-            _row_extent(var(inside), empty)
+            band_row_spans({empty.stmt_id: [var(inside)]}, {empty.stmt_id: empty})

@@ -78,7 +78,7 @@ def schedule_vectors(
         for child in node.children:
             collect(child, set(active), dict(prefix_map))
 
-    all_ids = set(tree.domains.keys())
+    all_ids = set(tree.dims)
     collect(tree, all_ids, {sid: [] for sid in all_ids})
     return vectors
 

@@ -192,7 +192,7 @@ class TestScheduler:
             ),
         )
         tree = DomainNode(
-            {s.stmt_id: s.domain() for s in kernel.statements},
+            {s.stmt_id: s.iter_names for s in kernel.statements},
             SequenceNode([mk(s1), mk(s0)]),
         )
         assert check_legality(tree, deps)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.poly.affine import var
-from repro.poly.sets import BasicSet, Space
+from repro.poly.sets import Space
 from repro.sched.tree import (
     BandNode,
     DomainNode,
@@ -23,13 +23,7 @@ def small_tree():
     band_a = BandNode({"S0": [var("i")]}, LeafNode())
     band_b = BandNode({"S1": [var("j")]}, LeafNode())
     seq = SequenceNode([FilterNode(["S0"], band_a), FilterNode(["S1"], band_b)])
-    dom = DomainNode(
-        {
-            "S0": BasicSet.from_bounds(Space("S0", ["i"]), {"i": (0, 7)}),
-            "S1": BasicSet.from_bounds(Space("S1", ["j"]), {"j": (0, 3)}),
-        },
-        seq,
-    )
+    dom = DomainNode({"S0": ["i"], "S1": ["j"]}, seq)
     return dom, band_a, band_b, seq
 
 
@@ -107,10 +101,7 @@ class TestClone:
             coincident=[True, False],
             tile_sizes=[8, 4],
         )
-        dom = DomainNode(
-            {"S0": BasicSet.from_bounds(Space("S0", ["i", "j"]), {"i": (0, 7), "j": (0, 7)})},
-            FilterNode(["S0"], band),
-        )
+        dom = DomainNode({"S0": ["i", "j"]}, FilterNode(["S0"], band))
         copy = clone_tree(dom)
         band_c = copy.find_all(BandNode)[0]
         assert band_c.permutable
@@ -124,9 +115,6 @@ class TestClone:
             {"S9": BasicMap(Space("T", ["o0"]), Space("S9", ["i"]), [])},
             LeafNode(),
         )
-        dom = DomainNode(
-            {"S0": BasicSet.from_bounds(Space("S0", ["i"]), {"i": (0, 1)})},
-            FilterNode(["S0"], ext),
-        )
+        dom = DomainNode({"S0": ["i"]}, FilterNode(["S0"], ext))
         copy = clone_tree(dom)
         assert copy.find_all(ExtensionNode)
