@@ -22,6 +22,52 @@ Two traps: pytest-benchmark pauses tracing while it times, so run
 ``benchmarks/`` with ``--benchmark-disable``; ``bench/run.py`` replaces
 ``PYTHONPATH``, so start ``python -m akgbench.worker`` directly (with
 ``bench`` on the path).  Tracing costs ~3x: tier-1 takes ~6 minutes.
+
+The full sweep, from the repo root (``S`` a scratch directory, ``OUT``
+an empty one; the daemon's client and ``--stats``/``--shutdown`` run
+while the daemon's own trace is still recording)::
+
+    R="python scripts/reachability.py run OUT"
+    export REPRO_CACHE_DIR=$S/cache
+    $R --label tests -- python -m pytest -x -q -p no:cacheprovider
+    for w in compile_sched compile_tile cache_warm exec_replay serve_mix; do
+      PYTHONPATH=bench $R --label bench -- python -m akgbench.worker \
+        --workload $w --seed 0 --seconds 3 --scratch $S --result $S/$w.json
+    done
+    for w in compile_sched compile_tile; do
+      PYTHONPATH=bench $R --label bench -- python -m akgbench.worker \
+        --workload $w --seed 0 --seconds 3 --scratch $S --result $S/$w.json \
+        --trace 1 --trace-file $S/trace_$w.json
+    done
+    A="$R --label akgc -- python -m repro.tools.akgc"
+    $A relu --shape 64,128 --perf --no-disk-cache
+    $A add --shape 64,128 --dump-tree --dump-program --dump-cce --no-disk-cache
+    $A softmax --shape 32,64 --compare --no-disk-cache
+    $A matmul --shape 32,32,32 --verify --no-disk-cache
+    $A conv2d --shape 1,16,32,32 --no-disk-cache
+    $A --network alexnet_tiny --no-disk-cache
+    $A --network mobilenetv2_tiny --no-disk-cache
+    $A --network bert21128 --verify --no-disk-cache
+    $A relu --shape 64,128 --cache-dir $S/akgc
+    $A relu --shape 64,128 --cache-dir $S/akgc --cache-stats
+    $R --label akgd -- python -m repro.tools.akgd --port 0 \
+        --workers 2 --ready-file $S/ready &
+    until [ -s $S/ready ]; do sleep 0.1; done
+    PORT=$(cut -d' ' -f2 $S/ready)
+    $R --label akgd -- python -c "
+    from repro.service.client import ServiceClient
+    with ServiceClient(port=$PORT, timeout=300.0) as c:
+        for op, shape in [('relu', [32, 48]), ('relu', [32, 48]),
+                          ('matmul', [16, 16, 16]), ('add', [24, 24]),
+                          ('softmax', [16, 32]), ('conv2d', [1, 16, 16, 16])]:
+            assert c.compile(op, shape)['ok']"
+    $R --label akgd -- python -m repro.tools.akgd --port $PORT --stats
+    $R --label akgd -- python -m repro.tools.akgd --port $PORT --shutdown
+    wait
+    for e in examples/*.py; do $R --label examples -- python $e; done
+    $R --label benchmarks -- python -m pytest benchmarks -q \
+        -p no:cacheprovider --benchmark-disable
+    python scripts/reachability.py report OUT
 """
 
 from __future__ import annotations
@@ -46,8 +92,11 @@ _keys, _edges = {}, set()
 
 
 def _key(code):
+    # Keyed by where the code was defined: code objects compare equal
+    # across files when name, first line and bytecode match.
+    site = (code.co_filename, code.co_firstlineno, code.co_name)
     try:
-        return _keys[code]
+        return _keys[site]
     except KeyError:
         name = code.co_filename
         if name.startswith(_SRC):
@@ -58,7 +107,7 @@ def _key(code):
             key = "ROOT:" + name[len(_ROOT):].split("/")[0]
         else:
             key = None
-        _keys[code] = key
+        _keys[site] = key
         return key
 
 

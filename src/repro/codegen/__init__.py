@@ -1,7 +1,7 @@
 """Code generation: schedule trees -> CCE-like programs (Sec. 5).
 
-- :mod:`repro.codegen.vectorize`    -- SIMD intrinsic selection: op counts,
-  alignment analysis, full/partial tile isolation (Sec. 5.1).
+- :mod:`repro.codegen.vectorize`    -- SIMD intrinsic selection: op counts
+  and alignment analysis (Sec. 5.1).
 - :mod:`repro.codegen.sync`         -- DAE synchronisation insertion and the
   dynamic-programming flag grouping (Sec. 5.2).
 - :mod:`repro.codegen.program`      -- lowering tiled groups to the virtual
@@ -13,7 +13,7 @@
 - :mod:`repro.codegen.cce`          -- textual CCE-code emission.
 """
 
-from repro.codegen.program import CodegenOptions, ProgramBuilder
+from repro.codegen.program import ProgramBuilder
 from repro.codegen.program_exec import execute_program
 
-__all__ = ["CodegenOptions", "ProgramBuilder", "execute_program"]
+__all__ = ["ProgramBuilder", "execute_program"]

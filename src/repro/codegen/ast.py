@@ -30,7 +30,6 @@ from repro.sched.tree import (
     MarkNode,
     ScheduleNode,
     SequenceNode,
-    SetNode,
 )
 
 
@@ -67,7 +66,7 @@ class _AstGenerator:
             if not active:
                 return None
             return self.visit(node.child, active)
-        if isinstance(node, (SequenceNode, SetNode)):
+        if isinstance(node, SequenceNode):
             parts = [self.visit(c, set(active)) for c in node.children]
             parts = [p for p in parts if p is not None]
             if not parts:

@@ -53,32 +53,22 @@ from repro.storage.promote import StoragePlan
 CHUNK_LOOP_LABEL = "k chunks"
 
 
-class CodegenOptions:
-    """Code-generation knobs (also the ablation switches of DESIGN.md)."""
+class ProgramBuilder:
+    """Builds a :class:`Program` from tiled groups and storage plans, under
+    a sync policy (:mod:`repro.codegen.sync`), with or without double
+    buffering (Sec. 5.2) and the replay trace ``execute`` needs."""
 
     def __init__(
         self,
+        hw: Optional[HardwareSpec] = None,
         sync_policy: str = "dp",
         double_buffer: bool = True,
-        vectorize: bool = True,
-        isolate_full_tiles: bool = True,
         emit_trace: bool = False,
     ):
+        self.hw = hw or HardwareSpec()
         self.sync_policy = sync_policy
         self.double_buffer = double_buffer
-        self.vectorize = vectorize
-        self.isolate_full_tiles = isolate_full_tiles
         self.emit_trace = emit_trace
-
-
-class ProgramBuilder:
-    """Builds a :class:`Program` from tiled groups and storage plans."""
-
-    def __init__(
-        self, hw: Optional[HardwareSpec] = None, options: Optional[CodegenOptions] = None
-    ):
-        self.hw = hw or HardwareSpec()
-        self.options = options or CodegenOptions()
 
     # -- public entry ------------------------------------------------------------
 
@@ -112,7 +102,7 @@ class ProgramBuilder:
             instrs.extend(group_instrs)
             metadata["groups"].append(info)
         trace = None
-        if self.options.emit_trace:
+        if self.emit_trace:
             trace = {"kernel": kernel, "groups": list(groups)}
         return Program(kernel.name, instrs, trace=trace, metadata=metadata)
 
@@ -127,7 +117,7 @@ class ProgramBuilder:
     ) -> Tuple[List[Instr], Dict[str, object]]:
         pre, chunked, post = self._tile_stages(group, plan, assignment)
         stages = pre + chunked + post
-        policy = self.options.sync_policy
+        policy = self.sync_policy
         chain = stages
         if plan.reduce_chunks > 1 and chunked:
             # Hierarchical reduction: the contraction streams K in chunks
@@ -150,7 +140,7 @@ class ProgramBuilder:
 
         instrs: List[Instr] = []
         n_tiles = group.total_tiles
-        depth = 2 if self.options.double_buffer else 1
+        depth = 2 if self.double_buffer else 1
         in_pipe = stages[0].pipe if stages else Pipe.MTE2
         comp_pipe = self._last_compute_pipe(stages)
         out_stages = [s for s in stages if s.pipe is Pipe.MTE3]
@@ -259,7 +249,7 @@ class ProgramBuilder:
                 # The L0C drain happens once, after the last chunk.
                 chunked.extend(cube[:-1])
                 stages.append(cube[-1])
-            elif unit == "vector" and self.options.vectorize:
+            elif unit == "vector":
                 stages.append(self._vector_stage(group, stmt))
             else:
                 stages.append(self._scalar_stage(group, stmt))

@@ -6,9 +6,7 @@ loop; this module decides how each statement maps onto SIMD intrinsics:
 - :func:`arithmetic_op_count`  -- one intrinsic per arithmetic node of the
   statement body (the CCE vector ISA executes one op per instruction);
 - :func:`is_access_aligned`    -- whether the innermost run satisfies the
-  32-byte UB block alignment (unaligned loads pay a penalty);
-- :func:`full_tile_fraction`   -- the share of full tiles when isolating
-  full from partial tiles.
+  32-byte UB block alignment (unaligned loads pay a penalty).
 """
 
 from __future__ import annotations
@@ -65,24 +63,3 @@ def is_access_aligned(
     """True when the innermost run is a multiple of the UB block size."""
     run = innermost_run_elems(stmt, extents)
     return (run * dtype_bytes) % UB_BLOCK_BYTES == 0
-
-
-def full_tile_fraction(
-    extents: Sequence[int], tile_sizes: Sequence[int]
-) -> float:
-    """Fraction of tiles that are full when isolating full/partial tiles.
-
-    ``extents`` are the band-row extents, ``tile_sizes`` the chosen sizes.
-    Partial tiles appear on each dimension whose extent is not divisible.
-    """
-    full = 1.0
-    total = 1.0
-    for extent, size in zip(extents, tile_sizes):
-        size = min(size, extent)
-        n_tiles = -(-extent // size)
-        n_full = extent // size
-        total *= n_tiles
-        full *= n_full
-    if total == 0:
-        return 1.0
-    return full / total

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.codegen.program import CodegenOptions, ProgramBuilder
+from repro.codegen.program import ProgramBuilder
 from repro.codegen.program_exec import execute_program
 from repro.core import resilience
 from repro.core.context import COUNTERS, LOCK, stage
@@ -45,7 +45,6 @@ from repro.ir.lower import LoweredKernel
 from repro.ir.tensor import Tensor
 from repro.sched.clustering import Clustering
 from repro.sched.deps import Dependence, compute_dependences
-from repro.sched.scheduler import SchedulerOptions
 from repro.sched.tree import DomainNode
 from repro.storage.promote import StoragePlan
 from repro.tiling import policy
@@ -60,14 +59,11 @@ class AkgOptions:
         self,
         tile_policy: Optional[TilingPolicy | str] = None,
         tile_sizes: Optional[Sequence[int]] = None,
-        auto_tiling: bool = True,
         sync_policy: str = "dp",
         double_buffer: bool = True,
-        vectorize: bool = True,
         post_tiling_fusion: bool = True,
         emit_trace: bool = False,
         verify: bool = False,
-        scheduler: Optional[SchedulerOptions] = None,
         tile_shrink: int = 0,
         budget: Optional[StageBudget] = None,
     ):
@@ -75,10 +71,8 @@ class AkgOptions:
             tile_policy = parse_tiling_policy(tile_policy)
         self.tile_policy = tile_policy
         self.tile_sizes = list(tile_sizes) if tile_sizes else None
-        self.auto_tiling = auto_tiling
         self.sync_policy = sync_policy
         self.double_buffer = double_buffer
-        self.vectorize = vectorize
         self.post_tiling_fusion = post_tiling_fusion
         self.emit_trace = emit_trace
         # Run the independent static verifier (:mod:`repro.verify`) over
@@ -86,7 +80,6 @@ class AkgOptions:
         # the result is never cached.  Excluded from cache fingerprints:
         # verification never changes what a compile produces.
         self.verify = verify
-        self.scheduler = scheduler or SchedulerOptions()
         # Extra halvings applied after tile selection; used to model
         # unoptimised hand code that picks shape-oblivious small tiles.
         self.tile_shrink = tile_shrink
@@ -224,7 +217,7 @@ def build(
 
     options = options or AkgOptions()
     with resilience.collect() as report:
-        cache_key = _frontend_cache_key(outputs, name, hw, options.scheduler)
+        cache_key = _frontend_cache_key(outputs, name, hw)
         frontend_digest, symbolic = cache_key
         key = _program_cache_key(frontend_digest, options)
         with stage("backend.cache_probe"):
@@ -245,7 +238,6 @@ def build(
             outputs,
             name,
             hw=hw,
-            scheduler_options=options.scheduler,
             budget=options.budget,
             cache_key=cache_key,
         )
@@ -337,9 +329,8 @@ def backend_build(
 
     Reuses every tile-size-independent artefact from ``frontend`` (the
     schedule tree is cloned per attempt, so the front-end stays pristine
-    and can serve any number of backend builds).  ``options.scheduler`` is
-    ignored here — the schedule was fixed when the front-end ran.  The
-    emitted program passes the sync check or raises
+    and can serve any number of backend builds).  The emitted program
+    passes the sync check or raises
     :class:`~repro.core.errors.VerificationError` at stage ``verify.sync``.
     """
     options = options or AkgOptions()
@@ -461,13 +452,7 @@ def fit(
 def _emit(kernel, candidate: Fit, hw, options: AkgOptions, emit_trace: bool) -> Program:
     """Instruction emission for one fitted candidate."""
     builder = ProgramBuilder(
-        hw,
-        CodegenOptions(
-            sync_policy=options.sync_policy,
-            double_buffer=options.double_buffer,
-            vectorize=options.vectorize,
-            emit_trace=emit_trace,
-        ),
+        hw, options.sync_policy, options.double_buffer, emit_trace
     )
     return builder.build(
         kernel, candidate.fusion.groups, candidate.plans, candidate.assignments

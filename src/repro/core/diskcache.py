@@ -101,7 +101,6 @@ __all__ = [
     "hw_fingerprint",
     "default_hw_fingerprint",
     "options_fingerprint",
-    "scheduler_fingerprint",
     "signature_fingerprint",
     "enabled",
     "get_cache",
@@ -122,7 +121,9 @@ __all__ = [
 #: it: tiled groups their live-out band rows (the fused producers'
 #: relations stay), dependences their access pair and level, the schedule
 #: tree's root each statement's dims.
-CACHE_FORMAT_VERSION = 5
+#: v6: a ``FrontEnd`` holds no scheduler options and no key a ``sched(...)``
+#: term (the scheduler has one setting).
+CACHE_FORMAT_VERSION = 6
 
 #: Entry header: magic, then the sha256 of the pickled payload.
 _MAGIC = b"RAKG\x02"
@@ -608,15 +609,6 @@ def default_hw_fingerprint() -> str:
     return hw_fingerprint(HardwareSpec())
 
 
-def scheduler_fingerprint(scheduler_options) -> str:
-    """Fingerprint of :class:`~repro.sched.scheduler.SchedulerOptions`."""
-    items = ",".join(
-        f"{name}={_stable_value(value)}"
-        for name, value in sorted(vars(scheduler_options).items())
-    )
-    return f"sched({items})"
-
-
 def signature_fingerprint(signature) -> str:
     """Stable rendering of a subgraph structural signature.
 
@@ -632,8 +624,7 @@ def signature_fingerprint(signature) -> str:
 def options_fingerprint(options) -> str:
     """Fingerprint of the backend-relevant fields of ``AkgOptions``.
 
-    ``scheduler`` is fingerprinted separately (it belongs to the
-    front-end key); ``emit_trace`` *is* included because it changes the
+    ``emit_trace`` *is* included because it changes the
     generated program.  ``budget`` is excluded: resource limits bound
     *how long* compilation may take, never what a successful first-choice
     compilation produces (degraded results are not cached at all).
@@ -643,7 +634,7 @@ def options_fingerprint(options) -> str:
     """
     fields = {}
     for name, value in sorted(vars(options).items()):
-        if name in ("scheduler", "budget", "verify"):
+        if name in ("budget", "verify"):
             continue
         if name == "tile_policy" and value is not None:
             value = value.render()

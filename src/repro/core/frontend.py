@@ -32,7 +32,7 @@ from repro.hw.spec import HardwareSpec
 from repro.ir.lower import LoweredKernel, PolyStatement, lower
 from repro.sched.clustering import Clustering, conservative_clustering
 from repro.sched.deps import Dependence, compute_dependences
-from repro.sched.scheduler import PolyScheduler, SchedulerOptions
+from repro.sched.scheduler import PolyScheduler
 from repro.sched.tree import BandNode, DomainNode, FilterNode, clone_tree
 from repro.tiling.invariants import SizeInvariants
 
@@ -61,7 +61,6 @@ class FrontEnd:
         self,
         name: str,
         hw: HardwareSpec,
-        scheduler_options: SchedulerOptions,
         kernel: LoweredKernel,
         deps: List[Dependence],
         clustering: Clustering,
@@ -69,7 +68,6 @@ class FrontEnd:
     ):
         self.name = name
         self.hw = hw
-        self.scheduler_options = scheduler_options
         self.kernel = kernel
         self.deps = deps
         self.clustering = clustering
@@ -80,8 +78,8 @@ class FrontEnd:
         self.band_rows = _liveout_band_rows(master_tree, liveout)
         self.extents = list(liveout[-1].iter_extents[: self.band_rows])
         self._split: Optional[Tuple[Clustering, DomainNode]] = None
-        # Content digest of (IR, name, hw, scheduler options) when the
-        # kernel could be fingerprinted; backend products key off it.
+        # Content digest of (IR, name, hw) when the kernel could be
+        # fingerprinted; backend products key off it.
         self.cache_key: Optional[str] = None
 
     @property
@@ -109,7 +107,7 @@ class FrontEnd:
 
             split_clustering = merge_uniform_clusters(self.clustering)
             with stage("frontend.split_schedule"):
-                split_master = PolyScheduler(self.scheduler_options).schedule_kernel(
+                split_master = PolyScheduler().schedule_kernel(
                     self.kernel, self.deps, split_clustering
                 )
             self._split = (split_clustering, split_master)
@@ -147,7 +145,6 @@ def run_frontend(
     outputs,
     name: str = "kernel",
     hw: Optional[HardwareSpec] = None,
-    scheduler_options: Optional[SchedulerOptions] = None,
     budget: Optional[StageBudget] = None,
     cache_key: Optional[Tuple[Optional[str], bool]] = None,
 ) -> FrontEnd:
@@ -164,7 +161,7 @@ def run_frontend(
 
     The result is memoized in the persistent disk cache
     (:mod:`repro.core.diskcache`) under a content digest of the IR, the
-    hardware spec and the scheduler options: a warm process unpickles the
+    name and the hardware spec: a warm process unpickles the
     finished front-end instead of re-running lowering, dependence
     analysis and ILP scheduling.  Kernels that cannot be fingerprinted —
     or whose schedule came from a fallback rung — compile normally and
@@ -177,10 +174,7 @@ def run_frontend(
     """
     from repro.core import diskcache
 
-    scheduler_options = scheduler_options or SchedulerOptions()
-    key, symbolic = cache_key or _frontend_cache_key(
-        outputs, name, hw, scheduler_options
-    )
+    key, symbolic = cache_key or _frontend_cache_key(outputs, name, hw)
     with stage("frontend.cache_probe"):
         cached = diskcache.load(key)
     if key is not None and symbolic:
@@ -203,14 +197,10 @@ def run_frontend(
         with stage("frontend.cluster", budget):
             clustering = conservative_clustering(kernel, deps)
         with stage("frontend.schedule", budget):
-            master_tree = _schedule_with_ladder(
-                kernel, deps, clustering, scheduler_options
-            )
+            master_tree = _schedule_with_ladder(kernel, deps, clustering)
         degraded = report.degraded_since(events_before)
 
-    frontend = FrontEnd(
-        name, hw, scheduler_options, kernel, deps, clustering, master_tree
-    )
+    frontend = FrontEnd(name, hw, kernel, deps, clustering, master_tree)
     frontend.cache_key = key
     if not degraded:
         diskcache.store(key, frontend)
@@ -253,7 +243,6 @@ def _schedule_with_ladder(
     kernel: LoweredKernel,
     deps: List[Dependence],
     clustering: Clustering,
-    scheduler_options: SchedulerOptions,
 ) -> DomainNode:
     """The scheduling rungs: Pluto → identity-only → textual order.
 
@@ -261,31 +250,21 @@ def _schedule_with_ladder(
     the exact legality checks; the last rung is the Fig. 3(b) textual
     order, which needs no solver and is legal by construction.
     """
-    no_skew = SchedulerOptions(
-        enable_skewing=False,
-        max_coefficient=scheduler_options.max_coefficient,
-        identity_fast_path=True,
-    )
     return resilience.with_fallback(
         "frontend.schedule",
-        (
-            "pluto",
-            lambda: PolyScheduler(scheduler_options).schedule_kernel(
-                kernel, deps, clustering
-            ),
-        ),
+        ("pluto", lambda: PolyScheduler().schedule_kernel(kernel, deps, clustering)),
         (
             "identity-only",
-            lambda: PolyScheduler(no_skew).schedule_kernel(
+            lambda: PolyScheduler(skew=False).schedule_kernel(
                 kernel, deps, clustering
             ),
         ),
-        ("sequence-order", lambda: PolyScheduler(no_skew).initial_tree(kernel)),
+        ("sequence-order", lambda: PolyScheduler().initial_tree(kernel)),
     )
 
 
 def _frontend_cache_key(
-    outputs, name: str, hw: Optional[HardwareSpec], scheduler_options: SchedulerOptions
+    outputs, name: str, hw: Optional[HardwareSpec]
 ) -> Tuple[Optional[str], bool]:
     """``(digest, symbolic)`` of a front-end run, from one graph walk:
     the digest is ``None`` for an uncacheable kernel (or a disabled
@@ -298,10 +277,9 @@ def _frontend_cache_key(
     try:
         ir, symbolic = diskcache.graph_fingerprint(outputs)
         hw_fp = diskcache.hw_fingerprint(hw) if hw else diskcache.default_hw_fingerprint()
-        sched_fp = diskcache.scheduler_fingerprint(scheduler_options)
     except diskcache.FingerprintError:
         return None, False
-    return diskcache.digest("frontend", ir, name, hw_fp, sched_fp), symbolic
+    return diskcache.digest("frontend", ir, name, hw_fp), symbolic
 
 
 # -- live-out band geometry ------------------------------------------------------

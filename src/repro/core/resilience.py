@@ -86,10 +86,6 @@ class StageBudget:
             f"fm_constraints={self.fm_constraints})"
         )
 
-    def fingerprint(self) -> str:
-        """Stable rendering for the options fingerprint (cache keys)."""
-        return f"budget({self.stage_seconds},{self.solver_nodes},{self.fm_constraints})"
-
 
 def solver_node_budget(default: int) -> int:
     """Branch-and-bound node cap: the active budget's, else ``default``."""

@@ -280,17 +280,6 @@ class LoweredKernel:
         # False means replay only accepts the full (maximum) shapes.
         self.shape_generic: bool = False
 
-    @property
-    def intermediates(self) -> List[Tensor]:
-        """Computed tensors that are not kernel outputs."""
-        out_ids = {id(t) for t in self.outputs}
-        seen: List[Tensor] = []
-        for stmt in self.statements:
-            t = stmt.tensor
-            if id(t) not in out_ids and t not in seen:
-                seen.append(t)
-        return seen
-
     def __repr__(self) -> str:
         return f"LoweredKernel({self.name}, {len(self.statements)} stmts)"
 

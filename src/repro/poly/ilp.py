@@ -148,12 +148,6 @@ class IlpProblem:
         self._space = None
         self._presolved = {}
 
-    def add_constraints(self, constraints: Sequence[Constraint]) -> None:
-        """Append several constraints."""
-        self.constraints.extend(constraints)
-        self._space = None
-        self._presolved = {}
-
     # -- public solving interface -------------------------------------------
 
     def minimize(self, objective: AffineExpr, integer: bool = True) -> IlpResult:

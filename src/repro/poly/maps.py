@@ -54,20 +54,6 @@ class BasicMap:
 
     # -- algebra ----------------------------------------------------------------
 
-    def reverse(self) -> "BasicMap":
-        """Swap input and output."""
-        return BasicMap(self.out_space, self.in_space, list(self.constraints))
-
-    def domain(self) -> BasicSet:
-        """Projection of the relation onto the input dims."""
-        cons = project_onto(self.constraints, list(self.in_space.dims))
-        return BasicSet(self.in_space, cons)
-
-    def range(self) -> BasicSet:
-        """Projection of the relation onto the output dims."""
-        cons = project_onto(self.constraints, list(self.out_space.dims))
-        return BasicSet(self.out_space, cons)
-
     def compose(self, after: "BasicMap") -> "BasicMap":
         """Relation ``self ; after`` (apply ``self`` first, then ``after``)."""
         mid_rename = {d: fresh_name(d) for d in self.out_space.dims}
@@ -85,12 +71,6 @@ class BasicMap:
         dims = tuple(self.in_space.dims) + tuple(self.out_space.dims)
         name = f"{self.in_space.name}->{self.out_space.name}"
         return BasicSet(Space(name, dims), list(self.constraints))
-
-    def add_constraints(self, constraints: Sequence[Constraint]) -> "BasicMap":
-        """New map with extra constraints."""
-        return BasicMap(
-            self.in_space, self.out_space, list(self.constraints) + list(constraints)
-        )
 
     def __repr__(self) -> str:
         cons = " and ".join(repr(c) for c in self.constraints) or "true"

@@ -1,7 +1,7 @@
 """Scheduling layer: schedule trees, dependences and polyhedral schedulers.
 
 - :mod:`repro.sched.tree`       -- the schedule-tree IR (domain, band,
-  filter, sequence, set, mark, extension nodes) of Grosser et al. [20],
+  filter, sequence, mark, extension nodes) of Grosser et al. [20],
   extended with the AKG-specific semantics of Sec. 4.
 - :mod:`repro.sched.deps`       -- dependence analysis over access maps.
 - :mod:`repro.sched.scheduler`  -- Pluto-style ILP scheduler with a
@@ -18,7 +18,6 @@ from repro.sched.tree import (
     MarkNode,
     ScheduleNode,
     SequenceNode,
-    SetNode,
 )
 from repro.sched.deps import Dependence, compute_dependences
 from repro.sched.scheduler import PolyScheduler
@@ -29,7 +28,6 @@ __all__ = [
     "BandNode",
     "FilterNode",
     "SequenceNode",
-    "SetNode",
     "MarkNode",
     "ExtensionNode",
     "LeafNode",

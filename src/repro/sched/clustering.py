@@ -56,13 +56,6 @@ class Clustering:
         self.live_out = live_out  # indices into clusters
         self.edges = edges
 
-    def cluster_of(self, stmt_id: str) -> int:
-        """Index of the cluster containing ``stmt_id``."""
-        for i, cluster in enumerate(self.clusters):
-            if any(s.stmt_id == stmt_id for s in cluster):
-                return i
-        raise KeyError(stmt_id)
-
     @property
     def intermediate_indices(self) -> List[int]:
         """Cluster indices that are not live-out, in order."""

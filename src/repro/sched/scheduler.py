@@ -1,13 +1,19 @@
-"""Polyhedral scheduling: Pluto-style ILP with identity fast path.
+"""Polyhedral scheduling: identity rows, with Pluto-style ILP rows as the
+fallback.
 
 The scheduler computes, per fusion cluster, a band of aligned affine rows
 that weakly satisfies every cluster-internal dependence (the Pluto
 condition), maximising outer parallelism and keeping bands permutable for
-tiling.  The search runs row by row:
+tiling.  What a paper workload runs is clustering plus identity rows:
+``lower()`` writes every output through an identity map, so no network
+subgraph or Table 1 kernel needs a Pluto row; only test kernels (one
+beside its reversed ``mirrored`` copy, a shifted pair, a stencil) reach
+step 2.  The search runs row by row:
 
-1. *identity fast path* -- try the canonical per-dimension rows first
-   (DL operators almost always admit them); each candidate is verified
-   exactly against every dependence.  An identity row's delta is the
+1. *identity rows* -- try the canonical per-dimension rows first; each
+   candidate is verified exactly against every dependence, and one over
+   a dim a Pluto row of the band already weights is skipped (it would
+   repeat that row).  An identity row's delta is the
    dependence's distance at its position, so the check reads the bounds
    the dependence answers once (``Dependence.distance_bound``): in closed
    form for a separable access pair, posed to the ILP for a coupled one.
@@ -45,19 +51,8 @@ from repro.sched.tree import (
 )
 
 
-class SchedulerOptions:
-    """Tuning knobs (the paper's "fine-tuned combination of scheduling
-    options" that keeps compile time bounded)."""
-
-    def __init__(
-        self,
-        enable_skewing: bool = True,
-        max_coefficient: int = 3,
-        identity_fast_path: bool = True,
-    ):
-        self.enable_skewing = enable_skewing
-        self.max_coefficient = max_coefficient
-        self.identity_fast_path = identity_fast_path
+#: Pluto's coefficient bound: a row's coefficients lie in ``[0, 3]``.
+MAX_COEFFICIENT = 3
 
 
 class ClusterSchedule:
@@ -80,10 +75,11 @@ class ClusterSchedule:
 
 
 class PolyScheduler:
-    """Computes schedule trees for lowered kernels."""
+    """Computes schedule trees for lowered kernels; ``skew=False`` takes
+    identity rows only (no Pluto ILP), the ladder's middle rung."""
 
-    def __init__(self, options: Optional[SchedulerOptions] = None):
-        self.options = options or SchedulerOptions()
+    def __init__(self, skew: bool = True):
+        self.skew = skew
 
     # -- public API --------------------------------------------------------------
 
@@ -184,21 +180,32 @@ class PolyScheduler:
         rows: Dict[str, List[AffineExpr]] = {s.stmt_id: [] for s in cluster}
         coincident: List[bool] = []
         used_leading: Set[str] = set()
+        # Dims a Pluto row of this band weights: an identity row over one
+        # of them would repeat it.  Empty in a band of identity rows.
+        taken: Set[str] = set()
         permutable = True
 
         for pos in range(depth):
             resilience.check_deadline()
-            candidate = {
-                s.stmt_id: AffineExpr.variable(s.iter_names[pos]) for s in cluster
-            }
             row = None
-            identity = self.options.identity_fast_path and self._identity_holds(
-                deps, pos, False
-            )
+            identity = self._identity_holds(deps, pos, False)
+            if identity and taken:
+                for s in cluster:
+                    if s.iter_names[pos] in taken:
+                        identity = False
+                        break
             if identity:
-                row = candidate
-            elif self.options.enable_skewing:
+                row = {
+                    s.stmt_id: AffineExpr.variable(s.iter_names[pos])
+                    for s in cluster
+                }
+                used_leading.add(cluster[0].iter_names[pos])
+            elif self.skew:
                 row = self._pluto_row(cluster, deps, pos, used_leading)
+                if row is not None:
+                    for expr in row.values():
+                        taken.update(expr.coeffs)
+                    used_leading.update(taken)
             if row is None:
                 # Could not extend the band: stop here (callers fall back to
                 # the sequence order for whatever dimensions remain).
@@ -206,7 +213,6 @@ class PolyScheduler:
                 break
             for sid, expr in row.items():
                 rows[sid].append(expr)
-            used_leading.add(cluster[0].iter_names[pos])
             if identity:
                 coincident.append(self._identity_holds(deps, pos, True))
             else:
@@ -274,7 +280,7 @@ class PolyScheduler:
     ) -> Optional[Dict[str, AffineExpr]]:
         """Solve for one band row via Farkas-encoded legality constraints.
 
-        Coefficients are restricted to ``[0, max_coefficient]`` (standard
+        Coefficients are restricted to ``[0, MAX_COEFFICIENT]`` (standard
         Pluto restriction); linear independence from previous rows is
         enforced by requiring a not-yet-leading dimension to carry weight.
 
@@ -296,9 +302,7 @@ class PolyScheduler:
                 coeff_vars[(stmt.stmt_id, dim)] = name
                 problem.add_constraint(Constraint.ge(AffineExpr.variable(name), 0))
                 problem.add_constraint(
-                    Constraint.le(
-                        AffineExpr.variable(name), self.options.max_coefficient
-                    )
+                    Constraint.le(AffineExpr.variable(name), MAX_COEFFICIENT)
                 )
             # Bound the shift so the ILP stays bounded; a_S >= |d_S|.
             dvar = AffineExpr.variable(const_vars[stmt.stmt_id])

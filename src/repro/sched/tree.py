@@ -13,7 +13,6 @@ the extensions the paper relies on (Sec. 4):
   band with quasi-affine functions.
 - ``FilterNode``    -- restricts the subtree to a subset of statements.
 - ``SequenceNode``  -- ordered children (each a filter).
-- ``SetNode``       -- unordered children (each a filter).
 - ``MarkNode``      -- attaches a string; AKG uses ``"local_UB"``,
   ``"local_L1"``, ``"skipped"``, ``"fractal_gemm"``, ``"realize_*"`` marks.
 - ``ExtensionNode`` -- introduces statement instances not scheduled by the
@@ -55,29 +54,6 @@ class ScheduleNode:
     def find_all(self, node_type: type) -> List["ScheduleNode"]:
         """All descendants (including self) of the given type."""
         return [n for n in self.walk() if isinstance(n, node_type)]
-
-    def find_mark(self, name: str) -> Optional["MarkNode"]:
-        """First mark node carrying ``name``."""
-        for n in self.walk():
-            if isinstance(n, MarkNode) and n.name == name:
-                return n
-        return None
-
-    def statements(self) -> List[str]:
-        """Statement ids scheduled under this subtree (first-seen order)."""
-        out: List[str] = []
-        for n in self.walk():
-            ids: Iterable[str] = ()
-            if isinstance(n, FilterNode):
-                ids = n.stmt_ids
-            elif isinstance(n, DomainNode):
-                ids = n.dims.keys()
-            elif isinstance(n, BandNode):
-                ids = n.schedules.keys()
-            for sid in ids:
-                if sid not in out:
-                    out.append(sid)
-        return out
 
     # -- printing ----------------------------------------------------------------
 
@@ -184,19 +160,6 @@ class SequenceNode(ScheduleNode):
         return "Sequence"
 
 
-class SetNode(ScheduleNode):
-    """Unordered composition; children must be filter nodes."""
-
-    def __init__(self, children: Sequence[FilterNode]):
-        for c in children:
-            if not isinstance(c, FilterNode):
-                raise TypeError("Set children must be FilterNodes")
-        super().__init__(list(children))
-
-    def _label(self) -> str:
-        return "Set"
-
-
 class MarkNode(ScheduleNode):
     """Attaches an arbitrary string to the subtree."""
 
@@ -261,18 +224,6 @@ def find_parent(
     return None
 
 
-def insert_mark_above(
-    root: ScheduleNode, target: ScheduleNode, name: str
-) -> MarkNode:
-    """Insert ``Mark{name}`` between ``target`` and its parent."""
-    parent = find_parent(root, target)
-    mark = MarkNode(name, target)
-    if parent is None:
-        raise ValueError("cannot insert a mark above the root")
-    replace_child(parent, target, mark)
-    return mark
-
-
 def clone_tree(node: ScheduleNode) -> ScheduleNode:
     """Structural deep copy (sets/maps/exprs shared -- they are immutable).
 
@@ -293,8 +244,6 @@ def clone_tree(node: ScheduleNode) -> ScheduleNode:
         out = FilterNode(node.stmt_ids)
     elif isinstance(node, SequenceNode):
         out = SequenceNode([])
-    elif isinstance(node, SetNode):
-        out = SetNode([])
     elif isinstance(node, MarkNode):
         out = MarkNode(node.name)
     elif isinstance(node, ExtensionNode):

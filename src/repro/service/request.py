@@ -94,8 +94,8 @@ class ServiceRequest:
     def coalescing_key(self) -> Optional[str]:
         """Content digest under which concurrent duplicates merge.
 
-        Mirrors the disk-cache key composition (IR + hardware + scheduler
-        + backend options fingerprints) extended with the request kind and
+        Mirrors the disk-cache key composition (IR + hardware + backend
+        options fingerprints) extended with the request kind and
         kind-specific parameters.  ``None`` — unfingerprintable IR, or a
         ``fault_spec`` request (injected faults are per-request by
         definition; sharing a faulted build would leak the fault into an
@@ -118,7 +118,6 @@ class ServiceRequest:
                 ir_fp,
                 self.name,
                 hw_fp,
-                diskcache.scheduler_fingerprint(options.scheduler),
                 diskcache.options_fingerprint(options),
             ]
         except diskcache.FingerprintError:

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core import faults, resilience
 from repro.core.errors import TilingError
 from repro.hw.spec import HardwareSpec
-from repro.tiling.spec import StatementSpec, TileSpec, TilingPolicy
 
 
 class LinearFootprintEvaluator:
@@ -222,10 +221,3 @@ class AutoTiler:
         if above:
             out.append(above[0])
         return out
-
-    def as_policy(
-        self, stmt_id: str, sizes: Sequence[int], buffers: Sequence[str]
-    ) -> TilingPolicy:
-        """Wrap selected sizes into a Fig. 4 policy object."""
-        specs = [TileSpec(s, b) for s, b in zip(sizes, buffers)]
-        return TilingPolicy([StatementSpec(stmt_id, specs)])

@@ -7,9 +7,8 @@ Everything that *decides* a tile size lives here; the compiler driver
 
 1. explicit ``tile_sizes``, then a ``tile_policy`` written in the Fig. 4
    specification language;
-2. the whole band when ``auto_tiling`` is off;
-3. a closed form when a cube statement leads (:func:`closed_form_sizes`);
-4. the ``backend.tiling`` ladder: Auto Tiling — footprints probed at a
+2. a closed form when a cube statement leads (:func:`closed_form_sizes`);
+3. the ``backend.tiling`` ladder: Auto Tiling — footprints probed at a
    few sizes fit the multivariate buffer-utilisation polynomial
    (:func:`fit_evaluator`), then :class:`~repro.tiling.auto.AutoTiler`
    searches greedily for minimal data movement — then a static
@@ -79,8 +78,6 @@ def select_start_sizes(frontend, options) -> List[int]:
             manual = options.tile_policy.sizes_for(stmt.stmt_id)
             if manual:
                 return _pad_to_band(manual, extents)
-    if not options.auto_tiling:
-        return list(extents)
     closed = closed_form_sizes(
         frontend.liveout_statements, len(extents), frontend.hw, extents
     )

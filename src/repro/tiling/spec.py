@@ -70,11 +70,6 @@ class StatementSpec:
         """Just the tile sizes, in dimension order."""
         return [s.size for s in self.specs]
 
-    @property
-    def buffers(self) -> List[str]:
-        """Just the buffer placements, in dimension order."""
-        return [s.buffer for s in self.specs]
-
     def __repr__(self) -> str:
         return f"{self.stmt_id}: " + ", ".join(repr(s) for s in self.specs)
 

@@ -6,7 +6,7 @@ auto-tuner) using the classic primitive set.  This package reproduces that
 baseline faithfully *as a baseline*:
 
 - :mod:`repro.tvmbaseline.schedule`  -- the schedule-primitive API
-  (split / reorder / fuse / compute_at / vectorize / double_buffer /
+  (split / reorder / compute_at / vectorize / double_buffer /
   tensorize), recording transformations exactly as TVM users write them;
 - :mod:`repro.tvmbaseline.templates` -- hand-written templates per
   operator class, mirroring what the vendor developers wrote;

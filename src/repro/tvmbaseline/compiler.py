@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.codegen.program import CodegenOptions, ProgramBuilder
+from repro.codegen.program import ProgramBuilder
 from repro.fusion.intratile import is_cube_statement
 from repro.fusion.posttile import TiledGroup, group_filters
 from repro.hw.isa import Program, VectorInstr
@@ -160,15 +160,7 @@ def tvm_build(
     def compile_groups(planned):
         groups = [p.group for p in planned]
         plans = [p.plan for p in planned]
-        builder = _TvmProgramBuilder(
-            hw,
-            CodegenOptions(
-                sync_policy=sync_policy,
-                double_buffer=True,
-                vectorize=True,
-                emit_trace=emit_trace,
-            ),
-        )
+        builder = _TvmProgramBuilder(hw, sync_policy, emit_trace=emit_trace)
         program = builder.build(
             kernel, groups, plans, [p.assignment for p in planned]
         )

@@ -102,17 +102,6 @@ class Schedule:
         for pos, a in zip(positions, chosen):
             stage.axes[pos] = a
 
-    def fuse(self, tensor: Tensor, a: str, b: str) -> str:
-        """Fuse two adjacent axes into one."""
-        stage = self[tensor]
-        ax_a, ax_b = stage.axis(a), stage.axis(b)
-        ia, ib = stage.axes.index(ax_a), stage.axes.index(ax_b)
-        if ib != ia + 1:
-            raise ScheduleError("can only fuse adjacent axes")
-        fused = Axis(f"{a}.{b}.fused", ax_a.extent * ax_b.extent, ax_a.kind)
-        stage.axes[ia : ib + 1] = [fused]
-        return fused.name
-
     def vectorize(self, tensor: Tensor, axis: str) -> None:
         """Mark the innermost axis for SIMD code generation."""
         stage = self[tensor]

@@ -38,12 +38,6 @@ class TestSchedulePrimitives:
         names = [a.name for a in self.s[self.out].axes]
         assert names.index(j) < names.index(i)
 
-    def test_fuse_adjacent(self):
-        i = self.out.op.axes[0].name
-        j = self.out.op.axes[1].name
-        fused = self.s.fuse(self.out, i, j)
-        assert self.s[self.out].axis(fused).extent == 32 * 16
-
     def test_vectorize_innermost_only(self):
         i = self.out.op.axes[0].name
         with pytest.raises(ScheduleError):

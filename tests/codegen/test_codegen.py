@@ -5,7 +5,6 @@ import pytest
 from repro.codegen.sync import Stage, link_stages, merge_adjacent_stages
 from repro.codegen.vectorize import (
     arithmetic_op_count,
-    full_tile_fraction,
     innermost_run_elems,
     is_access_aligned,
     vector_op_kinds,
@@ -54,12 +53,6 @@ class TestVectorize:
         stmt = lower(r).statements[0]
         assert is_access_aligned(stmt, [8, 16], 2)  # 32 B rows
         assert not is_access_aligned(stmt, [8, 15], 2)  # 30 B rows
-
-    def test_full_tile_fraction(self):
-        assert full_tile_fraction([64, 64], [32, 32]) == 1.0
-        frac = full_tile_fraction([10, 10], [4, 4])
-        # 3 tiles per dim, 2 full per dim: (2/3)^2.
-        assert abs(frac - 4 / 9) < 1e-9
 
 
 class TestSyncPolicies:

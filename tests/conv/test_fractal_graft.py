@@ -9,12 +9,16 @@ from repro.ir.tensor import placeholder
 from repro.sched.tree import BandNode, MarkNode
 
 
+def fractal_mark(tree):
+    return next((m for m in tree.find_all(MarkNode) if m.name == "fractal_gemm"), None)
+
+
 class TestGraft:
     def test_matmul_tree_carries_fractal_mark(self):
         a = placeholder((64, 64), dtype="fp16", name="A")
         b = placeholder((64, 64), dtype="fp16", name="B")
         res = build(ops.matmul(a, b, name="MM"), "mm")
-        mark = res.tree.find_mark("fractal_gemm")
+        mark = fractal_mark(res.tree)
         assert mark is not None
         band = mark.child
         assert isinstance(band, BandNode)
@@ -24,12 +28,12 @@ class TestGraft:
         d = placeholder((1, 8, 12, 12), dtype="fp16", name="D")
         w = placeholder((8, 8, 3, 3), dtype="fp16", name="W")
         res = build(ops.conv2d(d, w, padding=(1, 1), name="CV"), "cv")
-        assert res.tree.find_mark("fractal_gemm") is not None
+        assert fractal_mark(res.tree) is not None
 
     def test_vector_kernel_has_no_fractal_mark(self):
         x = placeholder((32, 32), dtype="fp16", name="X")
         res = build(ops.relu(x, name="R"), "r")
-        assert res.tree.find_mark("fractal_gemm") is None
+        assert fractal_mark(res.tree) is None
 
     def test_fractal_subtree_shape(self):
         a = placeholder((32, 48), name="A")

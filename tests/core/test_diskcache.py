@@ -319,11 +319,11 @@ class TestCompilationReuse:
         np.testing.assert_allclose(got_warm, a @ b, rtol=1e-2, atol=1e-2)
 
     def test_older_format_entries_are_never_probed(self, monkeypatch):
-        """An entry written under format 4's digest is not reinterpreted
-        by format 5 code: the version salts the key, so it simply misses."""
-        assert diskcache.CACHE_FORMAT_VERSION == 5
+        """An entry written under format 5's digest is not reinterpreted
+        by format 6 code: the version salts the key, so it simply misses."""
+        assert diskcache.CACHE_FORMAT_VERSION == 6
         with monkeypatch.context() as patch:
-            patch.setattr(diskcache, "CACHE_FORMAT_VERSION", 4)
+            patch.setattr(diskcache, "CACHE_FORMAT_VERSION", 5)
             old = run_frontend(_matmul_kernel(), "fmt")
         diskcache.reset_disk_cache_stats()
         new = run_frontend(_matmul_kernel(), "fmt")
@@ -335,7 +335,7 @@ class TestCompilationReuse:
 
     def test_older_format_results_are_never_probed(self, monkeypatch):
         """A format 3 ``CompileResult`` entry (it pickled ``deps``) sits
-        under a key format 5 never derives: the build is a clean miss --
+        under a key format 6 never derives: the build is a clean miss --
         no error, no recovery event -- and the old entry stays unread."""
         from repro.core.compiler import CompileResult
 
@@ -472,13 +472,12 @@ def _counted(monkeypatch, owner, name):
 
 
 def _parent_keys(outputs, name, hw, options):
-    """Both cache keys, by the formulas every earlier commit used."""
+    """Both cache keys, composed from the public fingerprints."""
     frontend_key = diskcache.digest(
         "frontend",
         diskcache.ir_fingerprint(outputs),
         name,
         diskcache.hw_fingerprint(hw),
-        diskcache.scheduler_fingerprint(options.scheduler),
     )
     program_key = diskcache.digest(
         "program", frontend_key, diskcache.options_fingerprint(options)
@@ -646,3 +645,27 @@ class TestSymbolicHasOneDefinition:
             assert text == diskcache.ir_fingerprint(graph)
             assert symbolic == bool(lower(graph, "k").sym_dims)
             assert symbolic == (batch_max is not None)
+
+
+#: A second value for every option the program key covers; an option
+#: added to ``AkgOptions`` fails the test below until it has one here.
+SECOND_VALUES = {
+    "tile_policy": "S_0: 8@UB, 64@UB",
+    "tile_sizes": [8, 8],
+    "sync_policy": "naive",
+    "double_buffer": False,
+    "post_tiling_fusion": False,
+    "emit_trace": True,
+    "tile_shrink": 1,
+}
+
+
+def test_every_backend_option_moves_the_program_key():
+    """A field the fingerprint skipped would serve another option's
+    cached program; only ``budget`` and ``verify`` never change one."""
+    names = set(vars(AkgOptions())) - {"budget", "verify"}
+    assert names == set(SECOND_VALUES)
+    base = diskcache.options_fingerprint(AkgOptions())
+    for name in sorted(names):
+        moved = diskcache.options_fingerprint(AkgOptions(**{name: SECOND_VALUES[name]}))
+        assert moved != base, name

@@ -155,7 +155,9 @@ CALLS = {
 # reset empties (interned names, per-kernel lowering state), and its count
 # depends on what ran before it.  conv2d_16x32 and subgraph5 are rows of
 # the benchmark's compile_sched workload, softmax_32x64 and subgraph2 of
-# its compile_tile workload.  1936 / 4511 / 17007 / 16364 while the
+# its compile_tile workload.  1448 / 4383 / 13318 / 16379 while the
+# scheduler options took part in every front-end key and each emission
+# built a ``CodegenOptions``.  1936 / 4511 / 17007 / 16364 while the
 # scheduler built every statement's domain set for the tree's root (a
 # build without a fused producer now builds none) and counted tiles over
 # one statement's rows; subgraph5 rises by the range of every live-out
@@ -169,23 +171,24 @@ CALLS = {
 # re-solved their fold's feasibility, dependences sharing a problem each
 # asked its distance bounds, and band row extents were ILPs.
 BUILD_CALLS = {
-    "conv2d_16x32": 1448,
-    "softmax_32x64": 4383,
-    "subgraph2": 13318,
-    "subgraph5": 16379,
+    "conv2d_16x32": 1445,
+    "softmax_32x64": 4380,
+    "subgraph2": 13315,
+    "subgraph5": 16374,
 }
 
 # name -> Python-level calls of a warm build(), one disk-cache hit: the
 # graph walk behind the key, one read and one unpickle (the rows of the
-# benchmark's cache_warm workload).  389 / 197 / 310 / 1816 / 1031 while
-# entries pickled the live-out relations and the tree root's domain sets
+# benchmark's cache_warm workload).  311 / 159 / 236 / 1142 / 733 while
+# the front-end key rendered the scheduler options; 389 / 197 / 310 /
+# 1816 / 1031 while entries pickled the live-out relations and the tree root's domain sets
 # (each constraint unpickled is a ``Constraint.__setstate__`` call).
 WARM_CALLS = {
-    "conv2d_16x32": 311,
-    "matmul_256": 159,
-    "softmax_32x64": 236,
-    "subgraph2": 1142,
-    "subgraph5": 733,
+    "conv2d_16x32": 294,
+    "matmul_256": 142,
+    "softmax_32x64": 219,
+    "subgraph2": 1125,
+    "subgraph5": 716,
 }
 
 # (baseline, golden row) -> (dump sha256[:16], cycles)

@@ -62,12 +62,6 @@ class TestStageScopes:
         with stage("free"):
             assert not resilience.backdate_deadline()
 
-    def test_budget_fingerprint_is_stable(self):
-        a = StageBudget(stage_seconds=1.0, solver_nodes=2)
-        b = StageBudget(stage_seconds=1.0, solver_nodes=2)
-        assert a.fingerprint() == b.fingerprint()
-        assert a.fingerprint() != StageBudget().fingerprint()
-
 
 class TestReports:
     def test_collect_records_events(self):

@@ -8,6 +8,7 @@ from repro.ir.expr import IterVar, TensorRef, collect_reads, walk
 from repro.ir.tensor import compute, placeholder, reduce_axis, te_sum
 from repro.runtime.reference import evaluate_kernel, evaluate_tensors
 from tests.core.test_diskcache import catalog_graphs
+from tests.poly._box import ilp_box
 
 
 def rand(shape, seed=0, dtype=np.float32):
@@ -131,7 +132,7 @@ class TestLowering:
         b = compute((4,), lambda i: a[i] + 1, name="B")
         c = compute((4,), lambda i: b[i] * 2, name="C")
         kernel = lower(c)
-        assert [t.name for t in kernel.intermediates] == ["B"]
+        assert [s.tensor.name for s in kernel.statements] == ["B", "C"]
         assert [t.name for t in kernel.outputs] == ["C"]
 
     def test_access_relation_map(self):
@@ -140,8 +141,9 @@ class TestLowering:
         kernel = lower(b)
         stmt = kernel.statements[0]
         read_map = stmt.reads[0].as_map(stmt.space)
-        image = read_map.add_constraints(stmt.domain().constraints).range()
-        box = image.bounding_box()
+        box = ilp_box(
+            read_map.constraints + stmt.domain().constraints, read_map.out_space.dims
+        )
         assert box["A_d0"] == (2, 7)
         assert box["A_d1"] == (0, 5)
 
@@ -154,12 +156,9 @@ class TestLowering:
         stmt = kernel.statements[0]
         gather_read = [r for r in stmt.reads if r.tensor is a][0]
         assert not gather_read.is_affine
-        footprint = (
-            gather_read.as_map(stmt.space)
-            .add_constraints(stmt.domain().constraints)
-            .range()
-        )
-        assert footprint.bounding_box() == {"A_d0": (0, 9)}
+        footprint = gather_read.as_map(stmt.space)
+        cons = footprint.constraints + stmt.domain().constraints
+        assert ilp_box(cons, footprint.out_space.dims) == {"A_d0": (0, 9)}
 
 
 class TestReferenceExecutor:

@@ -407,7 +407,7 @@ class TestPresolveOnce:
         assert p.minimize(var("z")).value == 1
         p.add_constraint(Constraint.ge(var("x"), 2))
         assert p.minimize(var("z")).value == 4
-        p.add_constraints([Constraint.eq(var("y"), var("x"))])
+        p.add_constraint(Constraint.eq(var("y"), var("x")))
         assert p.maximize(var("z")).value == 6
         assert calls == [5, 6, 7]
 

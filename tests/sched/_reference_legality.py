@@ -26,7 +26,6 @@ from repro.sched.tree import (
     MarkNode,
     ScheduleNode,
     SequenceNode,
-    SetNode,
 )
 
 
@@ -48,9 +47,7 @@ def schedule_vectors(
             active = active & set(node.stmt_ids)
             if not active:
                 return
-        if isinstance(node, (SequenceNode, SetNode)):
-            # A Set is unordered; checking it in index order is sound
-            # because any fixed order must be legal for a valid Set.
+        if isinstance(node, SequenceNode):
             for i, child in enumerate(node.children):
                 new_map = {
                     sid: vec + [("const", i)] for sid, vec in prefix_map.items()
@@ -133,14 +130,12 @@ def _dep_violated(dep: Dependence, src_vec: List[Tuple], dst_vec: List[Tuple]) -
 
     # Violation at level l: equal on all earlier levels, dst < src at l.
     for level in range(length):
-        problem = IlpProblem(list(dep.relation.constraints))
+        system = list(dep.relation.constraints)
         for k in range(level):
             s, d, cons = component_exprs(k)
-            problem.add_constraints(cons)
-            problem.add_constraint(Constraint.eq(s, d))
+            system += cons + [Constraint.eq(s, d)]
         s, d, cons = component_exprs(level)
-        problem.add_constraints(cons)
-        problem.add_constraint(Constraint.le(d, s - 1))
-        if problem.is_feasible(integer=True):
+        system += cons + [Constraint.le(d, s - 1)]
+        if IlpProblem(system).is_feasible(integer=True):
             return True
     return False

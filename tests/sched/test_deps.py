@@ -693,7 +693,7 @@ class TestPosedOnce:
         def schedule(shared, trees, k, barrier):
             barrier.wait()
             clustering = merge_uniform_clusters(shared.clustering)
-            tree = PolyScheduler(shared.scheduler_options).schedule_kernel(
+            tree = PolyScheduler().schedule_kernel(
                 shared.kernel, shared.deps, clustering
             )
             trees[k] = tree.render()

@@ -17,7 +17,7 @@ from repro.ir.tensor import Tensor, compute, placeholder, reduce_axis, te_sum
 from repro.poly.affine import AffineExpr, var
 from repro.sched.clustering import conservative_clustering
 from repro.sched.deps import compute_dependences
-from repro.sched.scheduler import PolyScheduler, SchedulerOptions
+from repro.sched.scheduler import PolyScheduler
 from repro.sched.tree import (
     BandNode,
     DomainNode,
@@ -40,6 +40,13 @@ def assert_builds_legally(outputs, name="k"):
     """The compiled result runs every dependence's source first (the
     verifier raises ``VerificationError`` otherwise)."""
     check_dependences(build(outputs, name))
+
+
+def cluster_of(clustering, stmt_id):
+    """Index of the cluster holding ``stmt_id``."""
+    return next(
+        i for i, c in enumerate(clustering.clusters) if stmt_id in [s.stmt_id for s in c]
+    )
 
 
 class TestClustering:
@@ -65,12 +72,12 @@ class TestClustering:
         # dependence keeps S0 out of the live-out group.
         groups = [[s.stmt_id for s in c] for c in clustering.clusters]
         assert ["S1", "S2"] in groups
-        s0_cluster = clustering.cluster_of("S0")
+        s0_cluster = cluster_of(clustering, "S0")
         assert s0_cluster not in clustering.live_out
         # Elementwise followers join the live-out group.
-        assert clustering.cluster_of("S3") in clustering.live_out
-        assert clustering.cluster_of("S4") in clustering.live_out
-        assert clustering.cluster_of("S2") in clustering.live_out
+        assert cluster_of(clustering, "S3") in clustering.live_out
+        assert cluster_of(clustering, "S4") in clustering.live_out
+        assert cluster_of(clustering, "S2") in clustering.live_out
 
     def test_pointwise_chain_single_live_out_group(self):
         a = placeholder((8, 8), name="A")
@@ -93,7 +100,7 @@ class TestClustering:
         # The reduction group and the elementwise group share aligned dim i
         # with distance 0, so they may fuse; verify classification ran and
         # produced a live-out group containing OUT.
-        assert clustering.cluster_of(kernel.statements[-1].stmt_id) in clustering.live_out
+        assert cluster_of(clustering, kernel.statements[-1].stmt_id) in clustering.live_out
 
 
 def mirrored(outputs):
@@ -215,8 +222,7 @@ class TestScheduler:
     def test_skewing_disabled_truncates_band(self):
         kernel = jacobi_kernel(reads=[(-1, 1)])
         deps = compute_dependences(kernel)
-        options = SchedulerOptions(enable_skewing=False)
-        tree = PolyScheduler(options).schedule_kernel(kernel, deps)
+        tree = PolyScheduler(skew=False).schedule_kernel(kernel, deps)
         band = tree.find_all(BandNode)[0]
         assert len(band.schedules["S0"]) == 1  # only the legal `t` row
 

@@ -10,11 +10,10 @@ from repro.sched.tree import (
     ExtensionNode,
     FilterNode,
     LeafNode,
+    MarkNode,
     SequenceNode,
-    SetNode,
     clone_tree,
     find_parent,
-    insert_mark_above,
     replace_child,
 )
 
@@ -27,10 +26,23 @@ def small_tree():
     return dom, band_a, band_b, seq
 
 
+def mark_above(root, target, name):
+    """Insert ``Mark{name}`` between ``target`` and its parent, as the
+    passes do with ``find_parent`` and ``replace_child``."""
+    mark = MarkNode(name, target)
+    replace_child(find_parent(root, target), target, mark)
+    return mark
+
+
+def marks(root):
+    return [m.name for m in root.find_all(MarkNode)]
+
+
 class TestStructure:
     def test_statements_enumeration(self):
         dom, *_ = small_tree()
-        assert dom.statements() == ["S0", "S1"]
+        assert list(dom.dims) == ["S0", "S1"]
+        assert [f.stmt_ids for f in dom.find_all(FilterNode)] == [("S0",), ("S1",)]
 
     def test_band_row_alignment_enforced(self):
         with pytest.raises(ValueError):
@@ -40,19 +52,15 @@ class TestStructure:
         with pytest.raises(TypeError):
             SequenceNode([LeafNode()])
 
-    def test_set_children_must_be_filters(self):
-        with pytest.raises(TypeError):
-            SetNode([BandNode({"S0": [var("i")]})])
-
     def test_tile_sizes_arity_checked(self):
         with pytest.raises(ValueError):
             BandNode({"S0": [var("i")]}, tile_sizes=[4, 4])
 
     def test_find_mark(self):
         dom, band_a, *_ = small_tree()
-        insert_mark_above(dom, band_a, "local_UB")
-        assert dom.find_mark("local_UB") is not None
-        assert dom.find_mark("absent") is None
+        mark = mark_above(dom, band_a, "local_UB")
+        assert marks(dom) == ["local_UB"] and mark.child is band_a
+        assert find_parent(dom, mark).child is mark
 
     def test_render_contains_labels(self):
         dom, *_ = small_tree()
@@ -78,20 +86,15 @@ class TestSurgery:
         with pytest.raises(ValueError):
             replace_child(dom, band_a, LeafNode())
 
-    def test_insert_mark_above_root_rejected(self):
-        dom, *_ = small_tree()
-        with pytest.raises(ValueError):
-            insert_mark_above(dom, dom, "m")
-
 
 class TestClone:
     def test_clone_is_deep_for_structure(self):
         dom, band_a, *_ = small_tree()
         copy = clone_tree(dom)
         # Mutating the copy must not affect the original.
-        mark = insert_mark_above(copy, copy.find_all(BandNode)[0], "skipped")
-        assert dom.find_mark("skipped") is None
-        assert copy.find_mark("skipped") is not None
+        mark_above(copy, copy.find_all(BandNode)[0], "skipped")
+        assert marks(dom) == []
+        assert marks(copy) == ["skipped"]
 
     def test_clone_preserves_band_attributes(self):
         band = BandNode(

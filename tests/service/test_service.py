@@ -76,7 +76,7 @@ class TestCoalescing:
     def test_different_options_do_not_coalesce(self):
         a = ServiceRequest("compile", _relu(), name="opts")
         b = ServiceRequest(
-            "compile", _relu(), name="opts", options=AkgOptions(vectorize=False)
+            "compile", _relu(), name="opts", options=AkgOptions(double_buffer=False)
         )
         assert a.coalescing_key() != b.coalescing_key()
 
@@ -132,7 +132,6 @@ class TestKeyStability:
             ir,
             req.name,
             hw,
-            diskcache.scheduler_fingerprint(req.options.scheduler),
             diskcache.options_fingerprint(req.options),
         ]
         if req.kind == "tune":

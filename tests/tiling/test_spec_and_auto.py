@@ -17,7 +17,7 @@ class TestSpecLanguage:
         spec = p.spec_for("S0")
         assert spec is not None
         assert spec.sizes == [32, 32]
-        assert spec.buffers == ["UB", "UB"]
+        assert [t.buffer for t in spec.specs] == ["UB", "UB"]
 
     def test_multiple_statements(self):
         text = """
@@ -27,7 +27,7 @@ class TestSpecLanguage:
         p = parse_tiling_policy(text)
         assert p.sizes_for("S0") == [32, 32]
         assert p.sizes_for("S2") == [16, 16, 512]
-        assert p.spec_for("S2").buffers == ["L1", "L1", "L0A"]
+        assert [t.buffer for t in p.spec_for("S2").specs] == ["L1", "L1", "L0A"]
         assert p.spec_for("S9") is None
 
     def test_compact_stmt_id_form(self):
@@ -157,5 +157,6 @@ class TestAutoTiler:
         hw = HardwareSpec()
         tiler = AutoTiler(hw, elementwise_evaluator([32, 32]), [32, 32])
         sizes = tiler.search()
-        policy = tiler.as_policy("S0", sizes, ["UB", "UB"])
+        # The tiler's choice, written in the Fig. 4 language, reads back.
+        policy = parse_tiling_policy("S0: " + ", ".join(f"{s}@UB" for s in sizes))
         assert policy.sizes_for("S0") == sizes

@@ -14,7 +14,6 @@ from repro.core.compiler import AkgOptions, build
 from repro.core.errors import VerificationError, exit_code_for
 from repro.core.frontend import _frontend_cache_key
 from repro.hw.isa import walk
-from repro.sched.scheduler import SchedulerOptions
 from repro.service.wire import demo_kernel
 
 from tests.service.conftest import running_daemon  # noqa: F401 -- a fixture
@@ -45,7 +44,7 @@ def racy_codegen(monkeypatch):
 
 def _program_key(name, options):
     frontend_key, _ = _frontend_cache_key(
-        demo_kernel("relu", [16, 24]), name, None, SchedulerOptions()
+        demo_kernel("relu", [16, 24]), name, None
     )
     return compiler._program_cache_key(frontend_key, options)
 

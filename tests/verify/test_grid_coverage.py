@@ -37,14 +37,18 @@ def _build(make, name, **options):
         return build(make(), name, options=AkgOptions(emit_trace=True, **options))
 
 
-def _shifted_pair(n=8, shift=1):
+def _shifted_pair(n=8, shift=1, cols=()):
     """``out1[i] = 2 A[i]`` for ``i < n`` and ``out2[i] = out1[i + shift]
     + 1`` for ``i < n - shift``, both live-out: one band, whose row of
     ``out1`` the scheduler shifts by ``-shift`` so each ``out1`` instance
-    runs no later than its reader.  The two rows' minima differ."""
-    a = placeholder((n,), name="A")
-    out1 = compute((n,), lambda i: a[i] * 2.0, name="out1")
-    out2 = compute((n - shift,), lambda i: out1[i + shift] + 1.0, name="out2")
+    runs no later than its reader.  The two rows' minima differ.  With
+    ``cols``, both are 2-D and ``j`` is read unshifted: the band's first
+    row is ``j``, and its second the shifted ``i``, not ``j`` again."""
+    a = placeholder((n, *cols), name="A")
+    out1 = compute((n, *cols), lambda i, *j: a[(i, *j)] * 2.0, name="out1")
+    out2 = compute(
+        (n - shift, *cols), lambda i, *j: out1[(i + shift, *j)] + 1.0, name="out2"
+    )
     return [out1, out2]
 
 
@@ -52,6 +56,7 @@ SHIFTED_PAIRS = {
     f"pair_{n}_{shift}": (lambda n=n, shift=shift: _shifted_pair(n, shift))
     for n, shift in ((8, 1), (8, 2), (9, 1), (10, 3))
 }
+SHIFTED_PAIRS["pair_8x4_1"] = lambda: _shifted_pair(8, 1, (4,))
 
 
 def _feed(outputs, seed=0):
@@ -109,11 +114,18 @@ def test_statements_whose_minima_differ_share_one_grid(name):
     """A band whose rows start at other values in its two statements: the
     reader's tile never runs before the tile writing what it reads."""
     make = SHIFTED_PAIRS[name]
-    result = _build(make, name, tile_sizes=[4])
+    rank = len(make()[0].shape)
+    result = _build(make, name, tile_sizes=[4] * rank)
     (group,) = result.groups
     by_id = {s.stmt_id: s for s in group.statements}
-    minima = {by_id[sid].box_bounds(rows[0])[0] for sid, rows in group.band_rows.items()}
-    assert len(minima) == 2 and group.origins == [min(minima)]
+    minima = [
+        {by_id[sid].box_bounds(rows[p])[0] for sid, rows in group.band_rows.items()}
+        for p in range(rank)
+    ]
+    assert group.origins == [min(m) for m in minima]
+    assert len(minima[-1]) == 2
+    for rows in group.band_rows.values():  # every dim tiled, none twice
+        assert len(set(rows)) == len(rows) == rank
     feed = _feed(make())
     want = evaluate_tensors(make(), feed)
     for replayed in (result, pickle.loads(pickle.dumps(result))):
