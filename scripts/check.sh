@@ -84,6 +84,17 @@ grep -q "schedule-tree AST" "$TMP/cce.txt" \
     || { echo "FAIL: akgc --dump-cce of a matmul has no schedule-tree AST"; exit 1; }
 
 echo
+echo "== the three baselines of a matmul (akgc --compare) =="
+python -m repro.tools.akgc matmul --shape 64,64,64 --no-disk-cache --compare \
+    | tee "$TMP/compare.txt"
+grep -qE "^tvm +: +556  \(" "$TMP/compare.txt" \
+    || { echo "FAIL: the TVM-baseline cycles of akgc --compare moved"; exit 1; }
+grep -qE "^cce_opt +: +505  \(" "$TMP/compare.txt" \
+    || { echo "FAIL: the expert-CCE cycles of akgc --compare moved"; exit 1; }
+grep -qE "^cce_naive +: +1243  \(" "$TMP/compare.txt" \
+    || { echo "FAIL: the naive-CCE cycles of akgc --compare moved"; exit 1; }
+
+echo
 echo "== Fig. 4 / Fig. 8 manual specs (examples/manual_specs.py) =="
 REPRO_CACHE_DIR="$TMP/manual-cache" python examples/manual_specs.py \
     | tee "$TMP/manual_specs.txt"
@@ -99,7 +110,7 @@ REPRO_FAULT_SPEC="tiling.auto_search:error" REPRO_CACHE_DIR="$TMP/net-cache" \
     | tee "$TMP/network_fault.txt"
 grep -q "degraded      : yes" "$TMP/network_fault.txt" \
     || { echo "FAIL: mid-network fault did not mark the plan degraded"; exit 1; }
-# t_c3 / t_c4 share a signature: one compile-level reuse, counted.
+# t_c3 / t_c4 share a fingerprint: one compile-level reuse, counted.
 grep -q "^graph.dedup_reuse: 1$" "$TMP/network_fault.txt" \
     || { echo "FAIL: akgc --perf did not report the graph.dedup_reuse counter"; exit 1; }
 

@@ -89,8 +89,40 @@ class AkgOptions:
         self.budget = budget or StageBudget()
 
 
-class CompileResult:
-    """Compiled program plus every intermediate artefact."""
+class CompiledKernel:
+    """A lowered kernel compiled to a program for one machine: what AKG's
+    :class:`CompileResult` and every baseline's result share."""
+
+    def __init__(self, program: Program, kernel: LoweredKernel, hw: HardwareSpec):
+        self.program = program
+        self.kernel = kernel
+        self.hw = hw
+
+    def simulate(self) -> SimReport:
+        """Run the cycle simulator on the compiled program."""
+        return Simulator(self.hw).run(self.program)
+
+    def cycles(self) -> int:
+        """Convenience: simulated execution cycles."""
+        return self.simulate().total_cycles
+
+    def execute(
+        self, inputs: Dict[str, np.ndarray], engine: str = "auto"
+    ) -> Dict[str, np.ndarray]:
+        """Functional replay (requires ``emit_trace=True`` at build time).
+
+        ``engine`` selects the replay engine ("auto"/"vectorized"/
+        "scalar"); all produce bit-identical results.
+        """
+        return execute_program(self.program, inputs, engine=engine)
+
+
+class CompileResult(CompiledKernel):
+    """Compiled program plus every intermediate artefact.
+
+    Sets every field itself, the base's three included, in the order
+    entries pickle them.
+    """
 
     def __init__(
         self,
@@ -133,24 +165,6 @@ class CompileResult:
         may both compute it; the lists are equal, so that race is harmless.
         """
         return compute_dependences(self.kernel)
-
-    def simulate(self) -> SimReport:
-        """Run the cycle simulator on the compiled program."""
-        return Simulator(self.hw).run(self.program)
-
-    def cycles(self) -> int:
-        """Convenience: simulated execution cycles."""
-        return self.simulate().total_cycles
-
-    def execute(
-        self, inputs: Dict[str, np.ndarray], engine: str = "auto"
-    ) -> Dict[str, np.ndarray]:
-        """Functional replay (requires ``emit_trace=True`` at build time).
-
-        ``engine`` selects the replay engine ("auto"/"vectorized"/
-        "scalar"); all produce bit-identical results.
-        """
-        return execute_program(self.program, inputs, engine=engine)
 
     def replayer(self, engine: str = "auto"):
         """Shared :class:`~repro.codegen.program_exec.ProgramReplay`.

@@ -101,7 +101,6 @@ __all__ = [
     "hw_fingerprint",
     "default_hw_fingerprint",
     "options_fingerprint",
-    "signature_fingerprint",
     "enabled",
     "get_cache",
     "set_cache_dir",
@@ -607,18 +606,6 @@ def default_hw_fingerprint() -> str:
     from repro.hw.spec import HardwareSpec
 
     return hw_fingerprint(HardwareSpec())
-
-
-def signature_fingerprint(signature) -> str:
-    """Stable rendering of a subgraph structural signature.
-
-    :meth:`repro.graph.fusion.SubgraphSpec.digest` hashes this to get the
-    network partition's one dedup key: the signature already alpha-renames
-    tensors and iterators, so two fused groups that compute one kernel map
-    to one digest (and, via the canonical re-rooting, to one disk-cache
-    entry).
-    """
-    return "sig(" + _stable_value(signature) + ")"
 
 
 def options_fingerprint(options) -> str:

@@ -13,30 +13,29 @@ groups, greedily:
   the paper's subgraphs of 6-21 operators.
 
 ``extract_subgraph`` then re-roots a group once, onto canonically named
-placeholder inputs, so the tensor compiler sees an independent kernel,
-and produces a *signature* so repeated layers (every network repeats
-shapes heavily) compile once.
+placeholder inputs, so the tensor compiler sees an independent kernel
+whose disk-cache fingerprint is its identity: repeated layers (every
+network repeats shapes heavily) compile once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.cce.expert import _rebuild_expr
-from repro.ir.tensor import ComputeOp, Tensor, placeholder
+from repro.ir.tensor import Tensor, placeholder
 
 MAX_GROUP_OPS = 24
 
 
 class SubgraphSpec:
-    """One fused subgraph: its canonical re-rooting + identity signature.
+    """One fused subgraph: its canonical re-rooting and the wiring around it.
 
     The group is re-rooted once, onto *canonical* tensor names
-    (placeholders ``p0..``, computes ``c0..``): signature-equal subgraphs
-    extracted from different network positions produce byte-identical IR
-    fingerprints, so the persistent disk cache deduplicates their
-    compilations.  Beside that DAG the spec carries the wiring the network
-    pipeline needs to stitch subgraphs back together:
+    (placeholders ``p0..``, computes ``c0..``): one kernel extracted from
+    different network positions has one IR fingerprint, so the network
+    partition, the persistent disk cache and the compile service all
+    deduplicate it alike.  Beside that DAG the spec carries the wiring the
+    network pipeline needs to stitch subgraphs back together:
 
     - ``input_tensors``   the original boundary tensors this subgraph
                           reads, in placeholder-creation order;
@@ -49,7 +48,6 @@ class SubgraphSpec:
     def __init__(
         self,
         name: str,
-        signature: Tuple,
         n_ops: int,
         input_tensors: List[Tensor],
         source_outputs: List[Tensor],
@@ -58,7 +56,6 @@ class SubgraphSpec:
         canonical_output_names: List[str],
     ):
         self.name = name
-        self.signature = signature
         self.n_ops = n_ops
         self.input_tensors = input_tensors
         self.source_outputs = source_outputs
@@ -70,12 +67,13 @@ class SubgraphSpec:
         return f"SubgraphSpec({self.name}, {self.n_ops} ops)"
 
     def digest(self) -> str:
-        """Content digest of the signature (the compile-level dedup key)."""
+        """Digest of the canonical DAG's IR fingerprint (the compile-level
+        dedup key): tensors and iterators are numbered by visit order, so
+        two positions computing one kernel share it."""
         from repro.core import diskcache
 
-        return diskcache.digest(
-            "subgraph", diskcache.signature_fingerprint(self.signature)
-        )
+        fingerprint = diskcache.ir_fingerprint(self.canonical_outputs)
+        return diskcache.digest("subgraph", fingerprint)
 
 
 def _is_heavy(t: Tensor) -> bool:
@@ -105,7 +103,7 @@ def _is_heavy(t: Tensor) -> bool:
 
 
 def _is_gather(t: Tensor) -> bool:
-    from repro.ir.expr import IterVar, TensorRef, walk
+    from repro.ir.expr import TensorRef, walk
 
     if t.op is None:
         return False
@@ -195,19 +193,10 @@ def extract_subgraph(
         for k, dep in enumerate(boundary_order)
     }
     for k, t in enumerate(group):
-        body = _rebuild_expr(t.op.body, canonical)
-        canonical[id(t)] = Tensor(
-            f"c{k}", t.shape, t.dtype, op=ComputeOp(t.op.axes, body)
-        )
+        canonical[id(t)] = t.rerooted(f"c{k}", canonical)
     output = canonical[id(group[-1])]
-
-    signature = (
-        tuple((_op_kind(t), t.shape, t.dtype) for t in group),
-        tuple((dep.shape, dep.dtype) for dep in boundary_order),
-    )
     return SubgraphSpec(
         name,
-        signature,
         len(group),
         input_tensors=boundary_order,
         source_outputs=[group[-1]],
@@ -215,73 +204,3 @@ def extract_subgraph(
         canonical_inputs=[canonical[id(dep)].name for dep in boundary_order],
         canonical_output_names=[output.name],
     )
-
-
-def _op_kind(t: Tensor) -> str:
-    """Structural identity of one op.
-
-    Must distinguish kernels that compile differently: the body's
-    expression structure (with tensors and iterators alpha-renamed so
-    identical layers in different positions still match), every operand's
-    shape, and the reduce extents (conv window / contraction depth).
-    """
-    op = t.op
-    if op is None:
-        return "placeholder"
-    red = ",".join(str(a.extent) for a in op.reduce_axes)
-    shapes = ";".join(
-        f"{d.shape}{d.dtype}" for d in op.input_tensors()
-    )
-    return f"{_canonical_expr(op)}/r[{red}]/in[{shapes}]"
-
-
-def _canonical_expr(op) -> str:
-    """Alpha-renamed rendering of a compute body (structure only)."""
-    from repro.ir.expr import (
-        BinaryOp,
-        Cast,
-        FloatImm,
-        IntImm,
-        IterVar,
-        Reduce,
-        Select,
-        TensorRef,
-        UnaryOp,
-    )
-
-    tensor_ids: Dict[int, str] = {}
-    iter_ids: Dict[int, str] = {}
-
-    def name_tensor(t) -> str:
-        return tensor_ids.setdefault(id(t), f"t{len(tensor_ids)}")
-
-    def name_iter(v) -> str:
-        return iter_ids.setdefault(id(v), f"i{len(iter_ids)}")
-
-    for axis in op.axes:
-        name_iter(axis)
-
-    def render(e) -> str:
-        if isinstance(e, IntImm):
-            return str(e.value)
-        if isinstance(e, FloatImm):
-            return repr(e.value)
-        if isinstance(e, IterVar):
-            return name_iter(e)
-        if isinstance(e, TensorRef):
-            idx = ",".join(render(i) for i in e.indices)
-            return f"{name_tensor(e.tensor)}[{idx}]"
-        if isinstance(e, BinaryOp):
-            return f"{e.op}({render(e.a)},{render(e.b)})"
-        if isinstance(e, UnaryOp):
-            return f"{e.op}({render(e.a)})"
-        if isinstance(e, Select):
-            return f"sel({render(e.cond)},{render(e.if_true)},{render(e.if_false)})"
-        if isinstance(e, Cast):
-            return f"cast<{e.dtype}>({render(e.a)})"
-        if isinstance(e, Reduce):
-            axes = ",".join(name_iter(a) for a in e.axes)
-            return f"{e.op}[{axes}]({render(e.value)})"
-        return type(e).__name__
-
-    return render(op.body)

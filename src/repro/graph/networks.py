@@ -2,7 +2,7 @@
 
 Each model builds the full forward te DAG at batch 16, matching the
 paper's setup; :func:`repro.graph.pipeline.partition` fuses it into
-subgraphs and deduplicates them by signature digest, and Fig. 13 sums
+subgraphs and deduplicates them by fingerprint digest, and Fig. 13 sums
 per-subgraph simulated cycles weighted by multiplicity.  The paper
 reports a training epoch; forward cycles preserve the
 compiler-vs-compiler ratios the figures compare (every path pays the
@@ -254,7 +254,7 @@ def _build_alexnet_tiny() -> List[Tensor]:
     stacks, pool cuts, FC head off a flat placeholder) but batch 2 and
     tiny channel counts, so the scalar-oracle replay that anchors the
     bit-identity check stays cheap.  ``t_c3``/``t_c4`` are deliberately
-    signature-identical: they prove compile-level dedup end to end.
+    fingerprint-identical: they prove compile-level dedup end to end.
     """
     x = placeholder((2, 3, 15, 15), dtype="fp16", name="image")
     y = _conv_bn_relu(x, 3, 6, 3, 2, 0, "t_c1")
@@ -277,7 +277,7 @@ def _build_alexnet_tiny() -> List[Tensor]:
 def _build_mobilenet_v2_tiny() -> List[Tensor]:
     """MobileNet-v2-shaped at toy scale, for executable network plans.
 
-    Two signature-identical inverted residuals (stride 1, ``cin ==
+    Two fingerprint-identical inverted residuals (stride 1, ``cin ==
     cout``) exercise both dedup and the residual fan-out: the block
     input feeds the expand conv *and* the residual add, so the arena
     planner must keep it live across the whole block.

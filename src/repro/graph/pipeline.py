@@ -4,15 +4,15 @@ The layer between :mod:`repro.graph.networks` (which builds a network's
 te DAG) and the tensor compiler (which compiles one subgraph).
 :func:`partition` is the network's one partition: it fuses the whole
 DAG, re-roots every group once and deduplicates the instances by
-signature digest.  ``compile_network`` compiles each *unique* subgraph of
-that partition exactly once through the staged
+fingerprint digest.  ``compile_network`` compiles each *unique*
+subgraph of that partition exactly once through the staged
 ``run_frontend``/``backend_build`` split (and therefore the persistent
-disk cache — the canonical re-rooted DAG makes signature-equal subgraphs
-fingerprint identically), optionally tunes the unique subgraphs
-concurrently on the parallel-tuner pool, and stitches the compiled
-programs into a :class:`~repro.graph.plan.NetworkPlan` with a static
-buffer-reuse arena.  Fig. 13 sums the same partition, so a network it
-times is a plan that runs.
+disk cache, whose key starts from the same fingerprint), optionally
+tunes the unique subgraphs concurrently on the parallel-tuner pool, and
+stitches the compiled programs into a
+:class:`~repro.graph.plan.NetworkPlan` with a static buffer-reuse arena.
+Fig. 13 sums the same partition, so a network it times is a plan that
+runs.
 
 Degradation follows the single-kernel rule: each subgraph build carries
 its own :class:`~repro.core.resilience.ResilienceReport` (a degraded
@@ -41,7 +41,7 @@ __all__ = ["compile_network", "CompiledNetwork", "Partition", "partition"]
 
 
 class Partition:
-    """One network's fused subgraphs, deduplicated by signature digest.
+    """One network's fused subgraphs, deduplicated by fingerprint digest.
 
     ``specs``/``digests`` list every instance in topological order;
     ``unique`` maps each digest to its first instance, in first-seen

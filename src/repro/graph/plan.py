@@ -2,12 +2,12 @@
 
 A :class:`NetworkPlan` is the artefact the graph-level compile driver
 (:mod:`repro.graph.pipeline`) produces: the fused subgraphs' compiled
-programs, deduplicated by signature digest, stitched into a topologically
+programs, deduplicated by fingerprint digest, stitched into a topologically
 ordered schedule over the network's inter-subgraph tensors.  Three parts:
 
 - **schedule** — one :class:`PlanStep` per subgraph *instance*, in the
   fuser's topological order, each referencing its compiled program by
-  signature digest and naming the network tensors it reads and writes;
+  fingerprint digest and naming the network tensors it reads and writes;
 - **arena** — :func:`plan_arena` runs a liveness pass over the
   inter-subgraph tensor DAG and packs the intermediate tensors into
   reusable arena slots (greedy best-fit; a slot is recycled as soon as

@@ -19,7 +19,19 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.ir.expr import Expr, IterVar, Reduce, TensorRef, wrap
+from repro.ir.expr import (
+    BinaryOp,
+    Cast,
+    Expr,
+    FloatImm,
+    IntImm,
+    IterVar,
+    Reduce,
+    Select,
+    TensorRef,
+    UnaryOp,
+    wrap,
+)
 
 _name_counter = itertools.count()
 
@@ -128,6 +140,39 @@ class Tensor:
 
         visit(self)
         return order
+
+    def rerooted(self, name: str, mapping: Dict[int, "Tensor"]) -> "Tensor":
+        """A copy of this compute tensor named ``name`` whose body reads
+        ``mapping[id(t)]`` wherever it read a mapped tensor ``t``: how a
+        fused group (:func:`repro.graph.fusion.extract_subgraph`) and a
+        baseline's single operator (:func:`repro.cce.isolate_op`) become
+        kernels of their own."""
+        body = _rebuild(self.op.body, mapping)
+        return Tensor(name, self.shape, self.dtype, op=ComputeOp(self.op.axes, body))
+
+
+def _rebuild(expr: Expr, mapping: Dict[int, Tensor]) -> Expr:
+    """Copy an expression tree, redirecting tensor reads via ``mapping``."""
+    if isinstance(expr, TensorRef):
+        target = mapping.get(id(expr.tensor), expr.tensor)
+        return TensorRef(target, [_rebuild(i, mapping) for i in expr.indices])
+    if isinstance(expr, BinaryOp):
+        return BinaryOp(expr.op, _rebuild(expr.a, mapping), _rebuild(expr.b, mapping))
+    if isinstance(expr, UnaryOp):
+        return UnaryOp(expr.op, _rebuild(expr.a, mapping))
+    if isinstance(expr, Select):
+        return Select(
+            _rebuild(expr.cond, mapping),
+            _rebuild(expr.if_true, mapping),
+            _rebuild(expr.if_false, mapping),
+        )
+    if isinstance(expr, Cast):
+        return Cast(expr.dtype, _rebuild(expr.a, mapping))
+    if isinstance(expr, Reduce):
+        return Reduce(expr.op, _rebuild(expr.value, mapping), expr.axes)
+    if isinstance(expr, (IntImm, FloatImm, IterVar)):
+        return expr
+    raise TypeError(f"cannot rebuild {type(expr).__name__}")
 
 
 class ComputeOp:

@@ -9,8 +9,9 @@ baseline faithfully *as a baseline*:
   (split / reorder / compute_at / vectorize / double_buffer /
   tensorize), recording transformations exactly as TVM users write them;
 - :mod:`repro.tvmbaseline.templates` -- hand-written templates per
-  operator class, mirroring what the vendor developers wrote;
-- :mod:`repro.tvmbaseline.compiler`  -- lowering of scheduled operators to
+  operator class, mirroring what the vendor developers wrote (Fig. 10's
+  corpus), and the vendor tile-size heuristic ``expert_tile_sizes``;
+- :mod:`repro.tvmbaseline.compiler`  -- compilation at those tile sizes to
   the same virtual ISA, with the documented TVM limitations: pointwise-only
   operator fusion (no post-tiling overlapped fusion -> stencil producers
   split into separate kernels with a GM round trip) and the empirical

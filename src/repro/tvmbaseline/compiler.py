@@ -1,4 +1,5 @@
-"""The TVM-baseline compiler: templates + limited fusion + empirical sync.
+"""The TVM-baseline compiler: vendor tile sizes + limited fusion +
+empirical sync + manual padding.
 
 Reuses the shared lowering, storage and instruction-emission machinery --
 the baseline targets the same chip -- but with the three documented
@@ -12,10 +13,15 @@ differences from AKG:
 2. **Synchronisation**: the vendor team's empirical flag grouping
    (per-instruction pairs) instead of AKG's DP policy -- the source of the
    GEMM gap in Fig. 11 (Sec. 6.1).
-3. **Padding**: templates pad vector spans up to the SIMD lane width
-   during scheduling, so TVM's vector intrinsics are always aligned (the
+3. **Padding**: :class:`_TvmProgramBuilder` pads vector spans up to the
+   SIMD lane width, so TVM's vector intrinsics are always aligned (the
    paper notes manual padding lets TVM win on a few shapes, at the price
    of computing the padded elements).
+
+Tile sizes are the vendor heuristics of
+:func:`~repro.tvmbaseline.templates.expert_tile_sizes`, refit until the
+storage plan fits; the templates themselves are Fig. 10's lines-of-code
+corpus and run no part of the build.
 """
 
 from __future__ import annotations
@@ -23,25 +29,25 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.codegen.program import ProgramBuilder
+from repro.core.compiler import CompiledKernel
 from repro.fusion.intratile import is_cube_statement
 from repro.fusion.posttile import TiledGroup, group_filters
 from repro.hw.isa import Program, VectorInstr
-from repro.hw.simulator import SimReport, Simulator
+from repro.hw.simulator import Simulator
 from repro.hw.spec import HardwareSpec
 from repro.ir.lower import LoweredKernel, lower
 from repro.ir.tensor import Tensor
-from repro.sched.clustering import Clustering, conservative_clustering
+from repro.sched.clustering import conservative_clustering
 from repro.sched.deps import compute_dependences
 from repro.sched.scheduler import PolyScheduler
 from repro.storage.promote import StoragePlan
 from repro.tiling import policy
 from repro.tiling.invariants import SizeInvariants
-from repro.tvmbaseline.schedule import Schedule
-from repro.tvmbaseline.templates import expert_tile_sizes, template_for
+from repro.tvmbaseline.templates import expert_tile_sizes
 
 
-class TvmCompileResult:
-    """Compiled TVM-baseline program plus context."""
+class TvmCompileResult(CompiledKernel):
+    """Compiled TVM-baseline program plus its tile nests and storage plans."""
 
     def __init__(
         self,
@@ -50,28 +56,10 @@ class TvmCompileResult:
         groups: List[TiledGroup],
         plans: List[StoragePlan],
         hw: HardwareSpec,
-        schedule: Schedule,
     ):
-        self.program = program
-        self.kernel = kernel
+        super().__init__(program, kernel, hw)
         self.groups = groups
         self.plans = plans
-        self.hw = hw
-        self.schedule = schedule
-
-    def simulate(self) -> SimReport:
-        """Run the cycle simulator."""
-        return Simulator(self.hw).run(self.program)
-
-    def cycles(self) -> int:
-        """Simulated execution cycles."""
-        return self.simulate().total_cycles
-
-    def execute(self, inputs, engine="auto"):
-        """Functional replay (requires ``emit_trace=True``)."""
-        from repro.codegen.program_exec import execute_program
-
-        return execute_program(self.program, inputs, engine=engine)
 
 
 class _TvmProgramBuilder(ProgramBuilder):
@@ -95,40 +83,21 @@ class _TvmProgramBuilder(ProgramBuilder):
         return stage
 
 
-def _pointwise_clustering(kernel: LoweredKernel, deps) -> Clustering:
-    """compute_at-style fusion: only uniform edges join the live-out group.
-
-    Start from the conservative clustering, then *demote* any live-out
-    member whose connection to the rest of the live-out group needs more
-    than pointwise alignment (conservative clustering already requires
-    uniform edges for the live-out merge, so this reduces to the same
-    computation -- the difference against AKG materialises in
-    ``tvm_build``, which never runs post-tiling fusion, so stencil
-    producers always stay separate nests).
-    """
-    return conservative_clustering(kernel, deps)
-
-
 def tvm_build(
     outputs: Sequence[Tensor] | Tensor,
     name: str = "kernel",
     hw: Optional[HardwareSpec] = None,
     emit_trace: bool = False,
     sync_policy: str = "empirical",
-    apply_templates: bool = True,
 ) -> TvmCompileResult:
     """Compile with the TVM-baseline pipeline."""
     hw = hw or HardwareSpec()
-    if isinstance(outputs, Tensor):
-        outputs = [outputs]
-    schedule = Schedule(outputs)
-    if apply_templates:
-        for out in outputs:
-            template_for(out)(schedule, out, hw)
-
     kernel = lower(outputs, name)
     deps = compute_dependences(kernel)
-    clustering = _pointwise_clustering(kernel, deps)
+    # compute_at-style fusion: the conservative clustering already joins
+    # the live-out group only over uniform edges, and no post-tiling
+    # fusion runs below, so stencil producers stay separate nests.
+    clustering = conservative_clustering(kernel, deps)
     tree = PolyScheduler().schedule_kernel(kernel, deps, clustering)
 
     invariants = SizeInvariants(kernel, hw)
@@ -138,7 +107,7 @@ def tvm_build(
         planned: List[policy.Planned] = []
         shrunk = False
         for f in group_filters(tree):
-            # Templates key off the group's anchor: the contraction when
+            # Vendor sizes key off the group's anchor: the contraction when
             # there is one, else the last (output) statement.
             cube_in_group = [
                 stmt_by_id[sid]
@@ -178,4 +147,4 @@ def tvm_build(
             < Simulator(hw).run(program).total_cycles
         ):
             groups, program, plans = alt_groups, alt_program, alt_plans
-    return TvmCompileResult(program, kernel, groups, plans, hw, schedule)
+    return TvmCompileResult(program, kernel, groups, plans, hw)

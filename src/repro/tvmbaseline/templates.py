@@ -111,8 +111,9 @@ def template_for(out: Tensor) -> Callable[[Schedule, Tensor, HardwareSpec], None
     return elementwise_template
 
 
-# Expert initial tile-size guesses per statement pattern, used when the
-# template's sizes must be refit to the actual shapes.
+# The TVM baseline's tile sizes: ``tvm_build`` starts each group here and
+# refits until its storage plan fits.  For vector ops the row split
+# differs from ``elementwise_template``'s (which no build runs).
 def expert_tile_sizes(
     stmt: PolyStatement, hw: HardwareSpec
 ) -> List[int]:

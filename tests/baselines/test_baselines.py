@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cce import cce_expert_build, cce_naive_build
-from repro.cce.expert import isolate_op
+from repro.cce import isolate_op
 from repro.core.compiler import build
 from repro.ir import lower, ops
 from repro.ir.tensor import placeholder

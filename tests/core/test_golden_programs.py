@@ -139,15 +139,15 @@ EMITTED = {
 # 432, 854, 1287, 1507, 819, 1420, 1424 while it solved them as ILPs and
 # counted on the solver caches' state).
 CALLS = {
-    "add_relu_128x512": (397, 74, 154),
-    "conv2d_16x32": (128, 59, 328),
-    "matmul_256": (525, 102, 240),
-    "softmax_32x64": (569, 165, 382),
-    "subgraph1": (1004, 128, 615),
-    "subgraph2": (1345, 93, 1059),
-    "subgraph3": (1093, 87, 627),
-    "subgraph4": (1996, 391, 732),
-    "subgraph5": (1130, 131, 752),
+    "add_relu_128x512": (397, 74, 146),
+    "conv2d_16x32": (128, 59, 300),
+    "matmul_256": (525, 102, 220),
+    "softmax_32x64": (569, 165, 362),
+    "subgraph1": (1004, 128, 579),
+    "subgraph2": (1345, 93, 1043),
+    "subgraph3": (1093, 87, 619),
+    "subgraph4": (1996, 391, 704),
+    "subgraph5": (1130, 131, 716),
 }
 
 # name -> Python-level calls of a cold build(), the second of that kernel

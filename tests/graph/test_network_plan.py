@@ -165,12 +165,12 @@ def test_replay_outputs_survive_buffer_reuse():
 def test_compile_dedup_one_compile_per_signature():
     compiled = compile_network(network("alexnet_tiny"))
     plan = compiled.plan
-    # t_c3 / t_c4 share a signature: strictly fewer compiles than steps.
+    # t_c3 / t_c4 share a fingerprint: strictly fewer compiles than steps.
     assert plan.unique_subgraphs() < len(plan.steps)
     assert compiled.dedup_reuses == len(plan.steps) - plan.unique_subgraphs()
     # The reuse is visible in perf.report() as a counter...
     assert perf.report()["counters"]["graph.dedup_reuse"] == compiled.dedup_reuses
-    # ...and the disk cache proves one compile per unique signature: a
+    # ...and the disk cache proves one compile per unique fingerprint: a
     # recompile in the same cache dir hits for every unique subgraph.
     diskcache.reset_disk_cache_stats()
     compile_network(network("alexnet_tiny"))

@@ -1,4 +1,5 @@
-"""Tests for subgraph signature identity (kernel dedup correctness)."""
+"""Tests for subgraph identity (kernel dedup correctness): two fused
+groups dedup exactly when their canonical DAGs fingerprint alike."""
 
 
 from repro.graph.fusion import extract_subgraph, fuse_graph
@@ -8,7 +9,7 @@ from repro.ir.tensor import placeholder
 
 def sig_of(out):
     groups = fuse_graph(out)
-    return extract_subgraph(groups[-1], "g").signature
+    return extract_subgraph(groups[-1], "g").digest()
 
 
 class TestSignatureIdentity:
