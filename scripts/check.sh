@@ -77,6 +77,18 @@ grep -qE "^network total +304765517$" "$TMP/bert.txt" \
     || { echo "FAIL: the bert21128 network total moved from EXPERIMENTS.md's Fig. 13"; exit 1; }
 
 echo
+echo "== the full-size networks whose plans shrink tiles keep their totals =="
+# These plans reach the shrink rule (capacity_shrink): a changed answer to
+# which tile dims a footprint depends on moves their totals.
+for entry in resnet50:29949139 mobilenetv2:4951589 ssd300:138639360 alexnet:6466222; do
+    net="${entry%%:*}"
+    total="${entry##*:}"
+    python -m repro.tools.akgc --network "$net" --no-disk-cache > "$TMP/$net.txt"
+    grep -E "^network total +$total$" "$TMP/$net.txt" \
+        || { echo "FAIL: the $net network total moved from $total"; exit 1; }
+done
+
+echo
 echo "== CCE dump of a cube kernel carries the schedule-tree AST =="
 python -m repro.tools.akgc matmul --shape 64,64,64 --no-disk-cache --dump-cce \
     > "$TMP/cce.txt"

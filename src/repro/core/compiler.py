@@ -27,11 +27,7 @@ from repro.core.errors import ReproError, StageTimeoutError, TilingError
 from repro.core.frontend import FrontEnd, _frontend_cache_key, run_frontend
 from repro.core.resilience import ResilienceReport, StageBudget
 from repro.conv.fractal import graft_fractal_subtrees
-from repro.fusion.intratile import (
-    UnitAssignment,
-    mark_local_buffers,
-    sink_vector_dims,
-)
+from repro.fusion.intratile import UnitAssignment, mark_local_buffers
 from repro.fusion.posttile import (
     FusionResult,
     TiledGroup,
@@ -379,7 +375,6 @@ def backend_build(
 
     merged_assignment = _merge_assignments(best.assignments)
     mark_local_buffers(best.fusion.tree, merged_assignment)
-    sink_vector_dims(best.fusion.tree, kernel, merged_assignment)
     graft_fractal_subtrees(
         best.fusion.tree, best.fusion.groups, merged_assignment, hw.cube_block
     )

@@ -4,7 +4,7 @@
   ("fusion when offloading data"): producers recomputed per live-out tile,
   with overlapped tiles derived by the reverse strategy.
 - :mod:`repro.fusion.intratile` -- Sec. 4.3 "fusion when forking data":
-  ``local_UB`` isolation, loop distribution and fast-dim sinking.
+  ``local_UB`` isolation and loop distribution.
 """
 
 from repro.fusion.posttile import TiledGroup, apply_post_tiling_fusion

@@ -11,27 +11,21 @@ streams to the Unified Buffer for the Vector/Scalar units.  This pass
   of the pre-tiling fusion, always valid under the conservative clustering),
 - relies on the tree's per-statement filter structure for the default
   *loop distribution* inside ``local_UB`` (each vector statement can be
-  vectorised independently), and
-- sinks the fastest-varying dimension of each vector statement to the
-  innermost position of its permutable band (``sink_fast_dim``), giving
-  the Sec. 4.3 vectorisation effect without re-running the ILP scheduler.
+  vectorised independently).
+
+Sec. 4.3 also sinks each vector statement's fastest-varying dim to the
+innermost position of its band.  This lowering needs no such pass:
+``lower()`` writes every statement's identity rows in loop order, so the
+write's fastest dim is already innermost.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.ir.expr import BinaryOp, TensorRef
 from repro.ir.lower import PolyStatement
-from repro.poly.affine import AffineExpr
-from repro.sched.tree import (
-    BandNode,
-    DomainNode,
-    FilterNode,
-    MarkNode,
-    find_parent,
-    replace_child,
-)
+from repro.sched.tree import DomainNode, FilterNode, MarkNode
 
 
 class UnitAssignment:
@@ -148,10 +142,8 @@ def mark_local_buffers(
     statements all stream to UB gets a ``local_UB`` mark (isolating it from
     the Cube dataflow), and cube filters get ``local_L1``.
     """
-    for node in list(tree.walk()):
-        if not isinstance(node, FilterNode) or node.child is None:
-            continue
-        if isinstance(node.child, MarkNode):
+    for node in tree.find_all(FilterNode):
+        if node.child is None or isinstance(node.child, MarkNode):
             continue
         kinds = {assignment.units.get(sid) for sid in node.stmt_ids}
         if kinds and kinds <= {"cube", "mte"}:
@@ -168,69 +160,3 @@ def mark_local_buffers(
             if not nested or nested <= set(node.stmt_ids):
                 node.set_child(MarkNode("local_UB", node.child))
     return tree
-
-
-def fast_varying_dim(stmt: PolyStatement) -> Optional[str]:
-    """The iteration dim with stride-1 in the write access (vector axis)."""
-    if stmt.write.indices is None or not stmt.write.indices:
-        return None
-    last = stmt.write.indices[-1]
-    for dim in reversed(stmt.iter_names):
-        if last.coeff(dim) == 1:
-            return dim
-    return None
-
-
-def sink_fast_dim(band: BandNode, stmt: PolyStatement) -> BandNode:
-    """Permute a permutable single-statement band so the fast dim is last.
-
-    The permutability of the band (established by the scheduler) guarantees
-    the interchange is legal, as argued in Sec. 4.3.
-    """
-    rows = band.schedules.get(stmt.stmt_id)
-    if rows is None or len(rows) <= 1:
-        return band
-    if not band.permutable:
-        return band
-    fast = fast_varying_dim(stmt)
-    if fast is None:
-        return band
-    target = AffineExpr.variable(fast)
-    if rows[-1] == target or target not in rows:
-        return band
-    idx = rows.index(target)
-    new_rows = rows[:idx] + rows[idx + 1 :] + [target]
-    coincident = list(band.coincident)
-    c = coincident.pop(idx)
-    coincident.append(c)
-    return BandNode(
-        {stmt.stmt_id: new_rows},
-        band.child,
-        permutable=band.permutable,
-        coincident=coincident,
-        tile_sizes=band.tile_sizes,
-    )
-
-
-def sink_vector_dims(tree: DomainNode, kernel, assignment: UnitAssignment) -> None:
-    """Sink each vector statement's fast-varying dim innermost (Sec. 4.3).
-
-    Applies the permutable-band interchange to single-statement bands in
-    the tree; the legality argument is the band's permutability, so no ILP
-    re-run is needed (exactly the paper's shortcut over re-scheduling).
-    """
-    stmt_by_id = {s.stmt_id: s for s in kernel.statements}
-    for band in list(tree.find_all(BandNode)):
-        if len(band.schedules) != 1 or not band.permutable or band.tile_sizes:
-            continue
-        sid = next(iter(band.schedules))
-        if assignment.units.get(sid) != "vector":
-            continue
-        stmt = stmt_by_id.get(sid)
-        if stmt is None:
-            continue
-        sunk = sink_fast_dim(band, stmt)
-        if sunk is not band:
-            parent = find_parent(tree, band)
-            if parent is not None:
-                replace_child(parent, band, sunk)

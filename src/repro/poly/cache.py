@@ -29,9 +29,7 @@ would have returned, down to list order, coefficient-dict order and
 assignment-key order, and cached and uncached compilations stay
 byte-for-byte identical (the staged-pipeline equivalence tests rely on
 it).  ``sg2_s0_ax0`` and ``sg2_m2_d0`` no longer make two problems of
-one, and :meth:`repro.poly.maps.BasicMap.compose`, whose middle
-dimensions come from a global fresh-name counter, hits on its second
-call.
+one.
 
 **A miss works in the same space.**  A key's rows are integer
 coefficient rows -- what a constraint is in isl -- so
@@ -64,11 +62,11 @@ keep-mask) and :data:`EXTENT_CACHE`
 (:func:`repro.tiling.reverse.affine_extent_bounds`, an integer per system x
 dimension x box).  An extent miss projects its own rows without asking
 ``FM_CACHE``, so that table serves the named projections only -- the
-reverse strategy's producer relations, ``compose``, dependence distances,
+reverse strategy's producer relations, dependence distances,
 the verifier's intervals and AST loop bounds.  No benchmark workload
-hits it, but the verifier and two paper subgraphs do: a cold build of
-Table 1's subgraph 1 hits it 55 times in 86 queries and subgraph 4 36 in
-54, and ``verify_result`` on subgraph 2 180 in 192.
+hits it, but the verifier does: ``verify_result`` on Table 1's subgraph 2
+hits it 180 times in 192 queries (a cold build of subgraph 1 asks it 8
+times).
 
 **The footprint table** (:data:`FOOTPRINT_CACHE`) is keyed before any
 map is built.  It and the extent table answer the statements without a
@@ -83,7 +81,7 @@ iteration dims``, the index expressions over iteration-dim positions,
 the tensor's shape (the clip) and the tile counts (the box).  No sort
 order needs recording because none exists: a miss is solved on the
 key's own integer rows (:func:`repro.tiling.reverse.footprint_bounds`,
-no map, no ``compose``, none of the tables above), so the solve is a
+no map, none of the tables above), so the solve is a
 function of the key alone and a hit is the fresh solve.  Entries are
 tuples; every answer is handed out as a new list.
 

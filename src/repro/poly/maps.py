@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.poly.affine import AffineExpr, Constraint
-from repro.poly.fm import project_onto, remove_redundant
-from repro.poly.sets import BasicSet, Space, fresh_name
+from repro.poly.sets import BasicSet, Space
 
 
 class BasicMap:
@@ -51,20 +50,6 @@ class BasicMap:
             for dim, e in zip(out_space.dims, exprs)
         ]
         return BasicMap(in_space, out_space, cons)
-
-    # -- algebra ----------------------------------------------------------------
-
-    def compose(self, after: "BasicMap") -> "BasicMap":
-        """Relation ``self ; after`` (apply ``self`` first, then ``after``)."""
-        mid_rename = {d: fresh_name(d) for d in self.out_space.dims}
-        self_cons = [c.rename(mid_rename) for c in self.constraints]
-        after_rename = dict(zip(after.in_space.dims, [mid_rename[d] for d in self.out_space.dims]))
-        if len(after.in_space.dims) != len(self.out_space.dims):
-            raise ValueError("arity mismatch in map composition")
-        after_cons = [c.rename(after_rename) for c in after.constraints]
-        keep = list(self.in_space.dims) + list(after.out_space.dims)
-        cons = project_onto(self_cons + after_cons, keep)
-        return BasicMap(self.in_space, after.out_space, remove_redundant(cons))
 
     def wrap(self) -> BasicSet:
         """Flatten the relation into a set over ``in_dims + out_dims``."""

@@ -13,19 +13,11 @@ over-approximates its one union by a single basic map
 
 from __future__ import annotations
 
-import itertools
 from typing import List, Mapping, Sequence, Tuple
 
 from repro.poly.affine import AffineExpr, Constraint, ratio
 from repro.poly.fm import project_onto
 from repro.poly.ilp import IlpProblem
-
-_fresh_counter = itertools.count()
-
-
-def fresh_name(base: str) -> str:
-    """Produce a globally unique dimension name derived from ``base``."""
-    return f"{base}__{next(_fresh_counter)}"
 
 
 def implies(constraints: List[Constraint], candidate: Constraint) -> bool:

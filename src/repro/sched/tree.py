@@ -202,28 +202,6 @@ class LeafNode(ScheduleNode):
         return "Leaf"
 
 
-# -- tree surgery helpers ----------------------------------------------------------
-
-
-def replace_child(parent: ScheduleNode, old: ScheduleNode, new: ScheduleNode) -> None:
-    """Swap ``old`` for ``new`` among ``parent.children``."""
-    for i, c in enumerate(parent.children):
-        if c is old:
-            parent.children[i] = new
-            return
-    raise ValueError("old node is not a child of parent")
-
-
-def find_parent(
-    root: ScheduleNode, target: ScheduleNode
-) -> Optional[ScheduleNode]:
-    """Parent of ``target`` in the tree rooted at ``root`` (None for root)."""
-    for node in root.walk():
-        if any(c is target for c in node.children):
-            return node
-    return None
-
-
 def clone_tree(node: ScheduleNode) -> ScheduleNode:
     """Structural deep copy (sets/maps/exprs shared -- they are immutable).
 

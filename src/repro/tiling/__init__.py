@@ -10,11 +10,7 @@
 """
 
 from repro.tiling.tile import tile_band
-from repro.tiling.reverse import (
-    liveout_instance_relation,
-    producer_tile_relation,
-    tile_footprint,
-)
+from repro.tiling.reverse import liveout_instance_relation, producer_tile_relation
 from repro.tiling.spec import StatementSpec, TileSpec, TilingPolicy, parse_tiling_policy
 from repro.tiling.auto import AutoTiler
 
@@ -22,7 +18,6 @@ __all__ = [
     "tile_band",
     "liveout_instance_relation",
     "producer_tile_relation",
-    "tile_footprint",
     "TilingPolicy",
     "StatementSpec",
     "TileSpec",

@@ -52,7 +52,6 @@ from repro.fusion.posttile import (
 from repro.storage.promote import StoragePlan, plan_storage
 from repro.tiling.auto import AutoTiler, LinearFootprintEvaluator
 from repro.tiling.invariants import SizeInvariants
-from repro.tiling.reverse import tile_footprint
 
 #: A shrink rule: ``(group, plan, sizes) -> smaller sizes``.
 ShrinkRule = Callable[[TiledGroup, StoragePlan, List[int]], List[int]]
@@ -398,30 +397,62 @@ def move_tile_dependence(group: TiledGroup) -> Dict[str, set]:
 
     A move whose footprint does not involve a tile dim gets *reloaded
     identically* when that dim is split further -- halving such a dim
-    doubles that tensor's total traffic.  Derived structurally from the
-    composed ``tile -> elements`` relations.
+    doubles that tensor's total traffic.  No size enters the question, so
+    it is read off a link graph of each statement's instance relation
+    (:func:`_tile_links`): an affine access depends on the tile dims
+    linked to its subscript dims; a non-affine one on none.
     """
     deps: Dict[str, set] = {}
     tile_dims = set(group.tile_dims)
     for stmt in group.statements:
+        links = None
         for access in [stmt.write] + list(stmt.reads):
-            name = access.tensor.name
+            used = deps.setdefault(access.tensor.name, set())
             if not access.is_affine:
-                deps.setdefault(name, set())
                 continue
-            rel = group.instance_relations[stmt.stmt_id]
-            fp = tile_footprint(access.as_map(stmt.space), rel)
-            tensor_dims = set(fp.out_space.dims)
-            used = set()
-            for con in fp.constraints:
-                names = set(con.variables())
-                # Only constraints *linking* a tensor dim to a tile dim
-                # make the footprint vary with the tile; pure tile-range
-                # bounds (0 <= o < count) do not.
-                if names & tensor_dims:
-                    used.update(names & tile_dims)
-            deps.setdefault(name, set()).update(used)
+            if links is None:
+                links = _tile_links(group.instance_relations[stmt.stmt_id], tile_dims)
+            for index in access.indices:
+                for name in index.coeffs:
+                    used.update(links.get(name, ()))
     return deps
+
+
+def _tile_links(relation, tile_dims: set) -> Dict[str, set]:
+    """The tile dims each non-tile dim of ``relation`` is linked to.
+
+    Dims that share a constraint fall in one class (union-find), and a
+    class is linked to the tile dims of every constraint that mentions one
+    of its members.  Composing an access with the relation finds no more:
+    every row Fourier-Motzkin derives for a tensor dim combines rows joined
+    through the eliminated dims, so it mentions only tile dims of its
+    subscripts' classes.  On the relations tiling builds it finds exactly
+    these; the answer only steers the shrink rule's traffic estimate.
+    """
+    parent: Dict[str, str] = {}
+
+    def find(name: str) -> str:
+        root = name
+        while parent[root] != root:
+            root = parent[root]
+        return root
+
+    rows = []
+    for con in relation.constraints:
+        names = con.expr.coeffs
+        inner = [n for n in names if n not in tile_dims]
+        if not inner:
+            continue
+        root = find(parent.setdefault(inner[0], inner[0]))
+        for name in inner[1:]:
+            other = find(parent.setdefault(name, name))
+            if other != root:
+                parent[other] = root
+        rows.append((inner[0], [n for n in names if n in tile_dims]))
+    linked: Dict[str, set] = {}
+    for member, tiles in rows:
+        linked.setdefault(find(member), set()).update(tiles)
+    return {name: linked[find(name)] for name in parent}
 
 
 def capacity_shrink(

@@ -152,18 +152,6 @@ def _approximate_union(parts: List[List[Constraint]]) -> List[Constraint]:
     return [c for c in parts[0] if all(implies(p, c) for p in parts[1:])]
 
 
-def tile_footprint(
-    access_map: BasicMap,
-    instance_relation: BasicMap,
-) -> BasicMap:
-    """Relation ``(tile indices) -> tensor elements`` for one access.
-
-    Composes the instance relation (tile -> statement instances) with the
-    statement's access relation (instances -> tensor elements).
-    """
-    return instance_relation.compose(access_map)
-
-
 def positional(exprs: Sequence[AffineExpr], dims: Sequence[str]) -> Hashable:
     """``exprs`` name-free: each as its variables' positions in ``dims``
     (in coefficient-dict order) and its numbers."""
@@ -218,9 +206,7 @@ def footprint_bounds(key: Hashable) -> List[Optional[int]]:
     ``T+S..``.  The relation's rows plus one row ``x_k - e_k = 0`` per
     index (in the coefficient order ``Constraint.eq(x_k, e_k)`` gives)
     become the ``tile -> elements`` composition once the instance
-    positions that occur are eliminated, in ascending order, as a
-    ``compose`` under names sorting tiles < instances < elements would
-    eliminate them.  Each element position is then bounded over the box
+    positions that occur are eliminated, in ascending order.  Each element position is then bounded over the box
     ``0 <= o < count`` as :func:`affine_extent_bounds` bounds a dim.  Index
     expressions are integral, as lowering makes them.
     """

@@ -155,11 +155,17 @@ CALLS = {
 # reset empties (interned names, per-kernel lowering state), and its count
 # depends on what ran before it.  conv2d_16x32 and subgraph5 are rows of
 # the benchmark's compile_sched workload, softmax_32x64 and subgraph2 of
-# its compile_tile workload.  1448 / 4383 / 13318 / 16379 while the
-# scheduler options took part in every front-end key and each emission
-# built a ``CodegenOptions``.  1936 / 4511 / 17007 / 16364 while the
-# scheduler built every statement's domain set for the tree's root (a
-# build without a fused producer now builds none) and counted tiles over
+# its compile_tile workload; subgraph1 and subgraph4 are the two rows
+# whose exact fit shrinks their start sizes (capacity_shrink asks which
+# tile dims each footprint depends on at every step).  1445 / 4380 /
+# 13315 / 16374, and subgraph1 74243, subgraph4 21800, while that question
+# composed every access with its instance relation through
+# Fourier-Motzkin and dim sinking walked every band.  1448 / 4383 /
+# 13318 / 16379 while the scheduler options took part in every front-end
+# key and each emission built a ``CodegenOptions``.  1936 / 4511 / 17007
+# / 16364 while the scheduler built every statement's domain set for the
+# tree's root (a build without a fused producer now builds none) and
+# counted tiles over
 # one statement's rows; subgraph5 rises by the range of every live-out
 # statement's band rows, read once per band: a band is tiled from one
 # origin per row, its least value over all of the band's statements.  3275 / 6107 / 20464 / 18510 while every
@@ -171,10 +177,12 @@ CALLS = {
 # re-solved their fold's feasibility, dependences sharing a problem each
 # asked its distance bounds, and band row extents were ILPs.
 BUILD_CALLS = {
-    "conv2d_16x32": 1445,
-    "softmax_32x64": 4380,
-    "subgraph2": 13315,
-    "subgraph5": 16374,
+    "conv2d_16x32": 1351,
+    "softmax_32x64": 4135,
+    "subgraph1": 31910,
+    "subgraph2": 12719,
+    "subgraph4": 11069,
+    "subgraph5": 15915,
 }
 
 # name -> Python-level calls of a warm build(), one disk-cache hit: the

@@ -33,6 +33,7 @@ from repro.tiling.reverse import affine_extent_bounds
 
 from tests.poly._counts import hits_misses
 from tests.storage.test_promote import _named_footprint, _uncached, fused_group
+from tests.tiling._reference_footprint import compose
 
 
 @pytest.fixture(autouse=True)
@@ -203,14 +204,14 @@ def _tile_to_instances():
 def test_second_compose_of_equal_maps_hits():
     """``compose`` renames its middle dims through a global counter; the
     projection it poses is the same problem every time."""
-    first = BasicMap.compose(*_tile_to_instances())
+    first = compose(*_tile_to_instances())
     entries, hits = len(FM_CACHE), hits_misses("fm")[0]
-    second = BasicMap.compose(*_tile_to_instances())
+    second = compose(*_tile_to_instances())
     assert (len(FM_CACHE), hits_misses("fm")[0]) == (entries, hits + 1)
     assert _exact_constraints(second.constraints) == _exact_constraints(
         first.constraints
     )
-    uncached = _uncached(lambda: BasicMap.compose(*_tile_to_instances()))
+    uncached = _uncached(lambda: compose(*_tile_to_instances()))
     assert _exact_constraints(uncached.constraints) == _exact_constraints(
         second.constraints
     )

@@ -1,4 +1,4 @@
-"""Tests for schedule-tree structure, surgery and cloning."""
+"""Tests for schedule-tree structure and cloning."""
 
 import pytest
 
@@ -13,8 +13,6 @@ from repro.sched.tree import (
     MarkNode,
     SequenceNode,
     clone_tree,
-    find_parent,
-    replace_child,
 )
 
 
@@ -26,11 +24,16 @@ def small_tree():
     return dom, band_a, band_b, seq
 
 
+def parent_of(root, target):
+    """The node of ``root``'s tree that has ``target`` among its children."""
+    return next(n for n in root.walk() if any(c is target for c in n.children))
+
+
 def mark_above(root, target, name):
-    """Insert ``Mark{name}`` between ``target`` and its parent, as the
-    passes do with ``find_parent`` and ``replace_child``."""
+    """Insert ``Mark{name}`` between ``target`` and its parent."""
+    parent = parent_of(root, target)
     mark = MarkNode(name, target)
-    replace_child(find_parent(root, target), target, mark)
+    parent.children[parent.children.index(target)] = mark
     return mark
 
 
@@ -60,7 +63,7 @@ class TestStructure:
         dom, band_a, *_ = small_tree()
         mark = mark_above(dom, band_a, "local_UB")
         assert marks(dom) == ["local_UB"] and mark.child is band_a
-        assert find_parent(dom, mark).child is mark
+        assert parent_of(dom, mark).child is mark
 
     def test_render_contains_labels(self):
         dom, *_ = small_tree()
@@ -69,22 +72,13 @@ class TestStructure:
 
 
 class TestSurgery:
-    def test_find_parent(self):
-        dom, band_a, band_b, seq = small_tree()
-        assert find_parent(dom, seq) is dom
-        assert find_parent(dom, dom) is None
-
     def test_replace_child(self):
         dom, band_a, band_b, seq = small_tree()
         new = LeafNode()
         filt = seq.children[0]
-        replace_child(filt, band_a, new)
-        assert filt.child is new
-
-    def test_replace_child_missing_raises(self):
-        dom, band_a, *_ = small_tree()
-        with pytest.raises(ValueError):
-            replace_child(dom, band_a, LeafNode())
+        filt.set_child(new)
+        assert filt.child is new and filt.children == [new]
+        assert seq.children[1].child is band_b
 
 
 class TestClone:

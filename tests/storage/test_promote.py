@@ -20,12 +20,12 @@ from repro.tiling.reverse import (
     footprint_key,
     positional,
     relation_key,
-    tile_footprint,
 )
 
 from tests.core.test_golden_programs import GOLDEN
 from tests.core.test_staged_equivalence import KERNELS as STAGED
 from tests.poly._counts import hits_misses
+from tests.tiling._reference_footprint import compose
 
 
 def fused_group(out, sizes):
@@ -197,8 +197,8 @@ def _named_footprint(group, stmt, access):
     """The footprint solved under the statement's own names, the way it
     was before the table: ``compose`` of the real maps, one extent bound
     per tensor dim.  Consults neither the table nor its positional names."""
-    fp = tile_footprint(
-        access.as_map(stmt.space), group.instance_relations[stmt.stmt_id]
+    fp = compose(
+        group.instance_relations[stmt.stmt_id], access.as_map(stmt.space)
     )
     box = {d: (0, c - 1) for d, c in zip(group.tile_dims, group.tile_counts)}
     shape = access.tensor.shape

@@ -3,7 +3,7 @@
 This is the path ``repro.tiling.reverse`` and ``repro.storage.promote``
 took before a tile probe solved integer rows: a footprint renames its
 relation to positional names (``o00``, ``s00``, ``x00``), composes it
-with the access map through ``BasicMap.compose``, and bounds every tensor
+with the access map through :func:`compose`, and bounds every tensor
 dimension with a full Fourier-Motzkin projection per dimension, whose
 upper/lower bound pairs are subtracted as ``AffineExpr``s over
 ``Fraction``s; tile membership is built through ``AffineExpr``
@@ -11,18 +11,63 @@ arithmetic.  It is the oracle for ``test_footprint_rows``: production
 must give the same bound for every dimension and the same membership
 constraints, coefficient-dict order and string objects included.
 
+:func:`tile_dependence` is the shrink rule's question asked the same way:
+which tile dims each tensor's composed ``tile -> elements`` relation links
+a tensor dim to.  It is the oracle for ``test_tile_dependence``.
+
 Not imported by anything under ``src/``.
 """
 
 from __future__ import annotations
 
+import itertools
 from math import floor
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.poly.affine import AffineExpr, Constraint, ratio
-from repro.poly.fm import project_onto
+from repro.poly.fm import project_onto, remove_redundant
 from repro.poly.maps import BasicMap
 from repro.poly.sets import Space
+
+
+_fresh_counter = itertools.count()
+
+
+def compose(first: BasicMap, after: BasicMap) -> BasicMap:
+    """Relation ``first ; after`` (apply ``first``, then ``after``): the
+    middle dims get globally fresh names and Fourier-Motzkin projects them
+    out."""
+    if len(after.in_space.dims) != len(first.out_space.dims):
+        raise ValueError("arity mismatch in map composition")
+    mid = {d: f"{d}__{next(_fresh_counter)}" for d in first.out_space.dims}
+    first_cons = [c.rename(mid) for c in first.constraints]
+    after_rename = dict(zip(after.in_space.dims, [mid[d] for d in first.out_space.dims]))
+    after_cons = [c.rename(after_rename) for c in after.constraints]
+    keep = list(first.in_space.dims) + list(after.out_space.dims)
+    cons = project_onto(first_cons + after_cons, keep)
+    return BasicMap(first.in_space, after.out_space, remove_redundant(cons))
+
+
+def tile_dependence(group) -> Dict[str, set]:
+    """Which tile dims each tensor's footprint depends on, by composition:
+    the tile dims of every constraint of the composed relation that
+    mentions a tensor dim (pure tile-range bounds do not make a footprint
+    vary with the tile)."""
+    deps: Dict[str, set] = {}
+    tile_dims = set(group.tile_dims)
+    for stmt in group.statements:
+        for access in [stmt.write] + list(stmt.reads):
+            used = deps.setdefault(access.tensor.name, set())
+            if not access.is_affine:
+                continue
+            rel = group.instance_relations[stmt.stmt_id]
+            fp = compose(rel, access.as_map(stmt.space))
+            tensor_dims = set(fp.out_space.dims)
+            for con in fp.constraints:
+                names = set(con.variables())
+                if names & tensor_dims:
+                    used.update(names & tile_dims)
+    return deps
 
 
 def tile_membership_constraints(
@@ -52,7 +97,7 @@ def positional_footprint(
     instances = BasicMap(Space("T", tiles), Space("S", iters), cons)
     renamed = [e.rename(rename) for e in indices]
     access_map = BasicMap.from_exprs(instances.out_space, Space("X", elems), renamed)
-    return instances.compose(access_map)
+    return compose(instances, access_map)
 
 
 def extent_bound(

@@ -15,14 +15,11 @@ from repro.sched.deps import compute_dependences
 from repro.sched.scheduler import PolyScheduler
 from repro.sched.tree import BandNode, ExtensionNode, MarkNode
 from repro.fusion.posttile import apply_post_tiling_fusion
-from repro.tiling.reverse import (
-    liveout_instance_relation,
-    producer_tile_relation,
-    tile_footprint,
-)
+from repro.tiling.reverse import liveout_instance_relation, producer_tile_relation
 from repro.tiling.tile import tile_band
 from repro.verify import check_dependences
 from tests.poly._box import ilp_box
+from tests.tiling._reference_footprint import compose
 
 
 def _gather(idx, i):
@@ -206,7 +203,7 @@ class TestReverseStrategy:
         rows = [AffineExpr.variable(d) for d in stmt.iter_names]
         inst = liveout_instance_relation(stmt, rows, [4, 8], ["o0", "o1"])
         read_map = stmt.reads[0].as_map(stmt.space)
-        fp = tile_footprint(read_map, inst)
+        fp = compose(inst, read_map)
         box = tile_box(fp, {"o0": 1, "o1": 0})
         assert box == {"A_d0": (4, 7), "A_d1": (0, 7)}
 
