@@ -77,13 +77,17 @@ grep -qE "^network total +304765517$" "$TMP/bert.txt" \
     || { echo "FAIL: the bert21128 network total moved from EXPERIMENTS.md's Fig. 13"; exit 1; }
 
 echo
-echo "== the full-size networks whose plans shrink tiles keep their totals =="
+echo "== the full-size networks whose plans shrink tiles verify and keep their totals =="
 # These plans reach the shrink rule (capacity_shrink): a changed answer to
-# which tile dims a footprint depends on moves their totals.
+# which tile dims a footprint depends on moves their totals.  Their
+# conv+BN+ReLU+pool subgraphs recompute a reduction per tile, whose
+# self-dependences the schedule check proves by containment.
 for entry in resnet50:29949139 mobilenetv2:4951589 ssd300:138639360 alexnet:6466222; do
     net="${entry%%:*}"
     total="${entry##*:}"
-    python -m repro.tools.akgc --network "$net" --no-disk-cache > "$TMP/$net.txt"
+    python -m repro.tools.akgc --network "$net" --verify --no-disk-cache > "$TMP/$net.txt"
+    grep -qE "^verified      : arena \+ [0-9]+ subgraphs" "$TMP/$net.txt" \
+        || { echo "FAIL: akgc --network $net --verify did not verify the plan"; exit 1; }
     grep -E "^network total +$total$" "$TMP/$net.txt" \
         || { echo "FAIL: the $net network total moved from $total"; exit 1; }
 done

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.compiler import AkgOptions, CompiledKernel, build
 from repro.hw.isa import Barrier, Instr, Program
 from repro.hw.spec import HardwareSpec
-from repro.ir.lower import lower
 from repro.ir.tensor import Tensor, placeholder
 
 __all__ = ["cce_naive_build", "cce_expert_build", "isolate_op"]
@@ -61,7 +60,7 @@ def _per_op_build(
 ) -> CompiledKernel:
     """Every computed tensor of the DAG, in topological order, built as an
     isolated kernel on ``hw`` with ``options``, the kernels separated by
-    full barriers."""
+    full barriers: one program, and no lowered kernel of the whole DAG."""
     if isinstance(outputs, Tensor):
         outputs = [outputs]
     order: List[Tensor] = []
@@ -78,7 +77,7 @@ def _per_op_build(
         if i > 0:
             instrs.append(Barrier())
         instrs.extend(result.program.instructions)
-    return CompiledKernel(Program(f"{name}_{suffix}", instrs), lower(outputs, name), hw)
+    return CompiledKernel(Program(f"{name}_{suffix}", instrs), None, hw)
 
 
 def cce_expert_build(

@@ -87,9 +87,11 @@ class AkgOptions:
 
 class CompiledKernel:
     """A lowered kernel compiled to a program for one machine: what AKG's
-    :class:`CompileResult` and every baseline's result share."""
+    :class:`CompileResult` and every baseline's result share.  ``kernel``
+    is ``None`` for the per-operator CCE baselines, whose program is one
+    kernel per operator."""
 
-    def __init__(self, program: Program, kernel: LoweredKernel, hw: HardwareSpec):
+    def __init__(self, program: Program, kernel: Optional[LoweredKernel], hw: HardwareSpec):
         self.program = program
         self.kernel = kernel
         self.hw = hw

@@ -47,9 +47,9 @@ from repro.sched.tree import (
 )
 from repro.tiling.invariants import SizeInvariants
 from repro.tiling.reverse import (
+    affine_extent_bounds,
     liveout_instance_relation,
     producer_tile_relation,
-    relation_key,
 )
 from repro.tiling.tile import tile_band
 
@@ -57,14 +57,15 @@ from repro.tiling.tile import tile_band
 class TiledGroup:
     """Everything downstream passes need to know about one fused tile nest.
 
-    A live-out statement tiled by identity band rows on distinct dims has
-    a *tile window* (:attr:`windows`): its per-tile instance extents, and
-    the box its footprints are read off in closed form.  The
-    ``tile -> instances`` relations are built only where they are read
-    (fused-producer projection, shrink rules, code generation, replay, the
-    verifier, and the footprints of a statement without a window): a
-    live-out statement gets its relation from ``band_rows`` on first read
-    of ``instance_relations``, in a cold group and a restored one alike.
+    A live-out statement tiled by identity band rows on distinct dims, and
+    a fused producer whose readers have one, has a *tile window*
+    (:attr:`windows`): its per-tile instance extents, and the box its
+    footprints are read off in closed form.  The ``tile -> instances``
+    relations are built only where they are read (fused-producer
+    projection, shrink rules, code generation, replay, the verifier, and
+    a statement without a window): a live-out statement gets its relation
+    from ``band_rows`` on first read of ``instance_relations``, in a cold
+    group and a restored one alike.
     """
 
     #: What a pickle or deep copy holds, in this order, then the fused
@@ -89,7 +90,6 @@ class TiledGroup:
         fused_producer_ids: List[str],
         liveout_ids: List[str],
         band_rows: Dict[str, Sequence[AffineExpr]],
-        instance_relations: Optional[Dict[str, BasicMap]] = None,
         origins: Optional[List[int]] = None,
     ):
         self.tile_dims = tile_dims
@@ -99,8 +99,6 @@ class TiledGroup:
         self.band_rows = {sid: tuple(rows) for sid, rows in band_rows.items()}
         if origins is not None:
             self.origins = origins
-        if instance_relations is not None:
-            self.instance_relations = instance_relations
         self.fused_producer_ids = fused_producer_ids
         self.liveout_ids = liveout_ids
         # Set by tile_single_group: the group's originating filter node,
@@ -133,16 +131,18 @@ class TiledGroup:
     @cached_property
     def windows(self) -> Dict[str, List[int]]:
         """The tile window of every statement that has one: per iteration
-        dim, the tile size of the identity band row over it (at most the
-        dim's extent), or the dim's extent when no row tiles it.
+        dim, the length of the interval it ranges over in any one tile.
 
-        Inside one tile every dim ranges independently over an interval
-        at most that long, and the first tile reaches each length (sizes
-        are clamped), so a linear expression's spread over the window is
-        its exact per-tile range.  A statement with a non-identity row,
+        A live-out statement's is the tile size of the identity band row
+        over a dim (at most the dim's extent), or the extent of an untiled
+        dim.  Inside one tile every dim ranges independently over an
+        interval at most that long, and the first tile reaches each length
+        (sizes are clamped), so a linear expression's spread over the window
+        is its exact per-tile range.  A statement with a non-identity row,
         two rows over one dim, a row whose tiles start below 0 (another
         statement of the band has it shifted), or an empty box has no
-        window; nor has a fused producer (no band rows of its own).
+        window.  A fused producer's is derived from its readers'
+        (:meth:`add_window`), nearest producers first, as fusion derived it.
         """
         by_id = {s.stmt_id: s for s in self.statements}
         windows: Dict[str, List[int]] = {}
@@ -162,18 +162,81 @@ class TiledGroup:
             else:
                 if min(window, default=1) >= 1 and not any(self.origins):
                     windows[sid] = window
+        if self.fused_producer_ids:
+            spans: Dict[str, Span] = {}
+            fused = [by_id[sid] for sid in self.band_rows]
+            for sid in reversed(self.fused_producer_ids):
+                self.add_window(by_id[sid], fused, windows, spans)
+                fused.append(by_id[sid])
         return windows
 
-    @cached_property
-    def relation_keys(self) -> Dict[str, Hashable]:
-        """:func:`~repro.tiling.reverse.relation_key` of every statement
-        without a window, the relation half of its footprint keys; made
-        from the relations on first read."""
-        return {
-            sid: relation_key(rel)
-            for sid, rel in self.instance_relations.items()
-            if sid not in self.windows
-        }
+    def add_window(
+        self,
+        producer: PolyStatement,
+        readers: Sequence[PolyStatement],
+        windows: Dict[str, List[int]],
+        spans: Dict[str, "Span"],
+    ) -> None:
+        """Give a fused producer the window its ``readers`` (the statements
+        fused before it) imply: the reverse strategy of [70] as interval
+        arithmetic, as TVM's bound inference derives a producer's region.
+
+        A dim the producer's identity write puts at subscript ``p`` spans
+        the hull of the readers' subscripts ``p`` over their :data:`Span`,
+        clipped to the producer's extent and to the subscripts' range over
+        the readers' whole boxes (the clip, the same in every tile, when it
+        is shorter); an unwritten dim keeps its extent.  That is
+        Fourier-Motzkin's minimum over the same bound pairs.  No window for
+        a write that is not one distinct dim per subscript, no reader, a
+        windowless reader or a non-affine read, reads that move with the
+        tiles at different rates, or an empty box.
+        """
+        written = [e.as_variable() for e in producer.write.indices]
+        reads = [
+            (c, a) for c in readers for a in c.reads if a.tensor.name == producer.tensor.name
+        ]
+        distinct = set(written) & set(producer.iter_names)
+        empty = min(producer.iter_extents, default=1) < 1
+        if not reads or len(distinct) < len(written) or empty:
+            return
+        zero = (0,) * len(self.tile_dims)
+        for c, access in reads:
+            if c.stmt_id not in windows or not access.is_affine:
+                return
+            if c.stmt_id not in spans:  # a live-out reader: its tile starts at size * o
+                rates = dict.fromkeys(c.iter_names, zero)
+                for r, row in enumerate(self.band_rows[c.stmt_id]):
+                    rates[row.as_variable()] = zero[:r] + (self.tile_sizes[r],) + zero[r + 1:]
+                spans[c.stmt_id] = {
+                    n: (rates[n], 0, length)
+                    for n, length in zip(c.iter_names, windows[c.stmt_id])
+                }
+        span: Span = {}
+        for name, extent in zip(producer.iter_names, producer.iter_extents):
+            if name not in written:
+                span[name] = (zero, 0, extent)
+                continue
+            ranges = []
+            for c, access in reads:
+                subscript = access.indices[written.index(name)]
+                rate, low, high = zero, subscript.const, subscript.const
+                for dim, a in subscript.coeffs.items():
+                    dim_rate, start, length = spans[c.stmt_id][dim]
+                    rate = tuple([x + a * y for x, y in zip(rate, dim_rate)])
+                    low += a * start + min(0, a * (length - 1))
+                    high += a * start + max(0, a * (length - 1))
+                ranges.append((rate, low, high, *c.box_bounds(subscript)))
+            rates, lows, highs, firsts, lasts = zip(*ranges)
+            first, last = max(min(firsts), 0), min(max(lasts), extent - 1)
+            if len(set(rates)) > 1 or last < first:
+                return
+            low, high = min(lows), max(highs)
+            if high - low <= last - first:
+                span[name] = (rates[0], low, high - low + 1)
+            else:
+                span[name] = (zero, first, last - first + 1)
+        spans[producer.stmt_id] = span
+        windows[producer.stmt_id] = [length for _, _, length in span.values()]
 
     def __getstate__(self):
         state = {name: getattr(self, name) for name in self._STATE}
@@ -205,27 +268,15 @@ class TiledGroup:
 
         A statement's tile window when it has one; otherwise bounded by
         Fourier-Motzkin on its instance relation over the tile grid
-        (:func:`~repro.tiling.reverse.affine_extent_bounds`).
+        (:func:`fm_extents`).
         """
         window = self.windows.get(stmt_id)
         if window is not None:
             return list(window)
-        from repro.tiling.reverse import affine_extent_bounds
-
         stmt = next(s for s in self.statements if s.stmt_id == stmt_id)
-        rel = self.instance_relations[stmt_id]
-        box_ranges = {
-            d: (0, count - 1)
-            for d, count in zip(self.tile_dims, self.tile_counts)
-        }
-        bounds = affine_extent_bounds(rel.constraints, stmt.iter_names, box_ranges)
-        extents: List[int] = []
-        for k, bound in enumerate(bounds):
-            if bound is None:
-                extents.append(stmt.iter_extents[k])
-            else:
-                extents.append(max(min(bound, stmt.iter_extents[k]), 1))
-        return extents
+        return fm_extents(
+            stmt, self.instance_relations[stmt_id], self.tile_dims, self.tile_counts
+        )
 
     def instances_per_tile(self, stmt_id: str) -> int:
         """Upper bound on statement instances executed per (full) tile."""
@@ -334,45 +385,52 @@ def apply_post_tiling_fusion(
     # are built here only when a producer's projection reads them.
     clamped_sizes, tile_counts, origins = _clamp_and_count(band, invariants, sizes)
     band_rows = {sid: band.schedules[sid] for sid in liveout_filter.stmt_ids}
+    liveouts = [stmt_by_id[sid] for sid in liveout_filter.stmt_ids]
+    main_group = TiledGroup(
+        tile_dims=tile_dims,
+        tile_sizes=clamped_sizes,
+        tile_counts=tile_counts,
+        statements=liveouts,
+        fused_producer_ids=[],
+        liveout_ids=list(liveout_filter.stmt_ids),
+        band_rows=band_rows,
+        origins=origins,
+    )
     eligible = _eligible_producers(clustering)
-    instance_relations: Optional[Dict[str, BasicMap]] = None
     fused_producer_ids: List[str] = []
     if eligible:
-        instance_relations = {
-            sid: liveout_instance_relation(
-                stmt_by_id[sid], rows, clamped_sizes, tile_dims, origins
-            )
-            for sid, rows in band_rows.items()
-        }
+        instance_relations = main_group.instance_relations
+        windows: Dict[str, List[int]] = main_group.windows
+        spans: Dict[str, Span] = {}
         # Fuse eligible intermediate clusters, nearest producers first
         # (reverse cluster order is reverse-topological for our construction).
         consumer_rel: Dict[str, Tuple[PolyStatement, BasicMap]] = {
             sid: (stmt_by_id[sid], rel) for sid, rel in instance_relations.items()
         }
-        n_tiles = 1
-        for c in tile_counts:
-            n_tiles *= c
+        fused = list(liveouts)
         for ci in sorted(eligible, reverse=True):
+            cluster = list(reversed(clustering.clusters[ci]))
             cluster_rels: Dict[str, BasicMap] = {}
-            fusable = True
-            for stmt in reversed(clustering.clusters[ci]):
+            trial_windows, trial_spans = dict(windows), dict(spans)
+            for k, stmt in enumerate(cluster):
                 rel = producer_tile_relation(stmt, consumer_rel, deps, tile_dims)
                 if rel is None:
-                    fusable = False
                     break
-                if not _recompute_acceptable(
-                    stmt, rel, tile_dims, tile_counts, n_tiles
-                ):
-                    fusable = False
+                main_group.add_window(stmt, fused + cluster[:k], trial_windows, trial_spans)
+                extents = trial_windows.get(stmt.stmt_id) or fm_extents(
+                    stmt, rel, tile_dims, tile_counts
+                )
+                if not _recompute_acceptable(stmt, extents, main_group.total_tiles):
                     break
                 cluster_rels[stmt.stmt_id] = rel
-            if not fusable:
-                continue
-            for stmt in reversed(clustering.clusters[ci]):
-                rel = cluster_rels[stmt.stmt_id]
-                instance_relations[stmt.stmt_id] = rel
-                consumer_rel[stmt.stmt_id] = (stmt, rel)
-                fused_producer_ids.append(stmt.stmt_id)
+            else:
+                for stmt in cluster:
+                    instance_relations[stmt.stmt_id] = cluster_rels[stmt.stmt_id]
+                    consumer_rel[stmt.stmt_id] = (stmt, cluster_rels[stmt.stmt_id])
+                    fused_producer_ids.append(stmt.stmt_id)
+                windows.update(trial_windows)
+                spans = trial_spans
+                fused += cluster
         fused_producer_ids.reverse()  # execution order: earliest producer first
 
     # -- rewrite the tree ------------------------------------------------------
@@ -380,7 +438,7 @@ def apply_post_tiling_fusion(
     point_band = band
 
     extension_maps = {
-        sid: instance_relations[sid] for sid in fused_producer_ids
+        sid: main_group.instance_relations[sid] for sid in fused_producer_ids
     }
     children: List[FilterNode] = []
     for sid in fused_producer_ids:
@@ -403,20 +461,9 @@ def apply_post_tiling_fusion(
             mark = MarkNode("skipped", f.child)
             f.set_child(mark)
 
-    # -- build group records ------------------------------------------------------
-    order: List[PolyStatement] = [stmt_by_id[sid] for sid in fused_producer_ids]
-    order += [stmt_by_id[sid] for sid in liveout_filter.stmt_ids]
-    main_group = TiledGroup(
-        tile_dims=tile_dims,
-        tile_sizes=clamped_sizes,
-        tile_counts=tile_counts,
-        statements=order,
-        fused_producer_ids=fused_producer_ids,
-        liveout_ids=list(liveout_filter.stmt_ids),
-        band_rows=band_rows,
-        instance_relations=instance_relations,
-        origins=origins,
-    )
+    # -- complete the group record ------------------------------------------------
+    main_group.statements = [stmt_by_id[sid] for sid in fused_producer_ids] + liveouts
+    main_group.fused_producer_ids = fused_producer_ids
 
     groups: List[TiledGroup] = []
     for f in filters:
@@ -437,11 +484,7 @@ RECOMPUTE_THRESHOLD = 4.0
 
 
 def _recompute_acceptable(
-    stmt: PolyStatement,
-    rel: BasicMap,
-    tile_dims: Sequence[str],
-    tile_counts: Sequence[int],
-    n_tiles: int,
+    stmt: PolyStatement, extents: Sequence[int], n_tiles: int
 ) -> bool:
     """Guard against fusions whose overlapped recomputation explodes.
 
@@ -449,25 +492,44 @@ def _recompute_acceptable(
     shape, but a producer whose per-tile instance set is (nearly) its whole
     domain -- e.g. a full reduction feeding every tile -- would be
     recomputed once per tile.  AKG's clustering keeps such producers in
-    their own tile nest; we bound the recompute factor by
-    ``RECOMPUTE_THRESHOLD``.  Padding producers absorbed by img2col are
-    exempt (they cost nothing at code-generation time).
+    their own tile nest; we bound the recompute factor, over the per-tile
+    instance box ``extents``, by ``RECOMPUTE_THRESHOLD``.  Padding
+    producers absorbed by img2col are exempt (they cost nothing at
+    code-generation time).
     """
     from repro.conv.img2col import is_padding_statement
 
     if is_padding_statement(stmt):
         return True
-    from repro.tiling.reverse import affine_extent_bounds
-
-    box = {d: (0, c - 1) for d, c in zip(tile_dims, tile_counts)}
-    bounds = affine_extent_bounds(rel.constraints, stmt.iter_names, box)
     per_tile = 1
-    for k, bound in enumerate(bounds):
-        per_tile *= max(
-            bound if bound is not None else stmt.iter_extents[k], 1
-        )
+    for extent in extents:
+        per_tile *= extent
     total = stmt.instance_count()
     return per_tile * n_tiles <= RECOMPUTE_THRESHOLD * total
+
+
+def fm_extents(
+    stmt: PolyStatement,
+    relation: BasicMap,
+    tile_dims: Sequence[str],
+    tile_counts: Sequence[int],
+) -> List[int]:
+    """Per-tile extent of each of ``stmt``'s dims, bounded by
+    Fourier-Motzkin on its ``tile -> instances`` relation over the tile
+    grid (:func:`~repro.tiling.reverse.affine_extent_bounds`) and clipped
+    to the dim's extent: the answer for a statement without a window."""
+    box = {d: (0, count - 1) for d, count in zip(tile_dims, tile_counts)}
+    bounds = affine_extent_bounds(relation.constraints, stmt.iter_names, box)
+    return [
+        n if bound is None else max(min(bound, n), 1)
+        for bound, n in zip(bounds, stmt.iter_extents)
+    ]
+
+
+#: Where a windowed statement's per-tile intervals lie: per iteration
+#: dim ``(rate, low, length)``, the interval of tile ``o`` starting at
+#: ``low + rate . o``.
+Span = Dict[str, Tuple[Tuple[int, ...], int, int]]
 
 
 def band_row_spans(

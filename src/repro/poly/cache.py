@@ -39,10 +39,7 @@ decodes its result once: a miss decodes the very rows a hit decodes.  An
 its key's rows and objective, and a miss decodes its ranked assignment
 exactly as a hit does.  And a system is ranked once however many
 questions it is asked: an ``IlpProblem`` keeps its space beside its
-presolve, and :func:`~repro.tiling.reverse.affine_extent_bounds` ranks a
-system once for every dimension it bounds and solves a miss on those
-rows.  (A live-out statement with a tile window asks no table at all:
-:attr:`repro.fusion.posttile.TiledGroup.windows`.)
+presolve.
 
 **Why not full alpha-renaming** (number the variables by first
 occurrence, as a lambda-term hash would)?  It identifies more systems --
@@ -54,36 +51,19 @@ still be *an* answer, not *the* answer of the uncached run, and schedules
 and program dumps would depend on what was compiled earlier in the
 process.  Order-permuting renamings simply miss here.
 
-Three tables use the form: :data:`ILP_CACHE`
+Two tables use the form: :data:`ILP_CACHE`
 (:meth:`~repro.poly.ilp.IlpProblem.minimize` and ``batch_minimize``, one
-entry per system x objective whichever of the two posed it),
+entry per system x objective whichever of the two posed it) and
 :data:`FM_CACHE` (:func:`repro.poly.fm.project_onto`, key = rows +
-keep-mask) and :data:`EXTENT_CACHE`
-(:func:`repro.tiling.reverse.affine_extent_bounds`, an integer per system x
-dimension x box).  An extent miss projects its own rows without asking
-``FM_CACHE``, so that table serves the named projections only -- the
-reverse strategy's producer relations, dependence distances,
-the verifier's intervals and AST loop bounds.  No benchmark workload
-hits it, but the verifier does: ``verify_result`` on Table 1's subgraph 2
-hits it 180 times in 192 queries (a cold build of subgraph 1 asks it 8
-times).
-
-**The footprint table** (:data:`FOOTPRINT_CACHE`) is keyed before any
-map is built.  It and the extent table answer the statements without a
-tile window -- fused producers, on their projected relations: idle on
-every benchmark compile row but subgraph 5 (extent 8 hits / 4 misses,
-footprint 1 / 1), they pay on Table 1's subgraph 1 (on a 2-core host a
-cold build took 5% longer with the extent table off, 14% with the
-footprint table off) and on resnet50's plan (222 / 150 and 84 / 62).
-Its key (:func:`repro.tiling.reverse.footprint_key`) is the instance relation
-with every variable replaced by its *position* among ``tile dims +
-iteration dims``, the index expressions over iteration-dim positions,
-the tensor's shape (the clip) and the tile counts (the box).  No sort
-order needs recording because none exists: a miss is solved on the
-key's own integer rows (:func:`repro.tiling.reverse.footprint_bounds`,
-no map, none of the tables above), so the solve is a
-function of the key alone and a hit is the fresh solve.  Entries are
-tuples; every answer is handed out as a new list.
+keep-mask), which serves the named projections -- the reverse
+strategy's producer relations, dependence distances, the verifier's
+intervals and AST loop bounds.  No benchmark
+workload hits the latter, but the verifier does: ``verify_result`` on
+Table 1's subgraph 2 hits it 180 times in 192 queries (a cold build of
+subgraph 1 asks it 8 times).  Per-tile extents and footprints ask
+neither: a statement with a tile window reads them off it
+(:attr:`repro.fusion.posttile.TiledGroup.windows`), and the rest solve
+their own rows unmemoized (:mod:`repro.tiling.reverse`).
 
 Caches are process-global.  Worker processes of the parallel auto-tuner
 each grow their own copy (the cache is warm within a worker, cold across
@@ -110,8 +90,6 @@ __all__ = [
     "MISS",
     "ILP_CACHE",
     "FM_CACHE",
-    "EXTENT_CACHE",
-    "FOOTPRINT_CACHE",
     "solver_cache_stats",
     "clear_solver_caches",
     "set_solver_cache_enabled",
@@ -246,13 +224,7 @@ ILP_CACHE = SolveCache("ilp", work=("pivots", "rows"))
 #: Memo table for :func:`repro.poly.fm.project_onto`.
 FM_CACHE = SolveCache("fm")
 
-#: Memo table for :func:`repro.tiling.reverse.affine_extent_bounds`.
-EXTENT_CACHE = SolveCache("extent")
-
-#: Memo table for :func:`repro.storage.promote.footprint_extents`.
-FOOTPRINT_CACHE = SolveCache("footprint")
-
-_ALL = (ILP_CACHE, FM_CACHE, EXTENT_CACHE, FOOTPRINT_CACHE)
+_ALL = (ILP_CACHE, FM_CACHE)
 
 
 def solver_cache_stats() -> Dict[str, Dict[str, float]]:

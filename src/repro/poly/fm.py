@@ -140,13 +140,6 @@ def project_rows(
     return rows
 
 
-def remove_redundant_rows(rows: Sequence[Row]) -> List[Row]:
-    """:func:`remove_redundant` on rows."""
-    return _unique(
-        [row for row in rows if row[0] or (row[1] != 0 if row[2] else row[1] < 0)]
-    )
-
-
 def make_row(
     coeffs: Dict[int, int], const: int, eq: bool, c: Optional[Constraint] = None
 ) -> Row:

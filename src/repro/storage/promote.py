@@ -6,8 +6,10 @@ per tensor:
 - the **footprint box** of one tile -- the maximum per-dimension extent of
   the elements accessed by any tile (the "constant-size strided block" /
   rectangular over-approximation of the paper): interval arithmetic over
-  a live-out statement's tile window, Fourier-Motzkin over the composed
-  ``tile -> instances -> elements`` relation of a fused producer;
+  a statement's tile window (a live-out statement's, or the one a fused
+  producer derives from its consumers'), Fourier-Motzkin over the
+  composed ``tile -> instances -> elements`` relation of a statement
+  without one;
 - the **role** of the tensor inside the group: external input (inbound
   DMA), kernel output (outbound DMA), or tile-local intermediate (on-chip
   only -- the fusion payoff);
@@ -28,9 +30,8 @@ from repro.fusion.intratile import UnitAssignment
 from repro.fusion.posttile import TiledGroup
 from repro.hw.spec import HardwareSpec
 from repro.ir.lower import LoweredKernel, PolyStatement, TensorAccess
-from repro.poly.cache import FOOTPRINT_CACHE, MISS
 from repro.tiling.invariants import SizeInvariants
-from repro.tiling.reverse import footprint_bounds, footprint_key, positional
+from repro.tiling.reverse import footprint_bounds
 
 
 class BufferAllocation:
@@ -179,12 +180,12 @@ def footprint_extents(
     clipped to the tensor shape: the tightest constant box covering every
     tile's accesses.
 
-    A statement with a tile window (:attr:`TiledGroup.windows`) reads
+    A statement with a tile window (:attr:`TiledGroup.windows`: every
+    live-out statement and fused producer of the paper workloads) reads
     each subscript's spread over the window, ``1 + sum |a_j| * (L_j - 1)``
-    (:meth:`~repro.ir.lower.PolyStatement.box_bounds`).  Any other
-    statement -- a fused producer on its projected relation -- is solved
-    by Fourier-Motzkin on its :func:`~repro.tiling.reverse.footprint_key`,
-    memoized in :data:`repro.poly.cache.FOOTPRINT_CACHE`.  Non-affine
+    (:meth:`~repro.ir.lower.PolyStatement.box_bounds`).  A statement
+    without one is solved by Fourier-Motzkin on its instance relation
+    (:func:`~repro.tiling.reverse.footprint_bounds`).  Non-affine
     accesses are sized by the consumer's tile.
     """
     tensor = access.tensor
@@ -208,16 +209,9 @@ def footprint_extents(
         bounds = [stmt.box_bounds(index, window) for index in access.indices]
         extents = [None if b is None else b[1] - b[0] + 1 for b in bounds]
     else:
-        key = footprint_key(
-            group.relation_keys[stmt.stmt_id],
-            positional(access.indices, stmt.iter_names),
-            tensor.shape,
-            group.tile_counts,
+        extents = footprint_bounds(
+            group.instance_relations[stmt.stmt_id], access.indices, group.tile_counts
         )
-        extents = FOOTPRINT_CACHE.lookup(key)
-        if extents is MISS:
-            extents = tuple(footprint_bounds(key))
-            FOOTPRINT_CACHE.store(key, extents)
     # A fresh list: callers shrink boxes in place.
     return [
         n if bound is None else max(min(bound, n), 1)

@@ -12,37 +12,28 @@ yields exactly the overlapped tiles of the paper::
 The relation feeds an extension node (post-tiling fusion, Sec. 4.3) and
 the storage manager (footprints, Sec. 4.4).
 
-**A live-out tile is a box; a producer tile is a projection.**  A
-live-out statement tiled by identity band rows has a tile window
-(:attr:`repro.fusion.posttile.TiledGroup.windows`), and its per-tile
-extents and footprints are interval arithmetic over that window, with no
-relation asked.  What reaches this module is the rest: the fused
-producers' projected relations and any statement without a window.
-Those questions are answered on the rows Fourier-Motzkin works on
-(:data:`repro.poly.fm.Row`), never through ``AffineExpr`` arithmetic:
-:func:`tile_membership_constraints` builds its two rows per band row
-directly; :func:`footprint_bounds` solves a footprint from its
-:func:`footprint_key`, with no map built; and :func:`affine_extent_bounds`
-projects only the bounded dim's component and bounds it in integers.
+**Every tile of a paper workload is a box.**  Live-out statements and
+the fused producers their windows imply have tile windows
+(:attr:`repro.fusion.posttile.TiledGroup.windows`), which answer every
+per-tile extent and footprint with no relation asked.  The relations
+built here are still read by code generation, replay, the verifier and
+the shrink rule.  :func:`affine_extent_bounds` and
+:func:`footprint_bounds` answer, unmemoized, only a statement without a
+window (a shifted or skewed live-out, a producer with a non-identity
+write or a windowless reader), on the rows Fourier-Motzkin works on
+(:data:`repro.poly.fm.Row`), projecting only the bounded dim's component
+and bounding it in integers; :func:`tile_membership_constraints` builds
+its two rows per band row directly.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.lower import PolyStatement
 from repro.poly.affine import AffineExpr, Constraint, _add_into
-from repro.poly.cache import EXTENT_CACHE, MISS, RankSpace
-from repro.poly.fm import (
-    Row,
-    make_row,
-    project_onto,
-    project_rows,
-    remove_redundant,
-    remove_redundant_rows,
-    rows_of,
-)
+from repro.poly.cache import RankSpace
+from repro.poly.fm import Row, project_onto, project_rows, remove_redundant, rows_of
 from repro.poly.maps import BasicMap
 from repro.poly.sets import Space, implies
 from repro.sched.deps import Dependence
@@ -152,79 +143,27 @@ def _approximate_union(parts: List[List[Constraint]]) -> List[Constraint]:
     return [c for c in parts[0] if all(implies(p, c) for p in parts[1:])]
 
 
-def positional(exprs: Sequence[AffineExpr], dims: Sequence[str]) -> Hashable:
-    """``exprs`` name-free: each as its variables' positions in ``dims``
-    (in coefficient-dict order) and its numbers."""
-    position = {d: i for i, d in enumerate(dims)}.__getitem__
-    return tuple(
-        [
-            (tuple(map(position, names)), numbers)
-            for names, numbers in map(AffineExpr.shape, exprs)
-        ]
-    )
-
-
-def relation_key(relation: BasicMap) -> Hashable:
-    """The relation's half of :func:`footprint_key`: its constraints with
-    each variable replaced by its position in ``tile dims + instance
-    dims``."""
-    dims = relation.in_space.dims + relation.out_space.dims
-    position = {d: i for i, d in enumerate(dims)}.__getitem__
-    shapes = [c.shape() for c in relation.constraints]
-    return (
-        len(relation.in_space.dims),
-        len(relation.out_space.dims),
-        tuple(map(position, chain.from_iterable([names for names, _ in shapes]))),
-        tuple([numbers for _, numbers in shapes]),
-    )
-
-
-def footprint_key(
-    rel_key: Hashable,
-    index: Hashable,
-    shape: Sequence[int],
+def footprint_bounds(
+    relation: BasicMap,
+    indices: Sequence[AffineExpr],
     tile_counts: Sequence[int],
-) -> Hashable:
-    """Key of "which box does an access touch per tile", made before any
-    map is: the instance relation's :func:`relation_key`, the access's
-    index expressions over iteration-dim positions (:func:`positional`),
-    the tensor's shape (the clip) and the tile counts (the box ranges).
-    :func:`footprint_bounds` solves it."""
-    return (rel_key, index, tuple(shape), tuple(tile_counts))
-
-
-#: How a footprint's solver errors name a rank.
-_position = "position {}".format
-
-
-def footprint_bounds(key: Hashable) -> List[Optional[int]]:
-    """The extent bound of every tensor dim of a :func:`footprint_key`, solved
-    on the key's own rows: a pure function of the key, so a table hit is
-    the fresh solve.
-
-    Positions are tiles ``0..T-1``, instances ``T..T+S-1`` and elements
-    ``T+S..``.  The relation's rows plus one row ``x_k - e_k = 0`` per
-    index (in the coefficient order ``Constraint.eq(x_k, e_k)`` gives)
-    become the ``tile -> elements`` composition once the instance
-    positions that occur are eliminated, in ascending order.  Each element position is then bounded over the box
-    ``0 <= o < count`` as :func:`affine_extent_bounds` bounds a dim.  Index
-    expressions are integral, as lowering makes them.
-    """
-    (n_tiles, n_iters, flat, numbers), index, _shape, counts = key
-    rows = rows_of((flat, numbers))
-    base = n_tiles + n_iters
-    used = set(flat)
-    for k, (iters, expr) in enumerate(index):
-        positions = [n_tiles + i for i in iters]
-        used.update(positions)
-        coeffs = {base + k: 1}
-        coeffs.update(zip(positions, [-c for c in expr]))
-        rows.append(make_row(coeffs, -expr[-1], True))
-    rows = remove_redundant_rows(
-        project_rows(rows, sorted(used.difference(range(n_tiles))), _position)
-    )
-    box = tuple([(0, n - 1) for n in counts]) + (None,) * (n_iters + len(index))
-    return [_extent_of_rows(rows, base + k, box, _position) for k in range(len(index))]
+) -> List[Optional[int]]:
+    """The extent bound of every tensor dim an access with ``indices``
+    touches per tile of ``relation``, over the box ``0 <= o < count``: the
+    relation's rows plus ``x_k = e_k`` per index, every element ``x_k``
+    bounded by :func:`affine_extent_bounds`, with no map built.  Dims are
+    named by position (tiles, then instances, then elements), so the
+    answer is the same under any names the relation carries."""
+    names = {d: f"o{i:03d}" for i, d in enumerate(relation.in_space.dims)}
+    names.update({d: f"s{i:03d}" for i, d in enumerate(relation.out_space.dims)})
+    elements = [f"x{k:03d}" for k in range(len(indices))]
+    cons = [c.rename(names) for c in relation.constraints]
+    cons += [
+        Constraint.eq(AffineExpr.variable(x), e.rename(names))
+        for x, e in zip(elements, indices)
+    ]
+    box = {names[d]: (0, n - 1) for d, n in zip(relation.in_space.dims, tile_counts)}
+    return affine_extent_bounds(cons, elements, box)
 
 
 def affine_extent_bounds(
@@ -233,52 +172,29 @@ def affine_extent_bounds(
     box_ranges: Dict[str, Tuple[int, int]],
 ) -> List[Optional[int]]:
     """Tight upper bound on the extent of each of ``dims`` over any point
-    of a box.
+    of a box: the constraints relate each dim to box variables (tile
+    indices) whose ranges are given.  The system is ranked once
+    (:class:`RankSpace`) and every dim bounded on those rows.
 
-    The constraints relate each dim to box variables (tile indices) whose
-    ranges are given.
-
-    **Only the dim's component is projected.**  The variables off the box
-    that share a row with the dim, transitively, are eliminated from the
-    rows that mention them; the rest of the system is left alone.  A full
-    projection gives the same bound: eliminating a variable of another
-    component only combines rows that mention neither the dim nor any
-    variable of its component, so it never creates, changes or reorders
-    (relative to each other) the rows that do, and what the deduplication
-    of each step keeps of those is decided among them alone.
+    **Only the dim's component is projected**: the off-box variables that
+    share a row with the dim, transitively.  A full projection gives the
+    same bound, since eliminating a variable of another component never
+    creates, changes or reorders a row that mentions the component.
 
     **The bound is integer.**  For every upper bound ``a_u*dim + R_u >= 0``
-    (``a_u < 0``, or an equality) and lower bound ``a_l*dim + R_l >= 0``
-    (``a_l > 0``, or an equality) left, the per-point extent is at most
-    ``u - l + 1 = N / d + 1`` with ``N = a_u*R_l - a_l*R_u`` and ``d =
-    a_u*a_l``, both negated when ``d < 0``.  ``N`` is affine over the box,
-    so its maximum picks each variable's end by coefficient sign, and
-    ``max N // d + 1`` is that bound exactly, with no ``Fraction`` made.
-    The minimum over pairs is a sound, and in the common single-pair case
-    exact, extent bound; a dim without a finite bound pair gets ``None``.
-
-    A pure function of the constraints, the dim and the box, posed once
-    per tensor dimension for every tile candidate: each bound is memoized
-    in :data:`repro.poly.cache.EXTENT_CACHE` under the name-free rows of
-    the system, the rank of the dim and the box range of each variable.
-    The system is ranked once for all of ``dims``, and a miss is solved on
-    those rows.
+    and lower bound ``a_l*dim + R_l >= 0`` left (an equality is both), the
+    per-point extent is at most ``N / d + 1`` with ``N = a_u*R_l -
+    a_l*R_u`` and ``d = a_u*a_l``, both negated when ``d < 0``; ``N`` is
+    affine over the box, so ``max N // d + 1`` is that bound exactly, with
+    no ``Fraction`` made.  The minimum over pairs is a sound, and in the
+    common single-pair case exact, bound; a dim without a finite bound pair
+    gets ``None``.
     """
     space = RankSpace(constraints)
-    box = tuple([box_ranges.get(name) for name in space.names])
-    rows: Optional[List[Row]] = None
-    bounds: List[Optional[int]] = []
-    for dim in dims:
-        rank = space.rank.get(dim)
-        key = (space.rows, rank, box)
-        bound = EXTENT_CACHE.lookup(key)
-        if bound is MISS:
-            if rows is None:
-                rows = rows_of(space.rows, constraints)
-            bound = _extent_of_rows(rows, rank, box, space.names.__getitem__)
-            EXTENT_CACHE.store(key, bound)
-        bounds.append(bound)
-    return bounds
+    box = [box_ranges.get(name) for name in space.names]
+    rows = rows_of(space.rows, constraints)
+    name = space.names.__getitem__
+    return [_extent_of_rows(rows, space.rank.get(dim), box, name) for dim in dims]
 
 
 def _extent_of_rows(

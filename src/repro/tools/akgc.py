@@ -76,7 +76,7 @@ def _print_cache_counters() -> None:
         print("disk cache    : disabled")
     for cname, s in solver_cache_stats().items():
         print(
-            f"solver [{cname:<6}]: {s['hits']} hits, {s['misses']} misses "
+            f"solver [{cname:<3}]: {s['hits']} hits, {s['misses']} misses "
             f"({100.0 * s['hit_rate']:.1f}%)"
         )
     sc = counters("shapeclass.")

@@ -5,7 +5,8 @@ seeds the canonical miscompilations — a dropped sync, a chunked group's
 K-chunk loop left without its exit sync, a swapped statement/band order,
 an off-by-one tile box, a tile grid one tile short, a statement tiled
 from another origin than its band, a fused producer
-recomputed for the wrong tile, an aliased arena slot — into an
+recomputed for the wrong tile, a fused reduction split across tiles,
+an aliased arena slot — into an
 otherwise-correct :class:`~repro.core.compiler.CompileResult` (or
 :class:`~repro.graph.plan.NetworkPlan`) and hands the mutants back
 so tests and the repo benchmark can demand a 100% kill rate from
@@ -48,6 +49,7 @@ __all__ = [
     "drop_last_tile",
     "misalign_grid",
     "shift_fused_producer",
+    "split_fused_reduction",
     "alias_arena",
     "seeded_mutations",
 ]
@@ -216,6 +218,49 @@ def shift_fused_producer(result: "CompileResult") -> Optional["CompileResult"]:
     return None
 
 
+def split_fused_reduction(result: "CompileResult") -> Optional["CompileResult"]:
+    """Run one more row of a recomputed reduction per tile, from its
+    second step on.
+
+    Takes a fused producer with a reduction dim ``r`` of two steps or more
+    (a conv recomputed under its pool) and a tile upper bound ``e >= 0`` of
+    a written dim along a tile dim of two tiles or more.  Every fused
+    writer of its tensor gets ``e + 1 >= 0`` (the initialisation stays
+    contained); the reduction also ``r + e >= 0``.  The tile then runs a
+    self-dependence's sink, step 1, without its source, step 0: only a
+    self pair's containment proof sees it.  ``None`` without such a site.
+    """
+    mutant = copy.deepcopy(result)
+    for group in mutant.groups:
+        counts = dict(zip(group.tile_dims, group.tile_counts))
+        by_id = {s.stmt_id: s for s in group.statements}
+        for sid in group.fused_producer_ids:
+            stmt = by_id[sid]
+            steps = [r for r, n in zip(stmt.iter_names, stmt.iter_extents)
+                     if r in stmt.reduce_iters and n >= 2]
+            written = [e.as_variable() for e in stmt.write.indices]
+            for c in group.instance_relations[sid].constraints:
+                dims = [v for v in c.variables() if v not in counts]
+                tiled = any(c.expr.coeff(d) > 0 and n >= 2 for d, n in counts.items())
+                if not (steps and tiled and not c.is_equality and len(dims) == 1
+                        and dims[0] in written and c.expr.coeff(dims[0]) == -1):
+                    continue
+                for other in group.fused_producer_ids:
+                    writer = by_id[other]
+                    if writer.tensor.name != stmt.tensor.name:
+                        continue
+                    bound = c.rename(
+                        {v: e.as_variable() for v, e in zip(written, writer.write.indices)}
+                    )
+                    rel = group.instance_relations[other]
+                    cons = [Constraint(k.expr + 1) if k == bound else k for k in rel.constraints]
+                    if other == sid:
+                        cons.append(Constraint(c.expr + AffineExpr.variable(steps[0])))
+                    group.instance_relations[other] = BasicMap(rel.in_space, rel.out_space, cons)
+                return mutant
+    return None
+
+
 def alias_arena(plan: "NetworkPlan") -> Optional["NetworkPlan"]:
     """Force two live-range-overlapping tensors into one arena slot."""
     mutant = copy.deepcopy(plan)
@@ -246,6 +291,7 @@ KERNEL_MUTATIONS: List[
     ("drop_last_tile", drop_last_tile),
     ("misalign_grid", misalign_grid),
     ("shift_fused_producer", shift_fused_producer),
+    ("split_fused_reduction", split_fused_reduction),
 ]
 
 

@@ -25,7 +25,8 @@ dependence, that the order above runs the source before the sink:
   invariant — every tile that runs the sink instance must also contain
   the source instance (so the source ran in this tile or an earlier
   one).  Checked as an emptiness proof of "sink's tile misses the
-  source", one negated source constraint at a time.
+  source", one negated source constraint at a time; a producer's
+  self-dependences need no position check (instance order, rule 4).
 
 For shape-generic kernels the §3.7 clamping proof is re-established
 independently: every dependence must have distance 0 along each shared
@@ -150,8 +151,15 @@ def _check_fused_producer_pair(
     so the dependence is preserved exactly when every tile that runs the
     sink instance also contains the source instance (and the producer is
     positioned first inside the tile).
+
+    A self-dependence (a recomputed reduction's, say) has no position to
+    compare: inside a tile a producer runs its instances in the order of
+    its identity rows, which is the lexicographic order its
+    self-dependences are positive in, so the source runs first whenever
+    both run in one tile.  Containment covers the rest: the tile running
+    the sink also runs the source, in it or in an earlier tile.
     """
-    if pos[dep.src.stmt_id] >= pos[dep.dst.stmt_id]:
+    if not dep.is_self and pos[dep.src.stmt_id] >= pos[dep.dst.stmt_id]:
         return (
             f"fused producer {dep.src.stmt_id} is positioned after its "
             f"consumer {dep.dst.stmt_id} inside the tile"

@@ -157,7 +157,10 @@ CALLS = {
 # the benchmark's compile_sched workload, softmax_32x64 and subgraph2 of
 # its compile_tile workload; subgraph1 and subgraph4 are the two rows
 # whose exact fit shrinks their start sizes (capacity_shrink asks which
-# tile dims each footprint depends on at every step).  1445 / 4380 /
+# tile dims each footprint depends on at every step).  subgraph1 31910
+# and subgraph5 15915 while a fused producer's per-tile extents,
+# footprints and recompute check were solved by Fourier-Motzkin rather
+# than read off a window derived from its consumers'.  1445 / 4380 /
 # 13315 / 16374, and subgraph1 74243, subgraph4 21800, while that question
 # composed every access with its instance relation through
 # Fourier-Motzkin and dim sinking walked every band.  1448 / 4383 /
@@ -179,10 +182,10 @@ CALLS = {
 BUILD_CALLS = {
     "conv2d_16x32": 1351,
     "softmax_32x64": 4135,
-    "subgraph1": 31910,
+    "subgraph1": 30132,
     "subgraph2": 12719,
     "subgraph4": 11069,
-    "subgraph5": 15915,
+    "subgraph5": 15613,
 }
 
 # name -> Python-level calls of a warm build(), one disk-cache hit: the

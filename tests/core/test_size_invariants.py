@@ -22,8 +22,8 @@ from repro.autotune.tuner import tune_frontend
 from repro.core import diskcache
 from repro.core.compiler import AkgOptions, backend_build, build
 from repro.core.frontend import run_frontend
+from repro.fusion.posttile import fm_extents
 from repro.poly.cache import clear_solver_caches
-from repro.tiling.reverse import affine_extent_bounds
 
 from tests.core.test_golden_programs import GOLDEN
 
@@ -50,15 +50,11 @@ def test_every_candidate_from_the_shared_front_end_equals_a_cold_build(name):
             assert pickle.dumps(shared.groups) == pickle.dumps(cold.groups)
             assert pickle.dumps(shared.plans) == pickle.dumps(cold.plans)
             for group in shared.groups:
-                box = {
-                    d: (0, c - 1) for d, c in zip(group.tile_dims, group.tile_counts)
-                }
                 for stmt in group.statements:
                     rel = group.instance_relations[stmt.stmt_id]
-                    bounds = affine_extent_bounds(rel.constraints, stmt.iter_names, box)
-                    assert group.windows[stmt.stmt_id] == [
-                        max(min(b, n), 1) for b, n in zip(bounds, stmt.iter_extents)
-                    ], stmt.stmt_id
+                    assert group.windows[stmt.stmt_id] == fm_extents(
+                        stmt, rel, group.tile_dims, group.tile_counts
+                    ), stmt.stmt_id
 
 
 @pytest.mark.parametrize("name", TUNED + ("subgraph5",))

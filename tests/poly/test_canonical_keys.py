@@ -18,7 +18,6 @@ from repro.ir import ops
 from repro.ir.tensor import placeholder
 from repro.poly.affine import AffineExpr, Constraint, var
 from repro.poly.cache import (
-    EXTENT_CACHE,
     FM_CACHE,
     ILP_CACHE,
     clear_solver_caches,
@@ -29,10 +28,9 @@ from repro.poly.ilp import IlpProblem, IlpStatus
 from repro.poly.maps import BasicMap
 from repro.poly.sets import Space
 from repro.storage.promote import footprint_extents
-from repro.tiling.reverse import affine_extent_bounds
 
 from tests.poly._counts import hits_misses
-from tests.storage.test_promote import _named_footprint, _uncached, fused_group
+from tests.storage.test_promote import _uncached, fused_group
 from tests.tiling._reference_footprint import compose
 
 
@@ -103,13 +101,11 @@ def _renaming(rng, order_preserving):
 
 
 def _queries(rng, cons, mapping):
-    """The four memoized entry points over ``cons`` renamed by ``mapping``,
+    """The three memoized entry points over ``cons`` renamed by ``mapping``,
     as ``(table, solve)`` with every result in its exact view."""
     keep = rng.sample(NAMES, 2)
     objective = _random_expr(rng, NAMES)
     batch = [_random_expr(rng, NAMES) for _ in range(3)]
-    dim = rng.choice(NAMES)
-    box = {n: (0, rng.randint(1, 5)) for n in NAMES if n != dim and rng.random() < 0.7}
     integer = rng.random() < 0.7
 
     def under(m):
@@ -135,12 +131,6 @@ def _queries(rng, cons, mapping):
                         [o.rename(m) for o in batch], integer
                     )
                 ],
-            ),
-            (
-                EXTENT_CACHE,
-                lambda: affine_extent_bounds(
-                    renamed, [m[dim]], {m[n]: r for n, r in box.items()}
-                ),
             ),
         ]
 
@@ -223,9 +213,8 @@ def test_second_compose_of_equal_maps_hits():
 def test_identical_warm_builds_add_no_entries():
     """With name-carrying keys every rebuild of softmax_32x64 left 67 dead
     FM entries behind (fresh middle names never match again).  A 4-D
-    output built beside its mirrored copy: that dependence poses the ILP,
-    and the scheduler shifts the original's last band row, so it has no
-    tile window and asks the extent and footprint tables."""
+    output built beside its mirrored copy: that dependence poses the
+    ILP."""
     from tests.sched.test_scheduler import mirrored
 
     def softmax():
@@ -238,10 +227,10 @@ def test_identical_warm_builds_add_no_entries():
     with diskcache.disabled():
         build(softmax(), "softmax", options=AkgOptions(emit_trace=True))
         after_first = entries()
-        # Every projection of this kernel is an extent or footprint miss,
-        # which solves its rows without ``FM_CACHE``.
+        # The original's shifted band row leaves it without a tile window:
+        # its extents and footprints solve their own rows, without ``FM_CACHE``.
         assert after_first["fm"] == 0
-        assert all(after_first[table] for table in ("ilp", "extent", "footprint"))
+        assert after_first["ilp"]
         for _ in range(3):
             build(softmax(), "softmax", options=AkgOptions(emit_trace=True))
             assert entries() == after_first
@@ -281,12 +270,7 @@ def test_minimize_and_batch_minimize_share_entries():
 
 
 def test_cached_none_infeasible_and_unbounded_are_hits():
-    # No finite extent: ``x`` has a lower bound only.
-    open_ended = [Constraint.ge(var("x") - var("t") * 4, 0)]
-    for _ in range(2):
-        assert affine_extent_bounds(open_ended, ["x"], {"t": (0, 3)}) == [None]
-    assert hits_misses("extent") == (1, 1)
-
+    # (A cached ``None`` is ``TestCacheBehaviour.test_none_is_a_value_not_a_miss``.)
     infeasible = [Constraint.ge(var("x"), 3), Constraint.le(var("x"), 1)]
     unbounded = [Constraint.le(var("x"), 1)]
     for _ in range(2):
@@ -298,7 +282,6 @@ def test_cached_none_infeasible_and_unbounded_are_hits():
     assert hits_misses("ilp") == (2, 2)
 
     # A projection onto nothing of a feasible system is the empty list.
-    # (The extent miss above projected its own rows, not through fm.)
     for _ in range(2):
         assert project_onto([Constraint.ge(var("x"), 0)], []) == []
     assert hits_misses("fm") == (1, 1)
@@ -325,41 +308,23 @@ def test_mutating_a_result_never_reaches_the_table():
     assert hits_misses("fm")[0] == 2 and hits_misses("ilp")[0] == 2
 
 
-# -- (f) the footprint table: positional, so no name order is left to record -------------
-
-
-def _relu_chain(x_name, op_name):
-    """A relu fused under a transpose: the producer has no tile window, so
-    its footprints are keyed."""
-    x = placeholder((32, 48), "fp16", name=x_name)
-    return ops.transpose(ops.relu(x, name=op_name + "0"), (1, 0), name=op_name + "1")
-
-
-def test_footprints_of_order_permuted_twins_share_one_entry():
-    """The twin of ``test_order_permuting_renaming_is_a_different_key`` for
-    the footprint table.  ``X_d0 < o0 < r0_ax0__n`` in one kernel and
-    ``a0_ax0__n < o0 < zz_d0`` in the other: the rank-space tables would
-    keep them apart, but a footprint is solved on its key's positional
-    rows, so no such order reaches a solver, one entry serves both -- and
-    equals each twin's solve under its own names."""
-    for x_name, op_name in (("X", "r"), ("zz", "a")):
-        kernel, group = fused_group(_relu_chain(x_name, op_name), [8, 16])
-        stmt = group.statements[0]
-        read = stmt.reads[0]
-        names = sorted([*group.tile_dims, *stmt.iter_names, read.tensor.name + "_d0"])
-        assert names.index("o0") == (1 if x_name == "X" else 2)  # orders differ
-        assert footprint_extents(group, stmt, read) == _named_footprint(
-            group, stmt, read
-        )
-    assert hits_misses("footprint") == (1, 1)
+# -- (f) a footprint box is the caller's own --------------------------------------------
 
 
 def test_mutating_a_footprint_box_never_reaches_the_table():
-    kernel, group = fused_group(_relu_chain("X", "r"), [16, 8])
+    """Callers shrink boxes in place (``_clip_box_to_capacity``): neither a
+    footprint nor a statement's extents hand out the group's windows."""
+    x = placeholder((32, 48), "fp16", name="X")
+    out = ops.transpose(ops.relu(x, name="r0"), (1, 0), name="r1")
+    kernel, group = fused_group(out, [16, 8])
     stmt = group.statements[0]
-    for attempt in range(3):  # the miss, then two hits
+    assert stmt.stmt_id in group.fused_producer_ids
+    for attempt in range(3):
         box = footprint_extents(group, stmt, stmt.write)
         assert box == [8, 16]
-        box[0] = 99  # what ``_clip_box_to_capacity`` does to a plan's box
+        box[0] = 99
         box.append(1)
-    assert hits_misses("footprint") == (2, 1)
+        extents = group.instance_extents(stmt.stmt_id)
+        assert extents == [8, 16]
+        extents[0] = 99
+    assert group.windows[stmt.stmt_id] == [8, 16]

@@ -134,7 +134,7 @@ def _build(make):
 
 
 # name -> (compile, simplex solves, (pivots, tableau rows) summed over them,
-# (hits, misses) of the ilp, fm, extent and footprint tables).  The split
+# (hits, misses) of the ilp and fm tables).  The split
 # into hits and misses is that of the name-free keys (with name-carrying
 # keys subgraph5 read ilp 373/164, fm 223/244).  subgraph2's systems have
 # no coupling row and never reach the simplex.  The hit/miss pins were
@@ -175,38 +175,27 @@ def _build(make):
 # statement tiled by identity band rows read its per-tile extents and
 # footprints off its tile window: extent (7, 7), (110, 14), (80, 4),
 # (65, 35), (3, 5) and footprint (0, 4), (5, 5), (0, 6), (8, 16), (0, 15)
-# -> the pins.  Only subgraph5's fused producer still asks either table
-# (its footprint hit is a second access with the same key in one plan).
+# -> the pins.  Then fused producers got tile windows too, and the extent
+# and footprint tables left (subgraph5 read extent 8 / 4 and footprint
+# 1 / 1, every other compile 0 / 0 in both).
 COMPILES = {
-    "conv2d_16x32": (
-        _build(_conv2d_16x32), 0, (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)
-    ),
-    "subgraph5": (
-        _build(lambda: _subgraph(5)), 5, (14, 50), (0, 9), (0, 1), (8, 4), (1, 1)
-    ),
-    "subgraph2": (
-        _build(lambda: _subgraph(2)), 0, (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)
-    ),
+    "conv2d_16x32": (_build(_conv2d_16x32), 0, (0, 0), (0, 0), (0, 0)),
+    "subgraph5": (_build(lambda: _subgraph(5)), 5, (14, 50), (0, 9), (0, 1)),
+    "subgraph2": (_build(lambda: _subgraph(2)), 0, (0, 0), (0, 0), (0, 0)),
     "mobilenetv2_tiny": (
         lambda: compile_network(network("mobilenetv2_tiny")),
         0,
         (0, 0),
         (0, 0),
         (0, 0),
-        (0, 0),
-        (0, 0),
     ),
     "matmul_256_mirrored": (
-        _build(_mirrored(_matmul_256)), 1, (50, 66), (2, 13), (0, 0), (0, 0), (0, 0)
+        _build(_mirrored(_matmul_256)), 1, (50, 66), (2, 13), (0, 0)
     ),
 }
 
 #: The compiles above that pose no ILP query: every dependence separable.
 NO_ILP = {"conv2d_16x32", "subgraph2", "mobilenetv2_tiny"}
-
-#: The compiles above without a fused producer: every statement has a tile
-#: window, so they pose no extent or footprint query.
-WINDOWED = {"conv2d_16x32", "subgraph2", "mobilenetv2_tiny", "matmul_256_mirrored"}
 
 
 @pytest.mark.parametrize("name", sorted(COMPILES))
@@ -279,17 +268,14 @@ def test_compile_time_solves_equal_the_reference(name, monkeypatch):
     assert _ilp_work() == work
     stats = solver_cache_stats()
     assert len(pins) == len(stats)
-    for table, pin in zip(("ilp", "fm", "extent", "footprint"), pins):
+    for table, pin in zip(("ilp", "fm"), pins):
         assert (stats[table]["hits"], stats[table]["misses"]) == pin, table
     # The tables were cold, so every kernel must have real solves left to
     # compare -- a memo that absorbed them all would pass vacuously.  Only
-    # ``fm`` may be unreached: extent and footprint misses solve their own
-    # rows, and subgraph5's fused stencil producer is its one projection.
-    # So may ``ilp`` by a compile of ``NO_ILP``, and extent and footprint
-    # by a compile of ``WINDOWED``, whose pins (0, 0) say so.
-    for table in ("ilp", "extent", "footprint"):
-        unreached = NO_ILP if table == "ilp" else WINDOWED
-        assert stats[table]["misses"] > 0 or name in unreached, table
+    # ``fm`` may be unreached: subgraph5's fused stencil producer is its
+    # one projection.  So may ``ilp`` by a compile of ``NO_ILP``, whose
+    # pins (0, 0) say so.
+    assert stats["ilp"]["misses"] > 0 or name in NO_ILP
 
 
 # -- (ii): seeded corpus -------------------------------------------------------

@@ -13,18 +13,14 @@ from repro.ir.tensor import compute, placeholder, reduce_axis, te_sum
 from repro.sched.clustering import conservative_clustering
 from repro.sched.deps import compute_dependences
 from repro.sched.scheduler import PolyScheduler
+from repro.fusion.posttile import TiledGroup
 from repro.poly.cache import clear_solver_caches, set_solver_cache_enabled
+from repro.storage import promote
 from repro.storage.promote import contiguous_runs, footprint_extents, plan_storage
-from repro.tiling.reverse import (
-    affine_extent_bounds,
-    footprint_key,
-    positional,
-    relation_key,
-)
+from repro.tiling.reverse import affine_extent_bounds, footprint_bounds
 
 from tests.core.test_golden_programs import GOLDEN
 from tests.core.test_staged_equivalence import KERNELS as STAGED
-from tests.poly._counts import hits_misses
 from tests.tiling._reference_footprint import compose
 
 
@@ -175,7 +171,7 @@ def _gather_idx(t, i):
     return t[i, 0]
 
 
-# -- the footprint table (repro.poly.cache.FOOTPRINT_CACHE) ------------------------
+# -- footprints off tile windows, fused producers included --------------------------
 
 
 @pytest.fixture
@@ -194,9 +190,9 @@ def _uncached(solve):
 
 
 def _named_footprint(group, stmt, access):
-    """The footprint solved under the statement's own names, the way it
-    was before the table: ``compose`` of the real maps, one extent bound
-    per tensor dim.  Consults neither the table nor its positional names."""
+    """The footprint solved under the statement's own names: ``compose``
+    of the real maps, one extent bound per tensor dim.  Reads neither a
+    window nor positional rows."""
     fp = compose(
         group.instance_relations[stmt.stmt_id], access.as_map(stmt.space)
     )
@@ -211,10 +207,12 @@ def _named_footprint(group, stmt, access):
     return out
 
 
-def _key(group, stmt, access):
-    rel = group.instance_relations[stmt.stmt_id]
-    index = positional(access.indices, stmt.iter_names)
-    return footprint_key(relation_key(rel), index, access.tensor.shape, group.tile_counts)
+def _positional_footprint(group, stmt, access):
+    """The footprint Fourier-Motzkin solves on positional rows, the answer
+    of a statement without a window."""
+    relation = group.instance_relations[stmt.stmt_id]
+    bounds = footprint_bounds(relation, access.indices, group.tile_counts)
+    return [n if b is None else max(min(b, n), 1) for b, n in zip(bounds, access.tensor.shape)]
 
 
 def _plan_view(result):
@@ -266,21 +264,26 @@ def _affine_accesses(group):
     ]
 
 
+def _every_statement_windowed(result):
+    return all(
+        {s.stmt_id for s in group.statements} <= group.windows.keys()
+        for group in result.groups
+    )
+
+
 @pytest.mark.usefixtures("cold_tables")
 class TestFootprintTable:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_plans_equal_cold_warm_and_uncached(self, name):
         """The golden programs are also the kernels of the eight
-        non-network bench rows.  Only a fused producer reaches the table:
-        every other statement reads its footprints off its tile window."""
+        non-network bench rows.  Every statement, fused producers included,
+        reads its footprints off its tile window."""
         builder = GOLDEN[name][0]
         with diskcache.disabled():
             result = build(builder(), name)
             cold = _plan_view(result)
-            misses = hits_misses("footprint")[1]
-            assert bool(misses) == any(g.fused_producer_ids for g in result.groups)
+            assert _every_statement_windowed(result)
             warm = _plan_view(build(builder(), name))
-            assert hits_misses("footprint")[1] == misses
             uncached = _uncached(lambda: _plan_view(build(builder(), name)))
         assert cold == warm == uncached
 
@@ -312,14 +315,15 @@ class TestFootprintTable:
         ],
     )
     def test_positional_answers_equal_the_named_solve(self, make, sizes):
-        """Solving on the key's positional rows must not change an answer
-        the statement's own names would have given -- miss, hit or off."""
+        """A window's answer, and the positional-row solve a statement
+        without one would get, equal the solve under the statement's own
+        names."""
         kernel, group = fused_group(make(), sizes)
         for stmt, access in _affine_accesses(group):
             named = _named_footprint(group, stmt, access)
+            assert stmt.stmt_id in group.windows
             assert footprint_extents(group, stmt, access) == named
-            assert footprint_extents(group, stmt, access) == named
-            assert _uncached(lambda: footprint_extents(group, stmt, access)) == named
+            assert _positional_footprint(group, stmt, access) == named
 
     @pytest.mark.parametrize(
         "make,sizes,halo",
@@ -331,89 +335,57 @@ class TestFootprintTable:
     def test_halo_producer_and_its_consumer_do_not_share(self, make, sizes, halo):
         """Equal iteration boxes, equal (identity) index functions, equal
         tensor shapes -- but the fused producer runs on the overlapped
-        tile, and only its instance relation says so."""
+        tile, and its window, derived from its consumer's reads, says so."""
         kernel, group = fused_group(make(), sizes)
         producer, consumer = group.statements[0], group.statements[-1]
         assert producer.stmt_id in group.fused_producer_ids
         assert producer.iter_extents == consumer.iter_extents
         assert producer.write.tensor.shape == consumer.write.tensor.shape
-        assert _key(group, producer, producer.write) != _key(
-            group, consumer, consumer.write
-        )
+        assert group.windows[producer.stmt_id] == halo
         assert footprint_extents(group, producer, producer.write) == halo
         assert footprint_extents(group, consumer, consumer.write) == sizes
-        # The consumer reads its tile window: only the producer is keyed.
-        assert consumer.stmt_id in group.windows
-        assert hits_misses("footprint") == (0, 1)
 
-    def test_same_index_function_into_another_shape_is_another_entry(self):
-        """The clip is part of the answer: ``[i, j]`` into an 8x16 tensor
-        and into a 32x64 one are two questions (asked by a producer fused
-        under a transpose, which has no tile window)."""
-        small = placeholder((8, 16), name="SMALL")
-        big = placeholder((32, 64), name="BIG")
-        out = compute((8, 16), lambda i, j: small[i, j] + big[i, j], name="O")
-        kernel, group = fused_group(ops.transpose(out, (1, 0), name="T"), [16, 8])
-        stmt = group.statements[0]
-        assert stmt.stmt_id in group.fused_producer_ids
-        reads = {r.tensor.name: r for r in stmt.reads}
-        assert [repr(e) for e in reads["SMALL"].indices] == [
-            repr(e) for e in reads["BIG"].indices
-        ]
-        assert _key(group, stmt, reads["SMALL"]) != _key(group, stmt, reads["BIG"])
-        for read in reads.values():
-            assert footprint_extents(group, stmt, read) == _named_footprint(
-                group, stmt, read
-            )
-        assert hits_misses("footprint") == (0, 2)
-
-    def test_equal_relations_under_other_tile_counts_are_another_entry(self):
-        """The tile counts are the box the extent is maximised over (of a
-        producer fused under a transpose, which has no tile window)."""
-        x = placeholder((32, 48), name="X")
-        r = ops.relu(x, name="R")
-        kernel, group = fused_group(ops.transpose(r, (1, 0), name="T"), [16, 8])
-        stmt = group.statements[0]
-        assert stmt.stmt_id in group.fused_producer_ids
-        before = _key(group, stmt, stmt.write)
-        assert footprint_extents(group, stmt, stmt.write) == [8, 16]
-        group.tile_counts = [2, 3]  # the same relation, a smaller tile grid
-        assert _key(group, stmt, stmt.write) != before
-        assert footprint_extents(group, stmt, stmt.write) == _named_footprint(
-            group, stmt, stmt.write
-        )
-        assert hits_misses("footprint") == (0, 2)
-
-    def test_cold_means_cold_and_the_verifier_stays_independent(self):
-        """No footprint state outlives ``clear_solver_caches()`` (the
-        benchmark's definition of a cold compile), and the checker never
-        consults the table of the code it checks."""
+    def test_cold_means_cold_and_the_verifier_stays_independent(self, monkeypatch):
+        """A build after ``clear_solver_caches()`` (the benchmark's definition
+        of a cold compile) plans alike, and the checker never reads the
+        windows or footprints of the code it checks."""
         from repro.verify import verify_result
 
         make = GOLDEN["subgraph5"][0]
         with diskcache.disabled():
-            build(make(), "subgraph5")
-            first = hits_misses("footprint")
+            first = _plan_view(build(make(), "subgraph5"))
             clear_solver_caches()
             result = build(make(), "subgraph5")
-            assert hits_misses("footprint") == first == (1, 1)
-            verify_result(result)
-        assert hits_misses("footprint") == first
+            assert _plan_view(result) == first
 
-    def test_twenty_one_statements_pose_one_question_per_size(self):
-        # Subgraph 2's 21 statements read their tile windows: no question.
+            def unread(*args):
+                raise AssertionError("the verifier read a footprint")
+
+            monkeypatch.setattr(promote, "footprint_extents", unread)
+            monkeypatch.setattr(TiledGroup, "instance_extents", unread)
+            for group in result.groups:
+                group.__dict__.pop("windows", None)
+            verify_result(result)
+            assert all("windows" not in g.__dict__ for g in result.groups)
+
+    def test_twenty_one_statements_solve_no_footprint(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(promote, "footprint_bounds", lambda *a: solved.append(a))
+        # Subgraph 2's 21 statements read their tile windows.
         kernel, group = fused_group(GOLDEN["subgraph2"][0](), [4, 4, 8, 4])
         plan_storage(group, assign_compute_units(group.statements), kernel, HardwareSpec())
-        assert hits_misses("footprint") == (0, 0)
         # A chain of 19 producers fused under a stencil (21 statements):
-        # one key for all 38 producer accesses, solved once per plan.
+        # each producer's window is derived from the next one's.
         x = placeholder((34, 48), name="X")
         for i in range(19):
             x = ops.scalar_add(x, 0.5, name=f"c{i}")
         kernel, group = fused_group(_stencil_after(x), [8, 16])
         assert len(group.statements) == 21 and len(group.fused_producer_ids) == 19
-        plan_storage(group, assign_compute_units(group.statements), kernel, HardwareSpec())
-        assert hits_misses("footprint") == (37, 1)
+        plan = plan_storage(
+            group, assign_compute_units(group.statements), kernel, HardwareSpec()
+        )
+        assert solved == []
+        assert plan.allocations["X"].box == [10, 16]  # the stencil's halo
 
     def test_gather_is_sized_by_the_consumer_tile_and_never_keyed(self):
         table = placeholder((64, 32), name="TAB")
@@ -423,5 +395,4 @@ class TestFootprintTable:
         gather = next(r for r in stmt.reads if not r.is_affine)
         assert gather.tensor.name == "TAB"
         assert footprint_extents(group, stmt, gather) == [4, 32]
-        assert hits_misses("footprint") == (0, 0)
         assert _uncached(lambda: footprint_extents(group, stmt, gather)) == [4, 32]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from math import floor
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.poly.affine import AffineExpr, Constraint, ratio
 from repro.poly.fm import project_onto, remove_redundant
@@ -153,26 +153,3 @@ def footprint_bounds(
     fp = positional_footprint(relation, indices)
     box_ranges = {d: (0, n - 1) for d, n in zip(fp.in_space.dims, tile_counts)}
     return [extent_bound(fp.constraints, d, box_ranges) for d in fp.out_space.dims]
-
-
-def relation_of_key(key: Hashable) -> Tuple[BasicMap, List[AffineExpr], List[int]]:
-    """The relation, index expressions and tile counts a
-    ``repro.tiling.reverse.footprint_key`` was made of, rebuilt under
-    positional names -- which is all :func:`positional_footprint` keeps."""
-    (n_tiles, n_iters, flat, numbers), index, _shape, counts = key
-    names = [f"o{i:02d}" for i in range(n_tiles)] + [
-        f"s{i:02d}" for i in range(n_iters)
-    ]
-    cons = []
-    start = 0
-    for row in numbers:
-        end = start + len(row) - 2
-        coeffs = dict(zip([names[p] for p in flat[start:end]], row))
-        cons.append(Constraint(AffineExpr(coeffs, row[-2]), row[-1]))
-        start = end
-    relation = BasicMap(Space("T", names[:n_tiles]), Space("S", names[n_tiles:]), cons)
-    exprs = [
-        AffineExpr(dict(zip([names[n_tiles + p] for p in ranks], row)), row[-1])
-        for ranks, row in index
-    ]
-    return relation, exprs, list(counts)

@@ -1,14 +1,17 @@
 """Tile probes on integer rows against the named reference.
 
-``repro.tiling.reverse`` solves a footprint on its key's rows, bounds an
-extent on the rows of the bounded dim's component with integer pair
-bounds, and builds tile membership rows directly.  The oracle is the path
-they replaced (``tests/tiling/_reference_footprint.py``): a positional
-``compose``, one named projection per tensor dim and an ``AffineExpr``
-pair loop over ``Fraction`` values.  Every answer must be equal -- on every
-miss a cold compile of the golden rows and the tuner rows poses, and on a
-seeded corpus built for the cases a wrong step shows on.  The solver's
-fault site, deadline and budget still guard every miss.
+``repro.tiling.reverse`` solves a footprint on positional rows of the
+instance relation and the index expressions, bounds an extent on the
+rows of the bounded dim's component with integer pair bounds, and builds
+tile membership rows directly.  The oracle is the path they replaced
+(``tests/tiling/_reference_footprint.py``): a positional ``compose``, one
+named projection per tensor dim and an ``AffineExpr`` pair loop over
+``Fraction`` values.  Every answer must be equal -- on every footprint
+and extent a cold compile of the ``WINDOWLESS`` kernels solves (a
+statement with a tile window solves none), on every membership the
+golden rows and the tuner rows build, and on a seeded corpus built for
+the cases a wrong step shows on.  The solver's fault site, deadline and
+budget still guard every solve.
 """
 
 import pickle
@@ -24,31 +27,23 @@ from repro.core.context import stage
 from repro.core.errors import SolverBudgetError
 from repro.core.resilience import StageBudget
 from repro.ir import ops
-from repro.ir.lower import TensorAccess
 from repro.ir.tensor import placeholder
 from repro.poly import fm
 from repro.poly.affine import AffineExpr, Constraint, var
-from repro.poly.cache import (
-    RankSpace,
-    clear_solver_caches,
-    set_solver_cache_enabled,
-    solver_cache_stats,
-)
+from repro.fusion import posttile
+from repro.poly.cache import RankSpace, clear_solver_caches
 from repro.poly.maps import BasicMap
 from repro.poly.sets import Space
 from repro.storage import promote
 from repro.tiling import reverse
 
 from tests.core.test_golden_programs import GOLDEN
-from tests.poly.test_canonical_keys import _relu_chain
 from tests.sched.test_scheduler import mirrored
-from tests.storage.test_promote import fused_group
 from tests.tiling import _reference_footprint as reference
 
 #: The tuner rows of the repo benchmark (one front-end, ~11 backend builds),
-#: and three paper subgraphs: a statement with a tile window poses no
-#: footprint or extent, so the fused producers of subgraphs 1 and 5 pose
-#: them, and subgraph 4 the stencil memberships.
+#: and three paper subgraphs: the fused producers of subgraphs 1 and 5
+#: build their relations, and subgraph 4 the stencil memberships.
 TUNED = (
     "add_relu_128x512", "matmul_256", "softmax_32x64", "subgraph1", "subgraph4",
     "subgraph5",
@@ -72,22 +67,13 @@ def _windowless(op, shape):
     return make
 
 
-#: Tuned too: kernels whose footprints and extents FM answers without a
-#: fused producer.
+#: Tuned too: kernels whose footprints and extents FM answers.
 WINDOWLESS = {
     f"{op}_{'x'.join(map(str, shape))}_mirrored": _windowless(op, shape)
     for op in ("relu", "add", "bias_add")
     for shape in ((8, 16, 4, 4), (4, 8, 8, 8))
 }
 TUNE_PARAMS = dict(seed=0, first_round=8, round_size=4, max_rounds=2, parallel=False)
-
-
-def _uncached(solve):
-    set_solver_cache_enabled(False)
-    try:
-        return solve()
-    finally:
-        set_solver_cache_enabled(True)
 
 
 def _exact(constraints):
@@ -106,17 +92,18 @@ def _exact(constraints):
 
 @pytest.fixture(scope="module")
 def compiled():
-    """Compile the nine golden rows and tune five of them cold, keeping
-    every footprint key, extent system and membership call they pose."""
+    """Compile the nine golden rows and tune five of them and the
+    ``WINDOWLESS`` kernels cold, keeping every footprint, extent system and
+    membership call they pose."""
     seen = {"footprint": [], "extent": [], "membership": []}
     bounds, extents, membership = (
-        promote.footprint_bounds, reverse.affine_extent_bounds,
+        promote.footprint_bounds, posttile.affine_extent_bounds,
         reverse.tile_membership_constraints,
     )
 
-    def footprint(key):
-        out = bounds(key)
-        seen["footprint"].append((key, out))
+    def footprint(relation, indices, tile_counts):
+        out = bounds(relation, indices, tile_counts)
+        seen["footprint"].append((relation, list(indices), list(tile_counts), out))
         return out
 
     def extent(constraints, dims, box_ranges):
@@ -131,7 +118,7 @@ def compiled():
 
     with pytest.MonkeyPatch.context() as patch, diskcache.disabled():
         patch.setattr(promote, "footprint_bounds", footprint)
-        patch.setattr(reverse, "affine_extent_bounds", extent)
+        patch.setattr(posttile, "affine_extent_bounds", extent)
         patch.setattr(reverse, "tile_membership_constraints", member)
         for name in sorted(GOLDEN):
             clear_solver_caches()
@@ -147,12 +134,10 @@ def compiled():
 
 
 def test_every_compiled_footprint_miss_equals_the_reference(compiled):
-    keys = {}
-    for key, got in compiled["footprint"]:
-        assert keys.setdefault(key, got) == got
-    for key, got in keys.items():
-        assert got == reference.footprint_bounds(*reference.relation_of_key(key)), key
-    assert len(keys) >= 100
+    for relation, indices, counts, got in compiled["footprint"]:
+        want = reference.footprint_bounds(relation, indices, counts)
+        assert got == want, (relation, indices, counts)
+    assert len(compiled["footprint"]) >= 100
 
 
 def test_every_compiled_extent_miss_equals_the_reference(compiled):
@@ -266,16 +251,11 @@ def test_footprints_equal_the_reference_on_a_seeded_corpus(monkeypatch):
         iters = relation.out_space.dims
         shape = [rng.randint(1, 64) for _ in range(rng.randint(1, 3))]
         indices = [_index(rng, iters, seen) for _ in shape]
-        access = TensorAccess(placeholder(shape, name="A"), indices)
         counts = [rng.randint(1, 5) for _ in relation.in_space.dims]
-        key = reverse.footprint_key(
-            reverse.relation_key(relation),
-            reverse.positional(indices, relation.out_space.dims),
-            access.tensor.shape,
-            counts,
+        got = reverse.footprint_bounds(relation, indices, counts)
+        assert got == reference.footprint_bounds(relation, indices, counts), (
+            relation, indices, counts
         )
-        got = reverse.footprint_bounds(key)
-        assert got == reference.footprint_bounds(relation, indices, counts), key
         seen["unbounded"] += None in got
     for path in (
         "double", "strided", "reversed", "skewed", "non_unit_pivot",
@@ -317,7 +297,7 @@ def test_extents_equal_the_reference_on_a_seeded_corpus(monkeypatch):
     for _ in range(300):
         cons, box = _extent_system(rng, seen)
         dims = ["x0", "x1", "absent"]
-        got = _uncached(lambda: reverse.affine_extent_bounds(cons, dims, box))
+        got = reverse.affine_extent_bounds(cons, dims, box)
         want = [reference.extent_bound(cons, d, box) for d in dims]
         assert got == want, (cons, box)
         for dim in dims:
@@ -358,21 +338,19 @@ def _extents(constraints, dim):
 
 
 def test_injected_fault_reaches_cold_footprint_and_extent_misses():
-    _, group = fused_group(_relu_chain("X", "r"), [8, 16])
-    stmt = group.statements[0]
-    clear_solver_caches()
     # A component of one variable eliminates nothing, and still fires.
     single = [
         Constraint.ge(var("x"), var("t") * 4),
         Constraint.le(var("x"), var("t") * 4 + 3),
     ]
+    relation = BasicMap(Space("T", ["t"]), Space("S", ["x"]), single)
     with faults.inject("fm.eliminate:error"):
         with pytest.raises(SolverBudgetError):
-            promote.footprint_extents(group, stmt, stmt.reads[0])
+            reverse.footprint_bounds(relation, [var("x") * 2], [4])
         with pytest.raises(SolverBudgetError):
             _extents(single, "x")
+    assert reverse.footprint_bounds(relation, [var("x") * 2], [4]) == [7]
     assert _extents(single, "x") == [4]
-    assert solver_cache_stats()["extent"]["misses"] == 2
 
 
 def test_deadline_is_checked_once_per_eliminated_variable(monkeypatch):
@@ -384,7 +362,7 @@ def test_deadline_is_checked_once_per_eliminated_variable(monkeypatch):
         deadline()
 
     monkeypatch.setattr(resilience, "check_deadline", counted)
-    bound = _uncached(lambda: _extents(_coupled(), "x"))
+    bound = _extents(_coupled(), "x")
     assert bound == [6]  # x in [4t, 4t + 5]
     assert checks["deadline"] == 2  # y and z; never w
 
@@ -392,6 +370,6 @@ def test_deadline_is_checked_once_per_eliminated_variable(monkeypatch):
 def test_lowered_budget_stops_a_coupled_extent():
     with stage("budgeted", StageBudget(fm_constraints=2)):
         with pytest.raises(SolverBudgetError, match="exploded past 2"):
-            _uncached(lambda: _extents(_coupled(), "x"))
+            _extents(_coupled(), "x")
         # The rows actually carried: ``w`` alone eliminates nothing.
-        assert _uncached(lambda: _extents(_coupled(), "w")) == [10]
+        assert _extents(_coupled(), "w") == [10]

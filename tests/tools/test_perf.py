@@ -77,10 +77,11 @@ class TestPerf:
         assert warm["misses"] == cold["misses"]
         clear_solver_caches()
 
-    def test_footprint_table_shows_in_akgc_perf(self, capsys):
-        """The fourth solver table needs no flag of its own: it reaches
-        ``akgc --perf`` and ``perf.report()`` through ``solver_cache_stats``.
-        A network plan, because only a fused producer asks the table."""
+    def test_every_solver_table_shows_in_akgc_perf(self, capsys):
+        """Each memo table reaches ``akgc --perf`` and ``perf.report()``
+        through ``solver_cache_stats``, with no flag of its own: the ILP and
+        FM tables, and no other (per-tile extents and footprints are read
+        off tile windows)."""
         import re
 
         from repro.poly.cache import clear_solver_caches
@@ -89,12 +90,14 @@ class TestPerf:
         clear_solver_caches()
         code = main(["--network", "alexnet_tiny", "--perf", "--no-disk-cache"])
         assert code == 0
-        line = re.search(
-            r"solver cache \[footprint\]: (\d+) hits / (\d+) misses",
+        lines = re.findall(
+            r"solver cache \[(\w+)\]: (\d+) hits / (\d+) misses",
             capsys.readouterr().out,
         )
-        assert line and int(line.group(1)) > 0 and int(line.group(2)) > 0
-        row = perf.report()["solver_cache"]["footprint"]
-        assert (row["hits"], row["misses"]) == (int(line.group(1)), int(line.group(2)))
+        report = perf.report()["solver_cache"]
+        assert [name for name, _, _ in lines] == list(report) == ["ilp", "fm"]
+        for name, hits, misses in lines:
+            assert (report[name]["hits"], report[name]["misses"]) == (int(hits), int(misses))
+        assert int(lines[0][2]) > 0  # alexnet_tiny's coupled pair poses the ILP
         clear_solver_caches()
         perf.reset()

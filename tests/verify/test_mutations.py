@@ -3,7 +3,8 @@
 A verifier that passes everything is worse than none — it launders
 broken schedules as "verified".  Each mutation here models a real pass
 bug (dropped sync flag, reordered statements, off-by-one tile box,
-fused producer recomputed for the wrong tile, aliased arena slot); the
+fused producer recomputed for the wrong tile, fused reduction split
+across tiles, aliased arena slot); the
 corresponding checker must raise the typed
 :class:`~repro.core.errors.VerificationError`, and the CLI must turn it
 into exit code 13.
@@ -15,11 +16,17 @@ from repro.core import faults
 from repro.core.compiler import AkgOptions, build
 from repro.core.errors import EXIT_CODES, VerificationError
 from repro.graph import compile_network, network
+from repro.graph.pipeline import partition
 from repro.graph.subgraphs import paper_subgraphs
 from repro.service.wire import demo_kernel
 from repro.tools.akgc import main as akgc_main
 from repro.verify import verify_network_plan, verify_result
-from repro.verify.mutate import alias_arena, seeded_mutations, shift_fused_producer
+from repro.verify.mutate import (
+    alias_arena,
+    seeded_mutations,
+    shift_fused_producer,
+    split_fused_reduction,
+)
 
 CATALOG = [
     ("relu", [8, 32]),
@@ -73,6 +80,38 @@ def test_fused_producer_containment_is_checked_and_has_teeth(monkeypatch):
     assert reasons[-1] is not None
     # No fused producer, no site: the operator does not apply.
     assert shift_fused_producer(build(demo_kernel("relu", [8, 32]), "plain")) is None
+
+
+def test_a_split_fused_reduction_is_killed_by_its_self_pairs(monkeypatch):
+    """mobilenetv2's head conv is recomputed under its global pool: a
+    fused reduction.  The clean build passes the schedule check (its
+    self-dependences are ordered by instance order and contained); the
+    mutant that runs one row of the reduction from its second step is
+    killed, and only by a self pair's containment proof -- a checker that
+    skipped self pairs would pass it."""
+    from repro.verify import schedule
+
+    part = partition(network("mobilenetv2"))
+    spec = next(
+        s for s in part.unique.values() if [t.name for t in s.source_outputs] == ["m_gap"]
+    )
+    result = build(spec.canonical_outputs, spec.name)
+    schedule.check_dependences(result)
+    mutant = split_fused_reduction(result)
+    assert mutant is not None
+    assert "split_fused_reduction" in dict(seeded_mutations(result))
+    with pytest.raises(VerificationError, match=r"S1 -> S1 .* does not contain"):
+        verify_result(mutant)
+
+    proof = schedule._check_fused_producer_pair
+    monkeypatch.setattr(
+        schedule,
+        "_check_fused_producer_pair",
+        lambda dep, group, pos: None if dep.is_self else proof(dep, group, pos),
+    )
+    schedule.check_dependences(mutant)
+    # No fused reduction, no site: the operator does not apply.
+    assert split_fused_reduction(build(_subgraph5(), "sg5")) is None
 
 
 def test_aliased_arena_slot_is_rejected():
