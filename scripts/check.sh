@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# One-button pre-push check: lint, tier-1 tests, the chaos gates, the
-# repo benchmark's correctness checks and CLI round trips.  Run from the
+# One-button pre-push check: lint, tier-1 tests, the call pins alone and
+# after the service tests, the chaos gates, the repo benchmark's
+# correctness checks and CLI round trips.  Run from the
 # repo root:
 #
 #     bash scripts/check.sh          # everything
-#     bash scripts/check.sh --fast   # lint + tier-1 + the service chaos gate
+#     bash scripts/check.sh --fast   # lint + tier-1 + call pins + the service chaos gate
 #
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,6 +25,13 @@ python -m repro.tools.lint src tests
 echo
 echo "== tier-1 test suite =="
 python -m pytest tests/ -x -q
+
+echo
+echo "== call pins alone and after the service tests (tests/core/test_golden_programs.py) =="
+# BUILD_CALLS, WARM_CALLS and CALLS count one build's Python-level calls:
+# they must read the same whatever ran before them in the process.
+python -m pytest tests/core/test_golden_programs.py -q
+python -m pytest tests/service tests/core/test_golden_programs.py -q
 
 echo
 echo "== chaos-serve (service fault tolerance under load) =="

@@ -21,7 +21,10 @@ from tests -- no edge from a production run, from ``bench/``,
 Two traps: pytest-benchmark pauses tracing while it times, so run
 ``benchmarks/`` with ``--benchmark-disable``; ``bench/run.py`` replaces
 ``PYTHONPATH``, so start ``python -m akgbench.worker`` directly (with
-``bench`` on the path).  Tracing costs ~3x: tier-1 takes ~6 minutes.
+``bench`` on the path).  Tracing costs ~3x: tier-1 takes ~6 minutes; run
+it without ``-x``, so that a test failing under tracing (the cold-build
+call pins of ``tests/core/test_golden_programs.py`` have) does not stop
+the run early.
 
 The full sweep, from the repo root (``S`` a scratch directory, ``OUT``
 an empty one; the daemon's client and ``--stats``/``--shutdown`` run
@@ -29,7 +32,7 @@ while the daemon's own trace is still recording)::
 
     R="python scripts/reachability.py run OUT"
     export REPRO_CACHE_DIR=$S/cache
-    $R --label tests -- python -m pytest -x -q -p no:cacheprovider
+    $R --label tests -- python -m pytest -q -p no:cacheprovider
     for w in compile_sched compile_tile cache_warm exec_replay serve_mix; do
       PYTHONPATH=bench $R --label bench -- python -m akgbench.worker \
         --workload $w --seed 0 --seconds 3 --scratch $S --result $S/$w.json

@@ -75,9 +75,9 @@ class _AstGenerator:
         if isinstance(node, ExtensionNode):
             intro = Evaluate(
                 "// extension: "
-                + ", ".join(f"{sid} per tile" for sid in node.extensions)
+                + ", ".join(f"{sid} per tile" for sid in node.stmt_ids)
             )
-            inner = self.visit(node.child, active | set(node.extensions))
+            inner = self.visit(node.child, active | set(node.stmt_ids))
             return Block([intro, inner] if inner else [intro])
         if isinstance(node, BandNode):
             return self._visit_band(node, active)

@@ -19,7 +19,7 @@ as the compute of tile ``i`` released its buffer half.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.codegen.sync import Stage, event_ids, link_stages, loop_stage
 from repro.codegen.vectorize import (
@@ -84,27 +84,16 @@ class ProgramBuilder:
         if assignments is None:
             assignments = [assign_compute_units(g.statements) for g in groups]
         instrs: List[Instr] = []
-        metadata: Dict[str, object] = {"groups": []}
-        sym_dims = getattr(kernel, "sym_dims", None)
-        if sym_dims:
-            # Surface the shape class in program dumps: the instruction
-            # stream itself is the maximum-shape program (replay clamps).
-            metadata["sym_dims"] = dict(sym_dims)
-            metadata["shape_generic"] = bool(
-                getattr(kernel, "shape_generic", False)
-            )
         for i, (group, plan, assignment) in enumerate(
             zip(groups, plans, assignments)
         ):
             if i > 0:
                 instrs.append(Barrier())
-            group_instrs, info = self._build_group(group, plan, assignment, events)
-            instrs.extend(group_instrs)
-            metadata["groups"].append(info)
+            instrs.extend(self._build_group(group, plan, assignment, events))
         trace = None
         if self.emit_trace:
-            trace = {"kernel": kernel, "groups": list(groups)}
-        return Program(kernel.name, instrs, trace=trace, metadata=metadata)
+            trace = (kernel, list(groups))
+        return Program(kernel.name, instrs, trace=trace)
 
     # -- per-group lowering ---------------------------------------------------------
 
@@ -114,7 +103,7 @@ class ProgramBuilder:
         plan: StoragePlan,
         assignment: UnitAssignment,
         events: Iterator[int],
-    ) -> Tuple[List[Instr], Dict[str, object]]:
+    ) -> List[Instr]:
         pre, chunked, post = self._tile_stages(group, plan, assignment)
         stages = pre + chunked + post
         policy = self.sync_policy
@@ -128,15 +117,8 @@ class ProgramBuilder:
             )
             chain = pre + [chunk_loop] + post
         body = link_stages(chain, policy, events)
-        info: Dict[str, object] = {
-            "tiles": group.total_tiles,
-            "stages": len(stages),
-            "moved_in": plan.moved_bytes_per_tile("in"),
-            "moved_out": plan.moved_bytes_per_tile("out"),
-            "full_tile_fraction": 1.0,
-        }
         if not body:
-            return [], info
+            return []
 
         instrs: List[Instr] = []
         n_tiles = group.total_tiles
@@ -165,7 +147,7 @@ class ProgramBuilder:
             instrs.extend(body)
         else:
             instrs.append(Loop(n_tiles, full_body, label="tile loop"))
-        return instrs, info
+        return instrs
 
     def _last_compute_pipe(self, stages: Sequence[Stage]) -> Optional[Pipe]:
         compute = [

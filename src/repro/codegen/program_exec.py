@@ -291,8 +291,9 @@ class ProgramReplay:
                 "with emit_trace=True"
             )
         self.engine = engine
-        self.kernel: LoweredKernel = program.trace["kernel"]
-        self.groups: Sequence[TiledGroup] = program.trace["groups"]
+        self.kernel: LoweredKernel
+        self.groups: Sequence[TiledGroup]
+        self.kernel, self.groups = program.trace
         self._group_replays = [
             (group, _prepare_replays(group, engine)) for group in self.groups
         ]

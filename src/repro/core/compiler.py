@@ -411,7 +411,7 @@ def fit(
     The linear footprint fit behind the start sizes is an approximation;
     the exact plan is the law.  ``None`` when 64 shrinks do not get there.
     """
-    kernel, hw, deps = frontend.kernel, frontend.hw, frontend.deps
+    kernel, hw = frontend.kernel, frontend.hw
     invariants = frontend.invariants()
     # The split clustering and its schedule are tile-size-independent, so
     # the front-end caches them across backend builds.
@@ -425,7 +425,7 @@ def fit(
         if fuse:
             try:
                 fusion = apply_post_tiling_fusion(
-                    tree, kernel, deps, frontend.clustering, sizes, invariants
+                    tree, kernel, frontend.clustering, sizes, invariants
                 )
             except ReproError as exc:
                 if isinstance(exc, StageTimeoutError):

@@ -122,7 +122,9 @@ __all__ = [
 #: tree's root each statement's dims.
 #: v6: a ``FrontEnd`` holds no scheduler options and no key a ``sched(...)``
 #: term (the scheduler has one setting).
-CACHE_FORMAT_VERSION = 6
+#: v7: a tiled group holds no relation at all (a fused producer's is read
+#: off its span again) and an extension node its producers' ids.
+CACHE_FORMAT_VERSION = 7
 
 #: Entry header: magic, then the sha256 of the pickled payload.
 _MAGIC = b"RAKG\x02"

@@ -6,8 +6,9 @@ instances it needs, which enables overlapped tiles and removes the
 tiling/fusion conflict.  Concretely:
 
 1. the live-out group's outer band is tiled (``tile_band``),
-2. for each intermediate cluster (nearest producers first) the reverse
-   strategy computes ``tile -> producer instances``,
+2. each intermediate cluster (nearest producers first) whose statements
+   the reverse strategy gives a tile window, and whose recomputation the
+   window shows to be cheap, joins the tile,
 3. the producer's original subtree is wrapped in ``Mark{"skipped"}`` so the
    code generator does not emit it twice, and
 4. an extension node under the tile band introduces the per-tile producer
@@ -18,8 +19,9 @@ gather, rank change) are left alone: they stay separate tile nests inside
 the same kernel.
 
 The pass returns both the rewritten schedule tree and a :class:`TiledGroup`
-record (tile dims/sizes, per-statement instance relations, execution order)
-that the storage manager and the code generator consume directly.
+record (tile dims/sizes, per-statement tile windows and instance relations,
+execution order) that the storage manager and the code generator consume
+directly.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from repro.ir.lower import LoweredKernel, PolyStatement
 from repro.poly.affine import AffineExpr
 from repro.poly.maps import BasicMap
 from repro.sched.clustering import Clustering
-from repro.sched.deps import Dependence
 from repro.sched.tree import (
     BandNode,
     DomainNode,
@@ -49,7 +50,7 @@ from repro.tiling.invariants import SizeInvariants
 from repro.tiling.reverse import (
     affine_extent_bounds,
     liveout_instance_relation,
-    producer_tile_relation,
+    producer_instance_relation,
 )
 from repro.tiling.tile import tile_band
 
@@ -58,18 +59,21 @@ class TiledGroup:
     """Everything downstream passes need to know about one fused tile nest.
 
     A live-out statement tiled by identity band rows on distinct dims, and
-    a fused producer whose readers have one, has a *tile window*
-    (:attr:`windows`): its per-tile instance extents, and the box its
-    footprints are read off in closed form.  The ``tile -> instances``
-    relations are built only where they are read (fused-producer
-    projection, shrink rules, code generation, replay, the verifier, and
-    a statement without a window): a live-out statement gets its relation
-    from ``band_rows`` on first read of ``instance_relations``, in a cold
-    group and a restored one alike.
+    every fused producer, has a *tile window* (:attr:`windows`): its
+    per-tile instance extents, and the box its footprints are read off in
+    closed form; code generation reads nothing else.  A fused producer's
+    window comes with its *span* (``spans``, a :data:`Span` per producer,
+    set with the windows), where its interval lies in every tile.  The
+    ``tile -> instances`` relations are built only where they are read
+    (replay, the verifier, the shrink rule's link graph, and the
+    footprints of a statement without a window), on first read of
+    ``instance_relations``: a live-out statement's from its
+    ``band_rows``, a fused producer's from its span, in a cold group and a
+    restored one alike.
     """
 
-    #: What a pickle or deep copy holds, in this order, then the fused
-    #: producers' relations: never a relation, origin or window of a row.
+    #: What a pickle or deep copy holds, in this order: never a relation,
+    #: origin, window or span.
     _STATE = (
         "tile_dims",
         "tile_sizes",
@@ -117,7 +121,7 @@ class TiledGroup:
     @cached_property
     def instance_relations(self) -> Dict[str, BasicMap]:
         """``tile -> instances`` of every statement: the live-out ones from
-        their band rows, then the fused producers' (kept by a pickle)."""
+        their band rows, then the fused producers' from their spans."""
         by_id = {s.stmt_id: s for s in self.statements}
         relations = {
             sid: liveout_instance_relation(
@@ -125,7 +129,12 @@ class TiledGroup:
             )
             for sid, rows in self.band_rows.items()
         }
-        relations.update(self.__dict__.get("producer_relations", {}))
+        if self.fused_producer_ids:
+            self.windows  # derives the spans with the windows
+            for sid in self.fused_producer_ids:
+                relations[sid] = producer_instance_relation(
+                    by_id[sid], self.spans[sid].values(), self.tile_dims
+                )
         return relations
 
     @cached_property
@@ -142,7 +151,8 @@ class TiledGroup:
         two rows over one dim, a row whose tiles start below 0 (another
         statement of the band has it shifted), or an empty box has no
         window.  A fused producer's is derived from its readers'
-        (:meth:`add_window`), nearest producers first, as fusion derived it.
+        (:meth:`add_window`), nearest producers first, as fusion derived it,
+        and the producers' spans are kept as ``spans``.
         """
         by_id = {s.stmt_id: s for s in self.statements}
         windows: Dict[str, List[int]] = {}
@@ -168,6 +178,7 @@ class TiledGroup:
             for sid in reversed(self.fused_producer_ids):
                 self.add_window(by_id[sid], fused, windows, spans)
                 fused.append(by_id[sid])
+            self.spans = spans
         return windows
 
     def add_window(
@@ -239,11 +250,7 @@ class TiledGroup:
         windows[producer.stmt_id] = [length for _, _, length in span.values()]
 
     def __getstate__(self):
-        state = {name: getattr(self, name) for name in self._STATE}
-        state["producer_relations"] = {  # no producer: no relation built
-            sid: self.instance_relations[sid] for sid in self.fused_producer_ids
-        }
-        return state
+        return {name: getattr(self, name) for name in self._STATE}
 
     def refiltered(self, f: FilterNode) -> "TiledGroup":
         """This group as tiled from ``f``, an equal filter of another clone
@@ -266,7 +273,8 @@ class TiledGroup:
         -- the constant-size iteration box the code generator uses for
         intrinsic repeat counts.
 
-        A statement's tile window when it has one; otherwise bounded by
+        A statement's tile window when it has one; otherwise (a live-out
+        statement with a shifted or skewed band row) bounded by
         Fourier-Motzkin on its instance relation over the tile grid
         (:func:`fm_extents`).
         """
@@ -345,7 +353,6 @@ def _eligible_producers(
 def apply_post_tiling_fusion(
     tree: DomainNode,
     kernel: LoweredKernel,
-    deps: Sequence[Dependence],
     clustering: Clustering,
     tile_sizes: Sequence[int],
     invariants: Optional[SizeInvariants] = None,
@@ -381,8 +388,7 @@ def apply_post_tiling_fusion(
     stmt_by_id = invariants.stmt_by_id
     tile_dims = [sys.intern(f"o{i}") for i in range(band.n_rows)]
 
-    # Live-out statements are tiled by their band rows; their relations
-    # are built here only when a producer's projection reads them.
+    # Live-out statements are tiled by their band rows.
     clamped_sizes, tile_counts, origins = _clamp_and_count(band, invariants, sizes)
     band_rows = {sid: band.schedules[sid] for sid in liveout_filter.stmt_ids}
     liveouts = [stmt_by_id[sid] for sid in liveout_filter.stmt_ids]
@@ -399,47 +405,35 @@ def apply_post_tiling_fusion(
     eligible = _eligible_producers(clustering)
     fused_producer_ids: List[str] = []
     if eligible:
-        instance_relations = main_group.instance_relations
         windows: Dict[str, List[int]] = main_group.windows
         spans: Dict[str, Span] = {}
         # Fuse eligible intermediate clusters, nearest producers first
-        # (reverse cluster order is reverse-topological for our construction).
-        consumer_rel: Dict[str, Tuple[PolyStatement, BasicMap]] = {
-            sid: (stmt_by_id[sid], rel) for sid, rel in instance_relations.items()
-        }
+        # (reverse cluster order is reverse-topological for our construction):
+        # a statement joins with the window its fused readers imply, and
+        # without one its cluster stays in its own nest.
         fused = list(liveouts)
         for ci in sorted(eligible, reverse=True):
             cluster = list(reversed(clustering.clusters[ci]))
-            cluster_rels: Dict[str, BasicMap] = {}
             trial_windows, trial_spans = dict(windows), dict(spans)
             for k, stmt in enumerate(cluster):
-                rel = producer_tile_relation(stmt, consumer_rel, deps, tile_dims)
-                if rel is None:
-                    break
                 main_group.add_window(stmt, fused + cluster[:k], trial_windows, trial_spans)
-                extents = trial_windows.get(stmt.stmt_id) or fm_extents(
-                    stmt, rel, tile_dims, tile_counts
-                )
-                if not _recompute_acceptable(stmt, extents, main_group.total_tiles):
+                extents = trial_windows.get(stmt.stmt_id)
+                if extents is None or not _recompute_acceptable(
+                    stmt, extents, main_group.total_tiles
+                ):
                     break
-                cluster_rels[stmt.stmt_id] = rel
             else:
-                for stmt in cluster:
-                    instance_relations[stmt.stmt_id] = cluster_rels[stmt.stmt_id]
-                    consumer_rel[stmt.stmt_id] = (stmt, cluster_rels[stmt.stmt_id])
-                    fused_producer_ids.append(stmt.stmt_id)
+                fused_producer_ids += [stmt.stmt_id for stmt in cluster]
                 windows.update(trial_windows)
                 spans = trial_spans
                 fused += cluster
         fused_producer_ids.reverse()  # execution order: earliest producer first
+        main_group.spans = spans
 
     # -- rewrite the tree ------------------------------------------------------
     tiled = tile_band(band, clamped_sizes, require_permutable=False)
     point_band = band
 
-    extension_maps = {
-        sid: main_group.instance_relations[sid] for sid in fused_producer_ids
-    }
     children: List[FilterNode] = []
     for sid in fused_producer_ids:
         stmt = stmt_by_id[sid]
@@ -448,8 +442,8 @@ def apply_post_tiling_fusion(
     children.append(FilterNode(list(liveout_filter.stmt_ids), point_band))
 
     inner: ScheduleNode = SequenceNode(children) if len(children) > 1 else point_band
-    if extension_maps:
-        inner = ExtensionNode(extension_maps, inner)
+    if fused_producer_ids:
+        inner = ExtensionNode(list(fused_producer_ids), inner)
     tiled.set_child(inner)
     liveout_filter.set_child(tiled)
 
@@ -517,7 +511,9 @@ def fm_extents(
     """Per-tile extent of each of ``stmt``'s dims, bounded by
     Fourier-Motzkin on its ``tile -> instances`` relation over the tile
     grid (:func:`~repro.tiling.reverse.affine_extent_bounds`) and clipped
-    to the dim's extent: the answer for a statement without a window."""
+    to the dim's extent: the answer for a statement without a window (a
+    live-out statement whose band rows are not identity rows on distinct
+    dims, or are counted from another origin)."""
     box = {d: (0, count - 1) for d, count in zip(tile_dims, tile_counts)}
     bounds = affine_extent_bounds(relation.constraints, stmt.iter_names, box)
     return [
@@ -528,7 +524,8 @@ def fm_extents(
 
 #: Where a windowed statement's per-tile intervals lie: per iteration
 #: dim ``(rate, low, length)``, the interval of tile ``o`` starting at
-#: ``low + rate . o``.
+#: ``low + rate . o``
+#: (:func:`~repro.tiling.reverse.producer_instance_relation` reads it).
 Span = Dict[str, Tuple[Tuple[int, ...], int, int]]
 
 

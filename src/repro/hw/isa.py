@@ -40,7 +40,7 @@ plus the code that emits it.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.hw.spec import HardwareSpec
@@ -351,24 +351,24 @@ def walk(
 
 
 class Program:
-    """A compiled kernel: instruction stream + replay metadata.
+    """A compiled kernel: instruction stream + what replay reads.
 
-    ``trace`` optionally carries the statement-instance execution order for
-    the functional executor (see :mod:`repro.codegen.program_exec`);
-    benchmark-only compilations omit it.
+    ``trace`` optionally carries ``(kernel, tiled groups)`` for the
+    functional executor (see :mod:`repro.codegen.program_exec`);
+    benchmark-only compilations omit it.  No dict: its keys would be
+    strings an unpickled entry no longer shares with attribute names, and
+    a restored entry would pickle to other bytes.
     """
 
     def __init__(
         self,
         name: str,
         instructions: Sequence[Instr],
-        trace: Optional[List[Any]] = None,
-        metadata: Optional[Dict[str, Any]] = None,
+        trace: Optional[Tuple[Any, List[Any]]] = None,
     ):
         self.name = name
         self.instructions: List[Instr] = list(instructions)
         self.trace = trace
-        self.metadata = metadata or {}
 
     def flat_count(self) -> int:
         """Total instruction count with loops expanded (for reporting)."""

@@ -145,9 +145,12 @@ class PolyStatement:
         return state
 
     def __setstate__(self, state):
-        pairs = state.pop("var_names")
-        self.__dict__.update(state)
-        self.var_names = {id(iv): name for iv, name in pairs}
+        # Attribute by attribute, in the pickled order: ``setattr`` interns
+        # each name as unpickling an object without ``__setstate__`` does,
+        # so a restored statement pickles to the bytes it came from.
+        state["var_names"] = {id(iv): name for iv, name in state["var_names"]}
+        for name, value in state.items():
+            setattr(self, name, value)
         self.__dict__.setdefault("sym_extents", {})
 
     @property

@@ -354,16 +354,6 @@ class Constraint:
         value = self.expr.evaluate(env)
         return value == 0 if self.is_equality else value >= 0
 
-    def negate(self) -> "Constraint":
-        """Integer negation of an inequality: ``not(e >= 0)`` is ``-e-1 >= 0``.
-
-        Negating an equality is not representable as a single constraint and
-        raises ``ValueError`` (callers split it into two inequalities first).
-        """
-        if self.is_equality:
-            raise ValueError("cannot negate an equality into one constraint")
-        return Constraint((-self.expr) - 1, False)
-
     def substitute(self, env: Mapping[str, AffineExpr | Number]) -> "Constraint":
         """Substitute variables (returns a new constraint)."""
         return Constraint(self.expr.substitute(env), self.is_equality)

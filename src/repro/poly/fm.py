@@ -42,7 +42,7 @@ MAX_FM_CONSTRAINTS = 20000
 #: One constraint in rank space: ``{rank: coefficient}`` (nonzero ints, in
 #: coefficient-dict order), the constant, ``is_equality``, the caller's
 #: constraint while no step has touched the row (``None`` once derived) and
-#: the row's :func:`remove_redundant` key.
+#: the row's redundancy key (:func:`make_row`).
 Row = Tuple[Dict[int, int], int, bool, Optional[Constraint], Hashable]
 
 
@@ -249,7 +249,9 @@ def _summed(terms: Sequence[Tuple[int, int]]) -> Dict[int, int]:
 
 
 def _unique(rows: Sequence[Row]) -> List[Row]:
-    """:func:`remove_redundant` on rows (none of them trivially true)."""
+    """Cheap syntactic redundancy removal on rows (none of them trivially
+    true): one row per equality, and per inequality's linear part only the
+    tightest constant, equalities first."""
     best: Dict[Hashable, Row] = {}
     equalities: List[Row] = []
     seen_eq = set()
@@ -303,29 +305,3 @@ def interval_of(
     if lo is not None and hi is not None and lo > hi:
         return None
     return (lo, hi)
-
-
-def remove_redundant(constraints: Sequence[Constraint]) -> List[Constraint]:
-    """Cheap syntactic redundancy removal (exact duplicates, dominated consts).
-
-    Keeps, for identical linear parts, only the tightest constant; drops
-    trivially-true constraints.  This is not full redundancy elimination but
-    keeps FM output from exploding on the small systems used here.
-    """
-    best: dict = {}
-    equalities: List[Constraint] = []
-    seen_eq = set()
-    for c in constraints:
-        if c.is_trivially_true():
-            continue
-        if c.is_equality:
-            if c not in seen_eq:
-                seen_eq.add(c)
-                equalities.append(c)
-            continue
-        key = tuple(sorted(c.expr.coeffs.items()))
-        prev = best.get(key)
-        # For  lin + const >= 0, a smaller const is the *tighter* constraint.
-        if prev is None or c.expr.const < prev.expr.const:
-            best[key] = c
-    return equalities + list(best.values())

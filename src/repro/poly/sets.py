@@ -6,8 +6,8 @@ the integer lattice).  A set holds constraints for the passes that build
 them: membership (``contains``) and loop bounds (``symbolic_bounds``) are
 its only queries, and every other question -- emptiness, extrema, lexmin
 -- is posed to :class:`~repro.poly.ilp.IlpProblem` over its constraints.
-No compiler pass needs a union of basic sets: the reverse tiling strategy
-over-approximates its one union by a single basic map
+No compiler pass needs a union of basic sets: a fused producer's tile
+relation is read off its span, the hull of its readers' reads
 (:mod:`repro.tiling.reverse`).
 """
 
@@ -17,16 +17,6 @@ from typing import List, Mapping, Sequence, Tuple
 
 from repro.poly.affine import AffineExpr, Constraint, ratio
 from repro.poly.fm import project_onto
-from repro.poly.ilp import IlpProblem
-
-
-def implies(constraints: List[Constraint], candidate: Constraint) -> bool:
-    """True when ``constraints`` entail ``candidate`` (exact ILP check)."""
-    if candidate.is_equality:
-        probe_up = IlpProblem(constraints + [Constraint.ge(candidate.expr, 1)])
-        probe_dn = IlpProblem(constraints + [Constraint.le(candidate.expr, -1)])
-        return not probe_up.is_feasible() and not probe_dn.is_feasible()
-    return not IlpProblem(constraints + [candidate.negate()]).is_feasible()
 
 
 class Space:

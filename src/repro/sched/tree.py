@@ -16,8 +16,9 @@ the extensions the paper relies on (Sec. 4):
 - ``MarkNode``      -- attaches a string; AKG uses ``"local_UB"``,
   ``"local_L1"``, ``"skipped"``, ``"fractal_gemm"``, ``"realize_*"`` marks.
 - ``ExtensionNode`` -- introduces statement instances not scheduled by the
-  enclosing tree; AKG instantiates these from the reverse-strategy relation
-  to implement post-tiling fusion (Sec. 4.3) and data transfers (Sec. 4.4).
+  enclosing tree: the producers post-tiling fusion recomputes per tile
+  (Sec. 4.3), named by id; their per-tile instances are the reverse
+  strategy's, kept with the tiled group.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.poly.affine import AffineExpr
-from repro.poly.maps import BasicMap
 
 
 class ScheduleNode:
@@ -174,25 +174,25 @@ class MarkNode(ScheduleNode):
 class ExtensionNode(ScheduleNode):
     """Introduces foreign statement instances below the current position.
 
-    ``extensions[sid]`` maps the outer band dimensions to the instances of
-    ``sid`` that must additionally be executed at that point -- the exact
+    ``stmt_ids`` are the statements whose instances must additionally be
+    executed at that point, per iteration of the outer band -- the
     mechanism AKG uses for post-tiling fusion (producers recomputed per
-    consumer tile, Fig. 3e) and for data-transfer statements.
+    consumer tile, Fig. 3e).  Which instances each tile runs is the
+    statement's tile window and ``tile -> instances`` relation in its
+    :class:`~repro.fusion.posttile.TiledGroup`: code generation reads the
+    window, replay and the verifier the relation.
     """
 
     def __init__(
         self,
-        extensions: Dict[str, BasicMap],
+        stmt_ids: List[str],
         child: Optional[ScheduleNode] = None,
     ):
         super().__init__([child] if child else [])
-        self.extensions = extensions
+        self.stmt_ids = stmt_ids
 
     def _label(self) -> str:
-        parts = "; ".join(
-            f"{sid}: {len(m.constraints)} cons" for sid, m in self.extensions.items()
-        )
-        return f"Extension{{{parts}}}"
+        return f"Extension{{{', '.join(self.stmt_ids)}}}"
 
 
 class LeafNode(ScheduleNode):
@@ -225,7 +225,7 @@ def clone_tree(node: ScheduleNode) -> ScheduleNode:
     elif isinstance(node, MarkNode):
         out = MarkNode(node.name)
     elif isinstance(node, ExtensionNode):
-        out = ExtensionNode(dict(node.extensions))
+        out = ExtensionNode(list(node.stmt_ids))
     elif isinstance(node, LeafNode):
         out = LeafNode()
     else:  # pragma: no cover - unknown node type

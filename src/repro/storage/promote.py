@@ -157,12 +157,6 @@ class StoragePlan:
                 return False
         return True
 
-    def moved_bytes_per_tile(self, direction: Optional[str] = None) -> int:
-        """Total DMA bytes per tile, optionally filtered by direction."""
-        return sum(
-            m.nbytes for m in self.moves if direction in (None, m.direction)
-        )
-
     def __repr__(self) -> str:
         return (
             f"StoragePlan({len(self.allocations)} allocs, "

@@ -305,7 +305,6 @@ def probe_plan(
     fusion = apply_post_tiling_fusion(
         frontend.fresh_tree(),
         frontend.kernel,
-        frontend.deps,
         frontend.clustering,
         sizes,
         invariants,
@@ -544,8 +543,8 @@ def fit_group(
     until the exact storage plan fits; returns ``(planned, shrunk)``.
 
     Fitted once per filter, start sizes and rule: ``group_filter`` gets a
-    copy of the fitted group (relations built, as every candidate's code
-    generator reads them) with the shared plan.
+    copy of the fitted group (relations built, for any candidate's replay
+    or verifier) with the shared plan.
     """
     hw = invariants.hw
 
@@ -563,7 +562,8 @@ def fit_group(
             group = tile_single_group(group_filter, invariants, current)
         else:
             planned = plan_group(group, invariants, double_buffer)
-        # Every candidate's code generator reads the relations: build them
+        # Replay and the verifier read the relations of whichever candidate
+        # they are given (code generation reads only windows): build them
         # once, in the group all candidates share.
         planned.group.instance_relations
         return planned, shrunk

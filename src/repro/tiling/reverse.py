@@ -2,25 +2,27 @@
 
 Only the **live-out** iteration space is tiled directly.  The tile shapes
 of every **intermediate** (producer) space are *derived*: for a given
-live-out tile, the set of producer instances that must have executed is
-obtained by chasing flow dependences backwards through the tile
-constraints.  For a convolution consuming a bias-added feature map this
-yields exactly the overlapped tiles of the paper::
+live-out tile, the producer instances that must have executed are those
+the tile's reads reach, chased backwards through the fused statements.
+For a convolution consuming a bias-added feature map this yields exactly
+the overlapped tiles of the paper::
 
     {(o0, o1) -> S0(h, w) : T*o0 <= h < T*o0 + KH + T - 1 ∧ ... }
 
-The relation feeds an extension node (post-tiling fusion, Sec. 4.3) and
-the storage manager (footprints, Sec. 4.4).
-
 **Every tile of a paper workload is a box.**  Live-out statements and
 the fused producers their windows imply have tile windows
-(:attr:`repro.fusion.posttile.TiledGroup.windows`), which answer every
-per-tile extent and footprint with no relation asked.  The relations
-built here are still read by code generation, replay, the verifier and
-the shrink rule.  :func:`affine_extent_bounds` and
-:func:`footprint_bounds` answer, unmemoized, only a statement without a
-window (a shifted or skewed live-out, a producer with a non-identity
-write or a windowless reader), on the rows Fourier-Motzkin works on
+(:attr:`repro.fusion.posttile.TiledGroup.windows`): a live-out one from
+its identity band rows, a producer's by interval arithmetic on its
+readers' (:meth:`~repro.fusion.posttile.TiledGroup.add_window`), which
+also places each interval in every tile (its span).  Code generation,
+the recompute guard and promotion read the windows alone.  The
+``tile -> instances`` relations built here -- a live-out's from its band
+rows (:func:`liveout_instance_relation`), a producer's from its span
+(:func:`producer_instance_relation`) -- are read by replay, the
+verifier, the shrink rule's link graph and the footprints of a
+statement without a window.  :func:`affine_extent_bounds` and
+:func:`footprint_bounds` answer, unmemoized, only such a statement (a
+shifted or skewed live-out), on the rows Fourier-Motzkin works on
 (:data:`repro.poly.fm.Row`), projecting only the bounded dim's component
 and bounding it in integers; :func:`tile_membership_constraints` builds
 its two rows per band row directly.
@@ -33,10 +35,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.ir.lower import PolyStatement
 from repro.poly.affine import AffineExpr, Constraint, _add_into
 from repro.poly.cache import RankSpace
-from repro.poly.fm import Row, project_onto, project_rows, remove_redundant, rows_of
+from repro.poly.fm import Row, project_rows, rows_of
 from repro.poly.maps import BasicMap
-from repro.poly.sets import Space, implies
-from repro.sched.deps import Dependence
+from repro.poly.sets import Space
 
 
 def tile_membership_constraints(
@@ -90,57 +91,31 @@ def liveout_instance_relation(
     return BasicMap(Space("T", list(tile_dims)), stmt.space, cons)
 
 
-def producer_tile_relation(
-    producer: PolyStatement,
-    consumer_relations: Dict[str, Tuple[PolyStatement, BasicMap]],
-    deps: Sequence[Dependence],
+def producer_instance_relation(
+    stmt: PolyStatement,
+    span: Sequence[Tuple[Sequence[int], int, int]],
     tile_dims: Sequence[str],
-) -> Optional[BasicMap]:
-    """Relation ``(tile indices) -> producer instances`` (reverse strategy).
-
-    ``consumer_relations`` maps already-fused statement ids to their own
-    ``tile -> instances`` relation (live-out statements get theirs from
-    :func:`liveout_instance_relation`; transitively fused producers get the
-    relation computed by an earlier call of this function).  Every flow
-    dependence from ``producer`` into a fused consumer contributes its
-    preimage; the union is over-approximated by a single basic map through
-    rational projection (extra instances only cause redundant recomputation
-    of a pure producer, never incorrect results -- the guarantee of [70]).
-
-    Returns ``None`` when no fused consumer depends on the producer.
-    """
-    tile_space = Space("T", list(tile_dims))
-    parts: List[List[Constraint]] = []
-    for dep in deps:
-        if dep.kind != "flow" or dep.src is not producer or dep.is_self:
-            continue
-        entry = consumer_relations.get(dep.dst.stmt_id)
-        if entry is None:
-            continue
-        consumer, inst_rel = entry
-        # inst_rel's output dims are the consumer's own iter names; the dep
-        # relation uses the renamed (primed) consumer dims -- align them.
-        renamed_inst = [c.rename(dep.rename) for c in inst_rel.constraints]
-        cons: List[Constraint] = list(dep.relation.constraints) + renamed_inst
-        keep = list(tile_dims) + list(producer.iter_names)
-        projected = project_onto(cons, keep)
-        parts.append(remove_redundant(projected))
-    if not parts:
-        return None
-    # Union the parts by bounding-box over-approximation into one map:
-    # safe (superset) because the producer is pure; exact for the single-
-    # consumer case that dominates DL subgraphs.
-    if len(parts) == 1:
-        cons = parts[0]
-    else:
-        cons = _approximate_union(parts)
-    relation = BasicMap(tile_space, producer.space, cons)
-    return relation
-
-
-def _approximate_union(parts: List[List[Constraint]]) -> List[Constraint]:
-    """Keep only constraints implied by *every* part (a convex superset)."""
-    return [c for c in parts[0] if all(implies(p, c) for p in parts[1:])]
+) -> BasicMap:
+    """Relation ``(tile indices) -> fused producer instances``, read off
+    the producer's span (:meth:`~repro.fusion.posttile.TiledGroup.add_window`)
+    as :func:`liveout_instance_relation` reads a live-out's off its band
+    rows: per iteration dim ``(rate, low, length)``, ``low + rate . o <= x
+    <= low + rate . o + length - 1``, plus the statement's domain.  A dim
+    whose interval is the same in every tile gets only the bounds its
+    domain does not already give."""
+    cons = list(stmt.domain().constraints)
+    for name, extent, (rate, low, length) in zip(stmt.iter_names, stmt.iter_extents, span):
+        coeffs = {name: 1}
+        for o, r in zip(tile_dims, rate):
+            if r:
+                coeffs[o] = -r
+        moving = len(coeffs) > 1
+        if moving or low > 0:
+            cons.append(Constraint(AffineExpr._of(coeffs, -low)))
+        if moving or low + length < extent:
+            negated = {n: -c for n, c in coeffs.items()}
+            cons.append(Constraint(AffineExpr._of(negated, low + length - 1)))
+    return BasicMap(Space("T", list(tile_dims)), stmt.space, cons)
 
 
 def footprint_bounds(

@@ -198,7 +198,7 @@ def shift_fused_producer(result: "CompileResult") -> Optional["CompileResult"]:
 
     Each tile then recomputes the producer instances its *neighbour*
     needs and its own consumers read elements it never produced — what a
-    wrong reverse-strategy preimage would emit.  ``None`` when no group
+    wrong reverse-strategy span would emit.  ``None`` when no group
     recomputes a producer along a tile dim with at least two tiles.
     """
     mutant = copy.deepcopy(result)

@@ -319,11 +319,11 @@ class TestCompilationReuse:
         np.testing.assert_allclose(got_warm, a @ b, rtol=1e-2, atol=1e-2)
 
     def test_older_format_entries_are_never_probed(self, monkeypatch):
-        """An entry written under format 5's digest is not reinterpreted
-        by format 6 code: the version salts the key, so it simply misses."""
-        assert diskcache.CACHE_FORMAT_VERSION == 6
+        """An entry written under format 6's digest is not reinterpreted
+        by format 7 code: the version salts the key, so it simply misses."""
+        assert diskcache.CACHE_FORMAT_VERSION == 7
         with monkeypatch.context() as patch:
-            patch.setattr(diskcache, "CACHE_FORMAT_VERSION", 5)
+            patch.setattr(diskcache, "CACHE_FORMAT_VERSION", 6)
             old = run_frontend(_matmul_kernel(), "fmt")
         diskcache.reset_disk_cache_stats()
         new = run_frontend(_matmul_kernel(), "fmt")
@@ -335,7 +335,7 @@ class TestCompilationReuse:
 
     def test_older_format_results_are_never_probed(self, monkeypatch):
         """A format 3 ``CompileResult`` entry (it pickled ``deps``) sits
-        under a key format 6 never derives: the build is a clean miss --
+        under a key format 7 never derives: the build is a clean miss --
         no error, no recovery event -- and the old entry stays unread."""
         from repro.core.compiler import CompileResult
 

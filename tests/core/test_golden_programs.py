@@ -157,7 +157,11 @@ CALLS = {
 # the benchmark's compile_sched workload, softmax_32x64 and subgraph2 of
 # its compile_tile workload; subgraph1 and subgraph4 are the two rows
 # whose exact fit shrinks their start sizes (capacity_shrink asks which
-# tile dims each footprint depends on at every step).  subgraph1 31910
+# tile dims each footprint depends on at every step).  1351 / 4135 /
+# 30132 / 12719 / 11069 / 15613 while every fused producer's relation was
+# an FM projection of its readers' through the flow dependences, built as
+# it was fused, the fit read ``frontend.deps`` for it, and emission filled
+# a write-only ``Program.metadata``.  subgraph1 31910
 # and subgraph5 15915 while a fused producer's per-tile extents,
 # footprints and recompute check were solved by Fourier-Motzkin rather
 # than read off a window derived from its consumers'.  1445 / 4380 /
@@ -180,17 +184,18 @@ CALLS = {
 # re-solved their fold's feasibility, dependences sharing a problem each
 # asked its distance bounds, and band row extents were ILPs.
 BUILD_CALLS = {
-    "conv2d_16x32": 1351,
-    "softmax_32x64": 4135,
-    "subgraph1": 30132,
-    "subgraph2": 12719,
-    "subgraph4": 11069,
-    "subgraph5": 15613,
+    "conv2d_16x32": 1342,
+    "softmax_32x64": 4101,
+    "subgraph1": 22320,
+    "subgraph2": 12705,
+    "subgraph4": 10999,
+    "subgraph5": 13712,
 }
 
 # name -> Python-level calls of a warm build(), one disk-cache hit: the
 # graph walk behind the key, one read and one unpickle (the rows of the
-# benchmark's cache_warm workload).  311 / 159 / 236 / 1142 / 733 while
+# benchmark's cache_warm workload).  subgraph5 716 while entries pickled
+# the fused producers' relations.  311 / 159 / 236 / 1142 / 733 while
 # the front-end key rendered the scheduler options; 389 / 197 / 310 /
 # 1816 / 1031 while entries pickled the live-out relations and the tree root's domain sets
 # (each constraint unpickled is a ``Constraint.__setstate__`` call).
@@ -199,7 +204,7 @@ WARM_CALLS = {
     "matmul_256": 142,
     "softmax_32x64": 219,
     "subgraph2": 1125,
-    "subgraph5": 716,
+    "subgraph5": 676,
 }
 
 # (baseline, golden row) -> (dump sha256[:16], cycles)

@@ -1,12 +1,14 @@
 """A pickled front-end or result answers as the cold build it came from.
 
 Entries keep what a cold build keeps -- a tiled group's live-out band
-rows, a dependence's access pair and level, the tree root's statement
-dims -- and rebuild the relations derived from them on first read,
-through the path a cold build takes.  So after ``pickle.loads(
-pickle.dumps(x))`` every tile window, per-tile extent, instance relation,
-dependence relation and distance bound equals the cold build's, separable
-dependences are answered in closed form again, and replays are equal.
+rows and fused producer ids, a dependence's access pair and level, the
+tree root's statement dims -- and rebuild the windows, spans and
+relations derived from them on first read, through the path a cold build
+takes.  So after ``pickle.loads(pickle.dumps(x))`` every tile window,
+per-tile extent, instance relation, dependence relation and distance
+bound equals the cold build's, separable dependences are answered in
+closed form again, replays are equal, and the restored object pickles to
+the very bytes it came from.
 """
 
 import pickle
@@ -15,8 +17,9 @@ import numpy as np
 import pytest
 
 from repro.core import diskcache
-from repro.core.compiler import AkgOptions, backend_build
+from repro.core.compiler import AkgOptions, backend_build, build
 from repro.core.frontend import run_frontend
+from repro.fusion.posttile import TiledGroup
 from repro.graph import compile_network, network
 from repro.poly.cache import clear_solver_caches
 from repro.runtime.reference import numpy_dtype
@@ -64,9 +67,7 @@ def _assert_groups_equal(cold, restored):
     assert len(cold.groups) == len(restored.groups)
     for c, r in zip(cold.groups, restored.groups):
         # Nothing derived from the rows came through the pickle ...
-        assert "instance_relations" not in r.__dict__
-        assert "origins" not in r.__dict__
-        assert set(r.producer_relations) == set(r.fused_producer_ids)
+        assert set(r.__dict__) == set(TiledGroup._STATE)
         assert set(r.band_rows) == set(r.liveout_ids)
         # ... and the rebuilt answers are the cold ones.
         assert _group_answers(r) == _group_answers(c)
@@ -128,13 +129,26 @@ def test_separable_golden_dependences_are_closed_form_after_a_reload(builds):
 
 
 def test_a_pickled_result_holds_no_live_out_relation(builds):
+    """Nor a fused producer's: a group pickles its ``_STATE`` alone."""
     for name in sorted(GOLDEN):
         _frontend, cold = builds[name]
-        cold.groups[0].instance_relations  # built on the cold side: stays out
         for group in cold.groups:
-            state = group.__getstate__()
-            assert "instance_relations" not in state
-            assert not set(state["producer_relations"]) & set(group.liveout_ids)
+            group.instance_relations  # built on the cold side: stays out
+            assert list(group.__getstate__()) == list(TiledGroup._STATE)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_a_restored_entry_pickles_to_the_same_bytes(builds, name):
+    """Entries stay pure when a hit is stored again: a restored front-end
+    or result keeps its attribute names and their order, so its pickle
+    shares strings where the cold one did."""
+    frontend, result = builds[name]
+    with diskcache.disabled():
+        clear_solver_caches()
+        plain = build(GOLDEN[name][0](), name)  # what an entry holds
+    for value in (frontend, result, plain):
+        once = pickle.dumps(value)
+        assert pickle.dumps(pickle.loads(once)) == once
 
 
 def test_a_restored_mobilenet_plan_replays_as_the_cold_one():

@@ -1,12 +1,23 @@
 """Exact integer questions about a constraint system, posed to the ILP.
 
-Sets and maps hold constraints; emptiness and per-dimension extrema are
-:class:`~repro.poly.ilp.IlpProblem`'s questions, and tests that use them
-as an oracle ask it here.
+Sets and maps hold constraints; emptiness, entailment and per-dimension
+extrema are :class:`~repro.poly.ilp.IlpProblem`'s questions, and tests
+that use them as an oracle ask it here.
 """
 
-from repro.poly.affine import AffineExpr
+from repro.poly.affine import AffineExpr, Constraint
 from repro.poly.ilp import IlpProblem, IlpStatus
+
+
+def implies(constraints, candidate):
+    """True when ``constraints`` entail ``candidate`` (exact ILP check)."""
+    if candidate.is_equality:
+        probe_up = IlpProblem(constraints + [Constraint.ge(candidate.expr, 1)])
+        probe_dn = IlpProblem(constraints + [Constraint.le(candidate.expr, -1)])
+        return not probe_up.is_feasible() and not probe_dn.is_feasible()
+    # Over the integers, not(e >= 0) is -e - 1 >= 0.
+    negated = Constraint((-candidate.expr) - 1)
+    return not IlpProblem(constraints + [negated]).is_feasible()
 
 
 def ilp_box(constraints, dims):

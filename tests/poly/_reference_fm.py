@@ -8,7 +8,9 @@ on :class:`~repro.poly.affine.Constraint` objects, substitutes through
 ``Constraint`` normalise every result.
 It is the oracle for ``test_fm``: production's projection must equal
 it in list order, coefficient-dict order and numbers, and hand back the
-caller's own object for every row it did not touch.
+caller's own object for every row it did not touch.  Its redundancy
+removal, :func:`remove_redundant`, is the named form of the rows'
+``fm._unique``.
 
 Not imported by anything under ``src/``.
 """
@@ -18,7 +20,32 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.poly.affine import AffineExpr, Constraint, ratio
-from repro.poly.fm import remove_redundant
+
+
+def remove_redundant(constraints: Sequence[Constraint]) -> List[Constraint]:
+    """Cheap syntactic redundancy removal (exact duplicates, dominated consts).
+
+    Keeps, for identical linear parts, only the tightest constant; drops
+    trivially-true constraints.  This is not full redundancy elimination but
+    keeps FM output from exploding on the small systems used here.
+    """
+    best: dict = {}
+    equalities: List[Constraint] = []
+    seen_eq = set()
+    for c in constraints:
+        if c.is_trivially_true():
+            continue
+        if c.is_equality:
+            if c not in seen_eq:
+                seen_eq.add(c)
+                equalities.append(c)
+            continue
+        key = tuple(sorted(c.expr.coeffs.items()))
+        prev = best.get(key)
+        # For  lin + const >= 0, a smaller const is the *tighter* constraint.
+        if prev is None or c.expr.const < prev.expr.const:
+            best[key] = c
+    return equalities + list(best.values())
 
 
 def eliminate_variable(

@@ -2,8 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
-
 from repro.poly.affine import AffineExpr, Constraint, aff, var
 
 
@@ -132,15 +130,6 @@ class TestConstraint:
         merged = Constraint.ge(var("h") * 2 + var("w") * 2, 6).rename({"w": "h"})
         assert merged.expr.coeffs == {"h": Fraction(1)}
         assert merged.expr.const == -2
-
-    def test_negate_inequality(self):
-        c = Constraint.ge(var("h"), 3).negate()  # h <= 2
-        assert c.satisfied({"h": 2})
-        assert not c.satisfied({"h": 3})
-
-    def test_negate_equality_raises(self):
-        with pytest.raises(ValueError):
-            Constraint.eq(var("h"), 3).negate()
 
     def test_trivial_checks(self):
         assert Constraint.ge(AffineExpr.constant(1), 0).is_trivially_true()

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from repro.poly.affine import AffineExpr, Constraint, var
 from repro.poly.cache import clear_solver_caches
-from repro.poly.fm import project_onto, remove_redundant
+from repro.poly.fm import project_onto
 from repro.poly.ilp import IlpProblem
 
 from tests.poly import _reference_fm as reference
 from tests.poly._counts import hits_misses
-from tests.poly._reference_fm import eliminate_variable
+from tests.poly._reference_fm import eliminate_variable, remove_redundant
 
 
 def box_constraints(**bounds):

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from repro.poly.affine import AffineExpr, Constraint, var
 from repro.poly.fm import project_onto
 from repro.poly.ilp import IlpProblem
-from repro.poly.sets import BasicSet, Space, implies
-from tests.poly._box import ilp_box
+from repro.poly.sets import BasicSet, Space
+from tests.poly._box import ilp_box, implies
 
 
 def box(name, **bounds):

@@ -177,10 +177,12 @@ def _build(make):
 # (65, 35), (3, 5) and footprint (0, 4), (5, 5), (0, 6), (8, 16), (0, 15)
 # -> the pins.  Then fused producers got tile windows too, and the extent
 # and footprint tables left (subgraph5 read extent 8 / 4 and footprint
-# 1 / 1, every other compile 0 / 0 in both).
+# 1 / 1, every other compile 0 / 0 in both).  Then a fused producer's
+# relation was read off its span instead of projected: fm (0, 1) ->
+# (0, 0) on subgraph5, its one projection, and no compile here projects.
 COMPILES = {
     "conv2d_16x32": (_build(_conv2d_16x32), 0, (0, 0), (0, 0), (0, 0)),
-    "subgraph5": (_build(lambda: _subgraph(5)), 5, (14, 50), (0, 9), (0, 1)),
+    "subgraph5": (_build(lambda: _subgraph(5)), 5, (14, 50), (0, 9), (0, 0)),
     "subgraph2": (_build(lambda: _subgraph(2)), 0, (0, 0), (0, 0), (0, 0)),
     "mobilenetv2_tiny": (
         lambda: compile_network(network("mobilenetv2_tiny")),
@@ -272,9 +274,8 @@ def test_compile_time_solves_equal_the_reference(name, monkeypatch):
         assert (stats[table]["hits"], stats[table]["misses"]) == pin, table
     # The tables were cold, so every kernel must have real solves left to
     # compare -- a memo that absorbed them all would pass vacuously.  Only
-    # ``fm`` may be unreached: subgraph5's fused stencil producer is its
-    # one projection.  So may ``ilp`` by a compile of ``NO_ILP``, whose
-    # pins (0, 0) say so.
+    # ``fm`` is unreached: none of these compiles projects.  So may ``ilp``
+    # be by a compile of ``NO_ILP``, whose pins (0, 0) say so.
     assert stats["ilp"]["misses"] > 0 or name in NO_ILP
 
 

@@ -1,5 +1,7 @@
 """Tests for buffer promotion and footprint computation."""
 
+import pickle
+
 import pytest
 
 from repro.core import diskcache
@@ -29,7 +31,7 @@ def fused_group(out, sizes):
     deps = compute_dependences(kernel)
     clustering = conservative_clustering(kernel, deps)
     tree = PolyScheduler().schedule_kernel(kernel, deps, clustering)
-    fusion = apply_post_tiling_fusion(tree, kernel, deps, clustering, sizes)
+    fusion = apply_post_tiling_fusion(tree, kernel, clustering, sizes)
     return kernel, fusion.groups[-1]
 
 
@@ -348,7 +350,10 @@ class TestFootprintTable:
     def test_cold_means_cold_and_the_verifier_stays_independent(self, monkeypatch):
         """A build after ``clear_solver_caches()`` (the benchmark's definition
         of a cold compile) plans alike, and the checker never reads the
-        windows or footprints of the code it checks."""
+        per-tile extents or footprints of the code it checks.  It does read
+        the relations, which a fused producer's span gives: a span cut
+        short by one, before any relation is built, is rejected."""
+        from repro.core.errors import VerificationError
         from repro.verify import verify_result
 
         make = GOLDEN["subgraph5"][0]
@@ -363,10 +368,17 @@ class TestFootprintTable:
 
             monkeypatch.setattr(promote, "footprint_extents", unread)
             monkeypatch.setattr(TiledGroup, "instance_extents", unread)
-            for group in result.groups:
-                group.__dict__.pop("windows", None)
             verify_result(result)
-            assert all("windows" not in g.__dict__ for g in result.groups)
+
+            cut = pickle.loads(pickle.dumps(result))
+            [group] = [g for g in cut.groups if g.fused_producer_ids]
+            group.windows  # derives the spans, and no relation
+            assert "instance_relations" not in group.__dict__
+            span = group.spans[group.fused_producer_ids[-1]]
+            dim, (rate, low, length) = next((d, s) for d, s in span.items() if any(s[0]))
+            span[dim] = (rate, low, length - 1)
+            with pytest.raises(VerificationError):
+                verify_result(cut)
 
     def test_twenty_one_statements_solve_no_footprint(self, monkeypatch):
         solved = []

@@ -15,6 +15,13 @@ constraints, coefficient-dict order and string objects included.
 which tile dims each tensor's composed ``tile -> elements`` relation links
 a tensor dim to.  It is the oracle for ``test_tile_dependence``.
 
+:func:`producer_tile_relation` is the reverse strategy as fusion derived
+it before fused producers had spans: the preimage of every fused reader's
+relation through the flow dependences, projected by Fourier-Motzkin and
+unioned into one convex relation.  :func:`fm_producer_relations` gives a
+tiled group's producers theirs, nearest first.  It is the oracle the
+span relations of ``test_producer_windows`` are held against.
+
 Not imported by anything under ``src/``.
 """
 
@@ -25,9 +32,11 @@ from math import floor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.poly.affine import AffineExpr, Constraint, ratio
-from repro.poly.fm import project_onto, remove_redundant
+from repro.poly.fm import project_onto
 from repro.poly.maps import BasicMap
 from repro.poly.sets import Space
+from tests.poly._box import implies
+from tests.poly._reference_fm import remove_redundant
 
 
 _fresh_counter = itertools.count()
@@ -153,3 +162,50 @@ def footprint_bounds(
     fp = positional_footprint(relation, indices)
     box_ranges = {d: (0, n - 1) for d, n in zip(fp.in_space.dims, tile_counts)}
     return [extent_bound(fp.constraints, d, box_ranges) for d in fp.out_space.dims]
+
+
+def producer_tile_relation(producer, consumer_relations, deps, tile_dims):
+    """Relation ``(tile indices) -> producer instances`` by projection.
+
+    ``consumer_relations`` maps already-fused statement ids to ``(stmt,
+    relation)``.  Every flow dependence from ``producer`` into one of them
+    contributes its preimage, projected onto the tile and producer dims;
+    the union of the parts keeps only the constraints of the first that
+    every other implies (a convex superset).  ``None`` when no fused
+    statement depends on the producer.
+    """
+    parts: List[List[Constraint]] = []
+    for dep in deps:
+        if dep.kind != "flow" or dep.src is not producer or dep.is_self:
+            continue
+        entry = consumer_relations.get(dep.dst.stmt_id)
+        if entry is None:
+            continue
+        _consumer, inst_rel = entry
+        # The relation names the consumer's own dims; the dependence its
+        # renamed (primed) ones.
+        renamed = [c.rename(dep.rename) for c in inst_rel.constraints]
+        keep = list(tile_dims) + list(producer.iter_names)
+        projected = project_onto(list(dep.relation.constraints) + renamed, keep)
+        parts.append(remove_redundant(projected))
+    if not parts:
+        return None
+    cons = parts[0]
+    if len(parts) > 1:
+        cons = [c for c in parts[0] if all(implies(p, c) for p in parts[1:])]
+    return BasicMap(Space("T", list(tile_dims)), producer.space, cons)
+
+
+def fm_producer_relations(group, deps) -> Dict[str, BasicMap]:
+    """Every fused producer's :func:`producer_tile_relation`, nearest
+    first, from the group's live-out relations."""
+    by_id = {s.stmt_id: s for s in group.statements}
+    consumers = {
+        sid: (by_id[sid], group.instance_relations[sid]) for sid in group.liveout_ids
+    }
+    out = {}
+    for sid in reversed(group.fused_producer_ids):
+        relation = producer_tile_relation(by_id[sid], consumers, deps, group.tile_dims)
+        out[sid] = relation
+        consumers[sid] = (by_id[sid], relation)
+    return out

@@ -1,30 +1,35 @@
-"""Fused producers' tile windows against enumeration and Fourier-Motzkin.
+"""Fused producers' tile windows and span relations against enumeration
+and Fourier-Motzkin.
 
-A fused producer's per-tile box is derived from its consumers' windows
-(``repro.fusion.posttile.producer_span``): per written dim, the hull of
-the reading subscripts' ranges over the consumers' windows, clipped to
-the producer's extent and to the subscripts' range over the consumers'
-whole boxes.  Held here:
+A fused producer's per-tile box is derived from its readers' windows
+(``TiledGroup.add_window``): per written dim, the hull of the reading
+subscripts' ranges over the readers' spans, clipped to the producer's
+extent and to the subscripts' range over the readers' whole boxes.  Its
+``tile -> instances`` relation is read off that span
+(``reverse.producer_instance_relation``).  The oracle is the reverse
+strategy as fusion once derived it: the Fourier-Motzkin preimage of the
+readers' relations through the flow dependences, unioned into one convex
+relation (``_reference_footprint.producer_tile_relation``).  Held here:
 
 (a) on seeded random kernels -- ``C[y, z] = sum_k P[a*y + b*k + c]``
     (``test_tile_dependence._window_kernel``), and the same consumer
     reading ``P`` twice at other offsets through a chain of two producers
-    -- at random tile sizes, every producer window contains the instances
-    each tile needs (enumerated), and is contained in what
-    Fourier-Motzkin bounds on the producer's projected relation;
-(b) on every fused producer a cold build of the five full-size networks'
-    unique subgraphs asks about, the window equals Fourier-Motzkin's
-    bound, and every footprint read off it equals the one solved on the
-    relation (the golden kernels' and ``mobilenetv2_tiny``'s producers are
-    ``test_tile_windows``' windowed statements);
-(c) windows are not pickled: a restored golden group gives every
-    statement the extents the cold one gave.
+    -- at random tile sizes, in every tile the span relation holds every
+    instance the tile needs (enumerated) and lies inside FM's relation,
+    and the window is no longer than FM's bound;
+(b) on every fused producer a cold build of the golden kernels and the
+    five full-size networks' unique subgraphs asks about, the window
+    equals FM's bound, every footprint read off it equals the one solved
+    on FM's relation, and the span relation contains FM's in every tile;
+(c) windows, spans and relations are not pickled: a restored group
+    derives the same.
 """
 
 import pickle
 import random
 from collections import Counter
 from itertools import product
+from math import ceil, floor
 
 import pytest
 
@@ -35,17 +40,15 @@ from repro.graph import network
 from repro.graph.pipeline import partition
 from repro.ir import lower, ops
 from repro.ir.tensor import compute, placeholder, reduce_axis, te_sum
-from repro.poly.affine import var
+from repro.poly.affine import AffineExpr, Constraint, var
 from repro.poly.cache import clear_solver_caches
+from repro.poly.fm import interval_of
 from repro.sched.deps import compute_dependences
 from repro.storage import promote
-from repro.tiling.reverse import (
-    footprint_bounds,
-    liveout_instance_relation,
-    producer_tile_relation,
-)
+from repro.tiling.reverse import footprint_bounds
 
 from tests.core.test_golden_programs import GOLDEN
+from tests.tiling._reference_footprint import fm_producer_relations
 from tests.tiling.test_tile_dependence import _window_kernel
 
 
@@ -69,34 +72,19 @@ def _hull_kernel(rng):
     return kernel, compute_dependences(kernel)
 
 
-def _fused(kernel, deps, sizes):
+def _fused(kernel, sizes):
     """The consumer's statements tiled by identity rows over ``y`` and
-    ``z`` (sizes clamped), every other statement fused under them through
-    its reverse-strategy relation, nearest first: the group fusion would
-    build, without the rank-change barrier that keeps a 1-D producer out
-    of a 2-D nest."""
+    ``z`` (sizes clamped), every other statement fused under them, nearest
+    first: the group fusion would build, without the rank-change barrier
+    that keeps a 1-D producer out of a 2-D nest."""
     *producers, init, update = kernel.statements
-    dims = update.iter_names[:2]
-    tiles = ["o0", "o1"]
     sizes = [min(s, n) for s, n in zip(sizes, update.iter_extents)]
     counts = [-(-n // s) for s, n in zip(sizes, update.iter_extents)]
-    band_rows, relations, consumers = {}, {}, {}
-    for stmt in (init, update):
-        rows = [var(d) for d in stmt.iter_names[:2]]
-        assert stmt.iter_names[:2] == dims or stmt is init
-        band_rows[stmt.stmt_id] = rows
-        relations[stmt.stmt_id] = liveout_instance_relation(stmt, rows, sizes, tiles)
-        consumers[stmt.stmt_id] = (stmt, relations[stmt.stmt_id])
-    for stmt in reversed(producers):
-        relation = producer_tile_relation(stmt, consumers, deps, tiles)
-        relations[stmt.stmt_id] = relation
-        consumers[stmt.stmt_id] = (stmt, relation)
-    group = TiledGroup(
-        tiles, sizes, counts, list(kernel.statements),
+    band_rows = {s.stmt_id: [var(d) for d in s.iter_names[:2]] for s in (init, update)}
+    return TiledGroup(
+        ["o0", "o1"], sizes, counts, list(kernel.statements),
         [s.stmt_id for s in producers], [init.stmt_id, update.stmt_id], band_rows,
     )
-    group.instance_relations = relations
-    return group
 
 
 def _boxes(stmt):
@@ -135,6 +123,17 @@ def _needed(group):
     return needed
 
 
+def _members(relation, stmt, tile_dims, tile):
+    """The instances of ``stmt`` that ``relation`` maps ``tile`` to."""
+    env = dict(zip(tile_dims, tile))
+    out = set()
+    for point in _boxes(stmt):
+        env.update(zip(stmt.iter_names, point))
+        if all(c.satisfied(env) for c in relation.constraints):
+            out.add(point)
+    return out
+
+
 def test_producer_windows_hold_the_instances_and_are_within_fm():
     rng = random.Random(20261019)
     seen = Counter()
@@ -142,20 +141,22 @@ def test_producer_windows_hold_the_instances_and_are_within_fm():
         make = _window_kernel if case % 2 else _hull_kernel
         kernel, deps = make(rng)
         sizes = [rng.choice((1, 2, 3, 4, 8)) for _ in range(2)]
-        group = _fused(kernel, deps, sizes)
+        group = _fused(kernel, sizes)
+        fm_relations = fm_producer_relations(group, deps)
         needed = _needed(group)
+        tiles = list(product(*[range(n) for n in group.tile_counts]))
         for sid in group.fused_producer_ids:
             stmt = next(s for s in group.statements if s.stmt_id == sid)
-            window = group.windows[sid]
-            for points in needed[sid].values():
-                for k, extent in enumerate(window):
-                    values = [point[k] for point in points]
-                    if values:
-                        assert max(values) - min(values) + 1 <= extent, (sid, window)
             relation = group.instance_relations[sid]
-            fm = fm_extents(stmt, relation, group.tile_dims, group.tile_counts)
-            assert all(w <= f for w, f in zip(window, fm)), (sid, window, fm)
-            seen["equal" if window == fm else "tighter"] += 1
+            fm = fm_relations[sid]
+            for tile in tiles:
+                span = _members(relation, stmt, group.tile_dims, tile)
+                assert needed[sid].get(tile, set()) <= span, (sid, tile)
+                assert span <= _members(fm, stmt, group.tile_dims, tile), (sid, tile)
+            window = group.windows[sid]
+            bound = fm_extents(stmt, fm, group.tile_dims, group.tile_counts)
+            assert all(w <= f for w, f in zip(window, bound)), (sid, window, bound)
+            seen["equal" if window == bound else "tighter"] += 1
             seen["chained"] += any(
                 c.stmt_id in group.fused_producer_ids
                 for c in group.statements
@@ -169,19 +170,20 @@ def test_producer_windows_hold_the_instances_and_are_within_fm():
     assert seen["chained"] >= 30 and seen["halo"] >= 50, seen
 
 
-# -- (b) every fused producer of the full-size networks -------------------------------
+# -- (b) every fused producer of the golden kernels and full-size networks -------
 
 
 @pytest.fixture(scope="module")
 def producers():
-    """Every (group, producer) whose extents or footprints a cold build of
-    the five full-size networks' unique subgraphs asked."""
+    """Every (group, producer, dependences) whose extents or footprints a
+    cold build of the golden kernels and of the five full-size networks'
+    unique subgraphs asked."""
     asked = {}
     extents, footprints = TiledGroup.instance_extents, promote.footprint_extents
 
     def record(group, stmt_id):
         if stmt_id in group.fused_producer_ids:
-            asked[id(group), stmt_id] = (group, stmt_id)
+            asked.setdefault((id(group), stmt_id), (group, stmt_id))
 
     def extents_of(group, stmt_id):
         record(group, stmt_id)
@@ -191,22 +193,46 @@ def producers():
         record(group, stmt.stmt_id)
         return footprints(group, stmt, access)
 
+    builds = [(GOLDEN[name][0], name) for name in sorted(GOLDEN)]
+    for net in ("resnet50", "mobilenetv2", "ssd300", "alexnet", "bert21128"):
+        builds += [
+            (lambda spec=spec: list(spec.canonical_outputs), spec.name)
+            for spec in partition(network(net)).unique.values()
+        ]
+    out = []
     with pytest.MonkeyPatch.context() as patch, diskcache.disabled():
         patch.setattr(TiledGroup, "instance_extents", extents_of)
         patch.setattr(promote, "footprint_extents", footprint_of)
-        for net in ("resnet50", "mobilenetv2", "ssd300", "alexnet", "bert21128"):
-            for spec in partition(network(net)).unique.values():
-                clear_solver_caches()
-                build(list(spec.canonical_outputs), spec.name)
+        for make, name in builds:
+            clear_solver_caches()
+            deps = build(make(), name).deps
+            out += [(group, sid, deps) for group, sid in asked.values()]
+            asked.clear()
     clear_solver_caches()
-    return list(asked.values())
+    return out
+
+
+def _offset_range(relation, tile_dims, tile_counts, dim, rate):
+    """``(min, max)`` of ``dim - rate . o`` over ``relation`` with every
+    tile dim ``o`` on its grid, rounded inward (the offset is an integer);
+    ``None`` when the relation is empty there."""
+    offset = AffineExpr.variable(dim)
+    cons = list(relation.constraints)
+    for o, r, count in zip(tile_dims, rate, tile_counts):
+        offset = offset - AffineExpr.variable(o) * r
+        cons += [Constraint.ge(var(o), 0), Constraint.le(var(o), count - 1)]
+    cons.append(Constraint.eq(var("__offset__"), offset))
+    interval = interval_of(cons, "__offset__")
+    if interval is None:
+        return None
+    return ceil(interval[0]), floor(interval[1])
 
 
 def test_every_network_producer_window_equals_fm(producers):
-    footprints = 0
-    for group, sid in producers:
+    footprints = looser = 0
+    for group, sid, deps in producers:
         stmt = next(s for s in group.statements if s.stmt_id == sid)
-        relation = group.instance_relations[sid]
+        relation = fm_producer_relations(group, deps)[sid]
         assert group.windows[sid] == fm_extents(
             stmt, relation, group.tile_dims, group.tile_counts
         ), (group, sid)
@@ -220,10 +246,20 @@ def test_every_network_producer_window_equals_fm(producers):
             ]
             assert promote.footprint_extents(group, stmt, access) == want, (sid, access)
             footprints += 1
-    assert len(producers) >= 50 and footprints >= 200, (len(producers), footprints)
+        # In every tile, what FM maps the tile to lies in the span's interval.
+        for dim, (rate, low, length) in group.spans[sid].items():
+            reach = _offset_range(relation, group.tile_dims, group.tile_counts, dim, rate)
+            if reach is None:
+                continue
+            assert low <= reach[0] and reach[1] <= low + length - 1, (group, sid, dim)
+            looser += (low, low + length - 1) != reach
+    # Over the whole grid the span reaches exactly as far as FM does: the
+    # two differ at most in a tile at the grid's edge.
+    assert looser == 0, looser
+    assert len(producers) >= 240 and footprints >= 650, (len(producers), footprints)
 
 
-# -- (c) a restored group derives the same windows -----------------------------------
+# -- (c) a restored group derives the same windows, spans and relations ---------------
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -233,9 +269,10 @@ def test_a_restored_group_gives_every_statement_the_same_extents(name):
         result = build(GOLDEN[name][0](), name)
     for group in result.groups:
         restored = pickle.loads(pickle.dumps(group))
-        assert "windows" not in restored.__dict__
+        assert "windows" not in restored.__dict__ and "spans" not in restored.__dict__
         for stmt in group.statements:
             assert restored.instance_extents(stmt.stmt_id) == group.instance_extents(
                 stmt.stmt_id
             ), stmt.stmt_id
         assert restored.windows == group.windows
+        assert repr(restored.instance_relations) == repr(group.instance_relations)

@@ -39,10 +39,10 @@ from repro.poly.sets import Space
 from repro.sched.deps import compute_dependences
 from repro.tiling import policy
 from repro.tiling.policy import move_tile_dependence
-from repro.tiling.reverse import liveout_instance_relation, producer_tile_relation
+from repro.tiling.reverse import liveout_instance_relation
 
 from tests.core.test_golden_programs import GOLDEN
-from tests.tiling._reference_footprint import tile_dependence
+from tests.tiling._reference_footprint import producer_tile_relation, tile_dependence
 
 
 def _group(tile_dims, statements, relations):

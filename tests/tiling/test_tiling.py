@@ -15,11 +15,11 @@ from repro.sched.deps import compute_dependences
 from repro.sched.scheduler import PolyScheduler
 from repro.sched.tree import BandNode, ExtensionNode, MarkNode
 from repro.fusion.posttile import apply_post_tiling_fusion
-from repro.tiling.reverse import liveout_instance_relation, producer_tile_relation
+from repro.tiling.reverse import liveout_instance_relation
 from repro.tiling.tile import tile_band
 from repro.verify import check_dependences
 from tests.poly._box import ilp_box
-from tests.tiling._reference_footprint import compose
+from tests.tiling._reference_footprint import compose, fm_producer_relations
 
 
 def _gather(idx, i):
@@ -53,7 +53,7 @@ def running_example(H=12, W=12, KH=3, KW=3):
 
 def two_offset_consumers():
     """One producer read by two consumers, one row down and one column
-    right: the reverse strategy must union two preimages."""
+    right: the producer's per-tile interval must cover both reads."""
     a = placeholder((12, 12), name="A")
     p = ops.scalar_add(a, 1.0, name="P")
     down = compute((11, 12), lambda h, w: p[h + 1, w] * 2.0, name="DOWN")
@@ -122,62 +122,35 @@ class TestReverseStrategy:
         assert tile_box(rel, {"o0": 3}) == {stmt.iter_names[0]: (12, 15)}
 
     def test_overlapped_producer_tiles_match_paper_formula(self):
-        """Producer tile extent must be T + KH - 1 (the paper's overlap)."""
+        """Producer tile extent must be T + KH - 1 (the paper's overlap),
+        in the fused group's span relation as in the FM preimage."""
         out = running_example(H=12, W=12, KH=3, KW=3)
         kernel, deps, clustering, tree = scheduled(out)
-        stmt_by_id = {s.stmt_id: s for s in kernel.statements}
-        liveout_band = None
-        for band in tree.find_all(BandNode):
-            if "S2" in band.schedules and "S3" in band.schedules:
-                liveout_band = band
-                break
-        assert liveout_band is not None
         T = 4
-        tile_dims = ["o0", "o1"]
-        consumer_rel = {}
-        for sid in liveout_band.schedules:
-            stmt = stmt_by_id[sid]
-            consumer_rel[sid] = (
-                stmt,
-                liveout_instance_relation(
-                    stmt, liveout_band.schedules[sid], [T, T], tile_dims
-                ),
-            )
-        producer = stmt_by_id["S0"]
-        rel = producer_tile_relation(producer, consumer_rel, deps, tile_dims)
-        assert rel is not None
-        # Tile (0, 0): h in [0, T+KH-2] = [0, 5].
-        box = tile_box(rel, {"o0": 0, "o1": 0})
+        [group] = apply_post_tiling_fusion(tree, kernel, clustering, [T, T]).groups
+        assert group.fused_producer_ids == ["S0"]
+        producer = group.statements[0]
+        fm = fm_producer_relations(group, deps)["S0"]
         h_dim, w_dim = producer.iter_names
-        assert box[h_dim] == (0, T + 3 - 2)
-        assert box[w_dim] == (0, T + 3 - 2)
-        # Interior tile (1, 1) starts at T*1 and overlaps the next KH-1 rows.
-        box = tile_box(rel, {"o0": 1, "o1": 1})
-        assert box[h_dim] == (T, 2 * T + 3 - 2)
+        for rel in (group.instance_relations["S0"], fm):
+            # Tile (0, 0): h in [0, T+KH-2] = [0, 5].
+            box = tile_box(rel, {"o0": 0, "o1": 0})
+            assert box[h_dim] == (0, T + 3 - 2)
+            assert box[w_dim] == (0, T + 3 - 2)
+            # Interior tile (1, 1) starts at T*1 and overlaps the next KH-1 rows.
+            box = tile_box(rel, {"o0": 1, "o1": 1})
+            assert box[h_dim] == (T, 2 * T + 3 - 2)
 
     def test_two_consumers_get_one_covering_relation(self):
-        """A producer read by two fused consumers at different offsets: the
-        per-consumer preimages are unioned into one convex relation that
-        covers every producer instance either consumer reads in a tile."""
-        kernel = lower(two_offset_consumers())
-        deps = compute_dependences(kernel)
-        producer, *consumers = kernel.statements
-        T, tile_dims = 4, ["o0", "o1"]
-        consumer_rel = {
-            s.stmt_id: (
-                s,
-                liveout_instance_relation(
-                    s, [var(d) for d in s.iter_names], [T, T], tile_dims
-                ),
-            )
-            for s in consumers
-        }
-        rel = producer_tile_relation(producer, consumer_rel, deps, tile_dims)
-        down = consumers[0].stmt_id
-        only_down = producer_tile_relation(
-            producer, {down: consumer_rel[down]}, deps, tile_dims
-        )
-        assert rel.constraints != only_down.constraints
+        """A producer read by two fused consumers at different offsets gets
+        one relation, the hull of both reads, that covers every producer
+        instance either consumer reads in a tile."""
+        kernel, deps, clustering, tree = scheduled(two_offset_consumers())
+        T = 4
+        [group] = apply_post_tiling_fusion(tree, kernel, clustering, [T, T]).groups
+        assert group.fused_producer_ids == ["S0"]
+        producer = group.statements[0]
+        rel = group.instance_relations["S0"]
         h, w = producer.iter_names
         members = rel.wrap()
         for o0 in range(3):
@@ -212,7 +185,7 @@ class TestPostTilingFusion:
     def test_running_example_fused(self):
         out = running_example(H=12, W=12)
         kernel, deps, clustering, tree = scheduled(out)
-        result = apply_post_tiling_fusion(tree, kernel, deps, clustering, [4, 4])
+        result = apply_post_tiling_fusion(tree, kernel, clustering, [4, 4])
         # One fused tile nest containing everything.
         assert len(result.groups) == 1
         group = result.groups[0]
@@ -226,7 +199,7 @@ class TestPostTilingFusion:
     def test_fused_tree_is_legal_outside_skipped(self):
         out = running_example(H=12, W=12)
         kernel, deps, clustering, tree = scheduled(out)
-        result = apply_post_tiling_fusion(tree, kernel, deps, clustering, [4, 4])
+        result = apply_post_tiling_fusion(tree, kernel, clustering, [4, 4])
         assert result.groups[0].fused_producer_ids == ["S0"]
         # The verifier reads a result's kernel and tiled groups only; at
         # these sizes build() measures the split variant faster and keeps
@@ -238,7 +211,7 @@ class TestPostTilingFusion:
         producer instances every consumer read requires."""
         out = running_example(H=10, W=10)
         kernel, deps, clustering, tree = scheduled(out)
-        result = apply_post_tiling_fusion(tree, kernel, deps, clustering, [4, 4])
+        result = apply_post_tiling_fusion(tree, kernel, clustering, [4, 4])
         group = result.groups[0]
         producer = next(s for s in kernel.statements if s.stmt_id == "S0")
         rel = group.instance_relations["S0"]
@@ -275,7 +248,7 @@ class TestPostTilingFusion:
         b = ops.scalar_add(a, 1.0, name="B")
         c = ops.relu(b, name="C")
         kernel, deps, clustering, tree = scheduled(c)
-        result = apply_post_tiling_fusion(tree, kernel, deps, clustering, [8, 8])
+        result = apply_post_tiling_fusion(tree, kernel, clustering, [8, 8])
         group = result.groups[0]
         # Both statements are live-out (pointwise merge); no extension needed.
         assert not group.fused_producer_ids
@@ -290,7 +263,7 @@ class TestPostTilingFusion:
         t = ops.transpose(a, (1, 0), name="T")
         c = ops.relu(t, name="C")
         kernel, deps, clustering, tree = scheduled(c)
-        result = apply_post_tiling_fusion(tree, kernel, deps, clustering, [4, 4])
+        result = apply_post_tiling_fusion(tree, kernel, clustering, [4, 4])
         assert len(result.groups) == 1
 
     def test_transposed_read_of_computed_tensor_fuses(self):
@@ -301,7 +274,7 @@ class TestPostTilingFusion:
         r = ops.relu(a, name="R")
         c = ops.transpose(r, (1, 0), name="C")
         kernel, deps, clustering, tree = scheduled(c)
-        result = apply_post_tiling_fusion(tree, kernel, deps, clustering, [4, 4])
+        result = apply_post_tiling_fusion(tree, kernel, clustering, [4, 4])
         assert len(result.groups) == 1
         assert result.groups[0].fused_producer_ids == ["S0"]
 
@@ -313,7 +286,7 @@ class TestPostTilingFusion:
         r = ops.relu(a, name="R")
         g = compute((8,), lambda i: r[_gather(idx, i)], name="G")
         kernel, deps, clustering, tree = scheduled(g)
-        result = apply_post_tiling_fusion(tree, kernel, deps, clustering, [4])
+        result = apply_post_tiling_fusion(tree, kernel, clustering, [4])
         assert len(result.groups) == 2
         assert result.groups[0].statements[0].tensor.name == "R"
         # The barrier group is a whole-space single tile nest.
@@ -329,7 +302,7 @@ class TestPostTilingFusion:
             (64, 64), lambda i, j: x[i, j] - s[i] + 0.0, name="OUT"
         )
         kernel, deps, clustering, tree = scheduled(out)
-        result = apply_post_tiling_fusion(tree, kernel, deps, clustering, [8, 8])
+        result = apply_post_tiling_fusion(tree, kernel, clustering, [8, 8])
         names = [g.statements[0].tensor.name for g in result.groups]
         assert len(result.groups) == 2
         assert "S" in names

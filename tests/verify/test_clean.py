@@ -7,11 +7,15 @@ network plan, and the cache/wire surfaces that carry the
 ``verified_clean`` flag.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import diskcache
 from repro.core.compiler import AkgOptions, build
 from repro.graph import compile_network, network
+from repro.ir import ops
+from repro.ir.tensor import compute, placeholder
+from repro.runtime.reference import evaluate_tensors
 from repro.service.wire import demo_kernel
 from repro.verify import verify_network_plan, verify_result
 
@@ -29,6 +33,31 @@ def test_catalog_kernel_verifies_clean(op, shape, kwargs):
     result = build(demo_kernel(op, shape, **kwargs), f"verify_{op}")
     ran = verify_result(result)
     assert ran == {"schedule": True, "bounds": True, "sync": True}
+
+
+def _two_offsets():
+    """``C[h, w] = P[h, w] + P[h, w + 1]`` with ``P = relu(X)``, X 64x33:
+    one fused producer read at two offsets along a dim whose last tile is
+    partial."""
+    x = placeholder((64, 33), name="X")
+    p = ops.relu(x, name="P")
+    return compute((64, 32), lambda h, w: p[h, w] + p[h, w + 1], name="C")
+
+
+@pytest.mark.parametrize("sizes", [None, [8, 8], [16, 4]])
+def test_a_producer_read_at_two_offsets_verifies_clean(sizes):
+    """Its tile relation, read off its span, keeps the upper bound along
+    ``w`` that a union of the two reads' preimages dropped: the bounds
+    check once read index +inf past extent 33 here."""
+    options = AkgOptions(tile_sizes=sizes, emit_trace=True)
+    with diskcache.disabled():
+        result = build(_two_offsets(), "two_offsets", options=options)
+    [group] = [g for g in result.groups if g.fused_producer_ids]
+    assert verify_result(result) == {"schedule": True, "bounds": True, "sync": True}
+    feed = {"X": np.random.default_rng(0).standard_normal((64, 33)).astype(np.float16)}
+    want = evaluate_tensors([_two_offsets()], feed)["C"]
+    for engine in ("scalar", "vectorized"):
+        assert np.array_equal(result.execute(feed, engine=engine)["C"], want), engine
 
 
 @pytest.mark.parametrize(
