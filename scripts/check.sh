@@ -27,11 +27,14 @@ echo "== tier-1 test suite =="
 python -m pytest tests/ -x -q
 
 echo
-echo "== call pins alone and after the service tests (tests/core/test_golden_programs.py) =="
-# BUILD_CALLS, WARM_CALLS and CALLS count one build's Python-level calls:
-# they must read the same whatever ran before them in the process.
-python -m pytest tests/core/test_golden_programs.py -q
-python -m pytest tests/service tests/core/test_golden_programs.py -q
+echo "== call pins alone and after the service tests (test_golden_programs.py, test_simplex_equivalence.py) =="
+# BUILD_CALLS, WARM_CALLS and CALLS count one build's Python-level calls,
+# and COMPILES one compile's solver work: they must read the same
+# whatever ran before them in the process.
+for pins in tests/core/test_golden_programs.py tests/poly/test_simplex_equivalence.py; do
+    python -m pytest "$pins" -q
+    python -m pytest tests/service "$pins" -q
+done
 
 echo
 echo "== chaos-serve (service fault tolerance under load) =="

@@ -3,11 +3,9 @@
 The staged pipeline makes tile-size candidates embarrassingly parallel:
 every measurement is ``backend_build(frontend, sizes)`` + simulation over
 a shared, *picklable* :class:`~repro.core.frontend.FrontEnd` —
-:func:`measure_candidate`.  A :class:`Measurer` holds ``{kernel id:
-FrontEnd}`` (one entry for the single-kernel tuner, every unique subgraph
-for the graph pipeline), ships the front-ends to each worker once via the
-pool initializer, and measures ``(kernel id, sizes)`` tasks, so tuners
-running concurrently share the same warm workers.
+:func:`measure_candidate`.  A :class:`Measurer` holds one kernel's
+front-end, ships it to each worker once via the pool initializer, and
+measures size vectors as tasks.
 
 Determinism: results come back through ``Executor.map``, which preserves
 submission order, and each measurement is a pure function of
@@ -27,8 +25,8 @@ from repro.core import faults
 
 __all__ = ["Measurer", "measure_candidate"]
 
-# Worker-process state, populated once by the pool initializer.
-_WORKER_FRONTENDS: dict = {}
+# Worker-process state, set once by the pool initializer.
+_WORKER_FRONTEND = None
 
 
 def measure_candidate(frontend, sizes: Sequence[int]) -> Optional[float]:
@@ -47,25 +45,24 @@ def measure_candidate(frontend, sizes: Sequence[int]) -> Optional[float]:
     return float(result.cycles())
 
 
-def _init_worker(frontends) -> None:
-    _WORKER_FRONTENDS.update(frontends)
+def _init_worker(frontend) -> None:
+    global _WORKER_FRONTEND
+    _WORKER_FRONTEND = frontend
 
 
-def _measure_in_worker(task) -> Optional[float]:
-    kid, sizes = task
+def _measure_in_worker(sizes) -> Optional[float]:
     # Outside measure_candidate's try: an injected worker fault must look
     # like a *dead or misbehaving worker* to the parent (task exception /
     # hard exit), not like an ordinary infeasible candidate.
     faults.fire("autotune.worker")
-    return measure_candidate(_WORKER_FRONTENDS[kid], sizes)
+    return measure_candidate(_WORKER_FRONTEND, sizes)
 
 
 class Measurer:
-    """Batch-measure tile-size candidates of many kernels on one pool.
+    """Batch-measure one kernel's tile-size candidates on a process pool.
 
-    Thread-safe: per-kernel tuners call :meth:`measure` from separate
-    threads; pool creation, teardown and the retry ladder are serialized
-    behind a lock while the ``pool.map`` calls themselves overlap freely.
+    Thread-safe: pool creation, teardown and the retry ladder are
+    serialized behind a lock while ``pool.map`` calls overlap freely.
     """
 
     #: Pool attempts per batch before degrading to serial: the first try
@@ -76,8 +73,8 @@ class Measurer:
     MAX_POOL_ATTEMPTS = 2
     RETRY_BACKOFF_SECONDS = 0.05
 
-    def __init__(self, frontends: dict, workers: Optional[int] = None):
-        self.frontends = dict(frontends)
+    def __init__(self, frontend, workers: Optional[int] = None):
+        self.frontend = frontend
         self.workers = workers
         self._pool = None
         self._serial_fallback = False
@@ -92,7 +89,7 @@ class Measurer:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers or min(os.cpu_count() or 1, 8),
                 initializer=_init_worker,
-                initargs=(self.frontends,),
+                initargs=(self.frontend,),
             )
         return self._pool
 
@@ -112,8 +109,8 @@ class Measurer:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def measure(self, kid, batch: Sequence[Sequence[int]]) -> List[Optional[float]]:
-        """Cycles (or ``None``) per candidate of kernel ``kid``, in order.
+    def measure(self, batch: Sequence[Sequence[int]]) -> List[Optional[float]]:
+        """Cycles (or ``None``) per candidate, in order.
 
         A single candidate never pays for the pool.
         """
@@ -126,7 +123,7 @@ class Measurer:
                     with self._lock:
                         pool = self._ensure_pool()
                     return list(
-                        pool.map(_measure_in_worker, [(kid, list(s)) for s in batch])
+                        pool.map(_measure_in_worker, [list(s) for s in batch])
                     )
                 except Exception as exc:
                     # A dead worker poisons the whole ProcessPoolExecutor
@@ -154,5 +151,4 @@ class Measurer:
                     if retry:
                         time.sleep(delay)
                         delay *= 4.0
-        frontend = self.frontends[kid]
-        return [measure_candidate(frontend, s) for s in batch]
+        return [measure_candidate(self.frontend, s) for s in batch]

@@ -19,15 +19,16 @@ Procedure, following the paper:
 The tuner is not meant to guarantee the optimum (the paper says as much)
 but usually beats the analytic Auto Tiling's data-movement heuristic.
 
-Performance notes (the staged-pipeline PR):
+Performance notes:
 
 - Candidate generation within a round depends only on state fixed
   *before* the round (the fitted model, the ranked pool, the RNG), never
   on that round's measurements — so each round's candidates are generated
-  up front and measured as one batch.  With a ``batch_measure`` hook
-  (e.g. :meth:`repro.autotune.parallel.Measurer.measure`) the batch runs
-  on a process pool; results are collected in submission order, keeping
-  history and best sizes bit-identical to a serial run.
+  up front and measured as one batch.  With ``tune_tile_sizes(...,
+  parallel=True)`` the batch runs on one kernel's
+  :class:`~repro.autotune.parallel.Measurer` process pool; results are
+  collected in submission order, keeping history and best sizes
+  bit-identical to a serial run.
 - :func:`tune_tile_sizes` runs the polyhedral front-end once and compiles
   every candidate backend-only (:func:`repro.core.compiler.backend_build`)
   instead of re-running lowering/dependences/ILP scheduling per candidate.
@@ -176,10 +177,9 @@ class AutoTuner:
         return list(self._best.sizes), self.history
 
 
-#: The small tuning budget of interactive callers (the compile service's
-#: tune requests, ``compile_network(tune=True)``): the simulator measures
-#: every candidate, deep searches belong to the offline tuner.  The values
-#: are part of the service's tune ``coalescing_key``.
+#: The small tuning budget of the compile service's tune requests: the
+#: simulator measures every candidate, deep searches belong to the offline
+#: tuner.  The values are part of the service's tune ``coalescing_key``.
 DEFAULT_TUNE_PARAMS: Dict[str, int] = {
     "first_round": 6,
     "round_size": 3,
@@ -197,9 +197,9 @@ def tune_frontend(
 
     Every candidate is compiled backend-only against ``frontend``:
     ``measure`` maps a batch of size vectors to their cycles (a
-    :class:`~repro.autotune.parallel.Measurer`'s pool, bound to this
-    kernel's id); without one, candidates are measured in process — same
-    numbers either way.  ``params`` are :class:`AutoTuner`'s budget
+    :class:`~repro.autotune.parallel.Measurer`'s pool); without one,
+    candidates are measured in process — same numbers either way.
+    ``params`` are :class:`AutoTuner`'s budget
     (``first_round``/``round_size``/``max_rounds``).
 
     Per-candidate measurements (simulated cycles, or infeasibility) are
@@ -276,8 +276,6 @@ def tune_tile_sizes(
     measurement when no pool can be created; the returned best sizes and
     history are identical either way.
     """
-    from functools import partial
-
     from repro.autotune.parallel import Measurer
     from repro.core.frontend import run_frontend
     from repro.hw.spec import HardwareSpec
@@ -288,7 +286,5 @@ def tune_tile_sizes(
     )
     if not parallel:
         return tune_frontend(frontend, seed, **params)
-    with Measurer({name: frontend}, workers=workers) as measurer:
-        return tune_frontend(
-            frontend, seed, partial(measurer.measure, name), **params
-        )
+    with Measurer(frontend, workers=workers) as measurer:
+        return tune_frontend(frontend, seed, measurer.measure, **params)

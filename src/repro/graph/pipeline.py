@@ -5,14 +5,12 @@ te DAG) and the tensor compiler (which compiles one subgraph).
 :func:`partition` is the network's one partition: it fuses the whole
 DAG, re-roots every group once and deduplicates the instances by
 fingerprint digest.  ``compile_network`` compiles each *unique*
-subgraph of that partition exactly once through the staged
-``run_frontend``/``backend_build`` split (and therefore the persistent
-disk cache, whose key starts from the same fingerprint), optionally
-tunes the unique subgraphs concurrently on the parallel-tuner pool, and
-stitches the compiled programs into a
-:class:`~repro.graph.plan.NetworkPlan` with a static buffer-reuse arena.
-Fig. 13 sums the same partition, so a network it times is a plan that
-runs.
+subgraph of that partition exactly once with ``build`` (and therefore
+through the persistent disk cache, whose key starts from the same
+fingerprint), one after another in this process, and stitches the
+compiled programs into a :class:`~repro.graph.plan.NetworkPlan` with a
+static buffer-reuse arena.  Fig. 13 sums the same partition, so a
+network it times is a plan that runs.
 
 Degradation follows the single-kernel rule: each subgraph build carries
 its own :class:`~repro.core.resilience.ResilienceReport` (a degraded
@@ -26,13 +24,12 @@ from __future__ import annotations
 import copy
 import time
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from repro.autotune.tuner import DEFAULT_TUNE_PARAMS
 from repro.core.context import COUNTERS, LOCK, stage
 from repro.core.errors import NetworkPlanError
 from repro.core.resilience import ResilienceReport
-from repro.graph.fusion import SubgraphSpec, extract_subgraph, fuse_graph
+from repro.graph.fusion import MAX_GROUP_OPS, SubgraphSpec, extract_subgraph, fuse_graph
 from repro.graph.networks import NetworkModel
 from repro.graph.plan import NetworkPlan, PlanStep, TensorInfo
 from repro.ir.tensor import Tensor
@@ -70,12 +67,12 @@ class Partition:
         )
 
 
-def partition(model: NetworkModel, max_group_ops: int = 24) -> Partition:
-    """Fuse ``model``'s DAG and re-root each group once (instance ``i`` is
-    named ``<network>_g<i>``)."""
+def partition(model: NetworkModel) -> Partition:
+    """Fuse ``model``'s DAG into groups of at most ``MAX_GROUP_OPS`` ops and
+    re-root each group once (instance ``i`` is named ``<network>_g<i>``)."""
     outputs = model.builder()
     # Read as this module's global: bench/akgbench/trace.py wraps it here.
-    groups = fuse_graph(outputs, max_group_ops)
+    groups = fuse_graph(outputs, MAX_GROUP_OPS)
     return Partition(
         outputs,
         [extract_subgraph(group, f"{model.name}_g{i}") for i, group in enumerate(groups)],
@@ -101,31 +98,12 @@ class CompiledNetwork:
         )
 
 
-def compile_network(
-    model: NetworkModel,
-    hw=None,
-    options=None,
-    max_group_ops: int = 24,
-    tune: bool = False,
-    workers: Optional[int] = None,
-    seed: int = 0,
-    tune_params: Optional[Dict[str, int]] = None,
-    service=None,
-) -> CompiledNetwork:
+def compile_network(model: NetworkModel, hw=None, options=None) -> CompiledNetwork:
     """Compile a whole network into an executable :class:`NetworkPlan`.
 
-    ``tune=True`` auto-tunes each unique subgraph's tile sizes first,
-    measuring every tuner's candidate batches concurrently on one shared
-    :class:`~repro.autotune.parallel.Measurer` process pool (``workers``
-    processes), then compiles at the best sizes.
-
-    ``service`` (a :class:`repro.service.CompileService`) routes the
-    unique-subgraph compiles through the compile daemon as one request
-    batch instead of building inline: duplicates coalesce with whatever
-    else the service is building, and a warm service answers from its
-    memo.  Results are identical either way (the service calls the same
-    ``build``); a failed request re-raises its original typed error
-    here, so error behaviour matches the inline path too.
+    Each unique subgraph of :func:`partition` is built once with
+    ``build`` (``hw`` and ``options`` passed through, plus the replay
+    trace the plan runs on).
 
     Must not run inside an enclosing ``resilience.collect()`` scope:
     each subgraph build needs its *own* report so the per-kernel
@@ -136,68 +114,24 @@ def compile_network(
 
     t0 = time.perf_counter()
     with stage("graph.fuse"):
-        part = partition(model, max_group_ops)
+        part = partition(model)
     unique = part.unique
     dedup_reuses = len(part.specs) - len(unique)
     if dedup_reuses:
         with LOCK:
             COUNTERS["graph.dedup_reuse"] += dedup_reuses
 
-    tile_overrides: Dict[str, List[int]] = {}
-    if tune:
-        with stage("graph.tune"):
-            tile_overrides = _tune_unique(
-                unique, hw, seed, tune_params or DEFAULT_TUNE_PARAMS, workers
-            )
-
-    base_options = copy.copy(options) if options is not None else None
+    opts = copy.copy(options) if options is not None else AkgOptions()
+    opts.emit_trace = True
     plan_report = ResilienceReport()
     programs: Dict[str, object] = {}
-
-    def _subgraph_options(digest: str) -> AkgOptions:
-        opts = copy.copy(base_options) if base_options else None
-        opts = opts or AkgOptions()
-        opts.emit_trace = True
-        sizes = tile_overrides.get(digest)
-        if sizes is not None:
-            opts.tile_sizes = list(sizes)
-        return opts
-
     with stage("graph.compile_subgraphs"):
-        if service is not None:
-            # Submit the whole unique set up front, then collect in
-            # order — the service overlaps queue admission with builds
-            # and coalesces against anything it is already compiling.
-            from repro.service.core import ServiceRequest
-
-            tickets = [
-                service.submit(
-                    ServiceRequest(
-                        "compile",
-                        unique[digest].canonical_outputs,
-                        name=f"sg_{digest[:12]}",
-                        hw=hw,
-                        options=_subgraph_options(digest),
-                    )
-                )
-                for digest in unique
-            ]
-            for digest, ticket in zip(unique, tickets):
-                res = ticket.result()
-                res.raise_for_error()
-                programs[digest] = res.value["result"]
-        else:
-            for digest, spec in unique.items():
-                # Called directly (not under an outer collect): build's
-                # own report decides disk-cache eligibility for *this*
-                # subgraph.
-                programs[digest] = build(
-                    spec.canonical_outputs,
-                    name=f"sg_{digest[:12]}",
-                    hw=hw,
-                    options=_subgraph_options(digest),
-                )
-        for digest in unique:
+        for digest, spec in unique.items():
+            # Called directly (not under an outer collect): build's own
+            # report decides disk-cache eligibility for *this* subgraph.
+            programs[digest] = build(
+                spec.canonical_outputs, name=f"sg_{digest[:12]}", hw=hw, options=opts
+            )
             for event in programs[digest].resilience.events:
                 plan_report.events.append(dict(event))
 
@@ -294,58 +228,3 @@ def _wire_plan(
         outputs,
         resilience=report,
     )
-
-
-def _tune_unique(
-    unique: Dict[str, SubgraphSpec],
-    hw,
-    seed: int,
-    params: Dict[str, int],
-    workers: Optional[int],
-) -> Dict[str, List[int]]:
-    """Tune every unique subgraph, candidate batches pooled together.
-
-    Each subgraph runs the single-kernel routine
-    (:func:`repro.autotune.tuner.tune_frontend`, seeded by position) on
-    its own thread, all sharing one
-    :class:`~repro.autotune.parallel.Measurer`: while one tuner waits for
-    its batch, other tuners' candidates keep the pool busy.  A subgraph
-    with no feasible candidate simply keeps the analytic Auto Tiling
-    sizes.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-    from functools import partial
-
-    from repro.autotune.parallel import Measurer
-    from repro.autotune.tuner import tune_frontend
-    from repro.core.frontend import run_frontend
-
-    frontends = {}
-    for digest, spec in unique.items():
-        frontend = run_frontend(spec.canonical_outputs, f"sg_{digest[:12]}", hw=hw)
-        if frontend.extents:  # else: nothing to tune
-            frontends[digest] = frontend
-    if not frontends:
-        return {}
-
-    with Measurer(frontends, workers=workers) as measurer:
-
-        def tune_one(position: int, digest: str) -> Optional[List[int]]:
-            try:
-                sizes, _history = tune_frontend(
-                    frontends[digest],
-                    seed + position,
-                    partial(measurer.measure, digest),
-                    **params,
-                )
-            except RuntimeError:
-                return None  # no feasible candidate: keep auto tiling
-            return sizes
-
-        with ThreadPoolExecutor(max_workers=min(len(frontends), 8)) as tp:
-            futures = {
-                digest: tp.submit(tune_one, pos, digest)
-                for pos, digest in enumerate(frontends)
-            }
-            tuned = {digest: future.result() for digest, future in futures.items()}
-    return {digest: sizes for digest, sizes in tuned.items() if sizes is not None}

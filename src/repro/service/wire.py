@@ -15,7 +15,7 @@ Request schema (``kind`` defaults to ``compile``)::
      "fault_spec": "storage.promote:error"}          # chaos only
     {"kind": "tune", "op": ..., "shape": ...,
      "tune": {"first_round": 6, "round_size": 3, "max_rounds": 2,
-              "parallel": false, "workers": null, "seed": 0}}
+              "seed": 0}}
     {"kind": "replay", "op": ..., "shape": ..., "seed": 0,
      "engine": "auto"}
 
@@ -31,11 +31,11 @@ per-client fairness cap.
 plus the control verbs ``{"kind": "ping"}``, ``{"kind": "stats"}`` and
 ``{"kind": "shutdown"}`` handled by the server directly.
 
-Parsing is *strict*: unknown top-level or options keys, wrong-typed
-values (a string ``batch_max``, a boolean ``stage_timeout``) and
-oversized lines all produce a typed :class:`ServiceError` response —
-never a raw traceback, and never a silently-ignored field that the
-client believed was doing something.
+Parsing is *strict*: unknown top-level, options or tune keys,
+wrong-typed values (a string ``batch_max``, a boolean ``stage_timeout``,
+a zero ``max_rounds``) and oversized lines all produce a typed
+:class:`ServiceError` response — never a raw traceback, and never a
+silently-ignored field that the client believed was doing something.
 
 Responses carry ``ok`` and either a kind-specific summary (compiled
 programs are summarised — cycles, tile sizes and the sha256 of the
@@ -139,6 +139,11 @@ REQUEST_FIELDS = {
     "engine": (str, "auto"),
 }
 OPTION_FIELDS = {"stage_timeout": (float, None), "solver_budget": (int, None)}
+#: Every key a ``tune`` object may carry, each an integer of at least the
+#: given value.  The tuner's process pool is not a wire field: a daemon
+#: measures a tune request's candidates in its own worker.
+TUNE_MINIMUMS = {"first_round": 1, "round_size": 1, "max_rounds": 1, "seed": 0}
+TUNE_FIELDS = {key: (int, None) for key in TUNE_MINIMUMS}
 
 #: Every key a request object may carry; anything else is a typed error.
 REQUEST_KEYS = frozenset(
@@ -208,6 +213,24 @@ def _options_from_json(payload: Optional[Dict[str, Any]]):
         raise ServiceError(f"bad options payload: {exc}")
 
 
+def _tune_from_json(payload: Any) -> Optional[Dict[str, int]]:
+    if not isinstance(payload, dict):
+        raise ServiceError("'tune' must be a JSON object")
+    unknown = set(payload) - set(TUNE_FIELDS)
+    if unknown:
+        raise ServiceError(
+            f"unknown tune key(s) {sorted(unknown)} (known: {sorted(TUNE_FIELDS)})"
+        )
+    typed = _typed(payload, TUNE_FIELDS)
+    for key in payload:
+        if typed[key] is None or typed[key] < TUNE_MINIMUMS[key]:
+            raise ServiceError(
+                f"tune {key!r} must be at least {TUNE_MINIMUMS[key]}, "
+                f"got {typed[key]!r}"
+            )
+    return payload or None
+
+
 def request_from_json(payload: Dict[str, Any]) -> ServiceRequest:
     """Parse one wire request into a :class:`ServiceRequest`.
 
@@ -260,9 +283,9 @@ def request_from_json(payload: Dict[str, Any]) -> ServiceRequest:
             faults.parse_spec(fault_spec)
         except ValueError as exc:
             raise ServiceError(f"bad fault_spec: {exc}")
-    tune_payload = payload.get("tune") or {}
-    if not isinstance(tune_payload, dict):
-        raise ServiceError("'tune' must be a JSON object")
+    tune_params = payload.get("tune")
+    if tune_params is not None:  # no call on a compile request's hot path
+        tune_params = _tune_from_json(tune_params)
     # Symbolic requests get a shape-*class* tag (the requested batch must
     # not leak into the kernel name: the name is part of the compile
     # fingerprint, and batch sizes of one class must share it).
@@ -277,7 +300,7 @@ def request_from_json(payload: Dict[str, Any]) -> ServiceRequest:
         name=fields["name"] or f"akgd_{op}_{'x'.join(tags)}",
         options=_options_from_json(payload.get("options")),
         fault_spec=fault_spec,
-        tune_params=tune_payload or None,
+        tune_params=tune_params,
         seed=fields["seed"],
         engine=fields["engine"],
         bindings=bindings,

@@ -17,6 +17,7 @@ import pickle
 
 import pytest
 
+from repro.core import diskcache
 from repro.core.compiler import AkgOptions, backend_build, build
 from repro.core.frontend import run_frontend
 from repro.ir import ops
@@ -101,9 +102,12 @@ class TestTunerEquivalence:
 
         kwargs = dict(seed=3, first_round=6, round_size=3, max_rounds=2)
         best_s, hist_s = tune_tile_sizes(_gemm(), "gemm", **kwargs)
-        best_p, hist_p = tune_tile_sizes(
-            _gemm(), "gemm", parallel=True, workers=2, **kwargs
-        )
+        # With the cache on, the parallel run would read every candidate's
+        # cycles back from the serial run's entries and never use its pool.
+        with diskcache.disabled():
+            best_p, hist_p = tune_tile_sizes(
+                _gemm(), "gemm", parallel=True, workers=2, **kwargs
+            )
         assert best_s == best_p
         assert [(r.sizes, r.cycles) for r in hist_s] == [
             (r.sizes, r.cycles) for r in hist_p

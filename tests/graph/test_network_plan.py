@@ -179,50 +179,6 @@ def test_compile_dedup_one_compile_per_signature():
     assert stats["stores"] == 0
 
 
-def test_tuned_network_matches_the_single_kernel_tuner():
-    """``compile_network(tune=True)``: the plan still replays equal to the
-    scalar oracle, and every unique subgraph was tuned by the routine
-    ``tune_tile_sizes`` runs (seeded by position), on the shared pool."""
-    from repro.autotune import tune_tile_sizes
-    from repro.core.compiler import AkgOptions, build
-    from repro.graph import extract_subgraph, fuse_graph
-
-    tiny = {"first_round": 4, "round_size": 2, "max_rounds": 1}
-    compiled = compile_network(
-        network("alexnet_tiny"), tune=True, workers=2, seed=3, tune_params=tiny
-    )
-    plan = compiled.plan
-    assert not plan.degraded
-
-    feeds = _feeds(plan, seed=11, batch=2)
-    for g, r in zip(plan.replay(feeds), plan.oracle(feeds)):
-        assert set(g) == set(r)
-        for key in g:
-            assert np.array_equal(g[key], r[key]), key
-
-    unique = {}
-    for i, group in enumerate(fuse_graph(network("alexnet_tiny").builder(), 24)):
-        spec = extract_subgraph(group, f"alone_g{i}")
-        unique.setdefault(spec.digest(), spec)
-    assert set(unique) == set(plan.programs)
-    untuned = 0
-    for position, (digest, spec) in enumerate(unique.items()):
-        best, _records = tune_tile_sizes(
-            spec.canonical_outputs, f"alone_{position}", seed=3 + position, **tiny
-        )
-        alone = build(
-            spec.canonical_outputs,
-            f"alone_{position}",
-            options=AkgOptions(tile_sizes=best, emit_trace=True),
-        )
-        in_plan = plan.programs[digest]
-        assert in_plan.tile_sizes == alone.tile_sizes, digest
-        assert in_plan.cycles() == alone.cycles(), digest
-        untuned += in_plan.tile_sizes == build(spec.canonical_outputs).tile_sizes
-    # The tuner moved something: not every subgraph kept Auto Tiling's pick.
-    assert untuned < len(unique)
-
-
 def test_midnetwork_fault_marks_plan_degraded_and_skips_cache():
     # tiling.auto_search only fires for the pool subgraph — a
     # mid-network compile; the ladder degrades it and the plan-level
@@ -249,8 +205,8 @@ def test_midnetwork_fault_marks_plan_degraded_and_skips_cache():
 
 
 def test_stage_filters_see_the_graph_stages():
-    # Serial compile (no service=): frames are per thread, so the
-    # subgraph builds run inside this thread's graph.compile_subgraphs.
+    # compile_network builds in the calling thread, and stage frames are
+    # per thread, so the subgraph builds run inside graph.compile_subgraphs.
     with faults.inject("storage.promote:error@graph.compile_subgraphs"):
         with pytest.raises(CodegenError) as info:
             compile_network(network("alexnet_tiny"))

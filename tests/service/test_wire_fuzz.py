@@ -70,6 +70,7 @@ MALFORMED_LINES = [
     b'{"op": "relu", "shape": [8, 8], "fault_spec": 17}',
     b'{"op": "relu", "shape": [8, 8], "fault_spec": "bogus.site:error"}',
     b'{"op": "relu", "shape": [8, 8], "tune": "hard"}',
+    b'{"op": "relu", "shape": [8, 8], "tune": []}',
     b'{"op": "relu", "shape": [8, 8], "options": "fast"}',
     b'{"op": "relu", "shape": [8, 8], "options": {"warp": 9}}',
     b'{"op": "relu", "shape": [8, 8], "options": {"stage_timeout": "fast"}}',
@@ -144,6 +145,43 @@ class TestHandleLineFuzz:
         )
         _assert_typed_error(response)
         assert "sneaky" in response["error"]["message"]
+
+
+#: Malformed ``tune`` objects: each must fail at parse, before a worker
+#: (or, for ``parallel``/``workers``, a process pool) is started.
+BAD_TUNE_OBJECTS = [
+    {"bogus": 1},
+    {"first_round": "x"},
+    {"first_round": 0},
+    {"round_size": 2.5},
+    {"max_rounds": True},
+    {"seed": -1},
+    {"seed": None},
+    {"parallel": True},
+    {"workers": 2},
+    {"parallel": True, "workers": 2},
+]
+
+
+class TestTuneObject:
+    @pytest.mark.parametrize("tune", BAD_TUNE_OBJECTS, ids=repr)
+    def test_malformed_tune_object_is_a_service_error_at_parse(self, tune):
+        from repro.core.errors import exit_code_for
+
+        with pytest.raises(ServiceError) as info:
+            request_from_json(
+                {"kind": "tune", "op": "relu", "shape": [8, 8], "tune": tune}
+            )
+        assert exit_code_for(info.value) == 12
+        assert next(iter(tune)) in str(info.value)
+
+    def test_valid_tune_object_reaches_the_request(self):
+        tune = {"first_round": 2, "round_size": 1, "max_rounds": 1, "seed": 0}
+        request = request_from_json(
+            {"kind": "tune", "op": "relu", "shape": [8, 8], "tune": tune}
+        )
+        assert request.tune_params == tune
+        assert request_from_json({"op": "relu", "shape": [8, 8]}).tune_params is None
 
 
 class TestOversizedLines:
