@@ -4,7 +4,7 @@ A long FP16 vector chain (like Table 1's subgraph2) compiled through:
 
 - naive CCE       (per-op, scalar-era discipline: no latency hiding)
 - optimized CCE   (per-op expert kernels with prefetching, no fusion)
-- the TVM baseline (templates + compute_at fusion + empirical sync)
+- the TVM baseline (vendor tile sizes + pointwise fusion + empirical sync)
 - AKG             (polyhedral scheduling + post-tiling fusion + DP sync)
 
 Run:  python examples/compare_baselines.py

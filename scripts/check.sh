@@ -122,6 +122,10 @@ grep -qE "^cce_naive +: +1243  \(" "$TMP/compare.txt" \
     || { echo "FAIL: the naive-CCE cycles of akgc --compare moved"; exit 1; }
 
 echo
+echo "== Fig. 10 lines of code (the whole EXPERIMENTS.md table) =="
+python -m pytest benchmarks/test_fig10_loc.py -q --benchmark-disable
+
+echo
 echo "== Fig. 4 / Fig. 8 manual specs (examples/manual_specs.py) =="
 REPRO_CACHE_DIR="$TMP/manual-cache" python examples/manual_specs.py \
     | tee "$TMP/manual_specs.txt"

@@ -14,9 +14,11 @@ the command and every Python process it starts record each call into
 is a production surface.
 
 ``report`` diffs the edges against the ``ast`` list of functions and
-prints two lists: functions nothing reached, and functions reached only
-from tests -- no edge from a production run, from ``bench/``,
-``benchmarks/`` or ``examples/``, or from a function those reach.
+prints three lists.  Production is every function a run not labelled
+``tests`` called.  The lists are: functions nothing reached; functions
+only tests reached, but through a production function (the error and
+safety paths a test triggers); and the rest, test-only code that no
+production function leads to.
 
 Two traps: pytest-benchmark pauses tracing while it times, so run
 ``benchmarks/`` with ``--benchmark-disable``; ``bench/run.py`` replaces
@@ -197,22 +199,30 @@ def report(out: str) -> None:
             for caller, callee in json.load(fh):
                 caller = caller if isinstance(caller, str) else tuple(caller)
                 edges.add((caller, tuple(callee)))
-                if label != "tests" or (isinstance(caller, str) and caller != "TEST"):
+                if label != "tests":
                     production.add(tuple(callee))
     callees = defaultdict(set)
     for caller, callee in edges:
         callees[caller].add(callee)
-    work = list(production)
+    # What a test run reached out of a production function.
+    triggered, work = set(), list(production)
     while work:
         for callee in callees[work.pop()]:
-            if callee not in production:
-                production.add(callee)
+            if callee not in production and callee not in triggered:
+                triggered.add(callee)
                 work.append(callee)
     reached = {callee for _, callee in edges}
     defs = functions()
     for title, keys in (
         ("never reached", [k for k in defs if k not in reached]),
-        ("reached only from tests", [k for k in defs if k in reached - production]),
+        (
+            "reached only from tests, through a production function",
+            [k for k in defs if k in triggered],
+        ),
+        (
+            "reached only from tests, test-only code",
+            [k for k in defs if k in reached - production - triggered],
+        ),
     ):
         print(f"== {title}: {len(keys)} functions, {sum(defs[k][1] for k in keys)} lines")
         for path, line, _ in sorted(keys):

@@ -19,6 +19,10 @@ __all__ = ["ServiceRequest", "ServiceResult", "error_body"]
 
 #: Request kinds the service executes.
 KINDS = ("compile", "tune", "replay")
+#: Every key a tune request's ``tune_params`` may carry, each an integer
+#: of at least the given value.  The tuner's process pool is not among
+#: them: a tune request measures its candidates in the service's worker.
+TUNE_MINIMUMS = {"first_round": 1, "round_size": 1, "max_rounds": 1, "seed": 0}
 
 
 @dataclass(eq=False, repr=False, slots=True)
@@ -68,6 +72,23 @@ class ServiceRequest:
             raise ServiceError(
                 f"deadline_seconds must be positive, got {self.deadline_seconds!r}"
             )
+        if self.tune_params is not None:
+            unknown = set(self.tune_params) - set(TUNE_MINIMUMS)
+            if unknown:
+                raise ServiceError(
+                    f"unknown tune key(s) {sorted(unknown)} "
+                    f"(known: {sorted(TUNE_MINIMUMS)})"
+                )
+            for key, value in self.tune_params.items():
+                if (
+                    isinstance(value, bool)
+                    or not isinstance(value, int)
+                    or value < TUNE_MINIMUMS[key]
+                ):
+                    raise ServiceError(
+                        f"tune {key!r} must be an integer of at least "
+                        f"{TUNE_MINIMUMS[key]}, got {value!r}"
+                    )
 
     def _kernel_fingerprints(self) -> Optional[Tuple[str, str]]:
         """``(ir, hw)`` fingerprints, rendered once per request.

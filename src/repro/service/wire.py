@@ -139,11 +139,6 @@ REQUEST_FIELDS = {
     "engine": (str, "auto"),
 }
 OPTION_FIELDS = {"stage_timeout": (float, None), "solver_budget": (int, None)}
-#: Every key a ``tune`` object may carry, each an integer of at least the
-#: given value.  The tuner's process pool is not a wire field: a daemon
-#: measures a tune request's candidates in its own worker.
-TUNE_MINIMUMS = {"first_round": 1, "round_size": 1, "max_rounds": 1, "seed": 0}
-TUNE_FIELDS = {key: (int, None) for key in TUNE_MINIMUMS}
 
 #: Every key a request object may carry; anything else is a typed error.
 REQUEST_KEYS = frozenset(
@@ -214,20 +209,9 @@ def _options_from_json(payload: Optional[Dict[str, Any]]):
 
 
 def _tune_from_json(payload: Any) -> Optional[Dict[str, int]]:
+    # Keys, types and minimums are ServiceRequest's checks.
     if not isinstance(payload, dict):
         raise ServiceError("'tune' must be a JSON object")
-    unknown = set(payload) - set(TUNE_FIELDS)
-    if unknown:
-        raise ServiceError(
-            f"unknown tune key(s) {sorted(unknown)} (known: {sorted(TUNE_FIELDS)})"
-        )
-    typed = _typed(payload, TUNE_FIELDS)
-    for key in payload:
-        if typed[key] is None or typed[key] < TUNE_MINIMUMS[key]:
-            raise ServiceError(
-                f"tune {key!r} must be at least {TUNE_MINIMUMS[key]}, "
-                f"got {typed[key]!r}"
-            )
     return payload or None
 
 

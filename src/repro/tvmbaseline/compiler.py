@@ -18,10 +18,10 @@ differences from AKG:
    paper notes manual padding lets TVM win on a few shapes, at the price
    of computing the padded elements).
 
-Tile sizes are the vendor heuristics of
-:func:`~repro.tvmbaseline.templates.expert_tile_sizes`, refit until the
-storage plan fits; the templates themselves are Fig. 10's lines-of-code
-corpus and run no part of the build.
+Tile sizes are the vendor heuristics of :func:`expert_tile_sizes`, refit
+until the storage plan fits.  The schedule templates the vendor team wrote
+around them are Fig. 10's lines-of-code corpus, kept as text in
+``benchmarks/test_fig10_loc.py``; no template runs in the build.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.fusion.posttile import TiledGroup, group_filters
 from repro.hw.isa import Program, VectorInstr
 from repro.hw.simulator import Simulator
 from repro.hw.spec import HardwareSpec
-from repro.ir.lower import LoweredKernel, lower
+from repro.ir.lower import LoweredKernel, PolyStatement, lower
 from repro.ir.tensor import Tensor
 from repro.sched.clustering import conservative_clustering
 from repro.sched.deps import compute_dependences
@@ -43,7 +43,6 @@ from repro.sched.scheduler import PolyScheduler
 from repro.storage.promote import StoragePlan
 from repro.tiling import policy
 from repro.tiling.invariants import SizeInvariants
-from repro.tvmbaseline.templates import expert_tile_sizes
 
 
 class TvmCompileResult(CompiledKernel):
@@ -60,6 +59,38 @@ class TvmCompileResult(CompiledKernel):
         super().__init__(program, kernel, hw)
         self.groups = groups
         self.plans = plans
+
+
+def expert_tile_sizes(stmt: PolyStatement, hw: HardwareSpec) -> List[int]:
+    """Vendor-style initial tile sizes for one live-out statement.
+
+    GEMM and convolution take their templates' split factors ((64, 256)
+    blocks; one batch and 32 rows); vector ops halve their outer dims
+    until a quarter of UB holds the tile."""
+    extents = stmt.iter_extents[: stmt.data_rank]
+    if is_cube_statement(stmt):
+        if len(extents) == 2:  # GEMM
+            return [min(extents[0], 64), min(extents[1], 256)]
+        if len(extents) == 3:  # batched GEMM
+            return [1, min(extents[1], 64), min(extents[2], 256)]
+        if len(extents) == 4:  # conv NCHW: keep the row whole (DMA bursts)
+            return [1, extents[1], min(extents[2], 32), extents[3]]
+    # Vector/scalar: keep the innermost contiguous, block the outer dims.
+    sizes = list(extents)
+    budget = hw.usable_capacity("UB") // (4 * hw.dtype_bytes(stmt.tensor.dtype))
+    total = 1
+    for e in extents:
+        total *= e
+    k = 0
+    while total > budget and k < 64:
+        k += 1
+        dim = max(range(len(sizes) - 1), key=lambda d: sizes[d], default=0)
+        if sizes[dim] <= 1:
+            break
+        total //= sizes[dim]
+        sizes[dim] = max(sizes[dim] // 2, 1)
+        total *= sizes[dim]
+    return sizes
 
 
 class _TvmProgramBuilder(ProgramBuilder):

@@ -147,8 +147,9 @@ class TestHandleLineFuzz:
         assert "sneaky" in response["error"]["message"]
 
 
-#: Malformed ``tune`` objects: each must fail at parse, before a worker
-#: (or, for ``parallel``/``workers``, a process pool) is started.
+#: Malformed ``tune`` objects: each must fail where the request is made,
+#: on the wire or in process, before a worker (or, for
+#: ``parallel``/``workers``, a process pool) is started.
 BAD_TUNE_OBJECTS = [
     {"bogus": 1},
     {"first_round": "x"},
@@ -172,6 +173,17 @@ class TestTuneObject:
             request_from_json(
                 {"kind": "tune", "op": "relu", "shape": [8, 8], "tune": tune}
             )
+        assert exit_code_for(info.value) == 12
+        assert next(iter(tune)) in str(info.value)
+
+    @pytest.mark.parametrize("tune", BAD_TUNE_OBJECTS, ids=repr)
+    def test_malformed_tune_object_is_a_service_error_in_process(self, tune):
+        from repro.core.errors import exit_code_for
+        from repro.service.request import ServiceRequest
+        from repro.service.wire import demo_kernel
+
+        with pytest.raises(ServiceError) as info:
+            ServiceRequest("tune", demo_kernel("relu", [8, 8]), tune_params=tune)
         assert exit_code_for(info.value) == 12
         assert next(iter(tune)) in str(info.value)
 

@@ -21,7 +21,7 @@ import pytest
 from repro.core import faults
 from repro.core.compiler import AkgOptions, build
 from repro.core.context import counters
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, ServiceError
 from repro.core.resilience import StageBudget
 from repro.graph import compile_network, network
 from repro.ir import ops
@@ -187,30 +187,28 @@ def test_one_perturbed_element_fails_the_cell(monkeypatch):
 # -- worker-crash chaos through the compile service ---------------------------
 
 
-def test_service_survives_tuner_worker_crash(monkeypatch):
-    """``REPRO_FAULT_SPEC`` (the environment — the tuner's pool children
-    must inherit it) kills every measurement worker with ``os._exit(1)``.
-    The pool retry also crashes, measurement degrades sticky-serial and
-    the tune ends ok or typed, while compile requests on sibling worker
-    threads finish untouched and the queue keeps serving.  Every wait is
-    bounded: a wedged queue raises out of ``result(timeout=)``.
+def test_service_tune_starts_no_pool_under_worker_crash(monkeypatch):
+    """``REPRO_FAULT_SPEC`` (the environment, which pool children would
+    inherit) kills every tuner measurement worker with ``os._exit(1)``.
+    A tune request measures in the service's own worker, so the fault
+    never fires: the tune ends ok, no pool degrades to serial, compile
+    requests on sibling worker threads finish and the queue keeps
+    serving.  A request that asks for the pool is refused typed before it
+    is queued.  Every wait is bounded: a wedged queue raises out of
+    ``result(timeout=)``.
     """
     serial_before = counters("resilience.").get("autotune.pool.fallback:serial", 0)
     monkeypatch.setenv("REPRO_FAULT_SPEC", "autotune.worker:crash")
+    kernel = demo_kernel("relu", [16, 24])
+    params = {"first_round": 4, "round_size": 2, "max_rounds": 1, "seed": 0}
+    with pytest.raises(ServiceError):
+        ServiceRequest(
+            "tune", kernel, tune_params=dict(params, parallel=True, workers=2)
+        )
     with CompileService(workers=2) as service:
         tune = service.submit(
             ServiceRequest(
-                "tune",
-                demo_kernel("relu", [16, 24]),
-                name="chaos_serve_tune",
-                tune_params={
-                    "parallel": True,
-                    "workers": 2,
-                    "first_round": 4,
-                    "round_size": 2,
-                    "max_rounds": 1,
-                    "seed": 0,
-                },
+                "tune", kernel, name="chaos_serve_tune", tune_params=params
             )
         )
         healthy = [
@@ -221,15 +219,14 @@ def test_service_survives_tuner_worker_crash(monkeypatch):
             )
             for _ in range(3)
         ]
-        tuned = tune.result(timeout=300)
-        assert tuned.ok or isinstance(tuned.error_exc, ReproError), tuned.error
+        assert tune.result(timeout=300).ok
         assert all(t.result(timeout=300).ok for t in healthy)
         post = ServiceRequest(
             "compile", demo_kernel("relu", [8, 8]), name="chaos_serve_post"
         )
-        assert service.run(post, timeout=300).ok, "queue dead after the crash"
+        assert service.run(post, timeout=300).ok, "queue dead after the tune"
     assert (
-        counters("resilience.").get("autotune.pool.fallback:serial", 0) > serial_before
+        counters("resilience.").get("autotune.pool.fallback:serial", 0) == serial_before
     )
 
 

@@ -1,7 +1,8 @@
 """``scripts/reachability.py`` keeps two identical functions in two files
 apart: code objects compare equal across files when their name, first
 line and bytecode match, so a tracer keyed by code object would credit
-one file's calls to the other."""
+one file's calls to the other.  Its report counts as production only
+what a run not labelled ``tests`` called."""
 
 import importlib.util
 import json
@@ -43,3 +44,42 @@ def test_identical_functions_in_two_files_are_two_callees(tmp_path):
     callees = {tuple(callee) for _, callee in json.loads(dump.read_text())}
     assert ("src/repro/bounds.py", 1, "_fail") in callees
     assert ("src/repro/schedule.py", 1, "_fail") in callees
+
+
+def _groups(text):
+    """``{title: [function names]}`` of a printed report."""
+    groups = {}
+    for line in text.splitlines():
+        if line.startswith("== "):
+            title = line[3:].split(":")[0]
+            groups[title] = []
+        else:
+            groups[title].append(line.split()[1])
+    return groups
+
+
+def test_report_tells_test_triggered_paths_from_test_only_code(
+    tmp_path, monkeypatch, capsys
+):
+    module = _reachability()
+    src = tmp_path / "src" / "repro"
+    src.mkdir(parents=True)
+    names = ("api", "error_path", "test_helper", "helper_of_helper", "dead")
+    (src / "m.py").write_text("".join(f"def {n}():\n    pass\n" for n in names))
+    key = {n: ["src/repro/m.py", 2 * i + 1, n] for i, n in enumerate(names)}
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "bench-1-1.json").write_text(json.dumps([["ROOT:bench", key["api"]]]))
+    (out / "tests-2-2.json").write_text(json.dumps([
+        ["TEST", key["api"]],
+        [key["api"], key["error_path"]],
+        ["TEST", key["test_helper"]],
+        [key["test_helper"], key["helper_of_helper"]],
+    ]))
+    monkeypatch.setattr(module, "ROOT", str(tmp_path) + os.sep)
+    module.report(str(out))
+    assert _groups(capsys.readouterr().out) == {
+        "never reached": ["dead"],
+        "reached only from tests, through a production function": ["error_path"],
+        "reached only from tests, test-only code": ["test_helper", "helper_of_helper"],
+    }
